@@ -11,10 +11,10 @@ from .biortho import BiorthoFamily, gram, gram_converged, norm_const
 from .bridges import (RMatrix, boundary_of, bridge_density, ck_residual,
                       matrix_identity_residual, r_matrix, transition,
                       transition_images)
-from .dpp_kernels import (ChainConfig, InfiniteKernelSpec, KernelSpec,
-                          corr_det, corr_oracle, density, empirical_density,
-                          infinite_kernel, kernel, kernel_matrix, mcmc_sample,
-                          sine_kernel, trig_kernel)
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult,
+                          bin_intensity, corr_det, corr_oracle, density,
+                          empirical_density, exact_sample, infinite_kernel,
+                          kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import (AlcoveConfiguration, denominator_residual,
                         selberg_check, weyl_w)
 from .root_systems import FAMILIES, DerivedFamily, FamilySpec, derive, validate
@@ -25,7 +25,6 @@ __all__ = [
     "AccuracyError",
     "AlcoveConfiguration",
     "BiorthoFamily",
-    "ChainConfig",
     "CheckResult",
     "DerivedFamily",
     "FAMILIES",
@@ -33,7 +32,9 @@ __all__ = [
     "InfiniteKernelSpec",
     "KernelSpec",
     "RMatrix",
+    "SampleResult",
     "__version__",
+    "bin_intensity",
     "boundary_of",
     "bridge_density",
     "ck_residual",
@@ -44,13 +45,13 @@ __all__ = [
     "derive",
     "empirical_density",
     "eta_and_q",
+    "exact_sample",
     "gram",
     "gram_converged",
     "infinite_kernel",
     "kernel",
     "kernel_matrix",
     "matrix_identity_residual",
-    "mcmc_sample",
     "norm_const",
     "r_matrix",
     "run_suites",

@@ -125,14 +125,23 @@ def _derived(spec):
 
 
 def m_fn_parts(spec, j, x, t):
-    """One-particle function j (1-based) at positions x, time t, in parts form."""
+    """One-particle function j (1-based) at positions x, time t, in parts form.
+
+    An array of indices j gives parts with a leading axis over j, from one
+    building-block call (the functions share tau).
+    """
     d = _derived(spec)
-    if not 1 <= j <= d.spec.N:
+    jj = np.atleast_1d(j)
+    if np.any(jj < 1) or np.any(jj > d.spec.N):
         raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
     sc = scaled(x, t, d.spec.r)
     size = d.size
-    sigma = d.offsets[j - 1] / size
     z = size * np.asarray(sc.xi, dtype=float)
+    if np.ndim(j) == 0:
+        sigma = d.offsets[j - 1] / size
+    else:
+        z = np.atleast_1d(z)
+        sigma = (np.asarray(d.offsets)[jj - 1] / size).reshape(jj.shape + (1,) * z.ndim)
     tau = size * size * sc.tau_t
     return theta_block_parts(d.sharp, sigma, z, tau)
 

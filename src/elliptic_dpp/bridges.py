@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _KINDS = ("circ", "ar", "aa", "rr")
+_BRIDGE_COND_LIMIT = 1e7
 
 
 from dataclasses import dataclass
@@ -287,22 +288,40 @@ def matrix_identity_residual(spec, t, xs):
 
 
 def bridge_density(spec, t, t_star, xs):
-    """Pinned-bridge density det P_in . det P_out / det P_pin, by log-dets."""
+    """Pinned-bridge density det P_in . det P_out / det P_pin, by log-dets.
+
+    At large horizons the heat-kernel matrices approach rank one and the
+    determinants cancel to nothing.  Each of the three matrices is therefore
+    row-equilibrated and its condition number checked first: past
+    `_BRIDGE_COND_LIMIT` (1e7 leaves the three LU round-offs well inside a
+    1e-8 relative agreement with `density`) IllConditionedError is raised
+    instead of a silently wrong, possibly negative, density.  The structural
+    zeros (coincident points, a point on an absorbing wall) make P_in and
+    P_out exactly singular and return 0 before the check.
+    """
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
     d = _derived(spec)
     bk = boundary_of(d)
     xs = _points(xs)
+    absorbing = {"ar": (0.0,), "aa": (0.0, d.length)}.get(d.walls, ())
+    if np.any(np.diff(np.sort(xs)) == 0.0) or np.any(np.isin(xs, absorbing)):
+        return 0.0
     r = d.spec.r
     v = np.asarray(d.pinned)
-    P1 = _pinned_matrix(d, t, xs)
-    P2 = np.stack([transition(bk, t, xj, t_star, v, r) for xj in xs])
-    D0 = np.stack([transition(bk, 0.0, vj, t_star, v, r) for vj in d.pinned])
-    s1, l1 = np.linalg.slogdet(P1)
-    s2, l2 = np.linalg.slogdet(P2)
-    s0, l0 = np.linalg.slogdet(D0)
-    if s0 == 0.0:
-        raise AccuracyError("pinned-to-pinned determinant vanished")
+    mats = {
+        "P_in": _pinned_matrix(d, t, xs),
+        "P_out": np.stack([transition(bk, t, xj, t_star, v, r) for xj in xs]),
+        "D0": np.stack([transition(bk, 0.0, vj, t_star, v, r) for vj in d.pinned]),
+    }
+    for name, m in mats.items():
+        cond = np.linalg.cond(m / np.max(np.abs(m), axis=1, keepdims=True))
+        if not cond <= _BRIDGE_COND_LIMIT:
+            raise IllConditionedError(f"bridge matrix {name} condition ~ {cond:.3e} "
+                                      f"exceeds {_BRIDGE_COND_LIMIT:.1e}")
+    s1, l1 = np.linalg.slogdet(mats["P_in"])
+    s2, l2 = np.linalg.slogdet(mats["P_out"])
+    s0, l0 = np.linalg.slogdet(mats["D0"])
     return float(s1 * s2 * s0 * np.exp(l1 + l2 - l0))
 
 

@@ -12,6 +12,7 @@ config + seed produces byte-identical output files.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,9 +20,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dpp_kernels import (ChainConfig, InfiniteKernelSpec, KernelSpec, density,
-                          empirical_density, infinite_kernel, kernel,
-                          kernel_matrix, mcmc_sample, sine_kernel, trig_kernel)
+from .dpp_kernels import (ConsistencyError, InfiniteKernelSpec, KernelSpec,
+                          density, empirical_density, exact_sample,
+                          infinite_kernel, kernel, kernel_matrix, sine_kernel,
+                          trig_kernel)
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
@@ -55,9 +57,6 @@ class RunConfig:
     horizon: float = 50.0
     steps: int = 20000
     bins: int = 40
-    burn_in: int = None
-    thinning: int = None
-    chains: int = 64
     method: str = "grid"
     budget: int = None
     seed: int = 0
@@ -79,6 +78,8 @@ class RunConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.grid < 1:
             raise ValueError(f"grid must be >= 1, got {self.grid}")
+        if self.command == "sample" and (self.steps < 1 or self.bins < 1):
+            raise ValueError(f"need steps >= 1 and bins >= 1, got {self.steps}, {self.bins}")
         if self.points is not None:
             pts = [float(s) for s in self.points.split(",")]
             if self.command == "density" and len(pts) != self.N:
@@ -101,13 +102,25 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _grid_csv(xs, ys, values):
+def _write_grid(path, xs, ys, values):
+    """Stream a value grid as (x, y, re, im) CSV, one %-format per grid row.
+
+    Byte-identical to formatting every value with `_fmt`: "%.17g" is the
+    same conversion, and rows are written as they are formatted instead of
+    being collected first.
+    """
     vals = np.asarray(values, dtype=complex)
-    rows = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            rows.append((x, y, vals[i, j].real, vals[i, j].imag))
-    return _csv(("x", "y", "re", "im"), rows)
+    block = np.empty((len(ys), 4))
+    block[:, 1] = ys
+    row_fmt = "%.17g,%.17g,%.17g,%.17g\n" * len(ys)
+    out = open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.write("x,y,re,im\n")
+        for x, row in zip(xs, vals):
+            block[:, 0] = x
+            block[:, 2] = row.real
+            block[:, 3] = row.imag
+            fh.write(row_fmt % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +139,7 @@ def _run_kernel(cfg):
     ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
     L = ks.derived.length
     xs = (np.arange(cfg.grid) + 0.5) * (L / cfg.grid)
-    km = kernel_matrix(ks, xs, xs)
-    _write(cfg.out, _grid_csv(xs, xs, km))
+    _write_grid(cfg.out, xs, xs, kernel_matrix(ks, xs, xs))
     return 0
 
 
@@ -211,22 +223,14 @@ def _run_verify(cfg):
 
 def _run_sample(cfg):
     ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-    kwargs = {"samples": cfg.steps, "chains": cfg.chains}
-    if cfg.burn_in is not None:
-        kwargs["burn_in"] = cfg.burn_in
-    if cfg.thinning is not None:
-        kwargs["thinning"] = cfg.thinning
-    chain = ChainConfig(**kwargs)
-    res = mcmc_sample(ks, chain, seed=cfg.seed)
+    res = exact_sample(ks, cfg.steps, seed=cfg.seed)
     hist = empirical_density(res, bins=cfg.bins)
 
     prefix = cfg.out or "sample"
     states = {
         "type": cfg.type, "N": cfg.N, "r": cfg.r,
         "t": cfg.t, "t_star": cfg.t_star, "seed": cfg.seed,
-        "steps": cfg.steps, "burn_in": chain.burn_in,
-        "thinning": chain.thinning, "chains": chain.chains,
-        "acceptance_rates": [float(a) for a in res.acceptance_rates],
+        "steps": cfg.steps, "tabulation_error": res.tabulation_error,
         "states": res.positions.tolist(),
     }
     with open(prefix + "_states.json", "w") as fh:
@@ -236,11 +240,8 @@ def _run_sample(cfg):
         ("bin_left", "bin_right", "count", "density", "stderr"),
         zip(hist.bin_left, hist.bin_right, hist.count, hist.density,
             hist.stderr)))
-    acc = float(np.mean(res.acceptance_rates))
-    print(f"states={len(res)} acceptance={acc:.3f} "
+    print(f"states={len(res)} tabulation_error={res.tabulation_error:.1e} "
           f"files={prefix}_states.json,{prefix}_hist.csv")
-    for w in res.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     return 0
 
 
@@ -315,13 +316,10 @@ def _build_parser():
     common(p)
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"])
 
-    p = sub.add_parser("sample", help="MCMC sampler + histogram")
+    p = sub.add_parser("sample", help="exact i.i.d. states + one-point histogram")
     common(p)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, help="number of states written")
     p.add_argument("--bins", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--thinning", type=int)
-    p.add_argument("--chains", type=int)
 
     p = sub.add_parser("selberg", help="closed-form integral check")
     common(p)
@@ -361,7 +359,7 @@ def main(argv=None):
         return 2
     try:
         return run(cfg)
-    except (AccuracyError, IllConditionedError, ValueError) as exc:
+    except (AccuracyError, ConsistencyError, IllConditionedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

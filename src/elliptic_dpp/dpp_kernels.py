@@ -17,16 +17,17 @@ translation-invariant sine kernels.  `corr_oracle` brute-forces correlation
 functions by quadrature of the density, which is the definitional oracle the
 kernel route is tested against.
 
-Sampling is plain Metropolis on the alcove with single-coordinate proposals,
-run as many independent lockstep chains; output order is (chain id, step) so
-results do not depend on how the chains are interleaved.
+Sampling is exact: the chain rule for projection DPPs draws i.i.d. states,
+one coordinate at a time from the Schur-complement conditional intensity,
+tabulated on a fixed node set and inverted in closed form; no burn-in and no
+autocorrelation.  Output order is (seed-block, draw), and the per-bin
+histogram stderr comes from the spread over the seed-blocks.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +37,22 @@ from .root_systems import DerivedFamily, derive
 from .theta_core import AccuracyError, theta_parts
 
 __all__ = [
-    "ChainConfig",
     "ConsistencyError",
     "Histogram",
     "InfiniteKernelSpec",
     "KernelSpec",
-    "McmcResult",
+    "SampleResult",
     "UnsupportedScaleError",
+    "bin_intensity",
     "corr_det",
     "corr_oracle",
     "density",
     "empirical_density",
+    "exact_sample",
     "fredholm_residual",
     "infinite_kernel",
     "kernel",
     "kernel_matrix",
-    "mcmc_sample",
     "sine_kernel",
     "trig_kernel",
 ]
@@ -162,12 +163,14 @@ def _log_q_batch(ks, X):
 def density_batch(ks, X):
     """p(x) for a batch of coordinate rows X (B, N) in any coordinate order.
 
-    The det-product is permutation invariant, so no sorting is needed; rows
+    The det-product is permutation invariant; each row is sorted first all
+    the same, so the LU pivoting and hence the rounding (up to ~1e-11
+    relative near coincident points) depend only on the point set.  Rows
     with repeated coordinates give exactly 0.  The phase of the det product
     must be real to 1e-10 — except on rows whose magnitude is negligible
     within the batch, where near-singular LU phases are round-off noise.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.sort(np.atleast_2d(np.asarray(X, dtype=float)), axis=1)
     logmag, phase = _log_q_batch(ks, X)
     live = np.isfinite(logmag)
     top = logmag[live].max() if np.any(live) else 0.0
@@ -520,33 +523,32 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
 
 
 # ---------------------------------------------------------------------------
-# Metropolis sampling
+# exact sampling: the chain rule for projection DPPs
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """Sampling run shape; defaults follow the tested acceptance window."""
-
-    samples: int
-    burn_in: int = 10_000
-    thinning: int = 20
-    proposal_scale: float = None
-    chains: int = 64
+SAMPLER_BLOCKS = 64     # independent seed-blocks; the histogram stderr uses them
+SAMPLER_NODES = 513     # first table size on the closed alcove [0, L]
+_MAX_NODES = 8193       # last table size the node doubling tries
+_PILOT = 64             # states whose estimate picks the table size
+SAMPLER_TV_TOL = 1e-3   # bound on the tabulation error's total-variation estimate
+_MASS_TOL = 1e-6        # allowed relative drift of a conditional's total mass
+_CHUNK = 64             # states drawn together; bounds the (chunk, nodes) work arrays
 
 
 @dataclass
-class McmcResult:
-    """Thinned states ordered by (chain id, step), with diagnostics.
+class SampleResult:
+    """I.i.d. states ordered by (seed-block, draw), with the tabulation error.
 
     Behaves as a sequence of AlcoveConfiguration; `positions` is the raw
-    (n_samples, N) array, row order (chain id, step).
+    (n_states, N) array of sorted rows and `block_ids` the seed-block of each
+    row.  `tabulation_error` estimates the total variation between the drawn
+    law and the exact one (see `exact_sample`).
     """
 
     positions: np.ndarray
-    chain_ids: np.ndarray
-    acceptance_rates: np.ndarray
+    block_ids: np.ndarray
     tag: str
     length: float
-    warnings: tuple = ()
+    tabulation_error: float
 
     def __len__(self):
         return self.positions.shape[0]
@@ -557,89 +559,212 @@ class McmcResult:
         return AlcoveConfiguration(points=tuple(self.positions[i]), tag=self.tag)
 
 
-def mcmc_sample(ks, chain, seed=0):
-    """Metropolis on the alcove: one Gaussian single-coordinate move per step.
+def _hermitian(ks):
+    """K(x, y) = conj K(y, x) exactly when both times are equal."""
+    return ks.t_star - ks.t == ks.t
 
-    Proposals breaking the strict ordering or the domain walls are rejected
-    outright; otherwise accept with the density ratio (computed in log form,
-    so tiny densities are fine).  `chain.chains` independent chains run in
-    lockstep, each on its own spawned RNG stream; a fixed (seed, config)
-    reproduces the output bit for bit.  Acceptance rates outside [0.05, 0.95]
-    attach a warning to the result (and warn) rather than failing.
+
+def _kernel_factors(ks, x, lms, alpha=None):
+    """Factors of K(x, y) = sum_n a_n(x) c_n(y), each of shape (N, x.size).
+
+    a_n = M_n(x, t) e^{-alpha_n} and c_n = conj M_n(x, t*-t) e^{alpha_n} / m_n:
+    the balancing exponent alpha_n (the largest scale of a_n on the table
+    that set it) cancels in every product, and it keeps both factors in
+    plain doubles wherever the kernel itself is.  At t = t*/2 both factors
+    come from one evaluation, and then c = conj(a) times a positive diagonal.
+    """
+    j = np.arange(1, ks.derived.spec.N + 1)
+    am, asc = m_fn_parts(ks.derived, j, x, ks.t)
+    if _hermitian(ks):
+        cm, csc = am, asc
+    else:
+        cm, csc = m_fn_parts(ks.derived, j, x, ks.t_star - ks.t)
+    if alpha is None:
+        alpha = asc.max(axis=1)
+    with np.errstate(under="ignore", over="ignore"):
+        a = am * np.exp(asc - alpha[:, None])
+        c = np.conj(cm) * np.exp(csc - lms[:, None] + alpha[:, None])
+    return a, c, alpha
+
+
+def _draw_in_cells(F, U, xs):
+    """Inverse-CDF draw from the piecewise-linear interpolant of each row of F.
+
+    Cell masses are exact trapezoids of the interpolant; inside the chosen
+    cell the linear density is inverted in closed form, as the root of the
+    quadratic CDF in its cancellation-free form.  Returns (points, masses).
+    """
+    R, G = F.shape
+    h = xs[1] - xs[0]
+    w = F[:, :-1] + F[:, 1:]
+    w *= 0.5 * h
+    cum = np.cumsum(w, axis=1)
+    Z = cum[:, -1]
+    target = U * Z
+    rows = np.arange(R)
+    cell = np.minimum(np.count_nonzero(cum < target[:, None], axis=1), G - 2)
+    below = np.where(cell > 0, cum[rows, cell - 1], 0.0)
+    fa, fb = F[rows, cell], F[rows, cell + 1]
+    rho = np.clip(target - below, 0.0, w[rows, cell]) / h
+    disc = np.sqrt(np.maximum(fa * fa + 2.0 * (fb - fa) * rho, 0.0))
+    den = fa + disc
+    s = np.divide(2.0 * rho, den, out=np.zeros(R), where=den > 0.0)
+    return xs[cell] + np.clip(s, 0.0, 1.0) * h, Z
+
+
+def _rows_times_table(V, T):
+    """sum_n V[:, n, None] * T[n] for (R, N) coefficients and an (N, G) table.
+
+    Plain elementwise accumulation in n: each entry's rounding is fixed
+    whatever R is, and no BLAS thread pool is woken for these thin products
+    (threaded BLAS made them several times slower on a loaded machine).
+    """
+    out = V[:, 0, None] * T[0]
+    tmp = np.empty_like(out)
+    for n in range(1, T.shape[0]):
+        out += np.multiply(V[:, n, None], T[n], out=tmp)
+    return out
+
+
+def _chain_rule_chunk(ks, U, xs, A, C, alpha, lms):
+    """Draw one state per row of U (uniforms, one per coordinate).
+
+    F holds the current conditional intensity on the table nodes and Q the
+    complementary oblique projector I - P of the points drawn so far, so the
+    conditional kernel is K_k(x, y) = a(x)^T Q c(y).  The N x N products
+    are stacked matmuls with one item per row and row strides that do not
+    depend on R, so a row's result does not depend on which other rows
+    share its chunk (a plain (R, N) x (N, G) BLAS product would: its
+    blocking follows R).  Returns (points, tv estimate per row).
+    """
+    R, N = U.shape
+    h = xs[1] - xs[0]
+    herm = _hermitian(ks)
+    F = np.repeat(np.sum(A * C, axis=0).real[None, :], R, axis=0)
+    Q = np.repeat(np.eye(N, dtype=complex)[None], R, axis=0)
+    Y = np.empty((R, N))
+    tv = np.zeros(R)
+    for k in range(N):
+        np.maximum(F, 0.0, out=F)   # round-off below the zeros at drawn points
+        y, Z = _draw_in_cells(F, U[:, k], xs)
+        if np.any(np.abs(Z - (N - k)) > _MASS_TOL * (N - k)):
+            worst = float(np.max(np.abs(Z - (N - k))))
+            raise AccuracyError(
+                f"conditional {k} has mass off by {worst:.3e} from {N - k}: the "
+                "kernel tables lost precision (time scale outside plain doubles)")
+        # trapezoid error of the interpolant, |f''| h^3 / 12 per cell, over Z
+        curv = np.diff(np.diff(F, axis=1), axis=1)
+        curv = np.abs(curv, out=curv).sum(axis=1)
+        tv += (h / 12.0) * curv / Z
+        Y[:, k] = y
+        if k == N - 1:
+            break
+        a, c, _ = _kernel_factors(ks, y, lms, alpha)
+        a = np.ascontiguousarray(a.T)[:, None, :]                  # a(y)^T, (R, 1, N)
+        qc = np.matmul(Q, np.ascontiguousarray(c.T)[:, :, None])   # Q c(y), (R, N, 1)
+        aq = np.matmul(a, Q)                                       # a(y)^T Q, (R, 1, N)
+        fy = np.matmul(a, qc)[:, 0, 0].real
+        if not np.all(fy > 0.0):
+            raise AccuracyError("conditional intensity at a drawn point is not positive")
+        lvec = _rows_times_table(qc[:, :, 0], A)          # K_k(x_g, y)
+        if herm:     # K_k(y, x_g) = conj K_k(x_g, y)
+            drop = np.square(lvec.real)
+            drop += np.square(lvec.imag)
+        else:
+            lvec *= _rows_times_table(aq[:, 0, :], C)     # K_k(y, x_g)
+            drop = lvec.real
+        drop /= fy[:, None]
+        F -= drop
+        Q -= np.matmul(qc, aq) / fy[:, None, None]
+    return Y, tv
+
+
+def _tables(ks, nodes, lms):
+    """Equispaced nodes on [0, L] and the kernel factors tabulated on them."""
+    xs = np.linspace(0.0, ks.derived.length, nodes)
+    A, C, alpha = _kernel_factors(ks, xs, lms)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
+        raise AccuracyError("kernel tables overflow plain doubles at this time scale")
+    return xs, A, C, alpha
+
+
+def _draw_rows(ks, U, tables, lms, pos, est):
+    """Fill pos and est row by row from the uniforms U, `_CHUNK` rows a time."""
+    for s0 in range(0, U.shape[0], _CHUNK):
+        pos[s0:s0 + _CHUNK], est[s0:s0 + _CHUNK] = _chain_rule_chunk(
+            ks, U[s0:s0 + _CHUNK], *tables, lms)
+
+
+def exact_sample(ks, states, seed=0):
+    """I.i.d. states of the fixed-time process by the chain rule (HKPV).
+
+    The law is the rank-N projection DPP with biorthogonal kernel K, so a
+    state is N sequential draws, x_{k+1} from the Schur-complement intensity
+        [K(x,x) - K(x,X) K(X,X)^{-1} K(X,x)] / (N - k)
+    (Hough-Krishnapur-Peres-Virag 2006, Alg. 18), each row then sorted into
+    the alcove.  K need not be Hermitian, but every conditional is a ratio of
+    correlation functions, hence nonnegative with mass N - k.
+
+    Each conditional f is tabulated on equispaced nodes of [0, L] (spacing h)
+    and drawn by inverse CDF of its piecewise-linear interpolant; the drawn
+    point is then evaluated exactly for the rank-one update.  Tabulation
+    error: the interpolant is off by (h^2/8) max|f''| at most, so one draw's
+    total variation from its exact conditional is at most
+    L h^2 max|f''| / (8 (N - k)), and the joint law's is at most the
+    expected sum of these over the N draws.  `tabulation_error` is that sum
+    with the cell integral |f''| h^3 / 12 read off second differences of the
+    table, averaged over the states: 2.2e-4 at A N=4, t=0.5, t*=1.  The table
+    starts at `SAMPLER_NODES` nodes and doubles until the first `_PILOT`
+    states (which are kept) estimate at most half of `SAMPLER_TV_TOL`;
+    AccuracyError if the whole run's estimate exceeds it.
+
+    The uniforms come from `SAMPLER_BLOCKS` seed-blocks spawned from `seed`
+    (rows are split evenly over the blocks in order), one per coordinate, so
+    a fixed (ks, states, seed) gives the same states bit for bit whatever
+    the chunk size `_CHUNK` of the work arrays.
+
+    Never returns NaN or out-of-alcove rows: AccuracyError instead, also when
+    the tables lose precision (a conditional's mass drifts from N - k by more
+    than 1e-6 relative, or the factors overflow plain doubles).
     """
     d = ks.derived
     N, L = d.spec.N, d.length
-    C = int(chain.chains)
-    sigma = chain.proposal_scale if chain.proposal_scale else L / (8.0 * N)
-    per_chain = -(-int(chain.samples) // C)  # ceil
-    total_steps = int(chain.burn_in) + per_chain * int(chain.thinning)
+    S = int(states)
+    if S < 1:
+        raise ValueError(f"need states >= 1, got {states}")
+    lms = _norms_log(ks)
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    gens = [np.random.default_rng(s) for s in root.spawn(C)]
+    nb = min(SAMPLER_BLOCKS, S)
+    cuts = np.arange(nb + 1) * S // nb
+    U = np.empty((S, N))
+    for b, child in enumerate(root.spawn(nb)):
+        U[cuts[b]:cuts[b + 1]] = np.random.default_rng(child).random((cuts[b + 1] - cuts[b], N))
 
-    # start from the evenly spaced interior configuration, jittered per chain
-    base = (np.arange(1, N + 1) / (N + 1.0)) * L
-    X = np.empty((C, N))
-    for c, g in enumerate(gens):
-        X[c] = np.sort(base + g.uniform(-0.25, 0.25, size=N) * (L / (N + 1.0)))
-    logq, _ = _log_q_batch(ks, X)
-    if not np.all(np.isfinite(logq)):
-        raise AccuracyError("initial configurations landed on a density zero")
-
-    kept = np.empty((C, per_chain, N))
-    accepted = np.zeros(C, dtype=np.int64)
-    kept_i = 0
-    block = 4096
-    done = 0
-    hi = L * (1.0 - 1e-12) if d.spec.tag == "A" else L
-    while done < total_steps:
-        nb = min(block, total_steps - done)
-        idx = np.empty((C, nb), dtype=np.int64)
-        eps = np.empty((C, nb))
-        uni = np.empty((C, nb))
-        for c, g in enumerate(gens):
-            idx[c] = g.integers(0, N, size=nb)
-            eps[c] = g.standard_normal(nb)
-            uni[c] = g.random(nb)
-        rows = np.arange(C)
-        for b in range(nb):
-            k = idx[:, b]
-            xp = X[rows, k] + sigma * eps[:, b]
-            lo = np.where(k > 0, X[rows, np.maximum(k - 1, 0)], 0.0)
-            up = np.where(k < N - 1, X[rows, np.minimum(k + 1, N - 1)], hi)
-            ok = (xp > lo) & (xp < up) & (xp >= 0.0) & (xp <= hi)
-            if np.any(ok):
-                Xp = X[ok].copy()
-                Xp[np.arange(Xp.shape[0]), k[ok]] = xp[ok]
-                lq_new, _ = _log_q_batch(ks, Xp)
-                lq_old = logq[ok]
-                take = np.log(uni[ok, b]) < (lq_new - lq_old)
-                sel = np.flatnonzero(ok)[take]
-                X[sel, k[sel]] = xp[sel]
-                logq[sel] = lq_new[take]
-                step_no = done + b
-                if step_no >= chain.burn_in:
-                    accepted[sel] += 1
-            step_no = done + b
-            if step_no >= chain.burn_in and (step_no - chain.burn_in + 1) % chain.thinning == 0:
-                kept[:, kept_i] = X
-                kept_i += 1
-        done += nb
-
-    post = total_steps - chain.burn_in
-    rates = accepted / max(post, 1)
-    warns = []
-    bad = (rates < 0.05) | (rates > 0.95)
-    if np.any(bad):
-        msg = (f"acceptance rate outside [0.05, 0.95] on {int(bad.sum())} of "
-               f"{C} chains (min {rates.min():.3f}, max {rates.max():.3f})")
-        warns.append(msg)
-        warnings.warn(msg)
-    positions = kept.reshape(C * per_chain, N)
-    chain_ids = np.repeat(np.arange(C), per_chain)
-    return McmcResult(positions=positions, chain_ids=chain_ids,
-                      acceptance_rates=rates, tag=d.spec.tag, length=L,
-                      warnings=tuple(warns))
+    pos = np.empty((S, N))
+    est = np.empty(S)
+    P = min(_PILOT, S)
+    nodes = SAMPLER_NODES
+    while True:
+        tables = _tables(ks, nodes, lms)
+        _draw_rows(ks, U[:P], tables, lms, pos[:P], est[:P])
+        if est[:P].mean() <= 0.5 * SAMPLER_TV_TOL or nodes >= _MAX_NODES:
+            break
+        nodes = 2 * nodes - 1
+    _draw_rows(ks, U[P:], tables, lms, pos[P:], est[P:])
+    tv = float(np.mean(est))
+    if tv > SAMPLER_TV_TOL:
+        raise AccuracyError(
+            f"tabulation error {tv:.2e} exceeds {SAMPLER_TV_TOL:g} at {nodes} nodes")
+    if d.spec.tag == "A":
+        pos[pos >= L] -= L          # the circle's node L is its node 0
+    pos.sort(axis=1)
+    hi_ok = pos[:, -1] < L if d.spec.tag == "A" else pos[:, -1] <= L
+    if not (np.all(np.isfinite(pos)) and np.all(pos[:, 0] >= 0.0) and np.all(hi_ok)
+            and np.all(np.diff(pos, axis=1) > 0.0)):
+        raise AccuracyError("a drawn state left the alcove")
+    return SampleResult(positions=pos, block_ids=np.repeat(np.arange(nb), np.diff(cuts)),
+                        tag=d.spec.tag, length=L, tabulation_error=tv)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +781,31 @@ class Histogram:
     stderr: np.ndarray
 
 
+def bin_intensity(ks, edges, nodes=24):
+    """Bin averages of the one-point intensity K(x, x) between the edges.
+
+    Gauss-Legendre with `nodes` nodes per bin; this is a histogram's expected
+    density (the value at a bin's midpoint is off by the intensity's curvature).
+    """
+    edges = np.asarray(edges, dtype=float)
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    out = np.empty(edges.size - 1)
+    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        xs = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
+        out[b] = 0.5 * float(np.dot(w, np.diag(kernel_matrix(ks, xs, xs)).real))
+    return out
+
+
 def empirical_density(samples, bins=40, length=None):
     """Bin all coordinates of all configurations; density integrates to N.
 
-    With an McmcResult the per-bin standard error comes from the spread
-    across independent chains; for a bare sequence of configurations it
-    falls back to the Poisson estimate sqrt(count).
+    With a SampleResult the per-bin standard error comes from the spread
+    across its independent seed-blocks; for a bare sequence of configurations
+    it falls back to the Poisson estimate sqrt(count).
     """
-    if isinstance(samples, McmcResult):
+    if isinstance(samples, SampleResult):
         pos = samples.positions
-        ids = samples.chain_ids
+        ids = samples.block_ids
         L = samples.length if length is None else float(length)
     else:
         rows = [s.points if isinstance(s, AlcoveConfiguration) else tuple(s) for s in samples]

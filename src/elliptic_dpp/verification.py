@@ -17,7 +17,7 @@ from .bridges import (BoundaryKind, boundary_of, bridge_density, ck_residual,
                       eta_formula_residual, macdonald_kmlgv_residual,
                       matrix_identity_residual, transition, transition_images)
 from .dpp_kernels import KernelSpec, density, density_batch, kernel_matrix
-from .macdonald import denominator_residual
+from .macdonald import IllConditionedError, denominator_residual
 from .root_systems import derive
 from .theta_core import theta, theta_series
 
@@ -158,9 +158,12 @@ def bridge_suite(d, t, t_star):
     rng = np.random.default_rng(109)
     ks = KernelSpec(d, t=t, t_star=t_star)
     worst = 0.0
-    for _ in range(5):
-        xs = _config(rng, d)
-        worst = max(worst, _rel(bridge_density(d, t, t_star, xs), density(ks, xs)))
+    try:
+        for _ in range(5):
+            xs = _config(rng, d)
+            worst = max(worst, _rel(bridge_density(d, t, t_star, xs), density(ks, xs)))
+    except IllConditionedError:     # the bridge matrices are past plain doubles
+        worst = math.inf
     out.append(CheckResult("bridge density vs spectral density", worst, 1e-8))
     return out
 

@@ -72,6 +72,19 @@ def test_parts_match_plain_values():
     assert np.allclose(m * np.exp(s), m_fn(spec, 2, xs, 0.3), rtol=1e-14)
 
 
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_parts_for_all_indices_stack_single_ones(tag):
+    spec = FamilySpec(tag, 3, 0.8)
+    xs = np.linspace(0.1, 2.0, 5)
+    m, s = m_fn_parts(spec, np.arange(1, 4), xs, 0.3)
+    assert m.shape == s.shape == (3, 5)
+    for j in range(1, 4):
+        mj, sj = m_fn_parts(spec, j, xs, 0.3)
+        assert np.array_equal(m[j - 1], mj) and np.array_equal(s[j - 1], sj)
+    with pytest.raises(ValueError):
+        m_fn_parts(spec, np.arange(0, 3), xs, 0.3)
+
+
 def test_norms_positive_and_doubled():
     """First (and for D also last) interval-family norms carry the factor 2."""
     t_star = 0.9

@@ -19,6 +19,7 @@ from elliptic_dpp.bridges import (
     transition_images,
 )
 from elliptic_dpp.dpp_kernels import KernelSpec, density
+from elliptic_dpp.macdonald import IllConditionedError
 from elliptic_dpp.root_systems import FAMILIES, derive
 from elliptic_dpp.theta_core import AccuracyError
 
@@ -251,6 +252,27 @@ def test_bridge_density_time_reversal():
     d = derive(("A", 3, 1.0))
     xs = np.array([0.9, 2.8, 4.4])
     assert abs(bridge_density(d, 0.3, 1.0, xs) - bridge_density(d, 0.7, 1.0, xs)) < 1e-12
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_bridge_density_agrees_or_raises_at_large_horizons(tag):
+    # the heat-kernel matrices approach rank one as t* grows; the bridge
+    # route must then refuse (IllConditionedError) rather than return a
+    # wrong or negative density, and at t* = 1 it must never refuse
+    rng = np.random.default_rng(31)
+    for N in (2, 3, 4):
+        d = derive((tag, N, 1.0))
+        for t_star in (1.0, 5.0, 20.0, 50.0):
+            t = 0.4 * t_star
+            xs = _random_config(rng, d)
+            try:
+                a = bridge_density(d, t, t_star, xs)
+            except IllConditionedError:
+                assert t_star > 1.0, f"{tag}{N}: refused at t* = 1"
+                continue
+            b = density(KernelSpec(d, t=t, t_star=t_star), xs)
+            assert abs(a - b) <= 1e-8 * abs(b), (
+                f"{tag}{N} t*={t_star}: bridge {a:.6e} vs density {b:.6e}")
 
 
 def test_bridge_density_validates_times():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from elliptic_dpp.cli import RunConfig, main
+from elliptic_dpp.cli import RunConfig, _write_grid, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel
 
 
@@ -107,8 +107,7 @@ def test_selberg_verb(capsys):
 
 
 def test_sample_outputs_are_byte_identical_for_fixed_seed(tmp_path, capsys):
-    args = ["sample", "--type", "A", "--N", "3", "--steps", "128",
-            "--burn-in", "200", "--thinning", "2", "--seed", "11"]
+    args = ["sample", "--type", "A", "--N", "3", "--steps", "128", "--seed", "11"]
     a = tmp_path / "a"
     b = tmp_path / "b"
     c = tmp_path / "c"
@@ -126,7 +125,61 @@ def test_sample_outputs_are_byte_identical_for_fixed_seed(tmp_path, capsys):
     assert lines[0] == "bin_left,bin_right,count,density,stderr"
     meta = json.loads(sa)
     assert meta["seed"] == 11
-    assert len(meta["states"]) >= 128
+    assert len(meta["states"]) == 128      # --steps counts the states written
+    assert not {"burn_in", "thinning", "chains", "acceptance_rates"} & set(meta)
+    assert 0.0 < meta["tabulation_error"] < 1e-3
+
+
+@pytest.mark.parametrize("flag", ["--burn-in", "--thinning", "--chains"])
+def test_sample_rejects_metropolis_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--steps", "8", flag, "4"])
+    assert exc.value.code == 2
+
+
+def test_sample_zero_steps_is_usage_error(capsys):
+    assert main(["sample", "--steps", "0"]) == 2
+
+
+def test_consistency_error_is_an_error_line(capsys):
+    # the density phase check fires at this small horizon; the CLI must turn
+    # it into an `error:` line and exit 1, not a traceback
+    assert main(["verify", "--type", "A", "--N", "3", "--t", "0.1",
+                 "--t-star", "0.25"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "imaginary residue" in err
+
+
+def test_ill_conditioned_bridge_fails_only_its_check(capsys):
+    # at this horizon bridge_density refuses its matrices; verify must still
+    # report every suite and fail just the bridge-density line
+    assert main(["verify", "--type", "B", "--N", "2", "--t", "20",
+                 "--t-star", "50"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "bridge density vs spectral density: residual=inf tol=1.0e-08 FAIL" in out
+    assert "Chapman-Kolmogorov" in out[out.index(
+        "bridge density vs spectral density: residual=inf tol=1.0e-08 FAIL") - 1]
+    assert any(ln.startswith("kernel trace = N") and ln.endswith("PASS") for ln in out)
+
+
+def test_grid_writer_matches_per_value_formatting(tmp_path):
+    # the streaming row writer must give the bytes of formatting every value
+    # with f"{v:.17g}", including -0.0, subnormals, huge and tiny values
+    rng = np.random.default_rng(0)
+    n = 512
+    xs = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+    vals = (rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+            + 1j * rng.standard_normal((n, n)))
+    vals.real[0, :5] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308]
+    vals.imag[1, :3] = [-0.0, 4.9e-324, -1e-320]
+    out = tmp_path / "g.csv"
+    _write_grid(str(out), xs, xs, vals)
+    lines = ["x,y,re,im"]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            lines.append(",".join(f"{float(v):.17g}" for v in
+                                  (x, y, vals[i, j].real, vals[i, j].imag)))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_runconfig_defaults_fill_in():

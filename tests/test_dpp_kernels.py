@@ -6,22 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, jvp
 
+from elliptic_dpp import dpp_kernels
 from elliptic_dpp.dpp_kernels import (
-    ChainConfig,
+    SAMPLER_BLOCKS,
     ConsistencyError,
     InfiniteKernelSpec,
     KernelSpec,
     UnsupportedScaleError,
+    bin_intensity,
     corr_det,
     corr_oracle,
     density,
     density_batch,
     empirical_density,
+    exact_sample,
     fredholm_residual,
     infinite_kernel,
     kernel,
     kernel_matrix,
-    mcmc_sample,
     sine_kernel,
     trig_kernel,
 )
@@ -349,52 +351,115 @@ def test_fredholm_unknown_test_fn():
 # ---------------------------------------------------------------------------
 # sampler
 
-def _small_chain():
-    return ChainConfig(samples=1_024, burn_in=400, thinning=5, chains=32)
-
-
-def test_mcmc_deterministic_for_fixed_seed():
+def test_exact_sample_deterministic_for_fixed_seed_any_chunk(monkeypatch):
     ks = _ks("A", 3)
-    a = mcmc_sample(ks, _small_chain(), seed=5)
-    b = mcmc_sample(ks, _small_chain(), seed=5)
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.chain_ids, b.chain_ids)
+    a = exact_sample(ks, 300, seed=5)
+    runs = []
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(dpp_kernels, "_CHUNK", chunk)
+        runs.append(exact_sample(ks, 300, seed=5))
+    for b in runs:
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert np.array_equal(a.block_ids, b.block_ids)
+        assert a.tabulation_error == b.tabulation_error
 
 
-def test_mcmc_seed_changes_output():
+def test_exact_sample_seed_changes_output():
     ks = _ks("A", 3)
-    a = mcmc_sample(ks, _small_chain(), seed=5)
-    b = mcmc_sample(ks, _small_chain(), seed=6)
+    a = exact_sample(ks, 64, seed=5)
+    b = exact_sample(ks, 64, seed=6)
     assert not np.array_equal(a.positions, b.positions)
 
 
-def test_mcmc_states_stay_in_alcove():
-    ks = _ks("C", 3)
-    res = mcmc_sample(ks, _small_chain(), seed=2)
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_exact_sample_states_stay_in_alcove(tag):
+    ks = _ks(tag, 3)
+    res = exact_sample(ks, 200, seed=2)
     L = ks.derived.length
+    assert len(res) == 200
     assert np.all(res.positions >= 0.0) and np.all(res.positions <= L)
     assert np.all(np.diff(res.positions, axis=1) > 0.0)   # strictly ordered rows
-    # every recorded state carries positive density
-    vals = density_batch(ks, res.positions)
-    assert vals.min() > 0.0
+    # every state carries positive density
+    assert density_batch(ks, res.positions).min() > 0.0
+    assert 0.0 < res.tabulation_error < 1e-3
 
 
-def test_mcmc_result_sequence_interface():
+def test_exact_sample_result_sequence_interface():
     ks = _ks("B", 2)
-    res = mcmc_sample(ks, ChainConfig(samples=64, burn_in=100, thinning=2, chains=8), seed=0)
-    assert len(res) == 64
+    res = exact_sample(ks, 100, seed=0)
+    assert len(res) == 100
     cfg = res[3]
     assert isinstance(cfg, AlcoveConfiguration)
     assert cfg.tag == "B"
-    # row order is (chain id, step): ids grouped and nondecreasing
-    assert np.all(np.diff(res.chain_ids) >= 0)
+    assert len(res[2:5]) == 3
+    # row order is (seed-block, draw): ids grouped, nondecreasing, even sizes
+    sizes = np.bincount(res.block_ids)
+    assert np.all(np.diff(res.block_ids) >= 0)
+    assert sizes.size == min(SAMPLER_BLOCKS, 100) and sizes.max() - sizes.min() <= 1
 
 
-def test_mcmc_acceptance_in_window():
-    ks = _ks("A", 4)
-    res = mcmc_sample(ks, _small_chain(), seed=9)
-    assert res.warnings == ()
-    assert np.all(res.acceptance_rates > 0.05) and np.all(res.acceptance_rates < 0.95)
+def test_exact_sample_small_time_refines_table(monkeypatch):
+    # Im tau ~ 0.01 at time t: the particles sit in narrow peaks, and the
+    # default table is too coarse for the tabulation bound.  The table must
+    # double until the estimate is in bounds, and the states must then
+    # follow the intensity: 64 bins resolve the peaks
+    ks = KernelSpec(("A", 4, 1.0), t=0.01 * 2.0 * np.pi / 16.0, t_star=1.0)
+    sizes = []
+    tables = dpp_kernels._tables
+
+    def counted_tables(ks_, nodes, lms):
+        sizes.append(nodes)
+        return tables(ks_, nodes, lms)
+
+    monkeypatch.setattr(dpp_kernels, "_tables", counted_tables)
+    res = exact_sample(ks, 4096, seed=1)
+    assert len(sizes) > 1 and sizes[0] == dpp_kernels.SAMPLER_NODES
+    assert res.tabulation_error <= dpp_kernels.SAMPLER_TV_TOL
+    assert np.all(res.positions >= 0.0) and np.all(res.positions < ks.derived.length)
+    h = empirical_density(res, bins=64)
+    exact = bin_intensity(ks, np.append(h.bin_left, h.bin_right[-1]))
+    hit = h.stderr > 0.0
+    assert np.all(exact[~hit] < 1e-4)       # only bins the peaks miss are empty
+    pulls = np.abs(h.density - exact)[hit] / h.stderr[hit]
+    assert pulls.max() < 4.0, f"worst bin pull {pulls.max():.2f}"
+
+
+def test_exact_sample_tabulation_bound_is_enforced(monkeypatch):
+    monkeypatch.setattr(dpp_kernels, "SAMPLER_TV_TOL", 1e-12)
+    with pytest.raises(AccuracyError, match="tabulation error"):
+        exact_sample(_ks("A", 4), 64, seed=1)
+
+
+def test_exact_sample_rejects_empty_request():
+    with pytest.raises(ValueError):
+        exact_sample(_ks("A", 2), 0)
+
+
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_exact_sample_joint_law(tag):
+    # 6 x 6 histogram of sorted N=2 states against cell integrals of the
+    # joint density: this checks the conditional draws, not only the marginal
+    ks = _ks(tag, 2)
+    L = ks.derived.length
+    S = 20_000
+    res = exact_sample(ks, S, seed=21)
+    edges = np.linspace(0.0, L, 7)
+    count, _, _ = np.histogram2d(res.positions[:, 0], res.positions[:, 1], bins=(edges, edges))
+    u, w = np.polynomial.legendre.leggauss(16)
+    worst = 0.0
+    for i in range(6):
+        for j in range(i, 6):
+            x = 0.5 * (edges[i + 1] - edges[i]) * (u + 1.0) + edges[i]
+            y = 0.5 * (edges[j + 1] - edges[j]) * (u + 1.0) + edges[j]
+            X, Y = np.meshgrid(x, y, indexing="ij")
+            vals = density_batch(ks, np.column_stack([X.ravel(), Y.ravel()]))
+            mass = float(np.sum(np.multiply.outer(w, w).ravel() * vals)) * (L / 12.0) ** 2
+            if i == j:
+                mass *= 0.5     # only the ordered half of a diagonal cell
+            expect = S * mass
+            worst = max(worst, abs(count[i, j] - expect) / np.sqrt(max(expect, 1.0)))
+    assert count[np.tril_indices(6, -1)].sum() == 0
+    assert worst < 4.0, f"{tag}: worst cell pull {worst:.2f}"
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +467,7 @@ def test_mcmc_acceptance_in_window():
 
 def test_empirical_density_integrates_to_N():
     ks = _ks("A", 3)
-    res = mcmc_sample(ks, _small_chain(), seed=4)
+    res = exact_sample(ks, 1_024, seed=4)
     h = empirical_density(res, bins=25)
     total = np.sum(h.density * (h.bin_right - h.bin_left))
     assert abs(total - 3.0) < 1e-12
@@ -419,12 +484,11 @@ def test_empirical_density_bare_sequence_needs_length():
 
 
 def test_histogram_tracks_exact_intensity():
-    # moderate run: every bin within 4 spread-based standard errors
+    # moderate run: every bin within 4 block-spread standard errors of the
+    # bin-averaged intensity
     ks = _ks("A", 4)
-    cfg = ChainConfig(samples=8_000, burn_in=1_500, thinning=10, chains=32)
-    res = mcmc_sample(ks, cfg, seed=13)
+    res = exact_sample(ks, 8_000, seed=13)
     h = empirical_density(res, bins=20)
-    mid = 0.5 * (h.bin_left + h.bin_right)
-    exact = np.array([kernel(ks, x, x).real for x in mid])
+    exact = bin_intensity(ks, np.append(h.bin_left, h.bin_right[-1]))
     pulls = np.abs(h.density - exact) / h.stderr
     assert pulls.max() < 4.0, f"worst bin pull {pulls.max():.2f}"
