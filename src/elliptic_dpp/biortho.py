@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .root_systems import FamilySpec, DerivedFamily, derive
-from .theta_core import AccuracyError, theta_parts
+from .root_systems import FamilySpec, derive
+from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
 
 __all__ = [
     "BiorthoFamily",
@@ -85,43 +85,30 @@ def theta_block_parts(shape, sigma, z, tau):
     """One building block in (mantissa, log_scale) form, vectorized over z."""
     z = np.asarray(z, dtype=complex)
     arg = sigma * tau + z
+    e = np.atleast_1d(2j * np.pi * sigma * z)
+    # np.multiply fixes the operand order: on large arrays numpy's temporary
+    # elision turns `m * np.exp(...)` into an in-place product with swapped
+    # operands, and the fused complex product is not bitwise commutative, so
+    # the mantissas would depend on how many values one call evaluates
     if shape == "A":
         m, s = theta_parts(2, arg, tau)
-        e = 2j * np.pi * sigma * z
-        return np.atleast_1d(m * np.exp(1j * np.atleast_1d(e).imag)), np.atleast_1d(
-            s + np.atleast_1d(e).real
-        )
+        return np.multiply(m, np.exp(1j * e.imag)), s + e.real
     idx = 1 if shape == "B" else 2
     sign = 1.0 if shape == "D" else -1.0
     m1, s1 = theta_parts(idx, arg, tau)
     m2, s2 = theta_parts(idx, sigma * tau - z, tau)
-    e = np.atleast_1d(2j * np.pi * sigma * z)
-    m1 = np.atleast_1d(m1) * np.exp(1j * e.imag)
-    s1 = np.atleast_1d(s1) + e.real
-    m2 = np.atleast_1d(m2) * np.exp(-1j * e.imag)
-    s2 = np.atleast_1d(s2) - e.real
-    top = np.maximum(s1, s2)
-    with np.errstate(under="ignore"):
-        mant = m1 * np.exp(s1 - top) + sign * m2 * np.exp(s2 - top)
-    return mant, top
+    return parts_sum(np.multiply(m1, np.exp(1j * e.imag)), s1 + e.real,
+                     sign * np.multiply(m2, np.exp(-1j * e.imag)), s2 - e.real)
 
 
 def theta_block(shape, sigma, z, tau):
     """Building block for sharp shape "A"/"B"/"C"/"D"; see module docstring."""
     if shape not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown block shape {shape!r}")
-    m, s = theta_block_parts(shape, sigma, z, tau)
-    with np.errstate(over="ignore"):
-        out = m * np.exp(s)
+    out = parts_value(*theta_block_parts(shape, sigma, z, tau))
     if np.ndim(z) == 0:
         return complex(out[0])
     return out
-
-
-def _derived(spec):
-    if isinstance(spec, DerivedFamily):
-        return spec
-    return derive(spec)
 
 
 def m_fn_parts(spec, j, x, t):
@@ -130,7 +117,7 @@ def m_fn_parts(spec, j, x, t):
     An array of indices j gives parts with a leading axis over j, from one
     building-block call (the functions share tau).
     """
-    d = _derived(spec)
+    d = derive(spec)
     jj = np.atleast_1d(j)
     if np.any(jj < 1) or np.any(jj > d.spec.N):
         raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
@@ -147,10 +134,7 @@ def m_fn_parts(spec, j, x, t):
 
 
 def m_fn(spec, j, x, t):
-    d = _derived(spec)
-    m, s = m_fn_parts(d, j, x, t)
-    with np.errstate(over="ignore"):
-        out = m * np.exp(s)
+    out = parts_value(*m_fn_parts(spec, j, x, t))
     if np.ndim(x) == 0:
         return complex(out[0])
     return out
@@ -167,7 +151,7 @@ def _norm_multiplier(d, j):
 
 def norm_const_log(spec, j, t_star):
     """log of the j-th biorthogonality norm (they are positive reals)."""
-    d = _derived(spec)
+    d = derive(spec)
     if not 1 <= j <= d.spec.N:
         raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
     if t_star <= 0.0:
@@ -205,19 +189,15 @@ def gram(family, t, nodes=128):
     if nodes < 2:
         raise ValueError("need at least two trapezoid nodes")
     d = derive(family.spec)
+    j = np.arange(1, d.spec.N + 1)
 
     def grid_matrix(n):
         xs = np.linspace(0.0, d.length, n)
         h = d.length / (n - 1)
         w = np.full(n, h)
         w[0] = w[-1] = 0.5 * h
-        rows_s = np.empty((d.spec.N, n), dtype=complex)
-        rows_t = np.empty((d.spec.N, n), dtype=complex)
-        for j in range(1, d.spec.N + 1):
-            ms, ss = m_fn_parts(d, j, xs, family.t_star - t)
-            mt, st = m_fn_parts(d, j, xs, t)
-            rows_s[j - 1] = ms * np.exp(ss)
-            rows_t[j - 1] = mt * np.exp(st)
+        rows_s = parts_value(*m_fn_parts(d, j, xs, family.t_star - t))
+        rows_t = parts_value(*m_fn_parts(d, j, xs, t))
         return np.einsum("i,ji,ki->jk", w, rows_s.conj(), rows_t)
 
     coarse = grid_matrix(nodes)

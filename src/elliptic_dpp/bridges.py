@@ -15,6 +15,7 @@ windings) and must not be treated as a probability density.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .macdonald import (
     weyl_w_parts,
 )
 from .biortho import m_fn_parts
-from .root_systems import DerivedFamily, derive
-from .theta_core import AccuracyError, eta_and_q, theta, theta_parts
+from .root_systems import derive
+from .theta_core import AccuracyError, eta_and_q, parts_value, theta, theta_parts
 
 __all__ = [
     "BoundaryKind",
@@ -48,9 +49,6 @@ _KINDS = ("circ", "ar", "aa", "rr")
 _BRIDGE_COND_LIMIT = 1e7
 
 
-from dataclasses import dataclass
-
-
 @dataclass(frozen=True)
 class BoundaryKind:
     """Wall behaviour: "circ" (periodic; needs parity), "ar", "aa" or "rr"."""
@@ -68,13 +66,9 @@ class BoundaryKind:
             raise ValueError(f"parity only applies to circ, got {self.parity!r}")
 
 
-def _derived(spec):
-    return spec if isinstance(spec, DerivedFamily) else derive(spec)
-
-
 def boundary_of(spec):
     """The boundary kind of a family's bridge process."""
-    d = _derived(spec)
+    d = derive(spec)
     return BoundaryKind(tag=d.walls, parity=d.parity)
 
 
@@ -231,7 +225,7 @@ def r_matrix(spec, t):
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    d = _derived(spec)
+    d = derive(spec)
     tag, N, r = d.spec.tag, d.spec.N, d.spec.r
     size = d.size
     J = np.asarray(d.offsets)
@@ -276,14 +270,11 @@ def _pinned_matrix(d, t, xs):
 
 def matrix_identity_residual(spec, t, xs):
     """max |r(t) . p(0, v; t, x) - M(x, t)| / max |M|, entrywise."""
-    d = _derived(spec)
+    d = derive(spec)
     xs = _points(xs)
     P = _pinned_matrix(d, t, xs)
     rm = r_matrix(d, t).entries
-    M = np.stack([
-        (lambda mp: mp[0] * np.exp(mp[1]))(m_fn_parts(d, j, xs, t))
-        for j in range(1, d.spec.N + 1)
-    ])
+    M = parts_value(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
     return float(np.max(np.abs(rm @ P - M)) / np.max(np.abs(M)))
 
 
@@ -301,7 +292,7 @@ def bridge_density(spec, t, t_star, xs):
     """
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
-    d = _derived(spec)
+    d = derive(spec)
     bk = boundary_of(d)
     xs = _points(xs)
     absorbing = {"ar": (0.0,), "aa": (0.0, d.length)}.get(d.walls, ())
@@ -325,9 +316,6 @@ def bridge_density(spec, t, t_star, xs):
     return float(s1 * s2 * s0 * np.exp(l1 + l2 - l0))
 
 
-_B_PHASE = {"B": 1, "Bv": 1, "D": 1}
-
-
 def _b_phase(tag, N):
     if tag == "A":
         e = N * (N + 1) // 2 if N % 2 == 0 else (N - 1) * (N - 2) // 2
@@ -345,7 +333,7 @@ def macdonald_kmlgv_residual(spec, t, xs, cond_limit=1e12):
     the circle family).  Right side: phase . det r(t) / a(t) . det P.
     Returns the relative residual at the common log scale.
     """
-    d = _derived(spec)
+    d = derive(spec)
     tag, N, r = d.spec.tag, d.spec.N, d.spec.r
     xs = _points(xs)
     tau = 1j * t / (2.0 * math.pi * r * r)
@@ -384,7 +372,7 @@ def macdonald_kmlgv_residual(spec, t, xs, cond_limit=1e12):
 def eta_formula_residual(spec, t):
     """Circle-family closed form: the Weyl/KMLGV ratio b(t) equals
     (2 pi r)^N N^{-N/2} eta(N tau(t))^{(N-1)(N-2)/2}. Relative residual."""
-    d = _derived(spec)
+    d = derive(spec)
     if d.spec.tag != "A":
         raise ValueError("eta closed form applies to the circle family only")
     if not t > 0.0:

@@ -31,7 +31,6 @@ from .verification import SUITES, CheckResult, run_suites
 
 __all__ = ["RunConfig", "run", "main"]
 
-_SHARP = {"A": "A", "B": "B", "Bv": "B", "C": "C", "Cv": "C", "BC": "C", "D": "D"}
 _SINE_OF = {"A": "A", "B": "C", "C": "C", "D": "D"}
 
 
@@ -174,7 +173,7 @@ def _run_limits(cfg):
     # (b) bulk limit of the infinite kernel vs the sine forms; at the default
     # horizon t* rho^2 = 50 the deviation is ~3e-3 and falls off as the
     # reciprocal of the horizon -- the law line below checks exactly that.
-    fam = _SHARP[cfg.type]
+    fam = d.sharp
     sfam = _SINE_OF[fam]
     rho = cfg.rho
     ts = cfg.horizon / rho**2

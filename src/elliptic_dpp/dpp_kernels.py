@@ -33,8 +33,9 @@ import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
 from .macdonald import AlcoveConfiguration
-from .root_systems import DerivedFamily, derive
-from .theta_core import AccuracyError, theta_parts
+from .root_systems import derive
+from .theta_core import (AccuracyError, parts_equilibrate, parts_sum, parts_value,
+                         theta_parts)
 
 __all__ = [
     "ConsistencyError",
@@ -75,8 +76,7 @@ class KernelSpec:
     t_star: float
 
     def __post_init__(self):
-        d = self.family if isinstance(self.family, DerivedFamily) else derive(self.family)
-        object.__setattr__(self, "family", d)
+        object.__setattr__(self, "family", derive(self.family))
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t}, t_star={self.t_star}")
 
@@ -117,14 +117,9 @@ def _stacked_m_parts(d, X, t):
     Returns (mant, scale) of shape (B, N, N); first matrix index is j.
     """
     B, N = X.shape
-    flat = X.reshape(-1)
-    mant = np.empty((N, B, N), dtype=complex)
-    scale = np.empty((N, B, N))
-    for j in range(1, N + 1):
-        m, s = m_fn_parts(d, j, flat, t)
-        mant[j - 1] = m.reshape(B, N)
-        scale[j - 1] = s.reshape(B, N)
-    return mant.transpose(1, 0, 2), scale.transpose(1, 0, 2)
+    mant, scale = m_fn_parts(d, np.arange(1, N + 1), X.reshape(-1), t)
+    return (mant.reshape(N, B, N).transpose(1, 0, 2),
+            scale.reshape(N, B, N).transpose(1, 0, 2))
 
 
 def _slogdet_parts(mant, scale):
@@ -134,8 +129,7 @@ def _slogdet_parts(mant, scale):
     round-off floor 1e-13 is numerically singular (coincident or wall-pinned
     coordinates); its garbage phase is replaced by an exact zero.
     """
-    row = scale.max(axis=2)
-    tilde = mant * np.exp(scale - row[..., None])
+    tilde, row = parts_equilibrate(mant, scale)
     sign, logabs = np.linalg.slogdet(tilde)
     dead = (sign == 0) | (logabs < np.log(1e-13))
     sign = np.where(dead, 0.0 + 0.0j, sign)
@@ -184,8 +178,7 @@ def density_batch(ks, X):
             f"density phase carries imaginary residue {phase.imag[k]:.3e} at row {k}"
         )
     lg = logmag - _norms_log(ks).sum()
-    with np.errstate(under="ignore"):
-        return np.where(live, phase.real * np.exp(np.where(live, lg, 0.0)), 0.0)
+    return np.where(live, parts_value(phase.real, np.where(live, lg, 0.0)), 0.0)
 
 
 def density(ks, xs):
@@ -204,20 +197,15 @@ def kernel_matrix(ks, xs, ys):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     lms = _norms_log(ks)
+    j = np.arange(1, d.spec.N + 1)
+    mx, sx = m_fn_parts(d, j, xs, ks.t)
+    my, sy = m_fn_parts(d, j, ys, ks.t_star - ks.t)
     acc = np.zeros((xs.size, ys.size), dtype=complex)
     top = np.full((xs.size, ys.size), -np.inf)
-    for n in range(1, d.spec.N + 1):
-        mx, sx = m_fn_parts(d, n, xs, ks.t)
-        my, sy = m_fn_parts(d, n, ys, ks.t_star - ks.t)
-        term_s = sx[:, None] + sy[None, :] - lms[n - 1]
-        term_m = mx[:, None] * np.conj(my)[None, :]
-        with np.errstate(under="ignore"):
-            top2 = np.maximum(top, term_s)
-            shift = np.where(np.isfinite(top), np.exp(top - top2), 0.0)
-            acc = acc * shift + term_m * np.exp(term_s - top2)
-        top = top2
-    with np.errstate(under="ignore"):
-        return acc * np.exp(top)
+    for n in range(d.spec.N):
+        acc, top = parts_sum(acc, top, mx[n, :, None] * np.conj(my[n])[None, :],
+                             sx[n, :, None] + sy[n][None, :] - lms[n])
+    return parts_value(acc, top)
 
 
 def kernel(ks, x, y):
@@ -320,7 +308,7 @@ def trig_kernel(spec, x, y):
     families: difference (or, for the doubled-reflection family, sum) of the
     difference and image ratios.  Real valued.
     """
-    d = spec if isinstance(spec, DerivedFamily) else derive(spec)
+    d = derive(spec)
     r = d.spec.r
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -376,11 +364,8 @@ def _inf_integrand(iks, x, y, lam):
     mant_d = np.exp(1j * np.pi * (x - y) * lam) * m1 * m2 / md
     mant_i = np.exp(1j * np.pi * (x + y) * lam) * m1 * m3 / md
     # the two integrals share the node set; combine before quadrature
-    sc_d, sc_i = s1 + s2 - sd, s1 + s3 - sd
-    top = np.maximum(sc_d, sc_i)
-    with np.errstate(under="ignore"):
-        mant = 0.5 * (mant_d * np.exp(sc_d - top) + sgn * mant_i * np.exp(sc_i - top))
-    return mant, top
+    mant, top = parts_sum(mant_d, s1 + s2 - sd, sgn * mant_i, s1 + s3 - sd)
+    return 0.5 * mant, top
 
 
 def _inf_panels(iks):

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
-from .root_systems import DerivedFamily, derive
-from .theta_core import AccuracyError, eta_and_q, theta_parts
+from .root_systems import derive
+from .theta_core import (AccuracyError, eta_and_q, parts_equilibrate, parts_sum,
+                         parts_value, theta_parts)
 
 __all__ = [
     "AlcoveConfiguration",
@@ -64,7 +65,7 @@ class AlcoveConfiguration:
 
     @classmethod
     def from_points(cls, spec, points):
-        d = spec if isinstance(spec, DerivedFamily) else derive(spec)
+        d = derive(spec)
         pts = tuple(float(p) for p in points)
         if len(pts) != d.spec.N:
             raise ValueError(f"expected {d.spec.N} points, got {len(pts)}")
@@ -127,9 +128,7 @@ def _logc_rel_diff(l1, p1, l2, p2):
     """|A - B| / max(|A|, |B|) with A = p1 e^{l1}, B = p2 e^{l2}."""
     if l1 == -np.inf and l2 == -np.inf:
         raise DegenerateConfigError("both sides vanish; residual undefined")
-    top = max(l1, l2)
-    with np.errstate(under="ignore"):
-        return float(abs(p1 * np.exp(l1 - top) - p2 * np.exp(l2 - top)))
+    return float(abs(parts_sum(p1, l1, -p2, l2)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +177,11 @@ def weyl_w(spec, xs, tau):
     """W^R(xi(x); tau) for positions xs (xi = x / 2 pi r).  Complex; exact 0
     when a factor vanishes.  Overflow-prone at extreme tau -- use
     weyl_w_parts there."""
-    d = derive(spec) if not isinstance(spec, DerivedFamily) else spec
+    d = derive(spec)
     if isinstance(xs, AlcoveConfiguration):
         xs = xs.points
     xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
-    mant, scale = weyl_w_parts(d.spec.tag, xi, tau)
-    with np.errstate(over="ignore"):
-        out = mant * np.exp(scale)
+    out = parts_value(*weyl_w_parts(d.spec.tag, xi, tau))
     return complex(out[0]) if np.ndim(xs) == 1 else out
 
 
@@ -217,7 +214,7 @@ _A_TABLE = {
 
 def coeff_a_log(spec, t):
     """log a(t); the coefficients are positive reals with huge dynamic range."""
-    d = derive(spec) if not isinstance(spec, DerivedFamily) else spec
+    d = derive(spec)
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     N = d.spec.N
@@ -260,17 +257,11 @@ def det_m_logc(spec, xs, t, cond_limit=_COND_LIMIT):
     LU with partial pivoting via slogdet; raises IllConditionedError when the
     rescaled matrix's condition estimate exceeds `cond_limit`.
     """
-    d = derive(spec) if not isinstance(spec, DerivedFamily) else spec
+    d = derive(spec)
     if isinstance(xs, AlcoveConfiguration):
         xs = xs.points
     xs = np.asarray(xs, dtype=float)
-    N = d.spec.N
-    mant = np.empty((N, N), dtype=complex)
-    scale = np.empty((N, N))
-    for j in range(1, N + 1):
-        mant[j - 1], scale[j - 1] = m_fn_parts(d, j, xs, t)
-    row = scale.max(axis=1)
-    tilde = mant * np.exp(scale - row[:, None])
+    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
     cond = np.linalg.cond(tilde)
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedError(
@@ -284,7 +275,7 @@ def det_m_logc(spec, xs, t, cond_limit=_COND_LIMIT):
 
 def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
-    d = derive(spec) if not isinstance(spec, DerivedFamily) else spec
+    d = derive(spec)
     if isinstance(xs, AlcoveConfiguration):
         xs = xs.points
     xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
@@ -308,7 +299,7 @@ def denominator_residual(spec, xs, t):
     Both sides in (log-magnitude, phase); DegenerateConfigError when both
     vanish, IllConditionedError when the matrix cannot support the residual.
     """
-    d = derive(spec) if not isinstance(spec, DerivedFamily) else spec
+    d = derive(spec)
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     lr, pr = rhs_logc(d, xs, t)
@@ -348,7 +339,7 @@ def _selberg_integrand(d, X, t, t_star):
             m, s = theta_parts(s_idx, tot, tau)
             mant *= m
             scale += s
-    vals = mant * np.exp(scale)
+    vals = parts_value(mant, scale)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals.real)), 1e-300):
         raise AccuracyError("Selberg integrand lost realness")
     return vals.real
@@ -368,11 +359,10 @@ def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0, workers=1
     leaves rel_err above tol raises AccuracyError carrying the best estimate
     on the exception's .result attribute.
     """
-    d = derive(spec) if not isinstance(spec, DerivedFamily) else spec
+    d = derive(spec)
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
-    N = d.spec.N
-    L = 2.0 * np.pi * d.spec.r if d.spec.tag == "A" else np.pi * d.spec.r
+    N, L = d.spec.N, d.length
 
     lg_rhs = -coeff_a_log(d, t_star - t) - coeff_a_log(d, t)
     for n in range(1, N + 1):

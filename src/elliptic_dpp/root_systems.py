@@ -17,6 +17,10 @@ of radius r (tag "A") or on the interval [0, pi r] (all other tags).
   "ar" (absorbing at 0, reflecting at pi r), "aa" (absorbing both ends),
   "rr" (reflecting both ends);
 - pinned: the equidistant starting configuration on the alcove.
+
+`derive` accepts its own output and returns a `DerivedFamily` unchanged, so
+every function that takes a family calls `derive` on it, whether it came as
+a (tag, N[, r]) tuple, a `FamilySpec` or a `DerivedFamily`.
 """
 
 from __future__ import annotations
@@ -102,7 +106,12 @@ def _pinned(tag, N, r, size):
 
 
 def derive(spec):
-    """Expand a FamilySpec (or (tag, N[, r]) tuple) into its derived data."""
+    """Expand a FamilySpec (or (tag, N[, r]) tuple) into its derived data.
+
+    A DerivedFamily is returned as it is.
+    """
+    if isinstance(spec, DerivedFamily):
+        return spec
     if not isinstance(spec, FamilySpec):
         spec = FamilySpec(*spec)
     tag, N, r = spec.tag, spec.N, spec.r

@@ -25,6 +25,16 @@ downstream determinant work, `theta_parts` returns the value in
 (mantissa, log_scale) form with value = mantissa * exp(log_scale), mantissa
 of order unity.  `theta` exponentiates on the spot.
 
+The modules downstream keep their values in that form.  A product of parts
+is the product of the mantissas and the sum of the scales; everything else
+goes through three helpers here:
+
+- `parts_sum` adds two parts values at their common (larger) scale;
+- `parts_equilibrate` splits a stack of parts matrices row by row into a
+  matrix of order-unity rows and the row scales, for LU and condition
+  estimates;
+- `parts_value` exponentiates, letting out-of-range values overflow to inf.
+
 `theta_series` is an independent reference implementation (the plain defining
 sum, no reduction, no transforms) used as an oracle in the test-suite; it is
 only accurate for moderate arguments and deliberately shares no code with the
@@ -38,6 +48,9 @@ import numpy as np
 __all__ = [
     "AccuracyError",
     "eta_and_q",
+    "parts_equilibrate",
+    "parts_sum",
+    "parts_value",
     "theta",
     "theta_parts",
     "theta_series",
@@ -61,6 +74,36 @@ _INV_EPS = {
 
 class AccuracyError(ArithmeticError):
     """A series, quadrature, or truncation failed to reach its target."""
+
+
+def parts_sum(m1, s1, m2, s2):
+    """m1 e^{s1} + m2 e^{s2} as (mantissa, log_scale) at the scale max(s1, s2).
+
+    Broadcasts like numpy.  A scale of -inf is an exact zero term; at least
+    one of the two scales must be finite.  Terms far below the common scale
+    underflow to zero silently.
+    """
+    top = np.maximum(s1, s2)
+    with np.errstate(under="ignore"):
+        return m1 * np.exp(s1 - top) + m2 * np.exp(s2 - top), top
+
+
+def parts_equilibrate(mant, scale):
+    """Row-equilibrate matrices given as parts, stacked over leading axes.
+
+    Returns (tilde, row) with matrix = tilde * e^{row} row by row: each row
+    of tilde is at its own largest scale, so LU and condition estimates see
+    order-unity entries; the log-determinant is that of tilde plus row.sum.
+    """
+    row = scale.max(axis=-1)
+    return mant * np.exp(scale - row[..., None]), row
+
+
+def parts_value(mant, scale):
+    """mant * e^scale in plain doubles; out-of-range values overflow to inf
+    or underflow to 0 without a warning."""
+    with np.errstate(over="ignore", under="ignore"):
+        return mant * np.exp(scale)
 
 
 def _check_index(index):
@@ -219,9 +262,7 @@ def theta(index, v, tau):
     Overflows to inf for arguments whose quasi-periodic prefactor exceeds
     double range; use `theta_parts` there.
     """
-    mant, scale = theta_parts(index, v, tau)
-    with np.errstate(over="ignore"):
-        return mant * np.exp(scale)
+    return parts_value(*theta_parts(index, v, tau))
 
 
 def theta_series(index, v, tau, cap=_ORACLE_MAX_RINGS):

@@ -85,6 +85,18 @@ def test_parts_for_all_indices_stack_single_ones(tag):
         m_fn_parts(spec, np.arange(0, 3), xs, 0.3)
 
 
+def test_parts_do_not_depend_on_call_size():
+    # 6000 points and 3 indices make 18 000 values per call, past the operand
+    # size (256 KiB) from which numpy reuses temporaries in place
+    xs = np.linspace(0.1, 2.0, 6000)
+    for tag in FAMILIES:
+        spec = FamilySpec(tag, 3, 0.8)
+        m, s = m_fn_parts(spec, np.arange(1, 4), xs, 0.3)
+        for j in range(1, 4):
+            mj, sj = m_fn_parts(spec, j, xs[:1000], 0.3)
+            assert np.array_equal(m[j - 1, :1000], mj) and np.array_equal(s[j - 1, :1000], sj)
+
+
 def test_norms_positive_and_doubled():
     """First (and for D also last) interval-family norms carry the factor 2."""
     t_star = 0.9

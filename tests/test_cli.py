@@ -162,6 +162,26 @@ def test_ill_conditioned_bridge_fails_only_its_check(capsys):
     assert any(ln.startswith("kernel trace = N") and ln.endswith("PASS") for ln in out)
 
 
+@pytest.mark.parametrize("tag", ("A", "C"))
+def test_ill_conditioned_r_matrix_fails_only_its_check(tag, capsys):
+    # at this horizon r(t) is past its condition limit; verify must still
+    # print every suite's lines and fail the pinned-path line with residual inf
+    assert main(["verify", "--type", tag, "--N", "4", "--t", "5",
+                 "--t-star", "10"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    names = [ln.split(":")[0] for ln in out]
+    assert names == [
+        "theta engine vs series oracle", "theta quasi-periodicity",
+        "theta imaginary transform", "biorthogonality off-diagonal",
+        "biorthogonality norms", "determinant-identity residual",
+        "weight-matrix identity", "pinned-path proportionality",
+        *(["eta closed form"] if tag == "A" else []),
+        "transition vs winding images", "Chapman-Kolmogorov",
+        "bridge density vs spectral density", "kernel trace = N",
+        "reproducing identity", "density nonnegativity"]
+    assert "pinned-path proportionality: residual=inf tol=1.0e-09 FAIL" in out
+
+
 def test_grid_writer_matches_per_value_formatting(tmp_path):
     # the streaming row writer must give the bytes of formatting every value
     # with f"{v:.17g}", including -0.0, subnormals, huge and tiny values

@@ -28,7 +28,7 @@ from elliptic_dpp.dpp_kernels import (
     trig_kernel,
 )
 from elliptic_dpp.macdonald import AlcoveConfiguration
-from elliptic_dpp.root_systems import FAMILIES, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
@@ -55,6 +55,17 @@ def test_kernel_spec_validates_times():
         KernelSpec(("A", 3, 1.0), t=-0.1, t_star=1.0)
     ks = _ks("A", 3)
     assert ks.derived.spec.N == 3
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_kernel_spec_accepts_every_family_form(tag):
+    # a tuple, a FamilySpec and a DerivedFamily give the same kernel bit for bit
+    x = np.linspace(0.05, 0.95, 9) * derive((tag, 3, 1.3)).length
+    ref = kernel_matrix(KernelSpec((tag, 3, 1.3), t=T, t_star=T_STAR), x, x[::-1])
+    for fam in (FamilySpec(tag, 3, 1.3), derive((tag, 3, 1.3))):
+        ks = KernelSpec(fam, t=T, t_star=T_STAR)
+        assert ks.derived == derive((tag, 3, 1.3))
+        assert np.array_equal(kernel_matrix(ks, x, x[::-1]), ref)
 
 
 def test_infinite_spec_validates():

@@ -93,3 +93,10 @@ def test_structural_invariants(tag, N, r):
 @given(N=st.integers(1, 9))
 def test_a_parity_flag(N):
     assert derive(("A", N)).parity == ("even" if N % 2 == 0 else "odd")
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_derive_accepts_its_own_output(tag):
+    d = derive(FamilySpec(tag, 3, 0.7))
+    assert derive(d) is d
+    assert derive((tag, 3, 0.7)) == d

@@ -1,5 +1,7 @@
 """Theta engine tests: frozen special values, oracle overlap, classical identities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from elliptic_dpp.theta_core import (
     AccuracyError,
     eta_and_q,
+    parts_equilibrate,
+    parts_sum,
+    parts_value,
     theta,
     theta_parts,
     theta_series,
@@ -171,3 +176,102 @@ def test_eta_functional_equation():
 def test_oracle_reports_nonconvergence():
     with pytest.raises(AccuracyError):
         theta_series(3, 0.0, 1e-5j, cap=16)
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracle: mpmath.jtheta, sharing no code with theta_parts
+
+def _mp_log_theta(mpmath, index, v, tau):
+    """log theta_index(v | tau) from mpmath.jtheta, to 30 significant digits.
+
+    jtheta(n, z, q) is the same series with z = pi v and q = e^{i pi tau}.
+    The working precision grows as Im tau shrinks: the nome nears 1 and the
+    series cancels by up to e^{-pi / (4 Im tau)}.  theta_0 is taken as theta_3
+    at v + 1/2 (the two defining series), because jtheta(4, ...) loses every
+    digit at large |Im z|: it gives ~1e994 for theta_0(0.31 + 400i | 1000i),
+    whose value is ~1.  jtheta(1|2) carry the principal q^{1/4}, which the
+    factor e^{i pi tau / 4} / q^{1/4} turns into this convention's for
+    |Re tau| > 1.
+    """
+    with mpmath.workdps(40 + int(0.35 / tau.imag)):
+        t = mpmath.mpc(tau.real, tau.imag)
+        q = mpmath.exp(1j * mpmath.pi * t)
+        z = mpmath.pi * mpmath.mpc(v.real, v.imag)
+        if index == 0:
+            val = mpmath.jtheta(3, z + mpmath.pi / 2, q)
+        else:
+            val = mpmath.jtheta(index, z, q)
+        if index in (1, 2):
+            val *= mpmath.exp(1j * mpmath.pi * t / 4) / q ** mpmath.mpf(0.25)
+        return complex(mpmath.log(val))
+
+
+# Im tau from 1e-3 to 1e3; Re tau != 0 (beyond +-1/2 it takes the shift branch
+# of the modular walk); |Im v| up to 5.8 Im tau.  No multiple of Im tau in Im v
+# is an integer or half-integer, which keeps every point off the theta zeros
+# (m + a) tau + k + b, where a relative error has no meaning.  mpmath's
+# complex-nome path itself loses all digits at large |Im z| and Im tau
+# (theta_3(0.31 + 400i | -0.8 + 1000i) comes out ~e^2267 at any precision up
+# to 1000 digits), so the shifted points stop at Im tau = 40.
+@pytest.mark.parametrize("tau", [1e-3j, 0.62 + 0.004j, 0.02j, -0.7 + 0.05j, 1j,
+                                 1.7 + 0.4j, -2.4 + 3j, 0.55 + 40j, 1e3j])
+def test_theta_parts_matches_mpmath(tau):
+    mpmath = pytest.importorskip("mpmath")
+    vs = np.array([complex(re, f * tau.imag) for re, f in
+                   ((0.31, 0.0), (-0.47, 0.4), (0.12, -1.3), (0.9, 3.7), (-0.2, -5.8))])
+    for index in range(4):
+        mant, scale = theta_parts(index, vs, tau)
+        for v, m, s in zip(vs, mant, scale):
+            ref = _mp_log_theta(mpmath, index, v, tau)
+            got = np.log(m) + s
+            err = abs(complex(got.real - ref.real,
+                              math.remainder(got.imag - ref.imag, 2.0 * math.pi)))
+            # the log scale is a double, so its own rounding grows with it
+            assert err <= 1e-12 + 1e-15 * abs(ref.real), (index, v, tau, err)
+
+
+# ---------------------------------------------------------------------------
+# parts helpers
+
+def test_parts_sum_from_minus_infinity_is_the_term():
+    m = np.array([0.3 - 2.0j, -1.5 + 0.0j])
+    s = np.array([12.5, -800.0])
+    mant, top = parts_sum(np.zeros(2, dtype=complex), np.full(2, -np.inf), m, s)
+    assert np.array_equal(mant, m) and np.array_equal(top, s)
+
+
+def test_parts_sum_lets_a_term_underflow():
+    with np.errstate(all="raise"):
+        mant, top = parts_sum(2.0 + 1.0j, 0.0, 5.0, -800.0)
+    assert mant == 2.0 + 1.0j and top == 0.0
+
+
+def test_parts_sum_of_a_negated_term():
+    # p1 e^{l1} - p2 e^{l2}, passed as the second term -p2
+    mant, top = parts_sum(3.0, 0.0, -1.0, np.log(2.0))
+    assert top == np.log(2.0)
+    assert abs(mant - 0.5) < 1e-15
+    mant, top = parts_sum(1j, 1e4, -1j, 1e4)
+    assert mant == 0.0 and top == 1e4
+
+
+def test_parts_equilibrate_stack():
+    rng = np.random.default_rng(5)
+    mant = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    scale = rng.uniform(-5.0, 5.0, (3, 4, 4))
+    tilde, row = parts_equilibrate(mant, scale)
+    assert tilde.shape == mant.shape and np.array_equal(row, scale.max(axis=2))
+    # each row's largest-scale entry keeps its mantissa exactly
+    top = scale.argmax(axis=2)[..., None]
+    assert np.array_equal(np.take_along_axis(tilde, top, 2), np.take_along_axis(mant, top, 2))
+    # the determinants: those of tilde times e^{sum of the row scales}
+    sign, logabs = np.linalg.slogdet(tilde)
+    sign0, logabs0 = np.linalg.slogdet(mant * np.exp(scale))
+    assert np.allclose(sign, sign0, rtol=0.0, atol=1e-12)
+    assert np.allclose(logabs + row.sum(axis=1), logabs0, rtol=0.0, atol=1e-12)
+
+
+def test_parts_value_overflows_quietly():
+    with np.errstate(all="raise"):
+        out = parts_value(np.array([2.0, 3.0, -1.0]), np.array([800.0, -800.0, 1.0]))
+    assert out[0] == np.inf and out[1] == 0.0 and out[2] == -np.e
