@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""One digest line per CLI command over a fixed list of commands.
+
+Runs each command in-process against the package in ./src (so run it from
+the root of a checkout) and prints
+
+    <sha256> <exit status> <argv>
+
+where the hash covers the command's stdout, stderr and every file it wrote.
+Two checkouts are compared with one diff:
+
+    (cd /path/to/old && python3 /path/to/output_digest.py) > old.txt
+    python3 scripts/output_digest.py > new.txt
+    diff old.txt new.txt
+
+The list is the benchmark's commands at fixed inputs (no seed jitter), plus
+larger grids, other sampler and theta regimes, Selberg integrals, large
+horizons and points outside the alcove.  A full run takes about 15 s on a
+2-core machine.
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+T_SMALL = repr(0.01 * 2.0 * math.pi / 16.0)      # Im tau ~ 0.01 for A4 at t
+T_STAR_LARGE = repr(100.0 * 2.0 * math.pi / 36.0)  # Im tau ~ 50 for D4 at t*/2
+
+
+def _commands():
+    cmds = [
+        # benchmark: warmups, sample, kernel grids, verify, limits
+        "density --type A --N 4 --t 0.5 --t-star 1 --points 0.5,2.0,3.5,5.0",
+        "kernel --type A --N 16 --t 0.5 --t-star 1 --grid 64 --out k.csv",
+        "sample --type A --N 4 --t 0.5 --t-star 1 --steps 2048 --bins 8 --seed 12345 --out s",
+        "kernel --type A --N 16 --t 0.5 --t-star 1 --grid 512 --out k.csv",
+        "kernel --type C --N 3 --t 0.5 --t-star 1 --grid 512 --out k.csv",
+        f"kernel --type A --N 4 --t {T_SMALL} --t-star 1 --grid 512 --out k.csv",
+        f"kernel --type D --N 4 --t {repr(0.5 * float(T_STAR_LARGE))} "
+        f"--t-star {T_STAR_LARGE} --grid 512 --out k.csv",
+    ]
+    cmds += [f"verify --suite all --type {tag} --N {N} --t 0.4 --t-star 1"
+             for tag in ("A", "B", "Bv", "C", "Cv", "BC", "D") for N in (2, 3, 4)]
+    cmds += [f"limits --type {tag} --N 3 --horizon 300000" for tag in "ABCD"]
+    cmds += [
+        # larger grid, other sampler configurations, densities, integrals
+        "kernel --type A --N 16 --t 0.5 --t-star 1 --grid 1024 --out k.csv",
+        "sample --type A --N 3 --steps 128 --seed 11 --out s",
+        "sample --type C --N 3 --t 0.3 --t-star 1 --steps 256 --bins 12 --seed 5 --out s",
+        "sample --type D --N 4 --t 0.7 --t-star 2 --steps 256 --seed 3 --out s",
+        "density --type C --N 3 --t 0.4 --t-star 1 --points 0.5,1.2,2.0",
+        "density --type BC --N 2 --t 0.4 --t-star 1 --grid 32",
+        "selberg --type A --N 1 --t 0.4 --t-star 1",
+        "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
+        "selberg --type A --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2 --workers 1",
+        "selberg --type C --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2 --workers 1",
+    ]
+    cmds += [f"theta --index {idx} --tau-im {ti} --v-im {vi} --grid 16"
+             for idx in range(4) for ti, vi in (("0.01", "0.003"), ("1", "0.4"),
+                                                 ("50", "-20"))]
+    cmds += [
+        # large horizons, where the bridge and pinned-path checks lose digits
+        "verify --type B --N 2 --t 20 --t-star 50",
+        "verify --type Bv --N 4 --t 2 --t-star 5",
+        "verify --type C --N 4 --t 2 --t-star 5",
+        # points outside the alcove or not numbers
+        "density --type C --N 3 --points=-0.5,1.5,2.0",
+        "density --type C --N 3 --points=0.5,1.5,5.0",
+        "density --type A --N 2 --points nan,1.0",
+        "density --type A --N 2 --points 1.0,1.0",
+    ]
+    return cmds
+
+
+def _digest(main, argv):
+    """Run one command in an empty directory; hash stdout, stderr and files."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = str(main(argv))
+                except SystemExit as exc:
+                    status = str(exc.code)
+                except Exception as exc:   # a traceback is an outcome too
+                    status = f"raised-{type(exc).__name__}"
+                    err.write(f"{type(exc).__name__}: {exc}\n")
+        finally:
+            os.chdir(cwd)
+        h = hashlib.sha256()
+        h.update(out.getvalue().encode())
+        h.update(b"\0")
+        h.update(err.getvalue().encode())
+        for path in sorted(Path(tmp).iterdir()):
+            h.update(b"\0" + path.name.encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest(), status
+
+
+def main():
+    sys.path.insert(0, str(Path("src").resolve()))
+    from elliptic_dpp.cli import main as cli_main
+
+    for cmd in _commands():
+        argv = shlex.split(cmd)
+        digest, status = _digest(cli_main, argv)
+        print(f"{digest} {status} {cmd}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,14 +21,14 @@ import numpy as np
 
 from .macdonald import (
     IllConditionedError,
-    _logc_from_parts,
+    _det_phase,
     _logc_rel_diff,
     coeff_a_log,
-    weyl_w_parts,
+    rhs_logc,
 )
 from .biortho import m_fn_parts
 from .root_systems import derive
-from .theta_core import AccuracyError, eta_and_q, parts_value, theta, theta_parts
+from .theta_core import AccuracyError, eta_and_q, parts_value, theta
 
 __all__ = [
     "BoundaryKind",
@@ -278,6 +278,16 @@ def matrix_identity_residual(spec, t, xs):
     return float(np.max(np.abs(rm @ P - M)) / np.max(np.abs(M)))
 
 
+def _check_bridge_cond(name, m):
+    """IllConditionedError when the row-equilibrated heat-kernel matrix m is
+    past `_BRIDGE_COND_LIMIT`: its determinant would carry round-off of
+    about 1e-16 times the condition number."""
+    cond = np.linalg.cond(m / np.max(np.abs(m), axis=1, keepdims=True))
+    if not cond <= _BRIDGE_COND_LIMIT:
+        raise IllConditionedError(f"bridge matrix {name} condition ~ {cond:.3e} "
+                                  f"exceeds {_BRIDGE_COND_LIMIT:.1e}")
+
+
 def bridge_density(spec, t, t_star, xs):
     """Pinned-bridge density det P_in . det P_out / det P_pin, by log-dets.
 
@@ -306,10 +316,7 @@ def bridge_density(spec, t, t_star, xs):
         "D0": np.stack([transition(bk, 0.0, vj, t_star, v, r) for vj in d.pinned]),
     }
     for name, m in mats.items():
-        cond = np.linalg.cond(m / np.max(np.abs(m), axis=1, keepdims=True))
-        if not cond <= _BRIDGE_COND_LIMIT:
-            raise IllConditionedError(f"bridge matrix {name} condition ~ {cond:.3e} "
-                                      f"exceeds {_BRIDGE_COND_LIMIT:.1e}")
+        _check_bridge_cond(name, m)
     s1, l1 = np.linalg.slogdet(mats["P_in"])
     s2, l2 = np.linalg.slogdet(mats["P_out"])
     s0, l0 = np.linalg.slogdet(mats["D0"])
@@ -329,44 +336,29 @@ def _b_phase(tag, N):
 def macdonald_kmlgv_residual(spec, t, xs, cond_limit=1e12):
     """Weyl denominator against the pinned-path determinant route.
 
-    Left side: W (times the parity-indexed coordinate-sum theta factor for
-    the circle family).  Right side: phase . det r(t) / a(t) . det P.
-    Returns the relative residual at the common log scale.
+    Left side: `rhs_logc`, the closed-form side a(t) . phase . W (times the
+    parity-indexed coordinate-sum theta for the circle family) of the
+    determinant identity.  Right side: the same phase times
+    `_b_phase` . det r(t) . det P.  Returns the relative residual at the
+    common log scale.  IllConditionedError when r(t) is past `cond_limit` or
+    the pinned matrix P past `_BRIDGE_COND_LIMIT`.
     """
     d = derive(spec)
-    tag, N, r = d.spec.tag, d.spec.N, d.spec.r
+    tag, N = d.spec.tag, d.spec.N
     xs = _points(xs)
-    tau = 1j * t / (2.0 * math.pi * r * r)
+    ll, pl = rhs_logc(d, xs, t)
 
-    # left: Weyl-denominator route
-    xi = xs / (2.0 * math.pi * r)
-    wm, wsc = weyl_w_parts(tag, xi[None, :], d.size * tau)
-    lm, lp = _logc_from_parts(complex(wm[0]), float(wsc[0]))
-    if tag == "A":
-        idx = 0 if N % 2 == 0 else 3
-        pm, psc = theta_parts(idx, float(np.sum(xi)), N * tau)
-        fm, fsc = complex(pm), float(psc)
-        if fm == 0.0:
-            lm, lp = -np.inf, 1.0
-        else:
-            lm = lm + math.log(abs(fm)) + fsc
-            lp = lp * (fm / abs(fm))
-
-    # right: r-matrix route
     rm = r_matrix(d, t).entries
     if np.linalg.cond(rm) > cond_limit:
         raise IllConditionedError(
             f"r-matrix condition number beyond {cond_limit:.1e}")
-    sr, lr = np.linalg.slogdet(rm)
     P = _pinned_matrix(d, t, xs)
-    sp, lpp = np.linalg.slogdet(P)
-    la = coeff_a_log(d, t)
-    if sr == 0.0 or sp == 0.0:
-        rl, rp = -np.inf, 1.0
-    else:
-        rl = lr + lpp - la
-        rp = _b_phase(tag, N) * sr * sp
-    return _logc_rel_diff(lm, lp, rl, rp)
+    _check_bridge_cond("P", P)
+    # both condition checks passed, so neither determinant is zero
+    sr, lr = np.linalg.slogdet(rm)
+    sp, lp = np.linalg.slogdet(P)
+    rp = _det_phase(tag, N) * _b_phase(tag, N) * sr * sp
+    return _logc_rel_diff(ll, pl, lr + lp, rp)
 
 
 def eta_formula_residual(spec, t):

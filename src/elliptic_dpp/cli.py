@@ -81,10 +81,21 @@ class RunConfig:
             raise ValueError(f"need steps >= 1 and bins >= 1, got {self.steps}, {self.bins}")
         if self.points is not None:
             pts = [float(s) for s in self.points.split(",")]
-            if self.command == "density" and len(pts) != self.N:
-                raise ValueError(
-                    f"--points needs {self.N} values, got {len(pts)}")
+            if self.command == "density":
+                _check_points(pts, derive((self.type, self.N, self.r)))
         return self
+
+
+def _check_points(pts, d):
+    """A configuration for `density`: N finite points in the alcove, [0, L) on
+    the circle and [0, L] on the interval.  Coincident points are allowed;
+    their density is 0."""
+    if len(pts) != d.spec.N:
+        raise ValueError(f"--points needs {d.spec.N} values, got {len(pts)}")
+    L, closed = d.length, d.spec.tag != "A"
+    if not all(0.0 <= p and (p <= L if closed else p < L) for p in pts):
+        raise ValueError(f"--points must be finite and in [0, {L!r}"
+                         f"{']' if closed else ')'}, got {pts}")
 
 
 def _write(path, text):

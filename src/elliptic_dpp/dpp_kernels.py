@@ -391,17 +391,16 @@ def _inf_panels(iks):
 
 
 def _inf_quad(iks, x, y, nodes):
+    """Gauss-Legendre sum over the panels; each panel is summed at its own
+    largest scale and the panels are combined in parts."""
     panels = _inf_panels(iks)
-    acc = 0.0 + 0.0j
-    top = -np.inf
+    acc, top = 0.0 + 0.0j, -np.inf
     for lo, hi in panels:
         lam, w = _gl_nodes(max(nodes // len(panels), 8), lo, hi)
         mant, sc = _inf_integrand(iks, x, y, lam)
-        t2 = max(top, float(sc.max()))
-        with np.errstate(under="ignore"):
-            acc = acc * np.exp(top - t2) + np.sum(w * mant * np.exp(sc - t2))
-        top = t2
-    return acc * np.exp(top)
+        peak = float(sc.max())
+        acc, top = parts_sum(acc, top, np.sum(parts_value(w * mant, sc - peak)), peak)
+    return parts_value(acc, top)
 
 
 def infinite_kernel(iks, x, y, nodes=128, tol=1e-9):
@@ -566,9 +565,8 @@ def _kernel_factors(ks, x, lms, alpha=None):
         cm, csc = m_fn_parts(ks.derived, j, x, ks.t_star - ks.t)
     if alpha is None:
         alpha = asc.max(axis=1)
-    with np.errstate(under="ignore", over="ignore"):
-        a = am * np.exp(asc - alpha[:, None])
-        c = np.conj(cm) * np.exp(csc - lms[:, None] + alpha[:, None])
+    a = parts_value(am, asc - alpha[:, None])
+    c = parts_value(np.conj(cm), csc - lms[:, None] + alpha[:, None])
     return a, c, alpha
 
 

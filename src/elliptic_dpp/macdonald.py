@@ -32,13 +32,11 @@ __all__ = [
     "AlcoveConfiguration",
     "DegenerateConfigError",
     "IllConditionedError",
-    "NormAlphaTilde",
     "SelbergResult",
     "coeff_a",
     "coeff_a_log",
     "denominator_residual",
     "det_m_logc",
-    "norm_alpha_tilde",
     "rhs_logc",
     "selberg_check",
     "weyl_w",
@@ -79,38 +77,6 @@ class AlcoveConfiguration:
         elif pts[-1] > d.length:
             raise ValueError(f"interval alcove requires x_N <= {d.length}")
         return cls(points=pts, tag=d.spec.tag)
-
-
-@dataclass(frozen=True)
-class NormAlphaTilde:
-    """Norm parameter of the circle family's extra theta factor.
-
-    value = N tau/2 for even N, (1 + N tau)/2 for odd N; the half-integer
-    real shift in the odd case is exactly what turns the index-3 series into
-    the index-0 one, so the parity-dependent theta index lives here.
-    """
-
-    N: int
-    value: complex
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-
-    @classmethod
-    def from_tau(cls, N, tau):
-        tau = complex(tau)
-        v = 0.5 * N * tau if N % 2 == 0 else 0.5 * (1.0 + N * tau)
-        return cls(N=int(N), value=v)
-
-    @property
-    def theta_index(self):
-        """Index of the coordinate-sum theta in the determinant identity."""
-        return 0 if self.N % 2 == 0 else 3
-
-
-def norm_alpha_tilde(N, tau):
-    return NormAlphaTilde.from_tau(N, tau).value
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +136,20 @@ def weyl_w_parts(tag, xi, tau):
         m, s = theta_parts(idx, amul * X, tmul * tau)
         mant *= np.prod(m, axis=1)
         scale += np.sum(s, axis=1)
+    return mant, scale
+
+
+def _product_parts(tag, xi, tau):
+    """Product side of the determinant identity, batched like `weyl_w_parts`:
+    W(xi; tau), times theta_{0 if N even else 3}(sum xi | tau) for the circle
+    family.  The index follows the parity of N: the theta's norm parameter
+    N tau / 2 gains a real half period for odd N, and theta_0(v + 1/2) =
+    theta_3(v)."""
+    mant, scale = weyl_w_parts(tag, xi, tau)
+    if tag == "A":
+        X = np.atleast_2d(xi)
+        m, s = theta_parts(0 if X.shape[1] % 2 == 0 else 3, X.sum(axis=1), tau)
+        mant, scale = mant * m, scale + s
     return mant, scale
 
 
@@ -280,17 +260,9 @@ def rhs_logc(spec, xs, t):
         xs = xs.points
     xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
     tau = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
-    wm, wsc = weyl_w_parts(d.spec.tag, xi, tau)
-    lw, pw = _logc_from_parts(complex(wm[0]), float(wsc[0]))
-    lg = coeff_a_log(d, t) + lw
-    ph = _det_phase(d.spec.tag, d.spec.N) * pw
-    if d.spec.tag == "A":
-        s_idx = NormAlphaTilde.from_tau(d.spec.N, tau).theta_index
-        m, s = theta_parts(s_idx, float(xi.sum()), tau)
-        lt, pt = _logc_from_parts(m, s)
-        lg += lt
-        ph *= pt
-    return lg, ph
+    m, s = _product_parts(d.spec.tag, xi, tau)
+    lp, pp = _logc_from_parts(complex(m[0]), float(s[0]))
+    return coeff_a_log(d, t) + lp, _det_phase(d.spec.tag, d.spec.N) * pp
 
 
 def denominator_residual(spec, xs, t):
@@ -323,23 +295,14 @@ class SelbergResult:
 
 
 def _selberg_integrand(d, X, t, t_star):
-    """Integrand on a batch of configurations X (B, N): the two W factors and,
-    for the circle family, the two parity-indexed thetas of the coordinate sum."""
+    """Integrand on a batch of configurations X (B, N): the product side of the
+    determinant identity at the two time differences t* - t and t."""
     xi = X / (2.0 * np.pi * d.spec.r)
     tau_s = 1j * d.size * (t_star - t) / (2.0 * np.pi * d.spec.r**2)
     tau_t = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
-    m1, s1 = weyl_w_parts(d.spec.tag, xi, tau_s)
-    m2, s2 = weyl_w_parts(d.spec.tag, xi, tau_t)
-    mant = m1 * m2
-    scale = s1 + s2
-    if d.spec.tag == "A":
-        s_idx = NormAlphaTilde.from_tau(d.spec.N, tau_t).theta_index
-        tot = xi.sum(axis=1)
-        for tau in (tau_s, tau_t):
-            m, s = theta_parts(s_idx, tot, tau)
-            mant *= m
-            scale += s
-    vals = parts_value(mant, scale)
+    m1, s1 = _product_parts(d.spec.tag, xi, tau_s)
+    m2, s2 = _product_parts(d.spec.tag, xi, tau_t)
+    vals = parts_value(m1 * m2, s1 + s2)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals.real)), 1e-300):
         raise AccuracyError("Selberg integrand lost realness")
     return vals.real

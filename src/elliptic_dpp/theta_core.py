@@ -18,7 +18,9 @@ the raw series is only ever summed with a small nome and a reduced argument:
    which leaves Im tau >= sqrt(3)/2 for any input with Im tau > 0;
 2. quasi-periodic reduction v -> v - m*tau - k with the exact exponential
    prefactor, leaving |Re v| <= 1/2 and |Im v| <= Im tau / 2;
-3. a ring-ordered series with a per-element peak exponent factored out.
+3. the series summed ring by ring (n and -n together) with a per-element peak
+   exponent factored out, over a fixed number of rings -- at most 4 -- set by
+   an a-priori tail bound (see `_ring_sum`).
 
 Because the prefactors from steps 1-2 routinely overflow double precision in
 downstream determinant work, `theta_parts` returns the value in
@@ -43,6 +45,8 @@ production path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -56,10 +60,11 @@ __all__ = [
     "theta_series",
 ]
 
-# stop when a ring's magnitude is below _STOP x accumulated magnitude,
-# twice in a row
-_STOP = 1e-17
-_MAX_RINGS = 64
+# production rings: every ring whose a-priori bound is >= e^{-_LOG_TAIL}
+_LOG_TAIL = math.log(1e17)
+# oracle: stop when a ring's magnitude is below _ORACLE_STOP x accumulated
+# magnitude, twice in a row
+_ORACLE_STOP = 1e-17
 _ORACLE_MAX_RINGS = 512
 
 # tau -> -1/tau: index swap and eighth-root-of-unity prefactor
@@ -120,52 +125,45 @@ def _check_tau(tau):
     return tau
 
 
-def _ring_sum(index, w, tau, cap):
+def _ring_sum(index, w, tau):
     """Sum the defining series at reduced argument w, |Re w|<=1/2, |Im w|<=Im tau/2.
 
     Returns (ssum, peak) with the series equal to ssum * exp(peak); peak is the
     real exponent of the largest term, factored out so ssum stays of order one
     even when Im tau is huge and the half-integer families' leading terms are
     e^{+pi Im tau / 4}-large.
+
+    The ring count is fixed in advance.  With |Im w| at its limit Im tau / 2,
+    ring n of the half-integer families (a = n - 1/2) is at most
+    e^{-pi Im tau (n-1)^2} of the peak term, and of the integer families
+    (a = n) at most e^{-pi Im tau n(n-1)}.  Every ring whose bound is >= 1e-17
+    is summed, R = 1 + floor(sqrt(ln(1e17) / (pi Im tau))) of them: R <= 4
+    after the fundamental-domain walk (Im tau >= sqrt(3)/2), R = 1 once
+    Im tau > 12.5.
     """
     qf = 1j * np.pi * tau
     zf = 2j * np.pi * w
-    shape = w.shape
     if index in (0, 3):
-        peak = np.zeros(shape)  # n = 0 term dominates after reduction
-        total = np.ones(shape, dtype=complex)
-        mag = np.ones(shape)
+        peak = np.zeros(w.shape)  # n = 0 term dominates after reduction
+        total = np.ones(w.shape, dtype=complex)
         offset = 0.0
     else:
         # dominant half-integer exponent: a = +-1/2, whichever sign matches Im w
         peak = -0.25 * np.pi * tau.imag + np.pi * np.abs(w.imag)
-        total = np.zeros(shape, dtype=complex)
-        mag = np.zeros(shape)
+        total = np.zeros(w.shape, dtype=complex)
         offset = 0.5
-    conv = np.zeros(shape, dtype=np.int64)
-    for n in range(1, cap + 1):
+    rings = 1 + int(math.sqrt(_LOG_TAIL / (math.pi * tau.imag)))
+    for n in range(1, rings + 1):
         a = n - offset
         up = np.exp(qf * (a * a) + zf * a - peak)
         dn = np.exp(qf * (a * a) - zf * a - peak)
-        if index == 3:
-            ring = up + dn
-        elif index == 0:
-            ring = (up + dn) if n % 2 == 0 else -(up + dn)
-        elif index == 2:
-            ring = up + dn
-        else:  # index == 1
-            ring = (1j if n % 2 == 0 else -1j) * (up - dn)
-        active = conv < 2
-        rmag = np.abs(ring)
-        total = np.where(active, total + ring, total)
-        mag = np.where(active, mag + rmag, mag)
-        hit = rmag <= _STOP * mag
-        conv = np.where(active, np.where(hit, conv + 1, 0), conv)
-        if int(conv.min()) >= 2:
-            return total, peak
-    raise AccuracyError(
-        f"theta series did not converge within {cap} rings (Im tau = {tau.imag:g})"
-    )
+        ring = up - dn if index == 1 else up + dn
+        if index == 1:
+            ring = (1j if n % 2 == 0 else -1j) * ring
+        elif index == 0 and n % 2:
+            ring = -ring
+        total = total + ring
+    return total, peak
 
 
 def theta_parts(index, v, tau):
@@ -187,6 +185,9 @@ def theta_parts(index, v, tau):
     log_scale : float ndarray (or scalar)
         Real exponent; the function value is ``mantissa * exp(log_scale)``.
 
+    Raises ValueError for a non-finite v, and AccuracyError when the
+    quasi-periodic prefactor leaves double range (|Im v| ~ 1e154 Im tau).
+
     Notes
     -----
     The split exists because quasi-periodic prefactors grow like
@@ -198,6 +199,8 @@ def theta_parts(index, v, tau):
     w = np.array(v, dtype=complex, copy=True)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("theta argument must be finite")
     mant = np.ones(w.shape, dtype=complex)
     scale = np.zeros(w.shape)
     idx = index
@@ -245,10 +248,13 @@ def theta_parts(index, v, tau):
         flip = np.zeros(w.shape, dtype=bool)
     pref = -1j * np.pi * tau_c * (m * m) - 2j * np.pi * m * w
     scale += pref.real
+    if not np.all(np.isfinite(scale)):
+        raise AccuracyError("theta argument too large: its quasi-periodic "
+                            "prefactor leaves double range")
     mant *= np.exp(1j * pref.imag)
     mant = np.where(flip, -mant, mant)
 
-    ssum, peak = _ring_sum(idx, w, tau_c, _MAX_RINGS)
+    ssum, peak = _ring_sum(idx, w, tau_c)
     mant = mant * ssum
     scale = scale + peak
     if scalar:
@@ -306,7 +312,7 @@ def theta_series(index, v, tau, cap=_ORACLE_MAX_RINGS):
         rmag = np.abs(ring)
         total = np.where(active, total + ring, total)
         mag = np.where(active, mag + rmag, mag)
-        conv = np.where(active, np.where(rmag <= _STOP * mag, conv + 1, 0), conv)
+        conv = np.where(active, np.where(rmag <= _ORACLE_STOP * mag, conv + 1, 0), conv)
         if int(conv.min()) >= 2:
             break
     else:

@@ -85,6 +85,26 @@ def test_density_wrong_point_count_is_usage_error(capsys):
                  "--points", "0.5,1.2"]) == 2
 
 
+@pytest.mark.parametrize("tag, N, points", [
+    ("C", 3, "-0.5,1.5,2.0"),               # below the wall at 0
+    ("C", 3, "0.5,1.5,5.0"),                # beyond the wall at pi r
+    ("A", 2, "0.5,6.283185307179586"),      # the circle alcove is [0, 2 pi r)
+    ("A", 2, "nan,1.0"),
+    ("A", 2, "inf,1.0"),
+])
+def test_density_points_outside_alcove_is_usage_error(tag, N, points, capsys):
+    assert main(["density", "--type", tag, "--N", str(N),
+                 f"--points={points}"]) == 2
+    assert capsys.readouterr().err.startswith("error: --points must be finite")
+
+
+def test_density_points_on_walls_and_coincident_are_allowed(capsys):
+    assert main(["density", "--type", "C", "--N", "3",
+                 "--points", "0,1.5,3.141592653589793"]) == 0
+    assert main(["density", "--type", "A", "--N", "2", "--points", "1.0,1.0"]) == 0
+    assert _lines(capsys) == ["density=0", "density=0"]
+
+
 def test_limits_reports_honest_sine_gap(capsys):
     # at the default horizon the sine leg misses 1e-6 by design; the other
     # three legs (trig, convergence law, N=64 surrogate) must pass
@@ -160,6 +180,8 @@ def test_ill_conditioned_bridge_fails_only_its_check(capsys):
     assert "Chapman-Kolmogorov" in out[out.index(
         "bridge density vs spectral density: residual=inf tol=1.0e-08 FAIL") - 1]
     assert any(ln.startswith("kernel trace = N") and ln.endswith("PASS") for ln in out)
+    # the pinned-path matrix P is past the same condition limit here
+    assert "pinned-path proportionality: residual=inf tol=1.0e-09 FAIL" in out
 
 
 @pytest.mark.parametrize("tag", ("A", "C"))

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from elliptic_dpp.macdonald import (
     AlcoveConfiguration,
     DegenerateConfigError,
-    NormAlphaTilde,
     coeff_a,
     coeff_a_log,
     denominator_residual,
-    norm_alpha_tilde,
     selberg_check,
     weyl_w,
 )
@@ -49,14 +47,6 @@ def test_alcove_configuration_rejects_bad_input():
 
     # pi r itself is allowed on the closed interval alcove
     AlcoveConfiguration.from_points(("C", 2, 1.0), [0.3, np.pi])
-
-
-def test_norm_alpha_tilde_parity():
-    tau = 0.7j
-    assert norm_alpha_tilde(4, tau) == 2 * tau
-    assert norm_alpha_tilde(3, tau) == 0.5 + 1.5 * tau
-    assert NormAlphaTilde.from_tau(4, tau).theta_index == 0
-    assert NormAlphaTilde.from_tau(3, tau).theta_index == 3
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,22 @@ def test_oracle_reports_nonconvergence():
         theta_series(3, 0.0, 1e-5j, cap=16)
 
 
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("v, error", [
+    (np.nan, ValueError),
+    (np.inf, ValueError),
+    (-np.inf, ValueError),
+    (complex(0.3, np.inf), ValueError),
+    ([0.3, np.nan], ValueError),
+    (1e300j, AccuracyError),
+])
+def test_theta_parts_rejects_unrepresentable_input(index, v, error):
+    # non-finite arguments are not numbers to reduce; at |Im v| = 1e300 the
+    # quasi-periodic prefactor e^{-pi Im tau m^2} leaves double range
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        theta_parts(index, v, 1j)
+
+
 # ---------------------------------------------------------------------------
 # high-precision oracle: mpmath.jtheta, sharing no code with theta_parts
 
