@@ -15,9 +15,9 @@ import argparse
 import numpy as np
 
 from elliptic_dpp.dpp_kernels import InfiniteKernelSpec, infinite_kernel, sine_kernel
+from elliptic_dpp.verification import SINE_OF
 
 PAIRS = [(0.3, 0.3), (1.3, 0.6), (2.2, 0.9), (3.1, 2.4)]
-SINE_OF = {"A": "A", "B": "C", "C": "C", "D": "D"}
 
 
 def deviation(fam, horizon, rho=1.0):

@@ -15,7 +15,7 @@ Two checkouts are compared with one diff:
 
 The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
-horizons and points outside the alcove.  A full run takes about 15 s on a
+horizons, points outside the alcove and flags a verb does not read.  A full run takes about 15 s on a
 2-core machine.
 """
 
@@ -58,8 +58,8 @@ def _commands():
         "density --type BC --N 2 --t 0.4 --t-star 1 --grid 32",
         "selberg --type A --N 1 --t 0.4 --t-star 1",
         "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
-        "selberg --type A --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2 --workers 1",
-        "selberg --type C --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2 --workers 1",
+        "selberg --type A --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
+        "selberg --type C --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
     ]
     cmds += [f"theta --index {idx} --tau-im {ti} --v-im {vi} --grid 16"
              for idx in range(4) for ti, vi in (("0.01", "0.003"), ("1", "0.4"),
@@ -74,6 +74,10 @@ def _commands():
         "density --type C --N 3 --points=0.5,1.5,5.0",
         "density --type A --N 2 --points nan,1.0",
         "density --type A --N 2 --points 1.0,1.0",
+        # flags the verb does not read
+        "verify --suite theta --out x.txt",
+        "kernel --type A --N 3 --grid 4 --seed 3",
+        "limits --type A --N 3 --horizon 300000 --tol 1e-30",
     ]
     return cmds
 

@@ -4,38 +4,30 @@ Verbs: theta, kernel, density, limits, verify, sample, selberg.
 Exit status 0 = success, 1 = an identity check failed (or a numerical engine
 gave up), 2 = unusable configuration.
 
-CSV files carry a header row, either (x, y, re, im) for value grids or
-(bin_left, bin_right, count, density, stderr) for histograms, with floats at
-17 significant digits.  A JSON file passed via --config supplies defaults for
-any flag (keys = flag names with underscores); explicit flags win.  Identical
-config + seed produces byte-identical output files.
+Each verb accepts only the flags it reads.  CSV files carry a header row,
+either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
+stderr) for histograms, with floats at 17 significant digits.  A JSON file
+passed via --config supplies defaults for the verb's flags (keys = flag names
+with underscores); its values are checked like the flags, and explicit flags
+win.  Identical config + seed produces byte-identical output files.
 """
 
 import argparse
 import contextlib
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp_kernels import (ConsistencyError, InfiniteKernelSpec, KernelSpec,
-                          density, empirical_density, exact_sample,
-                          infinite_kernel, kernel, kernel_matrix, sine_kernel,
-                          trig_kernel)
+from .dpp_kernels import (ConsistencyError, KernelSpec, density,
+                          empirical_density, exact_sample, kernel_matrix)
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
-from .verification import SUITES, CheckResult, run_suites
+from .verification import SUITES, CheckResult, limits_suite, render, run_suites
 
 __all__ = ["RunConfig", "run", "main"]
-
-_SINE_OF = {"A": "A", "B": "C", "C": "C", "D": "D"}
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"
 
 
 @dataclass
@@ -60,16 +52,12 @@ class RunConfig:
     budget: int = None
     seed: int = 0
     tol: float = None
-    workers: int = None
     out: str = None
 
     def finalize(self):
         if self.t is None:
             self.t = 0.5 * self.t_star
-        if self.workers is None:
-            self.workers = int(os.environ.get("ELLIPTIC_DPP_WORKERS", "1"))
-        if self.command in ("kernel", "density", "verify", "sample", "selberg",
-                            "limits"):
+        if self.command != "theta":
             derive((self.type, self.N, self.r))   # raises ValueError if unusable
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t} t_star={self.t_star}")
@@ -98,137 +86,79 @@ def _check_points(pts, d):
                          f"{']' if closed else ')'}, got {pts}")
 
 
-def _write(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _open(path):
+    return open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout)
 
 
-def _csv(header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _write_csv(path, header, blocks):
+    """Stream a CSV table: the header row, then each block of rows.
 
-
-def _write_grid(path, xs, ys, values):
-    """Stream a value grid as (x, y, re, im) CSV, one %-format per grid row.
-
-    Byte-identical to formatting every value with `_fmt`: "%.17g" is the
-    same conversion, and rows are written as they are formatted instead of
-    being collected first.
+    A block is a tuple of columns (arrays or scalars, broadcast together) and
+    is written with one "%.17g" format, the same conversion as formatting
+    every value with f"{float(v):.17g}".
     """
-    vals = np.asarray(values, dtype=complex)
-    block = np.empty((len(ys), 4))
-    block[:, 1] = ys
-    row_fmt = "%.17g,%.17g,%.17g,%.17g\n" * len(ys)
-    out = open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        fh.write("x,y,re,im\n")
-        for x, row in zip(xs, vals):
-            block[:, 0] = x
-            block[:, 2] = row.real
-            block[:, 3] = row.imag
-            fh.write(row_fmt % tuple(block.ravel().tolist()))
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with _open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for cols in blocks:
+            block = np.column_stack(np.broadcast_arrays(*cols))
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+
+
+def _report(results):
+    """Print one line per check; exit status 1 if any check failed."""
+    print(render(results))
+    return 0 if all(res.passed for res in results) else 1
+
+
+_GRID = ("x", "y", "re", "im")
 
 
 # ---------------------------------------------------------------------------
 # verbs
 
 def _run_theta(cfg):
-    tau = 1j * cfg.tau_im
     vs = np.arange(cfg.grid) / cfg.grid + 1j * cfg.v_im
-    rows = [(v.real, v.imag, theta(cfg.index, v, tau).real,
-             theta(cfg.index, v, tau).imag) for v in vs]
-    _write(cfg.out, _csv(("x", "y", "re", "im"), rows))
+    vals = theta(cfg.index, vs, 1j * cfg.tau_im)
+    _write_csv(cfg.out, _GRID, [(vs.real, vs.imag, vals.real, vals.imag)])
     return 0
 
 
-def _run_kernel(cfg):
+def _grid(cfg):
     ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-    L = ks.derived.length
-    xs = (np.arange(cfg.grid) + 0.5) * (L / cfg.grid)
-    _write_grid(cfg.out, xs, xs, kernel_matrix(ks, xs, xs))
+    xs = (np.arange(cfg.grid) + 0.5) * (ks.derived.length / cfg.grid)
+    return xs, kernel_matrix(ks, xs, xs)
+
+
+def _run_kernel(cfg):
+    xs, km = _grid(cfg)
+    _write_csv(cfg.out, _GRID,
+               ((x, xs, row.real, row.imag) for x, row in zip(xs, km)))
     return 0
 
 
 def _run_density(cfg):
-    ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
     if cfg.points is not None:
+        ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
         pts = np.array([float(s) for s in cfg.points.split(",")])
-        _write(cfg.out, f"density={_fmt(density(ks, pts))}\n")
+        with _open(cfg.out) as fh:
+            fh.write("density=%.17g\n" % density(ks, pts))
         return 0
-    L = ks.derived.length
-    xs = (np.arange(cfg.grid) + 0.5) * (L / cfg.grid)
-    km = kernel_matrix(ks, xs, xs)
-    rows = [(x, x, np.real(km[i, i]), 0.0) for i, x in enumerate(xs)]
-    _write(cfg.out, _csv(("x", "y", "re", "im"), rows))
+    xs, km = _grid(cfg)
+    _write_csv(cfg.out, _GRID, [(xs, xs, np.diag(km).real, 0.0)])
     return 0
 
 
 def _run_limits(cfg):
-    results = []
-
-    # (a) deep-relaxation limit at t*/r^2 = 100: finite kernel vs trig form
-    r = cfg.r
-    ks = KernelSpec((cfg.type, cfg.N, r), t=50.0 * r**2, t_star=100.0 * r**2)
-    d = ks.derived
-    xs = np.linspace(0.11, 0.93, 7) * d.length
-    km = kernel_matrix(ks, xs, xs)
-    worst = max(abs(km[i, j] - trig_kernel(d, x, y))
-                for i, x in enumerate(xs) for j, y in enumerate(xs))
-    results.append(CheckResult("trigonometric limit (t*/r^2 = 100)",
-                               worst / (cfg.N / (2 * np.pi * r)), 1e-6))
-
-    # (b) bulk limit of the infinite kernel vs the sine forms; at the default
-    # horizon t* rho^2 = 50 the deviation is ~3e-3 and falls off as the
-    # reciprocal of the horizon -- the law line below checks exactly that.
-    fam = d.sharp
-    sfam = _SINE_OF[fam]
-    rho = cfg.rho
-    ts = cfg.horizon / rho**2
-    pts = [(0.3 / rho, 0.3 / rho), (1.3 / rho, 0.6 / rho), (2.2 / rho, 0.9 / rho)]
-    iks = InfiniteKernelSpec(fam, rho=rho, t=0.5 * ts, t_star=ts)
-    dev = max(abs(infinite_kernel(iks, x, y) - sine_kernel(sfam, x, y, rho))
-              for x, y in pts)
-    results.append(CheckResult(
-        f"sine limit (t*rho^2 = {cfg.horizon:g})", dev / rho, 1e-6))
-
-    scaled = []
-    for h in (50.0, 200.0, 800.0):
-        ik = InfiniteKernelSpec(fam, rho=rho, t=0.5 * h / rho**2,
-                                t_star=h / rho**2)
-        dv = max(abs(infinite_kernel(ik, x, y) - sine_kernel(sfam, x, y, rho))
-                 for x, y in pts)
-        scaled.append(dv * h)
-    spread = (max(scaled) - min(scaled)) / max(scaled)
-    results.append(CheckResult("sine convergence law (deviation x horizon)",
-                               spread, 2e-2))
-
-    # (c) large-N circle surrogate: N = 64 finite kernel vs infinite form
-    N = 64
-    rr = N / (2 * np.pi * 1.0)
-    ks64 = KernelSpec(("A", N, rr), t=0.5, t_star=1.0)
-    ik = InfiniteKernelSpec("A", rho=1.0, t=0.5, t_star=1.0)
-    x0 = 0.3 * 2 * np.pi * rr
-    worst = max(abs(kernel(ks64, x0 + dx, x0) - infinite_kernel(ik, x0 + dx, x0))
-                for dx in (0.1, 0.5, 1.0, 2.0))
-    results.append(CheckResult("infinite kernel vs finite N=64 circle",
-                               worst, 1e-3))
-
-    for res in results:
-        print(res.line())
-    return 0 if all(res.passed for res in results) else 1
+    return _report(limits_suite(derive((cfg.type, cfg.N, cfg.r)), cfg.rho,
+                                cfg.horizon))
 
 
 def _run_verify(cfg):
     results = run_suites(cfg.suite, (cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star)
     if cfg.tol is not None:
         results = [CheckResult(res.name, res.residual, cfg.tol) for res in results]
-    for res in results:
-        print(res.line())
-    return 0 if all(res.passed for res in results) else 1
+    return _report(results)
 
 
 def _run_sample(cfg):
@@ -246,10 +176,10 @@ def _run_sample(cfg):
     with open(prefix + "_states.json", "w") as fh:
         json.dump(states, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-    _write(prefix + "_hist.csv", _csv(
-        ("bin_left", "bin_right", "count", "density", "stderr"),
-        zip(hist.bin_left, hist.bin_right, hist.count, hist.density,
-            hist.stderr)))
+    _write_csv(prefix + "_hist.csv",
+               ("bin_left", "bin_right", "count", "density", "stderr"),
+               [(hist.bin_left, hist.bin_right, hist.count, hist.density,
+                 hist.stderr)])
     print(f"states={len(res)} tabulation_error={res.tabulation_error:.1e} "
           f"files={prefix}_states.json,{prefix}_hist.csv")
     return 0
@@ -257,13 +187,10 @@ def _run_sample(cfg):
 
 def _run_selberg(cfg):
     res = selberg_check((cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star,
-                        method=cfg.method, budget=cfg.budget, seed=cfg.seed,
-                        workers=cfg.workers, tol=None)
+                        method=cfg.method, budget=cfg.budget, seed=cfg.seed)
     tol = cfg.tol if cfg.tol is not None else (1e-8 if cfg.N == 1 else 1e-4)
-    row = CheckResult("closed-form integral", res.rel_err, tol)
-    print(f"lhs={_fmt(res.lhs)} rhs={_fmt(res.rhs)}")
-    print(row.line())
-    return 0 if row.passed else 1
+    print("lhs=%.17g rhs=%.17g" % (res.lhs, res.rhs))
+    return _report([CheckResult("closed-form integral", res.rel_err, tol)])
 
 
 _VERBS = {
@@ -280,79 +207,76 @@ _VERBS = {
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# every flag, by destination; the flag is "--" + dest with "-" for "_"
+_FLAGS = {
+    "out": dict(help="output file (default stdout / 'sample')"),
+    "seed": dict(type=int),
+    "tol": dict(type=float),
+    "type": dict(choices=FAMILIES),
+    "N": dict(type=int),
+    "r": dict(type=float),
+    "t": dict(type=float),
+    "t_star": dict(type=float),
+    "index": dict(type=int, choices=(0, 1, 2, 3)),
+    "tau_im": dict(type=float),
+    "v_im": dict(type=float),
+    "grid": dict(type=int),
+    "points": dict(help="comma-separated configuration"),
+    "rho": dict(type=float),
+    "horizon": dict(type=float, help="sine-limit horizon t*rho^2 (default 50)"),
+    "suite": dict(choices=sorted(SUITES) + ["all"]),
+    "steps": dict(type=int, help="number of states written"),
+    "bins": dict(type=int),
+    "method": dict(choices=("grid", "mc")),
+    "budget": dict(type=int),
+}
+_FAMILY = ("type", "N", "r")
+_TIMES = ("t", "t_star")
+
+# (help, the flags the verb reads besides --config)
+_VERB_FLAGS = {
+    "theta": ("theta values on a v grid",
+              ("out", "index", "tau_im", "v_im", "grid")),
+    "kernel": ("correlation kernel on a grid",
+               ("out", *_FAMILY, *_TIMES, "grid")),
+    "density": ("intensity profile or joint density",
+                ("out", *_FAMILY, *_TIMES, "grid", "points")),
+    "limits": ("trig / sine / large-N limit residuals",
+               (*_FAMILY, "rho", "horizon")),
+    "verify": ("named identity suites",
+               ("tol", *_FAMILY, *_TIMES, "suite")),
+    "sample": ("exact i.i.d. states + one-point histogram",
+               ("out", "seed", *_FAMILY, *_TIMES, "steps", "bins")),
+    "selberg": ("closed-form integral check",
+                ("seed", "tol", *_FAMILY, *_TIMES, "method", "budget")),
+}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="elliptic-dpp",
         description="theta-kernel point processes: evaluate, verify, sample")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, *, family=True, times=True):
+    for verb, (help_text, dests) in _VERB_FLAGS.items():
+        # no abbreviations: "--t" must not reach --type or --tau-im
+        p = sub.add_parser(verb, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON file with flag defaults")
-        p.add_argument("--out", help="output file (default stdout / 'sample')")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        if family:
-            p.add_argument("--type", choices=FAMILIES)
-            p.add_argument("--N", type=int)
-            p.add_argument("--r", type=float)
-        if times:
-            p.add_argument("--t", type=float)
-            p.add_argument("--t-star", dest="t_star", type=float)
-
-    p = sub.add_parser("theta", help="theta values on a v grid")
-    common(p, family=False, times=False)
-    p.add_argument("--index", type=int, choices=(0, 1, 2, 3))
-    p.add_argument("--tau-im", dest="tau_im", type=float)
-    p.add_argument("--v-im", dest="v_im", type=float)
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("kernel", help="correlation kernel on a grid")
-    common(p)
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("density", help="intensity profile or joint density")
-    common(p)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--points", help="comma-separated configuration")
-
-    p = sub.add_parser("limits", help="trig / sine / large-N limit residuals")
-    common(p, times=False)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--horizon", type=float,
-                   help="sine-limit horizon t*rho^2 (default 50)")
-
-    p = sub.add_parser("verify", help="named identity suites")
-    common(p)
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"])
-
-    p = sub.add_parser("sample", help="exact i.i.d. states + one-point histogram")
-    common(p)
-    p.add_argument("--steps", type=int, help="number of states written")
-    p.add_argument("--bins", type=int)
-
-    p = sub.add_parser("selberg", help="closed-form integral check")
-    common(p)
-    p.add_argument("--method", choices=("grid", "mc"))
-    p.add_argument("--budget", type=int)
+        for dest in dests:
+            p.add_argument(_flag(dest), dest=dest, **_FLAGS[dest])
     return top
 
 
-def _merge_config(args):
-    names = {f.name for f in fields(RunConfig)}
-    merged = {"command": args.command}
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            loaded = json.load(fh)
-        bad = set(loaded) - names
-        if bad:
-            raise ValueError(f"unknown config key(s) {sorted(bad)}")
-        merged.update(loaded)
-    for k, v in vars(args).items():
-        if k in names and v is not None:
-            merged[k] = v
-    return RunConfig(**merged).finalize()
+def _config_flags(path):
+    """The JSON file's keys as `--flag=value` arguments (null = unset)."""
+    with open(path) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    return [f"{_flag(k)}={v}" for k, v in loaded.items() if v is not None]
 
 
 def run(config):
@@ -361,9 +285,18 @@ def run(config):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _merge_config(args)
+        if args.config is not None:
+            # config flags go first: argparse checks them, explicit flags win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        del args.config
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
+        cfg.finalize()
+    except SystemExit as exc:     # argparse rejected a config key or value
+        return exc.code
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

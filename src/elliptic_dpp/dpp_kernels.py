@@ -214,8 +214,12 @@ def kernel(ks, x, y):
 
 
 def corr_det(ks, points):
-    """n-point correlation via the n x n kernel determinant (n <= N)."""
-    pts = np.asarray(points, dtype=float)
+    """n-point correlation via the n x n kernel determinant (n <= N).
+
+    The points are sorted first, as in `density_batch`: the determinant is
+    permutation invariant, and a fixed order makes its rounding so too.
+    """
+    pts = np.sort(np.asarray(points, dtype=float))
     if pts.size > ks.derived.spec.N:
         raise ValueError(f"need n <= N = {ks.derived.spec.N}, got n = {pts.size}")
     km = kernel_matrix(ks, pts, pts)

@@ -205,52 +205,55 @@ def theta_parts(index, v, tau):
     scale = np.zeros(w.shape)
     idx = index
 
-    # Fundamental-domain walk: shift Re tau into [-1/2, 1/2], invert while
-    # |tau| < 1.  For purely imaginary tau this is the familiar single
-    # imaginary transformation applied exactly when Im tau < 1.
-    for _ in range(64):
-        nsh = int(round(tau_c.real))
-        if nsh:
-            tau_c = complex(tau_c.real - nsh, tau_c.imag)
+    # An argument past double range overflows below (inf, nan); the
+    # finiteness check at the end of the reduction raises for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Fundamental-domain walk: shift Re tau into [-1/2, 1/2], invert while
+        # |tau| < 1.  For purely imaginary tau this is the familiar single
+        # imaginary transformation applied exactly when Im tau < 1.
+        for _ in range(64):
+            nsh = int(round(tau_c.real))
+            if nsh:
+                tau_c = complex(tau_c.real - nsh, tau_c.imag)
+                if idx in (1, 2):
+                    mant *= np.exp(0.25j * np.pi * nsh)
+                elif nsh % 2:
+                    idx = 3 - idx  # 0 <-> 3 under odd shifts
+            if abs(tau_c) >= 1.0:
+                break
+            # integer shift of the argument first, to keep v^2/tau well-conditioned
+            k0 = np.round(w.real)
             if idx in (1, 2):
-                mant *= np.exp(0.25j * np.pi * nsh)
-            elif nsh % 2:
-                idx = 3 - idx  # 0 <-> 3 under odd shifts
-        if abs(tau_c) >= 1.0:
-            break
-        # integer shift of the argument first, to keep v^2/tau well-conditioned
-        k0 = np.round(w.real)
-        if idx in (1, 2):
-            mant = np.where(k0 % 2.0 == 0.0, mant, -mant)
-        w = w - k0
-        pref = (-1j * np.pi / tau_c) * w * w
-        scale += pref.real
-        mant *= np.exp(1j * pref.imag)
-        mant *= _INV_EPS[idx] * np.exp(-0.5 * np.log(tau_c))
-        idx = _INV_SWAP[idx]
-        w = w / tau_c
-        tau_c = -1.0 / tau_c
-    else:  # pragma: no cover - needs adversarial tau to trigger
-        raise AccuracyError(f"modular reduction did not terminate for tau = {tau}")
+                mant = np.where(k0 % 2.0 == 0.0, mant, -mant)
+            w = w - k0
+            pref = (-1j * np.pi / tau_c) * w * w
+            scale += pref.real
+            mant *= np.exp(1j * pref.imag)
+            mant *= _INV_EPS[idx] * np.exp(-0.5 * np.log(tau_c))
+            idx = _INV_SWAP[idx]
+            w = w / tau_c
+            tau_c = -1.0 / tau_c
+        else:  # pragma: no cover - needs adversarial tau to trigger
+            raise AccuracyError(f"modular reduction did not terminate for tau = {tau}")
 
-    # quasi-periodic reduction to |Re w| <= 1/2, |Im w| <= Im tau / 2
-    m = np.round(w.imag / tau_c.imag)
-    w = w - m * tau_c
-    k = np.round(w.real)
-    w = w - k
-    if idx == 1:
-        flip = (m + k) % 2.0 != 0.0
-    elif idx == 2:
-        flip = k % 2.0 != 0.0
-    elif idx == 0:
-        flip = m % 2.0 != 0.0
-    else:
-        flip = np.zeros(w.shape, dtype=bool)
-    pref = -1j * np.pi * tau_c * (m * m) - 2j * np.pi * m * w
-    scale += pref.real
-    if not np.all(np.isfinite(scale)):
-        raise AccuracyError("theta argument too large: its quasi-periodic "
-                            "prefactor leaves double range")
+        # quasi-periodic reduction to |Re w| <= 1/2, |Im w| <= Im tau / 2
+        m = np.round(w.imag / tau_c.imag)
+        w = w - m * tau_c
+        k = np.round(w.real)
+        w = w - k
+        if idx == 1:
+            flip = (m + k) % 2.0 != 0.0
+        elif idx == 2:
+            flip = k % 2.0 != 0.0
+        elif idx == 0:
+            flip = m % 2.0 != 0.0
+        else:
+            flip = np.zeros(w.shape, dtype=bool)
+        pref = -1j * np.pi * tau_c * (m * m) - 2j * np.pi * m * w
+        scale += pref.real
+        if not np.all(np.isfinite(scale)):
+            raise AccuracyError("theta argument too large: its quasi-periodic "
+                                "prefactor leaves double range")
     mant *= np.exp(1j * pref.imag)
     mant = np.where(flip, -mant, mant)
 

@@ -1,4 +1,5 @@
-"""Named residual checks shared by the CLI verify verb and the test gate.
+"""Named residual checks shared by the CLI verify and limits verbs and the
+test gate.
 
 Each suite returns a list of CheckResult rows; a row renders as
 
@@ -16,12 +17,17 @@ from .biortho import BiorthoFamily, gram_converged, norm_const
 from .bridges import (boundary_of, bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
-from .dpp_kernels import KernelSpec, density, density_batch, kernel_matrix
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, density, density_batch,
+                          infinite_kernel, kernel, kernel_matrix, sine_kernel,
+                          trig_kernel)
 from .macdonald import IllConditionedError, denominator_residual
 from .root_systems import derive
 from .theta_core import theta, theta_series
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "render"]
+__all__ = ["CheckResult", "SINE_OF", "SUITES", "limits_suite", "run_suites", "render"]
+
+# sine-kernel form of each infinite-volume geometry (d.sharp)
+SINE_OF = {"A": "A", "B": "C", "C": "C", "D": "D"}
 
 
 @dataclass(frozen=True)
@@ -187,6 +193,62 @@ def kernel_suite(d, t, t_star):
         CheckResult("reproducing identity", comp_err, 1e-9),
         CheckResult("density nonnegativity", max(0.0, -float(dens.min())), 1e-12),
     ]
+
+
+def limits_suite(d, rho, horizon):
+    """Degeneration limits of one family: trigonometric, sine at the horizon
+    t* rho^2 = `horizon`, the sine convergence law, and large N.
+
+    Not one of SUITES: at the default horizon 50 the sine line fails by design
+    (see the comment on it), and `verify --suite all` must keep passing.
+    """
+    results = []
+
+    # (a) deep-relaxation limit at t*/r^2 = 100: finite kernel vs trig form
+    r = d.spec.r
+    ks = KernelSpec(d, t=50.0 * r**2, t_star=100.0 * r**2)
+    xs = np.linspace(0.11, 0.93, 7) * d.length
+    km = kernel_matrix(ks, xs, xs)
+    worst = max(abs(km[i, j] - trig_kernel(d, x, y))
+                for i, x in enumerate(xs) for j, y in enumerate(xs))
+    results.append(CheckResult("trigonometric limit (t*/r^2 = 100)",
+                               worst / (d.spec.N / (2 * np.pi * r)), 1e-6))
+
+    # (b) bulk limit of the infinite kernel vs the sine forms; at the default
+    # horizon t* rho^2 = 50 the deviation is ~3e-3 and falls off as the
+    # reciprocal of the horizon -- the law line below checks exactly that.
+    fam = d.sharp
+    sfam = SINE_OF[fam]
+    ts = horizon / rho**2
+    pts = [(0.3 / rho, 0.3 / rho), (1.3 / rho, 0.6 / rho), (2.2 / rho, 0.9 / rho)]
+    iks = InfiniteKernelSpec(fam, rho=rho, t=0.5 * ts, t_star=ts)
+    dev = max(abs(infinite_kernel(iks, x, y) - sine_kernel(sfam, x, y, rho))
+              for x, y in pts)
+    results.append(CheckResult(
+        f"sine limit (t*rho^2 = {horizon:g})", dev / rho, 1e-6))
+
+    scaled = []
+    for h in (50.0, 200.0, 800.0):
+        ik = InfiniteKernelSpec(fam, rho=rho, t=0.5 * h / rho**2,
+                                t_star=h / rho**2)
+        dv = max(abs(infinite_kernel(ik, x, y) - sine_kernel(sfam, x, y, rho))
+                 for x, y in pts)
+        scaled.append(dv * h)
+    spread = (max(scaled) - min(scaled)) / max(scaled)
+    results.append(CheckResult("sine convergence law (deviation x horizon)",
+                               spread, 2e-2))
+
+    # (c) large-N circle surrogate: N = 64 finite kernel vs infinite form
+    N = 64
+    rr = N / (2 * np.pi * 1.0)
+    ks64 = KernelSpec(("A", N, rr), t=0.5, t_star=1.0)
+    ik = InfiniteKernelSpec("A", rho=1.0, t=0.5, t_star=1.0)
+    x0 = 0.3 * 2 * np.pi * rr
+    worst = max(abs(kernel(ks64, x0 + dx, x0) - infinite_kernel(ik, x0 + dx, x0))
+                for dx in (0.1, 0.5, 1.0, 2.0))
+    results.append(CheckResult("infinite kernel vs finite N=64 circle",
+                               worst, 1e-3))
+    return results
 
 
 SUITES = {

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from elliptic_dpp.cli import RunConfig, _write_grid, main
+from elliptic_dpp.cli import RunConfig, _write_csv, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel
+from elliptic_dpp.root_systems import derive
+from elliptic_dpp.verification import limits_suite, render
 
 
 def _lines(capsys):
@@ -37,6 +39,57 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"frobnicate": 1}')
     assert main(["verify", "--config", str(cfg)]) == 2
+
+
+def _status(argv):
+    """Exit status of one CLI call, whether main returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--seed", "3"],
+    ["theta", "--t", "0.5"],                # not an abbreviation of --tau-im
+    ["limits", "--t", "0.5"],               # nor of --type
+    ["theta", "--tol", "1e-3"],
+    ["kernel", "--seed", "3"],
+    ["kernel", "--tol", "1e-3"],
+    ["density", "--seed", "3"],
+    ["density", "--tol", "1e-3"],
+    ["limits", "--out", "x.txt"],
+    ["limits", "--seed", "3"],
+    ["limits", "--tol", "1e-30"],
+    ["verify", "--out", "x.txt"],
+    ["verify", "--seed", "3"],
+    ["sample", "--tol", "1e-3"],
+    ["selberg", "--out", "x.txt"],
+    *[[verb, "--workers", "2"] for verb in
+      ("theta", "kernel", "density", "limits", "verify", "sample", "selberg")],
+], ids=" ".join)
+def test_flag_the_verb_does_not_read_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _status(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb, config", [
+    # keys of another verb, or of no verb
+    ("verify", {"grid": 4}), ("verify", {"out": "x.txt"}), ("limits", {"t": 0.3}),
+    ("limits", {"tol": 1e-30}), ("theta", {"type": "A"}), ("sample", {"suite": "all"}),
+    ("selberg", {"out": "x.txt"}), ("kernel", {"workers": 2}),
+    # values a flag would refuse
+    ("kernel", {"grid": "abc"}), ("kernel", {"N": 2.5}), ("kernel", {"N": True}),
+    ("kernel", {"t": "soon"}), ("kernel", {"type": "Z"}), ("verify", {"suite": "nope"}),
+    ("theta", {"index": 7}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_bad_config_key_or_value_is_usage_error(verb, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([verb, "--config", str(cfg)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_unknown_type_is_usage_error():
@@ -116,6 +169,14 @@ def test_limits_reports_honest_sine_gap(capsys):
     assert verdicts["sine limit (t*rho^2 = 50)"] == "FAIL"
     assert verdicts["sine convergence law (deviation x horizon)"] == "PASS"
     assert verdicts["infinite kernel vs finite N=64 circle"] == "PASS"
+
+
+def test_limits_prints_the_rendered_limits_suite(capsys):
+    assert main(["limits", "--type", "C", "--N", "3", "--rho", "1.5",
+                 "--horizon", "300"]) == 1
+    rows = limits_suite(derive(("C", 3, 1.0)), 1.5, 300.0)
+    assert capsys.readouterr().out == render(rows) + "\n"
+    assert [row.passed for row in rows] == [True, False, True, True]
 
 
 def test_selberg_verb(capsys):
@@ -215,7 +276,8 @@ def test_grid_writer_matches_per_value_formatting(tmp_path):
     vals.real[0, :5] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308]
     vals.imag[1, :3] = [-0.0, 4.9e-324, -1e-320]
     out = tmp_path / "g.csv"
-    _write_grid(str(out), xs, xs, vals)
+    _write_csv(str(out), ("x", "y", "re", "im"),
+               ((x, xs, row.real, row.imag) for x, row in zip(xs, vals)))
     lines = ["x,y,re,im"]
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
@@ -227,10 +289,3 @@ def test_grid_writer_matches_per_value_formatting(tmp_path):
 def test_runconfig_defaults_fill_in():
     cfg = RunConfig(command="kernel", type="B", N=3).finalize()
     assert cfg.t == 0.5 and cfg.t_star == 1.0
-    assert cfg.workers >= 1
-
-
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("ELLIPTIC_DPP_WORKERS", "3")
-    cfg = RunConfig(command="theta").finalize()
-    assert cfg.workers == 3

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, jvp
 
@@ -206,8 +206,14 @@ def test_corr_det_refuses_too_many_points():
 
 
 @given(st.integers(0, 2 ** 32 - 1))
+@example(292)
+@example(686)
+@example(972)
+@example(2155)
 @settings(max_examples=15, deadline=None)
 def test_corr_det_point_order_invariant(seed):
+    # these seeds' permutations gave a different LU pivot order before corr_det
+    # sorted its points
     rng = np.random.default_rng(seed)
     ks = _ks("D", 4)
     pts = np.sort(rng.uniform(0.1, 0.9, size=3)) * ks.derived.length

@@ -15,7 +15,7 @@ from elliptic_dpp.macdonald import (
     weyl_w,
 )
 from elliptic_dpp.root_systems import FAMILIES, derive
-from elliptic_dpp.theta_core import AccuracyError, theta
+from elliptic_dpp.theta_core import theta
 
 
 def _random_config(rng, d, margin=0.03):
@@ -207,9 +207,9 @@ def test_selberg_d2_grid():
 
 def test_selberg_mc_deterministic_and_seed_dependent():
     kw = dict(t=0.5, t_star=1.0, method="mc", budget=40_000)
-    a = selberg_check(("C", 3, 1.0), seed=11, workers=3, **kw)
-    b = selberg_check(("C", 3, 1.0), seed=11, workers=3, **kw)
-    c = selberg_check(("C", 3, 1.0), seed=12, workers=3, **kw)
+    a = selberg_check(("C", 3, 1.0), seed=11, **kw)
+    b = selberg_check(("C", 3, 1.0), seed=11, **kw)
+    c = selberg_check(("C", 3, 1.0), seed=12, **kw)
     assert a.lhs == b.lhs
     assert a.lhs != c.lhs
     assert a.rel_err < 0.05
@@ -217,16 +217,8 @@ def test_selberg_mc_deterministic_and_seed_dependent():
 
 def test_selberg_mc_n4():
     r = selberg_check(("D", 4, 1.0), t=0.5, t_star=1.0, method="mc",
-                      budget=200_000, seed=5, workers=2)
+                      budget=200_000, seed=5)
     assert r.rel_err < 0.05
-
-
-def test_selberg_budget_error_carries_best_estimate():
-    with pytest.raises(AccuracyError) as exc:
-        selberg_check(("C", 3, 1.0), t=0.5, t_star=1.0, method="mc",
-                      budget=2_000, seed=3, workers=1, tol=1e-12)
-    assert exc.value.result.rel_err > 1e-12
-    assert np.isfinite(exc.value.result.lhs)
 
 
 def test_selberg_validation():

@@ -1,6 +1,7 @@
 """Theta engine tests: frozen special values, oracle overlap, classical identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,9 +190,19 @@ def test_oracle_reports_nonconvergence():
 ])
 def test_theta_parts_rejects_unrepresentable_input(index, v, error):
     # non-finite arguments are not numbers to reduce; at |Im v| = 1e300 the
-    # quasi-periodic prefactor e^{-pi Im tau m^2} leaves double range
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+    # quasi-periodic prefactor e^{-pi Im tau m^2} leaves double range; the
+    # error comes without numpy RuntimeWarnings
+    with warnings.catch_warnings(), pytest.raises(error):
+        warnings.simplefilter("error")
         theta_parts(index, v, 1j)
+
+
+def test_theta_parts_overflow_in_the_modular_walk_is_quiet():
+    # at Im tau < 1 the imaginary transform runs first, and its v^2 / tau
+    # leaves double range before the quasi-periodic reduction does
+    with warnings.catch_warnings(), pytest.raises(AccuracyError):
+        warnings.simplefilter("error")
+        theta_parts(1, 1e200j, 0.01j)
 
 
 # ---------------------------------------------------------------------------
