@@ -15,7 +15,8 @@ Two checkouts are compared with one diff:
 
 The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
-horizons, points outside the alcove and flags a verb does not read.  A full run takes about 15 s on a
+horizons, points outside the alcove, flags a verb does not read and values
+past double range or out of bounds.  A full run takes about 15 s on a
 2-core machine.
 """
 
@@ -78,6 +79,13 @@ def _commands():
         "verify --suite theta --out x.txt",
         "kernel --type A --N 3 --grid 4 --seed 3",
         "limits --type A --N 3 --horizon 300000 --tol 1e-30",
+        # theta past double range, and numbers finalize refuses
+        "theta --index 2 --tau-im 0.01 --v-im -20 --grid 4",
+        "limits --horizon=-5",
+        "limits --rho nan",
+        "theta --tau-im 0",
+        # the kernel away from the middle time at a large horizon
+        "kernel --type C --N 4 --t 20 --t-star 50 --grid 64",
     ]
     return cmds
 

@@ -13,7 +13,7 @@ from .bridges import (RMatrix, boundary_of, bridge_density, ck_residual,
                       transition_images)
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult,
                           bin_intensity, corr_det, corr_oracle, density,
-                          empirical_density, exact_sample, infinite_kernel,
+                          empirical_density, exact_sample, infinite_kernel, intensity,
                           kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import (AlcoveConfiguration, denominator_residual,
                         selberg_check, weyl_w)
@@ -49,6 +49,7 @@ __all__ = [
     "gram",
     "gram_converged",
     "infinite_kernel",
+    "intensity",
     "kernel",
     "kernel_matrix",
     "matrix_identity_residual",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp_kernels import (ConsistencyError, KernelSpec, density,
-                          empirical_density, exact_sample, kernel_matrix)
+from .dpp_kernels import (ConsistencyError, KernelSpec, density, empirical_density,
+                          exact_sample, intensity, kernel_matrix)
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
@@ -61,8 +61,9 @@ class RunConfig:
             derive((self.type, self.N, self.r))   # raises ValueError if unusable
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t} t_star={self.t_star}")
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not all(0.0 < v < np.inf for v in (self.rho, self.horizon, self.tau_im)):
+            raise ValueError("--rho, --horizon and --tau-im must be finite and positive, "
+                             f"got {self.rho}, {self.horizon}, {self.tau_im}")
         if self.grid < 1:
             raise ValueError(f"grid must be >= 1, got {self.grid}")
         if self.command == "sample" and (self.steps < 1 or self.bins < 1):
@@ -119,21 +120,23 @@ _GRID = ("x", "y", "re", "im")
 
 def _run_theta(cfg):
     vs = np.arange(cfg.grid) / cfg.grid + 1j * cfg.v_im
-    vals = theta(cfg.index, vs, 1j * cfg.tau_im)
+    with np.errstate(invalid="ignore"):     # mantissa x inf past double range
+        vals = theta(cfg.index, vs, 1j * cfg.tau_im)
+    if not np.all(np.isfinite(vals)):
+        raise AccuracyError("theta leaves double range on this grid")
     _write_csv(cfg.out, _GRID, [(vs.real, vs.imag, vals.real, vals.imag)])
     return 0
 
 
 def _grid(cfg):
     ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-    xs = (np.arange(cfg.grid) + 0.5) * (ks.derived.length / cfg.grid)
-    return xs, kernel_matrix(ks, xs, xs)
+    return ks, (np.arange(cfg.grid) + 0.5) * (ks.derived.length / cfg.grid)
 
 
 def _run_kernel(cfg):
-    xs, km = _grid(cfg)
-    _write_csv(cfg.out, _GRID,
-               ((x, xs, row.real, row.imag) for x, row in zip(xs, km)))
+    ks, xs = _grid(cfg)
+    _write_csv(cfg.out, _GRID, ((x, xs, row.real, row.imag)
+                                for x, row in zip(xs, kernel_matrix(ks, xs, xs))))
     return 0
 
 
@@ -144,8 +147,8 @@ def _run_density(cfg):
         with _open(cfg.out) as fh:
             fh.write("density=%.17g\n" % density(ks, pts))
         return 0
-    xs, km = _grid(cfg)
-    _write_csv(cfg.out, _GRID, [(xs, xs, np.diag(km).real, 0.0)])
+    ks, xs = _grid(cfg)
+    _write_csv(cfg.out, _GRID, [(xs, xs, intensity(ks, xs), 0.0)])
     return 0
 
 

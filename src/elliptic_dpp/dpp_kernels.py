@@ -6,9 +6,12 @@ functions over the norms; the correlation kernel is the biorthogonal
 
     K_t(x, y) = sum_n M_n(x, t) conj(M_n(y, t*-t)) / m_n(t*),
 
-and every n-point correlation is an n x n determinant of it.  Everything is
+and every n-point correlation is an n x n determinant of it.  Densities are
 assembled in (mantissa, log_scale) parts so small-time norms (which underflow
-doubles badly) stay exact.
+doubles badly) stay exact.  The kernel, its diagonal K(x, x) and the
+sampler's tables come from balanced factors f_n(x, s) = M_n(x, s) / m_n^{s/t*}
+instead: log m_n is split between the two times in proportion to time, which
+keeps each factor a plain double at any time scale.
 
 Three limit regimes are implemented for cross-checks: the temporally
 homogeneous sine-ratio kernels on the finite domain, the lambda-integral
@@ -26,6 +29,7 @@ histogram stderr comes from the spread over the seed-blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +38,7 @@ import numpy as np
 from .biortho import m_fn_parts, norm_const_log
 from .macdonald import AlcoveConfiguration
 from .root_systems import derive
-from .theta_core import (AccuracyError, parts_equilibrate, parts_sum, parts_value,
-                         theta_parts)
+from .theta_core import AccuracyError, parts_equilibrate, parts_sum, parts_value, theta_parts
 
 __all__ = [
     "ConsistencyError",
@@ -52,6 +55,7 @@ __all__ = [
     "exact_sample",
     "fredholm_residual",
     "infinite_kernel",
+    "intensity",
     "kernel",
     "kernel_matrix",
     "sine_kernel",
@@ -112,14 +116,10 @@ def _norms_log(ks):
 
 
 def _stacked_m_parts(d, X, t):
-    """Matrices M_j(x_k, t) for a batch of configurations X (B, N).
-
-    Returns (mant, scale) of shape (B, N, N); first matrix index is j.
-    """
-    B, N = X.shape
-    mant, scale = m_fn_parts(d, np.arange(1, N + 1), X.reshape(-1), t)
-    return (mant.reshape(N, B, N).transpose(1, 0, 2),
-            scale.reshape(N, B, N).transpose(1, 0, 2))
+    """Matrices M_j(x_k, t) for a batch of configurations X (B, N), as
+    (mant, scale) of shape (B, N, N); first matrix index is j."""
+    mant, scale = m_fn_parts(d, np.arange(1, X.shape[1] + 1), X, t)
+    return mant.transpose(1, 0, 2), scale.transpose(1, 0, 2)
 
 
 def _slogdet_parts(mant, scale):
@@ -146,12 +146,8 @@ def _log_q_batch(ks, X):
     sign1, la1 = _slogdet_parts(np.conj(m1), s1)
     m2, s2 = _stacked_m_parts(d, X, ks.t)
     sign2, la2 = _slogdet_parts(m2, s2)
-    phase = sign1 * sign2
-    logmag = la1 + la2
     dead = (sign1 == 0) | (sign2 == 0)
-    logmag = np.where(dead, -np.inf, logmag)
-    phase = np.where(dead, 1.0 + 0.0j, phase)
-    return logmag, phase
+    return np.where(dead, -np.inf, la1 + la2), np.where(dead, 1.0 + 0.0j, sign1 * sign2)
 
 
 def density_batch(ks, X):
@@ -183,29 +179,61 @@ def density_batch(ks, X):
 
 def density(ks, xs):
     """N-point density p(x) = det conj(M(t*-t)) det M(t) / prod m_n(t*)."""
-    if isinstance(xs, AlcoveConfiguration):
-        xs = xs.points
+    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
     return float(density_batch(ks, np.asarray(xs, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # correlation kernel
 
-def kernel_matrix(ks, xs, ys):
-    """K_t(x, y) on the grid xs x ys, streaming the mode sum in parts form."""
+def _factors(ks, xs, ys, lms):
+    """Factors a = f(xs, t), b = f(ys, t*-t) (N, points) of K = sum_n a_n conj b_n.
+
+    f_n(x, s) = M_n(x, s) / m_n^{s/t*}.  For real x, |theta(sigma tau + z|tau)|
+    <= e^{pi Im tau sigma^2} S(Im tau) and m_n = 2 pi r mult e^{pi Im tau*
+    sigma^2} S(Im tau*), with Im tau proportional to time: the exponentials
+    cancel, and f_n (below ~1e2 for t = 1e-4 .. t* = 1e3) depends on its own
+    point and time only.  When ys is xs at t = t*/2, b is a (K is Hermitian).
+    """
     d = ks.derived
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    lms = _norms_log(ks)
     j = np.arange(1, d.spec.N + 1)
-    mx, sx = m_fn_parts(d, j, xs, ks.t)
-    my, sy = m_fn_parts(d, j, ys, ks.t_star - ks.t)
-    acc = np.zeros((xs.size, ys.size), dtype=complex)
-    top = np.full((xs.size, ys.size), -np.inf)
-    for n in range(d.spec.N):
-        acc, top = parts_sum(acc, top, mx[n, :, None] * np.conj(my[n])[None, :],
-                             sx[n, :, None] + sy[n][None, :] - lms[n])
-    return parts_value(acc, top)
+
+    def f(x, s):
+        mant, scale = m_fn_parts(d, j, x, s)
+        return parts_value(mant, scale - (s / ks.t_star) * lms[:, None])
+
+    a = f(xs, ks.t)
+    b = a if ys is xs and ks.t_star - ks.t == ks.t else f(ys, ks.t_star - ks.t)
+    return a, b
+
+
+def _kernel_sum(ks, xs, ys, mul):
+    """sum_n a_n(x) conj b_n(y) (`_factors`) on the grid xs x ys (mul =
+    np.multiply.outer) or the pairs (x_i, y_i) (np.multiply), one real ufunc
+    call per real product into the .real/.imag views of the result: numpy's
+    complex multiply rounds by operand layout, this by an entry's points only."""
+    a, b = _factors(ks, xs, ys, _norms_log(ks))
+    out = np.zeros(mul(xs, ys).shape, dtype=complex)
+    re, im = out.real, out.imag
+    tmp = np.empty(re.shape)
+    for ar, ai, br, bi in zip(a.real, a.imag, b.real, b.imag):
+        re += mul(ar, br, out=tmp)
+        re += mul(ai, bi, out=tmp)
+        im += mul(ai, br, out=tmp)
+        im -= mul(ar, bi, out=tmp)
+    return out
+
+
+def kernel_matrix(ks, xs, ys):
+    """K_t(x, y) on the grid xs x ys."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return _kernel_sum(ks, xs, ys, np.multiply.outer)
+
+
+def intensity(ks, xs):
+    """One-point intensity K(x, x), equal to diag(kernel_matrix).real bit for bit."""
+    xs = np.asarray(xs, dtype=float)
+    return _kernel_sum(ks, xs, xs, np.multiply).real
 
 
 def kernel(ks, x, y):
@@ -230,8 +258,15 @@ def corr_det(ks, points):
     return val.real
 
 
-def _gl_nodes(n, a, b):
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
     u, w = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _gl_nodes(n, a, b):
+    u, w = _leggauss(n)
     return 0.5 * (b - a) * u + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -255,9 +290,7 @@ def corr_oracle(ks, points, grid=64):
         return float(density_batch(ks, pts[None, :])[0])
     xs, w = _gl_nodes(int(grid), 0.0, d.length)
     grids = np.meshgrid(*([xs] * free), indexing="ij")
-    W = np.ones_like(grids[0])
-    for g in np.meshgrid(*([w] * free), indexing="ij"):
-        W = W * g
+    W = functools.reduce(np.multiply.outer, [w] * free)
     Y = np.column_stack([g.ravel() for g in grids])
     X = np.empty((Y.shape[0], N))
     X[:, :n] = pts
@@ -472,12 +505,9 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
     N = d.spec.N
     if N > 2:
         raise UnsupportedScaleError("fredholm_residual supports N <= 2")
-    try:
-        psi_u = _TEST_FNS[test_fn_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown test function {test_fn_id!r}; have {sorted(_TEST_FNS)}"
-        ) from None
+    if test_fn_id not in _TEST_FNS:
+        raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(_TEST_FNS)}")
+    psi_u = _TEST_FNS[test_fn_id]
     L = d.length
     xs, w = _gl_nodes(int(grid), 0.0, L)
     psi = psi_u(xs / L)
@@ -547,33 +577,6 @@ class SampleResult:
         return AlcoveConfiguration(points=tuple(self.positions[i]), tag=self.tag)
 
 
-def _hermitian(ks):
-    """K(x, y) = conj K(y, x) exactly when both times are equal."""
-    return ks.t_star - ks.t == ks.t
-
-
-def _kernel_factors(ks, x, lms, alpha=None):
-    """Factors of K(x, y) = sum_n a_n(x) c_n(y), each of shape (N, x.size).
-
-    a_n = M_n(x, t) e^{-alpha_n} and c_n = conj M_n(x, t*-t) e^{alpha_n} / m_n:
-    the balancing exponent alpha_n (the largest scale of a_n on the table
-    that set it) cancels in every product, and it keeps both factors in
-    plain doubles wherever the kernel itself is.  At t = t*/2 both factors
-    come from one evaluation, and then c = conj(a) times a positive diagonal.
-    """
-    j = np.arange(1, ks.derived.spec.N + 1)
-    am, asc = m_fn_parts(ks.derived, j, x, ks.t)
-    if _hermitian(ks):
-        cm, csc = am, asc
-    else:
-        cm, csc = m_fn_parts(ks.derived, j, x, ks.t_star - ks.t)
-    if alpha is None:
-        alpha = asc.max(axis=1)
-    a = parts_value(am, asc - alpha[:, None])
-    c = parts_value(np.conj(cm), csc - lms[:, None] + alpha[:, None])
-    return a, c, alpha
-
-
 def _draw_in_cells(F, U, xs):
     """Inverse-CDF draw from the piecewise-linear interpolant of each row of F.
 
@@ -613,12 +616,13 @@ def _rows_times_table(V, T):
     return out
 
 
-def _chain_rule_chunk(ks, U, xs, A, C, alpha, lms):
+def _chain_rule_chunk(ks, U, xs, A, C, lms):
     """Draw one state per row of U (uniforms, one per coordinate).
 
     F holds the current conditional intensity on the table nodes and Q the
     complementary oblique projector I - P of the points drawn so far, so the
-    conditional kernel is K_k(x, y) = a(x)^T Q c(y).  The N x N products
+    conditional kernel is K_k(x, y) = a(x)^T Q c(y) with a = f(., t) and
+    c = conj f(., t*-t) the balanced factors (`_factors`).  The N x N products
     are stacked matmuls with one item per row and row strides that do not
     depend on R, so a row's result does not depend on which other rows
     share its chunk (a plain (R, N) x (N, G) BLAS product would: its
@@ -626,7 +630,7 @@ def _chain_rule_chunk(ks, U, xs, A, C, alpha, lms):
     """
     R, N = U.shape
     h = xs[1] - xs[0]
-    herm = _hermitian(ks)
+    herm = ks.t_star - ks.t == ks.t      # K(x, y) = conj K(y, x) exactly
     F = np.repeat(np.sum(A * C, axis=0).real[None, :], R, axis=0)
     Q = np.repeat(np.eye(N, dtype=complex)[None], R, axis=0)
     Y = np.empty((R, N))
@@ -634,7 +638,7 @@ def _chain_rule_chunk(ks, U, xs, A, C, alpha, lms):
     for k in range(N):
         np.maximum(F, 0.0, out=F)   # round-off below the zeros at drawn points
         y, Z = _draw_in_cells(F, U[:, k], xs)
-        if np.any(np.abs(Z - (N - k)) > _MASS_TOL * (N - k)):
+        if not np.all(np.abs(Z - (N - k)) <= _MASS_TOL * (N - k)):   # nan too
             worst = float(np.max(np.abs(Z - (N - k))))
             raise AccuracyError(
                 f"conditional {k} has mass off by {worst:.3e} from {N - k}: the "
@@ -646,9 +650,9 @@ def _chain_rule_chunk(ks, U, xs, A, C, alpha, lms):
         Y[:, k] = y
         if k == N - 1:
             break
-        a, c, _ = _kernel_factors(ks, y, lms, alpha)
+        a, b = _factors(ks, y, y, lms)
         a = np.ascontiguousarray(a.T)[:, None, :]                  # a(y)^T, (R, 1, N)
-        qc = np.matmul(Q, np.ascontiguousarray(c.T)[:, :, None])   # Q c(y), (R, N, 1)
+        qc = np.matmul(Q, np.ascontiguousarray(np.conj(b).T)[:, :, None])  # Q c(y), (R, N, 1)
         aq = np.matmul(a, Q)                                       # a(y)^T Q, (R, 1, N)
         fy = np.matmul(a, qc)[:, 0, 0].real
         if not np.all(fy > 0.0):
@@ -667,12 +671,11 @@ def _chain_rule_chunk(ks, U, xs, A, C, alpha, lms):
 
 
 def _tables(ks, nodes, lms):
-    """Equispaced nodes on [0, L] and the kernel factors tabulated on them."""
+    """Equispaced nodes on [0, L] and the factors a and c tabulated on them;
+    at t = t*/2, C = conj(A)."""
     xs = np.linspace(0.0, ks.derived.length, nodes)
-    A, C, alpha = _kernel_factors(ks, xs, lms)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
-        raise AccuracyError("kernel tables overflow plain doubles at this time scale")
-    return xs, A, C, alpha
+    A, B = _factors(ks, xs, xs, lms)
+    return xs, A, np.conj(B)
 
 
 def _draw_rows(ks, U, tables, lms, pos, est):
@@ -711,8 +714,8 @@ def exact_sample(ks, states, seed=0):
     the chunk size `_CHUNK` of the work arrays.
 
     Never returns NaN or out-of-alcove rows: AccuracyError instead, also when
-    the tables lose precision (a conditional's mass drifts from N - k by more
-    than 1e-6 relative, or the factors overflow plain doubles).
+    the tables lose precision (a conditional's mass is not within 1e-6
+    relative of N - k).
     """
     d = ks.derived
     N, L = d.spec.N, d.length
@@ -775,12 +778,10 @@ def bin_intensity(ks, edges, nodes=24):
     density (the value at a bin's midpoint is off by the intensity's curvature).
     """
     edges = np.asarray(edges, dtype=float)
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    out = np.empty(edges.size - 1)
-    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        xs = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-        out[b] = 0.5 * float(np.dot(w, np.diag(kernel_matrix(ks, xs, xs)).real))
-    return out
+    lo, hi = edges[:-1, None], edges[1:, None]
+    xs, w = _gl_nodes(nodes, lo, hi)                     # (bins, nodes)
+    vals = intensity(ks, xs.ravel()).reshape(xs.shape)
+    return np.sum(w * vals, axis=1) / (hi - lo)[:, 0]
 
 
 def empirical_density(samples, bins=40, length=None):

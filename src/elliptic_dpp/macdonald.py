@@ -124,16 +124,13 @@ def weyl_w_parts(tag, xi, tau):
     mant = np.ones(nb, dtype=complex)
     scale = np.zeros(nb)
     ju, ku = np.triu_indices(N, 1)
-    if ju.size:
-        m, s = theta_parts(1, X[:, ku] - X[:, ju], tau)
-        mant *= np.prod(m, axis=1)
-        scale += np.sum(s, axis=1)
-        if tag != "A":
-            m, s = theta_parts(1, X[:, ku] + X[:, ju], tau)
-            mant *= np.prod(m, axis=1)
-            scale += np.sum(s, axis=1)
-    for idx, amul, tmul in _SINGLES[tag]:
-        m, s = theta_parts(idx, amul * X, tmul * tau)
+    # (theta index, arguments, tau) of each factor, multiplied in this order
+    factors = [(1, X[:, ku] - X[:, ju], tau)] if ju.size else []
+    if ju.size and tag != "A":
+        factors.append((1, X[:, ku] + X[:, ju], tau))
+    factors += [(idx, amul * X, tmul * tau) for idx, amul, tmul in _SINGLES[tag]]
+    for idx, v, tv in factors:
+        m, s = theta_parts(idx, v, tv)
         mant *= np.prod(m, axis=1)
         scale += np.sum(s, axis=1)
     return mant, scale
@@ -158,8 +155,7 @@ def weyl_w(spec, xs, tau):
     when a factor vanishes.  Overflow-prone at extreme tau -- use
     weyl_w_parts there."""
     d = derive(spec)
-    if isinstance(xs, AlcoveConfiguration):
-        xs = xs.points
+    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
     xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
     out = parts_value(*weyl_w_parts(d.spec.tag, xi, tau))
     return complex(out[0]) if np.ndim(xs) == 1 else out
@@ -238,8 +234,7 @@ def det_m_logc(spec, xs, t, cond_limit=_COND_LIMIT):
     rescaled matrix's condition estimate exceeds `cond_limit`.
     """
     d = derive(spec)
-    if isinstance(xs, AlcoveConfiguration):
-        xs = xs.points
+    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
     xs = np.asarray(xs, dtype=float)
     tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
     cond = np.linalg.cond(tilde)
@@ -256,8 +251,7 @@ def det_m_logc(spec, xs, t, cond_limit=_COND_LIMIT):
 def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
-    if isinstance(xs, AlcoveConfiguration):
-        xs = xs.points
+    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
     xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
     tau = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
     m, s = _product_parts(d.spec.tag, xi, tau)

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from elliptic_dpp.cli import RunConfig, _write_csv, main
-from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel
+from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
 from elliptic_dpp.root_systems import derive
 from elliptic_dpp.verification import limits_suite, render
 
@@ -84,6 +85,8 @@ def test_flag_the_verb_does_not_read_is_usage_error(argv, tmp_path, monkeypatch,
     ("kernel", {"grid": "abc"}), ("kernel", {"N": 2.5}), ("kernel", {"N": True}),
     ("kernel", {"t": "soon"}), ("kernel", {"type": "Z"}), ("verify", {"suite": "nope"}),
     ("theta", {"index": 7}),
+    # numbers finalize refuses: not finite or not positive
+    ("limits", {"horizon": -5}), ("limits", {"rho": float("nan")}), ("theta", {"tau_im": 0}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_bad_config_key_or_value_is_usage_error(verb, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -96,6 +99,16 @@ def test_unknown_type_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--type", "Z"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "limits --horizon=-5", "limits --horizon 0", "limits --horizon inf",
+    "limits --rho nan", "limits --rho -1", "theta --tau-im 0", "theta --tau-im nan",
+])
+def test_bad_horizon_rho_or_tau_is_usage_error(argv, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_time_ordering_is_usage_error(capsys):
@@ -123,6 +136,30 @@ def test_theta_verb_writes_grid(capsys):
     lines = _lines(capsys)
     assert lines[0] == "x,y,re,im"
     assert len(lines) == 7
+
+
+def test_theta_past_double_range_is_an_error_line(tmp_path, capsys):
+    # theta overflows here; no inf/nan row, no file, no numpy warning
+    out = tmp_path / "th.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["theta", "--index", "2", "--tau-im", "0.01", "--v-im", "-20",
+                     "--grid", "4", "--out", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_density_grid_is_the_kernel_diagonal(tmp_path):
+    # the intensity column equals diag(kernel_matrix).real bit for bit
+    for tag, t in (("BC", 0.4), ("A", 0.5)):
+        out = tmp_path / f"{tag}.csv"
+        assert main(["density", "--type", tag, "--N", "3", "--t", str(t), "--t-star", "1",
+                     "--grid", "16", "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        ks = KernelSpec((tag, 3, 1.0), t=t, t_star=1.0)
+        xs = data[:, 0]
+        assert data[:, 2].tobytes() == np.diag(kernel_matrix(ks, xs, xs)).real.tobytes()
 
 
 def test_density_points_matches_library(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import jv, jvp
 
 from elliptic_dpp import dpp_kernels
+from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.dpp_kernels import (
     SAMPLER_BLOCKS,
     ConsistencyError,
@@ -22,6 +23,7 @@ from elliptic_dpp.dpp_kernels import (
     exact_sample,
     fredholm_residual,
     infinite_kernel,
+    intensity,
     kernel,
     kernel_matrix,
     sine_kernel,
@@ -29,7 +31,7 @@ from elliptic_dpp.dpp_kernels import (
 )
 from elliptic_dpp.macdonald import AlcoveConfiguration
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
-from elliptic_dpp.theta_core import AccuracyError
+from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
 T, T_STAR = 0.4, 1.0
@@ -171,6 +173,76 @@ def test_kernel_scalar_matches_matrix():
     ks = _ks("A", 3)
     km = kernel_matrix(ks, [0.7], [1.9])
     assert kernel(ks, 0.7, 1.9) == complex(km[0, 0])
+
+
+def _stream_kernel_matrix(ks, xs, ys):
+    """Oracle: the mode sum streamed in (mantissa, log_scale) parts, each term
+    M_n(x, t) conj M_n(y, t*-t) / m_n at its own scale -- no balanced factors."""
+    d = ks.derived
+    N = d.spec.N
+    lms = [norm_const_log(d, j, ks.t_star) for j in range(1, N + 1)]
+    mx, sx = m_fn_parts(d, np.arange(1, N + 1), xs, ks.t)
+    my, sy = m_fn_parts(d, np.arange(1, N + 1), ys, ks.t_star - ks.t)
+    acc = np.zeros((xs.size, ys.size), dtype=complex)
+    top = np.full((xs.size, ys.size), -np.inf)
+    for n in range(N):
+        acc, top = parts_sum(acc, top, mx[n, :, None] * np.conj(my[n])[None, :],
+                             sx[n, :, None] + sy[n][None, :] - lms[n])
+    return parts_value(acc, top)
+
+
+# from deep small time (Im tau ~ 1e-4 N^2) to t* = 1000, at and off t*/2
+_TIME_SWEEP = ((1e-4, 1.0), (0.01, 1.0), (0.1, 1.0), (0.4, 1.0), (0.5, 1.0),
+               (0.9, 1.0), (0.999, 1.0), (2.0, 5.0), (20.0, 50.0), (25.0, 50.0),
+               (50.0, 100.0), (1.0, 1000.0), (500.0, 1000.0), (999.0, 1000.0))
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_kernel_matrix_matches_parts_stream(tag):
+    # balanced factors vs the parts stream over N and the time sweep, on a
+    # grid with xs != ys and at single points; the factors stay moderate
+    worst, biggest = 0.0, 0.0
+    for N in (2, 4, 8, 16):
+        for t, t_star in _TIME_SWEEP:
+            ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
+            L = ks.derived.length
+            xs = np.linspace(0.03, 0.97, 9) * L
+            ys = np.linspace(0.01, 0.99, 7) * L
+            ref = _stream_kernel_matrix(ks, xs, ys)
+            scale = np.max(np.abs(ref))
+            km = kernel_matrix(ks, xs, ys)
+            worst = max(worst, np.max(np.abs(km - ref)) / scale)
+            for i, j in ((0, 6), (4, 1), (8, 3)):
+                worst = max(worst, abs(kernel(ks, xs[i], ys[j]) - ref[i, j]) / scale)
+            for f in dpp_kernels._factors(ks, xs, ys, dpp_kernels._norms_log(ks)):
+                assert np.all(np.isfinite(f)), f"{tag}{N} t={t} t*={t_star}"
+                biggest = max(biggest, float(np.max(np.abs(f))))
+    assert worst <= 1e-11, f"{tag}: kernel vs parts stream {worst:.3e} of max|K|"
+    assert biggest < 1e3, f"{tag}: balanced factor reaches {biggest:.3e}"
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("t, t_star", [(0.3, 1.0), (20.0, 50.0), (25.0, 50.0)])
+def test_kernel_grid_entries_equal_one_point_calls(tag, t, t_star):
+    # an entry's rounding depends on its own two points only, off the middle
+    # time and at a large horizon too (a BLAS product a.T @ b would not)
+    ks = _ks(tag, 4, t=t, t_star=t_star)
+    L = ks.derived.length
+    xs = np.linspace(0.02, 0.98, 8) * L
+    ys = np.linspace(0.05, 0.95, 6) * L
+    km = kernel_matrix(ks, xs, ys)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert kernel(ks, x, y) == km[i, j], f"{tag} entry ({i}, {j})"
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_intensity_is_the_kernel_diagonal(tag, t):
+    ks = _ks(tag, 4, t=t)
+    xs = np.linspace(0.0, 1.0, 33) * ks.derived.length
+    diag = np.diag(kernel_matrix(ks, xs, xs)).real
+    assert intensity(ks, xs).tobytes() == diag.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +570,25 @@ def test_empirical_density_bare_sequence_needs_length():
         empirical_density(pts, bins=4)
     h = empirical_density(pts, bins=4, length=1.0)
     assert abs(np.sum(h.density * (h.bin_right - h.bin_left)) - 2.0) < 1e-12
+
+
+def test_gauss_legendre_nodes_are_cached_read_only():
+    u, w = dpp_kernels._leggauss(24)
+    assert dpp_kernels._leggauss(24)[0] is u
+    assert not (u.flags.writeable or w.flags.writeable)
+    ref_u, ref_w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+
+
+def test_bin_intensity_matches_per_bin_quadrature():
+    ks = _ks("C", 3)
+    edges = np.linspace(0.0, ks.derived.length, 9)
+    u, w = np.polynomial.legendre.leggauss(24)
+    ref = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        xs = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
+        ref.append(0.5 * np.dot(w, np.diag(kernel_matrix(ks, xs, xs)).real))
+    assert np.max(np.abs(bin_intensity(ks, edges) - ref)) < 1e-13 * max(ref)
 
 
 def test_histogram_tracks_exact_intensity():
