@@ -86,6 +86,15 @@ def _commands():
         "theta --tau-im 0",
         # the kernel away from the middle time at a large horizon
         "kernel --type C --N 4 --t 20 --t-star 50 --grid 64",
+        # the smallest grids, and radii or theta arguments finalize refuses
+        "kernel --grid 1",
+        "kernel --type C --N 4 --t 20 --t-star 50 --grid 7",
+        "kernel --type A --N 2 --r 1e-200 --grid 2",
+        "kernel --type A --N 2 --r 1e-160 --grid 2",
+        "kernel --type A --N 2 --r 1e160 --grid 2",
+        "kernel --type A --N 2 --r 1e200 --grid 2",
+        "theta --v-im inf",
+        "theta --v-im nan",
     ]
     return cmds
 

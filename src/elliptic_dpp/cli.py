@@ -6,7 +6,8 @@ gave up), 2 = unusable configuration.
 
 Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
-stderr) for histograms, with floats at 17 significant digits.  A JSON file
+stderr) for histograms, with floats at 17 significant digits; a kernel grid's
+coordinates are formatted once per grid, not once per row.  A JSON file
 passed via --config supplies defaults for the verb's flags (keys = flag names
 with underscores); its values are checked like the flags, and explicit flags
 win.  Identical config + seed produces byte-identical output files.
@@ -64,6 +65,8 @@ class RunConfig:
         if not all(0.0 < v < np.inf for v in (self.rho, self.horizon, self.tau_im)):
             raise ValueError("--rho, --horizon and --tau-im must be finite and positive, "
                              f"got {self.rho}, {self.horizon}, {self.tau_im}")
+        if not np.isfinite(self.v_im):
+            raise ValueError(f"--v-im must be finite, got {self.v_im}")
         if self.grid < 1:
             raise ValueError(f"grid must be >= 1, got {self.grid}")
         if self.command == "sample" and (self.steps < 1 or self.bins < 1):
@@ -94,16 +97,35 @@ def _open(path):
 def _write_csv(path, header, blocks):
     """Stream a CSV table: the header row, then each block of rows.
 
-    A block is a tuple of columns (arrays or scalars, broadcast together) and
-    is written with one "%.17g" format, the same conversion as formatting
-    every value with f"{float(v):.17g}".
+    A block is (template, numbers): the block's rows as text with one "%.17g"
+    slot per number, and the numbers in row order.  Text in the template is
+    written as it is, so a column that repeats from block to block is
+    formatted once (see `_grid_rows`); `_rows` makes the block of a tuple of
+    numeric columns.  "%.17g" is the same conversion as f"{float(v):.17g}".
     """
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for cols in blocks:
-            block = np.column_stack(np.broadcast_arrays(*cols))
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+        for template, numbers in blocks:
+            fh.write(template % tuple(numbers))
+
+
+def _rows(*cols):
+    """One block of numeric columns (arrays or scalars, broadcast together)."""
+    block = np.column_stack(np.broadcast_arrays(*cols))
+    return (",".join(["%.17g"] * len(cols)) + "\n") * len(block), block.ravel().tolist()
+
+
+def _grid_rows(xs, values):
+    """One block of (x, y, re, im) rows per row of the complex matrix `values`
+    on the grid xs x xs.
+
+    Each coordinate is formatted once, into a template that holds every y of
+    a row and a placeholder for its x; only re and im are formatted per entry.
+    """
+    text = ["%.17g" % x for x in xs.tolist()]
+    template = "".join("X," + y + ",%.17g,%.17g\n" for y in text)
+    for x, row in zip(text, values):
+        yield template.replace("X", x), row.view(float).tolist()
 
 
 def _report(results):
@@ -124,7 +146,7 @@ def _run_theta(cfg):
         vals = theta(cfg.index, vs, 1j * cfg.tau_im)
     if not np.all(np.isfinite(vals)):
         raise AccuracyError("theta leaves double range on this grid")
-    _write_csv(cfg.out, _GRID, [(vs.real, vs.imag, vals.real, vals.imag)])
+    _write_csv(cfg.out, _GRID, [_rows(vs.real, vs.imag, vals.real, vals.imag)])
     return 0
 
 
@@ -135,8 +157,7 @@ def _grid(cfg):
 
 def _run_kernel(cfg):
     ks, xs = _grid(cfg)
-    _write_csv(cfg.out, _GRID, ((x, xs, row.real, row.imag)
-                                for x, row in zip(xs, kernel_matrix(ks, xs, xs))))
+    _write_csv(cfg.out, _GRID, _grid_rows(xs, kernel_matrix(ks, xs, xs)))
     return 0
 
 
@@ -148,7 +169,7 @@ def _run_density(cfg):
             fh.write("density=%.17g\n" % density(ks, pts))
         return 0
     ks, xs = _grid(cfg)
-    _write_csv(cfg.out, _GRID, [(xs, xs, intensity(ks, xs), 0.0)])
+    _write_csv(cfg.out, _GRID, [_rows(xs, xs, intensity(ks, xs), 0.0)])
     return 0
 
 
@@ -181,8 +202,8 @@ def _run_sample(cfg):
         fh.write("\n")
     _write_csv(prefix + "_hist.csv",
                ("bin_left", "bin_right", "count", "density", "stderr"),
-               [(hist.bin_left, hist.bin_right, hist.count, hist.density,
-                 hist.stderr)])
+               [_rows(hist.bin_left, hist.bin_right, hist.count, hist.density,
+                      hist.stderr)])
     print(f"states={len(res)} tabulation_error={res.tabulation_error:.1e} "
           f"files={prefix}_states.json,{prefix}_hist.csv")
     return 0

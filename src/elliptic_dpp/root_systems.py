@@ -68,8 +68,12 @@ def validate(tag, N, r=1.0):
     min_n = 2 if tag == "D" else 1
     if N < min_n:
         raise ValueError(f"family {tag} needs N >= {min_n}, got {N}")
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise ValueError(f"radius r must be a positive finite real, got {r!r}")
+    # time enters as t / r**2 and the alcove scales with r: both r**2 and
+    # 1/r**2 must be positive finite doubles
+    if not (isinstance(r, (int, float)) and r > 0 and 0.0 < r * r < math.inf
+            and 1.0 / (r * r) < math.inf):
+        raise ValueError("radius r must be a positive real with r**2 and 1/r**2 "
+                         f"finite and positive, got {r!r}")
 
 
 def _size(tag, N):

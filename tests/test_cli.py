@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from elliptic_dpp.cli import RunConfig, _write_csv, main
+from elliptic_dpp.cli import RunConfig, _grid_rows, _write_csv, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
 from elliptic_dpp.root_systems import derive
 from elliptic_dpp.verification import limits_suite, render
@@ -104,11 +104,20 @@ def test_unknown_type_is_usage_error():
 @pytest.mark.parametrize("argv", [
     "limits --horizon=-5", "limits --horizon 0", "limits --horizon inf",
     "limits --rho nan", "limits --rho -1", "theta --tau-im 0", "theta --tau-im nan",
+    "theta --v-im inf", "theta --v-im nan",
 ])
 def test_bad_horizon_rho_or_tau_is_usage_error(argv, capsys):
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r", ["1e-200", "1e-160", "1e160", "1e200"])
+def test_radius_past_double_range_is_usage_error(r, capsys):
+    # r**2 or 1/r**2 leaves double range
+    assert main(["kernel", "--type", "A", "--N", "2", "--r", r, "--grid", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius r") and err.count("\n") == 1
 
 
 def test_bad_time_ordering_is_usage_error(capsys):
@@ -129,6 +138,24 @@ def test_kernel_grid_csv(tmp_path):
     assert x0 == y0
     assert re0 == complex(kernel(ks, x0, y0)).real
     assert abs(im0) < 1e-14
+
+
+@pytest.mark.parametrize("family, t, t_star", [
+    (("C", 4, 1.0), 20.0, 50.0),                      # t != t*/2
+    (("A", 4, 1.0), 0.01 * 2.0 * np.pi / 16.0, 1.0),  # Im tau ~ 0.01
+], ids=["C4-t20-tstar50", "A4-small-t"])
+@pytest.mark.parametrize("grid", [1, 2, 7])
+def test_kernel_csv_is_per_value_formatting(family, t, t_star, grid, tmp_path):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--type", family[0], "--N", str(family[1]), "--t", repr(t),
+                 "--t-star", repr(t_star), "--grid", str(grid), "--out", str(out)]) == 0
+    ks = KernelSpec(family, t=t, t_star=t_star)
+    xs = (np.arange(grid) + 0.5) * (derive(family).length / grid)
+    vals = kernel_matrix(ks, xs, xs)
+    lines = ["x,y,re,im"] + [
+        ",".join(f"{float(v):.17g}" for v in (x, y, vals[i, j].real, vals[i, j].imag))
+        for i, x in enumerate(xs) for j, y in enumerate(xs)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_theta_verb_writes_grid(capsys):
@@ -313,8 +340,7 @@ def test_grid_writer_matches_per_value_formatting(tmp_path):
     vals.real[0, :5] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308]
     vals.imag[1, :3] = [-0.0, 4.9e-324, -1e-320]
     out = tmp_path / "g.csv"
-    _write_csv(str(out), ("x", "y", "re", "im"),
-               ((x, xs, row.real, row.imag) for x, row in zip(xs, vals)))
+    _write_csv(str(out), ("x", "y", "re", "im"), _grid_rows(xs, vals))
     lines = ["x,y,re,im"]
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):

@@ -1,5 +1,7 @@
 """Determinant identities and Selberg-type integral checks."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,7 @@ def test_coeff_a_domain_and_overflow():
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_denominator_residual_random_configs(tag):
-    rng = np.random.default_rng(hash(tag) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(tag.encode()))   # not salted per process
     worst = 0.0
     count = 0
     for N in range(2 if tag == "D" else 1, 6):
@@ -156,6 +158,20 @@ def test_denominator_residual_random_configs(tag):
                 count += 1
     assert count >= 20
     assert worst < 1e-10, f"{tag}: worst residual {worst:.3e}"
+
+
+# four points clustered near the wall at 0 (drawn under seed 193 by the
+# random-configuration test above)
+_WALL_CLUSTER = (0.12391704005569107, 0.18185699624161694, 0.2650944506955315,
+                 0.45132967557077497)
+
+
+@pytest.mark.xfail(strict=True, reason="near the wall the determinant identity "
+                   "loses digits: residual B 3.69e-10, Cv 2.35e-10 against 1e-10 "
+                   "(ROADMAP item 4)")
+@pytest.mark.parametrize("tag", ["B", "Cv"])
+def test_denominator_residual_wall_cluster(tag):
+    assert denominator_residual((tag, 4, 1.0), _WALL_CLUSTER, 2.0) < 1e-10
 
 
 def test_denominator_residual_scalar_c1():

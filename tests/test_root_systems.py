@@ -55,6 +55,9 @@ def test_validation_errors():
         FamilySpec("A", 3, -1.0)
     with pytest.raises(ValueError):
         FamilySpec("A", 2.5, 1.0)  # type: ignore[arg-type]
+    for r in (0.0, float("nan"), float("inf"), 1e-200, 1e-160, 1e160, 1e200):
+        with pytest.raises(ValueError):
+            derive(("A", 2, r))  # r, r**2 or 1/r**2 not a positive finite double
 
 
 @given(
