@@ -93,6 +93,7 @@ def _commands():
         "kernel --type A --N 2 --r 1e-160 --grid 2",
         "kernel --type A --N 2 --r 1e160 --grid 2",
         "kernel --type A --N 2 --r 1e200 --grid 2",
+        "kernel --type A --N 2 --r 1e154 --grid 2",
         "theta --v-im inf",
         "theta --v-im nan",
     ]

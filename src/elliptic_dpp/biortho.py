@@ -140,36 +140,31 @@ def m_fn(spec, j, x, t):
     return out
 
 
-# families whose first (or first and last) norms carry a doubling factor
-def _norm_multiplier(d, j):
-    if d.spec.tag in ("B", "Bv") and j == 1:
-        return 2.0
-    if d.spec.tag == "D" and j in (1, d.spec.N):
-        return 2.0
-    return 1.0
-
-
 def norm_const_log(spec, j, t_star):
-    """log of the j-th biorthogonality norm (they are positive reals)."""
+    """log of the j-th biorthogonality norm (they are positive reals); an array
+    of indices j gives an array of logs from one theta call (they share tau)."""
     d = derive(spec)
-    if not 1 <= j <= d.spec.N:
+    jj = np.atleast_1d(j)
+    if np.any(jj < 1) or np.any(jj > d.spec.N):
         raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
     if t_star <= 0.0:
         raise ValueError("t_star must be positive")
     tau_t = 1j * t_star / (2.0 * np.pi * d.spec.r**2)
-    size = d.size
-    m, s = theta_parts(2, size * d.offsets[j - 1] * tau_t, size * size * tau_t)
-    val = complex(m)
-    if not (abs(val.imag) <= 1e-12 * abs(val) and val.real > 0.0):
-        raise AccuracyError(f"norm lost positivity: mantissa {val} for j={j}")
-    return float(
-        np.log(2.0 * np.pi * d.spec.r * _norm_multiplier(d, j) * val.real) + s
-    )
+    m, s = theta_parts(2, d.size * np.asarray(d.offsets)[jj - 1] * tau_t, d.size**2 * tau_t)
+    ok = (np.abs(m.imag) <= 1e-12 * np.abs(m)) & (m.real > 0.0)
+    if not ok.all():
+        raise AccuracyError(f"norm lost positivity: mantissa {m[~ok]} for j={jj[~ok]}")
+    # the first (for D also the last) interval-family norms carry a factor 2
+    doubled = {"B": (1,), "Bv": (1,), "D": (1, d.spec.N)}.get(d.spec.tag, ())
+    mult = np.where(np.isin(jj, doubled), 2.0, 1.0)
+    out = np.log(2.0 * np.pi * d.spec.r * mult * m.real) + s
+    return float(out[0]) if np.ndim(j) == 0 else out
 
 
 def norm_const(spec, j, t_star):
     """Biorthogonality norm of function j at horizon t_star (positive real)."""
-    return float(np.exp(norm_const_log(spec, j, t_star)))
+    out = np.exp(norm_const_log(spec, j, t_star))
+    return float(out) if np.ndim(j) == 0 else out
 
 
 def gram(family, t, nodes=128):
@@ -210,8 +205,7 @@ def gram_converged(family, t, tol=1e-11, start=128, cap=8192):
     """Double trapezoid nodes from `start` until the doubling estimate, scaled
     by the largest norm, drops below `tol`; AccuracyError past `cap` nodes."""
     d = derive(family.spec)
-    norms = [norm_const(d, j, family.t_star) for j in range(1, d.spec.N + 1)]
-    scale = max(norms)
+    scale = float(norm_const(d, np.arange(1, d.spec.N + 1), family.t_star).max())
     n = start
     while n <= cap:
         res = gram(family, t, n)

@@ -78,8 +78,8 @@ def boundary_of(spec):
 def transition(bk, s, x, t, y, r):
     """Transition density p(s, x; t, y) for the given boundary kind.
 
-    Theta form; broadcasts over array x or y.  Domain length is 2 pi r for
-    circ, pi r for the interval kinds.
+    Theta form; x broadcasts against y, so x[:, None], y[None, :] give the
+    matrix in one call.  Domain length is 2 pi r for circ, pi r for intervals.
     """
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
@@ -197,12 +197,12 @@ def ck_det_residual(bk, s, t, u, xs, zs, r, nodes=160):
     _check_gaps(r, t - s, u - t)
     y, w = _ck_grid(bk, r, nodes)
     # P[a, i] = p(s, x_a; t, y_i);  Q[i, b] = p(t, y_i; u, z_b)
-    P = np.stack([transition(bk, s, xa, t, y, r) for xa in xs])
-    Q = np.stack([transition(bk, t, y, u, zb, r) for zb in zs], axis=1)
+    P = transition(bk, s, xs[:, None], t, y[None, :], r)
+    Q = transition(bk, t, y[:, None], u, zs[None, :], r)
     det1 = P[0][:, None] * P[1][None, :] - P[0][None, :] * P[1][:, None]
     det2 = Q[:, 0][:, None] * Q[:, 1][None, :] - Q[:, 0][None, :] * Q[:, 1][:, None]
     lhs = 0.5 * float(np.einsum("i,j,ij,ij->", w, w, det1, det2))
-    rhs = np.array([[transition(bk, s, xa, u, zb, r) for zb in zs] for xa in xs])
+    rhs = transition(bk, s, xs[:, None], u, zs[None, :], r)
     return abs(lhs - float(np.linalg.det(rhs)))
 
 
@@ -264,8 +264,8 @@ def _points(xs):
 
 def _pinned_matrix(d, t, xs):
     """P[j, k] = p(0, v_j; t, x_k) with the family's boundary kind."""
-    bk = boundary_of(d)
-    return np.stack([transition(bk, 0.0, vj, t, xs, d.spec.r) for vj in d.pinned])
+    v = np.asarray(d.pinned)
+    return transition(boundary_of(d), 0.0, v[:, None], t, xs[None, :], d.spec.r)
 
 
 def matrix_identity_residual(spec, t, xs):
@@ -312,8 +312,8 @@ def bridge_density(spec, t, t_star, xs):
     v = np.asarray(d.pinned)
     mats = {
         "P_in": _pinned_matrix(d, t, xs),
-        "P_out": np.stack([transition(bk, t, xj, t_star, v, r) for xj in xs]),
-        "D0": np.stack([transition(bk, 0.0, vj, t_star, v, r) for vj in d.pinned]),
+        "P_out": transition(bk, t, xs[:, None], t_star, v[None, :], r),
+        "D0": transition(bk, 0.0, v[:, None], t_star, v[None, :], r),
     }
     for name, m in mats.items():
         _check_bridge_cond(name, m)

@@ -62,6 +62,11 @@ class RunConfig:
             derive((self.type, self.N, self.r))   # raises ValueError if unusable
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t} t_star={self.t_star}")
+        # a subnormal Im tau = t / (2 pi r^2) has lost its digits, and 0 is no tau
+        tau_im = min(self.t, self.t_star - self.t) / (2.0 * np.pi * self.r * self.r)
+        if self.command != "theta" and not tau_im >= sys.float_info.min:
+            raise ValueError(f"radius r={self.r!r} too large for t={self.t!r}, t_star="
+                             f"{self.t_star!r}: Im tau = {tau_im!r} is not a normal double")
         if not all(0.0 < v < np.inf for v in (self.rho, self.horizon, self.tau_im)):
             raise ValueError("--rho, --horizon and --tau-im must be finite and positive, "
                              f"got {self.rho}, {self.horizon}, {self.tau_im}")
@@ -198,8 +203,8 @@ def _run_sample(cfg):
         "states": res.positions.tolist(),
     }
     with open(prefix + "_states.json", "w") as fh:
-        json.dump(states, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump to a file the Python one
+        fh.write(json.dumps(states, sort_keys=True, separators=(",", ":")) + "\n")
     _write_csv(prefix + "_hist.csv",
                ("bin_left", "bin_right", "count", "density", "stderr"),
                [_rows(hist.bin_left, hist.bin_right, hist.count, hist.density,

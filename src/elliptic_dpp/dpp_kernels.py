@@ -112,7 +112,7 @@ class InfiniteKernelSpec:
 
 def _norms_log(ks):
     d = ks.derived
-    return np.array([norm_const_log(d, j, ks.t_star) for j in range(1, d.spec.N + 1)])
+    return norm_const_log(d, np.arange(1, d.spec.N + 1), ks.t_star)
 
 
 def _stacked_m_parts(d, X, t):
@@ -428,15 +428,16 @@ def _inf_panels(iks):
 
 
 def _inf_quad(iks, x, y, nodes):
-    """Gauss-Legendre sum over the panels; each panel is summed at its own
-    largest scale and the panels are combined in parts."""
+    """Gauss-Legendre sum over the panels from one `_inf_integrand` call; each
+    panel is summed at its own largest scale and the panels combined in parts."""
     panels = _inf_panels(iks)
+    n = max(nodes // len(panels), 8)
+    lam, w = np.stack([_gl_nodes(n, lo, hi) for lo, hi in panels], axis=1)
+    mant, sc = (a.reshape(lam.shape) for a in _inf_integrand(iks, x, y, lam.ravel()))
     acc, top = 0.0 + 0.0j, -np.inf
-    for lo, hi in panels:
-        lam, w = _gl_nodes(max(nodes // len(panels), 8), lo, hi)
-        mant, sc = _inf_integrand(iks, x, y, lam)
-        peak = float(sc.max())
-        acc, top = parts_sum(acc, top, np.sum(parts_value(w * mant, sc - peak)), peak)
+    for wp, m, s in zip(w, mant, sc):
+        peak = float(s.max())
+        acc, top = parts_sum(acc, top, np.sum(parts_value(wp * m, s - peak)), peak)
     return parts_value(acc, top)
 
 

@@ -319,8 +319,8 @@ def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0):
     N, L = d.spec.N, d.length
 
     lg_rhs = -coeff_a_log(d, t_star - t) - coeff_a_log(d, t)
-    for n in range(1, N + 1):
-        lg_rhs += norm_const_log(d, n, t_star)
+    for lg in norm_const_log(d, np.arange(1, N + 1), t_star):
+        lg_rhs += lg
     rhs = float(math.factorial(N) * np.exp(lg_rhs))
 
     if method == "grid":

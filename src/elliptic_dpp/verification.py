@@ -71,29 +71,30 @@ def theta_suite(d, t, t_star):
             worst = max(worst, _rel(theta(idx, v, tau), theta_series(idx, v, tau)))
     out = [CheckResult("theta engine vs series oracle", worst, 1e-12)]
 
+    # one theta call per (index, tau); the oracle side stays in Python scalars
     worst = 0.0
     signs = {0: lambda m, k: (-1.0) ** m, 1: lambda m, k: (-1.0) ** (m + k),
              2: lambda m, k: (-1.0) ** k, 3: lambda m, k: 1.0}
+    shifts = ((1, 0), (0, 1), (2, 1), (-1, 2))
     for idx in range(4):
-        for (m, k) in ((1, 0), (0, 1), (2, 1), (-1, 2)):
-            for v, tau in ((0.23 + 0.05j, 0.7j), (-0.4, 1.3j)):
-                lhs = theta(idx, v + m * tau + k, tau)
+        for v, tau in ((0.23 + 0.05j, 0.7j), (-0.4, 1.3j)):
+            *lhs, base = theta(idx, [v + m * tau + k for m, k in shifts] + [v], tau)
+            for (m, k), lh in zip(shifts, lhs):
                 pref = signs[idx](m, k) * np.exp(
                     -1j * np.pi * tau * m * m - 2j * np.pi * m * v)
-                rhs = pref * theta(idx, v, tau)
-                worst = max(worst, abs(lhs - rhs)
-                            / max(abs(lhs), abs(rhs), abs(pref)))
+                rhs = pref * base
+                worst = max(worst, abs(lh - rhs) / max(abs(lh), abs(rhs), abs(pref)))
     out.append(CheckResult("theta quasi-periodicity", worst, 1e-12))
 
     worst = 0.0
+    vs = (0.3 + 0.17j, -0.8 + 0.05j)
     for idx, swap in ((0, 2), (1, 1), (2, 0), (3, 3)):
         eps = np.exp(0.75j * np.pi) if idx == 1 else np.exp(0.25j * np.pi)
         for tau in (0.1j, 0.5j, 2j):
-            for v in (0.3 + 0.17j, -0.8 + 0.05j):
-                lhs = theta(idx, v, tau)
-                rhs = eps * tau ** -0.5 * np.exp(-1j * np.pi * v * v / tau) \
-                    * theta(swap, v / tau, -1.0 / tau)
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
+            dual = theta(swap, [v / tau for v in vs], -1.0 / tau)
+            for v, lh, du in zip(vs, theta(idx, vs, tau), dual):
+                rhs = eps * tau ** -0.5 * np.exp(-1j * np.pi * v * v / tau) * du
+                worst = max(worst, abs(lh - rhs) / max(abs(lh), 1e-12))
     out.append(CheckResult("theta imaginary transform", worst, 1e-12))
     return out
 
@@ -102,7 +103,7 @@ def biortho_suite(d, t, t_star):
     fam = BiorthoFamily(d.spec, t_star)
     res = gram_converged(fam, t)
     g = res.matrix
-    norms = np.array([norm_const(d, j, t_star) for j in range(1, d.spec.N + 1)])
+    norms = norm_const(d, np.arange(1, d.spec.N + 1), t_star)
     # entry (j,k) lives on the scale sqrt(m_j m_k); the norms span many
     # orders of magnitude, so a global normalization would be meaningless
     rel = np.abs(g - np.diag(norms)) / np.sqrt(np.outer(norms, norms))
@@ -209,8 +210,7 @@ def limits_suite(d, rho, horizon):
     ks = KernelSpec(d, t=50.0 * r**2, t_star=100.0 * r**2)
     xs = np.linspace(0.11, 0.93, 7) * d.length
     km = kernel_matrix(ks, xs, xs)
-    worst = max(abs(km[i, j] - trig_kernel(d, x, y))
-                for i, x in enumerate(xs) for j, y in enumerate(xs))
+    worst = float(np.max(np.abs(km - trig_kernel(d, xs[:, None], xs[None, :]))))
     results.append(CheckResult("trigonometric limit (t*/r^2 = 100)",
                                worst / (d.spec.N / (2 * np.pi * r)), 1e-6))
 

@@ -130,6 +130,22 @@ def test_norm_log_matches_value():
         )
 
 
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_norm_log_array_j_matches_scalar_calls(tag):
+    # one theta call for every j against one call per j, bit for bit
+    for N in range(2 if tag == "D" else 1, 5):
+        d = derive((tag, N, 0.9))
+        for t_star in (0.7, 50.0):
+            logs = norm_const_log(d, np.arange(1, N + 1), t_star)
+            one = np.array([norm_const_log(d, j, t_star) for j in range(1, N + 1)])
+            assert logs.tobytes() == one.tobytes()
+            vals = norm_const(d, np.arange(1, N + 1), t_star)
+            assert vals.tobytes() == np.array(
+                [norm_const(d, j, t_star) for j in range(1, N + 1)]).tobytes()
+    with pytest.raises(ValueError):
+        norm_const_log(d, np.array([1, 5]), 1.0)
+
+
 def test_gram_input_validation():
     fam = BiorthoFamily(FamilySpec("A", 3), 1.0)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptic_dpp import bridges
 from elliptic_dpp.bridges import (
     BoundaryKind,
     boundary_of,
@@ -113,6 +114,41 @@ def test_transition_matches_image_oracle(bk):
             b = transition_images(bk, 0.0, x, dt_scale * R * R, y, R, windings=12)
             worst = max(worst, abs(a - b))
     assert worst < 1e-11, f"{bk}: theta vs images {worst:.3e}"
+
+
+# one family per boundary kind: A4 circ even, A3 circ odd, D rr, B ar, C aa
+_KIND_FAMILIES = (("A", 4), ("A", 3), ("D", 3), ("B", 3), ("C", 3))
+
+
+@pytest.mark.parametrize("tag,N", _KIND_FAMILIES)
+@pytest.mark.parametrize("t,t_star", [(0.4, 1.0), (20.0, 50.0)])
+def test_broadcast_transition_matches_scalar_rows(tag, N, t, t_star):
+    # the one-call matrices against the per-row forms they replaced, bit for bit
+    d = derive((tag, N, R))
+    bk = boundary_of(d)
+    v = np.asarray(d.pinned)
+    xs = _random_config(np.random.default_rng(37), d)
+    y, _ = bridges._ck_grid(bk, R, 40)
+    pairs = [
+        (bridges._pinned_matrix(d, t, xs),
+         np.stack([transition(bk, 0.0, vj, t, xs, R) for vj in d.pinned])),
+        (transition(bk, t, xs[:, None], t_star, v[None, :], R),
+         np.stack([transition(bk, t, xj, t_star, v, R) for xj in xs])),
+        (transition(bk, 0.0, v[:, None], t_star, v[None, :], R),
+         np.stack([transition(bk, 0.0, vj, t_star, v, R) for vj in d.pinned])),
+        (transition(bk, t, y[:, None], t_star, xs[None, :], R),
+         np.stack([transition(bk, t, y, t_star, xj, R) for xj in xs], axis=1)),
+    ]
+    for batched, rows in pairs:
+        assert batched.shape == rows.shape
+        assert batched.tobytes() == rows.tobytes()
+    # a scalar call rounds in Python complex arithmetic (x / L, where numpy's
+    # complex division multiplies by 1 / L), so entry by entry it may sit
+    # one unit in the last place off the array path
+    np.testing.assert_array_max_ulp(
+        transition(bk, 0.0, xs[:, None], t, xs[None, :], R),
+        np.array([[transition(bk, 0.0, a, t, b, R) for b in xs] for a in xs]),
+        maxulp=1)
 
 
 def test_transition_images_tail_guard():

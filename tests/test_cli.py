@@ -120,6 +120,18 @@ def test_radius_past_double_range_is_usage_error(r, capsys):
     assert err.startswith("error: radius r") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "kernel --type A --N 2 --r 1e154 --grid 2", "kernel --type A --N 2 --r 5e153 --grid 2",
+    "verify --type C --N 2 --r 1e154", "limits --type A --N 2 --r 1e154",
+])
+def test_radius_underflowing_tau_is_usage_error(argv, capsys):
+    # r**2 is a double, but Im tau = t / (2 pi r^2) is 0 (1e154) or subnormal
+    # (5e153), past what the theta engine can use
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius r=") and err.count("\n") == 1
+
+
 def test_bad_time_ordering_is_usage_error(capsys):
     assert main(["kernel", "--type", "A", "--N", "3", "--t", "2", "--t-star", "1"]) == 2
 

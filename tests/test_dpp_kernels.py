@@ -396,6 +396,29 @@ def test_infinite_kernel_rejects_negative_halfline():
         infinite_kernel(iks, -0.3, 0.5)
 
 
+def _inf_quad_per_panel(iks, x, y, nodes):
+    # the one-integrand-call-per-panel form that `_inf_quad` replaced
+    panels = dpp_kernels._inf_panels(iks)
+    acc, top = 0.0 + 0.0j, -np.inf
+    for lo, hi in panels:
+        lam, w = dpp_kernels._gl_nodes(max(nodes // len(panels), 8), lo, hi)
+        mant, sc = dpp_kernels._inf_integrand(iks, x, y, lam)
+        peak = float(sc.max())
+        acc, top = parts_sum(acc, top, np.sum(parts_value(w * mant, sc - peak)), peak)
+    return parts_value(acc, top)
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("horizon", [50.0, 300000.0])
+def test_inf_quad_one_call_matches_per_panel_loop(fam, horizon):
+    iks = InfiniteKernelSpec(fam, rho=1.0, t=horizon / 2, t_star=horizon)
+    for x, y in ((0.3, 0.3), (1.3, 0.6), (2.2, 0.9)):
+        for nodes in (16, 128, 256, 512, 1024, 2048):
+            one = dpp_kernels._inf_quad(iks, x, y, nodes)
+            assert np.array(one).tobytes() == np.array(
+                _inf_quad_per_panel(iks, x, y, nodes)).tobytes()
+
+
 @pytest.mark.parametrize("fam,sfam", [("A", "A"), ("B", "C"), ("C", "C"), ("D", "D")])
 def test_infinite_kernel_sine_convergence_law(fam, sfam):
     """Deviation from the sine kernel falls off as 1/(t* rho^2).

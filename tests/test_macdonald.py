@@ -167,9 +167,9 @@ _WALL_CLUSTER = (0.12391704005569107, 0.18185699624161694, 0.2650944506955315,
 
 
 @pytest.mark.xfail(strict=True, reason="near the wall the determinant identity "
-                   "loses digits: residual B 3.69e-10, Cv 2.35e-10 against 1e-10 "
-                   "(ROADMAP item 4)")
-@pytest.mark.parametrize("tag", ["B", "Cv"])
+                   "loses digits: residual B 3.69e-10, Cv 2.35e-10, BC 3.58e-10 "
+                   "against 1e-10 (ROADMAP item 4)")
+@pytest.mark.parametrize("tag", ["B", "Cv", "BC"])
 def test_denominator_residual_wall_cluster(tag):
     assert denominator_residual((tag, 4, 1.0), _WALL_CLUSTER, 2.0) < 1e-10
 
