@@ -94,6 +94,7 @@ def _commands():
         "kernel --type A --N 2 --r 1e160 --grid 2",
         "kernel --type A --N 2 --r 1e200 --grid 2",
         "kernel --type A --N 2 --r 1e154 --grid 2",
+        "kernel --type A --N 2 --r 1e-154 --grid 2",
         "theta --v-im inf",
         "theta --v-im nan",
     ]

@@ -59,14 +59,20 @@ class RunConfig:
         if self.t is None:
             self.t = 0.5 * self.t_star
         if self.command != "theta":
-            derive((self.type, self.N, self.r))   # raises ValueError if unusable
+            size = derive((self.type, self.N, self.r)).size   # raises ValueError if unusable
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t} t_star={self.t_star}")
-        # a subnormal Im tau = t / (2 pi r^2) has lost its digits, and 0 is no tau
-        tau_im = min(self.t, self.t_star - self.t) / (2.0 * np.pi * self.r * self.r)
-        if self.command != "theta" and not tau_im >= sys.float_info.min:
-            raise ValueError(f"radius r={self.r!r} too large for t={self.t!r}, t_star="
-                             f"{self.t_star!r}: Im tau = {tau_im!r} is not a normal double")
+        if self.command != "theta":
+            # a subnormal Im tau = t / (2 pi r^2) has lost its digits (0 is no tau); at t*
+            # theta_parts' prefactor pi Im tau m^2 (m <= 1) starts as pi Im tau (limits sets t*)
+            tau_im = min(self.t, self.t_star - self.t) / (2.0 * np.pi * self.r * self.r)
+            if not tau_im >= sys.float_info.min:
+                raise ValueError(f"radius r={self.r!r} too large for t={self.t!r}, t_star="
+                                 f"{self.t_star!r}: Im tau = {tau_im!r} is not a normal double")
+            tau_im = size * size * self.t_star / (2.0 * np.pi * self.r * self.r)
+            if self.command != "limits" and not np.pi * tau_im <= sys.float_info.max:
+                raise ValueError(f"radius r={self.r!r} too small for t_star={self.t_star!r}: "
+                                 f"pi Im tau = pi * {tau_im!r} leaves double range")
         if not all(0.0 < v < np.inf for v in (self.rho, self.horizon, self.tau_im)):
             raise ValueError("--rho, --horizon and --tau-im must be finite and positive, "
                              f"got {self.rho}, {self.horizon}, {self.tau_im}")

@@ -550,7 +550,7 @@ _MAX_NODES = 8193       # last table size the node doubling tries
 _PILOT = 64             # states whose estimate picks the table size
 SAMPLER_TV_TOL = 1e-3   # bound on the tabulation error's total-variation estimate
 _MASS_TOL = 1e-6        # allowed relative drift of a conditional's total mass
-_CHUNK = 64             # states drawn together; bounds the (chunk, nodes) work arrays
+_CHUNK = 128            # states drawn together; bounds the (chunk, nodes) work arrays
 
 
 @dataclass
@@ -578,43 +578,29 @@ class SampleResult:
         return AlcoveConfiguration(points=tuple(self.positions[i]), tag=self.tag)
 
 
-def _draw_in_cells(F, U, xs):
+def _draw_in_cells(F, U, xs, cum, mask):
     """Inverse-CDF draw from the piecewise-linear interpolant of each row of F.
 
-    Cell masses are exact trapezoids of the interpolant; inside the chosen
-    cell the linear density is inverted in closed form, as the root of the
-    quadratic CDF in its cancellation-free form.  Returns (points, masses).
+    Cell masses are exact trapezoids of the interpolant, accumulated as
+    f_g + f_{g+1} in the (R, G-1) work array `cum` and scaled by h/2 only at
+    the totals and the chosen cell; inside that cell the linear density is
+    inverted in closed form, as the root of the quadratic CDF in its
+    cancellation-free form.  Returns (points, masses).
     """
-    R, G = F.shape
-    h = xs[1] - xs[0]
-    w = F[:, :-1] + F[:, 1:]
-    w *= 0.5 * h
-    cum = np.cumsum(w, axis=1)
-    Z = cum[:, -1]
-    target = U * Z
-    rows = np.arange(R)
-    cell = np.minimum(np.count_nonzero(cum < target[:, None], axis=1), G - 2)
+    np.add(F[:, :-1], F[:, 1:], out=cum)
+    np.cumsum(cum, axis=1, out=cum)
+    target = U * cum[:, -1]
+    rows = np.arange(F.shape[0])
+    # cum is nondecreasing (F >= 0) and ends at or above the target
+    cell = np.argmax(np.greater_equal(cum, target[:, None], out=mask), axis=1)
     below = np.where(cell > 0, cum[rows, cell - 1], 0.0)
     fa, fb = F[rows, cell], F[rows, cell + 1]
-    rho = np.clip(target - below, 0.0, w[rows, cell]) / h
+    rho = 0.5 * np.clip(target - below, 0.0, fa + fb)    # cell mass so far / h
     disc = np.sqrt(np.maximum(fa * fa + 2.0 * (fb - fa) * rho, 0.0))
     den = fa + disc
-    s = np.divide(2.0 * rho, den, out=np.zeros(R), where=den > 0.0)
-    return xs[cell] + np.clip(s, 0.0, 1.0) * h, Z
-
-
-def _rows_times_table(V, T):
-    """sum_n V[:, n, None] * T[n] for (R, N) coefficients and an (N, G) table.
-
-    Plain elementwise accumulation in n: each entry's rounding is fixed
-    whatever R is, and no BLAS thread pool is woken for these thin products
-    (threaded BLAS made them several times slower on a loaded machine).
-    """
-    out = V[:, 0, None] * T[0]
-    tmp = np.empty_like(out)
-    for n in range(1, T.shape[0]):
-        out += np.multiply(V[:, n, None], T[n], out=tmp)
-    return out
+    s = np.divide(2.0 * rho, den, out=np.zeros_like(rho), where=den > 0.0)
+    h = xs[1] - xs[0]
+    return xs[cell] + np.clip(s, 0.0, 1.0) * h, (0.5 * h) * cum[:, -1]
 
 
 def _chain_rule_chunk(ks, U, xs, A, C, lms):
@@ -623,34 +609,37 @@ def _chain_rule_chunk(ks, U, xs, A, C, lms):
     F holds the current conditional intensity on the table nodes and Q the
     complementary oblique projector I - P of the points drawn so far, so the
     conditional kernel is K_k(x, y) = a(x)^T Q c(y) with a = f(., t) and
-    c = conj f(., t*-t) the balanced factors (`_factors`).  The N x N products
-    are stacked matmuls with one item per row and row strides that do not
-    depend on R, so a row's result does not depend on which other rows
-    share its chunk (a plain (R, N) x (N, G) BLAS product would: its
-    blocking follows R).  Returns (points, tv estimate per row).
+    c = conj f(., t*-t) the balanced factors (`_factors`).  Every product is a
+    stacked matmul with one item per row, the table products (Q c(y))^T A and
+    (a(y)^T Q) C too, so a row's result does not depend on which other rows
+    share its chunk (a plain (R, N) x (N, G) BLAS product would: its blocking
+    follows R).  1/f(y) goes into the N coefficients of the drop, and the
+    work arrays are allocated once per chunk.  Returns (points, tv per row).
     """
     R, N = U.shape
+    G = xs.size
     h = xs[1] - xs[0]
     herm = ks.t_star - ks.t == ks.t      # K(x, y) = conj K(y, x) exactly
     F = np.repeat(np.sum(A * C, axis=0).real[None, :], R, axis=0)
     Q = np.repeat(np.eye(N, dtype=complex)[None], R, axis=0)
-    Y = np.empty((R, N))
-    tv = np.zeros(R)
+    Y, tv = np.empty((R, N)), np.zeros(R)
+    cum, tmp, mask = np.empty((R, G - 1)), np.empty((R, G)), np.empty((R, G - 1), dtype=bool)
+    lvec, rvec = np.empty((2, R, 1, G), dtype=complex)
     for k in range(N):
         np.maximum(F, 0.0, out=F)   # round-off below the zeros at drawn points
-        y, Z = _draw_in_cells(F, U[:, k], xs)
+        Y[:, k], Z = _draw_in_cells(F, U[:, k], xs, cum, mask)
         if not np.all(np.abs(Z - (N - k)) <= _MASS_TOL * (N - k)):   # nan too
             worst = float(np.max(np.abs(Z - (N - k))))
             raise AccuracyError(
                 f"conditional {k} has mass off by {worst:.3e} from {N - k}: the "
                 "kernel tables lost precision (time scale outside plain doubles)")
         # trapezoid error of the interpolant, |f''| h^3 / 12 per cell, over Z
-        curv = np.diff(np.diff(F, axis=1), axis=1)
-        curv = np.abs(curv, out=curv).sum(axis=1)
-        tv += (h / 12.0) * curv / Z
-        Y[:, k] = y
+        d1 = np.subtract(F[:, 1:], F[:, :-1], out=tmp[:, :-1])
+        d2 = np.subtract(d1[:, 1:], d1[:, :-1], out=cum[:, :-1])
+        tv += (h / 12.0) * np.abs(d2, out=d2).sum(axis=1) / Z
         if k == N - 1:
             break
+        y = Y[:, k]
         a, b = _factors(ks, y, y, lms)
         a = np.ascontiguousarray(a.T)[:, None, :]                  # a(y)^T, (R, 1, N)
         qc = np.matmul(Q, np.ascontiguousarray(np.conj(b).T)[:, :, None])  # Q c(y), (R, N, 1)
@@ -658,16 +647,20 @@ def _chain_rule_chunk(ks, U, xs, A, C, lms):
         fy = np.matmul(a, qc)[:, 0, 0].real
         if not np.all(fy > 0.0):
             raise AccuracyError("conditional intensity at a drawn point is not positive")
-        lvec = _rows_times_table(qc[:, :, 0], A)          # K_k(x_g, y)
-        if herm:     # K_k(y, x_g) = conj K_k(x_g, y)
-            drop = np.square(lvec.real)
-            drop += np.square(lvec.imag)
+        # F drops by Re K_k(x_g, y) K_k(y, x_g) / f(y), where at t = t*/2
+        # K_k(y, x_g) = conj K_k(x_g, y): there 1/f(y) is split evenly
+        u = np.sqrt(fy)[:, None, None] if herm else 1.0
+        qc /= u
+        aq /= fy[:, None, None] / u
+        np.matmul(qc.transpose(0, 2, 1), A, out=lvec)      # K_k(x_g, y) / u
+        if herm:
+            F -= np.square(lvec.real[:, 0], out=tmp)
+            F -= np.square(lvec.imag[:, 0], out=tmp)
         else:
-            lvec *= _rows_times_table(aq[:, 0, :], C)     # K_k(y, x_g)
-            drop = lvec.real
-        drop /= fy[:, None]
-        F -= drop
-        Q -= np.matmul(qc, aq) / fy[:, None, None]
+            np.matmul(aq, C, out=rvec)                     # K_k(y, x_g) / f(y)
+            F -= np.multiply(lvec.real[:, 0], rvec.real[:, 0], out=tmp)
+            F += np.multiply(lvec.imag[:, 0], rvec.imag[:, 0], out=tmp)
+        Q -= np.matmul(qc, aq)
     return Y, tv
 
 
@@ -710,9 +703,10 @@ def exact_sample(ks, states, seed=0):
     AccuracyError if the whole run's estimate exceeds it.
 
     The uniforms come from `SAMPLER_BLOCKS` seed-blocks spawned from `seed`
-    (rows are split evenly over the blocks in order), one per coordinate, so
-    a fixed (ks, states, seed) gives the same states bit for bit whatever
-    the chunk size `_CHUNK` of the work arrays.
+    (rows are split evenly over the blocks in order), one per coordinate, and
+    every table product is a per-row matmul (`_chain_rule_chunk`), so a fixed
+    (ks, states, seed) gives the same states bit for bit whatever the chunk
+    size `_CHUNK` of the work arrays.
 
     Never returns NaN or out-of-alcove rows: AccuracyError instead, also when
     the tables lose precision (a conditional's mass is not within 1e-6
@@ -801,22 +795,23 @@ def empirical_density(samples, bins=40, length=None):
         if not rows:
             raise ValueError("empty sample set")
         pos = np.asarray(rows, dtype=float)
-        ids = None
+        ids = np.zeros(pos.shape[0], dtype=int)      # one block
         if length is None:
             raise ValueError("length is required for a bare sample sequence")
         L = float(length)
-    nconf, N = pos.shape
-    edges = np.linspace(0.0, L, int(bins) + 1)
+    nconf, bins = pos.shape[0], int(bins)
+    edges = np.linspace(0.0, L, bins + 1)
     width = edges[1] - edges[0]
-    count, _ = np.histogram(pos.ravel(), bins=edges)
+    # np.histogram's bins: half-open, the last one closed, nothing outside [0, L]
+    cell = np.searchsorted(edges[1:-1], pos, side="right")
+    inside = (pos >= edges[0]) & (pos <= edges[-1])
+    uniq, blk = np.unique(ids, return_inverse=True)
+    per = np.bincount((blk[:, None] * bins + cell)[inside],
+                      minlength=uniq.size * bins).reshape(uniq.size, bins)
+    count = per.sum(axis=0)
     dens = count / (nconf * width)
-    if ids is not None and np.unique(ids).size > 1:
-        uniq = np.unique(ids)
-        per = np.empty((uniq.size, int(bins)))
-        for i, c in enumerate(uniq):
-            rows_c = pos[ids == c]
-            cc, _ = np.histogram(rows_c.ravel(), bins=edges)
-            per[i] = cc / (rows_c.shape[0] * width)
+    if uniq.size > 1:
+        per = per / (np.bincount(blk)[:, None] * width)
         stderr = per.std(axis=0, ddof=1) / np.sqrt(uniq.size)
     else:
         stderr = np.sqrt(count) / (nconf * width)

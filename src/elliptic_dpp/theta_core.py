@@ -46,6 +46,7 @@ production path.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -118,10 +119,8 @@ def _check_index(index):
 
 def _check_tau(tau):
     tau = complex(tau)
-    if not (np.isfinite(tau.real) and np.isfinite(tau.imag)):
-        raise ValueError("tau must be finite")
-    if tau.imag <= 0.0:
-        raise ValueError(f"tau must have positive imaginary part, got {tau}")
+    if not (np.isfinite(tau.real) and sys.float_info.min <= tau.imag < np.inf):
+        raise ValueError(f"tau must be finite with a positive, normal imaginary part, got {tau}")
     return tau
 
 

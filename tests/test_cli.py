@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elliptic_dpp
 from elliptic_dpp.cli import RunConfig, _grid_rows, _write_csv, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
 from elliptic_dpp.root_systems import derive
@@ -130,6 +135,27 @@ def test_radius_underflowing_tau_is_usage_error(argv, capsys):
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: radius r=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "kernel --type A --N 2 --r 1e-154 --grid 2", "verify --type C --N 2 --r 1e-154",
+    "sample --type A --N 2 --r 1e-154 --steps 4",
+])
+def test_radius_overflowing_tau_is_usage_error(argv, capsys):
+    # Im tau at t*, size^2 t* / (2 pi r^2), is a double, but pi Im tau (where
+    # the theta prefactor pi Im tau m^2 starts) is not
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius r=1e-154 too small") and err.count("\n") == 1
+
+
+def test_smallest_radius_in_range_still_runs(tmp_path):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--type", "A", "--N", "2", "--r", "1e-153", "--grid", "2",
+                 "--out", str(out)]) == 0
+    rows = [list(map(float, ln.split(","))) for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4 and np.all(np.isfinite(rows))
+    assert rows[0][2] > 0.0      # K(x, x) > 0
 
 
 def test_bad_time_ordering_is_usage_error(capsys):
@@ -285,6 +311,26 @@ def test_sample_outputs_are_byte_identical_for_fixed_seed(tmp_path, capsys):
     assert len(meta["states"]) == 128      # --steps counts the states written
     assert not {"burn_in", "thinning", "chains", "acceptance_rates"} & set(meta)
     assert 0.0 < meta["tabulation_error"] < 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    "sample --type A --N 4 --t 0.5 --t-star 1 --steps 512 --bins 8 --seed 12345",
+    "sample --type C --N 3 --t 0.3 --t-star 1 --steps 256 --bins 12 --seed 5",
+])
+def test_sample_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
+    # each table product is its own per-row matmul; with one and with two
+    # OpenBLAS threads the written files are the same bytes
+    src = str(Path(elliptic_dpp.__file__).resolve().parents[1])
+    files = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = tmp_path / threads
+        run.mkdir()
+        subprocess.run([sys.executable, "-m", "elliptic_dpp.cli", *argv.split(), "--out", "s"],
+                       cwd=run, env=env, check=True, capture_output=True)
+        files.append([(run / name).read_bytes() for name in ("s_states.json", "s_hist.csv")])
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("flag", ["--burn-in", "--thinning", "--chains"])

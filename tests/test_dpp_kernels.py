@@ -1,5 +1,8 @@
 """Determinantal kernel, density, limit-kernel, and sampler checks."""
 
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +52,15 @@ def _random_rows(rng, d, B, margin=0.02):
 
 # ---------------------------------------------------------------------------
 # spec validation
+
+def test_subnormal_tau_raises_without_warnings():
+    # r = 4e153: Im tau = t / (2 pi r^2) is subnormal; the kernel is refused
+    # with a named error instead of [[0j]] after numpy overflow warnings
+    ks = KernelSpec(("A", 2, 4e153), t=0.5, t_star=1.0)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="normal imaginary part"):
+        warnings.simplefilter("error")
+        kernel_matrix(ks, [1e153], [1e153])
+
 
 def test_kernel_spec_validates_times():
     with pytest.raises(ValueError):
@@ -476,6 +488,57 @@ def test_exact_sample_deterministic_for_fixed_seed_any_chunk(monkeypatch):
         assert a.tabulation_error == b.tabulation_error
 
 
+def _rows_times_table(V, T):
+    """sum_n V[:, n, None] * T[n] for (R, N) coefficients and an (N, G) table,
+    accumulated elementwise in n: the sampler's table products before they
+    became per-row matmuls, kept as their oracle."""
+    out = V[:, 0, None] * T[0]
+    tmp = np.empty_like(out)
+    for n in range(1, T.shape[0]):
+        out += np.multiply(V[:, n, None], T[n], out=tmp)
+    return out
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("N", [2, 4, 16])
+def test_stacked_table_products_match_elementwise_loop(tag, N):
+    # the products of `_chain_rule_chunk`, (Q c(y))^T A with Q c(y) an
+    # (R, N, 1) stack and (a(y)^T Q) C with a(y)^T Q an (R, 1, N) stack, on
+    # the sampler's own tables: within 1e-14 of each row's largest entry of
+    # the loop, and each row bit for bit the same whatever R
+    ks = _ks(tag, N, t=0.5)
+    lms = dpp_kernels._norms_log(ks)
+    rng = np.random.default_rng(zlib.crc32(f"{tag}{N}".encode()))
+    V = rng.standard_normal((64, N)) + 1j * rng.standard_normal((64, N))
+    for nodes in (513, 4097):
+        _, A, C = dpp_kernels._tables(ks, nodes, lms)
+        for T, stack in ((A, V[:, :, None].transpose(0, 2, 1)), (C, V[:, None, :])):
+            got = np.matmul(stack, T)[:, 0]
+            ref = _rows_times_table(V, T)
+            worst = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+            assert worst.max() <= 1e-14, f"{tag}{N} at {nodes} nodes: {worst.max():.2e}"
+            for R in (1, 3, 7, 33):
+                assert np.matmul(stack[:R], T)[:, 0].tobytes() == got[:R].tobytes()
+
+
+@pytest.mark.parametrize("tag,t", [("A", 0.5), ("C", 0.3)])
+def test_chain_rule_rows_do_not_depend_on_chunk(tag, t):
+    # Hermitian (t = t*/2) and general case: every drawn row and its tv
+    # estimate are bit for bit the same whichever rows share its chunk
+    ks = KernelSpec((tag, 4, 1.0), t=t, t_star=1.0)
+    lms = dpp_kernels._norms_log(ks)
+    tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    U = np.random.default_rng(7).random((64, 4))
+    for R in (1, 3, 7, 33, 64):
+        runs = [dpp_kernels._chain_rule_chunk(ks, U[s:s + R], *tables, lms)
+                for s in range(0, 64, R)]
+        pos = np.concatenate([p for p, _ in runs])
+        tv = np.concatenate([e for _, e in runs])
+        if R == 1:
+            ref_pos, ref_tv = pos, tv
+        assert pos.tobytes() == ref_pos.tobytes() and tv.tobytes() == ref_tv.tobytes(), R
+
+
 def test_exact_sample_seed_changes_output():
     ks = _ks("A", 3)
     a = exact_sample(ks, 64, seed=5)
@@ -585,6 +648,27 @@ def test_empirical_density_integrates_to_N():
     assert abs(total - 3.0) < 1e-12
     assert int(h.count.sum()) == len(res) * 3
     assert np.all(h.stderr[h.count > 0] > 0.0)
+
+
+def test_empirical_density_counts_match_histogram_per_block():
+    # one bincount over (seed-block, bin) against np.histogram per block:
+    # half-open bins, the last one closed, points outside [0, L] dropped
+    edges = np.linspace(0.0, 2.0, 9)
+    rng = np.random.default_rng(3)
+    pos = np.sort(rng.uniform(-0.1, 2.1, size=(90, 3)), axis=1)
+    pos[:9, 0] = edges                    # every edge, 0 and L included
+    pos[9, 1] = np.nextafter(edges[3], 0.0)
+    ids = np.repeat(np.arange(6), 15)
+    res = dpp_kernels.SampleResult(positions=pos, block_ids=ids, tag="A", length=2.0,
+                                   tabulation_error=0.0)
+    h = empirical_density(res, bins=8)
+    per = np.array([np.histogram(pos[ids == b].ravel(), bins=edges)[0] for b in range(6)])
+    assert h.count.dtype == per.dtype and np.array_equal(h.count, per.sum(axis=0))
+    dens = per / (15 * (edges[1] - edges[0]))
+    assert h.stderr.tobytes() == (dens.std(axis=0, ddof=1) / np.sqrt(6)).tobytes()
+    bare = empirical_density(pos, bins=8, length=2.0)
+    assert np.array_equal(bare.count, h.count)
+    assert bare.stderr.tobytes() == (np.sqrt(h.count) / (90 * (edges[1] - edges[0]))).tobytes()
 
 
 def test_empirical_density_bare_sequence_needs_length():

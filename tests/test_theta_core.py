@@ -197,6 +197,15 @@ def test_theta_parts_rejects_unrepresentable_input(index, v, error):
         theta_parts(index, v, 1j)
 
 
+@pytest.mark.parametrize("tau", [1e-310j, 0.3 + 5e-324j, 0.5 * np.finfo(float).tiny * 1j])
+def test_theta_parts_rejects_subnormal_im_tau(tau):
+    # a subnormal Im tau has lost its digits: a ValueError, without numpy
+    # RuntimeWarnings from the modular walk
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="normal imaginary part"):
+        warnings.simplefilter("error")
+        theta_parts(2, 0.1, tau)
+
+
 def test_theta_parts_overflow_in_the_modular_walk_is_quiet():
     # at Im tau < 1 the imaginary transform runs first, and its v^2 / tau
     # leaves double range before the quasi-periodic reduction does
