@@ -97,6 +97,10 @@ def _commands():
         "kernel --type A --N 2 --r 1e-154 --grid 2",
         "theta --v-im inf",
         "theta --v-im nan",
+        # a kernel factor past double range at a radius finalize accepts,
+        # and a subnormal theta Im tau
+        "kernel --type C --N 3 --r 4.3e-154 --t 0.5 --t-star 1 --grid 2",
+        "theta --tau-im 1e-310",
     ]
     return cmds
 

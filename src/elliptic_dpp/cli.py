@@ -76,6 +76,8 @@ class RunConfig:
         if not all(0.0 < v < np.inf for v in (self.rho, self.horizon, self.tau_im)):
             raise ValueError("--rho, --horizon and --tau-im must be finite and positive, "
                              f"got {self.rho}, {self.horizon}, {self.tau_im}")
+        if not self.tau_im >= sys.float_info.min:     # theta_parts refuses a subnormal Im tau
+            raise ValueError(f"--tau-im must be a normal double, got {self.tau_im!r}")
         if not np.isfinite(self.v_im):
             raise ValueError(f"--v-im must be finite, got {self.v_im}")
         if self.grid < 1:

@@ -194,46 +194,64 @@ def _factors(ks, xs, ys, lms):
     sigma^2} S(Im tau*), with Im tau proportional to time: the exponentials
     cancel, and f_n (below ~1e2 for t = 1e-4 .. t* = 1e3) depends on its own
     point and time only.  When ys is xs at t = t*/2, b is a (K is Hermitian).
+
+    Raises AccuracyError if a factor leaves double range (a radius at the edge
+    of the accepted range, where the balance of exponents near 1e308 fails).
     """
     d = ks.derived
     j = np.arange(1, d.spec.N + 1)
 
     def f(x, s):
         mant, scale = m_fn_parts(d, j, x, s)
-        return parts_value(mant, scale - (s / ks.t_star) * lms[:, None])
+        with np.errstate(invalid="ignore"):     # a zero mantissa times e^inf
+            val = parts_value(mant, scale - (s / ks.t_star) * lms[:, None])
+        if not np.all(np.isfinite(val)):
+            raise AccuracyError(f"kernel factor at time {s!r} leaves double range")
+        return val
 
     a = f(xs, ks.t)
     b = a if ys is xs and ks.t_star - ks.t == ks.t else f(ys, ks.t_star - ks.t)
     return a, b
 
 
-def _kernel_sum(ks, xs, ys, mul):
-    """sum_n a_n(x) conj b_n(y) (`_factors`) on the grid xs x ys (mul =
-    np.multiply.outer) or the pairs (x_i, y_i) (np.multiply), one real ufunc
-    call per real product into the .real/.imag views of the result: numpy's
-    complex multiply rounds by operand layout, this by an entry's points only."""
+# rows of the result per block of the mode sum: 64 rows of a 512 grid keep the
+# row block, its product buffer and the factor rows in cache
+_SUM_ROWS = 64
+
+
+def _kernel_sum(ks, xs, ys, grid):
+    """sum_n a_n(x) conj b_n(y) (`_factors`) on the grid xs x ys (grid) or the
+    pairs (x_i, y_i), one real ufunc call per real product into the .real/.imag
+    views of the result: numpy's complex multiply rounds by operand layout,
+    this by an entry's points only.  The sum runs over blocks of `_SUM_ROWS`
+    rows; an entry's operations and their order do not depend on the block."""
     a, b = _factors(ks, xs, ys, _norms_log(ks))
-    out = np.zeros(mul(xs, ys).shape, dtype=complex)
-    re, im = out.real, out.imag
-    tmp = np.empty(re.shape)
-    for ar, ai, br, bi in zip(a.real, a.imag, b.real, b.imag):
-        re += mul(ar, br, out=tmp)
-        re += mul(ai, bi, out=tmp)
-        im += mul(ai, br, out=tmp)
-        im -= mul(ar, bi, out=tmp)
+    if grid:
+        a = a[:, :, None]       # (N, rows, 1) against b's (N, columns)
+    out = np.zeros((xs.size, ys.size) if grid else xs.shape, dtype=complex)
+    for start in range(0, xs.size, _SUM_ROWS):
+        rows = slice(start, start + _SUM_ROWS)
+        re, im = out.real[rows], out.imag[rows]
+        tmp = np.empty(re.shape)
+        by = b if grid else b[:, rows]
+        for ar, ai, br, bi in zip(a.real[:, rows], a.imag[:, rows], by.real, by.imag):
+            re += np.multiply(ar, br, out=tmp)
+            re += np.multiply(ai, bi, out=tmp)
+            im += np.multiply(ai, br, out=tmp)
+            im -= np.multiply(ar, bi, out=tmp)
     return out
 
 
 def kernel_matrix(ks, xs, ys):
     """K_t(x, y) on the grid xs x ys."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return _kernel_sum(ks, xs, ys, np.multiply.outer)
+    return _kernel_sum(ks, xs, ys, grid=True)
 
 
 def intensity(ks, xs):
     """One-point intensity K(x, x), equal to diag(kernel_matrix).real bit for bit."""
     xs = np.asarray(xs, dtype=float)
-    return _kernel_sum(ks, xs, xs, np.multiply).real
+    return _kernel_sum(ks, xs, xs, grid=False).real
 
 
 def kernel(ks, x, y):

@@ -17,9 +17,9 @@ from .biortho import BiorthoFamily, gram_converged, norm_const
 from .bridges import (boundary_of, bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
-from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, density, density_batch,
-                          infinite_kernel, kernel, kernel_matrix, sine_kernel,
-                          trig_kernel)
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _norms_log, density,
+                          density_batch, infinite_kernel, kernel, kernel_matrix,
+                          sine_kernel, trig_kernel)
 from .macdonald import IllConditionedError, denominator_residual
 from .root_systems import derive
 from .theta_core import theta, theta_series
@@ -178,6 +178,26 @@ def bridge_suite(d, t, t_star):
     return out
 
 
+def _reproducing_residual(ks, x, h, km):
+    """max |(K o K)(x, z) - K(x, z)| / max |K| over the grid x, where
+    (K o K)(x, z) = h sum_y K(x, y) K(y, z) and km is K on x.
+
+    K = a^T conj(b) for the balanced factors a, b (`_factors`), so
+    K o K = a^T G conj(b) with the N x N matrix G = h conj(b) a^T: O(N G^2)
+    in place of the dense O(G^3) product.  It is compared with km entry by
+    entry, one block of rows at a time, so G != I (factors not biorthogonal)
+    and km != a^T conj(b) (a wrong assembly of K) both show.
+    """
+    a, b = _factors(ks, x, x, _norms_log(ks))
+    bc = np.conj(b)
+    left = a.T @ (h * (bc @ a.T))           # rows of a^T G, (points, N)
+    worst = 0.0
+    for start in range(0, x.size, 64):
+        rows = slice(start, start + 64)
+        worst = max(worst, float(np.max(np.abs(left[rows] @ bc - km[rows]))))
+    return worst / float(np.max(np.abs(km)))
+
+
 def kernel_suite(d, t, t_star):
     ks = KernelSpec(d, t=t, t_star=t_star)
     L = d.length
@@ -185,7 +205,7 @@ def kernel_suite(d, t, t_star):
     x = np.arange(n) * (L / n) + L / (2 * n)
     km = kernel_matrix(ks, x, x)
     trace = float(np.sum(np.diag(km)).real) * (L / n)
-    comp_err = float(np.max(np.abs(km @ km * (L / n) - km)) / np.max(np.abs(km)))
+    comp_err = _reproducing_residual(ks, x, L / n, km)
     rng = np.random.default_rng(113)
     dens = density_batch(ks, np.sort(
         rng.uniform(0.0, 1.0, (200, d.spec.N)), axis=1) * L)

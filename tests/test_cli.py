@@ -109,7 +109,7 @@ def test_unknown_type_is_usage_error():
 @pytest.mark.parametrize("argv", [
     "limits --horizon=-5", "limits --horizon 0", "limits --horizon inf",
     "limits --rho nan", "limits --rho -1", "theta --tau-im 0", "theta --tau-im nan",
-    "theta --v-im inf", "theta --v-im nan",
+    "theta --v-im inf", "theta --v-im nan", "theta --tau-im 1e-310",
 ])
 def test_bad_horizon_rho_or_tau_is_usage_error(argv, capsys):
     assert main(argv.split()) == 2
@@ -147,6 +147,22 @@ def test_radius_overflowing_tau_is_usage_error(argv, capsys):
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: radius r=1e-154 too small") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("kernel", "--grid 2"), ("density", "--grid 2"), ("sample", "--steps 4"),
+])
+def test_kernel_factor_past_double_range_is_an_error_line(verb, flags, tmp_path, capsys):
+    # pi Im tau at t* is a double, so finalize accepts the radius, but the
+    # balanced factors' exponents near 1e308 do not cancel: no nan rows, no file
+    out = tmp_path / "o"
+    argv = f"{verb} --type C --N 3 --r 4.3e-154 --t 0.5 --t-star 1 {flags} --out {out}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split()) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_smallest_radius_in_range_still_runs(tmp_path):

@@ -249,6 +249,25 @@ def test_kernel_grid_entries_equal_one_point_calls(tag, t, t_star):
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("t, t_star", [(0.3, 1.0), (20.0, 50.0)])
+def test_kernel_entries_do_not_depend_on_row_blocks(tag, t, t_star):
+    # the mode sum runs in blocks of 64 rows: 130 rows cross two block
+    # boundaries, and every entry still equals its one-point call bit for bit
+    ks = _ks(tag, 4, t=t, t_star=t_star)
+    L = ks.derived.length
+    xs = np.linspace(0.01, 0.99, 130) * L
+    ys = np.linspace(0.05, 0.95, 5) * L
+    for rows, cols in ((xs, ys), (xs[77:78], ys[2:3])):
+        km = kernel_matrix(ks, rows, cols)
+        assert km.shape == (rows.size, cols.size)
+        for i, x in enumerate(rows):
+            for j, y in enumerate(cols):
+                assert kernel(ks, x, y) == km[i, j], f"{tag} entry ({i}, {j})"
+    diag = np.diag(kernel_matrix(ks, xs, xs)).real
+    assert intensity(ks, xs).tobytes() == diag.tobytes()
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
 @pytest.mark.parametrize("t", [0.3, 0.5])
 def test_intensity_is_the_kernel_diagonal(tag, t):
     ks = _ks(tag, 4, t=t)
