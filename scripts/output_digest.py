@@ -98,9 +98,10 @@ def _commands():
         "theta --v-im inf",
         "theta --v-im nan",
         # a kernel factor past double range at a radius finalize accepts,
-        # and a subnormal theta Im tau
+        # a subnormal theta Im tau and the smallest normal one
         "kernel --type C --N 3 --r 4.3e-154 --t 0.5 --t-star 1 --grid 2",
         "theta --tau-im 1e-310",
+        "theta --tau-im 2.2250738585072014e-308 --grid 2",
     ]
     return cmds
 

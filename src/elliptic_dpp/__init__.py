@@ -8,15 +8,12 @@ with a verification harness covering every identity the library relies on.
 __version__ = "0.1.0"
 
 from .biortho import BiorthoFamily, gram, gram_converged, norm_const
-from .bridges import (RMatrix, boundary_of, bridge_density, ck_residual,
-                      matrix_identity_residual, r_matrix, transition,
-                      transition_images)
-from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult,
-                          bin_intensity, corr_det, corr_oracle, density,
-                          empirical_density, exact_sample, infinite_kernel, intensity,
+from .bridges import (boundary_of, bridge_density, ck_residual, matrix_identity_residual,
+                      r_matrix, transition, transition_images)
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult, bin_intensity, corr_det,
+                          density, empirical_density, exact_sample, infinite_kernel, intensity,
                           kernel, kernel_matrix, sine_kernel, trig_kernel)
-from .macdonald import (AlcoveConfiguration, denominator_residual,
-                        selberg_check, weyl_w)
+from .macdonald import AlcoveConfiguration, denominator_residual, selberg_check
 from .root_systems import FAMILIES, DerivedFamily, FamilySpec, derive, validate
 from .theta_core import AccuracyError, eta_and_q, theta, theta_parts, theta_series
 from .verification import CheckResult, run_suites
@@ -31,7 +28,6 @@ __all__ = [
     "FamilySpec",
     "InfiniteKernelSpec",
     "KernelSpec",
-    "RMatrix",
     "SampleResult",
     "__version__",
     "bin_intensity",
@@ -39,7 +35,6 @@ __all__ = [
     "bridge_density",
     "ck_residual",
     "corr_det",
-    "corr_oracle",
     "denominator_residual",
     "density",
     "derive",
@@ -65,5 +60,4 @@ __all__ = [
     "transition_images",
     "trig_kernel",
     "validate",
-    "weyl_w",
 ]

@@ -17,8 +17,9 @@ alcove: integrating conj(f_j(x, t*-t)) f_k(x, t) dx returns norm(j) delta_jk,
 with closed-form norms (`norm_const`).  `gram` verifies this numerically with
 a spectrally convergent trapezoid rule.
 
-Everything is vectorized over x; `..._parts` variants return values in
-(mantissa, log_scale) form for determinant work at large time scales.
+Everything is vectorized over x, and the functions come in
+(mantissa, log_scale) form (`m_fn_parts`) for determinant work at large time
+scales; `theta_core.parts_value` exponentiates them.
 """
 
 from __future__ import annotations
@@ -33,23 +34,13 @@ from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
 __all__ = [
     "BiorthoFamily",
     "GramResult",
-    "ScaledCoords",
     "gram",
     "gram_converged",
-    "m_fn",
     "m_fn_parts",
     "norm_const",
     "norm_const_log",
-    "scaled",
-    "theta_block",
     "theta_block_parts",
 ]
-
-
-@dataclass(frozen=True)
-class ScaledCoords:
-    xi: object  # scalar or ndarray
-    tau_t: complex
 
 
 @dataclass(frozen=True)
@@ -67,18 +58,6 @@ class GramResult:
     matrix: np.ndarray
     error_estimate: float
     nodes: int
-
-
-def scaled(x, t, r):
-    """Dimensionless coordinates: xi = x/(2 pi r), tau_t = i t/(2 pi r^2)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    xi = np.asarray(x, dtype=float) / (2.0 * np.pi * r)
-    if xi.ndim == 0:
-        xi = float(xi)
-    return ScaledCoords(xi=xi, tau_t=1j * t / (2.0 * np.pi * r * r))
 
 
 def theta_block_parts(shape, sigma, z, tau):
@@ -101,16 +80,6 @@ def theta_block_parts(shape, sigma, z, tau):
                      sign * np.multiply(m2, np.exp(-1j * e.imag)), s2 - e.real)
 
 
-def theta_block(shape, sigma, z, tau):
-    """Building block for sharp shape "A"/"B"/"C"/"D"; see module docstring."""
-    if shape not in ("A", "B", "C", "D"):
-        raise ValueError(f"unknown block shape {shape!r}")
-    out = parts_value(*theta_block_parts(shape, sigma, z, tau))
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out
-
-
 def m_fn_parts(spec, j, x, t):
     """One-particle function j (1-based) at positions x, time t, in parts form.
 
@@ -121,23 +90,17 @@ def m_fn_parts(spec, j, x, t):
     jj = np.atleast_1d(j)
     if np.any(jj < 1) or np.any(jj > d.spec.N):
         raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
-    sc = scaled(x, t, d.spec.r)
-    size = d.size
-    z = size * np.asarray(sc.xi, dtype=float)
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    r, size = d.spec.r, d.size
+    z = size * (np.asarray(x, dtype=float) / (2.0 * np.pi * r))     # size xi(x)
     if np.ndim(j) == 0:
         sigma = d.offsets[j - 1] / size
     else:
         z = np.atleast_1d(z)
         sigma = (np.asarray(d.offsets)[jj - 1] / size).reshape(jj.shape + (1,) * z.ndim)
-    tau = size * size * sc.tau_t
+    tau = size * size * (1j * t / (2.0 * np.pi * r * r))
     return theta_block_parts(d.sharp, sigma, z, tau)
-
-
-def m_fn(spec, j, x, t):
-    out = parts_value(*m_fn_parts(spec, j, x, t))
-    if np.ndim(x) == 0:
-        return complex(out[0])
-    return out
 
 
 def norm_const_log(spec, j, t_star):

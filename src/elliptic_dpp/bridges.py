@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .macdonald import (
+    _COND_LIMIT,
     IllConditionedError,
     _det_phase,
     _logc_rel_diff,
+    _points,
     coeff_a_log,
     rhs_logc,
 )
@@ -32,10 +34,8 @@ from .theta_core import AccuracyError, eta_and_q, parts_value, theta
 
 __all__ = [
     "BoundaryKind",
-    "RMatrix",
     "boundary_of",
     "bridge_density",
-    "ck_det_residual",
     "ck_residual",
     "eta_formula_residual",
     "macdonald_kmlgv_residual",
@@ -145,13 +145,23 @@ def transition_images(bk, s, x, t, y, r, windings):
 # Chapman-Kolmogorov residuals
 
 _MIN_GAP = 1e-6  # times r^2; quadrature refuses sharper kernels
+_CK_NODES = 512  # trapezoid nodes of `ck_residual`
 
 
-def _ck_grid(bk, r, nodes):
-    # interval kernels extend smoothly and 2 pi r-periodically through the
-    # walls (even/odd images), so trapezoid with endpoint half-weights is
-    # spectrally accurate there too, not just on the periodic circle.
-    n = int(nodes)
+def ck_residual(bk, s, t, u, x, z, r):
+    """|integral p(s,x;t,y) p(t,y;u,z) dy  -  p(s,x;u,z)| on the kind's domain.
+
+    Interval kernels extend smoothly and 2 pi r-periodically through the walls
+    (even/odd images), so the trapezoid rule with endpoint half-weights is
+    spectrally accurate there too, not just on the periodic circle.
+    """
+    if not s < t < u:
+        raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
+    for g in (t - s, u - t):
+        if g < _MIN_GAP * r * r:
+            raise ValueError(
+                f"time gap {g:.3e} below {_MIN_GAP} r^2; kernel too peaked for quadrature")
+    n = _CK_NODES
     if bk.tag == "circ":
         L = 2.0 * math.pi * r
         y = np.arange(n) * (L / n)
@@ -161,64 +171,17 @@ def _ck_grid(bk, r, nodes):
         y = np.linspace(0.0, L, n + 1)
         w = np.full(n + 1, L / n)
         w[0] = w[-1] = 0.5 * L / n
-    return y, w
-
-
-def _check_gaps(r, *gaps):
-    for g in gaps:
-        if g < _MIN_GAP * r * r:
-            raise ValueError(
-                f"time gap {g:.3e} below {_MIN_GAP} r^2; kernel too peaked for quadrature")
-
-
-def ck_residual(bk, s, t, u, x, z, r, nodes=512):
-    """|integral p(s,x;t,y) p(t,y;u,z) dy  -  p(s,x;u,z)| on the kind's domain."""
-    if not s < t < u:
-        raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
-    _check_gaps(r, t - s, u - t)
-    y, w = _ck_grid(bk, r, nodes)
     lhs = float(np.sum(w * transition(bk, s, x, t, y, r)
                        * transition(bk, t, y, u, z, r)))
     return abs(lhs - transition(bk, s, x, u, z, r))
 
 
-def ck_det_residual(bk, s, t, u, xs, zs, r, nodes=160):
-    """Two-particle determinant version of Chapman-Kolmogorov.
-
-    Integrates det[p(s,x;t,y)] det[p(t,y;u,z)] over unordered pairs y
-    (half the square) and compares with det[p(s,x;u,z)].
-    """
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if xs.size != 2 or zs.size != 2:
-        raise ValueError("determinant Chapman-Kolmogorov check is two-particle only")
-    if not s < t < u:
-        raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
-    _check_gaps(r, t - s, u - t)
-    y, w = _ck_grid(bk, r, nodes)
-    # P[a, i] = p(s, x_a; t, y_i);  Q[i, b] = p(t, y_i; u, z_b)
-    P = transition(bk, s, xs[:, None], t, y[None, :], r)
-    Q = transition(bk, t, y[:, None], u, zs[None, :], r)
-    det1 = P[0][:, None] * P[1][None, :] - P[0][None, :] * P[1][:, None]
-    det2 = Q[:, 0][:, None] * Q[:, 1][None, :] - Q[:, 0][None, :] * Q[:, 1][:, None]
-    lhs = 0.5 * float(np.einsum("i,j,ij,ij->", w, w, det1, det2))
-    rhs = transition(bk, s, xs[:, None], u, zs[None, :], r)
-    return abs(lhs - float(np.linalg.det(rhs)))
-
-
 # ---------------------------------------------------------------------------
 # the weight matrices r(t)
 
-@dataclass(frozen=True)
-class RMatrix:
-    """N x N weight matrix tying pinned-kernel rows to biorthogonal rows."""
-
-    entries: np.ndarray
-    tag: str
-
-
 def r_matrix(spec, t):
-    """Family-indexed matrix r(t); columns follow the pinned configuration.
+    """Family-indexed N x N weight matrix r(t), tying pinned-kernel rows to
+    biorthogonal rows; columns follow the pinned configuration.
 
     Columns whose pinned walker sits on a wall (v = 0 or pi r) carry half
     the generic prefactor.
@@ -251,16 +214,11 @@ def r_matrix(spec, t):
         ent = (pref4 * E[:, None] * np.cos(arg)).astype(complex)
         ent[:, 0] = pref2 * E
         ent[:, N - 1] = pref2 * E * np.cos(edge)
-    return RMatrix(entries=ent, tag=tag)
+    return ent
 
 
 # ---------------------------------------------------------------------------
 # cross-module identities
-
-def _points(xs):
-    pts = getattr(xs, "points", xs)
-    return np.asarray(pts, dtype=float)
-
 
 def _pinned_matrix(d, t, xs):
     """P[j, k] = p(0, v_j; t, x_k) with the family's boundary kind."""
@@ -273,7 +231,7 @@ def matrix_identity_residual(spec, t, xs):
     d = derive(spec)
     xs = _points(xs)
     P = _pinned_matrix(d, t, xs)
-    rm = r_matrix(d, t).entries
+    rm = r_matrix(d, t)
     M = parts_value(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
     return float(np.max(np.abs(rm @ P - M)) / np.max(np.abs(M)))
 
@@ -333,14 +291,14 @@ def _b_phase(tag, N):
     return (1j) ** (e % 4)
 
 
-def macdonald_kmlgv_residual(spec, t, xs, cond_limit=1e12):
+def macdonald_kmlgv_residual(spec, t, xs):
     """Weyl denominator against the pinned-path determinant route.
 
     Left side: `rhs_logc`, the closed-form side a(t) . phase . W (times the
     parity-indexed coordinate-sum theta for the circle family) of the
     determinant identity.  Right side: the same phase times
     `_b_phase` . det r(t) . det P.  Returns the relative residual at the
-    common log scale.  IllConditionedError when r(t) is past `cond_limit` or
+    common log scale.  IllConditionedError when r(t) is past `_COND_LIMIT` or
     the pinned matrix P past `_BRIDGE_COND_LIMIT`.
     """
     d = derive(spec)
@@ -348,10 +306,10 @@ def macdonald_kmlgv_residual(spec, t, xs, cond_limit=1e12):
     xs = _points(xs)
     ll, pl = rhs_logc(d, xs, t)
 
-    rm = r_matrix(d, t).entries
-    if np.linalg.cond(rm) > cond_limit:
+    rm = r_matrix(d, t)
+    if np.linalg.cond(rm) > _COND_LIMIT:
         raise IllConditionedError(
-            f"r-matrix condition number beyond {cond_limit:.1e}")
+            f"r-matrix condition number beyond {_COND_LIMIT:.1e}")
     P = _pinned_matrix(d, t, xs)
     _check_bridge_cond("P", P)
     # both condition checks passed, so neither determinant is zero
@@ -374,7 +332,7 @@ def eta_formula_residual(spec, t):
     _, _, eta = eta_and_q(N * tau)
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)
           + 0.5 * (N - 1) * (N - 2) * math.log(abs(eta)))
-    rm = r_matrix(d, t).entries
+    rm = r_matrix(d, t)
     sr, lr = np.linalg.slogdet(rm)
     la = coeff_a_log(d, t)
     lc = lr - la

@@ -16,9 +16,9 @@ keeps each factor a plain double at any time scale.
 Three limit regimes are implemented for cross-checks: the temporally
 homogeneous sine-ratio kernels on the finite domain, the lambda-integral
 kernels of the infinite-volume limit (fixed point density rho), and the
-translation-invariant sine kernels.  `corr_oracle` brute-forces correlation
-functions by quadrature of the density, which is the definitional oracle the
-kernel route is tested against.
+translation-invariant sine kernels.  The definitional oracles the kernel
+route is tested against (correlation functions by quadrature of the density,
+the Fredholm expansion of the Laplace functional) live in the test-suite.
 
 Sampling is exact: the chain rule for projection DPPs draws i.i.d. states,
 one coordinate at a time from the Schur-complement conditional intensity,
@@ -30,13 +30,12 @@ histogram stderr comes from the spread over the seed-blocks.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
-from .macdonald import AlcoveConfiguration
+from .macdonald import AlcoveConfiguration, _points
 from .root_systems import derive
 from .theta_core import AccuracyError, parts_equilibrate, parts_sum, parts_value, theta_parts
 
@@ -46,14 +45,11 @@ __all__ = [
     "InfiniteKernelSpec",
     "KernelSpec",
     "SampleResult",
-    "UnsupportedScaleError",
     "bin_intensity",
     "corr_det",
-    "corr_oracle",
     "density",
     "empirical_density",
     "exact_sample",
-    "fredholm_residual",
     "infinite_kernel",
     "intensity",
     "kernel",
@@ -65,10 +61,6 @@ __all__ = [
 
 class ConsistencyError(ArithmeticError):
     """A mathematically real quantity came back with too much imaginary part."""
-
-
-class UnsupportedScaleError(ValueError):
-    """Brute-force oracle requested beyond its feasible size."""
 
 
 @dataclass(frozen=True)
@@ -179,8 +171,7 @@ def density_batch(ks, X):
 
 def density(ks, xs):
     """N-point density p(x) = det conj(M(t*-t)) det M(t) / prod m_n(t*)."""
-    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
-    return float(density_batch(ks, np.asarray(xs, dtype=float)[None, :])[0])
+    return float(density_batch(ks, _points(xs)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +210,17 @@ def _factors(ks, xs, ys, lms):
 _SUM_ROWS = 64
 
 
-def _kernel_sum(ks, xs, ys, grid):
-    """sum_n a_n(x) conj b_n(y) (`_factors`) on the grid xs x ys (grid) or the
-    pairs (x_i, y_i), one real ufunc call per real product into the .real/.imag
-    views of the result: numpy's complex multiply rounds by operand layout,
-    this by an entry's points only.  The sum runs over blocks of `_SUM_ROWS`
-    rows; an entry's operations and their order do not depend on the block."""
-    a, b = _factors(ks, xs, ys, _norms_log(ks))
+def _kernel_sum(a, b, grid):
+    """sum_n a_n(x) conj b_n(y) for the factors a, b (`_factors`) on the grid
+    xs x ys (grid) or the pairs (x_i, y_i), one real ufunc call per real
+    product into the .real/.imag views of the result: numpy's complex multiply
+    rounds by operand layout, this by an entry's points only.  The sum runs
+    over blocks of `_SUM_ROWS` rows; an entry's operations and their order do
+    not depend on the block."""
+    out = np.zeros((a.shape[1], b.shape[1]) if grid else a.shape[1:], dtype=complex)
     if grid:
         a = a[:, :, None]       # (N, rows, 1) against b's (N, columns)
-    out = np.zeros((xs.size, ys.size) if grid else xs.shape, dtype=complex)
-    for start in range(0, xs.size, _SUM_ROWS):
+    for start in range(0, len(out), _SUM_ROWS):
         rows = slice(start, start + _SUM_ROWS)
         re, im = out.real[rows], out.imag[rows]
         tmp = np.empty(re.shape)
@@ -245,13 +236,13 @@ def _kernel_sum(ks, xs, ys, grid):
 def kernel_matrix(ks, xs, ys):
     """K_t(x, y) on the grid xs x ys."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return _kernel_sum(ks, xs, ys, grid=True)
+    return _kernel_sum(*_factors(ks, xs, ys, _norms_log(ks)), grid=True)
 
 
 def intensity(ks, xs):
     """One-point intensity K(x, x), equal to diag(kernel_matrix).real bit for bit."""
     xs = np.asarray(xs, dtype=float)
-    return _kernel_sum(ks, xs, xs, grid=False).real
+    return _kernel_sum(*_factors(ks, xs, xs, _norms_log(ks)), grid=False).real
 
 
 def kernel(ks, x, y):
@@ -286,35 +277,6 @@ def _leggauss(n):
 def _gl_nodes(n, a, b):
     u, w = _leggauss(n)
     return 0.5 * (b - a) * u + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def corr_oracle(ks, points, grid=64):
-    """Correlation function by definition: integrate the density over the
-    remaining N - n coordinates (unordered, with the 1/(N-n)! factor).
-
-    Gauss-Legendre tensor quadrature; the det-product density is smooth on
-    the closed box, so this converges spectrally.  N <= 3 only.
-    """
-    d = ks.derived
-    N = d.spec.N
-    if N > 3:
-        raise UnsupportedScaleError("corr_oracle supports N <= 3")
-    pts = np.asarray(points, dtype=float)
-    n = pts.size
-    if n > N:
-        raise ValueError(f"need n <= N = {N}")
-    free = N - n
-    if free == 0:
-        return float(density_batch(ks, pts[None, :])[0])
-    xs, w = _gl_nodes(int(grid), 0.0, d.length)
-    grids = np.meshgrid(*([xs] * free), indexing="ij")
-    W = functools.reduce(np.multiply.outer, [w] * free)
-    Y = np.column_stack([g.ravel() for g in grids])
-    X = np.empty((Y.shape[0], N))
-    X[:, :n] = pts
-    X[:, n:] = Y
-    vals = density_batch(ks, X)
-    return float(np.sum(vals * W.ravel()) / math.factorial(free))
 
 
 # ---------------------------------------------------------------------------
@@ -459,104 +421,34 @@ def _inf_quad(iks, x, y, nodes):
     return parts_value(acc, top)
 
 
-def infinite_kernel(iks, x, y, nodes=128, tol=1e-9):
+_INF_NODES = 128       # first total node count of `infinite_kernel`
+_INF_TOL = 1e-9         # relative agreement of two node levels
+
+
+def infinite_kernel(iks, x, y):
     """Infinite-volume kernel via Gauss-Legendre in lambda with node doubling.
 
     The interval is cut into panels whose ends sit on the integrand's
     dominant-term switch points (see _inf_panels), then the per-panel node
-    count doubles until two levels agree to `tol` relative or 2048 total
-    nodes are exceeded (then AccuracyError).
+    count doubles from `_INF_NODES` in total until two levels agree to
+    `_INF_TOL` relative or 2048 total nodes are exceeded (then AccuracyError).
     """
     if iks.family != "A" and (x < 0.0 or y < 0.0):
         raise ValueError("reflected-family kernels live on x, y >= 0")
     x, y = float(x), float(y)
-    prev = _inf_quad(iks, x, y, int(nodes))
-    n = int(nodes)
+    n = _INF_NODES
+    prev = _inf_quad(iks, x, y, n)
     while n < 2048:
         n *= 2
         cur = _inf_quad(iks, x, y, n)
         delta = abs(cur - prev)
-        if delta <= tol * max(abs(cur), iks.rho):
+        if delta <= _INF_TOL * max(abs(cur), iks.rho):
             return complex(cur)
         prev = cur
     raise AccuracyError(
         f"lambda quadrature not converged at {n} nodes (last delta "
         f"{delta:.3e})"
     )
-
-
-# ---------------------------------------------------------------------------
-# Fredholm / characteristic-function consistency
-
-def _psi_bump(u):
-    # smooth compactly supported bump on (0.3, 0.7) of the unit interval
-    s = (u - 0.3) / 0.4
-    out = np.zeros_like(u)
-    inner = (s > 0.0) & (s < 1.0)
-    z = 2.0 * s[inner] - 1.0
-    out[inner] = np.exp(1.0 - 1.0 / (1.0 - z * z))
-    return out
-
-
-def _psi_hann(u):
-    # cosine-squared window on the middle half
-    out = np.zeros_like(u)
-    inner = (u > 0.25) & (u < 0.75)
-    out[inner] = np.cos(np.pi * (u[inner] - 0.5) / 0.5) ** 2
-    return out
-
-
-_TEST_FNS = {
-    "bump": _psi_bump,
-    "hann": _psi_hann,
-    "zero": lambda u: np.zeros_like(u),
-}
-
-
-def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
-    """Two routes to the Laplace functional E[exp(theta sum psi(X_j))].
-
-    Route one integrates the density against the exponential weight directly;
-    route two is the truncated Fredholm expansion in kernel determinants with
-    chi = 1 - e^{theta psi}.  Returns |route1 - route2|.  N <= 2.
-    """
-    d = ks.derived
-    N = d.spec.N
-    if N > 2:
-        raise UnsupportedScaleError("fredholm_residual supports N <= 2")
-    if test_fn_id not in _TEST_FNS:
-        raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(_TEST_FNS)}")
-    psi_u = _TEST_FNS[test_fn_id]
-    L = d.length
-    xs, w = _gl_nodes(int(grid), 0.0, L)
-    psi = psi_u(xs / L)
-    chi = 1.0 - np.exp(theta_param * psi)
-
-    # route one: Laplace transform of the density
-    if N == 1:
-        vals = density_batch(ks, xs[:, None])
-        direct = float(np.sum(w * np.exp(theta_param * psi) * vals))
-    else:
-        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-        X = np.column_stack([X1.ravel(), X2.ravel()])
-        vals = density_batch(ks, X).reshape(grid, grid)
-        weight = np.exp(theta_param * (psi[:, None] + psi[None, :]))
-        direct = float(np.einsum("i,j,ij->", w, w, weight * vals)) / 2.0
-
-    # route two: 1 - int chi K + (1/2) int int chi chi det K_2
-    km = kernel_matrix(ks, xs, xs)
-    dg = np.diag(km)
-    if np.max(np.abs(dg.imag)) > 1e-10 * max(float(np.max(np.abs(dg))), 1e-290):
-        raise ConsistencyError("kernel diagonal carries imaginary residue")
-    diag = dg.real
-    expansion = 1.0 - float(np.sum(w * chi * diag))
-    if N == 2:
-        det2 = diag[:, None] * diag[None, :] - km * km.T
-        val2 = np.einsum("i,j,ij->", w * chi, w * chi, det2)
-        if abs(val2.imag) > 1e-8 * max(abs(val2), 1.0):
-            raise ConsistencyError(f"two-point expansion residue {val2.imag:.3e}")
-        expansion += 0.5 * float(val2.real)
-    return abs(direct - expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -784,15 +676,19 @@ class Histogram:
     stderr: np.ndarray
 
 
-def bin_intensity(ks, edges, nodes=24):
+_BIN_NODES = 24         # Gauss-Legendre nodes per bin of `bin_intensity`
+
+
+def bin_intensity(ks, edges):
     """Bin averages of the one-point intensity K(x, x) between the edges.
 
-    Gauss-Legendre with `nodes` nodes per bin; this is a histogram's expected
-    density (the value at a bin's midpoint is off by the intensity's curvature).
+    Gauss-Legendre with `_BIN_NODES` nodes per bin; this is a histogram's
+    expected density (the value at a bin's midpoint is off by the intensity's
+    curvature).
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1, None], edges[1:, None]
-    xs, w = _gl_nodes(nodes, lo, hi)                     # (bins, nodes)
+    xs, w = _gl_nodes(_BIN_NODES, lo, hi)                # (bins, nodes)
     vals = intensity(ks, xs.ravel()).reshape(xs.shape)
     return np.sum(w * vals, axis=1) / (hi - lo)[:, 0]
 
@@ -809,10 +705,10 @@ def empirical_density(samples, bins=40, length=None):
         ids = samples.block_ids
         L = samples.length if length is None else float(length)
     else:
-        rows = [s.points if isinstance(s, AlcoveConfiguration) else tuple(s) for s in samples]
+        rows = [_points(s) for s in samples]
         if not rows:
             raise ValueError("empty sample set")
-        pos = np.asarray(rows, dtype=float)
+        pos = np.asarray(rows)
         ids = np.zeros(pos.shape[0], dtype=int)      # one block
         if length is None:
             raise ValueError("length is required for a bare sample sequence")

@@ -33,13 +33,11 @@ __all__ = [
     "DegenerateConfigError",
     "IllConditionedError",
     "SelbergResult",
-    "coeff_a",
     "coeff_a_log",
     "denominator_residual",
     "det_m_logc",
     "rhs_logc",
     "selberg_check",
-    "weyl_w",
     "weyl_w_parts",
 ]
 
@@ -77,6 +75,11 @@ class AlcoveConfiguration:
         elif pts[-1] > d.length:
             raise ValueError(f"interval alcove requires x_N <= {d.length}")
         return cls(points=pts, tag=d.spec.tag)
+
+
+def _points(xs):
+    """Coordinates as a float array, from an AlcoveConfiguration or a sequence."""
+    return np.asarray(getattr(xs, "points", xs), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +153,6 @@ def _product_parts(tag, xi, tau):
     return mant, scale
 
 
-def weyl_w(spec, xs, tau):
-    """W^R(xi(x); tau) for positions xs (xi = x / 2 pi r).  Complex; exact 0
-    when a factor vanishes.  Overflow-prone at extreme tau -- use
-    weyl_w_parts there."""
-    d = derive(spec)
-    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
-    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
-    out = parts_value(*weyl_w_parts(d.spec.tag, xi, tau))
-    return complex(out[0]) if np.ndim(xs) == 1 else out
-
-
 # ---------------------------------------------------------------------------
 # time coefficients a(t)
 
@@ -203,16 +195,6 @@ def coeff_a_log(spec, t):
     return float(out)
 
 
-def coeff_a(spec, t):
-    """a(t) as a float; raises OverflowError when only the log form fits."""
-    lg = coeff_a_log(spec, t)
-    if lg > 709.0:
-        raise OverflowError(
-            f"a(t) = exp({lg:.1f}) exceeds double range; use coeff_a_log"
-        )
-    return float(np.exp(lg))
-
-
 # ---------------------------------------------------------------------------
 # determinant identity
 
@@ -227,20 +209,18 @@ def _det_phase(tag, N):
     return (1j) ** (e % 4)
 
 
-def det_m_logc(spec, xs, t, cond_limit=_COND_LIMIT):
+def det_m_logc(spec, xs, t):
     """log-magnitude and phase of det[M_j(x_k, t)], with per-row rescaling.
 
     LU with partial pivoting via slogdet; raises IllConditionedError when the
-    rescaled matrix's condition estimate exceeds `cond_limit`.
+    rescaled matrix's condition estimate exceeds `_COND_LIMIT`.
     """
     d = derive(spec)
-    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
-    xs = np.asarray(xs, dtype=float)
-    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
+    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), _points(xs), t))
     cond = np.linalg.cond(tilde)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedError(
-            f"matrix condition ~ {cond:.3e} exceeds {cond_limit:.1e}"
+            f"matrix condition ~ {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
     sign, logabs = np.linalg.slogdet(tilde)
     if sign == 0:
@@ -251,8 +231,7 @@ def det_m_logc(spec, xs, t, cond_limit=_COND_LIMIT):
 def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
-    xs = getattr(xs, "points", xs)      # an AlcoveConfiguration too
-    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
+    xi = _points(xs) / (2.0 * np.pi * d.spec.r)
     tau = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
     m, s = _product_parts(d.spec.tag, xi, tau)
     lp, pp = _logc_from_parts(complex(m[0]), float(s[0]))

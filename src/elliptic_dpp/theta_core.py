@@ -139,6 +139,12 @@ def _ring_sum(index, w, tau):
     is summed, R = 1 + floor(sqrt(ln(1e17) / (pi Im tau))) of them: R <= 4
     after the fundamental-domain walk (Im tau >= sqrt(3)/2), R = 1 once
     Im tau > 12.5.
+
+    An exponent overflows only for a term that is exactly 0: pi Im tau is
+    finite (`theta_parts` formed pi tau m^2), and past Im tau = 12.5 the real
+    part -pi Im tau a^2 -+ 2 pi a Im w - peak stays within 3 pi Im tau / 4 for
+    a = 1/2; for a = 1 (peak 0) it leaves double range only below -1.7e308,
+    and exp gives the same 0 for the overflowed -inf as for the exact value.
     """
     qf = 1j * np.pi * tau
     zf = 2j * np.pi * w
@@ -152,16 +158,17 @@ def _ring_sum(index, w, tau):
         total = np.zeros(w.shape, dtype=complex)
         offset = 0.5
     rings = 1 + int(math.sqrt(_LOG_TAIL / (math.pi * tau.imag)))
-    for n in range(1, rings + 1):
-        a = n - offset
-        up = np.exp(qf * (a * a) + zf * a - peak)
-        dn = np.exp(qf * (a * a) - zf * a - peak)
-        ring = up - dn if index == 1 else up + dn
-        if index == 1:
-            ring = (1j if n % 2 == 0 else -1j) * ring
-        elif index == 0 and n % 2:
-            ring = -ring
-        total = total + ring
+    with np.errstate(over="ignore"):    # an exponent to -inf; see above
+        for n in range(1, rings + 1):
+            a = n - offset
+            up = np.exp(qf * (a * a) + zf * a - peak)
+            dn = np.exp(qf * (a * a) - zf * a - peak)
+            ring = up - dn if index == 1 else up + dn
+            if index == 1:
+                ring = (1j if n % 2 == 0 else -1j) * ring
+            elif index == 0 and n % 2:
+                ring = -ring
+            total = total + ring
     return total, peak
 
 

@@ -17,8 +17,8 @@ from .biortho import BiorthoFamily, gram_converged, norm_const
 from .bridges import (boundary_of, bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
-from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _norms_log, density,
-                          density_batch, infinite_kernel, kernel, kernel_matrix,
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, _norms_log,
+                          density, density_batch, infinite_kernel, kernel, kernel_matrix,
                           sine_kernel, trig_kernel)
 from .macdonald import IllConditionedError, denominator_residual
 from .root_systems import derive
@@ -178,21 +178,21 @@ def bridge_suite(d, t, t_star):
     return out
 
 
-def _reproducing_residual(ks, x, h, km):
-    """max |(K o K)(x, z) - K(x, z)| / max |K| over the grid x, where
-    (K o K)(x, z) = h sum_y K(x, y) K(y, z) and km is K on x.
+def _reproducing_residual(a, b, h, km):
+    """max |(K o K)(x, z) - K(x, z)| / max |K| over a grid x, where
+    (K o K)(x, z) = h sum_y K(x, y) K(y, z), km is K on x and a, b are the
+    balanced factors (`_factors`) on x.
 
-    K = a^T conj(b) for the balanced factors a, b (`_factors`), so
-    K o K = a^T G conj(b) with the N x N matrix G = h conj(b) a^T: O(N G^2)
-    in place of the dense O(G^3) product.  It is compared with km entry by
-    entry, one block of rows at a time, so G != I (factors not biorthogonal)
-    and km != a^T conj(b) (a wrong assembly of K) both show.
+    K = a^T conj(b), so K o K = a^T G conj(b) with the N x N matrix
+    G = h conj(b) a^T: O(N G^2) in place of the dense O(G^3) product.  It is
+    compared with km entry by entry, one block of rows at a time, so G != I
+    (factors not biorthogonal) and km != a^T conj(b) (a wrong assembly of K)
+    both show.
     """
-    a, b = _factors(ks, x, x, _norms_log(ks))
     bc = np.conj(b)
     left = a.T @ (h * (bc @ a.T))           # rows of a^T G, (points, N)
     worst = 0.0
-    for start in range(0, x.size, 64):
+    for start in range(0, len(km), 64):
         rows = slice(start, start + 64)
         worst = max(worst, float(np.max(np.abs(left[rows] @ bc - km[rows]))))
     return worst / float(np.max(np.abs(km)))
@@ -203,9 +203,11 @@ def kernel_suite(d, t, t_star):
     L = d.length
     n = 512
     x = np.arange(n) * (L / n) + L / (2 * n)
-    km = kernel_matrix(ks, x, x)
+    # the factors once, for K (as `kernel_matrix` forms it) and for K o K
+    a, b = _factors(ks, x, x, _norms_log(ks))
+    km = _kernel_sum(a, b, grid=True)
     trace = float(np.sum(np.diag(km)).real) * (L / n)
-    comp_err = _reproducing_residual(ks, x, L / n, km)
+    comp_err = _reproducing_residual(a, b, L / n, km)
     rng = np.random.default_rng(113)
     dens = density_batch(ks, np.sort(
         rng.uniform(0.0, 1.0, (200, d.spec.N)), axis=1) * L)

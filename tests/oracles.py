@@ -1,0 +1,166 @@
+"""Brute-force oracles the library's identities are tested against.
+
+They live beside the tests rather than in the package: each one reaches its
+number by a definitional route (integrating a density, expanding a Fredholm
+series, integrating a product of determinants) and shares no quadrature with
+the production path it checks.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from elliptic_dpp.bridges import transition
+from elliptic_dpp.dpp_kernels import ConsistencyError, density_batch, kernel_matrix
+
+
+class UnsupportedScaleError(ValueError):
+    """Brute-force oracle requested beyond its feasible size."""
+
+
+def _gauss_legendre(n, a, b):
+    u, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * u + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+# ---------------------------------------------------------------------------
+# correlation functions by integration of the density
+
+def corr_oracle(ks, points, grid=64):
+    """Correlation function by definition: integrate the density over the
+    remaining N - n coordinates (unordered, with the 1/(N-n)! factor).
+
+    Gauss-Legendre tensor quadrature; the det-product density is smooth on
+    the closed box, so this converges spectrally.  N <= 3 only.
+    """
+    d = ks.derived
+    N = d.spec.N
+    if N > 3:
+        raise UnsupportedScaleError("corr_oracle supports N <= 3")
+    pts = np.asarray(points, dtype=float)
+    n = pts.size
+    if n > N:
+        raise ValueError(f"need n <= N = {N}")
+    free = N - n
+    if free == 0:
+        return float(density_batch(ks, pts[None, :])[0])
+    xs, w = _gauss_legendre(int(grid), 0.0, d.length)
+    grids = np.meshgrid(*([xs] * free), indexing="ij")
+    W = functools.reduce(np.multiply.outer, [w] * free)
+    Y = np.column_stack([g.ravel() for g in grids])
+    X = np.empty((Y.shape[0], N))
+    X[:, :n] = pts
+    X[:, n:] = Y
+    vals = density_batch(ks, X)
+    return float(np.sum(vals * W.ravel()) / math.factorial(free))
+
+
+# ---------------------------------------------------------------------------
+# Fredholm / characteristic-function consistency
+
+def _psi_bump(u):
+    # smooth compactly supported bump on (0.3, 0.7) of the unit interval
+    s = (u - 0.3) / 0.4
+    out = np.zeros_like(u)
+    inner = (s > 0.0) & (s < 1.0)
+    z = 2.0 * s[inner] - 1.0
+    out[inner] = np.exp(1.0 - 1.0 / (1.0 - z * z))
+    return out
+
+
+def _psi_hann(u):
+    # cosine-squared window on the middle half
+    out = np.zeros_like(u)
+    inner = (u > 0.25) & (u < 0.75)
+    out[inner] = np.cos(np.pi * (u[inner] - 0.5) / 0.5) ** 2
+    return out
+
+
+_TEST_FNS = {
+    "bump": _psi_bump,
+    "hann": _psi_hann,
+    "zero": lambda u: np.zeros_like(u),
+}
+
+
+def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
+    """Two routes to the Laplace functional E[exp(theta sum psi(X_j))].
+
+    Route one integrates the density against the exponential weight directly;
+    route two is the truncated Fredholm expansion in kernel determinants with
+    chi = 1 - e^{theta psi}.  Returns |route1 - route2|.  N <= 2.
+    """
+    d = ks.derived
+    N = d.spec.N
+    if N > 2:
+        raise UnsupportedScaleError("fredholm_residual supports N <= 2")
+    if test_fn_id not in _TEST_FNS:
+        raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(_TEST_FNS)}")
+    psi_u = _TEST_FNS[test_fn_id]
+    L = d.length
+    xs, w = _gauss_legendre(int(grid), 0.0, L)
+    psi = psi_u(xs / L)
+    chi = 1.0 - np.exp(theta_param * psi)
+
+    # route one: Laplace transform of the density
+    if N == 1:
+        vals = density_batch(ks, xs[:, None])
+        direct = float(np.sum(w * np.exp(theta_param * psi) * vals))
+    else:
+        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
+        X = np.column_stack([X1.ravel(), X2.ravel()])
+        vals = density_batch(ks, X).reshape(grid, grid)
+        weight = np.exp(theta_param * (psi[:, None] + psi[None, :]))
+        direct = float(np.einsum("i,j,ij->", w, w, weight * vals)) / 2.0
+
+    # route two: 1 - int chi K + (1/2) int int chi chi det K_2
+    km = kernel_matrix(ks, xs, xs)
+    dg = np.diag(km)
+    if np.max(np.abs(dg.imag)) > 1e-10 * max(float(np.max(np.abs(dg))), 1e-290):
+        raise ConsistencyError("kernel diagonal carries imaginary residue")
+    diag = dg.real
+    expansion = 1.0 - float(np.sum(w * chi * diag))
+    if N == 2:
+        det2 = diag[:, None] * diag[None, :] - km * km.T
+        val2 = np.einsum("i,j,ij->", w * chi, w * chi, det2)
+        if abs(val2.imag) > 1e-8 * max(abs(val2), 1.0):
+            raise ConsistencyError(f"two-point expansion residue {val2.imag:.3e}")
+        expansion += 0.5 * float(val2.real)
+    return abs(direct - expansion)
+
+
+# ---------------------------------------------------------------------------
+# Chapman-Kolmogorov for two-particle determinants
+
+def ck_det_residual(bk, s, t, u, xs, zs, r, nodes=160):
+    """Two-particle determinant version of Chapman-Kolmogorov.
+
+    Integrates det[p(s,x;t,y)] det[p(t,y;u,z)] over unordered pairs y
+    (half the square) and compares with det[p(s,x;u,z)].  The trapezoid rule
+    is spectrally accurate on the circle and, through the kernels' even/odd
+    images at the walls, on the intervals too (endpoint half-weights there).
+    """
+    xs = np.asarray(xs, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    if xs.size != 2 or zs.size != 2:
+        raise ValueError("determinant Chapman-Kolmogorov check is two-particle only")
+    if not s < t < u:
+        raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
+    if bk.tag == "circ":
+        L = 2.0 * math.pi * r
+        y = np.arange(nodes) * (L / nodes)
+        w = np.full(nodes, L / nodes)
+    else:
+        L = math.pi * r
+        y = np.linspace(0.0, L, nodes + 1)
+        w = np.full(nodes + 1, L / nodes)
+        w[0] = w[-1] = 0.5 * L / nodes
+    # P[a, i] = p(s, x_a; t, y_i);  Q[i, b] = p(t, y_i; u, z_b)
+    P = transition(bk, s, xs[:, None], t, y[None, :], r)
+    Q = transition(bk, t, y[:, None], u, zs[None, :], r)
+    det1 = P[0][:, None] * P[1][None, :] - P[0][None, :] * P[1][:, None]
+    det2 = Q[:, 0][:, None] * Q[:, 1][None, :] - Q[:, 0][None, :] * Q[:, 1][:, None]
+    lhs = 0.5 * float(np.einsum("i,j,ij,ij->", w, w, det1, det2))
+    rhs = transition(bk, s, xs[:, None], u, zs[None, :], r)
+    return abs(lhs - float(np.linalg.det(rhs)))

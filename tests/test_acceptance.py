@@ -15,13 +15,14 @@ from elliptic_dpp.bridges import (boundary_of, bridge_density, ck_residual,
                                   matrix_identity_residual, transition,
                                   transition_images)
 from elliptic_dpp.dpp_kernels import (InfiniteKernelSpec, KernelSpec,
-                                      bin_intensity, corr_det, corr_oracle, density,
+                                      bin_intensity, corr_det, density,
                                       empirical_density, exact_sample,
                                       infinite_kernel, kernel, kernel_matrix,
                                       sine_kernel, trig_kernel)
 from elliptic_dpp.macdonald import denominator_residual, selberg_check
 from elliptic_dpp.root_systems import FAMILIES, derive
 from elliptic_dpp.theta_core import theta
+from oracles import corr_oracle
 
 _MIN_N = {"D": 2}
 

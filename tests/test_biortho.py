@@ -10,37 +10,47 @@ from elliptic_dpp.biortho import (
     BiorthoFamily,
     gram,
     gram_converged,
-    m_fn,
     m_fn_parts,
     norm_const,
     norm_const_log,
-    scaled,
-    theta_block,
+    theta_block_parts,
 )
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
-from elliptic_dpp.theta_core import theta
+from elliptic_dpp.theta_core import parts_value, theta
 
 
-def test_scaled_coords():
-    sc = scaled(math.pi, 1.0, 1.0)
-    assert sc.xi == pytest.approx(0.5)
-    assert sc.tau_t == pytest.approx(1j / (2 * math.pi))
-    sc2 = scaled([0.0, math.pi], 0.5, 2.0)
-    assert np.allclose(sc2.xi, [0.0, 0.25])
-    with pytest.raises(ValueError):
-        scaled(1.0, -0.1, 1.0)
+def _block(shape, sigma, z, tau):
+    return complex(parts_value(*theta_block_parts(shape, sigma, z, tau))[0])
+
+
+def test_m_fn_parts_scaled_coordinates():
+    """Blocks at xi = x / (2 pi r) and tau_t = i t / (2 pi r^2), scaled by size."""
+    d = derive(("C", 3, 0.8))
+    xs = np.array([0.0, 0.8 * math.pi, 2.0])
+    m, s = m_fn_parts(d, 2, xs, 0.3)
+    size = d.size
+    want = theta_block_parts("C", d.offsets[1] / size, size * xs / (2 * math.pi * 0.8),
+                             size**2 * 0.3j / (2 * math.pi * 0.8**2))
+    assert np.allclose(parts_value(m, s), parts_value(*want), rtol=1e-14, atol=0.0)
+
+
+def test_m_fn_parts_rejects_negative_time():
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        m_fn_parts(("A", 2, 1.0), 1, [0.5], -0.1)
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        m_fn_parts(("C", 3, 1.0), np.arange(1, 4), [0.5, 1.0], -1e-300)
 
 
 def test_block_shapes_against_theta():
     """Blocks recombine plain theta values (moderate scale, direct check)."""
     tau = 0.7j
     sigma, z = 0.25, 0.4
-    a = theta_block("A", sigma, z, tau)
+    a = _block("A", sigma, z, tau)
     assert a == pytest.approx(
         np.exp(2j * np.pi * sigma * z) * theta(2, sigma * tau + z, tau)
     )
     for shape, idx, sign in (("B", 1, -1), ("C", 2, -1), ("D", 2, +1)):
-        got = theta_block(shape, sigma, z, tau)
+        got = _block(shape, sigma, z, tau)
         want = np.exp(2j * np.pi * sigma * z) * theta(idx, sigma * tau + z, tau) + (
             sign * np.exp(-2j * np.pi * sigma * z) * theta(idx, sigma * tau - z, tau)
         )
@@ -55,21 +65,14 @@ def test_value_structure_on_real_axis(tag):
     spec = FamilySpec(tag, N, 1.3)
     xs = np.linspace(0.05, 2.9, 7)
     for j in range(1, N + 1):
-        vals = m_fn(spec, j, xs, 0.42)
+        vals = parts_value(*m_fn_parts(spec, j, xs, 0.42))
         if tag == "A":
-            mirrored = m_fn(spec, j, -xs, 0.42)
+            mirrored = parts_value(*m_fn_parts(spec, j, -xs, 0.42))
             assert np.allclose(np.conj(vals), mirrored, rtol=1e-12, atol=1e-14)
         elif tag in ("B", "Bv", "D"):
             assert np.max(np.abs(vals.imag)) <= 1e-12 * np.max(np.abs(vals))
         else:
             assert np.max(np.abs(vals.real)) <= 1e-12 * np.max(np.abs(vals))
-
-
-def test_parts_match_plain_values():
-    spec = FamilySpec("C", 3, 0.8)
-    xs = np.linspace(0.1, 2.0, 5)
-    m, s = m_fn_parts(spec, 2, xs, 0.3)
-    assert np.allclose(m * np.exp(s), m_fn(spec, 2, xs, 0.3), rtol=1e-14)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)

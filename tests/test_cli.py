@@ -231,6 +231,24 @@ def test_theta_past_double_range_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_smallest_normal_tau_im_runs_without_warnings(tmp_path, capsys):
+    # tau -> -1/tau gives Im tau = 4.5e307, where the exponent of an exactly
+    # zero series term overflows to -inf; theta_2(v | i eps) is eps^(-1/2)
+    # = 2^511 at v = 0 and 0 at v = 1/2
+    out = tmp_path / "th.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["theta", "--tau-im", "2.2250738585072014e-308", "--grid", "2",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,y,re,im"
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(rows[:, :2], [[0.0, 0.0], [0.5, 0.0]])
+    assert np.allclose(rows[:, 2:], [[2.0**511, 0.0], [0.0, 0.0]],
+                       rtol=1e-13, atol=1e-13 * 2.0**511)
+
+
 def test_density_grid_is_the_kernel_diagonal(tmp_path):
     # the intensity column equals diag(kernel_matrix).real bit for bit
     for tag, t in (("BC", 0.4), ("A", 0.5)):

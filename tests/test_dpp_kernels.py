@@ -11,20 +11,18 @@ from scipy.special import jv, jvp
 
 from elliptic_dpp import dpp_kernels
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
+from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import (
     SAMPLER_BLOCKS,
     ConsistencyError,
     InfiniteKernelSpec,
     KernelSpec,
-    UnsupportedScaleError,
     bin_intensity,
     corr_det,
-    corr_oracle,
     density,
     density_batch,
     empirical_density,
     exact_sample,
-    fredholm_residual,
     infinite_kernel,
     intensity,
     kernel,
@@ -32,9 +30,10 @@ from elliptic_dpp.dpp_kernels import (
     sine_kernel,
     trig_kernel,
 )
-from elliptic_dpp.macdonald import AlcoveConfiguration
+from elliptic_dpp.macdonald import AlcoveConfiguration, denominator_residual
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
+from oracles import UnsupportedScaleError, corr_oracle, fredholm_residual
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
 T, T_STAR = 0.4, 1.0
@@ -126,8 +125,15 @@ def test_density_positive_on_reflecting_wall():
 
 def test_density_accepts_alcove_configuration():
     ks = _ks("B", 2)
-    cfg = AlcoveConfiguration.from_points(("B", 2, 1.0), [0.8, 2.1])
-    assert density(ks, cfg) == density(ks, [0.8, 2.1])
+    d, t = ks.derived, ks.t
+    pts = [0.8, 2.1]
+    cfg = AlcoveConfiguration.from_points(("B", 2, 1.0), pts)
+    for fn in (lambda xs: density(ks, xs),
+               lambda xs: denominator_residual(d, xs, t),
+               lambda xs: matrix_identity_residual(d, t, xs),
+               lambda xs: bridge_density(d, t, ks.t_star, xs),
+               lambda xs: macdonald_kmlgv_residual(d, t, xs)):
+        assert fn(cfg) == fn(pts)
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from elliptic_dpp.macdonald import (
     AlcoveConfiguration,
     DegenerateConfigError,
-    coeff_a,
     coeff_a_log,
     denominator_residual,
     selberg_check,
-    weyl_w,
+    weyl_w_parts,
 )
 from elliptic_dpp.root_systems import FAMILIES, derive
-from elliptic_dpp.theta_core import theta
+from elliptic_dpp.theta_core import parts_value, theta
 
 
 def _random_config(rng, d, margin=0.03):
@@ -54,15 +53,22 @@ def test_alcove_configuration_rejects_bad_input():
 # ---------------------------------------------------------------------------
 # W factors
 
+def _weyl_w(spec, xs, tau):
+    """W^R(xi(x); tau) in plain doubles, xi = x / 2 pi r, from the parts form."""
+    d = derive(spec)
+    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
+    return complex(parts_value(*weyl_w_parts(d.spec.tag, xi, tau))[0])
+
+
 def test_weyl_w_single_point_circle_is_one():
-    assert weyl_w(("A", 1, 1.0), [1.234], 0.9j) == 1.0 + 0.0j
+    assert _weyl_w(("A", 1, 1.0), [1.234], 0.9j) == 1.0 + 0.0j
 
 
 def test_weyl_w_zero_cases():
     # wall factor: first coordinate at the origin kills the theta_1 prefactor
-    assert weyl_w(("B", 2, 1.0), np.array([0.0, 1.0]), 0.8j) == 0.0
+    assert _weyl_w(("B", 2, 1.0), np.array([0.0, 1.0]), 0.8j) == 0.0
     # coincident points kill a difference factor
-    assert weyl_w(("A", 3, 1.0), np.array([0.5, 0.5, 1.7]), 0.8j) == 0.0
+    assert _weyl_w(("A", 3, 1.0), np.array([0.5, 0.5, 1.7]), 0.8j) == 0.0
 
 
 def test_weyl_w_matches_direct_product():
@@ -78,7 +84,7 @@ def test_weyl_w_matches_direct_product():
     for j in range(3):
         for k in range(j + 1, 3):
             direct *= theta(1, xi[k] - xi[j], tau) * theta(1, xi[k] + xi[j], tau)
-    got = weyl_w(("BC", 3, r), xs, tau)
+    got = _weyl_w(("BC", 3, r), xs, tau)
     assert abs(got - direct) < 1e-12 * abs(direct)
 
 
@@ -97,8 +103,8 @@ def test_weyl_w_circle_antisymmetry(xs, jk):
     swapped = list(xs)
     swapped[j], swapped[k] = swapped[k], swapped[j]
     tau = 0.8j
-    a = weyl_w(("A", n, 1.0), np.array(xs), tau)
-    b = weyl_w(("A", n, 1.0), np.array(swapped), tau)
+    a = _weyl_w(("A", n, 1.0), np.array(xs), tau)
+    b = _weyl_w(("A", n, 1.0), np.array(swapped), tau)
     assert abs(a + b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
 
@@ -135,9 +141,9 @@ def test_coeff_a_domain_and_overflow():
         coeff_a_log(("B", 2, 1.0), 0.0)
     with pytest.raises(ValueError):
         coeff_a_log(("B", 2, 1.0), -1.0)
-    with pytest.raises(OverflowError):
-        coeff_a(("A", 5, 1.0), 1e-3)  # q^{-N(3N-1)/8} with tiny t
-    assert np.isfinite(coeff_a_log(("A", 5, 1.0), 1e-3))
+    # q^{-N(3N-1)/8} with tiny t: past double range, finite in log form
+    lg = coeff_a_log(("A", 5, 1.0), 1e-3)
+    assert np.isfinite(lg) and lg > np.log(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +174,7 @@ _WALL_CLUSTER = (0.12391704005569107, 0.18185699624161694, 0.2650944506955315,
 
 @pytest.mark.xfail(strict=True, reason="near the wall the determinant identity "
                    "loses digits: residual B 3.69e-10, Cv 2.35e-10, BC 3.58e-10 "
-                   "against 1e-10 (ROADMAP item 4)")
+                   "against 1e-10 (ROADMAP item 1, wall cluster)")
 @pytest.mark.parametrize("tag", ["B", "Cv", "BC"])
 def test_denominator_residual_wall_cluster(tag):
     assert denominator_residual((tag, 4, 1.0), _WALL_CLUSTER, 2.0) < 1e-10
