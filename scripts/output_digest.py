@@ -15,8 +15,8 @@ Two checkouts are compared with one diff:
 
 The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
-horizons, points outside the alcove, flags a verb does not read and values
-past double range or out of bounds.  A full run takes about 15 s on a
+horizons (every suite at t* = 50), points outside the alcove, flags a verb
+does not read and values past double range or out of bounds.  A full run takes about 20 s on a
 2-core machine.
 """
 
@@ -103,6 +103,10 @@ def _commands():
         "theta --tau-im 1e-310",
         "theta --tau-im 2.2250738585072014e-308 --grid 2",
     ]
+    # every suite at the largest horizon: the plain-double bridge and
+    # pinned-path checks report inf there, the biorthogonality check passes
+    cmds += [f"verify --suite all --type {tag} --N {N} --t 20 --t-star 50"
+             for tag in ("A", "B", "Bv", "C", "Cv", "BC", "D") for N in (2, 3, 4)]
     return cmds
 
 

@@ -7,7 +7,6 @@ with a verification harness covering every identity the library relies on.
 
 __version__ = "0.1.0"
 
-from .biortho import BiorthoFamily, gram, gram_converged, norm_const
 from .bridges import (boundary_of, bridge_density, ck_residual, matrix_identity_residual,
                       r_matrix, transition, transition_images)
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult, bin_intensity, corr_det,
@@ -21,7 +20,6 @@ from .verification import CheckResult, run_suites
 __all__ = [
     "AccuracyError",
     "AlcoveConfiguration",
-    "BiorthoFamily",
     "CheckResult",
     "DerivedFamily",
     "FAMILIES",
@@ -41,14 +39,11 @@ __all__ = [
     "empirical_density",
     "eta_and_q",
     "exact_sample",
-    "gram",
-    "gram_converged",
     "infinite_kernel",
     "intensity",
     "kernel",
     "kernel_matrix",
     "matrix_identity_residual",
-    "norm_const",
     "r_matrix",
     "run_suites",
     "selberg_check",

@@ -14,8 +14,8 @@ xi(x) = x/(2 pi r) and tau_t = i t/(2 pi r^2) are the scaled coordinates.
 
 The j-th function at time t*-t and the k-th at time t are biorthogonal on the
 alcove: integrating conj(f_j(x, t*-t)) f_k(x, t) dx returns norm(j) delta_jk,
-with closed-form norms (`norm_const`).  `gram` verifies this numerically with
-a spectrally convergent trapezoid rule.
+with closed-form norms (`norm_const_log` gives their logs).  The verification
+suite checks this through the Gram matrix of the kernel's balanced factors.
 
 Everything is vectorized over x, and the functions come in
 (mantissa, log_scale) form (`m_fn_parts`) for determinant work at large time
@@ -24,40 +24,12 @@ scales; `theta_core.parts_value` exponentiates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .root_systems import FamilySpec, derive
-from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
+from .root_systems import derive
+from .theta_core import AccuracyError, parts_sum, theta_parts
 
-__all__ = [
-    "BiorthoFamily",
-    "GramResult",
-    "gram",
-    "gram_converged",
-    "m_fn_parts",
-    "norm_const",
-    "norm_const_log",
-    "theta_block_parts",
-]
-
-
-@dataclass(frozen=True)
-class BiorthoFamily:
-    spec: FamilySpec
-    t_star: float
-
-    def __post_init__(self):
-        if not (self.t_star > 0.0 and np.isfinite(self.t_star)):
-            raise ValueError(f"t_star must be positive and finite, got {self.t_star}")
-
-
-@dataclass(frozen=True)
-class GramResult:
-    matrix: np.ndarray
-    error_estimate: float
-    nodes: int
+__all__ = ["m_fn_parts", "norm_const_log", "theta_block_parts"]
 
 
 def theta_block_parts(shape, sigma, z, tau):
@@ -122,60 +94,3 @@ def norm_const_log(spec, j, t_star):
     mult = np.where(np.isin(jj, doubled), 2.0, 1.0)
     out = np.log(2.0 * np.pi * d.spec.r * mult * m.real) + s
     return float(out[0]) if np.ndim(j) == 0 else out
-
-
-def norm_const(spec, j, t_star):
-    """Biorthogonality norm of function j at horizon t_star (positive real)."""
-    out = np.exp(norm_const_log(spec, j, t_star))
-    return float(out) if np.ndim(j) == 0 else out
-
-
-def gram(family, t, nodes=128):
-    """Cross-Gram matrix of the system against itself across the horizon.
-
-    Entry (j, k) integrates conj(f_j(x, t*-t)) f_k(x, t) over the alcove with a
-    composite trapezoid rule on `nodes` points.  The integrand extends to a
-    smooth periodic function (periodically for the circle family, evenly across
-    both walls for the interval families), so the rule converges spectrally.
-    Returns the matrix at `nodes` together with an error estimate from one
-    further node doubling.
-    """
-    if not isinstance(family, BiorthoFamily):
-        raise ValueError("gram expects a BiorthoFamily")
-    if not 0.0 < t < family.t_star:
-        raise ValueError(f"need 0 < t < t_star = {family.t_star}, got t = {t}")
-    if nodes < 2:
-        raise ValueError("need at least two trapezoid nodes")
-    d = derive(family.spec)
-    j = np.arange(1, d.spec.N + 1)
-
-    def grid_matrix(n):
-        xs = np.linspace(0.0, d.length, n)
-        h = d.length / (n - 1)
-        w = np.full(n, h)
-        w[0] = w[-1] = 0.5 * h
-        rows_s = parts_value(*m_fn_parts(d, j, xs, family.t_star - t))
-        rows_t = parts_value(*m_fn_parts(d, j, xs, t))
-        return np.einsum("i,ji,ki->jk", w, rows_s.conj(), rows_t)
-
-    coarse = grid_matrix(nodes)
-    fine = grid_matrix(2 * nodes - 1)
-    err = float(np.max(np.abs(fine - coarse)))
-    return GramResult(matrix=coarse, error_estimate=err, nodes=nodes)
-
-
-def gram_converged(family, t, tol=1e-11, start=128, cap=8192):
-    """Double trapezoid nodes from `start` until the doubling estimate, scaled
-    by the largest norm, drops below `tol`; AccuracyError past `cap` nodes."""
-    d = derive(family.spec)
-    scale = float(norm_const(d, np.arange(1, d.spec.N + 1), family.t_star).max())
-    n = start
-    while n <= cap:
-        res = gram(family, t, n)
-        if res.error_estimate <= tol * scale:
-            return res
-        n = 2 * n
-    raise AccuracyError(
-        f"gram did not converge below {tol} relative by {cap} nodes "
-        f"(last estimate {res.error_estimate / scale:.3e})"
-    )

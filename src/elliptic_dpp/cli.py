@@ -165,7 +165,7 @@ def _run_theta(cfg):
 
 def _grid(cfg):
     ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-    return ks, (np.arange(cfg.grid) + 0.5) * (ks.derived.length / cfg.grid)
+    return ks, (np.arange(cfg.grid) + 0.5) * (ks.family.length / cfg.grid)
 
 
 def _run_kernel(cfg):

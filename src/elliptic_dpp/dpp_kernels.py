@@ -65,7 +65,7 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Family plus the time pair (t, t_star), 0 < t < t_star."""
+    """Family (derived on construction) plus the time pair (t, t_star), 0 < t < t_star."""
 
     family: object
     t: float
@@ -75,10 +75,6 @@ class KernelSpec:
         object.__setattr__(self, "family", derive(self.family))
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t}, t_star={self.t_star}")
-
-    @property
-    def derived(self):
-        return self.family
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class InfiniteKernelSpec:
 # density
 
 def _norms_log(ks):
-    d = ks.derived
+    d = ks.family
     return norm_const_log(d, np.arange(1, d.spec.N + 1), ks.t_star)
 
 
@@ -133,7 +129,7 @@ def _log_q_batch(ks, X):
 
     Returns (logmag, phase): logmag -inf marks exact zeros (then phase 1).
     """
-    d = ks.derived
+    d = ks.family
     m1, s1 = _stacked_m_parts(d, X, ks.t_star - ks.t)
     sign1, la1 = _slogdet_parts(np.conj(m1), s1)
     m2, s2 = _stacked_m_parts(d, X, ks.t)
@@ -189,7 +185,7 @@ def _factors(ks, xs, ys, lms):
     Raises AccuracyError if a factor leaves double range (a radius at the edge
     of the accepted range, where the balance of exponents near 1e308 fails).
     """
-    d = ks.derived
+    d = ks.family
     j = np.arange(1, d.spec.N + 1)
 
     def f(x, s):
@@ -257,8 +253,8 @@ def corr_det(ks, points):
     permutation invariant, and a fixed order makes its rounding so too.
     """
     pts = np.sort(np.asarray(points, dtype=float))
-    if pts.size > ks.derived.spec.N:
-        raise ValueError(f"need n <= N = {ks.derived.spec.N}, got n = {pts.size}")
+    if pts.size > ks.family.spec.N:
+        raise ValueError(f"need n <= N = {ks.family.spec.N}, got n = {pts.size}")
     km = kernel_matrix(ks, pts, pts)
     val = complex(np.linalg.det(km))
     scale = max(float(np.max(np.abs(np.diag(km)))) ** pts.size, 1e-290)
@@ -577,7 +573,7 @@ def _chain_rule_chunk(ks, U, xs, A, C, lms):
 def _tables(ks, nodes, lms):
     """Equispaced nodes on [0, L] and the factors a and c tabulated on them;
     at t = t*/2, C = conj(A)."""
-    xs = np.linspace(0.0, ks.derived.length, nodes)
+    xs = np.linspace(0.0, ks.family.length, nodes)
     A, B = _factors(ks, xs, xs, lms)
     return xs, A, np.conj(B)
 
@@ -622,7 +618,7 @@ def exact_sample(ks, states, seed=0):
     the tables lose precision (a conditional's mass is not within 1e-6
     relative of N - k).
     """
-    d = ks.derived
+    d = ks.family
     N, L = d.spec.N, d.length
     S = int(states)
     if S < 1:

@@ -121,6 +121,8 @@ def _check_tau(tau):
     tau = complex(tau)
     if not (np.isfinite(tau.real) and sys.float_info.min <= tau.imag < np.inf):
         raise ValueError(f"tau must be finite with a positive, normal imaginary part, got {tau}")
+    if not np.pi * tau.imag < np.inf:   # the series exponents start as pi Im tau
+        raise ValueError(f"tau too large: pi Im tau leaves double range, got {tau}")
     return tau
 
 
@@ -191,8 +193,9 @@ def theta_parts(index, v, tau):
     log_scale : float ndarray (or scalar)
         Real exponent; the function value is ``mantissa * exp(log_scale)``.
 
-    Raises ValueError for a non-finite v, and AccuracyError when the
-    quasi-periodic prefactor leaves double range (|Im v| ~ 1e154 Im tau).
+    Raises ValueError for a non-finite v or a tau whose pi Im tau leaves
+    double range, and AccuracyError when the quasi-periodic prefactor does
+    (|Im v| ~ 1e154 Im tau).
 
     Notes
     -----

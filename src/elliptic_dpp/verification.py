@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biortho import BiorthoFamily, gram_converged, norm_const
 from .bridges import (boundary_of, bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
@@ -22,7 +21,7 @@ from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum,
                           sine_kernel, trig_kernel)
 from .macdonald import IllConditionedError, denominator_residual
 from .root_systems import derive
-from .theta_core import theta, theta_series
+from .theta_core import AccuracyError, theta, theta_series
 
 __all__ = ["CheckResult", "SINE_OF", "SUITES", "limits_suite", "run_suites", "render"]
 
@@ -99,20 +98,41 @@ def theta_suite(d, t, t_star):
     return out
 
 
+def _gram(ks, n):
+    """The balanced factors a = f(x, t), b = f(x, t*-t) (`_factors`) on the
+    midpoint grid x of n nodes, and their Gram matrix G = h conj(b) a^T.
+
+    G_jk approximates the integral of conj f_j(x, t*-t) f_k(x, t), which is
+    m_j delta_jk / (m_j^{1-t/t*} m_k^{t/t*}) = delta_jk: G = I is the
+    biorthogonality with the closed-form norms.  The integrand extends to a
+    smooth periodic function (periodically for the circle family, evenly across
+    both walls for the interval families), so the midpoint rule converges
+    spectrally.
+    """
+    L = ks.family.length
+    x = np.arange(n) * (L / n) + L / (2 * n)
+    a, b = _factors(ks, x, x, _norms_log(ks))
+    return a, b, (L / n) * (np.conj(b) @ a.T)
+
+
 def biortho_suite(d, t, t_star):
-    fam = BiorthoFamily(d.spec, t_star)
-    res = gram_converged(fam, t)
-    g = res.matrix
-    norms = norm_const(d, np.arange(1, d.spec.N + 1), t_star)
-    # entry (j,k) lives on the scale sqrt(m_j m_k); the norms span many
-    # orders of magnitude, so a global normalization would be meaningless
-    rel = np.abs(g - np.diag(norms)) / np.sqrt(np.outer(norms, norms))
-    off = rel - np.diag(np.diag(rel))
-    worst_off = float(off.max()) if d.spec.N > 1 else 0.0
-    worst_diag = float(np.max(np.diag(rel)))
+    # nodes double from 128 until two levels of G agree to 1e-11.  G is I in
+    # plain doubles at every horizon; entry (j, k) is measured on the scale
+    # m_j^{1-t/t*} m_k^{t/t*}, that of its round-off h sum |b_j| |a_k|
+    ks = KernelSpec(d, t=t, t_star=t_star)
+    n, g = 128, _gram(ks, 128)[2]
+    while True:
+        n, prev, g = 2 * n, g, _gram(ks, 2 * n)[2]
+        delta = float(np.max(np.abs(g - prev)))
+        if delta <= 1e-11:
+            break
+        if n >= 8192:
+            raise AccuracyError(f"biorthogonality Gram did not converge below 1e-11 by "
+                                f"{n} nodes (last change {delta:.3e})")
+    off = np.abs(g - np.diag(np.diag(g)))
     return [
-        CheckResult("biorthogonality off-diagonal", worst_off, 1e-9),
-        CheckResult("biorthogonality norms", worst_diag, 1e-9),
+        CheckResult("biorthogonality off-diagonal", float(off.max()), 1e-9),
+        CheckResult("biorthogonality norms", float(np.max(np.abs(np.diag(g) - 1.0))), 1e-9),
     ]
 
 
@@ -178,19 +198,18 @@ def bridge_suite(d, t, t_star):
     return out
 
 
-def _reproducing_residual(a, b, h, km):
+def _reproducing_residual(a, b, g, km):
     """max |(K o K)(x, z) - K(x, z)| / max |K| over a grid x, where
-    (K o K)(x, z) = h sum_y K(x, y) K(y, z), km is K on x and a, b are the
-    balanced factors (`_factors`) on x.
+    (K o K)(x, z) = h sum_y K(x, y) K(y, z), km is K on x, a, b are the
+    balanced factors on x and g their Gram matrix h conj(b) a^T (`_gram`).
 
-    K = a^T conj(b), so K o K = a^T G conj(b) with the N x N matrix
-    G = h conj(b) a^T: O(N G^2) in place of the dense O(G^3) product.  It is
-    compared with km entry by entry, one block of rows at a time, so G != I
-    (factors not biorthogonal) and km != a^T conj(b) (a wrong assembly of K)
-    both show.
+    K = a^T conj(b), so K o K = a^T g conj(b): O(N G^2) in place of the dense
+    O(G^3) product.  It is compared with km entry by entry, one block of rows
+    at a time, so g != I (factors not biorthogonal) and km != a^T conj(b) (a
+    wrong assembly of K) both show.
     """
     bc = np.conj(b)
-    left = a.T @ (h * (bc @ a.T))           # rows of a^T G, (points, N)
+    left = a.T @ g                          # rows of a^T g, (points, N)
     worst = 0.0
     for start in range(0, len(km), 64):
         rows = slice(start, start + 64)
@@ -202,12 +221,11 @@ def kernel_suite(d, t, t_star):
     ks = KernelSpec(d, t=t, t_star=t_star)
     L = d.length
     n = 512
-    x = np.arange(n) * (L / n) + L / (2 * n)
     # the factors once, for K (as `kernel_matrix` forms it) and for K o K
-    a, b = _factors(ks, x, x, _norms_log(ks))
+    a, b, g = _gram(ks, n)
     km = _kernel_sum(a, b, grid=True)
     trace = float(np.sum(np.diag(km)).real) * (L / n)
-    comp_err = _reproducing_residual(a, b, L / n, km)
+    comp_err = _reproducing_residual(a, b, g, km)
     rng = np.random.default_rng(113)
     dens = density_batch(ks, np.sort(
         rng.uniform(0.0, 1.0, (200, d.spec.N)), axis=1) * L)

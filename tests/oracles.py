@@ -2,8 +2,9 @@
 
 They live beside the tests rather than in the package: each one reaches its
 number by a definitional route (integrating a density, expanding a Fredholm
-series, integrating a product of determinants) and shares no quadrature with
-the production path it checks.
+series, integrating a product of determinants, integrating the one-particle
+functions against each other) and shares no quadrature with the production
+path it checks.
 """
 
 import functools
@@ -11,8 +12,11 @@ import math
 
 import numpy as np
 
+from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import transition
 from elliptic_dpp.dpp_kernels import ConsistencyError, density_batch, kernel_matrix
+from elliptic_dpp.root_systems import derive
+from elliptic_dpp.theta_core import AccuracyError, parts_value
 
 
 class UnsupportedScaleError(ValueError):
@@ -34,7 +38,7 @@ def corr_oracle(ks, points, grid=64):
     Gauss-Legendre tensor quadrature; the det-product density is smooth on
     the closed box, so this converges spectrally.  N <= 3 only.
     """
-    d = ks.derived
+    d = ks.family
     N = d.spec.N
     if N > 3:
         raise UnsupportedScaleError("corr_oracle supports N <= 3")
@@ -54,6 +58,48 @@ def corr_oracle(ks, points, grid=64):
     X[:, n:] = Y
     vals = density_batch(ks, X)
     return float(np.sum(vals * W.ravel()) / math.factorial(free))
+
+
+# ---------------------------------------------------------------------------
+# biorthogonality in plain doubles
+
+def _trapezoid_gram(d, t, t_star, n):
+    """Entry (j, k): integral of conj(M_j(x, t*-t)) M_k(x, t) over the alcove,
+    composite trapezoid rule on n points with both walls as nodes."""
+    j = np.arange(1, d.spec.N + 1)
+    xs = np.linspace(0.0, d.length, n)
+    h = d.length / (n - 1)
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    rows_s = parts_value(*m_fn_parts(d, j, xs, t_star - t))
+    rows_t = parts_value(*m_fn_parts(d, j, xs, t))
+    return np.einsum("i,ji,ki->jk", w, rows_s.conj(), rows_t)
+
+
+def gram_oracle(spec, t, t_star):
+    """Cross-Gram matrix of the one-particle functions across the horizon and
+    the closed-form norms m_j = exp(norm_const_log): the pair (G, m), with
+    G = diag(m) for a biorthogonal system.
+
+    The functions are plain doubles (parts_value), so this holds only while
+    they and the norms stay in double range (moderate t*).  The integrand
+    extends to a smooth periodic function, so the trapezoid rule converges
+    spectrally; nodes go n -> 2n - 1 from 128 until a doubling moves G by
+    less than 1e-11 times the largest norm.  G is the coarser of those two.
+    """
+    if not 0.0 < t < t_star:
+        raise ValueError(f"need 0 < t < t_star = {t_star}, got t = {t}")
+    d = derive(spec)
+    norms = np.exp(norm_const_log(d, np.arange(1, d.spec.N + 1), t_star))
+    n = 128
+    while n <= 8192:
+        coarse = _trapezoid_gram(d, t, t_star, n)
+        err = float(np.max(np.abs(_trapezoid_gram(d, t, t_star, 2 * n - 1) - coarse)))
+        if err <= 1e-11 * norms.max():
+            return coarse, norms
+        n = 2 * n
+    raise AccuracyError(f"gram_oracle did not converge by 8192 nodes "
+                        f"(last estimate {err / norms.max():.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +137,7 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
     route two is the truncated Fredholm expansion in kernel determinants with
     chi = 1 - e^{theta psi}.  Returns |route1 - route2|.  N <= 2.
     """
-    d = ks.derived
+    d = ks.family
     N = d.spec.N
     if N > 2:
         raise UnsupportedScaleError("fredholm_residual supports N <= 2")

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from elliptic_dpp.biortho import BiorthoFamily, gram_converged, norm_const
 from elliptic_dpp.bridges import (boundary_of, bridge_density, ck_residual,
                                   eta_formula_residual,
                                   matrix_identity_residual, transition,
@@ -22,7 +21,8 @@ from elliptic_dpp.dpp_kernels import (InfiniteKernelSpec, KernelSpec,
 from elliptic_dpp.macdonald import denominator_residual, selberg_check
 from elliptic_dpp.root_systems import FAMILIES, derive
 from elliptic_dpp.theta_core import theta
-from oracles import corr_oracle
+from elliptic_dpp.verification import biortho_suite
+from oracles import corr_oracle, gram_oracle
 
 _MIN_N = {"D": 2}
 
@@ -89,18 +89,19 @@ def test_criterion_1_theta_identity_suite():
 def test_criterion_2_biorthogonality():
     t0 = time.time()
     worst = 0.0
+    worst_gamma = 0.0       # production path: the balanced factors' Gram vs I
     for tag, N in _fams(6):
-        fam = BiorthoFamily((tag, N, 1.0), 1.0)
-        d = derive((tag, N, 1.0))
-        norms = np.array([norm_const(d, j, 1.0) for j in range(1, N + 1)])
-        scale = np.sqrt(np.outer(norms, norms))   # natural size of entry (j,k)
         for ratio in (0.25, 0.5, 0.75):
-            g = gram_converged(fam, ratio).matrix
+            g, norms = gram_oracle((tag, N, 1.0), ratio, 1.0)
+            scale = np.sqrt(np.outer(norms, norms))   # natural size of entry (j,k)
             worst = max(worst, float(np.max(np.abs(g - np.diag(norms)) / scale)))
+            lines = biortho_suite(derive((tag, N, 1.0)), ratio, 1.0)
+            worst_gamma = max([worst_gamma] + [line.residual for line in lines])
     dt = time.time() - t0
-    ok = worst < 1e-9 and dt < 60.0
+    ok = worst < 1e-9 and worst_gamma < 1e-9 and dt < 60.0
     _report(2, "biorthogonality, 7 families N<=6", ok,
-            f"residual={worst:.3e}/1e-9 time={dt:.1f}s/60s")
+            f"residual={worst:.3e}/1e-9 gram-of-factors={worst_gamma:.3e}/1e-9 "
+            f"time={dt:.1f}s/60s")
     assert ok
 
 
@@ -149,7 +150,7 @@ def test_criterion_5_kernel_structure():
     n = 512
     for tag, N in _fams(6):
         ks = KernelSpec((tag, N, 1.0), t=0.4, t_star=1.0)
-        L = ks.derived.length
+        L = ks.family.length
         x = (np.arange(n) + 0.5) * (L / n)
         km = kernel_matrix(ks, x, x)
         worst_tr = max(worst_tr, abs(float(np.sum(np.diag(km)).real) * L / n - N))
@@ -169,7 +170,7 @@ def test_criterion_6_correlation_oracle():
         for N in (2, 3):
             for t in (0.3, 0.5):
                 ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
-                L = ks.derived.length
+                L = ks.family.length
                 for n in (1, 2):
                     pts = np.array([0.31, 0.62])[:n] * L
                     a = corr_det(ks, pts)
@@ -186,7 +187,7 @@ def test_criterion_7a_trigonometric_limit():
     worst = 0.0
     for tag in FAMILIES:
         ks = KernelSpec((tag, 5, 1.0), t=50.0, t_star=100.0)
-        d = ks.derived
+        d = ks.family
         xs = np.linspace(0.11, 0.93, 7) * d.length
         km = kernel_matrix(ks, xs, xs)
         dev = max(abs(km[i, j] - trig_kernel(d, x, y))

@@ -1,4 +1,9 @@
-"""Biorthogonality tests: block structure, norms, Gram matrices."""
+"""Biorthogonality tests: block structure, norms, Gram matrices.
+
+The Gram matrices come two ways: the plain-double trapezoid oracle against
+the closed-form norms (`oracles.gram_oracle`), and the production check, the
+Gram matrix of the balanced kernel factors against I
+(`verification.biortho_suite`)."""
 
 import math
 
@@ -6,21 +11,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptic_dpp.biortho import (
-    BiorthoFamily,
-    gram,
-    gram_converged,
-    m_fn_parts,
-    norm_const,
-    norm_const_log,
-    theta_block_parts,
-)
+from elliptic_dpp import verification
+from elliptic_dpp.biortho import m_fn_parts, norm_const_log, theta_block_parts
+from elliptic_dpp.dpp_kernels import KernelSpec
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
-from elliptic_dpp.theta_core import parts_value, theta
+from elliptic_dpp.theta_core import AccuracyError, parts_value, theta
+from oracles import gram_oracle
 
 
 def _block(shape, sigma, z, tau):
     return complex(parts_value(*theta_block_parts(shape, sigma, z, tau))[0])
+
+
+def _norm(spec, j, t_star):
+    return math.exp(norm_const_log(spec, j, t_star))
+
+
+def _suite_passes(spec, t, t_star):
+    """Production path: the Gram matrix of the balanced factors is I."""
+    lines = verification.biortho_suite(derive(spec), t, t_star)
+    return all(line.passed for line in lines), [line.residual for line in lines]
 
 
 def test_m_fn_parts_scaled_coordinates():
@@ -108,16 +118,16 @@ def test_norms_positive_and_doubled():
         base = 2 * np.pi * 1.0 * theta(
             2, 0.0, d.size**2 * 1j * t_star / (2 * np.pi)
         )
-        assert norm_const(d, 1, t_star) == pytest.approx(2 * base.real, rel=1e-13)
+        assert _norm(d, 1, t_star) == pytest.approx(2 * base.real, rel=1e-13)
     dD = derive(("D", 4, 1.0))
-    mid = norm_const(dD, 2, t_star)
-    assert norm_const(dD, 1, t_star) > 0
-    assert norm_const(dD, 4, t_star) > 0
+    mid = _norm(dD, 2, t_star)
+    assert _norm(dD, 1, t_star) > 0
+    assert _norm(dD, 4, t_star) > 0
     # doubling shows up only at the endpoints
     tau_t = 1j * t_star / (2 * np.pi)
     for j in (1, 4):
         base = theta(2, dD.size * dD.offsets[j - 1] * tau_t, dD.size**2 * tau_t)
-        assert norm_const(dD, j, t_star) == pytest.approx(
+        assert _norm(dD, j, t_star) == pytest.approx(
             4 * np.pi * base.real, rel=1e-13
         )
     assert mid == pytest.approx(
@@ -126,11 +136,13 @@ def test_norms_positive_and_doubled():
 
 
 def test_norm_log_matches_value():
+    # no doubled norm in Cv: m_j = 2 pi r theta_2(size sigma_j tau* | size^2 tau*)
     spec = FamilySpec("Cv", 5, 1.1)
+    d = derive(spec)
+    tau_t = 1j * 0.7 / (2 * np.pi * 1.1**2)
     for j in (1, 3, 5):
-        assert math.exp(norm_const_log(spec, j, 0.7)) == pytest.approx(
-            norm_const(spec, j, 0.7), rel=1e-13
-        )
+        want = 2 * np.pi * 1.1 * theta(2, d.size * d.offsets[j - 1] * tau_t, d.size**2 * tau_t)
+        assert math.exp(norm_const_log(spec, j, 0.7)) == pytest.approx(want.real, rel=1e-13)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -142,42 +154,38 @@ def test_norm_log_array_j_matches_scalar_calls(tag):
             logs = norm_const_log(d, np.arange(1, N + 1), t_star)
             one = np.array([norm_const_log(d, j, t_star) for j in range(1, N + 1)])
             assert logs.tobytes() == one.tobytes()
-            vals = norm_const(d, np.arange(1, N + 1), t_star)
-            assert vals.tobytes() == np.array(
-                [norm_const(d, j, t_star) for j in range(1, N + 1)]).tobytes()
     with pytest.raises(ValueError):
         norm_const_log(d, np.array([1, 5]), 1.0)
 
 
 def test_gram_input_validation():
-    fam = BiorthoFamily(FamilySpec("A", 3), 1.0)
+    d = derive(("A", 3))
     with pytest.raises(ValueError):
-        gram(fam, 0.0)  # t strictly inside (0, t_star)
+        verification.biortho_suite(d, 0.0, 1.0)  # t strictly inside (0, t_star)
     with pytest.raises(ValueError):
-        gram(fam, 1.0)
+        verification.biortho_suite(d, 1.0, 1.0)
     with pytest.raises(ValueError):
-        gram("A", 0.5)  # type: ignore[arg-type]
+        verification.biortho_suite(d, 0.5, -1.0)
     with pytest.raises(ValueError):
-        BiorthoFamily(FamilySpec("A", 3), -1.0)
+        gram_oracle(d, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
 @pytest.mark.parametrize("t_star", [0.5, 2.0])
 def test_biorthogonality(tag, t_star):
-    """gram == diag(norms) to 1e-9, entries normalized by max(m_j, m_k)."""
+    """oracle gram == diag(norms) to 1e-9, entries normalized by max(m_j, m_k);
+    the balanced factors' Gram matrix is I to 1e-9."""
     for N in (2, 6):
-        fam = BiorthoFamily(FamilySpec(tag, N, 1.0), t_star)
+        spec = FamilySpec(tag, N, 1.0)
         for frac in (0.2, 0.5, 0.8):
-            res = gram_converged(fam, frac * t_star)
-            d = derive(fam.spec)
-            norms = np.array([norm_const(d, j, t_star) for j in range(1, N + 1)])
-            resid = np.abs(res.matrix - np.diag(norms)) / np.maximum.outer(
-                norms, norms
-            )
+            g, norms = gram_oracle(spec, frac * t_star, t_star)
+            resid = np.abs(g - np.diag(norms)) / np.maximum.outer(norms, norms)
             assert np.max(resid) <= 1e-9, (tag, N, t_star, frac, np.max(resid))
             # diagonals also match in the plain relative sense
-            diag = np.real(np.diag(res.matrix))
+            diag = np.real(np.diag(g))
             assert np.max(np.abs(diag - norms) / norms) <= 1e-9
+            ok, resids = _suite_passes(spec, frac * t_star, t_star)
+            assert ok, (tag, N, t_star, frac, resids)
 
 
 @given(
@@ -189,18 +197,32 @@ def test_biorthogonality(tag, t_star):
 @settings(max_examples=25, deadline=None)
 def test_biorthogonality_random_params(frac, t_star, r, tag):
     N = 3 if tag != "D" else 2
-    fam = BiorthoFamily(FamilySpec(tag, N, r), t_star)
-    res = gram_converged(fam, frac * t_star)
-    d = derive(fam.spec)
-    norms = np.array([norm_const(d, j, t_star) for j in range(1, N + 1)])
-    resid = np.abs(res.matrix - np.diag(norms)) / np.maximum.outer(norms, norms)
+    spec = FamilySpec(tag, N, r)
+    g, norms = gram_oracle(spec, frac * t_star, t_star)
+    resid = np.abs(g - np.diag(norms)) / np.maximum.outer(norms, norms)
     assert np.max(resid) <= 1e-9
+    ok, resids = _suite_passes(spec, frac * t_star, t_star)
+    assert ok, resids
 
 
 def test_gram_error_estimate_is_honest():
-    fam = BiorthoFamily(FamilySpec("BC", 4, 1.0), 1.0)
-    res = gram(fam, 0.4, 128)
-    fine = gram(fam, 0.4, 1024)
-    true_err = np.max(np.abs(res.matrix - fine.matrix))
-    # the doubling estimate should bound the true error within a small factor
-    assert true_err <= 10 * res.error_estimate + 1e-13
+    # the suite's doubling estimate bounds the error of the coarser level
+    ks = KernelSpec(("BC", 4, 1.0), t=0.4, t_star=1.0)
+    coarse = verification._gram(ks, 128)[2]
+    estimate = np.max(np.abs(verification._gram(ks, 256)[2] - coarse))
+    true_err = np.max(np.abs(coarse - verification._gram(ks, 1024)[2]))
+    assert true_err <= 10 * estimate + 1e-13
+
+
+def test_gram_that_does_not_settle_raises(monkeypatch):
+    # two levels never agree: AccuracyError once the nodes pass their cap
+    sizes = []
+
+    def drifting(ks, n):
+        sizes.append(n)
+        return None, None, np.eye(ks.family.spec.N) * (1.0 + 1e-9 * len(sizes))
+
+    monkeypatch.setattr(verification, "_gram", drifting)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        verification.biortho_suite(derive(("A", 2)), 0.4, 1.0)
+    assert sizes == [128 * 2**k for k in range(7)]

@@ -67,7 +67,7 @@ def test_kernel_spec_validates_times():
     with pytest.raises(ValueError):
         KernelSpec(("A", 3, 1.0), t=-0.1, t_star=1.0)
     ks = _ks("A", 3)
-    assert ks.derived.spec.N == 3
+    assert ks.family.spec.N == 3
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -77,7 +77,7 @@ def test_kernel_spec_accepts_every_family_form(tag):
     ref = kernel_matrix(KernelSpec((tag, 3, 1.3), t=T, t_star=T_STAR), x, x[::-1])
     for fam in (FamilySpec(tag, 3, 1.3), derive((tag, 3, 1.3))):
         ks = KernelSpec(fam, t=T, t_star=T_STAR)
-        assert ks.derived == derive((tag, 3, 1.3))
+        assert ks.family == derive((tag, 3, 1.3))
         assert np.array_equal(kernel_matrix(ks, x, x[::-1]), ref)
 
 
@@ -97,35 +97,35 @@ def test_infinite_spec_validates():
 def test_density_nonnegative(tag):
     rng = np.random.default_rng(3)
     ks = _ks(tag, 4)
-    vals = density_batch(ks, _random_rows(rng, ks.derived, 200))
+    vals = density_batch(ks, _random_rows(rng, ks.family, 200))
     assert vals.min() > -1e-12, f"{tag}: min density {vals.min():.3e}"
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_density_zero_at_coincidence(tag):
     ks = _ks(tag, 3)
-    L = ks.derived.length
+    L = ks.family.length
     assert density(ks, [0.2 * L, 0.2 * L, 0.7 * L]) == 0.0
 
 
 @pytest.mark.parametrize("tag", ABSORBING)
 def test_density_zero_on_absorbing_wall(tag):
     ks = _ks(tag, 3)
-    L = ks.derived.length
+    L = ks.family.length
     assert density(ks, [0.0, 0.4 * L, 0.7 * L]) == 0.0
 
 
 def test_density_positive_on_reflecting_wall():
     # both walls of the D family reflect, so the boundary keeps mass
     ks = _ks("D", 3)
-    L = ks.derived.length
+    L = ks.family.length
     assert density(ks, [0.0, 0.4 * L, 0.7 * L]) > 0.0
     assert density(ks, [0.2 * L, 0.4 * L, L]) > 0.0
 
 
 def test_density_accepts_alcove_configuration():
     ks = _ks("B", 2)
-    d, t = ks.derived, ks.t
+    d, t = ks.family, ks.t
     pts = [0.8, 2.1]
     cfg = AlcoveConfiguration.from_points(("B", 2, 1.0), pts)
     for fn in (lambda xs: density(ks, xs),
@@ -141,7 +141,7 @@ def test_density_accepts_alcove_configuration():
 def test_density_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     ks = _ks("Cv", 3)
-    row = _random_rows(rng, ks.derived, 1)[0]
+    row = _random_rows(rng, ks.family, 1)[0]
     shuffled = row[rng.permutation(3)]
     a, b = density(ks, row), density(ks, shuffled)
     assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
@@ -151,7 +151,7 @@ def test_density_permutation_invariant(seed):
 def test_density_normalizes_over_alcove(tag):
     # integrate p over the box and divide by 2!; Gauss-Legendre is spectral here
     ks = _ks(tag, 2)
-    L = ks.derived.length
+    L = ks.family.length
     u, w = np.polynomial.legendre.leggauss(96)
     x = 0.5 * L * (u + 1.0)
     W = np.multiply.outer(0.5 * L * w, 0.5 * L * w)
@@ -168,7 +168,7 @@ def test_density_normalizes_over_alcove(tag):
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_kernel_trace_and_reproducing(tag):
     ks = _ks(tag, 4)
-    L = ks.derived.length
+    L = ks.family.length
     n = 512
     x = np.arange(n) * (L / n) + L / (2 * n)
     km = kernel_matrix(ks, x, x)
@@ -196,7 +196,7 @@ def test_kernel_scalar_matches_matrix():
 def _stream_kernel_matrix(ks, xs, ys):
     """Oracle: the mode sum streamed in (mantissa, log_scale) parts, each term
     M_n(x, t) conj M_n(y, t*-t) / m_n at its own scale -- no balanced factors."""
-    d = ks.derived
+    d = ks.family
     N = d.spec.N
     lms = [norm_const_log(d, j, ks.t_star) for j in range(1, N + 1)]
     mx, sx = m_fn_parts(d, np.arange(1, N + 1), xs, ks.t)
@@ -223,7 +223,7 @@ def test_kernel_matrix_matches_parts_stream(tag):
     for N in (2, 4, 8, 16):
         for t, t_star in _TIME_SWEEP:
             ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
-            L = ks.derived.length
+            L = ks.family.length
             xs = np.linspace(0.03, 0.97, 9) * L
             ys = np.linspace(0.01, 0.99, 7) * L
             ref = _stream_kernel_matrix(ks, xs, ys)
@@ -245,7 +245,7 @@ def test_kernel_grid_entries_equal_one_point_calls(tag, t, t_star):
     # an entry's rounding depends on its own two points only, off the middle
     # time and at a large horizon too (a BLAS product a.T @ b would not)
     ks = _ks(tag, 4, t=t, t_star=t_star)
-    L = ks.derived.length
+    L = ks.family.length
     xs = np.linspace(0.02, 0.98, 8) * L
     ys = np.linspace(0.05, 0.95, 6) * L
     km = kernel_matrix(ks, xs, ys)
@@ -260,7 +260,7 @@ def test_kernel_entries_do_not_depend_on_row_blocks(tag, t, t_star):
     # the mode sum runs in blocks of 64 rows: 130 rows cross two block
     # boundaries, and every entry still equals its one-point call bit for bit
     ks = _ks(tag, 4, t=t, t_star=t_star)
-    L = ks.derived.length
+    L = ks.family.length
     xs = np.linspace(0.01, 0.99, 130) * L
     ys = np.linspace(0.05, 0.95, 5) * L
     for rows, cols in ((xs, ys), (xs[77:78], ys[2:3])):
@@ -277,7 +277,7 @@ def test_kernel_entries_do_not_depend_on_row_blocks(tag, t, t_star):
 @pytest.mark.parametrize("t", [0.3, 0.5])
 def test_intensity_is_the_kernel_diagonal(tag, t):
     ks = _ks(tag, 4, t=t)
-    xs = np.linspace(0.0, 1.0, 33) * ks.derived.length
+    xs = np.linspace(0.0, 1.0, 33) * ks.family.length
     diag = np.diag(kernel_matrix(ks, xs, xs)).real
     assert intensity(ks, xs).tobytes() == diag.tobytes()
 
@@ -289,7 +289,7 @@ def test_intensity_is_the_kernel_diagonal(tag, t):
 @pytest.mark.parametrize("n", (1, 2))
 def test_corr_det_matches_oracle(tag, n):
     ks = _ks(tag, 3)
-    L = ks.derived.length
+    L = ks.family.length
     pts = np.array([0.31, 0.62])[:n] * L
     a = corr_det(ks, pts)
     b = corr_oracle(ks, pts)
@@ -325,7 +325,7 @@ def test_corr_det_point_order_invariant(seed):
     # sorted its points
     rng = np.random.default_rng(seed)
     ks = _ks("D", 4)
-    pts = np.sort(rng.uniform(0.1, 0.9, size=3)) * ks.derived.length
+    pts = np.sort(rng.uniform(0.1, 0.9, size=3)) * ks.family.length
     a = corr_det(ks, pts)
     b = corr_det(ks, pts[rng.permutation(3)])
     assert abs(a - b) <= 1e-9 * max(abs(a), 1e-300)
@@ -338,7 +338,7 @@ def test_corr_det_point_order_invariant(seed):
 def test_finite_kernel_reaches_trig_limit(tag):
     # deep diffusive relaxation: t*/r^2 = 100 at the middle time
     ks = _ks(tag, 5, r=1.0, t=50.0, t_star=100.0)
-    d = ks.derived
+    d = ks.family
     L = d.length
     xs = np.linspace(0.11, 0.93, 7) * L
     km = kernel_matrix(ks, xs, xs)
@@ -575,7 +575,7 @@ def test_exact_sample_seed_changes_output():
 def test_exact_sample_states_stay_in_alcove(tag):
     ks = _ks(tag, 3)
     res = exact_sample(ks, 200, seed=2)
-    L = ks.derived.length
+    L = ks.family.length
     assert len(res) == 200
     assert np.all(res.positions >= 0.0) and np.all(res.positions <= L)
     assert np.all(np.diff(res.positions, axis=1) > 0.0)   # strictly ordered rows
@@ -615,7 +615,7 @@ def test_exact_sample_small_time_refines_table(monkeypatch):
     res = exact_sample(ks, 4096, seed=1)
     assert len(sizes) > 1 and sizes[0] == dpp_kernels.SAMPLER_NODES
     assert res.tabulation_error <= dpp_kernels.SAMPLER_TV_TOL
-    assert np.all(res.positions >= 0.0) and np.all(res.positions < ks.derived.length)
+    assert np.all(res.positions >= 0.0) and np.all(res.positions < ks.family.length)
     h = empirical_density(res, bins=64)
     exact = bin_intensity(ks, np.append(h.bin_left, h.bin_right[-1]))
     hit = h.stderr > 0.0
@@ -640,7 +640,7 @@ def test_exact_sample_joint_law(tag):
     # 6 x 6 histogram of sorted N=2 states against cell integrals of the
     # joint density: this checks the conditional draws, not only the marginal
     ks = _ks(tag, 2)
-    L = ks.derived.length
+    L = ks.family.length
     S = 20_000
     res = exact_sample(ks, S, seed=21)
     edges = np.linspace(0.0, L, 7)
@@ -714,7 +714,7 @@ def test_gauss_legendre_nodes_are_cached_read_only():
 
 def test_bin_intensity_matches_per_bin_quadrature():
     ks = _ks("C", 3)
-    edges = np.linspace(0.0, ks.derived.length, 9)
+    edges = np.linspace(0.0, ks.family.length, 9)
     u, w = np.polynomial.legendre.leggauss(24)
     ref = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -1,6 +1,7 @@
 """Theta engine tests: frozen special values, oracle overlap, classical identities."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -204,6 +205,24 @@ def test_theta_parts_rejects_subnormal_im_tau(tau):
     with warnings.catch_warnings(), pytest.raises(ValueError, match="normal imaginary part"):
         warnings.simplefilter("error")
         theta_parts(2, 0.1, tau)
+
+
+def test_theta_parts_refuses_tau_past_double_range():
+    # the series exponents start at pi Im tau: the largest Im tau that keeps it
+    # finite is evaluated, the next double is a ValueError that names tau
+    edge = sys.float_info.max / math.pi
+    assert math.pi * edge < math.inf and math.pi * math.nextafter(edge, math.inf) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for im in (5e307, edge):
+            m, s = theta_parts(2, 0.1, im * 1j)
+            assert m == pytest.approx(1.902113032590307, rel=1e-14)
+            assert s == pytest.approx(-math.pi * im / 4.0, rel=1e-15)
+        for tau in (math.nextafter(edge, math.inf) * 1j, 1e308j, 0.3 + 1e308j):
+            with pytest.raises(ValueError, match="tau too large"):
+                theta_parts(2, 0.1, tau)
+            with pytest.raises(ValueError, match="tau too large"):
+                theta_series(2, 0.1, tau)
 
 
 def test_theta_parts_overflow_in_the_modular_walk_is_quiet():

@@ -1,5 +1,7 @@
 """The verification suites against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,17 +52,48 @@ def _mixed_factors(ks, xs, ys, lms, _factors=dpp_kernels._factors):
     return _mixing(a.shape[0]) @ a, b
 
 
-@pytest.mark.parametrize("mutant", ["mode mixing", "not biorthogonal"])
+def _shifted_norms_log(ks, _norms_log=dpp_kernels._norms_log):
+    # one closed-form norm off by a factor e^{1e-6}: f_1 is scaled by
+    # e^{-1e-6 s/t*} at time s, so G_11 = e^{-1e-6}
+    lms = _norms_log(ks)
+    lms[0] += 1e-6
+    return lms
+
+
+@pytest.mark.parametrize("mutant", ["mode mixing", "not biorthogonal", "norm shifted"])
 @pytest.mark.parametrize("tag, N", [("A", 4), ("C", 3), ("BC", 2)])
 def test_reproducing_identity_fails_on_mutants(mutant, tag, N, monkeypatch):
     if mutant == "mode mixing":
         monkeypatch.setattr(verification, "_kernel_sum", _mode_mixing_sum)
-    else:
+    elif mutant == "not biorthogonal":
         monkeypatch.setattr(dpp_kernels, "_factors", _mixed_factors)
         monkeypatch.setattr(verification, "_factors", _mixed_factors)
+    else:
+        monkeypatch.setattr(dpp_kernels, "_norms_log", _shifted_norms_log)
+        monkeypatch.setattr(verification, "_norms_log", _shifted_norms_log)
     d = derive((tag, N, 1.0))
     lines = _lines(verification.kernel_suite(d, 0.4, 1.0))
+    gram = _lines(verification.biortho_suite(d, 0.4, 1.0))
+    if mutant == "norm shifted":
+        assert gram["biorthogonality off-diagonal"].passed
+        assert not gram["biorthogonality norms"].passed
+        return
     assert lines["kernel trace = N"].passed     # tr M = N hides it from the trace
     assert not lines["reproducing identity"].passed
+    assert gram["biorthogonality norms"].passed
     if mutant == "not biorthogonal":            # the dense oracle sees it too
         assert _dense_residual(d, 0.4, 1.0) > 1e-3
+        assert not gram["biorthogonality off-diagonal"].passed
+    else:                                       # the factors themselves are right
+        assert gram["biorthogonality off-diagonal"].passed
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_biortho_suite_at_large_horizon(tag):
+    # at t* = 50 the functions and the norms leave double range, the Gram
+    # matrix of the balanced factors does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (2, 3, 4):
+            for line in verification.biortho_suite(derive((tag, N, 1.0)), 20.0, 50.0):
+                assert line.passed, f"{tag}{N}: {line.line()}"
