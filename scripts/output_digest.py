@@ -16,8 +16,9 @@ Two checkouts are compared with one diff:
 The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
 horizons (every suite at t* = 50), points outside the alcove, flags a verb
-does not read and values past double range or out of bounds.  A full run takes about 20 s on a
-2-core machine.
+does not read, values past double range or out of bounds, and radii small
+enough that the weight matrices leave double range.  A full run takes about
+20 s on a 2-core machine.
 """
 
 import contextlib
@@ -107,6 +108,11 @@ def _commands():
     # pinned-path checks report inf there, the biorthogonality check passes
     cmds += [f"verify --suite all --type {tag} --N {N} --t 20 --t-star 50"
              for tag in ("A", "B", "Bv", "C", "Cv", "BC", "D") for N in (2, 3, 4)]
+    # small radii: r(t) and M leave double range and the bridge matrices get
+    # zero rows; those lines read inf, every suite still prints
+    cmds += [f"verify --type {fam} --r {r} --t 0.5 --t-star 1"
+             for fam, r in (("A --N 3", "0.02"), ("C --N 2", "0.05"), ("B --N 3", "0.05"),
+                            ("Cv --N 3", "0.05"), ("D --N 3", "0.05"))]
     return cmds
 
 

@@ -34,7 +34,7 @@ def main():
                     t_star=args.t_star)
     t0 = time.time()
     res = exact_sample(ks, args.steps, seed=args.seed)
-    print(f"{len(res)} states in {time.time() - t0:.1f}s, "
+    print(f"{len(res.positions)} states in {time.time() - t0:.1f}s, "
           f"tabulation error {res.tabulation_error:.1e}")
 
     h = empirical_density(res, bins=args.bins)

@@ -7,19 +7,18 @@ with a verification harness covering every identity the library relies on.
 
 __version__ = "0.1.0"
 
-from .bridges import (boundary_of, bridge_density, ck_residual, matrix_identity_residual,
-                      r_matrix, transition, transition_images)
+from .bridges import (bridge_density, ck_residual, matrix_identity_residual, r_matrix,
+                      transition, transition_images)
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult, bin_intensity, corr_det,
                           density, empirical_density, exact_sample, infinite_kernel, intensity,
                           kernel, kernel_matrix, sine_kernel, trig_kernel)
-from .macdonald import AlcoveConfiguration, denominator_residual, selberg_check
+from .macdonald import denominator_residual, selberg_check
 from .root_systems import FAMILIES, DerivedFamily, FamilySpec, derive, validate
 from .theta_core import AccuracyError, eta_and_q, theta, theta_parts, theta_series
 from .verification import CheckResult, run_suites
 
 __all__ = [
     "AccuracyError",
-    "AlcoveConfiguration",
     "CheckResult",
     "DerivedFamily",
     "FAMILIES",
@@ -29,7 +28,6 @@ __all__ = [
     "SampleResult",
     "__version__",
     "bin_intensity",
-    "boundary_of",
     "bridge_density",
     "ck_residual",
     "corr_det",

@@ -1,11 +1,14 @@
 """Boundary-conditioned heat kernels and the pinned-path determinant identities.
 
-The four transition kernels (periodic circle, absorbing/reflecting interval
-walls in the three combinations) are evaluated in theta form; a Gaussian
-winding-image sum is kept alongside as an oracle.  The family-indexed weight
-matrices r(t) tie products r(t) . p(0, v; t, x) back to the biorthogonal
-function matrices, which cascades into the Weyl-denominator and
-bridge-density identities checked here.
+A family fixes its bridge process: `DerivedFamily.walls` names the wall
+behaviour -- the periodic circle "circ" (signed by `parity`), or interval
+walls absorbing/reflecting in the combinations "ar", "aa", "rr" -- and
+`length` is the domain length.  The transition kernels take the family and
+are evaluated in theta form; a Gaussian winding-image sum is kept alongside
+as an oracle.  The family-indexed weight matrices r(t) tie products
+r(t) . p(0, v; t, x) back to the biorthogonal function matrices, which
+cascades into the Weyl-denominator and bridge-density identities checked
+here.
 
 Conventions
 -----------
@@ -15,7 +18,6 @@ windings) and must not be treated as a probability density.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .macdonald import (
     IllConditionedError,
     _det_phase,
     _logc_rel_diff,
-    _points,
     coeff_a_log,
     rhs_logc,
 )
@@ -33,8 +34,6 @@ from .root_systems import derive
 from .theta_core import AccuracyError, eta_and_q, parts_value, theta
 
 __all__ = [
-    "BoundaryKind",
-    "boundary_of",
     "bridge_density",
     "ck_residual",
     "eta_formula_residual",
@@ -45,60 +44,38 @@ __all__ = [
     "transition_images",
 ]
 
-_KINDS = ("circ", "ar", "aa", "rr")
 _BRIDGE_COND_LIMIT = 1e7
-
-
-@dataclass(frozen=True)
-class BoundaryKind:
-    """Wall behaviour: "circ" (periodic; needs parity), "ar", "aa" or "rr"."""
-
-    tag: str
-    parity: str | None = None
-
-    def __post_init__(self):
-        if self.tag not in _KINDS:
-            raise ValueError(f"tag must be one of {_KINDS}, got {self.tag!r}")
-        if self.tag == "circ":
-            if self.parity not in ("even", "odd"):
-                raise ValueError("circ needs parity 'even' or 'odd'")
-        elif self.parity is not None:
-            raise ValueError(f"parity only applies to circ, got {self.parity!r}")
-
-
-def boundary_of(spec):
-    """The boundary kind of a family's bridge process."""
-    d = derive(spec)
-    return BoundaryKind(tag=d.walls, parity=d.parity)
 
 
 # ---------------------------------------------------------------------------
 # transition kernels
 
-def transition(bk, s, x, t, y, r):
-    """Transition density p(s, x; t, y) for the given boundary kind.
+def transition(spec, s, x, t, y):
+    """Transition density p(s, x; t, y) of the family's bridge process.
 
     Theta form; x broadcasts against y, so x[:, None], y[None, :] give the
-    matrix in one call.  Domain length is 2 pi r for circ, pi r for intervals.
+    matrix in one call.  The theta period is 2 pi r for every family.
     """
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
+    d = derive(spec)
+    r = d.spec.r
     L = 2.0 * math.pi * r
     tau = 1j * (t - s) / (2.0 * math.pi * r * r)
     xm = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / L
-    if bk.tag == "circ":
-        idx = 2 if bk.parity == "even" else 3
+    if d.walls == "circ":
+        idx = 2 if d.parity == "even" else 3
         val = theta(idx, xm, tau) / L
     else:
         xp = (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) / L
-        idx = 2 if bk.tag == "ar" else 3
-        sign = 1.0 if bk.tag == "rr" else -1.0
+        idx = 2 if d.walls == "ar" else 3
+        sign = 1.0 if d.walls == "rr" else -1.0
         val = (theta(idx, xm, tau) + sign * theta(idx, xp, tau)) / L
     out = np.real(val)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def transition_images(bk, s, x, t, y, r, windings):
+def transition_images(spec, s, x, t, y, windings):
     """Winding-image Gaussian sum -- direct oracle for `transition`.
 
     Sums the heat kernel over `windings` images either side.  If the
@@ -110,8 +87,9 @@ def transition_images(bk, s, x, t, y, r, windings):
     W = int(windings)
     if W < 1:
         raise ValueError(f"windings must be >= 1, got {windings}")
+    d = derive(spec)
     dt = t - s
-    L = 2.0 * math.pi * r
+    L = 2.0 * math.pi * d.spec.r
 
     def gauss(u):
         return np.exp(-u * u / (2.0 * dt)) / math.sqrt(2.0 * math.pi * dt)
@@ -119,15 +97,15 @@ def transition_images(bk, s, x, t, y, r, windings):
     w = np.arange(-W, W + 1, dtype=float)
     um = x - y + L * w
     alt = (-1.0) ** np.abs(w)
-    if bk.tag == "circ":
-        terms = gauss(um) * (alt if bk.parity == "even" else 1.0)
+    if d.walls == "circ":
+        terms = gauss(um) * (alt if d.parity == "even" else 1.0)
         umax = abs(x - y)
         n_args = 1
     else:
         up = x + y + L * w
-        sign = 1.0 if bk.tag == "rr" else -1.0
+        sign = 1.0 if d.walls == "rr" else -1.0
         pair = gauss(um) + sign * gauss(up)
-        terms = pair * (alt if bk.tag == "ar" else 1.0)
+        terms = pair * (alt if d.walls == "ar" else 1.0)
         umax = max(abs(x - y), abs(x + y))
         n_args = 2
 
@@ -148,8 +126,9 @@ _MIN_GAP = 1e-6  # times r^2; quadrature refuses sharper kernels
 _CK_NODES = 512  # trapezoid nodes of `ck_residual`
 
 
-def ck_residual(bk, s, t, u, x, z, r):
-    """|integral p(s,x;t,y) p(t,y;u,z) dy  -  p(s,x;u,z)| on the kind's domain.
+def ck_residual(spec, s, t, u, x, z):
+    """|integral p(s,x;t,y) p(t,y;u,z) dy  -  p(s,x;u,z)| on the family's
+    domain [0, L].
 
     Interval kernels extend smoothly and 2 pi r-periodically through the walls
     (even/odd images), so the trapezoid rule with endpoint half-weights is
@@ -157,23 +136,22 @@ def ck_residual(bk, s, t, u, x, z, r):
     """
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
+    d = derive(spec)
+    r = d.spec.r
     for g in (t - s, u - t):
         if g < _MIN_GAP * r * r:
             raise ValueError(
                 f"time gap {g:.3e} below {_MIN_GAP} r^2; kernel too peaked for quadrature")
-    n = _CK_NODES
-    if bk.tag == "circ":
-        L = 2.0 * math.pi * r
+    n, L = _CK_NODES, d.length
+    if d.walls == "circ":
         y = np.arange(n) * (L / n)
         w = np.full(n, L / n)
     else:
-        L = math.pi * r
         y = np.linspace(0.0, L, n + 1)
         w = np.full(n + 1, L / n)
         w[0] = w[-1] = 0.5 * L / n
-    lhs = float(np.sum(w * transition(bk, s, x, t, y, r)
-                       * transition(bk, t, y, u, z, r)))
-    return abs(lhs - transition(bk, s, x, u, z, r))
+    lhs = float(np.sum(w * transition(d, s, x, t, y) * transition(d, t, y, u, z)))
+    return abs(lhs - transition(d, s, x, u, z))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +162,8 @@ def r_matrix(spec, t):
     biorthogonal rows; columns follow the pinned configuration.
 
     Columns whose pinned walker sits on a wall (v = 0 or pi r) carry half
-    the generic prefactor.
+    the generic prefactor.  AccuracyError when an entry leaves double range
+    (the growth factor e^{J^2 t / 2 r^2} at small r).
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
@@ -193,27 +172,29 @@ def r_matrix(spec, t):
     size = d.size
     J = np.asarray(d.offsets)
     v = np.asarray(d.pinned)
-    # e^{-pi i J^2 tau(t)} with tau(t) = i t / 2 pi r^2: real growth factor
-    E = np.exp(J * J * t / (2.0 * r * r))
     pref4 = 4.0 * math.pi * r / size
     pref2 = 2.0 * math.pi * r / size
     arg = (size - 2.0 * J)[:, None] * v[None, :] / (2.0 * r)
     edge = (size - 2.0 * J) * math.pi / 2.0
-
-    if tag == "A":
-        ent = pref2 * E[:, None] * np.exp(-1j * arg)
-    elif tag in ("B", "Bv"):
-        ent = (pref4 * E[:, None] * np.sin(arg)).astype(complex)
-        if tag == "B":
-            ent[:, N - 1] = pref2 * E * np.sin(edge)
-    elif tag in ("C", "BC", "Cv"):
-        ent = (pref4 / 1j) * E[:, None] * np.sin(arg)
-        if tag == "Cv":
-            ent[:, N - 1] = (pref2 / 1j) * E * np.sin(edge)
-    else:  # D
-        ent = (pref4 * E[:, None] * np.cos(arg)).astype(complex)
-        ent[:, 0] = pref2 * E
-        ent[:, N - 1] = pref2 * E * np.cos(edge)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        # e^{-pi i J^2 tau(t)} with tau(t) = i t / 2 pi r^2: real growth factor
+        E = np.exp(J * J * t / (2.0 * r * r))
+        if tag == "A":
+            ent = pref2 * E[:, None] * np.exp(-1j * arg)
+        elif tag in ("B", "Bv"):
+            ent = (pref4 * E[:, None] * np.sin(arg)).astype(complex)
+            if tag == "B":
+                ent[:, N - 1] = pref2 * E * np.sin(edge)
+        elif tag in ("C", "BC", "Cv"):
+            ent = (pref4 / 1j) * E[:, None] * np.sin(arg)
+            if tag == "Cv":
+                ent[:, N - 1] = (pref2 / 1j) * E * np.sin(edge)
+        else:  # D
+            ent = (pref4 * E[:, None] * np.cos(arg)).astype(complex)
+            ent[:, 0] = pref2 * E
+            ent[:, N - 1] = pref2 * E * np.cos(edge)
+    if not np.all(np.isfinite(ent)):
+        raise AccuracyError(f"weight matrix r(t) at t={t} leaves double range (radius {r})")
     return ent
 
 
@@ -221,26 +202,33 @@ def r_matrix(spec, t):
 # cross-module identities
 
 def _pinned_matrix(d, t, xs):
-    """P[j, k] = p(0, v_j; t, x_k) with the family's boundary kind."""
+    """P[j, k] = p(0, v_j; t, x_k) for the family's bridge process."""
     v = np.asarray(d.pinned)
-    return transition(boundary_of(d), 0.0, v[:, None], t, xs[None, :], d.spec.r)
+    return transition(d, 0.0, v[:, None], t, xs[None, :])
 
 
 def matrix_identity_residual(spec, t, xs):
-    """max |r(t) . p(0, v; t, x) - M(x, t)| / max |M|, entrywise."""
+    """max |r(t) . p(0, v; t, x) - M(x, t)| / max |M|, entrywise;
+    AccuracyError when r(t) or M leaves double range."""
     d = derive(spec)
-    xs = _points(xs)
+    xs = np.asarray(xs, dtype=float)
     P = _pinned_matrix(d, t, xs)
     rm = r_matrix(d, t)
     M = parts_value(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
-    return float(np.max(np.abs(rm @ P - M)) / np.max(np.abs(M)))
+    top = np.max(np.abs(M))
+    if not 0.0 < top < np.inf:      # M underflowed to 0 (or overflowed)
+        raise AccuracyError(f"M(x, t) at t={t} leaves double range (radius {d.spec.r})")
+    return float(np.max(np.abs(rm @ P - M)) / top)
 
 
 def _check_bridge_cond(name, m):
     """IllConditionedError when the row-equilibrated heat-kernel matrix m is
     past `_BRIDGE_COND_LIMIT`: its determinant would carry round-off of
-    about 1e-16 times the condition number."""
-    cond = np.linalg.cond(m / np.max(np.abs(m), axis=1, keepdims=True))
+    about 1e-16 times the condition number.  A zero row or a non-finite
+    entry counts as condition inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 or inf/inf: nan
+        m = m / np.max(np.abs(m), axis=1, keepdims=True)
+    cond = np.linalg.cond(m) if np.all(np.isfinite(m)) else math.inf
     if not cond <= _BRIDGE_COND_LIMIT:
         raise IllConditionedError(f"bridge matrix {name} condition ~ {cond:.3e} "
                                   f"exceeds {_BRIDGE_COND_LIMIT:.1e}")
@@ -261,17 +249,15 @@ def bridge_density(spec, t, t_star, xs):
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
     d = derive(spec)
-    bk = boundary_of(d)
-    xs = _points(xs)
+    xs = np.asarray(xs, dtype=float)
     absorbing = {"ar": (0.0,), "aa": (0.0, d.length)}.get(d.walls, ())
     if np.any(np.diff(np.sort(xs)) == 0.0) or np.any(np.isin(xs, absorbing)):
         return 0.0
-    r = d.spec.r
     v = np.asarray(d.pinned)
     mats = {
         "P_in": _pinned_matrix(d, t, xs),
-        "P_out": transition(bk, t, xs[:, None], t_star, v[None, :], r),
-        "D0": transition(bk, 0.0, v[:, None], t_star, v[None, :], r),
+        "P_out": transition(d, t, xs[:, None], t_star, v[None, :]),
+        "D0": transition(d, 0.0, v[:, None], t_star, v[None, :]),
     }
     for name, m in mats.items():
         _check_bridge_cond(name, m)
@@ -299,15 +285,16 @@ def macdonald_kmlgv_residual(spec, t, xs):
     determinant identity.  Right side: the same phase times
     `_b_phase` . det r(t) . det P.  Returns the relative residual at the
     common log scale.  IllConditionedError when r(t) is past `_COND_LIMIT` or
-    the pinned matrix P past `_BRIDGE_COND_LIMIT`.
+    the pinned matrix P past `_BRIDGE_COND_LIMIT`, AccuracyError when r(t)
+    leaves double range.
     """
     d = derive(spec)
     tag, N = d.spec.tag, d.spec.N
-    xs = _points(xs)
+    xs = np.asarray(xs, dtype=float)
     ll, pl = rhs_logc(d, xs, t)
 
     rm = r_matrix(d, t)
-    if np.linalg.cond(rm) > _COND_LIMIT:
+    if not np.linalg.cond(rm) <= _COND_LIMIT:
         raise IllConditionedError(
             f"r-matrix condition number beyond {_COND_LIMIT:.1e}")
     P = _pinned_matrix(d, t, xs)
@@ -321,18 +308,19 @@ def macdonald_kmlgv_residual(spec, t, xs):
 
 def eta_formula_residual(spec, t):
     """Circle-family closed form: the Weyl/KMLGV ratio b(t) equals
-    (2 pi r)^N N^{-N/2} eta(N tau(t))^{(N-1)(N-2)/2}. Relative residual."""
+    (2 pi r)^N N^{-N/2} eta(N tau(t))^{(N-1)(N-2)/2}. Relative residual;
+    AccuracyError when r(t) leaves double range."""
     d = derive(spec)
     if d.spec.tag != "A":
         raise ValueError("eta closed form applies to the circle family only")
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     N, r = d.spec.N, d.spec.r
+    rm = r_matrix(d, t)         # it leaves double range before eta(N tau) does
     tau = 1j * t / (2.0 * math.pi * r * r)
     _, _, eta = eta_and_q(N * tau)
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)
           + 0.5 * (N - 1) * (N - 2) * math.log(abs(eta)))
-    rm = r_matrix(d, t)
     sr, lr = np.linalg.slogdet(rm)
     la = coeff_a_log(d, t)
     lc = lr - la

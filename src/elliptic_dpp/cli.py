@@ -217,7 +217,7 @@ def _run_sample(cfg):
                ("bin_left", "bin_right", "count", "density", "stderr"),
                [_rows(hist.bin_left, hist.bin_right, hist.count, hist.density,
                       hist.stderr)])
-    print(f"states={len(res)} tabulation_error={res.tabulation_error:.1e} "
+    print(f"states={len(res.positions)} tabulation_error={res.tabulation_error:.1e} "
           f"files={prefix}_states.json,{prefix}_hist.csv")
     return 0
 

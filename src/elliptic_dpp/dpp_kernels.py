@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
-from .macdonald import AlcoveConfiguration, _points
 from .root_systems import derive
 from .theta_core import AccuracyError, parts_equilibrate, parts_sum, parts_value, theta_parts
 
@@ -167,7 +166,7 @@ def density_batch(ks, X):
 
 def density(ks, xs):
     """N-point density p(x) = det conj(M(t*-t)) det M(t) / prod m_n(t*)."""
-    return float(density_batch(ks, _points(xs)[None, :])[0])
+    return float(density_batch(ks, np.asarray(xs, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +462,16 @@ _CHUNK = 128            # states drawn together; bounds the (chunk, nodes) work 
 class SampleResult:
     """I.i.d. states ordered by (seed-block, draw), with the tabulation error.
 
-    Behaves as a sequence of AlcoveConfiguration; `positions` is the raw
-    (n_states, N) array of sorted rows and `block_ids` the seed-block of each
-    row.  `tabulation_error` estimates the total variation between the drawn
-    law and the exact one (see `exact_sample`).
+    `positions` is the (n_states, N) array of sorted rows, each a point of
+    the family's alcove of length `length`, and `block_ids` the seed-block
+    of each row.  `tabulation_error` estimates the total variation between
+    the drawn law and the exact one (see `exact_sample`).
     """
 
     positions: np.ndarray
     block_ids: np.ndarray
-    tag: str
     length: float
     tabulation_error: float
-
-    def __len__(self):
-        return self.positions.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return AlcoveConfiguration(points=tuple(self.positions[i]), tag=self.tag)
 
 
 def _draw_in_cells(F, U, xs, cum, mask):
@@ -625,11 +615,10 @@ def exact_sample(ks, states, seed=0):
         raise ValueError(f"need states >= 1, got {states}")
     lms = _norms_log(ks)
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     nb = min(SAMPLER_BLOCKS, S)
     cuts = np.arange(nb + 1) * S // nb
     U = np.empty((S, N))
-    for b, child in enumerate(root.spawn(nb)):
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(nb)):
         U[cuts[b]:cuts[b + 1]] = np.random.default_rng(child).random((cuts[b + 1] - cuts[b], N))
 
     pos = np.empty((S, N))
@@ -655,7 +644,7 @@ def exact_sample(ks, states, seed=0):
             and np.all(np.diff(pos, axis=1) > 0.0)):
         raise AccuracyError("a drawn state left the alcove")
     return SampleResult(positions=pos, block_ids=np.repeat(np.arange(nb), np.diff(cuts)),
-                        tag=d.spec.tag, length=L, tabulation_error=tv)
+                        length=L, tabulation_error=tv)
 
 
 # ---------------------------------------------------------------------------
@@ -689,26 +678,15 @@ def bin_intensity(ks, edges):
     return np.sum(w * vals, axis=1) / (hi - lo)[:, 0]
 
 
-def empirical_density(samples, bins=40, length=None):
-    """Bin all coordinates of all configurations; density integrates to N.
+def empirical_density(samples, bins=40):
+    """Bin all coordinates of a SampleResult's states on [0, length]; the
+    density integrates to N.
 
-    With a SampleResult the per-bin standard error comes from the spread
-    across its independent seed-blocks; for a bare sequence of configurations
-    it falls back to the Poisson estimate sqrt(count).
+    The per-bin standard error comes from the spread across the independent
+    seed-blocks; with a single block it falls back to the Poisson estimate
+    sqrt(count).
     """
-    if isinstance(samples, SampleResult):
-        pos = samples.positions
-        ids = samples.block_ids
-        L = samples.length if length is None else float(length)
-    else:
-        rows = [_points(s) for s in samples]
-        if not rows:
-            raise ValueError("empty sample set")
-        pos = np.asarray(rows)
-        ids = np.zeros(pos.shape[0], dtype=int)      # one block
-        if length is None:
-            raise ValueError("length is required for a bare sample sequence")
-        L = float(length)
+    pos, ids, L = samples.positions, samples.block_ids, samples.length
     nconf, bins = pos.shape[0], int(bins)
     edges = np.linspace(0.0, L, bins + 1)
     width = edges[1] - edges[0]

@@ -29,7 +29,6 @@ from .theta_core import (AccuracyError, eta_and_q, parts_equilibrate, parts_sum,
                          parts_value, theta_parts)
 
 __all__ = [
-    "AlcoveConfiguration",
     "DegenerateConfigError",
     "IllConditionedError",
     "SelbergResult",
@@ -50,36 +49,6 @@ class IllConditionedError(ArithmeticError):
 
 class DegenerateConfigError(ValueError):
     """Configuration makes both sides of an identity vanish (0/0 residual)."""
-
-
-@dataclass(frozen=True)
-class AlcoveConfiguration:
-    """Strictly ordered points in a family's alcove."""
-
-    points: tuple
-    tag: str
-
-    @classmethod
-    def from_points(cls, spec, points):
-        d = derive(spec)
-        pts = tuple(float(p) for p in points)
-        if len(pts) != d.spec.N:
-            raise ValueError(f"expected {d.spec.N} points, got {len(pts)}")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"points must be strictly increasing, got {pts}")
-        if pts[0] < 0.0:
-            raise ValueError("points must be nonnegative")
-        if d.spec.tag == "A":
-            if pts[-1] >= d.length:
-                raise ValueError(f"circle alcove requires x_N < {d.length}")
-        elif pts[-1] > d.length:
-            raise ValueError(f"interval alcove requires x_N <= {d.length}")
-        return cls(points=pts, tag=d.spec.tag)
-
-
-def _points(xs):
-    """Coordinates as a float array, from an AlcoveConfiguration or a sequence."""
-    return np.asarray(getattr(xs, "points", xs), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +185,7 @@ def det_m_logc(spec, xs, t):
     rescaled matrix's condition estimate exceeds `_COND_LIMIT`.
     """
     d = derive(spec)
-    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), _points(xs), t))
+    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
     cond = np.linalg.cond(tilde)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedError(
@@ -231,7 +200,7 @@ def det_m_logc(spec, xs, t):
 def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
-    xi = _points(xs) / (2.0 * np.pi * d.spec.r)
+    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
     tau = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
     m, s = _product_parts(d.spec.tag, xi, tau)
     lp, pp = _logc_from_parts(complex(m[0]), float(s[0]))
@@ -287,8 +256,8 @@ def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0):
     method="grid": tensor midpoint rule with `budget` nodes per dimension
     (N <= 2); midpoint avoids the alcove-wall zeros sitting on nodes.
     method="mc": plain Monte Carlo with `budget` total samples (N <= 4) drawn
-    from `seed.spawn(1)[0]`, an int seed being SeedSequence(seed) first, so a
-    fixed int seed reproduces the result.
+    from `SeedSequence(seed).spawn(1)[0]`, so a fixed int seed reproduces the
+    result.
 
     Returns SelbergResult(lhs, rhs, rel_err).
     """
@@ -318,8 +287,7 @@ def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0):
         if N > 4:
             raise ValueError("mc method supports N <= 4")
         total = int(budget) if budget else 200_000
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        rng = np.random.default_rng(root.spawn(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         X = rng.uniform(0.0, L, size=(total, N))
         lhs = float(_selberg_integrand(d, X, t, t_star).sum()) / total * L**N
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridges import (boundary_of, bridge_density, ck_residual, eta_formula_residual,
+from .bridges import (bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, _norms_log,
@@ -48,6 +48,12 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _worst(*residuals):
+    """Python's max, except that any NaN gives NaN (max drops a NaN that is
+    not first), so a NaN residual fails its line."""
+    return math.nan if any(r != r for r in residuals) else max(residuals)
+
+
 def _config(rng, d):
     # margins keep configurations off the walls, the gap floor keeps the
     # determinant identities well conditioned
@@ -67,7 +73,7 @@ def theta_suite(d, t, t_star):
     worst = 0.0
     for v, tau in pts:
         for idx in range(4):
-            worst = max(worst, _rel(theta(idx, v, tau), theta_series(idx, v, tau)))
+            worst = _worst(worst, _rel(theta(idx, v, tau), theta_series(idx, v, tau)))
     out = [CheckResult("theta engine vs series oracle", worst, 1e-12)]
 
     # one theta call per (index, tau); the oracle side stays in Python scalars
@@ -82,7 +88,7 @@ def theta_suite(d, t, t_star):
                 pref = signs[idx](m, k) * np.exp(
                     -1j * np.pi * tau * m * m - 2j * np.pi * m * v)
                 rhs = pref * base
-                worst = max(worst, abs(lh - rhs) / max(abs(lh), abs(rhs), abs(pref)))
+                worst = _worst(worst, abs(lh - rhs) / max(abs(lh), abs(rhs), abs(pref)))
     out.append(CheckResult("theta quasi-periodicity", worst, 1e-12))
 
     worst = 0.0
@@ -93,7 +99,7 @@ def theta_suite(d, t, t_star):
             dual = theta(swap, [v / tau for v in vs], -1.0 / tau)
             for v, lh, du in zip(vs, theta(idx, vs, tau), dual):
                 rhs = eps * tau ** -0.5 * np.exp(-1j * np.pi * v * v / tau) * du
-                worst = max(worst, abs(lh - rhs) / max(abs(lh), 1e-12))
+                worst = _worst(worst, abs(lh - rhs) / max(abs(lh), 1e-12))
     out.append(CheckResult("theta imaginary transform", worst, 1e-12))
     return out
 
@@ -142,17 +148,22 @@ def denominator_suite(d, t, t_star):
     for tt in (t, 0.5 * t_star, t_star):
         for _ in range(5):
             xs = _config(rng, d)
-            worst = max(worst, denominator_residual(d, xs, tt))
+            worst = _worst(worst, denominator_residual(d, xs, tt))
     return [CheckResult("determinant-identity residual", worst, 1e-10)]
 
 
 def matrix_suite(d, t, t_star):
+    # a line reads inf when r(t) leaves double range (AccuracyError) or r(t)
+    # or P is past its condition limit (IllConditionedError)
     rng = np.random.default_rng(103)
     worst = 0.0
-    for tt in (t, t_star):
-        for _ in range(5):
-            xs = _config(rng, d)
-            worst = max(worst, matrix_identity_residual(d, tt, xs))
+    try:
+        for tt in (t, t_star):
+            for _ in range(5):
+                xs = _config(rng, d)
+                worst = _worst(worst, matrix_identity_residual(d, tt, xs))
+    except AccuracyError:
+        worst = math.inf
     out = [CheckResult("weight-matrix identity", worst, 1e-10)]
 
     rng = np.random.default_rng(107)
@@ -160,29 +171,31 @@ def matrix_suite(d, t, t_star):
     try:
         for _ in range(5):
             xs = _config(rng, d)
-            worst = max(worst, macdonald_kmlgv_residual(d, t, xs))
-    except IllConditionedError:     # r(t) is past its condition limit
+            worst = _worst(worst, macdonald_kmlgv_residual(d, t, xs))
+    except (AccuracyError, IllConditionedError):
         worst = math.inf
     out.append(CheckResult("pinned-path proportionality", worst, 1e-9))
     if d.spec.tag == "A":
-        out.append(CheckResult("eta closed form", eta_formula_residual(d, t), 1e-10))
+        try:
+            worst = eta_formula_residual(d, t)
+        except AccuracyError:
+            worst = math.inf
+        out.append(CheckResult("eta closed form", worst, 1e-10))
     return out
 
 
 def bridge_suite(d, t, t_star):
-    bk = boundary_of(d)
     L = d.length
     worst = 0.0
     for dts in (0.1, 1.0):
         for x, y in ((0.2 * L, 0.7 * L), (0.8 * L, 0.4 * L)):
-            a = transition(bk, 0.0, x, dts * d.spec.r ** 2, y, d.spec.r)
-            b = transition_images(bk, 0.0, x, dts * d.spec.r ** 2, y, d.spec.r, 12)
-            worst = max(worst, abs(a - b))
+            a = transition(d, 0.0, x, dts * d.spec.r ** 2, y)
+            b = transition_images(d, 0.0, x, dts * d.spec.r ** 2, y, 12)
+            worst = _worst(worst, abs(a - b))
     out = [CheckResult("transition vs winding images", worst, 1e-11)]
 
     out.append(CheckResult(
-        "Chapman-Kolmogorov",
-        ck_residual(bk, 0.0, 0.4 * t_star, t_star, 0.3 * L, 0.7 * L, d.spec.r),
+        "Chapman-Kolmogorov", ck_residual(d, 0.0, 0.4 * t_star, t_star, 0.3 * L, 0.7 * L),
         1e-10))
 
     rng = np.random.default_rng(109)
@@ -191,7 +204,7 @@ def bridge_suite(d, t, t_star):
     try:
         for _ in range(5):
             xs = _config(rng, d)
-            worst = max(worst, _rel(bridge_density(d, t, t_star, xs), density(ks, xs)))
+            worst = _worst(worst, _rel(bridge_density(d, t, t_star, xs), density(ks, xs)))
     except IllConditionedError:     # the bridge matrices are past plain doubles
         worst = math.inf
     out.append(CheckResult("bridge density vs spectral density", worst, 1e-8))
@@ -213,7 +226,7 @@ def _reproducing_residual(a, b, g, km):
     worst = 0.0
     for start in range(0, len(km), 64):
         rows = slice(start, start + 64)
-        worst = max(worst, float(np.max(np.abs(left[rows] @ bc - km[rows]))))
+        worst = _worst(worst, float(np.max(np.abs(left[rows] @ bc - km[rows]))))
     return worst / float(np.max(np.abs(km)))
 
 
@@ -232,7 +245,7 @@ def kernel_suite(d, t, t_star):
     return [
         CheckResult("kernel trace = N", abs(trace - d.spec.N), 1e-9),
         CheckResult("reproducing identity", comp_err, 1e-9),
-        CheckResult("density nonnegativity", max(0.0, -float(dens.min())), 1e-12),
+        CheckResult("density nonnegativity", _worst(0.0, -float(dens.min())), 1e-12),
     ]
 
 
@@ -262,8 +275,8 @@ def limits_suite(d, rho, horizon):
     ts = horizon / rho**2
     pts = [(0.3 / rho, 0.3 / rho), (1.3 / rho, 0.6 / rho), (2.2 / rho, 0.9 / rho)]
     iks = InfiniteKernelSpec(fam, rho=rho, t=0.5 * ts, t_star=ts)
-    dev = max(abs(infinite_kernel(iks, x, y) - sine_kernel(sfam, x, y, rho))
-              for x, y in pts)
+    dev = _worst(*(abs(infinite_kernel(iks, x, y) - sine_kernel(sfam, x, y, rho))
+                   for x, y in pts))
     results.append(CheckResult(
         f"sine limit (t*rho^2 = {horizon:g})", dev / rho, 1e-6))
 
@@ -271,10 +284,10 @@ def limits_suite(d, rho, horizon):
     for h in (50.0, 200.0, 800.0):
         ik = InfiniteKernelSpec(fam, rho=rho, t=0.5 * h / rho**2,
                                 t_star=h / rho**2)
-        dv = max(abs(infinite_kernel(ik, x, y) - sine_kernel(sfam, x, y, rho))
-                 for x, y in pts)
+        dv = _worst(*(abs(infinite_kernel(ik, x, y) - sine_kernel(sfam, x, y, rho))
+                      for x, y in pts))
         scaled.append(dv * h)
-    spread = (max(scaled) - min(scaled)) / max(scaled)
+    spread = (_worst(*scaled) - min(scaled)) / _worst(*scaled)
     results.append(CheckResult("sine convergence law (deviation x horizon)",
                                spread, 2e-2))
 
@@ -284,8 +297,8 @@ def limits_suite(d, rho, horizon):
     ks64 = KernelSpec(("A", N, rr), t=0.5, t_star=1.0)
     ik = InfiniteKernelSpec("A", rho=1.0, t=0.5, t_star=1.0)
     x0 = 0.3 * 2 * np.pi * rr
-    worst = max(abs(kernel(ks64, x0 + dx, x0) - infinite_kernel(ik, x0 + dx, x0))
-                for dx in (0.1, 0.5, 1.0, 2.0))
+    worst = _worst(*(abs(kernel(ks64, x0 + dx, x0) - infinite_kernel(ik, x0 + dx, x0))
+                     for dx in (0.1, 0.5, 1.0, 2.0)))
     results.append(CheckResult("infinite kernel vs finite N=64 circle",
                                worst, 1e-3))
     return results
@@ -301,18 +314,14 @@ SUITES = {
 }
 
 
-def run_suites(names, spec, t, t_star):
-    """Run the named suites (or all of them) for one family; ordered results."""
-    if names in ("all", ["all"]):
-        names = list(SUITES)
-    if isinstance(names, str):
-        names = [names]
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s) {unknown}; pick from {list(SUITES)}")
+def run_suites(name, spec, t, t_star):
+    """Run one named suite, or all of them for "all", for one family; ordered
+    results."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; pick from {list(SUITES)} or 'all'")
     d = derive(spec)
     out = []
-    for n in names:
+    for n in (SUITES if name == "all" else [name]):
         out.extend(SUITES[n](d, t, t_star))
     return out
 

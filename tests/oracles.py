@@ -179,7 +179,7 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov for two-particle determinants
 
-def ck_det_residual(bk, s, t, u, xs, zs, r, nodes=160):
+def ck_det_residual(spec, s, t, u, xs, zs, nodes=160):
     """Two-particle determinant version of Chapman-Kolmogorov.
 
     Integrates det[p(s,x;t,y)] det[p(t,y;u,z)] over unordered pairs y
@@ -193,20 +193,20 @@ def ck_det_residual(bk, s, t, u, xs, zs, r, nodes=160):
         raise ValueError("determinant Chapman-Kolmogorov check is two-particle only")
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
-    if bk.tag == "circ":
-        L = 2.0 * math.pi * r
+    d = derive(spec)
+    L = d.length
+    if d.walls == "circ":
         y = np.arange(nodes) * (L / nodes)
         w = np.full(nodes, L / nodes)
     else:
-        L = math.pi * r
         y = np.linspace(0.0, L, nodes + 1)
         w = np.full(nodes + 1, L / nodes)
         w[0] = w[-1] = 0.5 * L / nodes
     # P[a, i] = p(s, x_a; t, y_i);  Q[i, b] = p(t, y_i; u, z_b)
-    P = transition(bk, s, xs[:, None], t, y[None, :], r)
-    Q = transition(bk, t, y[:, None], u, zs[None, :], r)
+    P = transition(d, s, xs[:, None], t, y[None, :])
+    Q = transition(d, t, y[:, None], u, zs[None, :])
     det1 = P[0][:, None] * P[1][None, :] - P[0][None, :] * P[1][:, None]
     det2 = Q[:, 0][:, None] * Q[:, 1][None, :] - Q[:, 0][None, :] * Q[:, 1][:, None]
     lhs = 0.5 * float(np.einsum("i,j,ij,ij->", w, w, det1, det2))
-    rhs = transition(bk, s, xs[:, None], u, zs[None, :], r)
+    rhs = transition(d, s, xs[:, None], u, zs[None, :])
     return abs(lhs - float(np.linalg.det(rhs)))

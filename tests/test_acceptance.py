@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from elliptic_dpp.bridges import (boundary_of, bridge_density, ck_residual,
+from elliptic_dpp.bridges import (bridge_density, ck_residual,
                                   eta_formula_residual,
                                   matrix_identity_residual, transition,
                                   transition_images)
@@ -256,17 +256,16 @@ def test_criterion_8_bridge_identities():
     seen = set()
     for tag in FAMILIES:
         d = derive((tag, 3, 1.0))
-        bk = boundary_of(d)
         L = d.length
-        key = (bk.tag, bk.parity)
+        key = (d.walls, d.parity)
         if key not in seen:
             seen.add(key)
             for dts in (0.1, 1.0):
                 for x, y in ((0.2 * L, 0.7 * L), (0.8 * L, 0.4 * L)):
-                    a = transition(bk, 0.0, x, dts, y, 1.0)
-                    b = transition_images(bk, 0.0, x, dts, y, 1.0, 12)
+                    a = transition(d, 0.0, x, dts, y)
+                    b = transition_images(d, 0.0, x, dts, y, 12)
                     w_img = max(w_img, abs(a - b))
-            w_ck = max(w_ck, ck_residual(bk, 0.0, 0.4, 1.0, 0.3 * L, 0.7 * L, 1.0))
+            w_ck = max(w_ck, ck_residual(d, 0.0, 0.4, 1.0, 0.3 * L, 0.7 * L))
         for _ in range(3):
             xs = _well_separated(rng, d)
             w_mat = max(w_mat, matrix_identity_residual(d, 0.4, xs))
@@ -300,9 +299,9 @@ def test_criterion_9_sampler():
     res2 = exact_sample(ks, 200_000, seed=42)
     identical = (res.positions.tobytes() == res2.positions.tobytes()
                  and res.block_ids.tobytes() == res2.block_ids.tobytes())
-    ok = (len(res) >= 200_000 and pulls.max() < 4.0 and identical
+    ok = (len(res.positions) >= 200_000 and pulls.max() < 4.0 and identical
           and dt < 600.0)
     _report(9, "sampler histogram and determinism", ok,
-            f"states={len(res)} worst_pull={pulls.max():.2f}/4 "
+            f"states={len(res.positions)} worst_pull={pulls.max():.2f}/4 "
             f"byte_identical={identical} time={dt:.0f}s/600s")
     assert ok

@@ -1,5 +1,7 @@
 """Boundary kernels, winding-image oracles, and pinned-path identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,6 @@ from hypothesis import strategies as st
 
 from elliptic_dpp import bridges
 from elliptic_dpp.bridges import (
-    BoundaryKind,
-    boundary_of,
     bridge_density,
     ck_residual,
     eta_formula_residual,
@@ -25,12 +25,14 @@ from elliptic_dpp.theta_core import AccuracyError
 from oracles import ck_det_residual
 
 R = 1.0
-KINDS = (BoundaryKind("circ", "even"), BoundaryKind("circ", "odd"),
-         BoundaryKind("ar"), BoundaryKind("aa"), BoundaryKind("rr"))
+# one family per wall behaviour: circ even, circ odd, ar, aa, rr
+CIRC_EVEN, CIRC_ODD, AR, AA, RR = (derive(f) for f in (
+    ("A", 2, R), ("A", 3, R), ("B", 2, R), ("C", 2, R), ("D", 2, R)))
+KINDS = (CIRC_EVEN, CIRC_ODD, AR, AA, RR)
 
 
-def _kind_length(bk, r=R):
-    return 2 * np.pi * r if bk.tag == "circ" else np.pi * r
+def _kind_id(d):
+    return d.walls + (d.parity or "")
 
 
 def _random_config(rng, d, margin=0.02):
@@ -39,27 +41,14 @@ def _random_config(rng, d, margin=0.02):
 
 
 # ---------------------------------------------------------------------------
-# boundary kinds
+# wall behaviour
 
-def test_boundary_kind_validation():
-    with pytest.raises(ValueError):
-        BoundaryKind("periodic")
-    with pytest.raises(ValueError):
-        BoundaryKind("circ")            # parity required
-    with pytest.raises(ValueError):
-        BoundaryKind("rr", "even")      # parity forbidden
-    assert BoundaryKind("circ", "odd").parity == "odd"
-
-
-def test_boundary_of_mapping():
-    assert boundary_of(("A", 4, 1.0)) == BoundaryKind("circ", "even")
-    assert boundary_of(("A", 3, 1.0)) == BoundaryKind("circ", "odd")
-    assert boundary_of(("B", 3, 1.0)).tag == "ar"
-    assert boundary_of(("Cv", 3, 1.0)).tag == "ar"
-    assert boundary_of(("BC", 3, 1.0)).tag == "ar"
-    assert boundary_of(("Bv", 3, 1.0)).tag == "aa"
-    assert boundary_of(("C", 3, 1.0)).tag == "aa"
-    assert boundary_of(("D", 3, 1.0)).tag == "rr"
+def test_family_walls_mapping():
+    walls = {tag: (derive((tag, 3, R)).walls, derive((tag, 3, R)).parity) for tag in FAMILIES}
+    assert walls == {"A": ("circ", "odd"), "B": ("ar", None), "Cv": ("ar", None),
+                     "BC": ("ar", None), "Bv": ("aa", None), "C": ("aa", None),
+                     "D": ("rr", None)}
+    assert derive(("A", 4, R)).parity == "even"
 
 
 # ---------------------------------------------------------------------------
@@ -67,53 +56,50 @@ def test_boundary_of_mapping():
 
 def test_transition_rejects_bad_times():
     with pytest.raises(ValueError):
-        transition(BoundaryKind("rr"), 0.5, 0.1, 0.5, 0.2, R)
+        transition(RR, 0.5, 0.1, 0.5, 0.2)
     with pytest.raises(ValueError):
-        transition(BoundaryKind("rr"), 0.7, 0.1, 0.5, 0.2, R)
+        transition(RR, 0.7, 0.1, 0.5, 0.2)
 
 
 def test_reflecting_kernel_conserves_mass():
-    bk = BoundaryKind("rr")
-    L = _kind_length(bk)
+    L = RR.length
     y = np.linspace(0.0, L, 513)
     w = np.full(513, L / 512)
     w[0] = w[-1] = 0.5 * L / 512
-    mass = np.sum(w * transition(bk, 0.0, 0.7, 0.8, y, R))
+    mass = np.sum(w * transition(RR, 0.0, 0.7, 0.8, y))
     assert abs(mass - 1.0) < 1e-10
 
 
 def test_circle_odd_kernel_conserves_mass():
-    bk = BoundaryKind("circ", "odd")
-    L = _kind_length(bk)
+    L = CIRC_ODD.length
     y = np.arange(512) * L / 512
-    mass = np.sum(transition(bk, 0.0, 1.1, 0.6, y, R)) * L / 512
+    mass = np.sum(transition(CIRC_ODD, 0.0, 1.1, 0.6, y)) * L / 512
     assert abs(mass - 1.0) < 1e-10
 
 
 def test_absorbing_walls_kill_kernel():
-    assert transition(BoundaryKind("aa"), 0.0, 1.0, 0.5, 0.0, R) == 0.0
-    assert abs(transition(BoundaryKind("aa"), 0.0, 1.0, 0.5, np.pi * R, R)) < 1e-15
-    assert transition(BoundaryKind("ar"), 0.0, 1.0, 0.5, 0.0, R) == 0.0
+    assert transition(AA, 0.0, 1.0, 0.5, 0.0) == 0.0
+    assert abs(transition(AA, 0.0, 1.0, 0.5, np.pi * R)) < 1e-15
+    assert transition(AR, 0.0, 1.0, 0.5, 0.0) == 0.0
     # the ar kernel reflects at pi r, so mass survives there
-    assert transition(BoundaryKind("ar"), 0.0, 1.0, 0.5, np.pi * R, R) > 0.0
+    assert transition(AR, 0.0, 1.0, 0.5, np.pi * R) > 0.0
 
 
 def test_circle_even_kernel_is_signed():
     # nearest winding image carries weight (-1): negative for |x-y| > pi r
-    bk = BoundaryKind("circ", "even")
-    assert transition(bk, 0.0, 0.0, 0.05, 0.9 * 2 * np.pi * R, R) < 0.0
+    assert transition(CIRC_EVEN, 0.0, 0.0, 0.05, 0.9 * 2 * np.pi * R) < 0.0
 
 
-@pytest.mark.parametrize("bk", KINDS, ids=lambda b: b.tag + (b.parity or ""))
-def test_transition_matches_image_oracle(bk):
-    L = _kind_length(bk)
+@pytest.mark.parametrize("d", KINDS, ids=_kind_id)
+def test_transition_matches_image_oracle(d):
+    L = d.length
     worst = 0.0
     for dt_scale in (0.1, 1.0, 5.0):
         for x, y in [(0.1 * L, 0.8 * L), (0.45 * L, 0.5 * L), (0.9 * L, 0.2 * L)]:
-            a = transition(bk, 0.0, x, dt_scale * R * R, y, R)
-            b = transition_images(bk, 0.0, x, dt_scale * R * R, y, R, windings=12)
+            a = transition(d, 0.0, x, dt_scale * R * R, y)
+            b = transition_images(d, 0.0, x, dt_scale * R * R, y, windings=12)
             worst = max(worst, abs(a - b))
-    assert worst < 1e-11, f"{bk}: theta vs images {worst:.3e}"
+    assert worst < 1e-11, f"{_kind_id(d)}: theta vs images {worst:.3e}"
 
 
 # one family per boundary kind: A4 circ even, A3 circ odd, D rr, B ar, C aa
@@ -125,20 +111,19 @@ _KIND_FAMILIES = (("A", 4), ("A", 3), ("D", 3), ("B", 3), ("C", 3))
 def test_broadcast_transition_matches_scalar_rows(tag, N, t, t_star):
     # the one-call matrices against the per-row forms they replaced, bit for bit
     d = derive((tag, N, R))
-    bk = boundary_of(d)
     v = np.asarray(d.pinned)
     xs = _random_config(np.random.default_rng(37), d)
-    L = _kind_length(bk)    # the 40-node Chapman-Kolmogorov grid
-    y = np.arange(40) * (L / 40) if bk.tag == "circ" else np.linspace(0.0, L, 41)
+    L = d.length    # the 40-node Chapman-Kolmogorov grid
+    y = np.arange(40) * (L / 40) if d.walls == "circ" else np.linspace(0.0, L, 41)
     pairs = [
         (bridges._pinned_matrix(d, t, xs),
-         np.stack([transition(bk, 0.0, vj, t, xs, R) for vj in d.pinned])),
-        (transition(bk, t, xs[:, None], t_star, v[None, :], R),
-         np.stack([transition(bk, t, xj, t_star, v, R) for xj in xs])),
-        (transition(bk, 0.0, v[:, None], t_star, v[None, :], R),
-         np.stack([transition(bk, 0.0, vj, t_star, v, R) for vj in d.pinned])),
-        (transition(bk, t, y[:, None], t_star, xs[None, :], R),
-         np.stack([transition(bk, t, y, t_star, xj, R) for xj in xs], axis=1)),
+         np.stack([transition(d, 0.0, vj, t, xs) for vj in d.pinned])),
+        (transition(d, t, xs[:, None], t_star, v[None, :]),
+         np.stack([transition(d, t, xj, t_star, v) for xj in xs])),
+        (transition(d, 0.0, v[:, None], t_star, v[None, :]),
+         np.stack([transition(d, 0.0, vj, t_star, v) for vj in d.pinned])),
+        (transition(d, t, y[:, None], t_star, xs[None, :]),
+         np.stack([transition(d, t, y, t_star, xj) for xj in xs], axis=1)),
     ]
     for batched, rows in pairs:
         assert batched.shape == rows.shape
@@ -147,53 +132,51 @@ def test_broadcast_transition_matches_scalar_rows(tag, N, t, t_star):
     # complex division multiplies by 1 / L), so entry by entry it may sit
     # one unit in the last place off the array path
     np.testing.assert_array_max_ulp(
-        transition(bk, 0.0, xs[:, None], t, xs[None, :], R),
-        np.array([[transition(bk, 0.0, a, t, b, R) for b in xs] for a in xs]),
+        transition(d, 0.0, xs[:, None], t, xs[None, :]),
+        np.array([[transition(d, 0.0, a, t, b) for b in xs] for a in xs]),
         maxulp=1)
 
 
 def test_transition_images_tail_guard():
     # one winding cannot cover a very diffuse kernel
     with pytest.raises(AccuracyError):
-        transition_images(BoundaryKind("rr"), 0.0, 0.3, 50.0, 1.0, R, windings=1)
+        transition_images(RR, 0.0, 0.3, 50.0, 1.0, windings=1)
     with pytest.raises(ValueError):
-        transition_images(BoundaryKind("rr"), 0.0, 0.3, 0.5, 1.0, R, windings=0)
+        transition_images(RR, 0.0, 0.3, 0.5, 1.0, windings=0)
 
 
 @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.05, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_time_reversal_symmetry(x, y, dt):
     # p(0, x; dt, y) = p(u - dt, y; u, x)
-    for bk in (BoundaryKind("rr"), BoundaryKind("circ", "even")):
-        a = transition(bk, 0.0, x, dt, y, R)
-        b = transition(bk, 5.0 - dt, y, 5.0, x, R)
+    for d in (RR, CIRC_EVEN):
+        a = transition(d, 0.0, x, dt, y)
+        b = transition(d, 5.0 - dt, y, 5.0, x)
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
 
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov
 
-@pytest.mark.parametrize("bk", KINDS, ids=lambda b: b.tag + (b.parity or ""))
-def test_chapman_kolmogorov(bk):
-    L = _kind_length(bk)
-    res = ck_residual(bk, 0.0, 0.3, 0.9, 0.31 * L, 0.77 * L, R)
-    assert res < 1e-10, f"{bk}: CK residual {res:.3e}"
+@pytest.mark.parametrize("d", KINDS, ids=_kind_id)
+def test_chapman_kolmogorov(d):
+    L = d.length
+    res = ck_residual(d, 0.0, 0.3, 0.9, 0.31 * L, 0.77 * L)
+    assert res < 1e-10, f"{_kind_id(d)}: CK residual {res:.3e}"
 
 
 def test_chapman_kolmogorov_determinant_version():
-    res = ck_det_residual(BoundaryKind("aa"), 0.0, 0.4, 1.1, [0.8, 2.1], [0.5, 2.6], R)
+    res = ck_det_residual(AA, 0.0, 0.4, 1.1, [0.8, 2.1], [0.5, 2.6])
     assert res < 1e-8
-    res = ck_det_residual(BoundaryKind("circ", "even"), 0.0, 0.4, 1.1,
-                          [0.8, 3.1], [0.5, 4.6], R)
+    res = ck_det_residual(CIRC_EVEN, 0.0, 0.4, 1.1, [0.8, 3.1], [0.5, 4.6])
     assert res < 1e-8
 
 
 def test_ck_refuses_degenerate_gaps():
-    bk = BoundaryKind("rr")
     with pytest.raises(ValueError):
-        ck_residual(bk, 0.0, 5e-7, 1.0, 0.3, 0.7, R)
+        ck_residual(RR, 0.0, 5e-7, 1.0, 0.3, 0.7)
     with pytest.raises(ValueError):
-        ck_residual(bk, 0.0, 0.9, 0.3, 0.3, 0.7, R)   # bad ordering
+        ck_residual(RR, 0.0, 0.9, 0.3, 0.3, 0.7)   # bad ordering
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +212,26 @@ def test_r_matrix_entries_finite(t):
     for tag in FAMILIES:
         ent = r_matrix((tag, 8, 1.0), t)
         assert np.all(np.isfinite(ent.view(float)))
+
+
+@pytest.mark.parametrize("tag, N, r", [("A", 3, 0.02), ("C", 2, 0.05), ("D", 3, 0.05)])
+def test_r_matrix_past_double_range_raises(tag, N, r):
+    # e^{J^2 t / 2 r^2} overflows at small r: a named error, not inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="double range"):
+            r_matrix((tag, N, r), 1.0)
+        with pytest.raises(AccuracyError, match="double range"):
+            matrix_identity_residual((tag, N, r), 1.0, np.linspace(0.1, 0.9, N) * r)
+
+
+@pytest.mark.parametrize("tag", ["B", "Bv"])
+def test_matrix_identity_with_M_underflowed_to_zero_raises(tag):
+    # r(t) is finite (J = 0) but M underflows to 0: no 0/0 residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=r"M\(x, t\) at t=1.0 leaves double range"):
+            matrix_identity_residual((tag, 1, 0.01), 1.0, [0.01])
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +313,15 @@ def test_bridge_density_agrees_or_raises_at_large_horizons(tag):
             b = density(KernelSpec(d, t=t, t_star=t_star), xs)
             assert abs(a - b) <= 1e-8 * abs(b), (
                 f"{tag}{N} t*={t_star}: bridge {a:.6e} vs density {b:.6e}")
+
+
+@pytest.mark.parametrize("m", [[[1.0, 0.5], [0.0, 0.0]], [[1.0, np.inf], [0.2, 1.0]],
+                               [[1.0, np.nan], [0.2, 1.0]]])
+def test_bridge_cond_of_zero_row_or_nonfinite_entry_is_inf(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError, match="condition ~ inf"):
+            bridges._check_bridge_cond("P", np.array(m))
 
 
 def test_bridge_density_validates_times():

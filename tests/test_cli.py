@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -444,3 +445,26 @@ def test_grid_writer_matches_per_value_formatting(tmp_path):
 def test_runconfig_defaults_fill_in():
     cfg = RunConfig(command="kernel", type="B", N=3).finalize()
     assert cfg.t == 0.5 and cfg.t_star == 1.0
+
+
+@pytest.mark.parametrize("tag, N, r", [("A", 3, "0.02"), ("C", 2, "0.05"), ("B", 3, "0.05"),
+                                       ("Cv", 3, "0.05"), ("D", 3, "0.05"), ("A", 4, "0.01")])
+def test_small_radius_verify_prints_only_check_lines(tag, N, r, capfd):
+    # r(t) and M leave double range and the bridge matrices have zero rows:
+    # those lines read inf and fail, every suite still prints (at A4, r = 0.01
+    # also eta(N tau) underflows), and neither numpy warnings nor LAPACK
+    # messages reach stdout or stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["verify", "--type", tag, "--N", str(N), "--r", r,
+                       "--t", "0.5", "--t-star", "1"])
+    out, err = capfd.readouterr()
+    assert status == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == (15 if tag == "A" else 14)
+    assert all(re.fullmatch(r"[^:]+: residual=\S+ tol=\S+ (PASS|FAIL)", ln) for ln in lines)
+    inf = {ln.split(":")[0] for ln in lines if "residual=inf " in ln and ln.endswith(" FAIL")}
+    assert {"weight-matrix identity", "pinned-path proportionality",
+            "bridge density vs spectral density"} <= inf
+    assert ("eta closed form" in inf) == (tag == "A")
+    assert "residual=nan" not in out

@@ -30,7 +30,7 @@ from elliptic_dpp.dpp_kernels import (
     sine_kernel,
     trig_kernel,
 )
-from elliptic_dpp.macdonald import AlcoveConfiguration, denominator_residual
+from elliptic_dpp.macdonald import denominator_residual
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 from oracles import UnsupportedScaleError, corr_oracle, fredholm_residual
@@ -124,16 +124,16 @@ def test_density_positive_on_reflecting_wall():
 
 
 def test_density_accepts_alcove_configuration():
+    # a configuration is a float array: a list, a tuple and an ndarray agree
     ks = _ks("B", 2)
     d, t = ks.family, ks.t
     pts = [0.8, 2.1]
-    cfg = AlcoveConfiguration.from_points(("B", 2, 1.0), pts)
     for fn in (lambda xs: density(ks, xs),
                lambda xs: denominator_residual(d, xs, t),
                lambda xs: matrix_identity_residual(d, t, xs),
                lambda xs: bridge_density(d, t, ks.t_star, xs),
                lambda xs: macdonald_kmlgv_residual(d, t, xs)):
-        assert fn(cfg) == fn(pts)
+        assert fn(pts) == fn(tuple(pts)) == fn(np.array(pts))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -576,7 +576,7 @@ def test_exact_sample_states_stay_in_alcove(tag):
     ks = _ks(tag, 3)
     res = exact_sample(ks, 200, seed=2)
     L = ks.family.length
-    assert len(res) == 200
+    assert res.positions.shape == (200, 3)
     assert np.all(res.positions >= 0.0) and np.all(res.positions <= L)
     assert np.all(np.diff(res.positions, axis=1) > 0.0)   # strictly ordered rows
     # every state carries positive density
@@ -587,11 +587,6 @@ def test_exact_sample_states_stay_in_alcove(tag):
 def test_exact_sample_result_sequence_interface():
     ks = _ks("B", 2)
     res = exact_sample(ks, 100, seed=0)
-    assert len(res) == 100
-    cfg = res[3]
-    assert isinstance(cfg, AlcoveConfiguration)
-    assert cfg.tag == "B"
-    assert len(res[2:5]) == 3
     # row order is (seed-block, draw): ids grouped, nondecreasing, even sizes
     sizes = np.bincount(res.block_ids)
     assert np.all(np.diff(res.block_ids) >= 0)
@@ -671,7 +666,7 @@ def test_empirical_density_integrates_to_N():
     h = empirical_density(res, bins=25)
     total = np.sum(h.density * (h.bin_right - h.bin_left))
     assert abs(total - 3.0) < 1e-12
-    assert int(h.count.sum()) == len(res) * 3
+    assert int(h.count.sum()) == res.positions.size
     assert np.all(h.stderr[h.count > 0] > 0.0)
 
 
@@ -684,24 +679,13 @@ def test_empirical_density_counts_match_histogram_per_block():
     pos[:9, 0] = edges                    # every edge, 0 and L included
     pos[9, 1] = np.nextafter(edges[3], 0.0)
     ids = np.repeat(np.arange(6), 15)
-    res = dpp_kernels.SampleResult(positions=pos, block_ids=ids, tag="A", length=2.0,
+    res = dpp_kernels.SampleResult(positions=pos, block_ids=ids, length=2.0,
                                    tabulation_error=0.0)
     h = empirical_density(res, bins=8)
     per = np.array([np.histogram(pos[ids == b].ravel(), bins=edges)[0] for b in range(6)])
     assert h.count.dtype == per.dtype and np.array_equal(h.count, per.sum(axis=0))
     dens = per / (15 * (edges[1] - edges[0]))
     assert h.stderr.tobytes() == (dens.std(axis=0, ddof=1) / np.sqrt(6)).tobytes()
-    bare = empirical_density(pos, bins=8, length=2.0)
-    assert np.array_equal(bare.count, h.count)
-    assert bare.stderr.tobytes() == (np.sqrt(h.count) / (90 * (edges[1] - edges[0]))).tobytes()
-
-
-def test_empirical_density_bare_sequence_needs_length():
-    pts = np.array([[0.2, 0.5], [0.3, 0.8]])
-    with pytest.raises(ValueError):
-        empirical_density(pts, bins=4)
-    h = empirical_density(pts, bins=4, length=1.0)
-    assert abs(np.sum(h.density * (h.bin_right - h.bin_left)) - 2.0) < 1e-12
 
 
 def test_gauss_legendre_nodes_are_cached_read_only():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptic_dpp.macdonald import (
-    AlcoveConfiguration,
     DegenerateConfigError,
     coeff_a_log,
     denominator_residual,
@@ -25,29 +24,6 @@ def _random_config(rng, d, margin=0.03):
         pts = np.sort(rng.uniform(margin * L, (1.0 - margin) * L, size=d.spec.N))
         if d.spec.N == 1 or np.min(np.diff(pts)) > 0.01 * L:
             return pts
-
-
-# ---------------------------------------------------------------------------
-# configuration type
-
-def test_alcove_configuration_accepts_interior_points():
-    cfg = AlcoveConfiguration.from_points(("B", 3, 1.0), [0.3, 1.1, 2.2])
-    assert cfg.tag == "B"
-    assert cfg.points == (0.3, 1.1, 2.2)
-
-
-def test_alcove_configuration_rejects_bad_input():
-    with pytest.raises(ValueError):
-        AlcoveConfiguration.from_points(("B", 3, 1.0), [0.3, 1.1])  # wrong count
-    with pytest.raises(ValueError):
-        AlcoveConfiguration.from_points(("B", 2, 1.0), [1.1, 0.3])  # unordered
-    with pytest.raises(ValueError):
-        AlcoveConfiguration.from_points(("B", 2, 1.0), [0.3, 4.0])  # beyond pi r
-    with pytest.raises(ValueError):
-        AlcoveConfiguration.from_points(("A", 2, 1.0), [0.3, 2 * np.pi])  # half-open
-
-    # pi r itself is allowed on the closed interval alcove
-    AlcoveConfiguration.from_points(("C", 2, 1.0), [0.3, np.pi])
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +166,6 @@ def test_denominator_residual_scalar_c1():
 def test_denominator_residual_degenerate():
     with pytest.raises(DegenerateConfigError):
         denominator_residual(("A", 3, 1.0), [0.5, 0.5, 1.7], 1.0)
-
-
-def test_denominator_residual_accepts_alcove_config():
-    cfg = AlcoveConfiguration.from_points(("Bv", 3, 1.0), [0.4, 1.2, 2.1])
-    assert denominator_residual(("Bv", 3, 1.0), cfg, 1.0) < 1e-10
 
 
 def test_denominator_residual_small_time_uses_log_form():

@@ -1,5 +1,6 @@
 """The verification suites against independent oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -97,3 +98,54 @@ def test_biortho_suite_at_large_horizon(tag):
         for N in (2, 3, 4):
             for line in verification.biortho_suite(derive((tag, N, 1.0)), 20.0, 50.0):
                 assert line.passed, f"{tag}{N}: {line.line()}"
+
+
+# one NaN among finite residuals, and not the first one: Python's max would
+# drop it.  (suite, name the suite calls, call that returns NaN, its line)
+_NAN_CASES = [
+    ("theta", "theta_series", 2, "theta engine vs series oracle"),
+    ("denominator", "denominator_residual", 2, "determinant-identity residual"),
+    ("matrix", "matrix_identity_residual", 2, "weight-matrix identity"),
+    ("matrix", "macdonald_kmlgv_residual", 2, "pinned-path proportionality"),
+    ("bridge", "transition_images", 2, "transition vs winding images"),
+    ("bridge", "bridge_density", 2, "bridge density vs spectral density"),
+    ("kernel", "density_batch", 1, "density nonnegativity"),
+    ("limits", "sine_kernel", 2, "sine limit (t*rho^2 = 300000)"),
+    ("limits", "kernel", 2, "infinite kernel vs finite N=64 circle"),
+]
+
+
+@pytest.mark.parametrize("suite, fn, at, line", _NAN_CASES)
+def test_nan_residual_fails_its_line(suite, fn, at, line, monkeypatch):
+    real, calls = getattr(verification, fn), []
+
+    def one_nan(*args):
+        out = real(*args)
+        calls.append(fn)
+        if len(calls) != at:
+            return out
+        if np.ndim(out):
+            out = np.array(out, dtype=float)
+            out[1] = np.nan
+            return out
+        # a numpy NaN: builtin abs of a Python complex NaN may raise a spurious
+        # OverflowError (CPython 3.11 reads a stale errno there)
+        return np.complex128(np.nan)
+
+    monkeypatch.setattr(verification, fn, one_nan)
+    d = derive(("A", 3, 1.0))
+    if suite == "limits":
+        results = verification.limits_suite(d, 1.0, 300000.0)
+    else:
+        results = verification.run_suites(suite, d, 0.4, 1.0)
+    res = _lines(results)[line]
+    assert math.isnan(res.residual) and not res.passed
+    assert res.line().endswith("residual=nan tol=%.1e FAIL" % res.tol)
+
+
+def test_run_suites_takes_one_name_or_all():
+    d = derive(("C", 2, 1.0))
+    assert [r.name for r in verification.run_suites("theta", d, 0.4, 1.0)] == [
+        "theta engine vs series oracle", "theta quasi-periodicity", "theta imaginary transform"]
+    with pytest.raises(ValueError, match="unknown suite"):
+        verification.run_suites("thetas", d, 0.4, 1.0)
