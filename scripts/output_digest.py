@@ -16,8 +16,9 @@ Two checkouts are compared with one diff:
 The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
 horizons (every suite at t* = 50), points outside the alcove, flags a verb
-does not read, values past double range or out of bounds, and radii small
-enough that the weight matrices leave double range.  A full run takes about
+does not read, values past double range or out of bounds, radii small
+enough that the weight matrices leave double range, and a small horizon
+where the density phase check gives up.  A full run takes about
 20 s on a 2-core machine.
 """
 
@@ -113,6 +114,9 @@ def _commands():
     cmds += [f"verify --type {fam} --r {r} --t 0.5 --t-star 1"
              for fam, r in (("A --N 3", "0.02"), ("C --N 2", "0.05"), ("B --N 3", "0.05"),
                             ("Cv --N 3", "0.05"), ("D --N 3", "0.05"))]
+    # a small horizon where the density phase check gives up: the bridge-density
+    # line reads inf, every other line prints
+    cmds.append("verify --type A --N 3 --t 0.1 --t-star 0.25")
     return cmds
 
 

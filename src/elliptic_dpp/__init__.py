@@ -13,14 +13,13 @@ from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult, bin_inte
                           density, empirical_density, exact_sample, infinite_kernel, intensity,
                           kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import denominator_residual, selberg_check
-from .root_systems import FAMILIES, DerivedFamily, FamilySpec, derive, validate
+from .root_systems import FAMILIES, FamilySpec, derive, validate
 from .theta_core import AccuracyError, eta_and_q, theta, theta_parts, theta_series
 from .verification import CheckResult, run_suites
 
 __all__ = [
     "AccuracyError",
     "CheckResult",
-    "DerivedFamily",
     "FAMILIES",
     "FamilySpec",
     "InfiniteKernelSpec",

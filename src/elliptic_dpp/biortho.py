@@ -60,11 +60,11 @@ def m_fn_parts(spec, j, x, t):
     """
     d = derive(spec)
     jj = np.atleast_1d(j)
-    if np.any(jj < 1) or np.any(jj > d.spec.N):
-        raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
+    if np.any(jj < 1) or np.any(jj > d.N):
+        raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    r, size = d.spec.r, d.size
+    r, size = d.r, d.size
     z = size * (np.asarray(x, dtype=float) / (2.0 * np.pi * r))     # size xi(x)
     if np.ndim(j) == 0:
         sigma = d.offsets[j - 1] / size
@@ -80,17 +80,17 @@ def norm_const_log(spec, j, t_star):
     of indices j gives an array of logs from one theta call (they share tau)."""
     d = derive(spec)
     jj = np.atleast_1d(j)
-    if np.any(jj < 1) or np.any(jj > d.spec.N):
-        raise ValueError(f"function index j must be in 1..{d.spec.N}, got {j}")
+    if np.any(jj < 1) or np.any(jj > d.N):
+        raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
     if t_star <= 0.0:
         raise ValueError("t_star must be positive")
-    tau_t = 1j * t_star / (2.0 * np.pi * d.spec.r**2)
-    m, s = theta_parts(2, d.size * np.asarray(d.offsets)[jj - 1] * tau_t, d.size**2 * tau_t)
+    tau_t = 1j * t_star / (2.0 * np.pi * d.r**2)
+    J = np.asarray(d.offsets)[jj - 1]
+    m, s = theta_parts(2, d.size * J * tau_t, d.size**2 * tau_t)
     ok = (np.abs(m.imag) <= 1e-12 * np.abs(m)) & (m.real > 0.0)
     if not ok.all():
         raise AccuracyError(f"norm lost positivity: mantissa {m[~ok]} for j={jj[~ok]}")
-    # the first (for D also the last) interval-family norms carry a factor 2
-    doubled = {"B": (1,), "Bv": (1,), "D": (1, d.spec.N)}.get(d.spec.tag, ())
-    mult = np.where(np.isin(jj, doubled), 2.0, 1.0)
-    out = np.log(2.0 * np.pi * d.spec.r * mult * m.real) + s
+    # on an interval the norms with J(j) = 0 or size/2 carry a factor 2
+    mult = np.where(np.isin(J, (0.0, d.size / 2) if d.walls != "circ" else ()), 2.0, 1.0)
+    out = np.log(2.0 * np.pi * d.r * mult * m.real) + s
     return float(out[0]) if np.ndim(j) == 0 else out

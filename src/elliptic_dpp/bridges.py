@@ -1,6 +1,6 @@
 """Boundary-conditioned heat kernels and the pinned-path determinant identities.
 
-A family fixes its bridge process: `DerivedFamily.walls` names the wall
+A family fixes its bridge process: `FamilySpec.walls` names the wall
 behaviour -- the periodic circle "circ" (signed by `parity`), or interval
 walls absorbing/reflecting in the combinations "ar", "aa", "rr" -- and
 `length` is the domain length.  The transition kernels take the family and
@@ -59,9 +59,8 @@ def transition(spec, s, x, t, y):
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
     d = derive(spec)
-    r = d.spec.r
-    L = 2.0 * math.pi * r
-    tau = 1j * (t - s) / (2.0 * math.pi * r * r)
+    L = 2.0 * math.pi * d.r
+    tau = 1j * (t - s) / (2.0 * math.pi * d.r * d.r)
     xm = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / L
     if d.walls == "circ":
         idx = 2 if d.parity == "even" else 3
@@ -89,7 +88,7 @@ def transition_images(spec, s, x, t, y, windings):
         raise ValueError(f"windings must be >= 1, got {windings}")
     d = derive(spec)
     dt = t - s
-    L = 2.0 * math.pi * d.spec.r
+    L = 2.0 * math.pi * d.r
 
     def gauss(u):
         return np.exp(-u * u / (2.0 * dt)) / math.sqrt(2.0 * math.pi * dt)
@@ -137,9 +136,8 @@ def ck_residual(spec, s, t, u, x, z):
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
     d = derive(spec)
-    r = d.spec.r
     for g in (t - s, u - t):
-        if g < _MIN_GAP * r * r:
+        if g < _MIN_GAP * d.r * d.r:
             raise ValueError(
                 f"time gap {g:.3e} below {_MIN_GAP} r^2; kernel too peaked for quadrature")
     n, L = _CK_NODES, d.length
@@ -157,6 +155,15 @@ def ck_residual(spec, s, t, u, x, z):
 # ---------------------------------------------------------------------------
 # the weight matrices r(t)
 
+# an entry of r(t) from its prefactor p, growth factor E and angle a, by sharp shape
+_ENTRY = {
+    "A": lambda p, E, a: p * E * np.exp(-1j * a),
+    "B": lambda p, E, a: (p * E * np.sin(a)).astype(complex),
+    "C": lambda p, E, a: (p / 1j) * E * np.sin(a),
+    "D": lambda p, E, a: (p * E * np.cos(a)).astype(complex),
+}
+
+
 def r_matrix(spec, t):
     """Family-indexed N x N weight matrix r(t), tying pinned-kernel rows to
     biorthogonal rows; columns follow the pinned configuration.
@@ -168,31 +175,21 @@ def r_matrix(spec, t):
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     d = derive(spec)
-    tag, N, r = d.spec.tag, d.spec.N, d.spec.r
-    size = d.size
+    r, size, entry = d.r, d.size, _ENTRY[d.sharp]
     J = np.asarray(d.offsets)
     v = np.asarray(d.pinned)
-    pref4 = 4.0 * math.pi * r / size
     pref2 = 2.0 * math.pi * r / size
     arg = (size - 2.0 * J)[:, None] * v[None, :] / (2.0 * r)
-    edge = (size - 2.0 * J) * math.pi / 2.0
+    edge = (size - 2.0 * J) * math.pi / 2.0        # arg at v = pi r
+    # v = pi r u / size; on an interval u = 0 or size puts the walker on a wall
+    u = np.rint(v * size / (math.pi * r))
+    walled = [] if d.walls == "circ" else np.flatnonzero((u == 0.0) | (u == size))
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         # e^{-pi i J^2 tau(t)} with tau(t) = i t / 2 pi r^2: real growth factor
         E = np.exp(J * J * t / (2.0 * r * r))
-        if tag == "A":
-            ent = pref2 * E[:, None] * np.exp(-1j * arg)
-        elif tag in ("B", "Bv"):
-            ent = (pref4 * E[:, None] * np.sin(arg)).astype(complex)
-            if tag == "B":
-                ent[:, N - 1] = pref2 * E * np.sin(edge)
-        elif tag in ("C", "BC", "Cv"):
-            ent = (pref4 / 1j) * E[:, None] * np.sin(arg)
-            if tag == "Cv":
-                ent[:, N - 1] = (pref2 / 1j) * E * np.sin(edge)
-        else:  # D
-            ent = (pref4 * E[:, None] * np.cos(arg)).astype(complex)
-            ent[:, 0] = pref2 * E
-            ent[:, N - 1] = pref2 * E * np.cos(edge)
+        ent = entry(pref2 if d.walls == "circ" else 2.0 * pref2, E[:, None], arg)
+        for k in walled:
+            ent[:, k] = entry(pref2, E, edge if u[k] == size else 0.0)
     if not np.all(np.isfinite(ent)):
         raise AccuracyError(f"weight matrix r(t) at t={t} leaves double range (radius {r})")
     return ent
@@ -214,10 +211,10 @@ def matrix_identity_residual(spec, t, xs):
     xs = np.asarray(xs, dtype=float)
     P = _pinned_matrix(d, t, xs)
     rm = r_matrix(d, t)
-    M = parts_value(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
+    M = parts_value(*m_fn_parts(d, np.arange(1, d.N + 1), xs, t))
     top = np.max(np.abs(M))
     if not 0.0 < top < np.inf:      # M underflowed to 0 (or overflowed)
-        raise AccuracyError(f"M(x, t) at t={t} leaves double range (radius {d.spec.r})")
+        raise AccuracyError(f"M(x, t) at t={t} leaves double range (radius {d.r})")
     return float(np.max(np.abs(rm @ P - M)) / top)
 
 
@@ -267,10 +264,10 @@ def bridge_density(spec, t, t_star, xs):
     return float(s1 * s2 * s0 * np.exp(l1 + l2 - l0))
 
 
-def _b_phase(tag, N):
-    if tag == "A":
+def _b_phase(sharp, N):
+    if sharp == "A":
         e = N * (N + 1) // 2 if N % 2 == 0 else (N - 1) * (N - 2) // 2
-    elif tag in ("C", "Cv", "BC"):
+    elif sharp == "C":
         e = N
     else:
         e = 0
@@ -289,7 +286,6 @@ def macdonald_kmlgv_residual(spec, t, xs):
     leaves double range.
     """
     d = derive(spec)
-    tag, N = d.spec.tag, d.spec.N
     xs = np.asarray(xs, dtype=float)
     ll, pl = rhs_logc(d, xs, t)
 
@@ -302,7 +298,7 @@ def macdonald_kmlgv_residual(spec, t, xs):
     # both condition checks passed, so neither determinant is zero
     sr, lr = np.linalg.slogdet(rm)
     sp, lp = np.linalg.slogdet(P)
-    rp = _det_phase(tag, N) * _b_phase(tag, N) * sr * sp
+    rp = _det_phase(d.sharp, d.N) * _b_phase(d.sharp, d.N) * sr * sp
     return _logc_rel_diff(ll, pl, lr + lp, rp)
 
 
@@ -311,11 +307,11 @@ def eta_formula_residual(spec, t):
     (2 pi r)^N N^{-N/2} eta(N tau(t))^{(N-1)(N-2)/2}. Relative residual;
     AccuracyError when r(t) leaves double range."""
     d = derive(spec)
-    if d.spec.tag != "A":
+    if d.walls != "circ":
         raise ValueError("eta closed form applies to the circle family only")
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    N, r = d.spec.N, d.spec.r
+    N, r = d.N, d.r
     rm = r_matrix(d, t)         # it leaves double range before eta(N tau) does
     tau = 1j * t / (2.0 * math.pi * r * r)
     _, _, eta = eta_and_q(N * tau)
@@ -324,5 +320,5 @@ def eta_formula_residual(spec, t):
     sr, lr = np.linalg.slogdet(rm)
     la = coeff_a_log(d, t)
     lc = lr - la
-    pc = _b_phase("A", N) * sr
+    pc = _b_phase(d.sharp, N) * sr
     return _logc_rel_diff(lb, eta / abs(eta), lc, pc)

@@ -59,7 +59,7 @@ class RunConfig:
         if self.t is None:
             self.t = 0.5 * self.t_star
         if self.command != "theta":
-            size = derive((self.type, self.N, self.r)).size   # raises ValueError if unusable
+            d = derive((self.type, self.N, self.r))   # raises ValueError if unusable
         if not 0.0 < self.t < self.t_star:
             raise ValueError(f"need 0 < t < t_star, got t={self.t} t_star={self.t_star}")
         if self.command != "theta":
@@ -69,7 +69,7 @@ class RunConfig:
             if not tau_im >= sys.float_info.min:
                 raise ValueError(f"radius r={self.r!r} too large for t={self.t!r}, t_star="
                                  f"{self.t_star!r}: Im tau = {tau_im!r} is not a normal double")
-            tau_im = size * size * self.t_star / (2.0 * np.pi * self.r * self.r)
+            tau_im = d.size * d.size * self.t_star / (2.0 * np.pi * self.r * self.r)
             if self.command != "limits" and not np.pi * tau_im <= sys.float_info.max:
                 raise ValueError(f"radius r={self.r!r} too small for t_star={self.t_star!r}: "
                                  f"pi Im tau = pi * {tau_im!r} leaves double range")
@@ -87,7 +87,7 @@ class RunConfig:
         if self.points is not None:
             pts = [float(s) for s in self.points.split(",")]
             if self.command == "density":
-                _check_points(pts, derive((self.type, self.N, self.r)))
+                _check_points(pts, d)
         return self
 
 
@@ -95,9 +95,9 @@ def _check_points(pts, d):
     """A configuration for `density`: N finite points in the alcove, [0, L) on
     the circle and [0, L] on the interval.  Coincident points are allowed;
     their density is 0."""
-    if len(pts) != d.spec.N:
-        raise ValueError(f"--points needs {d.spec.N} values, got {len(pts)}")
-    L, closed = d.length, d.spec.tag != "A"
+    if len(pts) != d.N:
+        raise ValueError(f"--points needs {d.N} values, got {len(pts)}")
+    L, closed = d.length, d.walls != "circ"
     if not all(0.0 <= p and (p <= L if closed else p < L) for p in pts):
         raise ValueError(f"--points must be finite and in [0, {L!r}"
                          f"{']' if closed else ')'}, got {pts}")

@@ -64,7 +64,8 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Family (derived on construction) plus the time pair (t, t_star), 0 < t < t_star."""
+    """Family (a `FamilySpec` after construction) plus the time pair (t, t_star),
+    0 < t < t_star."""
 
     family: object
     t: float
@@ -99,7 +100,7 @@ class InfiniteKernelSpec:
 
 def _norms_log(ks):
     d = ks.family
-    return norm_const_log(d, np.arange(1, d.spec.N + 1), ks.t_star)
+    return norm_const_log(d, np.arange(1, d.N + 1), ks.t_star)
 
 
 def _stacked_m_parts(d, X, t):
@@ -185,7 +186,7 @@ def _factors(ks, xs, ys, lms):
     of the accepted range, where the balance of exponents near 1e308 fails).
     """
     d = ks.family
-    j = np.arange(1, d.spec.N + 1)
+    j = np.arange(1, d.N + 1)
 
     def f(x, s):
         mant, scale = m_fn_parts(d, j, x, s)
@@ -252,8 +253,8 @@ def corr_det(ks, points):
     permutation invariant, and a fixed order makes its rounding so too.
     """
     pts = np.sort(np.asarray(points, dtype=float))
-    if pts.size > ks.family.spec.N:
-        raise ValueError(f"need n <= N = {ks.family.spec.N}, got n = {pts.size}")
+    if pts.size > ks.family.N:
+        raise ValueError(f"need n <= N = {ks.family.N}, got n = {pts.size}")
     km = kernel_matrix(ks, pts, pts)
     val = complex(np.linalg.det(km))
     scale = max(float(np.max(np.abs(np.diag(km)))) ** pts.size, 1e-290)
@@ -277,15 +278,8 @@ def _gl_nodes(n, a, b):
 # ---------------------------------------------------------------------------
 # temporally homogeneous (sine-ratio) kernels
 
-_TRIG_TABLE = {
-    # tag -> (multiplier c in sin(c u / 2r), sign of the image term)
-    "B": (lambda N: 2 * N, -1.0),
-    "BC": (lambda N: 2 * N, -1.0),
-    "Cv": (lambda N: 2 * N, -1.0),
-    "C": (lambda N: 2 * N + 1, -1.0),
-    "Bv": (lambda N: 2 * N + 1, -1.0),
-    "D": (lambda N: 2 * N - 1, +1.0),
-}
+# the bridge's walls -> (multiplier c = 2N + b in sin(c u / 2r), sign of the image term)
+_TRIG_TABLE = {"ar": (0, -1.0), "aa": (1, -1.0), "rr": (-1, +1.0)}
 
 
 def _sin_ratio(c, v):
@@ -321,15 +315,15 @@ def trig_kernel(spec, x, y):
     difference and image ratios.  Real valued.
     """
     d = derive(spec)
-    r = d.spec.r
+    r = d.r
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pref = 1.0 / (2.0 * np.pi * r)
-    if d.spec.tag == "A":
-        out = pref * _sin_ratio(d.spec.N, (x - y) / (2.0 * r))
+    if d.walls == "circ":
+        out = pref * _sin_ratio(d.N, (x - y) / (2.0 * r))
     else:
-        cfn, sgn = _TRIG_TABLE[d.spec.tag]
-        c = cfn(d.spec.N)
+        b, sgn = _TRIG_TABLE[d.walls]
+        c = 2 * d.N + b
         out = pref * (_sin_ratio(c, (x - y) / (2.0 * r))
                       + sgn * _sin_ratio(c, (x + y) / (2.0 * r)))
     return float(out) if out.ndim == 0 else out
@@ -609,7 +603,7 @@ def exact_sample(ks, states, seed=0):
     relative of N - k).
     """
     d = ks.family
-    N, L = d.spec.N, d.length
+    N, L = d.N, d.length
     S = int(states)
     if S < 1:
         raise ValueError(f"need states >= 1, got {states}")
@@ -636,10 +630,10 @@ def exact_sample(ks, states, seed=0):
     if tv > SAMPLER_TV_TOL:
         raise AccuracyError(
             f"tabulation error {tv:.2e} exceeds {SAMPLER_TV_TOL:g} at {nodes} nodes")
-    if d.spec.tag == "A":
+    if d.walls == "circ":
         pos[pos >= L] -= L          # the circle's node L is its node 0
     pos.sort(axis=1)
-    hi_ok = pos[:, -1] < L if d.spec.tag == "A" else pos[:, -1] <= L
+    hi_ok = pos[:, -1] < L if d.walls == "circ" else pos[:, -1] <= L
     if not (np.all(np.isfinite(pos)) and np.all(pos[:, 0] >= 0.0) and np.all(hi_ok)
             and np.all(np.diff(pos, axis=1) > 0.0)):
         raise AccuracyError("a drawn state left the alcove")

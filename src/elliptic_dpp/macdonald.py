@@ -154,24 +154,23 @@ def coeff_a_log(spec, t):
     d = derive(spec)
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    N = d.spec.N
-    tau = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
-    pref, qexp, q0_terms = _A_TABLE[d.spec.tag]
-    out = np.log(pref) + qexp(N) * (-np.pi * tau.imag)  # log q(tau) = -pi Im tau
+    tau = 1j * d.size * t / (2.0 * np.pi * d.r**2)
+    pref, qexp, q0_terms = _A_TABLE[d.tag]
+    out = np.log(pref) + qexp(d.N) * (-np.pi * tau.imag)  # log q(tau) = -pi Im tau
     for tmul, e in q0_terms:
         _, q0, _ = eta_and_q(tmul * tau)
-        out += e(N) * np.log(q0.real)
+        out += e(d.N) * np.log(q0.real)
     return float(out)
 
 
 # ---------------------------------------------------------------------------
 # determinant identity
 
-def _det_phase(tag, N):
-    """Unit phase on the closed-form side: i-powers fixed by family and parity."""
-    if tag == "A":
+def _det_phase(sharp, N):
+    """Unit phase on the closed-form side: i-powers fixed by sharp shape and parity."""
+    if sharp == "A":
         e = (N // 2) if N % 2 == 0 else -((N - 1) // 2)
-    elif tag in ("C", "Cv", "BC"):
+    elif sharp == "C":
         e = -N
     else:
         e = 0
@@ -185,7 +184,7 @@ def det_m_logc(spec, xs, t):
     rescaled matrix's condition estimate exceeds `_COND_LIMIT`.
     """
     d = derive(spec)
-    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.spec.N + 1), xs, t))
+    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.N + 1), xs, t))
     cond = np.linalg.cond(tilde)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedError(
@@ -200,11 +199,11 @@ def det_m_logc(spec, xs, t):
 def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
-    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
-    tau = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
-    m, s = _product_parts(d.spec.tag, xi, tau)
+    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.r)
+    tau = 1j * d.size * t / (2.0 * np.pi * d.r**2)
+    m, s = _product_parts(d.tag, xi, tau)
     lp, pp = _logc_from_parts(complex(m[0]), float(s[0]))
-    return coeff_a_log(d, t) + lp, _det_phase(d.spec.tag, d.spec.N) * pp
+    return coeff_a_log(d, t) + lp, _det_phase(d.sharp, d.N) * pp
 
 
 def denominator_residual(spec, xs, t):
@@ -239,11 +238,11 @@ class SelbergResult:
 def _selberg_integrand(d, X, t, t_star):
     """Integrand on a batch of configurations X (B, N): the product side of the
     determinant identity at the two time differences t* - t and t."""
-    xi = X / (2.0 * np.pi * d.spec.r)
-    tau_s = 1j * d.size * (t_star - t) / (2.0 * np.pi * d.spec.r**2)
-    tau_t = 1j * d.size * t / (2.0 * np.pi * d.spec.r**2)
-    m1, s1 = _product_parts(d.spec.tag, xi, tau_s)
-    m2, s2 = _product_parts(d.spec.tag, xi, tau_t)
+    xi = X / (2.0 * np.pi * d.r)
+    tau_s = 1j * d.size * (t_star - t) / (2.0 * np.pi * d.r**2)
+    tau_t = 1j * d.size * t / (2.0 * np.pi * d.r**2)
+    m1, s1 = _product_parts(d.tag, xi, tau_s)
+    m2, s2 = _product_parts(d.tag, xi, tau_t)
     vals = parts_value(m1 * m2, s1 + s2)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals.real)), 1e-300):
         raise AccuracyError("Selberg integrand lost realness")
@@ -264,7 +263,7 @@ def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0):
     d = derive(spec)
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
-    N, L = d.spec.N, d.length
+    N, L = d.N, d.length
 
     lg_rhs = -coeff_a_log(d, t_star - t) - coeff_a_log(d, t)
     for lg in norm_const_log(d, np.arange(1, N + 1), t_star):

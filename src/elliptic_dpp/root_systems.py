@@ -5,22 +5,30 @@ library supports: "A", "B", "Bv", "C", "Cv", "BC", "D" ("v" marks the dual of
 the plain letter).  A `FamilySpec` fixes (tag, N, r): N particles on a circle
 of radius r (tag "A") or on the interval [0, pi r] (all other tags).
 
-`derive` expands a spec into everything the rest of the library consumes:
+A `FamilySpec` also carries everything the rest of the library consumes,
+computed from one table row per tag when it is made:
 
 - sharp: which of the four building-block shapes (A/B/C/D) the family's
   one-particle functions use;
 - size: the effective modular degree (the period of the underlying lattice),
-  e.g. N for "A", 2N for "Bv"/"Cv", 2(N+1) for "C";
-- offsets: the N spectral labels J(1..N), half-integers or integers;
+  a N + b, e.g. N for "A", 2N for "Bv"/"Cv", 2(N+1) for "C";
+- offsets: the N spectral labels J(j) = j - delta, half-integers or integers;
 - length: the alcove length (2 pi r for "A", pi r otherwise);
 - walls: boundary behaviour of the matching bridge process -- "circ" (periodic),
   "ar" (absorbing at 0, reflecting at pi r), "aa" (absorbing both ends),
   "rr" (reflecting both ends);
-- pinned: the equidistant starting configuration on the alcove.
+- pinned: the equidistant starting configuration v_j = 2 pi r (j - eps) / size
+  on the alcove; on an interval a walker with j - eps in {0, size/2} sits on
+  a wall;
+- parity: "even"/"odd" with N on the circle, else None.
 
-`derive` accepts its own output and returns a `DerivedFamily` unchanged, so
-every function that takes a family calls `derive` on it, whether it came as
-a (tag, N[, r]) tuple, a `FamilySpec` or a `DerivedFamily`.
+The other per-family rules are read off these data where they are used (the
+doubled norms, the half-weight columns of r(t), the trigonometric limits); the
+list of types follows Rosengren and Schlosser, Compositio Math. 142 (2006).
+
+`derive` turns a (tag, N[, r]) tuple into a `FamilySpec` and returns a
+`FamilySpec` unchanged, so every function that takes a family calls `derive`
+on it.
 """
 
 from __future__ import annotations
@@ -28,13 +36,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 
-__all__ = ["FAMILIES", "FamilySpec", "DerivedFamily", "derive", "validate"]
+__all__ = ["FAMILIES", "FamilySpec", "derive", "validate"]
 
 FAMILIES = ("A", "B", "Bv", "C", "Cv", "BC", "D")
 
-# tag -> (sharp shape, size formula, offset of J(j) from j, walls)
-_SHARP = {"A": "A", "B": "B", "Bv": "B", "C": "C", "Cv": "C", "BC": "C", "D": "D"}
-_WALLS = {"A": "circ", "B": "ar", "Bv": "aa", "C": "aa", "Cv": "ar", "BC": "ar", "D": "rr"}
+# tag -> (sharp, walls, a, b, delta, eps): size = a N + b, J(j) = j - delta,
+# v_j = 2 pi r (j - eps) / size
+_ROWS = {
+    "A": ("A", "circ", 1, 0, 0.5, 1.0),
+    "B": ("B", "ar", 2, -1, 1.0, 0.5),
+    "Bv": ("B", "aa", 2, 0, 1.0, 0.5),
+    "C": ("C", "aa", 2, 2, 0.0, 0.0),
+    "Cv": ("C", "ar", 2, 0, 0.5, 0.0),
+    "BC": ("C", "ar", 2, 1, 0.0, 0.0),
+    "D": ("D", "rr", 2, -2, 1.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -42,21 +58,27 @@ class FamilySpec:
     tag: str
     N: int
     r: float = 1.0
+    sharp: str = field(init=False)
+    size: int = field(init=False)
+    offsets: tuple = field(init=False, repr=False)
+    length: float = field(init=False)
+    walls: str = field(init=False)
+    pinned: tuple = field(init=False, repr=False)
+    parity: str | None = field(init=False)
 
     def __post_init__(self):
         validate(self.tag, self.N, self.r)
-
-
-@dataclass(frozen=True)
-class DerivedFamily:
-    spec: FamilySpec
-    sharp: str
-    size: int
-    offsets: tuple = field(repr=False)
-    length: float
-    walls: str
-    pinned: tuple = field(repr=False)
-    parity: str | None = None  # "even"/"odd" for tag "A", else None
+        sharp, walls, a, b, delta, eps = _ROWS[self.tag]
+        N, r, size = self.N, self.r, a * self.N + b
+        two_pi_r = 2.0 * math.pi * r
+        circle = walls == "circ"
+        for name, value in dict(
+                sharp=sharp, size=size, walls=walls,
+                offsets=tuple(j - delta for j in range(1, N + 1)),
+                length=two_pi_r if circle else math.pi * r,
+                pinned=tuple(two_pi_r * (j - eps) / size for j in range(1, N + 1)),
+                parity=("even" if N % 2 == 0 else "odd") if circle else None).items():
+            object.__setattr__(self, name, value)
 
 
 def validate(tag, N, r=1.0):
@@ -76,57 +98,6 @@ def validate(tag, N, r=1.0):
                          f"finite and positive, got {r!r}")
 
 
-def _size(tag, N):
-    return {
-        "A": N,
-        "B": 2 * N - 1,
-        "Bv": 2 * N,
-        "C": 2 * (N + 1),
-        "Cv": 2 * N,
-        "BC": 2 * N + 1,
-        "D": 2 * (N - 1),
-    }[tag]
-
-
-def _offsets(tag, N):
-    if tag in ("A", "Cv"):
-        return tuple(j - 0.5 for j in range(1, N + 1))
-    if tag in ("B", "Bv", "D"):
-        return tuple(float(j - 1) for j in range(1, N + 1))
-    # C, BC
-    return tuple(float(j) for j in range(1, N + 1))
-
-
-def _pinned(tag, N, r, size):
-    two_pi_r = 2.0 * math.pi * r
-    if tag == "A":
-        return tuple(two_pi_r * (j - 1) / N for j in range(1, N + 1))
-    if tag in ("B", "Bv"):
-        return tuple(two_pi_r * (j - 0.5) / size for j in range(1, N + 1))
-    if tag in ("C", "Cv", "BC"):
-        return tuple(two_pi_r * j / size for j in range(1, N + 1))
-    # D: evenly spread over the closed interval, endpoints included
-    return tuple(math.pi * r * (j - 1) / (N - 1) for j in range(1, N + 1))
-
-
 def derive(spec):
-    """Expand a FamilySpec (or (tag, N[, r]) tuple) into its derived data.
-
-    A DerivedFamily is returned as it is.
-    """
-    if isinstance(spec, DerivedFamily):
-        return spec
-    if not isinstance(spec, FamilySpec):
-        spec = FamilySpec(*spec)
-    tag, N, r = spec.tag, spec.N, spec.r
-    size = _size(tag, N)
-    return DerivedFamily(
-        spec=spec,
-        sharp=_SHARP[tag],
-        size=size,
-        offsets=_offsets(tag, N),
-        length=(2.0 * math.pi * r) if tag == "A" else math.pi * r,
-        walls=_WALLS[tag],
-        pinned=_pinned(tag, N, r, size),
-        parity=("even" if N % 2 == 0 else "odd") if tag == "A" else None,
-    )
+    """A (tag, N[, r]) tuple as a FamilySpec; a FamilySpec is returned as it is."""
+    return spec if isinstance(spec, FamilySpec) else FamilySpec(*spec)

@@ -39,7 +39,7 @@ def corr_oracle(ks, points, grid=64):
     the closed box, so this converges spectrally.  N <= 3 only.
     """
     d = ks.family
-    N = d.spec.N
+    N = d.N
     if N > 3:
         raise UnsupportedScaleError("corr_oracle supports N <= 3")
     pts = np.asarray(points, dtype=float)
@@ -66,7 +66,7 @@ def corr_oracle(ks, points, grid=64):
 def _trapezoid_gram(d, t, t_star, n):
     """Entry (j, k): integral of conj(M_j(x, t*-t)) M_k(x, t) over the alcove,
     composite trapezoid rule on n points with both walls as nodes."""
-    j = np.arange(1, d.spec.N + 1)
+    j = np.arange(1, d.N + 1)
     xs = np.linspace(0.0, d.length, n)
     h = d.length / (n - 1)
     w = np.full(n, h)
@@ -90,7 +90,7 @@ def gram_oracle(spec, t, t_star):
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star = {t_star}, got t = {t}")
     d = derive(spec)
-    norms = np.exp(norm_const_log(d, np.arange(1, d.spec.N + 1), t_star))
+    norms = np.exp(norm_const_log(d, np.arange(1, d.N + 1), t_star))
     n = 128
     while n <= 8192:
         coarse = _trapezoid_gram(d, t, t_star, n)
@@ -138,7 +138,7 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
     chi = 1 - e^{theta psi}.  Returns |route1 - route2|.  N <= 2.
     """
     d = ks.family
-    N = d.spec.N
+    N = d.N
     if N > 2:
         raise UnsupportedScaleError("fredholm_residual supports N <= 2")
     if test_fn_id not in _TEST_FNS:

@@ -108,8 +108,8 @@ def test_criterion_2_biorthogonality():
 def _well_separated(rng, d):
     L = d.length
     while True:
-        xs = np.sort(rng.uniform(0.03 * L, 0.97 * L, d.spec.N))
-        if d.spec.N == 1 or np.min(np.diff(xs)) > 0.01 * L:
+        xs = np.sort(rng.uniform(0.03 * L, 0.97 * L, d.N))
+        if d.N == 1 or np.min(np.diff(xs)) > 0.01 * L:
             return xs
 
 

@@ -220,7 +220,7 @@ def test_gram_that_does_not_settle_raises(monkeypatch):
 
     def drifting(ks, n):
         sizes.append(n)
-        return None, None, np.eye(ks.family.spec.N) * (1.0 + 1e-9 * len(sizes))
+        return None, None, np.eye(ks.family.N) * (1.0 + 1e-9 * len(sizes))
 
     monkeypatch.setattr(verification, "_gram", drifting)
     with pytest.raises(AccuracyError, match="did not converge"):

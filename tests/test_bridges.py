@@ -36,7 +36,7 @@ def _kind_id(d):
 
 
 def _random_config(rng, d, margin=0.02):
-    pts = np.sort(rng.uniform(margin, 1.0 - margin, size=d.spec.N)) * d.length
+    pts = np.sort(rng.uniform(margin, 1.0 - margin, size=d.N)) * d.length
     return pts
 
 

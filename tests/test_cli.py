@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import elliptic_dpp
+from elliptic_dpp.bridges import transition
 from elliptic_dpp.cli import RunConfig, _grid_rows, _write_csv, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
 from elliptic_dpp.root_systems import derive
@@ -382,10 +383,36 @@ def test_sample_zero_steps_is_usage_error(capsys):
 def test_consistency_error_is_an_error_line(capsys):
     # the density phase check fires at this small horizon; the CLI must turn
     # it into an `error:` line and exit 1, not a traceback
-    assert main(["verify", "--type", "A", "--N", "3", "--t", "0.1",
-                 "--t-star", "0.25"]) == 1
+    assert main(["density", "--type", "A", "--N", "3", "--t", "0.1", "--t-star", "0.25",
+                 "--points", "3.262007931706325,5.999357297695662,6.091201433480969"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "imaginary residue" in err
+
+
+def test_verify_prints_every_line_when_density_gives_up(capsys):
+    # the same phase check inside the bridge suite makes only the bridge-density
+    # line inf; every other suite still reports
+    assert main(["verify", "--type", "A", "--N", "3", "--t", "0.1",
+                 "--t-star", "0.25"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 15
+    assert "bridge density vs spectral density: residual=inf tol=1.0e-08 FAIL" in lines
+    assert "determinant-identity residual: residual=7.985e-08 tol=1.0e-10 FAIL" in lines
+    assert sum(ln.endswith(" FAIL") for ln in lines) == 2
+
+
+@pytest.mark.parametrize("tag, N, r", [("C", "2", "0.05"), ("A", "4", "0.01")])
+def test_chapman_kolmogorov_line_fails_on_a_zero_kernel(tag, N, r, capsys):
+    # theta(x - y) - theta(x + y) cancels to 0 (C2) or theta_2 underflows (A4):
+    # the kernel between the suite's points reads 0, and a residual of 0 - 0
+    # against an absolute bound must not pass
+    d = derive((tag, int(N), float(r)))
+    assert transition(d, 0.0, 0.3 * d.length, 1.0, 0.7 * d.length) == 0.0
+    assert main(["verify", "--type", tag, "--N", N, "--r", r,
+                 "--t", "0.5", "--t-star", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "Chapman-Kolmogorov: residual=inf tol=1.0e-10 FAIL" in out
 
 
 def test_ill_conditioned_bridge_fails_only_its_check(capsys):

@@ -45,7 +45,7 @@ def _ks(tag, N, r=1.0, t=T, t_star=T_STAR):
 
 def _random_rows(rng, d, B, margin=0.02):
     L = d.length
-    X = rng.uniform(margin * L, (1.0 - margin) * L, size=(B, d.spec.N))
+    X = rng.uniform(margin * L, (1.0 - margin) * L, size=(B, d.N))
     return np.sort(X, axis=1)
 
 
@@ -67,12 +67,12 @@ def test_kernel_spec_validates_times():
     with pytest.raises(ValueError):
         KernelSpec(("A", 3, 1.0), t=-0.1, t_star=1.0)
     ks = _ks("A", 3)
-    assert ks.family.spec.N == 3
+    assert ks.family.N == 3
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_kernel_spec_accepts_every_family_form(tag):
-    # a tuple, a FamilySpec and a DerivedFamily give the same kernel bit for bit
+    # a tuple and a FamilySpec give the same kernel bit for bit
     x = np.linspace(0.05, 0.95, 9) * derive((tag, 3, 1.3)).length
     ref = kernel_matrix(KernelSpec((tag, 3, 1.3), t=T, t_star=T_STAR), x, x[::-1])
     for fam in (FamilySpec(tag, 3, 1.3), derive((tag, 3, 1.3))):
@@ -197,7 +197,7 @@ def _stream_kernel_matrix(ks, xs, ys):
     """Oracle: the mode sum streamed in (mantissa, log_scale) parts, each term
     M_n(x, t) conj M_n(y, t*-t) / m_n at its own scale -- no balanced factors."""
     d = ks.family
-    N = d.spec.N
+    N = d.N
     lms = [norm_const_log(d, j, ks.t_star) for j in range(1, N + 1)]
     mx, sx = m_fn_parts(d, np.arange(1, N + 1), xs, ks.t)
     my, sy = m_fn_parts(d, np.arange(1, N + 1), ys, ks.t_star - ks.t)

@@ -21,8 +21,8 @@ from elliptic_dpp.theta_core import parts_value, theta
 def _random_config(rng, d, margin=0.03):
     L = d.length
     while True:
-        pts = np.sort(rng.uniform(margin * L, (1.0 - margin) * L, size=d.spec.N))
-        if d.spec.N == 1 or np.min(np.diff(pts)) > 0.01 * L:
+        pts = np.sort(rng.uniform(margin * L, (1.0 - margin) * L, size=d.N))
+        if d.N == 1 or np.min(np.diff(pts)) > 0.01 * L:
             return pts
 
 
@@ -32,8 +32,8 @@ def _random_config(rng, d, margin=0.03):
 def _weyl_w(spec, xs, tau):
     """W^R(xi(x); tau) in plain doubles, xi = x / 2 pi r, from the parts form."""
     d = derive(spec)
-    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.spec.r)
-    return complex(parts_value(*weyl_w_parts(d.spec.tag, xi, tau))[0])
+    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.r)
+    return complex(parts_value(*weyl_w_parts(d.tag, xi, tau))[0])
 
 
 def test_weyl_w_single_point_circle_is_one():
