@@ -17,8 +17,9 @@ The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
 horizons (every suite at t* = 50), points outside the alcove, flags a verb
 does not read, values past double range or out of bounds, radii small
-enough that the weight matrices leave double range, and a small horizon
-where the density phase check gives up.  A full run takes about
+enough that the weight matrices leave double range, and small horizons
+where the density phase check gives up or the determinant identity's
+matrix is past its condition limit.  A full run takes about
 20 s on a 2-core machine.
 """
 
@@ -117,6 +118,10 @@ def _commands():
     # a small horizon where the density phase check gives up: the bridge-density
     # line reads inf, every other line prints
     cmds.append("verify --type A --N 3 --t 0.1 --t-star 0.25")
+    # small horizons where M(x, t) is past its condition limit: the
+    # determinant-identity line reads inf, every other line prints
+    cmds += ["verify --type A --N 4 --t 0.05 --t-star 0.1",
+             "verify --type C --N 3 --t 0.02 --t-star 0.05"]
     return cmds
 
 

@@ -8,7 +8,9 @@ are evaluated in theta form; a Gaussian winding-image sum is kept alongside
 as an oracle.  The family-indexed weight matrices r(t) tie products
 r(t) . p(0, v; t, x) back to the biorthogonal function matrices, which
 cascades into the Weyl-denominator and bridge-density identities checked
-here.
+here.  Like `denominator_residual`, the three configuration functions take xs
+of shape (N,), returning a float, or (B, N), returning B values; the matrices
+that do not depend on x (r(t), p(0, v; t*, v)) are formed once per call.
 
 Conventions
 -----------
@@ -21,15 +23,8 @@ import math
 
 import numpy as np
 
-from .macdonald import (
-    _COND_LIMIT,
-    IllConditionedError,
-    _det_phase,
-    _logc_rel_diff,
-    coeff_a_log,
-    rhs_logc,
-)
-from .biortho import m_fn_parts
+from .macdonald import (_COND_LIMIT, _det_phase, _logc_rel_diff, _m_matrix_parts,
+                        _per_config, check_cond, coeff_a_log, rhs_logc)
 from .root_systems import derive
 from .theta_core import AccuracyError, eta_and_q, parts_value, theta
 
@@ -198,37 +193,33 @@ def r_matrix(spec, t):
 # ---------------------------------------------------------------------------
 # cross-module identities
 
-def _pinned_matrix(d, t, xs):
-    """P[j, k] = p(0, v_j; t, x_k) for the family's bridge process."""
+def _pinned_matrix(d, t, X):
+    """P[b, j, k] = p(0, v_j; t, x_bk) for the family's bridge process."""
     v = np.asarray(d.pinned)
-    return transition(d, 0.0, v[:, None], t, xs[None, :])
+    return transition(d, 0.0, v[:, None], t, X[..., None, :])
 
 
 def matrix_identity_residual(spec, t, xs):
     """max |r(t) . p(0, v; t, x) - M(x, t)| / max |M|, entrywise;
     AccuracyError when r(t) or M leaves double range."""
     d = derive(spec)
-    xs = np.asarray(xs, dtype=float)
-    P = _pinned_matrix(d, t, xs)
+    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    P = _pinned_matrix(d, t, X)
     rm = r_matrix(d, t)
-    M = parts_value(*m_fn_parts(d, np.arange(1, d.N + 1), xs, t))
-    top = np.max(np.abs(M))
-    if not 0.0 < top < np.inf:      # M underflowed to 0 (or overflowed)
+    M = parts_value(*_m_matrix_parts(d, X, t))
+    top = np.max(np.abs(M), axis=(-2, -1))
+    if not np.all((0.0 < top) & (top < np.inf)):    # M underflowed to 0 (or overflowed)
         raise AccuracyError(f"M(x, t) at t={t} leaves double range (radius {d.r})")
-    return float(np.max(np.abs(rm @ P - M)) / top)
+    return _per_config(xs, np.max(np.abs(rm @ P - M), axis=(-2, -1)) / top)
 
 
 def _check_bridge_cond(name, m):
-    """IllConditionedError when the row-equilibrated heat-kernel matrix m is
-    past `_BRIDGE_COND_LIMIT`: its determinant would carry round-off of
-    about 1e-16 times the condition number.  A zero row or a non-finite
-    entry counts as condition inf."""
+    """`check_cond` of the row-equilibrated heat-kernel matrix m (or stack) at
+    `_BRIDGE_COND_LIMIT`: its determinant would carry round-off of about 1e-16
+    times the condition number.  A zero row counts as condition inf."""
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 or inf/inf: nan
-        m = m / np.max(np.abs(m), axis=1, keepdims=True)
-    cond = np.linalg.cond(m) if np.all(np.isfinite(m)) else math.inf
-    if not cond <= _BRIDGE_COND_LIMIT:
-        raise IllConditionedError(f"bridge matrix {name} condition ~ {cond:.3e} "
-                                  f"exceeds {_BRIDGE_COND_LIMIT:.1e}")
+        m = m / np.max(np.abs(m), axis=-1, keepdims=True)
+    check_cond(f"bridge matrix {name}", m, _BRIDGE_COND_LIMIT)
 
 
 def bridge_density(spec, t, t_star, xs):
@@ -241,27 +232,27 @@ def bridge_density(spec, t, t_star, xs):
     1e-8 relative agreement with `density`) IllConditionedError is raised
     instead of a silently wrong, possibly negative, density.  The structural
     zeros (coincident points, a point on an absorbing wall) make P_in and
-    P_out exactly singular and return 0 before the check.
+    P_out exactly singular; those configurations get 0 before the check.
     """
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
     d = derive(spec)
-    xs = np.asarray(xs, dtype=float)
+    X = np.atleast_2d(np.asarray(xs, dtype=float))
     absorbing = {"ar": (0.0,), "aa": (0.0, d.length)}.get(d.walls, ())
-    if np.any(np.diff(np.sort(xs)) == 0.0) or np.any(np.isin(xs, absorbing)):
-        return 0.0
-    v = np.asarray(d.pinned)
-    mats = {
-        "P_in": _pinned_matrix(d, t, xs),
-        "P_out": transition(d, t, xs[:, None], t_star, v[None, :]),
-        "D0": transition(d, 0.0, v[:, None], t_star, v[None, :]),
-    }
-    for name, m in mats.items():
-        _check_bridge_cond(name, m)
-    s1, l1 = np.linalg.slogdet(mats["P_in"])
-    s2, l2 = np.linalg.slogdet(mats["P_out"])
-    s0, l0 = np.linalg.slogdet(mats["D0"])
-    return float(s1 * s2 * s0 * np.exp(l1 + l2 - l0))
+    live = ~(np.any(np.diff(np.sort(X, axis=1), axis=1) == 0.0, axis=1)
+             | np.any(np.isin(X, absorbing), axis=1))
+    out, X, v = np.zeros(len(X)), X[live], np.asarray(d.pinned)
+    if live.any():
+        mats = {
+            "P_in": _pinned_matrix(d, t, X),
+            "P_out": transition(d, t, X[:, :, None], t_star, v[None, None, :]),
+            "D0": transition(d, 0.0, v[:, None], t_star, v[None, :]),
+        }
+        for name, m in mats.items():
+            _check_bridge_cond(name, m)
+        (s1, l1), (s2, l2), (s0, l0) = (np.linalg.slogdet(m) for m in mats.values())
+        out[live] = s1 * s2 * s0 * np.exp(l1 + l2 - l0)
+    return _per_config(xs, out)
 
 
 def _b_phase(sharp, N):
@@ -282,24 +273,21 @@ def macdonald_kmlgv_residual(spec, t, xs):
     determinant identity.  Right side: the same phase times
     `_b_phase` . det r(t) . det P.  Returns the relative residual at the
     common log scale.  IllConditionedError when r(t) is past `_COND_LIMIT` or
-    the pinned matrix P past `_BRIDGE_COND_LIMIT`, AccuracyError when r(t)
+    a pinned matrix P past `_BRIDGE_COND_LIMIT`, AccuracyError when r(t)
     leaves double range.
     """
     d = derive(spec)
-    xs = np.asarray(xs, dtype=float)
-    ll, pl = rhs_logc(d, xs, t)
-
+    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    ll, pl = rhs_logc(d, X, t)
     rm = r_matrix(d, t)
-    if not np.linalg.cond(rm) <= _COND_LIMIT:
-        raise IllConditionedError(
-            f"r-matrix condition number beyond {_COND_LIMIT:.1e}")
-    P = _pinned_matrix(d, t, xs)
+    check_cond("r-matrix", rm, _COND_LIMIT)
+    P = _pinned_matrix(d, t, X)
     _check_bridge_cond("P", P)
-    # both condition checks passed, so neither determinant is zero
+    # both condition checks passed, so no determinant is zero
     sr, lr = np.linalg.slogdet(rm)
     sp, lp = np.linalg.slogdet(P)
     rp = _det_phase(d.sharp, d.N) * _b_phase(d.sharp, d.N) * sr * sp
-    return _logc_rel_diff(ll, pl, lr + lp, rp)
+    return _per_config(xs, _logc_rel_diff(ll, pl, lr + lp, rp))
 
 
 def eta_formula_residual(spec, t):
@@ -321,4 +309,4 @@ def eta_formula_residual(spec, t):
     la = coeff_a_log(d, t)
     lc = lr - la
     pc = _b_phase(d.sharp, N) * sr
-    return _logc_rel_diff(lb, eta / abs(eta), lc, pc)
+    return float(_logc_rel_diff(lb, eta / abs(eta), lc, pc))

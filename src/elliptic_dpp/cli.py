@@ -192,10 +192,7 @@ def _run_limits(cfg):
 
 
 def _run_verify(cfg):
-    results = run_suites(cfg.suite, (cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star)
-    if cfg.tol is not None:
-        results = [CheckResult(res.name, res.residual, cfg.tol) for res in results]
-    return _report(results)
+    return _report(run_suites(cfg.suite, (cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star))
 
 
 def _run_sample(cfg):
@@ -281,7 +278,7 @@ _VERB_FLAGS = {
     "limits": ("trig / sine / large-N limit residuals",
                (*_FAMILY, "rho", "horizon")),
     "verify": ("named identity suites",
-               ("tol", *_FAMILY, *_TIMES, "suite")),
+               (*_FAMILY, *_TIMES, "suite")),
     "sample": ("exact i.i.d. states + one-point histogram",
                ("out", "seed", *_FAMILY, *_TIMES, "steps", "bins")),
     "selberg": ("closed-form integral check",

@@ -9,7 +9,9 @@ coordinate sum whose index follows the parity of N.
 Because a(t) carries nome exponents like q^{-N(3N-1)/8}, the whole identity
 is assembled in (log-magnitude, phase) form; `denominator_residual` compares
 both sides after common-scale cancellation, so it stays finite where direct
-evaluation would overflow doubles.
+evaluation would overflow doubles.  It takes one configuration xs of shape
+(N,), giving a float, or a batch of shape (B, N), giving B residuals from
+stacked matrices; `check_cond` holds a whole stack to a condition limit.
 
 `selberg_check` integrates the squared-denominator product over the box and
 compares with the closed form N! prod(norms) / (a(t*-t) a(t)): a tensor
@@ -32,6 +34,7 @@ __all__ = [
     "DegenerateConfigError",
     "IllConditionedError",
     "SelbergResult",
+    "check_cond",
     "coeff_a_log",
     "denominator_residual",
     "det_m_logc",
@@ -52,21 +55,39 @@ class DegenerateConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# log-magnitude + phase helpers
+# log-magnitude + phase helpers, batched over configurations
+
+def _per_config(xs, out):
+    """A float for one configuration xs (N,), the array (B,) for a batch (B, N)."""
+    return float(out[0]) if np.ndim(xs) < 2 else out
+
+
+def check_cond(name, m, limit):
+    """IllConditionedError naming the first matrix of m, one (n, n) matrix or
+    a stack (..., n, n), whose condition estimate is past limit; a non-finite
+    entry counts as condition inf."""
+    stack = np.reshape(m, (-1,) + np.shape(m)[-2:])
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    cond = np.full(len(stack), np.inf)
+    cond[finite] = np.linalg.cond(stack[finite])
+    bad = np.flatnonzero(~(cond <= limit))
+    if bad.size:
+        raise IllConditionedError(f"{name} #{bad[0] + 1} of {len(stack)} condition ~ "
+                                  f"{cond[bad[0]]:.3e} exceeds {limit:.1e}")
+
 
 def _logc_from_parts(mant, scale):
-    """(mantissa, log_scale) -> (log_mag, unit phase); zero maps to (-inf, 1)."""
+    """(mantissa, log_scale) -> (log_mag, unit phase); zero gives (-inf, nan)."""
     a = np.abs(mant)
-    if a == 0.0:
-        return -np.inf, 1.0 + 0.0j
-    return float(np.log(a) + scale), complex(mant / a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(a) + scale, mant / a
 
 
 def _logc_rel_diff(l1, p1, l2, p2):
-    """|A - B| / max(|A|, |B|) with A = p1 e^{l1}, B = p2 e^{l2}."""
-    if l1 == -np.inf and l2 == -np.inf:
+    """|A - B| / max(|A|, |B|) with A = p1 e^{l1}, B = p2 e^{l2}, elementwise."""
+    if np.any((l1 == -np.inf) & (l2 == -np.inf)):
         raise DegenerateConfigError("both sides vanish; residual undefined")
-    return float(abs(parts_sum(p1, l1, -p2, l2)[0]))
+    return np.abs(parts_sum(p1, l1, -p2, l2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +110,32 @@ def weyl_w_parts(tag, xi, tau):
 
     Returns (mantissa, log_scale) arrays of shape (B,).  The pair factors use
     differences and (except for the circle family) sums of coordinates; the
-    single-coordinate factors follow the family table.
+    single-coordinate factors follow the family table.  One product over all
+    factor columns per row: a row's value does not depend on the batch size.
     """
     X = np.atleast_2d(np.asarray(xi, dtype=float))
-    nb, N = X.shape
-    mant = np.ones(nb, dtype=complex)
-    scale = np.zeros(nb)
-    ju, ku = np.triu_indices(N, 1)
+    ju, ku = np.triu_indices(X.shape[1], 1)
     # (theta index, arguments, tau) of each factor, multiplied in this order
     factors = [(1, X[:, ku] - X[:, ju], tau)] if ju.size else []
     if ju.size and tag != "A":
         factors.append((1, X[:, ku] + X[:, ju], tau))
     factors += [(idx, amul * X, tmul * tau) for idx, amul, tmul in _SINGLES[tag]]
-    for idx, v, tv in factors:
-        m, s = theta_parts(idx, v, tv)
-        mant *= np.prod(m, axis=1)
-        scale += np.sum(s, axis=1)
-    return mant, scale
+    parts = [theta_parts(idx, v, tv) for idx, v, tv in factors]
+    none = np.empty((len(X), 0), dtype=complex)       # the product of no factors is 1
+    mant = np.concatenate([none] + [m for m, _ in parts], axis=1)
+    scale = np.concatenate([none.real] + [s for _, s in parts], axis=1)
+    return np.prod(mant, axis=1), np.sum(scale, axis=1)
 
 
 def _product_parts(tag, xi, tau):
-    """Product side of the determinant identity, batched like `weyl_w_parts`:
-    W(xi; tau), times theta_{0 if N even else 3}(sum xi | tau) for the circle
-    family.  The index follows the parity of N: the theta's norm parameter
-    N tau / 2 gains a real half period for odd N, and theta_0(v + 1/2) =
-    theta_3(v)."""
+    """Product side of the determinant identity at scaled configurations xi
+    (B, N): W(xi; tau), times theta_{0 if N even else 3}(sum xi | tau) for
+    the circle family.  The index follows the parity of N: the theta's norm
+    parameter N tau / 2 gains a real half period for odd N, and
+    theta_0(v + 1/2) = theta_3(v)."""
     mant, scale = weyl_w_parts(tag, xi, tau)
     if tag == "A":
-        X = np.atleast_2d(xi)
-        m, s = theta_parts(0 if X.shape[1] % 2 == 0 else 3, X.sum(axis=1), tau)
+        m, s = theta_parts(0 if xi.shape[1] % 2 == 0 else 3, xi.sum(axis=1), tau)
         mant, scale = mant * m, scale + s
     return mant, scale
 
@@ -177,32 +195,32 @@ def _det_phase(sharp, N):
     return (1j) ** (e % 4)
 
 
+def _m_matrix_parts(d, xs, t):
+    """M[b, j, k] = M_j(x_bk, t) as (mantissa, log_scale) stacks (B, N, N)."""
+    parts = m_fn_parts(d, np.arange(1, d.N + 1), np.atleast_2d(xs), t)   # axes j, b, k
+    return tuple(np.moveaxis(p, 0, 1) for p in parts)
+
+
 def det_m_logc(spec, xs, t):
     """log-magnitude and phase of det[M_j(x_k, t)], with per-row rescaling.
 
-    LU with partial pivoting via slogdet; raises IllConditionedError when the
-    rescaled matrix's condition estimate exceeds `_COND_LIMIT`.
+    LU with partial pivoting via slogdet; raises IllConditionedError when a
+    rescaled matrix's condition estimate exceeds `_COND_LIMIT`, so no
+    determinant that reaches the LU is zero.
     """
     d = derive(spec)
-    tilde, row = parts_equilibrate(*m_fn_parts(d, np.arange(1, d.N + 1), xs, t))
-    cond = np.linalg.cond(tilde)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditionedError(
-            f"matrix condition ~ {cond:.3e} exceeds {_COND_LIMIT:.1e}"
-        )
+    tilde, row = parts_equilibrate(*_m_matrix_parts(d, xs, t))
+    check_cond("matrix", tilde, _COND_LIMIT)
     sign, logabs = np.linalg.slogdet(tilde)
-    if sign == 0:
-        return -np.inf, 1.0 + 0.0j
-    return float(logabs + row.sum()), complex(sign)
+    return logabs + row.sum(axis=-1), sign
 
 
 def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
-    xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.r)
+    xi = np.atleast_2d(np.asarray(xs, dtype=float)) / (2.0 * np.pi * d.r)
     tau = 1j * d.size * t / (2.0 * np.pi * d.r**2)
-    m, s = _product_parts(d.tag, xi, tau)
-    lp, pp = _logc_from_parts(complex(m[0]), float(s[0]))
+    lp, pp = _logc_from_parts(*_product_parts(d.tag, xi, tau))
     return coeff_a_log(d, t) + lp, _det_phase(d.sharp, d.N) * pp
 
 
@@ -210,19 +228,19 @@ def denominator_residual(spec, xs, t):
     """Relative difference between det[M_j(x_k, t)] and its closed form.
 
     Both sides in (log-magnitude, phase); DegenerateConfigError when both
-    vanish, IllConditionedError when the matrix cannot support the residual.
+    vanish, IllConditionedError when a matrix cannot support the residual.
     """
     d = derive(spec)
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     lr, pr = rhs_logc(d, xs, t)
-    if lr == -np.inf:
+    if np.any(lr == -np.inf):
         raise DegenerateConfigError(
             "closed-form side vanishes (coincident points or a wall zero); "
             "residual undefined"
         )
     ll, pl = det_m_logc(d, xs, t)
-    return _logc_rel_diff(ll, pl, lr, pr)
+    return _per_config(xs, _logc_rel_diff(ll, pl, lr, pr))
 
 
 # ---------------------------------------------------------------------------

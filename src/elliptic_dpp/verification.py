@@ -54,14 +54,15 @@ def _worst(*residuals):
     return math.nan if any(r != r for r in residuals) else max(residuals)
 
 
-def _config(rng, d):
-    # margins keep configurations off the walls, the gap floor keeps the
-    # determinant identities well conditioned
-    L = d.length
-    while True:
+def _configs(seed, d, n):
+    """n configurations (n, N) drawn in turn from default_rng(seed); margins keep
+    them off the walls, a gap floor keeps the identities well conditioned."""
+    rng, L, out = np.random.default_rng(seed), d.length, []
+    while len(out) < n:
         xs = np.sort(rng.uniform(0.03 * L, 0.97 * L, d.N))
         if d.N == 1 or np.min(np.diff(xs)) > 0.01 * L:
-            return xs
+            out.append(xs)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -143,35 +144,27 @@ def biortho_suite(d, t, t_star):
 
 
 def denominator_suite(d, t, t_star):
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for tt in (t, 0.5 * t_star, t_star):
-        for _ in range(5):
-            xs = _config(rng, d)
-            worst = _worst(worst, denominator_residual(d, xs, tt))
+    # 5 configurations per time; inf when a matrix is past its condition limit
+    try:
+        worst = float(np.max([denominator_residual(d, xs, tt) for tt, xs in zip(
+            (t, 0.5 * t_star, t_star), _configs(101, d, 15).reshape(3, 5, d.N))]))
+    except IllConditionedError:
+        worst = math.inf
     return [CheckResult("determinant-identity residual", worst, 1e-10)]
 
 
 def matrix_suite(d, t, t_star):
     # a line reads inf when r(t) leaves double range (AccuracyError) or r(t)
     # or P is past its condition limit (IllConditionedError)
-    rng = np.random.default_rng(103)
-    worst = 0.0
     try:
-        for tt in (t, t_star):
-            for _ in range(5):
-                xs = _config(rng, d)
-                worst = _worst(worst, matrix_identity_residual(d, tt, xs))
+        worst = float(np.max([matrix_identity_residual(d, tt, xs) for tt, xs in
+                              zip((t, t_star), _configs(103, d, 10).reshape(2, 5, d.N))]))
     except AccuracyError:
         worst = math.inf
     out = [CheckResult("weight-matrix identity", worst, 1e-10)]
 
-    rng = np.random.default_rng(107)
-    worst = 0.0
     try:
-        for _ in range(5):
-            xs = _config(rng, d)
-            worst = _worst(worst, macdonald_kmlgv_residual(d, t, xs))
+        worst = float(np.max(macdonald_kmlgv_residual(d, t, _configs(107, d, 5))))
     except (AccuracyError, IllConditionedError):
         worst = math.inf
     out.append(CheckResult("pinned-path proportionality", worst, 1e-9))
@@ -200,13 +193,13 @@ def bridge_suite(d, t, t_star):
           if transition(d, 0.0, x, t_star, z) > 0.0 else math.inf)
     out.append(CheckResult("Chapman-Kolmogorov", ck, 1e-10))
 
-    rng = np.random.default_rng(109)
+    # the spectral side stays one `density` call per configuration: its phase
+    # check (ConsistencyError) is relative to the batch it is given
+    X = _configs(109, d, 5)
     ks = KernelSpec(d, t=t, t_star=t_star)
-    worst = 0.0
     try:    # inf when the bridge matrices are past plain doubles or density gives up
-        for _ in range(5):
-            xs = _config(rng, d)
-            worst = _worst(worst, _rel(bridge_density(d, t, t_star, xs), density(ks, xs)))
+        worst = float(np.max([_rel(b, density(ks, xs))
+                              for b, xs in zip(bridge_density(d, t, t_star, X), X)]))
     except (IllConditionedError, ConsistencyError):
         worst = math.inf
     out.append(CheckResult("bridge density vs spectral density", worst, 1e-8))

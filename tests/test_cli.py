@@ -29,9 +29,23 @@ def test_verify_all_passes_and_exits_zero(capsys):
         assert "residual=" in ln and "tol=" in ln and ln.endswith("PASS")
 
 
-def test_verify_tol_override_forces_failure(capsys):
-    assert main(["verify", "--suite", "theta", "--tol", "1e-30"]) == 1
-    assert all(ln.endswith("FAIL") for ln in _lines(capsys))
+@pytest.mark.parametrize("argv, n_lines", [
+    ("verify --type A --N 4 --t 0.05 --t-star 0.1", 15),
+    ("verify --type C --N 3 --t 0.02 --t-star 0.05", 14),
+], ids=["A4", "C3"])
+def test_verify_prints_every_line_when_a_determinant_is_ill_conditioned(argv, n_lines, capsys):
+    # M(x, t) is past its condition limit at the smallest suite time: the
+    # determinant-identity line reads inf, every other suite still reports,
+    # and the FAIL lines make the exit status 1
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == n_lines
+    assert [ln for ln in lines if ln.endswith(" FAIL")] == [
+        "determinant-identity residual: residual=inf tol=1.0e-10 FAIL",
+        "pinned-path proportionality: residual=inf tol=1.0e-09 FAIL",
+        "bridge density vs spectral density: residual=inf tol=1.0e-08 FAIL",
+    ]
 
 
 def test_verify_suite_from_config_file_flags_win(tmp_path, capsys):
@@ -71,6 +85,7 @@ def _status(argv):
     ["limits", "--tol", "1e-30"],
     ["verify", "--out", "x.txt"],
     ["verify", "--seed", "3"],
+    ["verify", "--tol", "1e-30"],
     ["sample", "--tol", "1e-3"],
     ["selberg", "--out", "x.txt"],
     *[[verb, "--workers", "2"] for verb in

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from elliptic_dpp import dpp_kernels, verification
+from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import KernelSpec, kernel_matrix
+from elliptic_dpp.macdonald import denominator_residual, weyl_w_parts
 from elliptic_dpp.root_systems import FAMILIES, derive
 
 
@@ -106,9 +108,9 @@ _NAN_CASES = [
     ("theta", "theta_series", 2, "theta engine vs series oracle"),
     ("denominator", "denominator_residual", 2, "determinant-identity residual"),
     ("matrix", "matrix_identity_residual", 2, "weight-matrix identity"),
-    ("matrix", "macdonald_kmlgv_residual", 2, "pinned-path proportionality"),
+    ("matrix", "macdonald_kmlgv_residual", 1, "pinned-path proportionality"),
     ("bridge", "transition_images", 2, "transition vs winding images"),
-    ("bridge", "bridge_density", 2, "bridge density vs spectral density"),
+    ("bridge", "bridge_density", 1, "bridge density vs spectral density"),
     ("kernel", "density_batch", 1, "density nonnegativity"),
     ("limits", "sine_kernel", 2, "sine limit (t*rho^2 = 300000)"),
     ("limits", "kernel", 2, "infinite kernel vs finite N=64 circle"),
@@ -141,6 +143,35 @@ def test_nan_residual_fails_its_line(suite, fn, at, line, monkeypatch):
     res = _lines(results)[line]
     assert math.isnan(res.residual) and not res.passed
     assert res.line().endswith("residual=nan tol=%.1e FAIL" % res.tol)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_batch_rows_equal_one_configuration_calls(tag):
+    # a row of a 15-configuration call is the 1-configuration call, bit for
+    # bit, so the suites' batches report what per-configuration calls would
+    for N in (2, 3, 4):
+        d = derive((tag, N, 1.0))
+        X = verification._configs(5, d, 15)
+        for t in (0.4, 0.5, 1.0):
+            tau = 1j * d.size * t / (2.0 * np.pi)
+            fns = {
+                "W": lambda xs: weyl_w_parts(tag, np.asarray(xs) / (2.0 * np.pi), tau),
+                "denominator": lambda xs: denominator_residual(d, xs, t),
+                "weight matrix": lambda xs: matrix_identity_residual(d, t, xs),
+                "pinned path": lambda xs: macdonald_kmlgv_residual(d, t, xs),
+                "bridge density": lambda xs: bridge_density(d, t, t + 0.6, xs),
+            }
+            for name, fn in fns.items():
+                batch = fn(X)
+                assert np.shape(batch) == ((2, 15) if name == "W" else (15,))
+                for i, xs in enumerate(X):
+                    one = fn(xs)
+                    if name == "W":
+                        assert [p[0] for p in one] == [p[i] for p in batch], (
+                            f"{tag}{N} t={t} W row {i}")
+                    else:
+                        assert isinstance(one, float) and one == batch[i], (
+                            f"{tag}{N} t={t} {name} row {i}: {one!r} vs {batch[i]!r}")
 
 
 def test_run_suites_takes_one_name_or_all():
