@@ -64,6 +64,9 @@ def _commands():
         "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
         "selberg --type A --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
         "selberg --type C --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
+        # a small time: the sampler's table doubles, the Selberg sides are both 0
+        "sample --type A --N 4 --t 0.01 --t-star 1 --steps 256 --seed 3 --out s",
+        "selberg --type C --N 2 --t 0.0003 --t-star 1",
     ]
     cmds += [f"theta --index {idx} --tau-im {ti} --v-im {vi} --grid 16"
              for idx in range(4) for ti, vi in (("0.01", "0.003"), ("1", "0.4"),

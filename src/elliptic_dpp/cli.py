@@ -204,7 +204,7 @@ def _run_sample(cfg):
     states = {
         "type": cfg.type, "N": cfg.N, "r": cfg.r,
         "t": cfg.t, "t_star": cfg.t_star, "seed": cfg.seed,
-        "steps": cfg.steps, "tabulation_error": res.tabulation_error,
+        "steps": cfg.steps, "tabulation_error": res.tabulation_error, "nodes": res.nodes,
         "states": res.positions.tolist(),
     }
     with open(prefix + "_states.json", "w") as fh:

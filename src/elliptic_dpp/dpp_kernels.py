@@ -22,9 +22,10 @@ the Fredholm expansion of the Laplace functional) live in the test-suite.
 
 Sampling is exact: the chain rule for projection DPPs draws i.i.d. states,
 one coordinate at a time from the Schur-complement conditional intensity,
-tabulated on a fixed node set and inverted in closed form; no burn-in and no
-autocorrelation.  Output order is (seed-block, draw), and the per-bin
-histogram stderr comes from the spread over the seed-blocks.
+tabulated on a fixed node set, located by descending a tree of cell
+matrices and inverted in closed form; no burn-in and no autocorrelation.
+Output order is (seed-block, draw), and the per-bin histogram stderr comes
+from the spread over the seed-blocks.
 """
 
 from __future__ import annotations
@@ -446,10 +447,11 @@ def infinite_kernel(iks, x, y):
 SAMPLER_BLOCKS = 64     # independent seed-blocks; the histogram stderr uses them
 SAMPLER_NODES = 513     # first table size on the closed alcove [0, L]
 _MAX_NODES = 8193       # last table size the node doubling tries
-_PILOT = 64             # states whose estimate picks the table size
-SAMPLER_TV_TOL = 1e-3   # bound on the tabulation error's total-variation estimate
+_PILOT = 64             # states whose bound picks the table size
+SAMPLER_TV_TOL = 1e-3   # limit on the tabulation error's total-variation bound
 _MASS_TOL = 1e-6        # allowed relative drift of a conditional's total mass
-_CHUNK = 128            # states drawn together; bounds the (chunk, nodes) work arrays
+_CHUNK = 512            # states drawn together; bounds the (chunk, 2 N^2) work arrays
+_LEAF = 8               # cells per leaf of the tree; a draw scans its leaf's cells
 
 
 @dataclass
@@ -458,75 +460,63 @@ class SampleResult:
 
     `positions` is the (n_states, N) array of sorted rows, each a point of
     the family's alcove of length `length`, and `block_ids` the seed-block
-    of each row.  `tabulation_error` estimates the total variation between
-    the drawn law and the exact one (see `exact_sample`).
+    of each row.  `tabulation_error` bounds the total variation between the
+    drawn law and the exact one, at a table of `nodes` nodes (`exact_sample`).
     """
 
     positions: np.ndarray
     block_ids: np.ndarray
     length: float
     tabulation_error: float
+    nodes: int
 
 
-def _draw_in_cells(F, U, xs, cum, mask):
-    """Inverse-CDF draw from the piecewise-linear interpolant of each row of F.
+def _chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms):
+    """Draw one state per row of U (uniforms, one per coordinate); returns
+    (points, tabulation bound per row).
 
-    Cell masses are exact trapezoids of the interpolant, accumulated as
-    f_g + f_{g+1} in the (R, G-1) work array `cum` and scaled by h/2 only at
-    the totals and the chosen cell; inside that cell the linear density is
-    inverted in closed form, as the root of the quadratic CDF in its
-    cancellation-free form.  Returns (points, masses).
-    """
-    np.add(F[:, :-1], F[:, 1:], out=cum)
-    np.cumsum(cum, axis=1, out=cum)
-    target = U * cum[:, -1]
-    rows = np.arange(F.shape[0])
-    # cum is nondecreasing (F >= 0) and ends at or above the target
-    cell = np.argmax(np.greater_equal(cum, target[:, None], out=mask), axis=1)
-    below = np.where(cell > 0, cum[rows, cell - 1], 0.0)
-    fa, fb = F[rows, cell], F[rows, cell + 1]
-    rho = 0.5 * np.clip(target - below, 0.0, fa + fb)    # cell mass so far / h
-    disc = np.sqrt(np.maximum(fa * fa + 2.0 * (fb - fa) * rho, 0.0))
-    den = fa + disc
-    s = np.divide(2.0 * rho, den, out=np.zeros_like(rho), where=den > 0.0)
-    h = xs[1] - xs[0]
-    return xs[cell] + np.clip(s, 0.0, 1.0) * h, (0.5 * h) * cum[:, -1]
-
-
-def _chain_rule_chunk(ks, U, xs, A, C, lms):
-    """Draw one state per row of U (uniforms, one per coordinate).
-
-    F holds the current conditional intensity on the table nodes and Q the
-    complementary oblique projector I - P of the points drawn so far, so the
-    conditional kernel is K_k(x, y) = a(x)^T Q c(y) with a = f(., t) and
-    c = conj f(., t*-t) the balanced factors (`_factors`).  Every product is a
-    stacked matmul with one item per row, the table products (Q c(y))^T A and
-    (a(y)^T Q) C too, so a row's result does not depend on which other rows
-    share its chunk (a plain (R, N) x (N, G) BLAS product would: its blocking
-    follows R).  1/f(y) goes into the N coefficients of the drop, and the
-    work arrays are allocated once per chunk.  Returns (points, tv per row).
+    With Q = I - P for the points drawn so far, the conditional intensity is
+    f(x) = Re a(x)^T Q c(x) (a, c = conj b from `_factors`).  A draw reads the
+    mass at the tree's root (`_tables`), descends to a leaf by one dot
+    product per level, evaluates f at the leaf's nodes and inverts the
+    linear density in the chosen cell as the cancellation-free root of its
+    quadratic CDF.  Every product is per row, whatever rows share the chunk.
     """
     R, N = U.shape
-    G = xs.size
     h = xs[1] - xs[0]
-    herm = ks.t_star - ks.t == ks.t      # K(x, y) = conj K(y, x) exactly
-    F = np.repeat(np.sum(A * C, axis=0).real[None, :], R, axis=0)
+    leaves = tree.shape[0]
+    rows = np.arange(R)
     Q = np.repeat(np.eye(N, dtype=complex)[None], R, axis=0)
+    q = Q.view(float).reshape(R, -1)            # Re Q and Im Q interleaved, a view
     Y, tv = np.empty((R, N)), np.zeros(R)
-    cum, tmp, mask = np.empty((R, G - 1)), np.empty((R, G)), np.empty((R, G - 1), dtype=bool)
-    lvec, rvec = np.empty((2, R, 1, G), dtype=complex)
     for k in range(N):
-        np.maximum(F, 0.0, out=F)   # round-off below the zeros at drawn points
-        Y[:, k], Z = _draw_in_cells(F, U[:, k], xs, cum, mask)
-        if not np.all(np.abs(Z - (N - k)) <= _MASS_TOL * (N - k)):   # nan too
-            worst = float(np.max(np.abs(Z - (N - k))))
-            raise AccuracyError(
-                f"conditional {k} has mass off by {worst:.3e} from {N - k}: the "
-                "kernel tables lost precision (time scale outside plain doubles)")
-        # trapezoid error of the interpolant, |f''| h^3 / 12 per cell, over Z
-        d1 = np.subtract(F[:, 1:], F[:, :-1], out=tmp[:, :-1])
-        d2 = np.subtract(d1[:, 1:], d1[:, :-1], out=cum[:, :-1])
-        tv += (h / 12.0) * np.abs(d2, out=d2).sum(axis=1) / Z
+        Z = np.einsum("rk,k->r", q, tree[0])   # the mass over h/2
+        off = np.abs(0.5 * h * Z - (N - k))
+        if not np.all(off <= _MASS_TOL * (N - k)):   # nan too
+            raise AccuracyError(f"conditional {k} has mass off by {np.max(off):.3e} from "
+                                f"{N - k}: the kernel tables lost precision (time scale "
+                                "outside plain doubles)")
+        # trapezoid error of the interpolant, (h/12) sum_g |f''| h^2, over the mass
+        tv += np.einsum("rij,ij->r", np.abs(Q), curv) / (6.0 * Z)
+        target = U[:, k] * Z
+        node = np.ones(R, dtype=np.intp)
+        for _ in range(leaves.bit_length() - 1):
+            m = np.einsum("rk,rk->r", q, tree[node])   # mass of the left child
+            right = target > m
+            np.subtract(target, m, out=target, where=right)
+            node += node + right
+        at = ((node - leaves) * _LEAF)[:, None] + np.arange(_LEAF + 1)   # the leaf's nodes
+        f = np.einsum("rgi,rgi->rg", np.matmul(A[at], Q), C[at]).real
+        np.maximum(f, 0.0, out=f)   # round-off below the zeros at drawn points
+        cum = np.cumsum(f[:, :-1] + f[:, 1:], axis=1)
+        cell = np.minimum(np.sum(cum < target[:, None], axis=1), _LEAF - 1)
+        below = np.where(cell > 0, cum[rows, cell - 1], 0.0)
+        fa, fb = f[rows, cell], f[rows, cell + 1]
+        rho = 0.5 * np.clip(target - below, 0.0, fa + fb)    # cell mass so far / h
+        disc = np.sqrt(np.maximum(fa * fa + 2.0 * (fb - fa) * rho, 0.0))
+        den = fa + disc
+        s = np.divide(2.0 * rho, den, out=np.zeros_like(rho), where=den > 0.0)
+        Y[:, k] = xs[at[rows, cell]] + np.clip(s, 0.0, 1.0) * h
         if k == N - 1:
             break
         y = Y[:, k]
@@ -537,29 +527,36 @@ def _chain_rule_chunk(ks, U, xs, A, C, lms):
         fy = np.matmul(a, qc)[:, 0, 0].real
         if not np.all(fy > 0.0):
             raise AccuracyError("conditional intensity at a drawn point is not positive")
-        # F drops by Re K_k(x_g, y) K_k(y, x_g) / f(y), where at t = t*/2
-        # K_k(y, x_g) = conj K_k(x_g, y): there 1/f(y) is split evenly
-        u = np.sqrt(fy)[:, None, None] if herm else 1.0
-        qc /= u
-        aq /= fy[:, None, None] / u
-        np.matmul(qc.transpose(0, 2, 1), A, out=lvec)      # K_k(x_g, y) / u
-        if herm:
-            F -= np.square(lvec.real[:, 0], out=tmp)
-            F -= np.square(lvec.imag[:, 0], out=tmp)
-        else:
-            np.matmul(aq, C, out=rvec)                     # K_k(y, x_g) / f(y)
-            F -= np.multiply(lvec.real[:, 0], rvec.real[:, 0], out=tmp)
-            F += np.multiply(lvec.imag[:, 0], rvec.imag[:, 0], out=tmp)
-        Q -= np.matmul(qc, aq)
+        Q -= np.matmul(qc, aq / fy[:, None, None])
     return Y, tv
 
 
 def _tables(ks, nodes, lms):
-    """Equispaced nodes on [0, L] and the factors a and c tabulated on them;
-    at t = t*/2, C = conj(A)."""
+    """Equispaced nodes on [0, L], the factors a and c on them as (nodes, N)
+    rows (C = conj(A) at t = t*/2), the tree of cell matrices and curv.
+
+    With W_g = a(x_g) c(x_g)^T, cell g's mass is (h/2) Re sum_ij Q_ij S_ij,
+    S = W_g + W_{g+1}.  Leaves sum S over `_LEAF` cells and are summed
+    pairwise; in heap order the tree keeps the root at 0 and node i's left
+    child at i, as real views of conj S (dotted with Q's real view: Re sum_ij
+    Q_ij S_ij).  curv sums |second differences of W_g|: sum_ij |Q_ij| curv_ij
+    bounds the sum of f's |second differences|.
+    """
     xs = np.linspace(0.0, ks.family.length, nodes)
     A, B = _factors(ks, xs, xs, lms)
-    return xs, A, np.conj(B)
+    A, C = np.ascontiguousarray(A.T), np.ascontiguousarray(np.conj(B).T)
+    leaves = (nodes - 1) // _LEAF
+    at = np.arange(leaves)[:, None] * _LEAF + np.arange(_LEAF + 1)
+    trapezoid = np.r_[1.0, np.full(_LEAF - 1, 2.0), 1.0]
+    level = np.matmul(A[at].transpose(0, 2, 1) * trapezoid, C[at])
+    level = np.conj(level).view(float).reshape(leaves, -1)
+    left = []
+    while len(level) > 1:
+        left.append(level[0::2])
+        level = level[0::2] + level[1::2]
+    tree = np.concatenate([level] + left[::-1])
+    curv = np.array([np.abs(np.diff(a[:, None] * C, 2, axis=0)).sum(axis=0) for a in A.T])
+    return xs, A, C, tree, curv
 
 
 def _draw_rows(ks, U, tables, lms, pos, est):
@@ -579,28 +576,27 @@ def exact_sample(ks, states, seed=0):
     the alcove.  K need not be Hermitian, but every conditional is a ratio of
     correlation functions, hence nonnegative with mass N - k.
 
-    Each conditional f is tabulated on equispaced nodes of [0, L] (spacing h)
-    and drawn by inverse CDF of its piecewise-linear interpolant; the drawn
-    point is then evaluated exactly for the rank-one update.  Tabulation
-    error: the interpolant is off by (h^2/8) max|f''| at most, so one draw's
-    total variation from its exact conditional is at most
-    L h^2 max|f''| / (8 (N - k)), and the joint law's is at most the
-    expected sum of these over the N draws.  `tabulation_error` is that sum
-    with the cell integral |f''| h^3 / 12 read off second differences of the
-    table, averaged over the states: 2.2e-4 at A N=4, t=0.5, t*=1.  The table
-    starts at `SAMPLER_NODES` nodes and doubles until the first `_PILOT`
-    states (which are kept) estimate at most half of `SAMPLER_TV_TOL`;
-    AccuracyError if the whole run's estimate exceeds it.
+    Each conditional f is tabulated on G equispaced nodes of [0, L] (spacing
+    h) and drawn by inverse CDF of its piecewise-linear interpolant, the cell
+    found by descending a tree of cell matrices summed once per table
+    (Gillenwater-Kulesza-Mariet-Vassilvitskii, ICML 2019): O(N^2 log G) per
+    draw.  The drawn point is evaluated exactly for the rank-one update.
+    Tabulation error: the interpolant is off by (h^2/8) max|f''| at most, so
+    a draw's total variation from its exact conditional is at most
+    L h^2 max|f''| / (8 (N - k)), and the joint law's at most the expected
+    sum over the N draws.  `tabulation_error` bounds that sum, averaged over
+    the states, with the cell integrals |f''| h^3 / 12 bounded through the
+    cell matrices' second differences (4.6e-4 at A N=4, t=0.5, t*=1).  The
+    table (`nodes` in the result) starts at `SAMPLER_NODES` nodes and doubles
+    until the first `_PILOT` states (which are kept) bound it by half of
+    `SAMPLER_TV_TOL`; AccuracyError if the whole run's bound exceeds it.
 
     The uniforms come from `SAMPLER_BLOCKS` seed-blocks spawned from `seed`
-    (rows are split evenly over the blocks in order), one per coordinate, and
-    every table product is a per-row matmul (`_chain_rule_chunk`), so a fixed
-    (ks, states, seed) gives the same states bit for bit whatever the chunk
-    size `_CHUNK` of the work arrays.
-
-    Never returns NaN or out-of-alcove rows: AccuracyError instead, also when
-    the tables lose precision (a conditional's mass is not within 1e-6
-    relative of N - k).
+    (rows split evenly over the blocks in order), one per coordinate, so a
+    fixed (ks, states, seed) gives the same states bit for bit whatever the
+    chunk size `_CHUNK`.  Never returns NaN or out-of-alcove rows:
+    AccuracyError instead, also when a conditional's mass is not within
+    1e-6 relative of N - k (the tables lost precision).
     """
     d = ks.family
     N, L = d.N, d.length
@@ -638,7 +634,7 @@ def exact_sample(ks, states, seed=0):
             and np.all(np.diff(pos, axis=1) > 0.0)):
         raise AccuracyError("a drawn state left the alcove")
     return SampleResult(positions=pos, block_ids=np.repeat(np.arange(nb), np.diff(cuts)),
-                        length=L, tabulation_error=tv)
+                        length=L, tabulation_error=tv, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

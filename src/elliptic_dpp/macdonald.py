@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_DET_COND_LIMIT = 1e7   # det M's LU round-off is ~1e-17..1e-16 cond, the bound 1e-10
 
 
 class IllConditionedError(ArithmeticError):
@@ -205,12 +206,12 @@ def det_m_logc(spec, xs, t):
     """log-magnitude and phase of det[M_j(x_k, t)], with per-row rescaling.
 
     LU with partial pivoting via slogdet; raises IllConditionedError when a
-    rescaled matrix's condition estimate exceeds `_COND_LIMIT`, so no
+    rescaled matrix's condition estimate exceeds `_DET_COND_LIMIT`, so no
     determinant that reaches the LU is zero.
     """
     d = derive(spec)
     tilde, row = parts_equilibrate(*_m_matrix_parts(d, xs, t))
-    check_cond("matrix", tilde, _COND_LIMIT)
+    check_cond("matrix", tilde, _DET_COND_LIMIT)
     sign, logabs = np.linalg.slogdet(tilde)
     return logabs + row.sum(axis=-1), sign
 
@@ -309,5 +310,8 @@ def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0):
         lhs = float(_selberg_integrand(d, X, t, t_star).sum()) / total * L**N
     else:
         raise ValueError(f"unknown method {method!r}")
+    if lhs == 0.0 and rhs == 0.0:
+        raise AccuracyError(f"integral and closed form are both 0 at t={t!r}, "
+                            f"t_star={t_star!r} (outside plain doubles)")
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return SelbergResult(lhs=lhs, rhs=rhs, rel_err=rel)

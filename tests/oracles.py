@@ -14,7 +14,7 @@ import numpy as np
 
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import transition
-from elliptic_dpp.dpp_kernels import ConsistencyError, density_batch, kernel_matrix
+from elliptic_dpp.dpp_kernels import ConsistencyError, _factors, density_batch, kernel_matrix
 from elliptic_dpp.root_systems import derive
 from elliptic_dpp.theta_core import AccuracyError, parts_value
 
@@ -210,3 +210,50 @@ def ck_det_residual(spec, s, t, u, xs, zs, nodes=160):
     lhs = 0.5 * float(np.einsum("i,j,ij,ij->", w, w, det1, det2))
     rhs = transition(d, s, xs[:, None], u, zs[None, :])
     return abs(lhs - float(np.linalg.det(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# the chain rule by downdating the whole table
+
+def downdate_chain_rule(ks, U, xs, A, C, lms):
+    """The chain-rule draw of `exact_sample` on a table of the conditional
+    intensity itself, one row of F per state, downdated after every draw.
+
+    A and C are the sampler's tabulated factors as (nodes, N) rows.  F starts
+    at Re sum_n a_n c_n and drops by Re K_k(x, y) K_k(y, x) / f(y) after a
+    draw y, with K_k(x, y) = a(x)^T Q c(y) and Q the complementary projector
+    of the points drawn so far.  A coordinate is the inverse CDF of F's
+    piecewise-linear interpolant, scanned over every cell; the tabulation
+    estimate sums (h/12) |second differences of F| / mass.  Returns (points,
+    estimate per row, [(F, Q) before each draw]).
+    """
+    R, N = U.shape
+    h = xs[1] - xs[0]
+    A, C = A.T, C.T
+    rows = np.arange(R)
+    F = np.repeat(np.sum(A * C, axis=0).real[None, :], R, axis=0)
+    Q = np.repeat(np.eye(N, dtype=complex)[None], R, axis=0)
+    Y, est, steps = np.empty((R, N)), np.zeros(R), []
+    for k in range(N):
+        np.maximum(F, 0.0, out=F)
+        steps.append((F.copy(), Q.copy()))
+        cum = np.cumsum(F[:, :-1] + F[:, 1:], axis=1)
+        target = U[:, k] * cum[:, -1]
+        cell = np.argmax(cum >= target[:, None], axis=1)
+        below = np.where(cell > 0, cum[rows, cell - 1], 0.0)
+        fa, fb = F[rows, cell], F[rows, cell + 1]
+        rho = 0.5 * np.clip(target - below, 0.0, fa + fb)
+        disc = np.sqrt(np.maximum(fa * fa + 2.0 * (fb - fa) * rho, 0.0))
+        den = fa + disc
+        s = np.divide(2.0 * rho, den, out=np.zeros_like(rho), where=den > 0.0)
+        Y[:, k] = xs[cell] + np.clip(s, 0.0, 1.0) * h
+        est += (h / 12.0) * np.abs(np.diff(F, 2, axis=1)).sum(axis=1) / ((0.5 * h) * cum[:, -1])
+        a, b = _factors(ks, Y[:, k], Y[:, k], lms)
+        qc = np.einsum("rij,jr->ri", Q, np.conj(b))        # Q c(y)
+        aq = np.einsum("ir,rij->rj", a, Q)                  # a(y)^T Q
+        fy = np.einsum("ir,ri->r", a, qc).real
+        left = qc @ A                                       # K_k(x_g, y)
+        right = aq @ C / fy[:, None]                        # K_k(y, x_g) / f(y)
+        F -= (left * right).real
+        Q -= qc[:, :, None] * aq[:, None, :] / fy[:, None, None]
+    return Y, est, steps

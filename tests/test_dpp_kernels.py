@@ -1,7 +1,11 @@
 """Determinantal kernel, density, limit-kernel, and sampler checks."""
 
+import os
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from elliptic_dpp.dpp_kernels import (
 from elliptic_dpp.macdonald import denominator_residual
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
-from oracles import UnsupportedScaleError, corr_oracle, fredholm_residual
+from oracles import UnsupportedScaleError, corr_oracle, downdate_chain_rule, fredholm_residual
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
 T, T_STAR = 0.4, 1.0
@@ -513,37 +517,75 @@ def test_exact_sample_deterministic_for_fixed_seed_any_chunk(monkeypatch):
         assert a.tabulation_error == b.tabulation_error
 
 
-def _rows_times_table(V, T):
-    """sum_n V[:, n, None] * T[n] for (R, N) coefficients and an (N, G) table,
-    accumulated elementwise in n: the sampler's table products before they
-    became per-row matmuls, kept as their oracle."""
-    out = V[:, 0, None] * T[0]
-    tmp = np.empty_like(out)
-    for n in range(1, T.shape[0]):
-        out += np.multiply(V[:, n, None], T[n], out=tmp)
-    return out
-
-
 @pytest.mark.parametrize("tag", FAMILIES)
 @pytest.mark.parametrize("N", [2, 4, 16])
 def test_stacked_table_products_match_elementwise_loop(tag, N):
-    # the products of `_chain_rule_chunk`, (Q c(y))^T A with Q c(y) an
-    # (R, N, 1) stack and (a(y)^T Q) C with a(y)^T Q an (R, 1, N) stack, on
-    # the sampler's own tables: within 1e-14 of each row's largest entry of
-    # the loop, and each row bit for bit the same whatever R
+    # the per-row products of `_chain_rule_chunk` on the sampler's own tables,
+    # with random stand-ins for Q: a descent level's dot products with the
+    # gathered tree rows, Re sum_ij Q_ij S_ij, and the leaf scan
+    # Re a(x_g)^T Q c(x_g), within 1e-14 of a loop over the entries (relative
+    # to the sum of the terms' moduli), and each row bit for bit the same
+    # whatever R
     ks = _ks(tag, N, t=0.5)
     lms = dpp_kernels._norms_log(ks)
     rng = np.random.default_rng(zlib.crc32(f"{tag}{N}".encode()))
-    V = rng.standard_normal((64, N)) + 1j * rng.standard_normal((64, N))
+    Q = rng.standard_normal((64, N, N)) + 1j * rng.standard_normal((64, N, N))
+    q = Q.view(float).reshape(64, -1)
+    leaf = dpp_kernels._LEAF
     for nodes in (513, 4097):
-        _, A, C = dpp_kernels._tables(ks, nodes, lms)
-        for T, stack in ((A, V[:, :, None].transpose(0, 2, 1)), (C, V[:, None, :])):
-            got = np.matmul(stack, T)[:, 0]
-            ref = _rows_times_table(V, T)
-            worst = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
-            assert worst.max() <= 1e-14, f"{tag}{N} at {nodes} nodes: {worst.max():.2e}"
-            for R in (1, 3, 7, 33):
-                assert np.matmul(stack[:R], T)[:, 0].tobytes() == got[:R].tobytes()
+        _, A, C, tree, _ = dpp_kernels._tables(ks, nodes, lms)
+        node = rng.integers(0, tree.shape[0], 64)
+        at = rng.integers(0, tree.shape[0], 64)[:, None] * leaf + np.arange(leaf + 1)
+        S = np.conj(tree.view(complex).reshape(-1, N, N))[node]
+        terms = [(Q[:, i, j] * S[:, i, j], A[at, i] * Q[:, i, j, None] * C[at, j])
+                 for i in range(N) for j in range(N)]
+
+        def products(R):
+            return (np.einsum("rk,rk->r", q[:R], tree[node[:R]]),
+                    np.einsum("rgi,rgi->rg", np.matmul(A[at[:R]], Q[:R]), C[at[:R]]).real)
+
+        for got, part in zip(products(64), zip(*terms)):
+            ref = sum(part).real
+            scale = sum(np.abs(p) for p in part)    # 0 at an absorbing wall's node
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale), f"{tag}{N} at {nodes} nodes"
+        for R in (1, 3, 7, 33):
+            assert all(a.tobytes() == b[:R].tobytes()
+                       for a, b in zip(products(R), products(64))), R
+
+
+@pytest.mark.parametrize("tag", ["A", "C"])
+@pytest.mark.parametrize("N", [2, 4, 16])
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_tree_masses_and_bound_match_the_downdated_table(tag, N, t):
+    # the chain rule on the downdated table of the conditional intensity F
+    # (`oracles.downdate_chain_rule`), at t = t*/2 and off it: before every
+    # draw, each mass the tree stores (the root and every left child) is the
+    # trapezoid sum of F over its cells to 1e-12 of the total and the
+    # curvature bound is at least F's second-difference sum; the drawn rows
+    # carry a bound at least the table's estimate and move by round-off only
+    ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
+    lms = dpp_kernels._norms_log(ks)
+    xs, A, C, tree, curv = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    U = np.random.default_rng(zlib.crc32(f"{tag}{N}{t}".encode())).random((16, N))
+    ref_pos, ref_tv, steps = downdate_chain_rule(ks, U, xs, A, C, lms)
+    pos, tv = dpp_kernels._chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms)
+    leaves = tree.shape[0]
+    heap = np.r_[1, 2 * np.arange(1, leaves)]               # the node each entry holds
+    depth = np.floor(np.log2(heap)).astype(int)
+    width = (xs.size - 1) >> depth                          # cells under the node
+    lo = (heap - 2**depth) * width
+    for k, (F, Q) in enumerate(steps):
+        cum = np.concatenate([np.zeros((16, 1)), np.cumsum(F[:, :-1] + F[:, 1:], axis=1)], axis=1)
+        ref = cum[:, lo + width] - cum[:, lo]
+        got = np.einsum("rk,nk->rn", Q.view(float).reshape(16, -1), tree)
+        worst = np.max(np.abs(got - ref) / cum[:, -1:])
+        assert worst <= 1e-12, f"{tag}{N} t={t} draw {k}: {worst:.2e}"
+        # at the first draw Q = I, and where the diagonal W_ii all bend the
+        # same way the two agree up to round-off
+        bound = np.einsum("rij,ij->r", np.abs(Q), curv)
+        assert np.all(bound >= (1.0 - 1e-12) * np.abs(np.diff(F, 2, axis=1)).sum(axis=1)), k
+    assert np.all(tv >= ref_tv)
+    assert np.max(np.abs(pos - ref_pos)) <= 1e-9 * ks.family.length
 
 
 @pytest.mark.parametrize("tag,t", [("A", 0.5), ("C", 0.3)])
@@ -562,6 +604,30 @@ def test_chain_rule_rows_do_not_depend_on_chunk(tag, t):
         if R == 1:
             ref_pos, ref_tv = pos, tv
         assert pos.tobytes() == ref_pos.tobytes() and tv.tobytes() == ref_tv.tobytes(), R
+
+
+_BLAS_RUN = """
+import sys
+import numpy as np
+from elliptic_dpp.dpp_kernels import KernelSpec, exact_sample
+ks = KernelSpec((sys.argv[1], int(sys.argv[2]), 1.0), t=float(sys.argv[3]), t_star=1.0)
+res = exact_sample(ks, 256, seed=9)
+sys.stdout.write(res.positions.tobytes().hex() + " " + res.tabulation_error.hex())
+"""
+
+
+@pytest.mark.parametrize("tag,N,t", [("A", 4, 0.5), ("C", 3, 0.3)])
+def test_exact_sample_does_not_depend_on_blas_threads(tag, N, t):
+    # every product is per row, so one and two OpenBLAS threads draw the same
+    # states and the same tabulation bound, bit for bit (at t = t*/2 and off it)
+    src = str(Path(dpp_kernels.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.run([sys.executable, "-c", _BLAS_RUN, tag, str(N), str(t)], env=env,
+                                   check=True, capture_output=True, text=True).stdout)
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_exact_sample_seed_changes_output():
@@ -593,22 +659,14 @@ def test_exact_sample_result_sequence_interface():
     assert sizes.size == min(SAMPLER_BLOCKS, 100) and sizes.max() - sizes.min() <= 1
 
 
-def test_exact_sample_small_time_refines_table(monkeypatch):
+def test_exact_sample_small_time_refines_table():
     # Im tau ~ 0.01 at time t: the particles sit in narrow peaks, and the
     # default table is too coarse for the tabulation bound.  The table must
-    # double until the estimate is in bounds, and the states must then
-    # follow the intensity: 64 bins resolve the peaks
+    # double until the bound is met, and the states must then follow the
+    # intensity: 64 bins resolve the peaks
     ks = KernelSpec(("A", 4, 1.0), t=0.01 * 2.0 * np.pi / 16.0, t_star=1.0)
-    sizes = []
-    tables = dpp_kernels._tables
-
-    def counted_tables(ks_, nodes, lms):
-        sizes.append(nodes)
-        return tables(ks_, nodes, lms)
-
-    monkeypatch.setattr(dpp_kernels, "_tables", counted_tables)
     res = exact_sample(ks, 4096, seed=1)
-    assert len(sizes) > 1 and sizes[0] == dpp_kernels.SAMPLER_NODES
+    assert res.nodes > dpp_kernels.SAMPLER_NODES
     assert res.tabulation_error <= dpp_kernels.SAMPLER_TV_TOL
     assert np.all(res.positions >= 0.0) and np.all(res.positions < ks.family.length)
     h = empirical_density(res, bins=64)
@@ -680,7 +738,7 @@ def test_empirical_density_counts_match_histogram_per_block():
     pos[9, 1] = np.nextafter(edges[3], 0.0)
     ids = np.repeat(np.arange(6), 15)
     res = dpp_kernels.SampleResult(positions=pos, block_ids=ids, length=2.0,
-                                   tabulation_error=0.0)
+                                   tabulation_error=0.0, nodes=513)
     h = empirical_density(res, bins=8)
     per = np.array([np.histogram(pos[ids == b].ravel(), bins=edges)[0] for b in range(6)])
     assert h.count.dtype == per.dtype and np.array_equal(h.count, per.sum(axis=0))

@@ -9,7 +9,7 @@ import pytest
 from elliptic_dpp import dpp_kernels, verification
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import KernelSpec, kernel_matrix
-from elliptic_dpp.macdonald import denominator_residual, weyl_w_parts
+from elliptic_dpp.macdonald import IllConditionedError, denominator_residual, det_m_logc, weyl_w_parts
 from elliptic_dpp.root_systems import FAMILIES, derive
 
 
@@ -180,3 +180,24 @@ def test_run_suites_takes_one_name_or_all():
         "theta engine vs series oracle", "theta quasi-periodicity", "theta imaginary transform"]
     with pytest.raises(ValueError, match="unknown suite"):
         verification.run_suites("thetas", d, 0.4, 1.0)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_determinant_gate_passes_every_line_at_the_benchmark_times(tag):
+    # det_m_logc's condition limit (1e7) is well above the suite's matrices
+    # at (0.4, 1), whose largest equilibrated condition is ~1.5e4
+    for N in (2, 3, 4):
+        results = verification.run_suites("all", derive((tag, N, 1.0)), 0.4, 1.0)
+        assert [r.line() for r in results if not r.passed] == [], f"{tag}{N}"
+
+
+def test_determinant_gate_refuses_what_its_bound_cannot_judge():
+    # equilibrated condition 1.72e10: LU round-off alone (~1e-17 cond) fails
+    # the identity's 1e-10 bound, so the matrix is refused and the line reads
+    # inf rather than a finite FAIL of 7.985e-08
+    d = derive(("A", 3, 1.0))
+    xs = np.array([2.2381128239934287, 3.1863610630516708, 4.039174817973448])
+    with pytest.raises(IllConditionedError, match=r"condition ~ 1\.72.e\+10 exceeds 1\.0e\+07"):
+        det_m_logc(d, xs, 0.125)
+    line = _lines(verification.denominator_suite(d, 0.1, 0.25))["determinant-identity residual"]
+    assert line.residual == math.inf and not line.passed
