@@ -17,9 +17,10 @@ The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
 horizons (every suite at t* = 50), points outside the alcove, flags a verb
 does not read, values past double range or out of bounds, radii small
-enough that the weight matrices leave double range, and small horizons
-where the density phase check gives up or the determinant identity's
-matrix is past its condition limit.  A full run takes about
+enough that the weight matrices leave double range, small horizons where
+the determinant identity's matrix is past its condition limit, and small
+times where the determinants of the joint density cancel in plain doubles
+and the Euler products of a(t) leave them.  A full run takes about
 20 s on a 2-core machine.
 """
 
@@ -64,9 +65,15 @@ def _commands():
         "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
         "selberg --type A --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
         "selberg --type C --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
-        # a small time: the sampler's table doubles, the Selberg sides are both 0
+        # a small time: the sampler's table doubles; the density integrates to N!
         "sample --type A --N 4 --t 0.01 --t-star 1 --steps 256 --seed 3 --out s",
         "selberg --type C --N 2 --t 0.0003 --t-star 1",
+        # small times: det M(t) cancels in plain doubles, and the Euler
+        # products of a(t) leave them (a(t) is taken in log form)
+        "density --type A --N 2 --t 0.01 --t-star 1 --points "
+        "3.3999428699507845,5.158019593340341",
+        "verify --type A --N 3 --t 0.0001 --t-star 1",
+        "verify --type D --N 2 --t 0.0001 --t-star 1",
     ]
     cmds += [f"theta --index {idx} --tau-im {ti} --v-im {vi} --grid 16"
              for idx in range(4) for ti, vi in (("0.01", "0.003"), ("1", "0.4"),
@@ -118,8 +125,8 @@ def _commands():
     cmds += [f"verify --type {fam} --r {r} --t 0.5 --t-star 1"
              for fam, r in (("A --N 3", "0.02"), ("C --N 2", "0.05"), ("B --N 3", "0.05"),
                             ("Cv --N 3", "0.05"), ("D --N 3", "0.05"))]
-    # a small horizon where the density phase check gives up: the bridge-density
-    # line reads inf, every other line prints
+    # a small horizon where M(x, t) is past its condition limit while the
+    # density and the bridge route agree: every line prints
     cmds.append("verify --type A --N 3 --t 0.1 --t-star 0.25")
     # small horizons where M(x, t) is past its condition limit: the
     # determinant-identity line reads inf, every other line prints

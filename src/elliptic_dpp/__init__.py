@@ -14,7 +14,7 @@ from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult, bin_inte
                           kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import denominator_residual, selberg_check
 from .root_systems import FAMILIES, FamilySpec, derive, validate
-from .theta_core import AccuracyError, eta_and_q, theta, theta_parts, theta_series
+from .theta_core import AccuracyError, eta_log, theta, theta_parts, theta_series
 from .verification import CheckResult, run_suites
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "density",
     "derive",
     "empirical_density",
-    "eta_and_q",
+    "eta_log",
     "exact_sample",
     "infinite_kernel",
     "intensity",

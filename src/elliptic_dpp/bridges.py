@@ -24,9 +24,9 @@ import math
 import numpy as np
 
 from .macdonald import (_COND_LIMIT, _det_phase, _logc_rel_diff, _m_matrix_parts,
-                        _per_config, check_cond, coeff_a_log, rhs_logc)
+                        _per_config, _tau, check_cond, coeff_a_log, rhs_logc)
 from .root_systems import derive
-from .theta_core import AccuracyError, eta_and_q, parts_value, theta
+from .theta_core import AccuracyError, eta_log, parts_value, theta
 
 __all__ = [
     "bridge_density",
@@ -300,13 +300,12 @@ def eta_formula_residual(spec, t):
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     N, r = d.N, d.r
-    rm = r_matrix(d, t)         # it leaves double range before eta(N tau) does
-    tau = 1j * t / (2.0 * math.pi * r * r)
-    _, _, eta = eta_and_q(N * tau)
+    rm = r_matrix(d, t)
+    # eta is positive on the imaginary axis: the left side's phase is 1
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)
-          + 0.5 * (N - 1) * (N - 2) * math.log(abs(eta)))
+          + 0.5 * (N - 1) * (N - 2) * eta_log(_tau(d, t).imag))     # size = N
     sr, lr = np.linalg.slogdet(rm)
     la = coeff_a_log(d, t)
     lc = lr - la
     pc = _b_phase(d.sharp, N) * sr
-    return float(_logc_rel_diff(lb, eta / abs(eta), lc, pc))
+    return float(_logc_rel_diff(lb, 1.0, lc, pc))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp_kernels import (ConsistencyError, KernelSpec, density, empirical_density,
-                          exact_sample, intensity, kernel_matrix)
+from .dpp_kernels import (KernelSpec, density, empirical_density, exact_sample, intensity,
+                          kernel_matrix)
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
@@ -336,7 +336,7 @@ def main(argv=None):
         return 2
     try:
         return run(cfg)
-    except (AccuracyError, ConsistencyError, IllConditionedError, ValueError) as exc:
+    except (AccuracyError, IllConditionedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

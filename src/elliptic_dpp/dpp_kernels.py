@@ -1,8 +1,9 @@
 """Densities, correlation kernels, limit kernels, and sampling.
 
 The N-point density is a product of two determinants of one-particle
-functions over the norms; the correlation kernel is the biorthogonal
-(Christoffel-Darboux-like) sum
+functions over the norms, evaluated through the denominator formula as a
+product of theta functions at the two times (`macdonald`); the correlation
+kernel is the biorthogonal (Christoffel-Darboux-like) sum
 
     K_t(x, y) = sum_n M_n(x, t) conj(M_n(y, t*-t)) / m_n(t*),
 
@@ -36,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
+from .macdonald import _density
 from .root_systems import derive
-from .theta_core import AccuracyError, parts_equilibrate, parts_sum, parts_value, theta_parts
+from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
 
 __all__ = [
     "ConsistencyError",
@@ -99,80 +101,31 @@ class InfiniteKernelSpec:
 # ---------------------------------------------------------------------------
 # density
 
-def _norms_log(ks):
-    d = ks.family
-    return norm_const_log(d, np.arange(1, d.N + 1), ks.t_star)
-
-
-def _stacked_m_parts(d, X, t):
-    """Matrices M_j(x_k, t) for a batch of configurations X (B, N), as
-    (mant, scale) of shape (B, N, N); first matrix index is j."""
-    mant, scale = m_fn_parts(d, np.arange(1, X.shape[1] + 1), X, t)
-    return mant.transpose(1, 0, 2), scale.transpose(1, 0, 2)
-
-
-def _slogdet_parts(mant, scale):
-    """Stacked slogdet of matrices given as parts; returns (sign, log_abs).
-
-    The matrices are row-equilibrated before LU, so a determinant below the
-    round-off floor 1e-13 is numerically singular (coincident or wall-pinned
-    coordinates); its garbage phase is replaced by an exact zero.
-    """
-    tilde, row = parts_equilibrate(mant, scale)
-    sign, logabs = np.linalg.slogdet(tilde)
-    dead = (sign == 0) | (logabs < np.log(1e-13))
-    sign = np.where(dead, 0.0 + 0.0j, sign)
-    return sign, logabs + row.sum(axis=1)
-
-
-def _log_q_batch(ks, X):
-    """log-magnitude and phase of the two-determinant product q for a batch.
-
-    Returns (logmag, phase): logmag -inf marks exact zeros (then phase 1).
-    """
-    d = ks.family
-    m1, s1 = _stacked_m_parts(d, X, ks.t_star - ks.t)
-    sign1, la1 = _slogdet_parts(np.conj(m1), s1)
-    m2, s2 = _stacked_m_parts(d, X, ks.t)
-    sign2, la2 = _slogdet_parts(m2, s2)
-    dead = (sign1 == 0) | (sign2 == 0)
-    return np.where(dead, -np.inf, la1 + la2), np.where(dead, 1.0 + 0.0j, sign1 * sign2)
-
-
 def density_batch(ks, X):
     """p(x) for a batch of coordinate rows X (B, N) in any coordinate order.
 
-    The det-product is permutation invariant; each row is sorted first all
-    the same, so the LU pivoting and hence the rounding (up to ~1e-11
-    relative near coincident points) depend only on the point set.  Rows
-    with repeated coordinates give exactly 0.  The phase of the det product
-    must be real to 1e-10 — except on rows whose magnitude is negligible
-    within the batch, where near-singular LU phases are round-off noise.
+    The Macdonald product of `macdonald._density`, which is permutation
+    invariant; each row is sorted first all the same, so the rounding depends
+    only on the point set.  Rows with repeated coordinates, or with a point on
+    an absorbing wall, give exactly 0.
     """
     X = np.sort(np.atleast_2d(np.asarray(X, dtype=float)), axis=1)
-    logmag, phase = _log_q_batch(ks, X)
-    live = np.isfinite(logmag)
-    top = logmag[live].max() if np.any(live) else 0.0
-    with np.errstate(under="ignore"):
-        rel_mag = np.where(live, np.exp(logmag - top), 0.0)
-    resid = np.abs(phase.imag)
-    bad = live & (resid > 1e-10) & (resid * rel_mag > 1e-10)
-    if np.any(bad):
-        k = int(np.argmax(resid * rel_mag))
-        raise ConsistencyError(
-            f"density phase carries imaginary residue {phase.imag[k]:.3e} at row {k}"
-        )
-    lg = logmag - _norms_log(ks).sum()
-    return np.where(live, parts_value(phase.real, np.where(live, lg, 0.0)), 0.0)
+    return _density(ks.family, X, ks.t, ks.t_star)
 
 
 def density(ks, xs):
-    """N-point density p(x) = det conj(M(t*-t)) det M(t) / prod m_n(t*)."""
+    """N-point density p(x) = det conj(M(t*-t)) det M(t) / prod m_n(t*), from
+    the denominator formula at the two times (`density_batch`)."""
     return float(density_batch(ks, np.asarray(xs, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # correlation kernel
+
+def _norms_log(ks):
+    d = ks.family
+    return norm_const_log(d, np.arange(1, d.N + 1), ks.t_star)
+
 
 def _factors(ks, xs, ys, lms):
     """Factors a = f(xs, t), b = f(ys, t*-t) (N, points) of K = sum_n a_n conj b_n.

@@ -37,6 +37,9 @@ goes through three helpers here:
   estimates;
 - `parts_value` exponentiates, letting out-of-range values overflow to inf.
 
+`eta_log` is log eta(i y) of the Dedekind eta function, for the time
+coefficients downstream.
+
 `theta_series` is an independent reference implementation (the plain defining
 sum, no reduction, no transforms) used as an oracle in the test-suite; it is
 only accurate for moderate arguments and deliberately shares no code with the
@@ -52,7 +55,7 @@ import numpy as np
 
 __all__ = [
     "AccuracyError",
-    "eta_and_q",
+    "eta_log",
     "parts_equilibrate",
     "parts_sum",
     "parts_value",
@@ -238,7 +241,11 @@ def theta_parts(index, v, tau):
             pref = (-1j * np.pi / tau_c) * w * w
             scale += pref.real
             mant *= np.exp(1j * pref.imag)
-            mant *= _INV_EPS[idx] * np.exp(-0.5 * np.log(tau_c))
+            # tau^{-1/2}: its modulus (up to ~1e154 for a small Im tau) goes to
+            # the scale, its phase to the mantissa, which stays of order unity
+            log_tau = np.log(tau_c)
+            scale -= 0.5 * log_tau.real
+            mant *= _INV_EPS[idx] * np.exp(-0.5j * log_tau.imag)
             idx = _INV_SWAP[idx]
             w = w / tau_c
             tau_c = -1.0 / tau_c
@@ -334,26 +341,18 @@ def theta_series(index, v, tau, cap=_ORACLE_MAX_RINGS):
     return total
 
 
-def eta_and_q(tau):
-    """Nome, Euler product, and the Dedekind eta function at tau.
+def eta_log(tau_im):
+    """log eta(i y) of the Dedekind eta function at y = tau_im > 0, a real
+    number: eta is positive on the imaginary axis.
 
-    Returns
-    -------
-    (q, q0, eta) : tuple of complex
-        q = e^{i pi tau}, q0 = prod_{n>=1} (1 - q^{2n}),
-        eta = q^{1/12} * q0 = e^{i pi tau / 12} * q0.
+    eta(i y) = e^{-pi y / 12} prod_{n>=1} (1 - e^{-2 pi n y}).  Below y = 1 the
+    modular transformation eta(i / y) = y^{1/2} eta(i y) (DLMF 23.15.5) moves
+    the argument to 1 / y first, so the product is always summed as logs at a
+    nome e^{-2 pi y} <= e^{-2 pi}, where seven factors reach 1e-17.
     """
-    tau = _check_tau(tau)
-    q = complex(np.exp(1j * np.pi * tau))
-    q2 = q * q
-    q0 = 1.0 + 0.0j
-    p = 1.0 + 0.0j
-    for _ in range(200_000):
-        p *= q2
-        q0 *= 1.0 - p
-        if abs(p) < 1e-18:
-            break
-    else:
-        raise AccuracyError(f"Euler product did not converge for tau = {tau}")
-    eta = complex(np.exp(1j * np.pi * tau / 12.0)) * q0
-    return q, q0, eta
+    y = _check_tau(1j * tau_im).imag
+    shift = 0.0
+    if y < 1.0:
+        y, shift = 1.0 / y, 0.5 * math.log(y)
+    tail = sum(math.log1p(-math.exp(-2.0 * math.pi * n * y)) for n in range(7, 0, -1))
+    return -math.pi * y / 12.0 + tail - shift

@@ -16,9 +16,9 @@ import numpy as np
 from .bridges import (bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
-from .dpp_kernels import (ConsistencyError, InfiniteKernelSpec, KernelSpec, _factors,
-                          _kernel_sum, _norms_log, density, density_batch, infinite_kernel,
-                          kernel, kernel_matrix, sine_kernel, trig_kernel)
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, _norms_log,
+                          density_batch, infinite_kernel, kernel, kernel_matrix, sine_kernel,
+                          trig_kernel)
 from .macdonald import IllConditionedError, denominator_residual
 from .root_systems import derive
 from .theta_core import AccuracyError, theta, theta_series
@@ -193,14 +193,11 @@ def bridge_suite(d, t, t_star):
           if transition(d, 0.0, x, t_star, z) > 0.0 else math.inf)
     out.append(CheckResult("Chapman-Kolmogorov", ck, 1e-10))
 
-    # the spectral side stays one `density` call per configuration: its phase
-    # check (ConsistencyError) is relative to the batch it is given
     X = _configs(109, d, 5)
-    ks = KernelSpec(d, t=t, t_star=t_star)
-    try:    # inf when the bridge matrices are past plain doubles or density gives up
-        worst = float(np.max([_rel(b, density(ks, xs))
-                              for b, xs in zip(bridge_density(d, t, t_star, X), X)]))
-    except (IllConditionedError, ConsistencyError):
+    p = density_batch(KernelSpec(d, t=t, t_star=t_star), X)
+    try:    # inf when the bridge matrices are past plain doubles
+        worst = _worst(*(_rel(b, pp) for b, pp in zip(bridge_density(d, t, t_star, X), p)))
+    except IllConditionedError:
         worst = math.inf
     out.append(CheckResult("bridge density vs spectral density", worst, 1e-8))
     return out

@@ -257,3 +257,62 @@ def downdate_chain_rule(ks, U, xs, A, C, lms):
         F -= (left * right).real
         Q -= qc[:, :, None] * aq[:, None, :] / fy[:, None, None]
     return Y, est, steps
+
+
+# ---------------------------------------------------------------------------
+# the joint density by the determinant route in 80 digits and more
+
+_JTHETA = {0: 4, 1: 1, 2: 2, 3: 3}      # theta index -> mpmath.jtheta's
+
+
+def _density_mp(mp, d, t, t_star, xs):
+    """det conj M(t*-t) det M(t) / prod m_n(t*) at mp's working precision."""
+    pi, r, size = mp.pi, mp.mpf(d.r), d.size
+    sigmas = [mp.mpf(J) / size for J in d.offsets]
+    zs = [size * mp.mpf(x) / (2 * pi * r) for x in xs]
+
+    def th(k, v, tau):
+        return mp.jtheta(_JTHETA[k], pi * v, mp.exp(1j * pi * tau))
+
+    def block(sigma, z, tau):
+        e = mp.exp(2j * pi * sigma * z)
+        if d.sharp == "A":
+            return e * th(2, sigma * tau + z, tau)
+        k, sign = (1, -1) if d.sharp == "B" else (2, 1 if d.sharp == "D" else -1)
+        return e * th(k, sigma * tau + z, tau) + sign / e * th(k, sigma * tau - z, tau)
+
+    def det_m(s):
+        tau = size * size * 1j * s / (2 * pi * r * r)
+        return mp.det(mp.matrix([[block(sg, z, tau) for z in zs] for sg in sigmas]))
+
+    tau_star = 1j * mp.mpf(t_star) / (2 * pi * r * r)
+    norms = mp.mpf(1)
+    for J in d.offsets:
+        doubled = d.walls != "circ" and J in (0, size / 2)
+        norms *= 2 * pi * r * (2 if doubled else 1) * th(2, size * J * tau_star,
+                                                         size * size * tau_star)
+    return mp.re(mp.conj(det_m(mp.mpf(t_star) - mp.mpf(t))) * det_m(mp.mpf(t)) / norms)
+
+
+def density_mpmath(spec, t, t_star, xs, dps=80):
+    """p(x) = det conj M(t*-t) det M(t) / prod m_n(t*) in mpmath, as an mpf.
+
+    The one-particle blocks and the closed-form norms are mpmath.jtheta
+    series (theta_k(v | tau) = jtheta(k, pi v, e^{i pi tau}), theta_0 being
+    jtheta 4) and the determinants mpmath LU: nothing but the family's data
+    (shape, size, offsets, walls) comes from the package.  The determinants
+    cancel by up to ~70 digits at small t, so the evaluation starts at `dps`
+    digits and adds 40 until two precisions agree to 1e-16 relative
+    (AccuracyError past 400 digits).
+    """
+    import mpmath
+
+    d = derive(spec)
+    prev = None
+    while dps <= 400:
+        with mpmath.workdps(dps):
+            cur = _density_mp(mpmath.mp, d, t, t_star, xs)
+        if prev is not None and abs(cur - prev) <= 1e-16 * abs(cur):
+            return cur
+        prev, dps = cur, dps + 40
+    raise AccuracyError(f"mpmath density did not settle by 400 digits at {list(xs)}")

@@ -34,10 +34,11 @@ from elliptic_dpp.dpp_kernels import (
     sine_kernel,
     trig_kernel,
 )
-from elliptic_dpp.macdonald import denominator_residual
+from elliptic_dpp.macdonald import _product_parts, _tau, denominator_residual
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
-from oracles import UnsupportedScaleError, corr_oracle, downdate_chain_rule, fredholm_residual
+from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
+                     fredholm_residual)
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
 T, T_STAR = 0.4, 1.0
@@ -164,6 +165,60 @@ def test_density_normalizes_over_alcove(tag):
     vals = density_batch(ks, rows).reshape(96, 96)
     total = float(np.sum(vals * W)) / 2.0
     assert abs(total - 1.0) < 1e-9, f"{tag}: normalization {total:.12f}"
+
+
+def _spread_row(rng, d):
+    """One sorted configuration in [0.03 L, 0.97 L] with gaps above 0.01 L."""
+    L = d.length
+    while True:
+        xs = np.sort(rng.uniform(0.03 * L, 0.97 * L, d.N))
+        if np.min(np.diff(xs)) > 0.01 * L:
+            return xs
+
+
+@pytest.mark.parametrize("t", (0.01, 0.05, 0.4))
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_density_matches_the_mpmath_determinant_route(tag, N, t):
+    # the determinants M(t) of these rows cancel by up to ~70 digits at t = 0.01
+    d = derive((tag, N, 1.0))
+    xs = _spread_row(np.random.default_rng([17, FAMILIES.index(tag), N]), d)
+    ref = float(density_mpmath(d, t, 1.0, xs))
+    assert ref > 0.0
+    assert abs(density(KernelSpec(d, t=t, t_star=1.0), xs) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("spec, xs", [
+    # det M(t) cancels past plain doubles here (p ~ 9.4e-29): an LU reads 0
+    (("A", 2, 1.0), [3.3999428699507845, 5.158019593340341]),
+    # p ~ 2.5e-65; bridge_density passes its condition gate and is off by 1.1e-9
+    # (row 0 of default_rng([2017, 1, 4]) in the spread-row draw above)
+    (("B", 4, 1.0), [1.9085936330840534, 2.0738494004787547, 2.3735728043935787,
+                     2.590792913283408]),
+])
+def test_density_matches_the_mpmath_route_where_doubles_lose_the_determinant(spec, xs):
+    ref = float(density_mpmath(spec, 0.01, 1.0, xs))
+    assert abs(density(KernelSpec(spec, t=0.01, t_star=1.0), xs) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_product_and_density_stay_finite_at_n16_small_time(tag):
+    # at Im tau ~ 5e-4 a factor |tau|^{-1/2} ~ 45 in each of the 256 theta
+    # mantissas of W would overflow their product
+    d = derive((tag, 16, 1.0))
+    ks = KernelSpec(d, t=1e-4, t_star=1.0)
+    rng = np.random.default_rng(5)
+    X = _random_rows(rng, d, 8, margin=0.03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (ks.t, ks.t_star - ks.t):
+            m, sc = _product_parts(tag, X / (2.0 * np.pi * d.r), _tau(d, s))
+            assert np.all(np.isfinite(m)) and np.all(np.isfinite(sc)), s
+        assert np.all(np.isfinite(density_batch(ks, X)))
+        # close to the pinned start the density is large (~1e24 for the intervals)
+        near = np.asarray(d.pinned) + rng.uniform(0.05, 0.1, (4, 16)) * (d.length / d.size)
+        p = density_batch(ks, np.minimum(near, 0.999 * d.length))
+        assert np.all(np.isfinite(p)) and np.all(p > 0.0)
 
 
 # ---------------------------------------------------------------------------

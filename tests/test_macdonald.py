@@ -1,5 +1,6 @@
 """Determinant identities and Selberg-type integral checks."""
 
+import warnings
 import zlib
 
 import numpy as np
@@ -105,10 +106,11 @@ def test_coeff_a_c_family_exponent():
     N, r, t = 3, 1.0, 2.0
     d = derive(("C", N, r))
     log_q = -d.size * t / (2.0 * r**2)
-    from elliptic_dpp.theta_core import eta_and_q
+    from elliptic_dpp.theta_core import eta_log
 
-    _, q0, _ = eta_and_q(1j * d.size * t / (2 * np.pi * r**2))
-    expect = -(N**2) / 4 * log_q - N * (N - 1) * np.log(q0.real)
+    # q0 = eta / q^{1/12}
+    log_q0 = eta_log(d.size * t / (2 * np.pi * r**2)) - log_q / 12
+    expect = -(N**2) / 4 * log_q - N * (N - 1) * log_q0
     assert abs(coeff_a_log(("C", N, r), t) - expect) < 1e-12
 
 
@@ -120,6 +122,18 @@ def test_coeff_a_domain_and_overflow():
     # q^{-N(3N-1)/8} with tiny t: past double range, finite in log form
     lg = coeff_a_log(("A", 5, 1.0), 1e-3)
     assert np.isfinite(lg) and lg > np.log(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_coeff_a_finite_at_small_times(tag):
+    # the Euler products underflow plain doubles at Im tau ~ 1e-4 and need
+    # ~1 / Im tau factors; in log form a(t) stays finite down to Im tau = 1e-6,
+    # without a warning
+    d = derive((tag, 4, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for im_tau in (1e-2, 1e-4, 1e-6):
+            assert np.isfinite(coeff_a_log(d, im_tau * 2 * np.pi / d.size))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from elliptic_dpp.theta_core import (
     AccuracyError,
-    eta_and_q,
+    eta_log,
     parts_equilibrate,
     parts_sum,
     parts_value,
@@ -19,21 +19,18 @@ from elliptic_dpp.theta_core import (
     theta_series,
 )
 
-# Frozen reference values.  theta3(0|i), q(i), eta(i) are classical lemniscatic
+# Frozen reference values.  theta3(0|i) and eta(i) are classical lemniscatic
 # constants; theta2(0|i) was frozen from the series oracle and agrees with the
 # duplication value theta3(0|i)/2^(1/4) to machine precision.
 THETA3_0_I = 1.0864348112133080
 THETA2_0_I = 0.9135791381561168
-Q_I = 0.04321391826377226  # e^{-pi}
 ETA_I = 0.7682254223260566
 
 
 def test_frozen_special_values():
     assert abs(theta(3, 0.0, 1j) - THETA3_0_I) < 1e-12
     assert abs(theta(2, 0.0, 1j) - THETA2_0_I) < 1e-12
-    q, q0, eta = eta_and_q(1j)
-    assert abs(q - Q_I) < 1e-14
-    assert abs(eta - ETA_I) < 1e-12
+    assert abs(math.exp(eta_log(1.0)) - ETA_I) < 1e-12
     # theta2(0|i) = theta3(0|i) / 2^(1/4), a classical duplication identity
     assert abs(theta(2, 0.0, 1j) - theta(3, 0.0, 1j) / 2**0.25) < 1e-14
 
@@ -167,12 +164,56 @@ def test_vectorized_matches_scalar():
         assert np.allclose(vec, sca, rtol=1e-14, atol=1e-300)
 
 
+def _eta_log_mpmath(y, dual=False):
+    """log eta(i y) at 30 digits from the Euler product prod (1 - e^{-2 pi n y})
+    (mpmath.qp).  dual=True takes the product at 1 / y and the transformation
+    eta(i / y) = y^{1/2} eta(i y): qp's series needs ~1 / y terms, so that is
+    the only route it finishes below y ~ 1e-3."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        y = mpmath.mpf(y)
+        z = 1 / y if dual else y
+        out = -mpmath.pi * z / 12 + mpmath.log(mpmath.qp(mpmath.exp(-2 * mpmath.pi * z)))
+        return out - mpmath.log(y) / 2 if dual else out
+
+
 def test_eta_functional_equation():
-    """eta(-1/tau) = sqrt(tau/i) eta(tau) at a non-self-dual point."""
-    tau = 2j
-    _, _, eta_tau = eta_and_q(tau)
-    _, _, eta_inv = eta_and_q(-1.0 / tau)
-    assert abs(eta_inv - np.sqrt(tau / 1j) * eta_tau) < 1e-13
+    """eta(-1/tau) = sqrt(tau/i) eta(tau) at tau = 2i: `eta_log` on both sides
+    against the plain Euler product, which needs no transformation there."""
+    for y in (2.0, 0.5):
+        assert abs(eta_log(y) - float(_eta_log_mpmath(y))) < 1e-13
+
+
+def test_eta_log_matches_the_euler_product():
+    # the oracle's dual route is the plain product where both finish
+    for y in (1e-3, 0.05, 0.7):
+        assert abs(_eta_log_mpmath(y) - _eta_log_mpmath(y, dual=True)) < 1e-25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in np.logspace(-6.0, math.log10(50.0), 33):
+            got = eta_log(y)
+            ref = float(_eta_log_mpmath(y, dual=y < 1e-3))
+            assert math.isfinite(got)
+            # log eta ~ -pi / (12 y): relative to |log eta|, since y carries 1e-16
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (y, got, ref)
+
+
+def test_eta_log_refuses_what_tau_refuses():
+    for y in (0.0, -1.0, math.nan, math.inf, 1e-310):
+        with pytest.raises(ValueError):
+            eta_log(y)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_theta_parts_mantissa_stays_of_order_unity_at_small_tau(index):
+    # the modular walk's |tau|^{-1/2} (~45 at Im tau = 5e-4) belongs in the
+    # scale: a product of 256 mantissas (W at N = 16) must not overflow.  A
+    # mantissa is a ring sum at its peak term, below 4
+    vs = np.linspace(-0.5, 1.5, 41)
+    for im_tau in (1e-6, 5e-4, 0.1, 0.9):
+        mant, _ = theta_parts(index, vs, 1j * im_tau)
+        assert np.max(np.abs(mant)) < 4.0, im_tau
 
 
 def test_oracle_reports_nonconvergence():
