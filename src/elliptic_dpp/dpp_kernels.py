@@ -351,16 +351,21 @@ def _inf_panels(iks):
 
 
 def _inf_quad(iks, x, y, nodes):
-    """Gauss-Legendre sum over the panels from one `_inf_integrand` call; each
-    panel is summed at its own largest scale and the panels combined in parts."""
+    """Gauss-Legendre sums at the point pairs (x, y), 1-d arrays, from one
+    `_inf_integrand` call; each panel is summed at its own largest scale per
+    pair and the panels combined in parts.  A pair's sum is the same bit for
+    bit whatever pairs share the call."""
     panels = _inf_panels(iks)
     n = max(nodes // len(panels), 8)
     lam, w = np.stack([_gl_nodes(n, lo, hi) for lo, hi in panels], axis=1)
-    mant, sc = (a.reshape(lam.shape) for a in _inf_integrand(iks, x, y, lam.ravel()))
+    x, y = np.atleast_1d(x)[:, None], np.atleast_1d(y)[:, None]
+    mant, sc = (a.reshape(-1, *lam.shape) for a in _inf_integrand(iks, x, y, lam.ravel()))
     acc, top = 0.0 + 0.0j, -np.inf
-    for wp, m, s in zip(w, mant, sc):
-        peak = float(s.max())
-        acc, top = parts_sum(acc, top, np.sum(parts_value(wp * m, s - peak)), peak)
+    for p, wp in enumerate(w):
+        m, s = mant[:, p], sc[:, p]
+        peak = s.max(axis=1)
+        acc, top = parts_sum(acc, top, np.sum(parts_value(wp * m, s - peak[:, None]), axis=1),
+                             peak)
     return parts_value(acc, top)
 
 
@@ -375,23 +380,32 @@ def infinite_kernel(iks, x, y):
     dominant-term switch points (see _inf_panels), then the per-panel node
     count doubles from `_INF_NODES` in total until two levels agree to
     `_INF_TOL` relative or 2048 total nodes are exceeded (then AccuracyError).
+
+    x and y broadcast: the pairs share one doubling, and each pair's value
+    is the one from the level where that pair converged, equal bit for bit
+    to the one-pair call.  Scalars give a complex, arrays a complex array.
     """
-    if iks.family != "A" and (x < 0.0 or y < 0.0):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if iks.family != "A" and (np.any(x < 0.0) or np.any(y < 0.0)):
         raise ValueError("reflected-family kernels live on x, y >= 0")
-    x, y = float(x), float(y)
+    xs, ys = x.ravel(), y.ravel()
+    out = np.empty(xs.shape, dtype=complex)
+    todo = np.arange(xs.size)           # the pairs not converged yet
     n = _INF_NODES
-    prev = _inf_quad(iks, x, y, n)
-    while n < 2048:
+    prev = _inf_quad(iks, xs, ys, n)
+    while n < 2048 and todo.size:
         n *= 2
-        cur = _inf_quad(iks, x, y, n)
-        delta = abs(cur - prev)
-        if delta <= _INF_TOL * max(abs(cur), iks.rho):
-            return complex(cur)
-        prev = cur
-    raise AccuracyError(
-        f"lambda quadrature not converged at {n} nodes (last delta "
-        f"{delta:.3e})"
-    )
+        cur = _inf_quad(iks, xs[todo], ys[todo], n)
+        delta = np.abs(cur - prev)
+        done = delta <= _INF_TOL * np.maximum(np.abs(cur), iks.rho)
+        out[todo[done]] = cur[done]
+        todo, prev, delta = todo[~done], cur[~done], delta[~done]
+    if todo.size:
+        raise AccuracyError(
+            f"lambda quadrature not converged at {n} nodes (last delta "
+            f"{np.max(delta):.3e})"
+        )
+    return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

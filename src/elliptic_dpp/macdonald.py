@@ -23,6 +23,7 @@ seeded Monte Carlo for N <= 4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,6 +110,14 @@ _SINGLES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """Row and column indices of the pairs j < k of n coordinates, read-only."""
+    ju, ku = np.triu_indices(n, 1)
+    ju.flags.writeable = ku.flags.writeable = False
+    return ju, ku
+
+
 def weyl_w_parts(tag, xi, tau):
     """W factor at scaled coordinates xi, batched: xi of shape (N,) or (B, N).
 
@@ -118,7 +127,7 @@ def weyl_w_parts(tag, xi, tau):
     factor columns per row: a row's value does not depend on the batch size.
     """
     X = np.atleast_2d(np.asarray(xi, dtype=float))
-    ju, ku = np.triu_indices(X.shape[1], 1)
+    ju, ku = _pairs(X.shape[1])
     # (theta index, tau multiple, arguments) of each factor, multiplied in this order
     factors = [(1, 1.0, X[:, ku] - X[:, ju])] if ju.size else []
     if ju.size and tag != "A":

@@ -316,3 +316,38 @@ def density_mpmath(spec, t, t_star, xs, dps=80):
             return cur
         prev, dps = cur, dps + 40
     raise AccuracyError(f"mpmath density did not settle by 400 digits at {list(xs)}")
+
+
+# ---------------------------------------------------------------------------
+# the theta ring sum with every term from its own exponent
+
+def ring_sum_direct(index, w, tau, rings):
+    """theta_index's defining series at reduced w over `rings` rings, as
+    (ssum, peak) with the series equal to ssum * exp(peak): every term is its
+    own exponential e^{i pi tau a^2 +- 2 pi i a w - peak}, with no addition
+    sequence between rings.  This is the ring sum `theta_core` used before
+    its recurrence; it shares only the peak exponent with it.
+    """
+    qf = 1j * np.pi * tau
+    zf = 2j * np.pi * w
+    if index in (0, 3):
+        peak = np.zeros(w.shape)  # n = 0 term dominates after reduction
+        total = np.ones(w.shape, dtype=complex)
+        offset = 0.0
+    else:
+        # dominant half-integer exponent: a = +-1/2, whichever sign matches Im w
+        peak = -0.25 * np.pi * tau.imag + np.pi * np.abs(w.imag)
+        total = np.zeros(w.shape, dtype=complex)
+        offset = 0.5
+    with np.errstate(over="ignore"):    # an exponent to -inf is a term of 0
+        for n in range(1, rings + 1):
+            a = n - offset
+            up = np.exp(qf * (a * a) + zf * a - peak)
+            dn = np.exp(qf * (a * a) - zf * a - peak)
+            ring = up - dn if index == 1 else up + dn
+            if index == 1:
+                ring = (1j if n % 2 == 0 else -1j) * ring
+            elif index == 0 and n % 2:
+                ring = -ring
+            total = total + ring
+    return total, peak

@@ -515,6 +515,44 @@ def test_inf_quad_one_call_matches_per_panel_loop(fam, horizon):
                 _inf_quad_per_panel(iks, x, y, nodes)).tobytes()
 
 
+def _one_pair_doubling(iks, x, y):
+    # the per-pair doubling `infinite_kernel` ran before pairs shared one:
+    # (value, total node count where it converged)
+    n = dpp_kernels._INF_NODES
+    prev = dpp_kernels._inf_quad(iks, x, y, n)[0]
+    while n < 2048:
+        n *= 2
+        cur = dpp_kernels._inf_quad(iks, x, y, n)[0]
+        if abs(cur - prev) <= dpp_kernels._INF_TOL * max(abs(cur), iks.rho):
+            return cur, n
+        prev = cur
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("horizon", [50.0, 300000.0])
+def test_infinite_kernel_pairs_share_one_doubling(fam, horizon):
+    # each pair's value is the one-pair call's, bit for bit, from the level
+    # where that pair converged: at horizon 50 some pairs of B, C and D stop
+    # at 256 nodes while others go on to 512
+    iks = InfiniteKernelSpec(fam, rho=1.0, t=horizon / 2, t_star=horizon)
+    xs = np.array([0.3, 1.3, 2.2, 0.0, 4.0, 7.5, 12.0])
+    ys = np.array([0.3, 0.6, 0.9, 0.7, 0.1, 3.0, 0.5])
+    batch = infinite_kernel(iks, xs, ys)
+    assert batch.shape == xs.shape
+    levels = set()
+    for x, y, k in zip(xs, ys, batch):
+        one = infinite_kernel(iks, x, y)
+        ref, level = _one_pair_doubling(iks, x, y)
+        levels.add(level)
+        assert np.array(one).tobytes() == np.array(k).tobytes() == np.array(ref).tobytes()
+    if horizon == 50.0 and fam != "A":
+        assert levels == {256, 512}
+    # broadcasting: one y for all x
+    row = infinite_kernel(iks, xs, 0.6)
+    assert row[1].tobytes() == batch[1].tobytes()
+
+
 @pytest.mark.parametrize("fam,sfam", [("A", "A"), ("B", "C"), ("C", "C"), ("D", "D")])
 def test_infinite_kernel_sine_convergence_law(fam, sfam):
     """Deviation from the sine kernel falls off as 1/(t* rho^2).

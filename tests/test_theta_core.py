@@ -18,6 +18,8 @@ from elliptic_dpp.theta_core import (
     theta_parts,
     theta_series,
 )
+from elliptic_dpp.theta_core import _ring_sum
+from oracles import ring_sum_direct
 
 # Frozen reference values.  theta3(0|i) and eta(i) are classical lemniscatic
 # constants; theta2(0|i) was frozen from the series oracle and agrees with the
@@ -161,7 +163,47 @@ def test_vectorized_matches_scalar():
     for idx in range(4):
         vec = theta(idx, vs, tau)
         sca = np.array([theta(idx, complex(z), tau) for z in vs])
-        assert np.allclose(vec, sca, rtol=1e-14, atol=1e-300)
+        assert vec.tobytes() == sca.tobytes()
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("tau", [0.37 + 0.05j, 0.37 + 0.3j, 0.37 + 0.9j, 0.3j, 1j, 1.7j, 3j])
+def test_values_do_not_depend_on_the_array_length(index, tau):
+    # every slice of a 64-point call, and every point on its own, gives the
+    # same mantissa and scale bit for bit: the modular walk at Re tau != 0,
+    # the walk at Im tau < 1, and the ring recurrence's complex products
+    rng = np.random.default_rng(18)
+    vs = rng.uniform(-2.0, 2.0, 64) + 1j * tau.imag * rng.uniform(-1.5, 1.5, 64)
+    mant, scale = theta_parts(index, vs, tau)
+    for length in (1, 2, 3, 5, 7, 9, 17, 33):
+        for at in range(0, 64 - length + 1, length):
+            m, s = theta_parts(index, vs[at:at + length], tau)
+            assert m.tobytes() == mant[at:at + length].tobytes(), (length, at)
+            assert s.tobytes() == scale[at:at + length].tobytes(), (length, at)
+    for v, m0, s0 in zip(vs, mant, scale):
+        m, s = theta_parts(index, complex(v), tau)
+        assert (m, s) == (m0, s0)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_ring_recurrence_matches_the_direct_exponents(index):
+    # Im tau from sqrt(3)/2 to either side of 12.5: 4, 3, 2 and 1 rings, with
+    # |Im w| at its limit Im tau / 2.  The gap is measured against the peak
+    # term, of modulus 1; the largest is 4.6e-16 (tau = 0.37 + i sqrt(3)/2).
+    seen = set()
+    for re_tau in (0.0, 0.37, -0.5):
+        for im_tau in (math.sqrt(3.0) / 2.0, 1.0, 1.38, 1.39, 2.0, 3.11, 3.12, 6.0,
+                       12.46, 12.47, 40.0):
+            tau = complex(re_tau, im_tau)
+            rings = 1 + int(math.sqrt(math.log(1e17) / (math.pi * im_tau)))
+            seen.add(rings)
+            x = np.linspace(-0.5, 0.5, 21)
+            w = np.concatenate([x + 0.5j * im_tau, x - 0.5j * im_tau, x + 0.17j * im_tau, x])
+            ssum, peak = _ring_sum(index, w, tau)
+            ref, ref_peak = ring_sum_direct(index, w, tau, rings)
+            assert np.array_equal(peak, ref_peak)
+            assert np.max(np.abs(ssum - ref)) <= 8 * np.finfo(float).eps, tau
+    assert seen == {1, 2, 3, 4}
 
 
 def _eta_log_mpmath(y, dual=False):
