@@ -83,6 +83,10 @@ def _commands():
         "verify --type B --N 2 --t 20 --t-star 50",
         "verify --type Bv --N 4 --t 2 --t-star 5",
         "verify --type C --N 4 --t 2 --t-star 5",
+        # the weight matrix r(t) grows past 1e13 unequilibrated (A4), and the
+        # pinned matrix P passes the condition limit (C4)
+        "verify --type A --N 4 --t 5 --t-star 10",
+        "verify --type C --N 4 --t 5 --t-star 10",
         # points outside the alcove or not numbers
         "density --type C --N 3 --points=-0.5,1.5,2.0",
         "density --type C --N 3 --points=0.5,1.5,5.0",
@@ -92,6 +96,7 @@ def _commands():
         "verify --suite theta --out x.txt",
         "kernel --type A --N 3 --grid 4 --seed 3",
         "limits --type A --N 3 --horizon 300000 --tol 1e-30",
+        "selberg --type A --N 1 --t 0.4 --t-star 1 --tol 1e-3",
         # theta past double range, and numbers finalize refuses
         "theta --index 2 --tau-im 0.01 --v-im -20 --grid 4",
         "limits --horizon=-5",

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .macdonald import (_COND_LIMIT, _det_phase, _logc_rel_diff, _m_matrix_parts,
-                        _per_config, _tau, check_cond, coeff_a_log, rhs_logc)
+from .macdonald import (_det_phase, _logc_rel_diff, _m_matrix_parts, _per_config, _tau,
+                        coeff_a_log, logdet, rhs_logc)
 from .root_systems import derive
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
@@ -38,8 +38,6 @@ __all__ = [
     "transition",
     "transition_images",
 ]
-
-_BRIDGE_COND_LIMIT = 1e7
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +211,18 @@ def matrix_identity_residual(spec, t, xs):
     return _per_config(xs, np.max(np.abs(rm @ P - M), axis=(-2, -1)) / top)
 
 
-def _check_bridge_cond(name, m):
-    """`check_cond` of the row-equilibrated heat-kernel matrix m (or stack) at
-    `_BRIDGE_COND_LIMIT`: its determinant would carry round-off of about 1e-16
-    times the condition number.  A zero row counts as condition inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 or inf/inf: nan
-        m = m / np.max(np.abs(m), axis=-1, keepdims=True)
-    check_cond(f"bridge matrix {name}", m, _BRIDGE_COND_LIMIT)
-
-
 def bridge_density(spec, t, t_star, xs):
     """Pinned-bridge density det P_in . det P_out / det P_pin, by log-dets.
 
     At large horizons the heat-kernel matrices approach rank one and the
-    determinants cancel to nothing.  Each of the three matrices is therefore
-    row-equilibrated and its condition number checked first: past
-    `_BRIDGE_COND_LIMIT` (1e7 leaves the three LU round-offs well inside a
-    1e-8 relative agreement with `density`) IllConditionedError is raised
-    instead of a silently wrong, possibly negative, density.  The structural
-    zeros (coincident points, a point on an absorbing wall) make P_in and
-    P_out exactly singular; those configurations get 0 before the check.
+    determinants cancel to nothing.  Each of the three log-determinants is
+    therefore taken by `macdonald.logdet`, which row-equilibrates the matrix
+    and raises IllConditionedError past its condition limit (1e7 leaves the
+    three LU round-offs well inside a 1e-8 relative agreement with `density`)
+    instead of returning a silently wrong, possibly negative, density.  The
+    structural zeros (coincident points, a point on an absorbing wall) make
+    P_in and P_out exactly singular; those configurations get 0 before the
+    check.
     """
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
@@ -248,9 +238,8 @@ def bridge_density(spec, t, t_star, xs):
             "P_out": transition(d, t, X[:, :, None], t_star, v[None, None, :]),
             "D0": transition(d, 0.0, v[:, None], t_star, v[None, :]),
         }
-        for name, m in mats.items():
-            _check_bridge_cond(name, m)
-        (s1, l1), (s2, l2), (s0, l0) = (np.linalg.slogdet(m) for m in mats.values())
+        (l1, s1), (l2, s2), (l0, s0) = (logdet(f"bridge matrix {name}", m)
+                                        for name, m in mats.items())
         out[live] = s1 * s2 * s0 * np.exp(l1 + l2 - l0)
     return _per_config(xs, out)
 
@@ -272,20 +261,14 @@ def macdonald_kmlgv_residual(spec, t, xs):
     parity-indexed coordinate-sum theta for the circle family) of the
     determinant identity.  Right side: the same phase times
     `_b_phase` . det r(t) . det P.  Returns the relative residual at the
-    common log scale.  IllConditionedError when r(t) is past `_COND_LIMIT` or
-    a pinned matrix P past `_BRIDGE_COND_LIMIT`, AccuracyError when r(t)
-    leaves double range.
+    common log scale.  IllConditionedError when `macdonald.logdet` refuses
+    r(t) or a pinned matrix P, AccuracyError when r(t) leaves double range.
     """
     d = derive(spec)
     X = np.atleast_2d(np.asarray(xs, dtype=float))
     ll, pl = rhs_logc(d, X, t)
-    rm = r_matrix(d, t)
-    check_cond("r-matrix", rm, _COND_LIMIT)
-    P = _pinned_matrix(d, t, X)
-    _check_bridge_cond("P", P)
-    # both condition checks passed, so no determinant is zero
-    sr, lr = np.linalg.slogdet(rm)
-    sp, lp = np.linalg.slogdet(P)
+    lr, sr = logdet("r-matrix", r_matrix(d, t))
+    lp, sp = logdet("bridge matrix P", _pinned_matrix(d, t, X))
     rp = _det_phase(d.sharp, d.N) * _b_phase(d.sharp, d.N) * sr * sp
     return _per_config(xs, _logc_rel_diff(ll, pl, lr + lp, rp))
 
@@ -293,18 +276,18 @@ def macdonald_kmlgv_residual(spec, t, xs):
 def eta_formula_residual(spec, t):
     """Circle-family closed form: the Weyl/KMLGV ratio b(t) equals
     (2 pi r)^N N^{-N/2} eta(N tau(t))^{(N-1)(N-2)/2}. Relative residual;
-    AccuracyError when r(t) leaves double range."""
+    AccuracyError when r(t) leaves double range, IllConditionedError when
+    `macdonald.logdet` refuses it."""
     d = derive(spec)
     if d.walls != "circ":
         raise ValueError("eta closed form applies to the circle family only")
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     N, r = d.N, d.r
-    rm = r_matrix(d, t)
     # eta is positive on the imaginary axis: the left side's phase is 1
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)
           + 0.5 * (N - 1) * (N - 2) * eta_log(_tau(d, t).imag))     # size = N
-    sr, lr = np.linalg.slogdet(rm)
+    lr, sr = logdet("r-matrix", r_matrix(d, t))
     la = coeff_a_log(d, t)
     lc = lr - la
     pc = _b_phase(d.sharp, N) * sr

@@ -52,7 +52,6 @@ class RunConfig:
     method: str = "grid"
     budget: int = None
     seed: int = 0
-    tol: float = None
     out: str = None
 
     def finalize(self):
@@ -222,7 +221,7 @@ def _run_sample(cfg):
 def _run_selberg(cfg):
     res = selberg_check((cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star,
                         method=cfg.method, budget=cfg.budget, seed=cfg.seed)
-    tol = cfg.tol if cfg.tol is not None else (1e-8 if cfg.N == 1 else 1e-4)
+    tol = 1e-8 if cfg.N == 1 else 1e-4
     print("lhs=%.17g rhs=%.17g" % (res.lhs, res.rhs))
     return _report([CheckResult("closed-form integral", res.rel_err, tol)])
 
@@ -245,7 +244,6 @@ _VERBS = {
 _FLAGS = {
     "out": dict(help="output file (default stdout / 'sample')"),
     "seed": dict(type=int),
-    "tol": dict(type=float),
     "type": dict(choices=FAMILIES),
     "N": dict(type=int),
     "r": dict(type=float),
@@ -282,7 +280,7 @@ _VERB_FLAGS = {
     "sample": ("exact i.i.d. states + one-point histogram",
                ("out", "seed", *_FAMILY, *_TIMES, "steps", "bins")),
     "selberg": ("closed-form integral check",
-                ("seed", "tol", *_FAMILY, *_TIMES, "method", "budget")),
+                ("seed", *_FAMILY, *_TIMES, "method", "budget")),
 }
 
 

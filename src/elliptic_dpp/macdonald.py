@@ -11,7 +11,9 @@ is assembled in (log-magnitude, phase) form; `denominator_residual` compares
 both sides after common-scale cancellation, so it stays finite where direct
 evaluation would overflow doubles.  It takes one configuration xs of shape
 (N,), giving a float, or a batch of shape (B, N), giving B residuals from
-stacked matrices; `check_cond` holds a whole stack to a condition limit.
+stacked matrices.  `logdet` is the one route to a log-determinant, here and
+in `bridges`: it row-equilibrates a matrix or stack in parts form and holds
+it to one condition limit before the LU.
 
 The identity at the two times t and t* - t turns the joint density
 det conj M(t*-t) det M(t) / prod m_n into a product with no cancellation,
@@ -32,23 +34,24 @@ import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
 from .root_systems import derive
-from .theta_core import eta_log, parts_equilibrate, parts_sum, parts_value, theta_parts
+from .theta_core import eta_log, parts_sum, parts_value, theta_parts
 
 __all__ = [
     "DegenerateConfigError",
     "IllConditionedError",
     "SelbergResult",
-    "check_cond",
     "coeff_a_log",
     "denominator_residual",
     "det_m_logc",
+    "logdet",
     "rhs_logc",
     "selberg_check",
     "weyl_w_parts",
 ]
 
-_COND_LIMIT = 1e12
-_DET_COND_LIMIT = 1e7   # det M's LU round-off is ~1e-17..1e-16 cond, the bound 1e-10
+# an LU log-determinant carries round-off of ~1e-17..1e-16 times the condition
+# of the equilibrated matrix; the tightest line bound it feeds is 1e-10
+_COND_LIMIT = 1e7
 
 
 class IllConditionedError(ArithmeticError):
@@ -67,18 +70,30 @@ def _per_config(xs, out):
     return float(out[0]) if np.ndim(xs) < 2 else out
 
 
-def check_cond(name, m, limit):
-    """IllConditionedError naming the first matrix of m, one (n, n) matrix or
-    a stack (..., n, n), whose condition estimate is past limit; a non-finite
-    entry counts as condition inf."""
-    stack = np.reshape(m, (-1,) + np.shape(m)[-2:])
+def logdet(name, mant, scale=0.0):
+    """(log|det|, sign) of a matrix mant * e^scale, one (n, n) or a stack
+    (..., n, n); a plain matrix passes scale 0.
+
+    Each row is divided by its largest entry, e^{max(log|mant| + scale)}, and
+    the row logs go into log|det| exactly, so the LU and the condition
+    estimate see rows of largest entry 1.  IllConditionedError names the
+    first matrix whose equilibrated condition estimate is past `_COND_LIMIT`;
+    a zero row or a non-finite entry counts as condition inf.  So no
+    determinant that reaches the LU is zero.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        row = np.max(np.log(np.abs(mant)) + scale, axis=-1)
+        tilde = mant * np.exp(scale - row[..., None])     # 0/0 or inf/inf: nan
+    stack = np.reshape(tilde, (-1,) + np.shape(tilde)[-2:])
     finite = np.all(np.isfinite(stack), axis=(-2, -1))
     cond = np.full(len(stack), np.inf)
     cond[finite] = np.linalg.cond(stack[finite])
-    bad = np.flatnonzero(~(cond <= limit))
+    bad = np.flatnonzero(~(cond <= _COND_LIMIT))
     if bad.size:
         raise IllConditionedError(f"{name} #{bad[0] + 1} of {len(stack)} condition ~ "
-                                  f"{cond[bad[0]]:.3e} exceeds {limit:.1e}")
+                                  f"{cond[bad[0]]:.3e} exceeds {_COND_LIMIT:.1e}")
+    sign, logabs = np.linalg.slogdet(tilde)
+    return logabs + row.sum(axis=-1), sign
 
 
 def _logc_from_parts(mant, scale):
@@ -225,17 +240,8 @@ def _m_matrix_parts(d, xs, t):
 
 
 def det_m_logc(spec, xs, t):
-    """log-magnitude and phase of det[M_j(x_k, t)], with per-row rescaling.
-
-    LU with partial pivoting via slogdet; raises IllConditionedError when a
-    rescaled matrix's condition estimate exceeds `_DET_COND_LIMIT`, so no
-    determinant that reaches the LU is zero.
-    """
-    d = derive(spec)
-    tilde, row = parts_equilibrate(*_m_matrix_parts(d, xs, t))
-    check_cond("matrix", tilde, _DET_COND_LIMIT)
-    sign, logabs = np.linalg.slogdet(tilde)
-    return logabs + row.sum(axis=-1), sign
+    """log-magnitude and phase of det[M_j(x_k, t)], through `logdet`."""
+    return logdet("matrix", *_m_matrix_parts(derive(spec), xs, t))
 
 
 def rhs_logc(spec, xs, t):

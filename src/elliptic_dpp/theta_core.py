@@ -35,13 +35,12 @@ of order unity.  `theta` exponentiates on the spot.
 
 The modules downstream keep their values in that form.  A product of parts
 is the product of the mantissas and the sum of the scales; everything else
-goes through three helpers here:
+goes through two helpers here:
 
 - `parts_sum` adds two parts values at their common (larger) scale;
-- `parts_equilibrate` splits a stack of parts matrices row by row into a
-  matrix of order-unity rows and the row scales, for LU and condition
-  estimates;
 - `parts_value` exponentiates, letting out-of-range values overflow to inf.
+
+A determinant of a parts matrix is taken by `macdonald.logdet`.
 
 `eta_log` is log eta(i y) of the Dedekind eta function, for the time
 coefficients downstream.
@@ -63,7 +62,6 @@ import numpy as np
 __all__ = [
     "AccuracyError",
     "eta_log",
-    "parts_equilibrate",
     "parts_sum",
     "parts_value",
     "theta",
@@ -107,17 +105,6 @@ def parts_sum(m1, s1, m2, s2):
     top = np.maximum(s1, s2)
     with np.errstate(under="ignore"):
         return m1 * np.exp(s1 - top) + m2 * np.exp(s2 - top), top
-
-
-def parts_equilibrate(mant, scale):
-    """Row-equilibrate matrices given as parts, stacked over leading axes.
-
-    Returns (tilde, row) with matrix = tilde * e^{row} row by row: each row
-    of tilde is at its own largest scale, so LU and condition estimates see
-    order-unity entries; the log-determinant is that of tilde plus row.sum.
-    """
-    row = scale.max(axis=-1)
-    return mant * np.exp(scale - row[..., None]), row
 
 
 def parts_value(mant, scale):

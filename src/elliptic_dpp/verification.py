@@ -154,8 +154,9 @@ def denominator_suite(d, t, t_star):
 
 
 def matrix_suite(d, t, t_star):
-    # a line reads inf when r(t) leaves double range (AccuracyError) or r(t)
-    # or P is past its condition limit (IllConditionedError)
+    # a line reads inf when r(t) leaves double range (AccuracyError) or, for
+    # the determinant lines, when r(t) or P is past `logdet`'s condition
+    # limit (IllConditionedError)
     try:
         worst = float(np.max([matrix_identity_residual(d, tt, xs) for tt, xs in
                               zip((t, t_star), _configs(103, d, 10).reshape(2, 5, d.N))]))
@@ -171,7 +172,7 @@ def matrix_suite(d, t, t_star):
     if d.walls == "circ":
         try:
             worst = eta_formula_residual(d, t)
-        except AccuracyError:
+        except (AccuracyError, IllConditionedError):
             worst = math.inf
         out.append(CheckResult("eta closed form", worst, 1e-10))
     return out

@@ -1,17 +1,22 @@
 """Determinant identities and Selberg-type integral checks."""
 
+import ast
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptic_dpp import macdonald
 from elliptic_dpp.macdonald import (
     DegenerateConfigError,
+    IllConditionedError,
     coeff_a_log,
     denominator_residual,
+    logdet,
     selberg_check,
     weyl_w_parts,
 )
@@ -134,6 +139,50 @@ def test_coeff_a_finite_at_small_times(tag):
         warnings.simplefilter("error")
         for im_tau in (1e-2, 1e-4, 1e-6):
             assert np.isfinite(coeff_a_log(d, im_tau * 2 * np.pi / d.size))
+
+
+# ---------------------------------------------------------------------------
+# the determinant gate
+
+def test_logdet_of_a_parts_stack():
+    # a (3, 4, 4) parts stack gives the plain matrices' slogdet
+    rng = np.random.default_rng(5)
+    mant = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    scale = rng.uniform(-5.0, 5.0, (3, 4, 4))
+    plain = mant * np.exp(scale)
+    sign0, logabs0 = np.linalg.slogdet(plain)
+    logabs, sign = logdet("stack", mant, scale)
+    assert logabs.shape == sign.shape == (3,)
+    assert np.allclose(sign, sign0, rtol=0.0, atol=1e-12)
+    assert np.allclose(logabs, logabs0, rtol=0.0, atol=1e-12)
+    # and so does a plain matrix passed with scale 0
+    logabs, sign = logdet("plain", plain[1])
+    assert abs(sign - sign0[1]) < 1e-12 and abs(logabs - logabs0[1]) < 1e-12
+
+
+def test_logdet_names_the_first_matrix_past_the_limit():
+    # row scaling alone is divided out; nearly parallel rows are not
+    stack = np.array([np.diag([1.0, 1e-8]), [[1.0, 1.0], [1.0, 1.0 + 1e-8]], np.eye(2)])
+    with pytest.raises(IllConditionedError,
+                       match=r"^stack #2 of 3 condition ~ 4\.000e\+08 exceeds 1\.0e\+07$"):
+        logdet("stack", stack)
+
+
+def test_only_logdet_takes_determinants_or_condition_estimates():
+    # every np.linalg.slogdet and np.linalg.cond in the package sits inside
+    # macdonald.logdet, so one gate judges every determinant
+    src = Path(macdonald.__file__).parent
+    tree = ast.parse((src / "macdonald.py").read_text())
+    gate = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "logdet")
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("slogdet", "cond")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append((path.name, node.lineno))
+    inside = [(name, line) for name, line in found if name == "macdonald.py"
+              and gate.lineno <= line <= gate.end_lineno]
+    assert len(inside) == 2 and found == inside, found
 
 
 # ---------------------------------------------------------------------------

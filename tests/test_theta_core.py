@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from elliptic_dpp.theta_core import (
     AccuracyError,
     eta_log,
-    parts_equilibrate,
     parts_sum,
     parts_value,
     theta,
@@ -391,22 +390,6 @@ def test_parts_sum_of_a_negated_term():
     assert abs(mant - 0.5) < 1e-15
     mant, top = parts_sum(1j, 1e4, -1j, 1e4)
     assert mant == 0.0 and top == 1e4
-
-
-def test_parts_equilibrate_stack():
-    rng = np.random.default_rng(5)
-    mant = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    scale = rng.uniform(-5.0, 5.0, (3, 4, 4))
-    tilde, row = parts_equilibrate(mant, scale)
-    assert tilde.shape == mant.shape and np.array_equal(row, scale.max(axis=2))
-    # each row's largest-scale entry keeps its mantissa exactly
-    top = scale.argmax(axis=2)[..., None]
-    assert np.array_equal(np.take_along_axis(tilde, top, 2), np.take_along_axis(mant, top, 2))
-    # the determinants: those of tilde times e^{sum of the row scales}
-    sign, logabs = np.linalg.slogdet(tilde)
-    sign0, logabs0 = np.linalg.slogdet(mant * np.exp(scale))
-    assert np.allclose(sign, sign0, rtol=0.0, atol=1e-12)
-    assert np.allclose(logabs + row.sum(axis=1), logabs0, rtol=0.0, atol=1e-12)
 
 
 def test_parts_value_overflows_quietly():

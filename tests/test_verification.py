@@ -102,6 +102,22 @@ def test_biortho_suite_at_large_horizon(tag):
                 assert line.passed, f"{tag}{N}: {line.line()}"
 
 
+@pytest.mark.parametrize("fn, name", [("macdonald_kmlgv_residual", "pinned-path proportionality"),
+                                      ("eta_formula_residual", "eta closed form")])
+def test_refused_determinant_reads_inf_on_its_line(fn, name, monkeypatch):
+    # both determinant lines of the matrix suite go through logdet; a refusal
+    # turns only that line into inf
+    def refuse(*args):
+        raise IllConditionedError("r-matrix #1 of 1 condition ~ inf exceeds 1.0e+07")
+
+    monkeypatch.setattr(verification, fn, refuse)
+    lines = _lines(verification.matrix_suite(derive(("A", 3, 1.0)), 0.4, 1.0))
+    assert list(lines) == ["weight-matrix identity", "pinned-path proportionality",
+                           "eta closed form"]
+    assert [n for n, r in lines.items() if not r.passed] == [name]
+    assert lines[name].residual == math.inf
+
+
 # one NaN among finite residuals, and not the first one: Python's max would
 # drop it.  (suite, name the suite calls, call that returns NaN, its line)
 _NAN_CASES = [
