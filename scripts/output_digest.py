@@ -62,12 +62,14 @@ def _commands():
         "density --type C --N 3 --t 0.4 --t-star 1 --points 0.5,1.2,2.0",
         "density --type BC --N 2 --t 0.4 --t-star 1 --grid 32",
         "selberg --type A --N 1 --t 0.4 --t-star 1",
-        "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
-        "selberg --type A --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
-        "selberg --type C --N 3 --t 0.4 --t-star 1 --method mc --budget 20000 --seed 2",
+        "selberg --type A --N 3 --t 0.4 --t-star 1",
+        "selberg --type C --N 3 --t 0.4 --t-star 1",
+        "selberg --type D --N 4 --t 0.4 --t-star 1",
         # a small time: the sampler's table doubles; the density integrates to N!
         "sample --type A --N 4 --t 0.01 --t-star 1 --steps 256 --seed 3 --out s",
         "selberg --type C --N 2 --t 0.0003 --t-star 1",
+        # past the Selberg rule's row limit: 48^4 rows
+        "selberg --type D --N 4 --t 0.01 --t-star 1",
         # small times: det M(t) cancels in plain doubles, and the Euler
         # products of a(t) leave them (a(t) is taken in log form)
         "density --type A --N 2 --t 0.01 --t-star 1 --points "
@@ -97,6 +99,7 @@ def _commands():
         "kernel --type A --N 3 --grid 4 --seed 3",
         "limits --type A --N 3 --horizon 300000 --tol 1e-30",
         "selberg --type A --N 1 --t 0.4 --t-star 1 --tol 1e-3",
+        "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
         # theta past double range, and numbers finalize refuses
         "theta --index 2 --tau-im 0.01 --v-im -20 --grid 4",
         "limits --horizon=-5",

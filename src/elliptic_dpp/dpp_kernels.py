@@ -239,26 +239,18 @@ _TRIG_TABLE = {"ar": (0, -1.0), "aa": (1, -1.0), "rr": (-1, +1.0)}
 def _sin_ratio(c, v):
     """sin(c v)/sin(v) with removable singularities at v = k pi.
 
-    Reduction v -> v - k pi picks up (-1)^{k(c+1)}; near the origin a 5-term
-    even Taylor series replaces the ratio.
+    Reduction v -> v - k pi picks up (-1)^{k(c+1)}.  The ratio at the reduced
+    v0 is accurate wherever v0 is not tiny; below |v0| = 1e-150, where
+    c (1 - (c^2 - 1) v0^2 / 6) rounds to c, it is its limit c, so a
+    subnormal v0 never divides.
     """
     v = np.asarray(v, dtype=float)
     k = np.round(v / np.pi)
     v0 = v - k * np.pi
     sign = np.where((k.astype(np.int64) * (c + 1)) % 2 == 0, 1.0, -1.0)
-    small = np.abs(v0) < 5e-7
-    vs = np.where(small, 0.0, v0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.sin(c * vs) / np.sin(vs)
-    c2 = float(c) * float(c)
-    a2 = (1.0 - c2) / 6.0
-    a4 = 7.0 / 360.0 - c2 / 36.0 + c2 * c2 / 120.0
-    a6 = 31.0 / 15120.0 - 7.0 * c2 / 2160.0 + c2 * c2 / 720.0 - c2**3 / 5040.0
-    a8 = (127.0 / 604800.0 - 31.0 * c2 / 90720.0 + 7.0 * c2 * c2 / 43200.0
-          - c2**3 / 30240.0 + c2**4 / 362880.0)
-    t2 = v0 * v0
-    taylor = c * (1.0 + t2 * (a2 + t2 * (a4 + t2 * (a6 + t2 * a8))))
-    return sign * np.where(small, taylor, direct)
+    tiny = np.abs(v0) < 1e-150
+    vs = np.where(tiny, 1.0, v0)
+    return sign * np.where(tiny, float(c), np.sin(c * vs) / np.sin(vs))
 
 
 def trig_kernel(spec, x, y):

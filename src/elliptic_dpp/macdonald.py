@@ -19,8 +19,8 @@ The identity at the two times t and t* - t turns the joint density
 det conj M(t*-t) det M(t) / prod m_n into a product with no cancellation,
 a(t) a(t*-t) W(xi; tau_t) W(xi; tau_{t*-t}) / prod m_n (`_density`, which
 `dpp_kernels.density` evaluates).  `selberg_check` integrates that density
-over the box and compares with N!: a tensor midpoint grid for N <= 2, or
-seeded Monte Carlo for N <= 4.
+over the box with one tensor midpoint rule and compares with N!; the nodes
+per dimension come from the density's width (`midpoint_nodes`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
 from .root_systems import derive
-from .theta_core import eta_log, parts_sum, parts_value, theta_parts
+from .theta_core import AccuracyError, eta_log, parts_sum, parts_value, theta_parts
 
 __all__ = [
     "DegenerateConfigError",
@@ -44,6 +44,7 @@ __all__ = [
     "denominator_residual",
     "det_m_logc",
     "logdet",
+    "midpoint_nodes",
     "rhs_logc",
     "selberg_check",
     "weyl_w_parts",
@@ -293,6 +294,25 @@ def _density(d, X, t, t_star):
     return parts_value(m1 * m2, s1 + s2 + lg).real
 
 
+def midpoint_nodes(d, t, t_star, floor, dim, cap):
+    """Nodes per dimension of a midpoint rule on [0, L] at times (t, t*):
+    n = max(floor, ceil(1.5 L / sigma)), sigma = sqrt(t (t* - t) / t*) the
+    bridge's spread at time t.  Aliasing of a feature that wide is then
+    ~exp(-2 pi^2 1.5^2) ~ 5e-20; the integrand is analytic and periodic, or
+    extends evenly or oddly across the walls, so the rule converges
+    spectrally.  AccuracyError past `cap` points n^dim."""
+    sigma = math.sqrt(t * (t_star - t) / t_star)
+    n = max(floor, math.ceil(1.5 * d.length / sigma))
+    if n**dim > cap:
+        raise AccuracyError(f"midpoint rule needs {n}^{dim} = {n**dim} points, "
+                            f"past the limit {cap}")
+    return n
+
+
+# the most rows of the Selberg sum, and the rows per density call
+_SELBERG_ROWS, _SELBERG_BLOCK = 2**20, 2**14
+
+
 @dataclass(frozen=True)
 class SelbergResult:
     lhs: float
@@ -300,42 +320,27 @@ class SelbergResult:
     rel_err: float
 
 
-def selberg_check(spec, t, t_star, method="grid", budget=None, seed=0):
+def selberg_check(spec, t, t_star):
     """Integral of the joint density over the box [0, L]^N against N!.
 
     The box covers each configuration of the alcove once per ordering, and
     the closed-form norms make the density integrate to 1 over the alcove.
-    method="grid": tensor midpoint rule with `budget` nodes per dimension
-    (N <= 2); midpoint avoids the alcove-wall zeros sitting on nodes.
-    method="mc": plain Monte Carlo with `budget` total samples (N <= 4) drawn
-    from `SeedSequence(seed).spawn(1)[0]`, so a fixed int seed reproduces the
-    result.
-
+    One tensor midpoint rule (`midpoint_nodes`, at least 16 nodes per
+    dimension; midpoint keeps the nodes off the wall zeros) sums its n^N rows
+    in fixed blocks; AccuracyError past `_SELBERG_ROWS` rows.
     Returns SelbergResult(lhs, rhs=N!, rel_err).
     """
     d = derive(spec)
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
     N, L = d.N, d.length
-    if method == "grid":
-        if N > 2:
-            raise ValueError("grid method supports N <= 2")
-        n = int(budget) if budget else 512
-        xs1 = (np.arange(n) + 0.5) * (L / n)
-        if N == 1:
-            X = xs1[:, None]
-        else:
-            a, b = np.meshgrid(xs1, xs1, indexing="ij")
-            X = np.column_stack([a.ravel(), b.ravel()])
-        lhs = float(_density(d, X, t, t_star).sum() * (L / n) ** N)
-    elif method == "mc":
-        if N > 4:
-            raise ValueError("mc method supports N <= 4")
-        total = int(budget) if budget else 200_000
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        X = rng.uniform(0.0, L, size=(total, N))
-        lhs = float(_density(d, X, t, t_star).sum()) / total * L**N
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    n = midpoint_nodes(d, t, t_star, 16, N, _SELBERG_ROWS)
+    nodes = (np.arange(n) + 0.5) * (L / n)
+    total = 0.0
+    for start in range(0, n**N, _SELBERG_BLOCK):
+        rows = np.arange(start, min(start + _SELBERG_BLOCK, n**N))
+        X = nodes[np.stack(np.unravel_index(rows, (n,) * N), axis=1)]
+        total += float(_density(d, X, t, t_star).sum())
+    lhs = total * (L / n) ** N
     rhs = float(math.factorial(N))
     return SelbergResult(lhs=lhs, rhs=rhs, rel_err=abs(lhs - rhs) / max(abs(lhs), rhs))

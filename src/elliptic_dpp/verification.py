@@ -5,7 +5,10 @@ Each suite returns a list of CheckResult rows; a row renders as
 
     <name>: residual=<value> tol=<value> PASS|FAIL
 
-so the CLI and the acceptance tests print identical evidence.
+so the CLI and the acceptance tests print identical evidence.  A numerical
+engine that refuses a case (AccuracyError, IllConditionedError) turns the
+lines it feeds into inf (`_or_inf`): they fail, and every other line still
+prints.
 """
 
 import math
@@ -19,7 +22,7 @@ from .bridges import (bridge_density, ck_residual, eta_formula_residual,
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, _norms_log,
                           density_batch, infinite_kernel, kernel, kernel_matrix, sine_kernel,
                           trig_kernel)
-from .macdonald import IllConditionedError, denominator_residual
+from .macdonald import IllConditionedError, denominator_residual, midpoint_nodes
 from .root_systems import derive
 from .theta_core import AccuracyError, theta, theta_series
 
@@ -52,6 +55,15 @@ def _worst(*residuals):
     """Python's max, except that any NaN gives NaN (max drops a NaN that is
     not first), so a NaN residual fails its line."""
     return math.nan if any(r != r for r in residuals) else max(residuals)
+
+
+def _or_inf(fn, *args, lines=1):
+    """fn(*args), the residual of one line or a tuple of `lines` residuals;
+    inf on each when a numerical engine refuses the case."""
+    try:
+        return fn(*args)
+    except (AccuracyError, IllConditionedError):
+        return math.inf if lines == 1 else (math.inf,) * lines
 
 
 def _configs(seed, d, n):
@@ -122,11 +134,10 @@ def _gram(ks, n):
     return a, b, (L / n) * (np.conj(b) @ a.T)
 
 
-def biortho_suite(d, t, t_star):
+def _biortho_residuals(ks):
     # nodes double from 128 until two levels of G agree to 1e-11.  G is I in
     # plain doubles at every horizon; entry (j, k) is measured on the scale
     # m_j^{1-t/t*} m_k^{t/t*}, that of its round-off h sum |b_j| |a_k|
-    ks = KernelSpec(d, t=t, t_star=t_star)
     n, g = 128, _gram(ks, 128)[2]
     while True:
         n, prev, g = 2 * n, g, _gram(ks, 2 * n)[2]
@@ -137,71 +148,59 @@ def biortho_suite(d, t, t_star):
             raise AccuracyError(f"biorthogonality Gram did not converge below 1e-11 by "
                                 f"{n} nodes (last change {delta:.3e})")
     off = np.abs(g - np.diag(np.diag(g)))
-    return [
-        CheckResult("biorthogonality off-diagonal", float(off.max()), 1e-9),
-        CheckResult("biorthogonality norms", float(np.max(np.abs(np.diag(g) - 1.0))), 1e-9),
-    ]
+    return float(off.max()), float(np.max(np.abs(np.diag(g) - 1.0)))
+
+
+def biortho_suite(d, t, t_star):
+    off, norms = _or_inf(_biortho_residuals, KernelSpec(d, t=t, t_star=t_star), lines=2)
+    return [CheckResult("biorthogonality off-diagonal", off, 1e-9),
+            CheckResult("biorthogonality norms", norms, 1e-9)]
 
 
 def denominator_suite(d, t, t_star):
-    # 5 configurations per time; inf when a matrix is past its condition limit
-    try:
-        worst = float(np.max([denominator_residual(d, xs, tt) for tt, xs in zip(
-            (t, 0.5 * t_star, t_star), _configs(101, d, 15).reshape(3, 5, d.N))]))
-    except IllConditionedError:
-        worst = math.inf
+    # 5 configurations per time
+    X = _configs(101, d, 15).reshape(3, 5, d.N)
+    worst = _or_inf(lambda: float(np.max([denominator_residual(d, xs, tt) for tt, xs in
+                                          zip((t, 0.5 * t_star, t_star), X)])))
     return [CheckResult("determinant-identity residual", worst, 1e-10)]
 
 
 def matrix_suite(d, t, t_star):
-    # a line reads inf when r(t) leaves double range (AccuracyError) or, for
-    # the determinant lines, when r(t) or P is past `logdet`'s condition
-    # limit (IllConditionedError)
-    try:
-        worst = float(np.max([matrix_identity_residual(d, tt, xs) for tt, xs in
-                              zip((t, t_star), _configs(103, d, 10).reshape(2, 5, d.N))]))
-    except AccuracyError:
-        worst = math.inf
-    out = [CheckResult("weight-matrix identity", worst, 1e-10)]
-
-    try:
-        worst = float(np.max(macdonald_kmlgv_residual(d, t, _configs(107, d, 5))))
-    except (AccuracyError, IllConditionedError):
-        worst = math.inf
-    out.append(CheckResult("pinned-path proportionality", worst, 1e-9))
+    # a line reads inf when r(t) leaves double range, or r(t) or P is past
+    # `logdet`'s condition limit
+    X = _configs(103, d, 10).reshape(2, 5, d.N)
+    weight = _or_inf(lambda: float(np.max([matrix_identity_residual(d, tt, xs) for tt, xs in
+                                           zip((t, t_star), X)])))
+    pinned = _or_inf(lambda: float(np.max(macdonald_kmlgv_residual(d, t, _configs(107, d, 5)))))
+    out = [CheckResult("weight-matrix identity", weight, 1e-10),
+           CheckResult("pinned-path proportionality", pinned, 1e-9)]
     if d.walls == "circ":
-        try:
-            worst = eta_formula_residual(d, t)
-        except (AccuracyError, IllConditionedError):
-            worst = math.inf
-        out.append(CheckResult("eta closed form", worst, 1e-10))
+        out.append(CheckResult("eta closed form", _or_inf(eta_formula_residual, d, t), 1e-10))
     return out
 
 
-def bridge_suite(d, t, t_star):
-    L = d.length
-    worst = 0.0
+def _images_residual(d):
+    L, worst = d.length, 0.0
     for dts in (0.1, 1.0):
         for x, y in ((0.2 * L, 0.7 * L), (0.8 * L, 0.4 * L)):
             a = transition(d, 0.0, x, dts * d.r ** 2, y)
             b = transition_images(d, 0.0, x, dts * d.r ** 2, y, 12)
             worst = _worst(worst, abs(a - b))
-    out = [CheckResult("transition vs winding images", worst, 1e-11)]
+    return worst
 
+
+def bridge_suite(d, t, t_star):
+    images = _or_inf(_images_residual, d)
     # the residual is absolute: a kernel that underflowed or cancelled to 0 reads inf
-    x, z = 0.3 * L, 0.7 * L
-    ck = (ck_residual(d, 0.0, 0.4 * t_star, t_star, x, z)
-          if transition(d, 0.0, x, t_star, z) > 0.0 else math.inf)
-    out.append(CheckResult("Chapman-Kolmogorov", ck, 1e-10))
-
+    x, z = 0.3 * d.length, 0.7 * d.length
+    ck = _or_inf(lambda: ck_residual(d, 0.0, 0.4 * t_star, t_star, x, z)
+                 if transition(d, 0.0, x, t_star, z) > 0.0 else math.inf)
     X = _configs(109, d, 5)
-    p = density_batch(KernelSpec(d, t=t, t_star=t_star), X)
-    try:    # inf when the bridge matrices are past plain doubles
-        worst = _worst(*(_rel(b, pp) for b, pp in zip(bridge_density(d, t, t_star, X), p)))
-    except IllConditionedError:
-        worst = math.inf
-    out.append(CheckResult("bridge density vs spectral density", worst, 1e-8))
-    return out
+    dens = _or_inf(lambda: _worst(*map(_rel, bridge_density(d, t, t_star, X),
+                                       density_batch(KernelSpec(d, t=t, t_star=t_star), X))))
+    return [CheckResult("transition vs winding images", images, 1e-11),
+            CheckResult("Chapman-Kolmogorov", ck, 1e-10),
+            CheckResult("bridge density vs spectral density", dens, 1e-8)]
 
 
 def _reproducing_residual(a, b, g, km):
@@ -223,22 +222,28 @@ def _reproducing_residual(a, b, g, km):
     return worst / float(np.max(np.abs(km)))
 
 
-def kernel_suite(d, t, t_star):
-    ks = KernelSpec(d, t=t, t_star=t_star)
-    L = d.length
-    n = 512
+def _kernel_grid_residuals(ks):
+    """|trace K - N| and the reproducing residual on a midpoint grid of at
+    least 512 nodes, more where the kernel is narrower (`midpoint_nodes`),
+    refused past 2048 nodes (a 67 MB kernel matrix)."""
+    d = ks.family
+    n = midpoint_nodes(d, ks.t, ks.t_star, 512, 2, 2048**2)
     # the factors once, for K (as `kernel_matrix` forms it) and for K o K
     a, b, g = _gram(ks, n)
     km = _kernel_sum(a, b, grid=True)
-    trace = float(np.sum(np.diag(km)).real) * (L / n)
-    comp_err = _reproducing_residual(a, b, g, km)
-    rng = np.random.default_rng(113)
-    dens = density_batch(ks, np.sort(
-        rng.uniform(0.0, 1.0, (200, d.N)), axis=1) * L)
+    trace = float(np.sum(np.diag(km)).real) * (d.length / n)
+    return abs(trace - d.N), _reproducing_residual(a, b, g, km)
+
+
+def kernel_suite(d, t, t_star):
+    ks = KernelSpec(d, t=t, t_star=t_star)
+    trace, comp_err = _or_inf(_kernel_grid_residuals, ks, lines=2)
+    X = np.sort(np.random.default_rng(113).uniform(0.0, 1.0, (200, d.N)), axis=1) * d.length
+    dens = _or_inf(lambda: _worst(0.0, -float(density_batch(ks, X).min())))
     return [
-        CheckResult("kernel trace = N", abs(trace - d.N), 1e-9),
+        CheckResult("kernel trace = N", trace, 1e-9),
         CheckResult("reproducing identity", comp_err, 1e-9),
-        CheckResult("density nonnegativity", _worst(0.0, -float(dens.min())), 1e-12),
+        CheckResult("density nonnegativity", dens, 1e-12),
     ]
 
 

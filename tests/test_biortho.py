@@ -215,7 +215,8 @@ def test_gram_error_estimate_is_honest():
 
 
 def test_gram_that_does_not_settle_raises(monkeypatch):
-    # two levels never agree: AccuracyError once the nodes pass their cap
+    # two levels never agree: AccuracyError once the nodes pass their cap,
+    # and the suite's two lines read inf
     sizes = []
 
     def drifting(ks, n):
@@ -224,5 +225,7 @@ def test_gram_that_does_not_settle_raises(monkeypatch):
 
     monkeypatch.setattr(verification, "_gram", drifting)
     with pytest.raises(AccuracyError, match="did not converge"):
-        verification.biortho_suite(derive(("A", 2)), 0.4, 1.0)
+        verification._biortho_residuals(KernelSpec(("A", 2), t=0.4, t_star=1.0))
     assert sizes == [128 * 2**k for k in range(7)]
+    lines = verification.biortho_suite(derive(("A", 2)), 0.4, 1.0)
+    assert [(r.residual, r.passed) for r in lines] == [(np.inf, False)] * 2

@@ -90,6 +90,9 @@ def _status(argv):
     ["sample", "--tol", "1e-3"],
     ["selberg", "--out", "x.txt"],
     ["selberg", "--tol", "1e-3"],
+    ["selberg", "--method", "mc"],
+    ["selberg", "--budget", "128"],
+    ["selberg", "--seed", "2"],
     *[[verb, "--workers", "2"] for verb in
       ("theta", "kernel", "density", "limits", "verify", "sample", "selberg")],
 ], ids=" ".join)
@@ -340,6 +343,23 @@ def test_selberg_verb(capsys):
     lines = _lines(capsys)
     assert lines[0].startswith("lhs=")
     assert lines[1].endswith("PASS")
+
+
+def test_selberg_with_defaults_passes(capsys):
+    # A4 at (0.5, 1): one midpoint rule for every N, tolerance 1e-8
+    assert main(["selberg"]) == 0
+    lines = _lines(capsys)
+    assert lines[0].startswith("lhs=") and lines[0].endswith(" rhs=24")
+    assert lines[1].startswith("closed-form integral: ") and lines[1].endswith(
+        " tol=1.0e-08 PASS")
+
+
+def test_selberg_past_the_row_limit_is_an_engine_error(capsys):
+    # 48 nodes per dimension resolve D4 at t = 0.01; 48^4 rows are refused
+    assert main(["selberg", "--type", "D", "--N", "4", "--t", "0.01"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: midpoint rule needs 48^4 = 5308416 points, past the limit 1048576\n"
 
 
 def test_selberg_at_a_small_time_passes(capsys):

@@ -431,11 +431,30 @@ def test_trig_kernel_diagonal_is_mean_density():
 
 
 def test_trig_kernel_removable_singularity():
-    # values just off the diagonal must agree with the Taylor branch on it
+    # values just off the diagonal must agree with the limit on it
     d = derive(("C", 4, 1.0))
     on = trig_kernel(d, 0.7, 0.7)
     near = trig_kernel(d, 0.7, 0.7 + 1e-9)
     assert abs(on - near) < 1e-6
+
+
+@pytest.mark.parametrize("c", [1, 4, 9, 33])
+def test_sin_ratio_matches_mpmath_down_to_subnormal_arguments(c):
+    # the plain ratio wherever the reduced argument is not tiny, its limit c
+    # below 1e-150; a subnormal argument never divides
+    import mpmath
+    v = np.array([0.3, -2.1, 1e-3, -1e-8, 1e-100, 2e-150, 1e-151, 5e-324, 0.0,
+                  np.pi + 1e-9, -3 * np.pi + 1e-3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dpp_kernels._sin_ratio(c, v)
+    for x, g in zip(v, got):
+        k = round(x / np.pi)
+        x0 = mpmath.mpf(float(x - k * np.pi))       # the reduction the function makes
+        with mpmath.workdps(40):
+            ref = (-1) ** (k * (c + 1)) * (c if x0 == 0 else mpmath.sin(c * x0) / mpmath.sin(x0))
+        assert abs(g - ref) <= 1e-14 * c, (x, g, ref)
+    assert list(got[6:9]) == [c, c, c]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Determinant identities and Selberg-type integral checks."""
 
 import ast
+import math
 import warnings
 import zlib
 from pathlib import Path
@@ -21,7 +22,7 @@ from elliptic_dpp.macdonald import (
     weyl_w_parts,
 )
 from elliptic_dpp.root_systems import FAMILIES, derive
-from elliptic_dpp.theta_core import parts_value, theta
+from elliptic_dpp.theta_core import AccuracyError, parts_value, theta
 
 
 def _random_config(rng, d, margin=0.03):
@@ -242,47 +243,64 @@ def test_denominator_residual_small_time_uses_log_form():
 
 @pytest.mark.parametrize("tag", [t for t in FAMILIES if t != "D"])
 def test_selberg_n1_all_families(tag):
-    r = selberg_check((tag, 1, 1.0), t=0.5, t_star=1.0, method="grid", budget=512)
+    r = selberg_check((tag, 1, 1.0), t=0.5, t_star=1.0)
     assert r.rel_err < 1e-8, f"{tag}: {r.rel_err:.3e}"
 
 
 def test_selberg_b2_grid():
-    r = selberg_check(("B", 2, 1.0), t=0.5, t_star=1.0, method="grid", budget=512)
-    assert r.rel_err < 1e-4
+    r = selberg_check(("B", 2, 1.0), t=0.5, t_star=1.0)
+    assert r.rel_err < 1e-8
 
 
 def test_selberg_a2_grid_unequal_times():
-    r = selberg_check(("A", 2, 1.0), t=1.0 / 3.0, t_star=1.0, method="grid", budget=512)
-    assert r.rel_err < 1e-4
+    r = selberg_check(("A", 2, 1.0), t=1.0 / 3.0, t_star=1.0)
+    assert r.rel_err < 1e-8
 
 
 def test_selberg_d2_grid():
-    r = selberg_check(("D", 2, 1.0), t=0.4, t_star=1.0, method="grid", budget=512)
-    assert r.rel_err < 1e-4
+    r = selberg_check(("D", 2, 1.0), t=0.4, t_star=1.0)
+    assert r.rel_err < 1e-8
 
 
-def test_selberg_mc_deterministic_and_seed_dependent():
-    kw = dict(t=0.5, t_star=1.0, method="mc", budget=40_000)
-    a = selberg_check(("C", 3, 1.0), seed=11, **kw)
-    b = selberg_check(("C", 3, 1.0), seed=11, **kw)
-    c = selberg_check(("C", 3, 1.0), seed=12, **kw)
-    assert a.lhs == b.lhs
-    assert a.lhs != c.lhs
-    assert a.rel_err < 0.05
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_selberg_all_families_to_n4(tag):
+    # one midpoint rule for every N: 16 (interval) or 20 (circle) nodes per
+    # dimension at (0.4, 1)
+    for N in range(1 if tag != "D" else 2, 5):
+        r = selberg_check((tag, N, 1.0), t=0.4, t_star=1.0)
+        assert r.rhs == math.factorial(N) and r.rel_err < 1e-8, f"{tag}{N}: {r.rel_err:.3e}"
 
 
-def test_selberg_mc_n4():
-    r = selberg_check(("D", 4, 1.0), t=0.5, t_star=1.0, method="mc",
-                      budget=200_000, seed=5)
-    assert r.rel_err < 0.05
+def test_selberg_block_sum_matches_one_density_call(monkeypatch):
+    # the rows are summed in blocks of a fixed size: a block size that splits
+    # the rows differently gives the same integral to round-off
+    d = derive(("C", 3, 1.0))
+    n = macdonald.midpoint_nodes(d, 0.4, 1.0, 16, 3, 2**20)
+    nodes = (np.arange(n) + 0.5) * (d.length / n)
+    X = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+    one = float(macdonald._density(d, X, 0.4, 1.0).sum()) * (d.length / n) ** 3
+    blocked = selberg_check(d, 0.4, 1.0).lhs
+    monkeypatch.setattr(macdonald, "_SELBERG_BLOCK", 1000)
+    assert abs(selberg_check(d, 0.4, 1.0).lhs - one) <= 1e-14 * one
+    assert abs(blocked - one) <= 1e-14 * one
+
+
+def test_selberg_nodes_follow_the_density_width():
+    # n = max(16, ceil(1.5 L / sigma)), sigma = sqrt(t (t* - t) / t*)
+    d = derive(("A", 3, 1.0))
+    assert macdonald.midpoint_nodes(derive(("C", 3, 1.0)), 0.4, 1.0, 16, 3, 2**20) == 16
+    assert macdonald.midpoint_nodes(d, 0.4, 1.0, 16, 3, 2**20) == 20
+    assert macdonald.midpoint_nodes(d, 0.01, 1.0, 16, 3, 2**20) == math.ceil(
+        1.5 * 2 * np.pi / math.sqrt(0.01 * 0.99))
+    # past the row limit: every N = 4 at (0.01, 1), N = 3 at (3e-4, 1)
+    for spec, t in ((("A", 4, 1.0), 0.01), (("D", 4, 1.0), 0.01), (("C", 3, 1.0), 3e-4)):
+        with pytest.raises(AccuracyError, match=r"midpoint rule needs \d+\^\d = \d+ points"):
+            selberg_check(spec, t, 1.0)
 
 
 def test_selberg_validation():
     with pytest.raises(ValueError):
-        selberg_check(("A", 3, 1.0), 0.5, 1.0, method="grid")  # N > 2 on grid
-    with pytest.raises(ValueError):
-        selberg_check(("A", 5, 1.0), 0.5, 1.0, method="mc")  # N > 4 on mc
-    with pytest.raises(ValueError):
         selberg_check(("A", 2, 1.0), 1.5, 1.0)  # t >= t_star
-    with pytest.raises(ValueError):
-        selberg_check(("A", 2, 1.0), 0.5, 1.0, method="simpson")
+    for kw in ({"method": "grid"}, {"budget": 512}, {"seed": 0}):
+        with pytest.raises(TypeError):
+            selberg_check(("A", 2, 1.0), 0.5, 1.0, **kw)

@@ -9,8 +9,10 @@ import pytest
 from elliptic_dpp import dpp_kernels, verification
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import KernelSpec, kernel_matrix
-from elliptic_dpp.macdonald import IllConditionedError, denominator_residual, det_m_logc, weyl_w_parts
+from elliptic_dpp.macdonald import (IllConditionedError, denominator_residual, det_m_logc,
+                                    midpoint_nodes, weyl_w_parts)
 from elliptic_dpp.root_systems import FAMILIES, derive
+from elliptic_dpp.theta_core import AccuracyError
 
 
 def _lines(results):
@@ -116,6 +118,52 @@ def test_refused_determinant_reads_inf_on_its_line(fn, name, monkeypatch):
                            "eta closed form"]
     assert [n for n, r in lines.items() if not r.passed] == [name]
     assert lines[name].residual == math.inf
+
+
+@pytest.mark.parametrize("error", [AccuracyError, IllConditionedError])
+def test_refusal_reads_inf_on_every_identity_line(error, monkeypatch):
+    # every engine the identity lines call refuses: each of those lines reads
+    # inf and the suites run to the end; the theta suite's fixed arguments
+    # call no such engine
+    def refuse(*args):
+        raise error("refused")
+
+    for fn in ("_gram", "denominator_residual", "matrix_identity_residual",
+               "macdonald_kmlgv_residual", "eta_formula_residual", "transition",
+               "bridge_density", "density_batch"):
+        monkeypatch.setattr(verification, fn, refuse)
+    results = verification.run_suites("all", derive(("A", 3, 1.0)), 0.4, 1.0)
+    assert len(results) == 15
+    for res in results[:3]:
+        assert res.passed, res.line()
+    for res in results[3:]:
+        assert res.residual == math.inf and not res.passed, res.line()
+
+
+def test_kernel_grid_follows_the_kernel_width():
+    # 512 nodes at the benchmark times; more where the kernel is narrower
+    for tag in FAMILIES:
+        for N in (2, 3, 4):
+            assert midpoint_nodes(derive((tag, N, 1.0)), 0.4, 1.0, 512, 2, 2048**2) == 512
+    assert midpoint_nodes(derive(("A", 3, 1.0)), 1e-4, 1.0, 512, 2, 2048**2) == 943
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_kernel_suite_resolves_a_small_time(N):
+    # at t = 1e-4 the kernel's width ~1e-2 is about the step of 512 nodes on
+    # the circle; 943 nodes resolve it
+    results = verification.kernel_suite(derive(("A", N, 1.0)), 1e-4, 1.0)
+    for res in results:
+        assert res.passed and res.residual <= 1e-13, res.line()
+
+
+def test_kernel_grid_past_its_limit_reads_inf():
+    # t = 1e-6 would need 9 425 nodes on the circle: trace and reproducing
+    # lines read inf, the density line still prints
+    lines = _lines(verification.kernel_suite(derive(("A", 2, 1.0)), 1e-6, 1.0))
+    assert lines["kernel trace = N"].residual == math.inf
+    assert lines["reproducing identity"].residual == math.inf
+    assert lines["density nonnegativity"].passed
 
 
 # one NaN among finite residuals, and not the first one: Python's max would
