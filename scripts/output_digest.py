@@ -76,6 +76,8 @@ def _commands():
         "3.3999428699507845,5.158019593340341",
         "verify --type A --N 3 --t 0.0001 --t-star 1",
         "verify --type D --N 2 --t 0.0001 --t-star 1",
+        # the Gram matrix at a small time: 5 442 midpoint nodes
+        "verify --suite biortho --type A --N 3 --t 3e-06 --t-star 1",
     ]
     cmds += [f"theta --index {idx} --tau-im {ti} --v-im {vi} --grid 16"
              for idx in range(4) for ti, vi in (("0.01", "0.003"), ("1", "0.4"),

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .macdonald import (_det_phase, _logc_rel_diff, _m_matrix_parts, _per_config, _tau,
-                        coeff_a_log, logdet, rhs_logc)
+                        coeff_a_log, logdet, midpoint_nodes, rhs_logc)
 from .root_systems import derive
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
@@ -114,34 +114,23 @@ def transition_images(spec, s, x, t, y, windings):
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov residuals
 
-_MIN_GAP = 1e-6  # times r^2; quadrature refuses sharper kernels
-_CK_NODES = 512  # trapezoid nodes of `ck_residual`
-
-
 def ck_residual(spec, s, t, u, x, z):
     """|integral p(s,x;t,y) p(t,y;u,z) dy  -  p(s,x;u,z)| on the family's
     domain [0, L].
 
-    Interval kernels extend smoothly and 2 pi r-periodically through the walls
-    (even/odd images), so the trapezoid rule with endpoint half-weights is
-    spectrally accurate there too, not just on the periodic circle.
+    The integrand is periodic on the circle, and even across each wall of an
+    interval (a product of two kernels that are both even or both odd there),
+    so the midpoint rule converges spectrally.  Its nodes follow the width
+    sqrt((t-s)(u-t)/(u-s)) of the integrand in y (`midpoint_nodes`, at least
+    512); AccuracyError past 8192 nodes.
     """
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
     d = derive(spec)
-    for g in (t - s, u - t):
-        if g < _MIN_GAP * d.r * d.r:
-            raise ValueError(
-                f"time gap {g:.3e} below {_MIN_GAP} r^2; kernel too peaked for quadrature")
-    n, L = _CK_NODES, d.length
-    if d.walls == "circ":
-        y = np.arange(n) * (L / n)
-        w = np.full(n, L / n)
-    else:
-        y = np.linspace(0.0, L, n + 1)
-        w = np.full(n + 1, L / n)
-        w[0] = w[-1] = 0.5 * L / n
-    lhs = float(np.sum(w * transition(d, s, x, t, y) * transition(d, t, y, u, z)))
+    L = d.length
+    n = midpoint_nodes(d, t - s, u - s, 512, 1, 8192)
+    y = (np.arange(n) + 0.5) * (L / n)
+    lhs = float(np.sum(transition(d, s, x, t, y) * transition(d, t, y, u, z))) * (L / n)
     return abs(lhs - transition(d, s, x, u, z))
 
 

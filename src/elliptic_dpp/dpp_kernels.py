@@ -42,7 +42,6 @@ from .root_systems import derive
 from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
 
 __all__ = [
-    "ConsistencyError",
     "Histogram",
     "InfiniteKernelSpec",
     "KernelSpec",
@@ -59,10 +58,6 @@ __all__ = [
     "sine_kernel",
     "trig_kernel",
 ]
-
-
-class ConsistencyError(ArithmeticError):
-    """A mathematically real quantity came back with too much imaginary part."""
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ def corr_det(ks, points):
     val = complex(np.linalg.det(km))
     scale = max(float(np.max(np.abs(np.diag(km)))) ** pts.size, 1e-290)
     if abs(val.imag) > 1e-10 * max(abs(val), scale):
-        raise ConsistencyError(f"correlation determinant residue {val.imag:.3e}")
+        raise AccuracyError(f"correlation determinant residue {val.imag:.3e}")
     return val.real
 
 

@@ -20,7 +20,10 @@ det conj M(t*-t) det M(t) / prod m_n into a product with no cancellation,
 a(t) a(t*-t) W(xi; tau_t) W(xi; tau_{t*-t}) / prod m_n (`_density`, which
 `dpp_kernels.density` evaluates).  `selberg_check` integrates that density
 over the box with one tensor midpoint rule and compares with N!; the nodes
-per dimension come from the density's width (`midpoint_nodes`).
+per dimension come from the density's width (`midpoint_nodes`).  The same
+rule sizes every x-integral of the identities: the Selberg integral, the
+biorthogonality Gram matrix and the kernel grid (`verification`), and the
+Chapman-Kolmogorov step (`bridges.ck_residual`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import numpy as np
 
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import transition
-from elliptic_dpp.dpp_kernels import ConsistencyError, _factors, density_batch, kernel_matrix
+from elliptic_dpp.dpp_kernels import _factors, density_batch, kernel_matrix
 from elliptic_dpp.root_systems import derive
 from elliptic_dpp.theta_core import AccuracyError, parts_value
 
@@ -164,14 +164,14 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
     km = kernel_matrix(ks, xs, xs)
     dg = np.diag(km)
     if np.max(np.abs(dg.imag)) > 1e-10 * max(float(np.max(np.abs(dg))), 1e-290):
-        raise ConsistencyError("kernel diagonal carries imaginary residue")
+        raise AccuracyError("kernel diagonal carries imaginary residue")
     diag = dg.real
     expansion = 1.0 - float(np.sum(w * chi * diag))
     if N == 2:
         det2 = diag[:, None] * diag[None, :] - km * km.T
         val2 = np.einsum("i,j,ij->", w * chi, w * chi, det2)
         if abs(val2.imag) > 1e-8 * max(abs(val2), 1.0):
-            raise ConsistencyError(f"two-point expansion residue {val2.imag:.3e}")
+            raise AccuracyError(f"two-point expansion residue {val2.imag:.3e}")
         expansion += 0.5 * float(val2.real)
     return abs(direct - expansion)
 

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from elliptic_dpp import verification
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log, theta_block_parts
 from elliptic_dpp.dpp_kernels import KernelSpec
+from elliptic_dpp.macdonald import midpoint_nodes
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
-from elliptic_dpp.theta_core import AccuracyError, parts_value, theta
+from elliptic_dpp.theta_core import parts_value, theta
 from oracles import gram_oracle
 
 
@@ -205,27 +206,26 @@ def test_biorthogonality_random_params(frac, t_star, r, tag):
     assert ok, resids
 
 
-def test_gram_error_estimate_is_honest():
-    # the suite's doubling estimate bounds the error of the coarser level
-    ks = KernelSpec(("BC", 4, 1.0), t=0.4, t_star=1.0)
-    coarse = verification._gram(ks, 128)[2]
-    estimate = np.max(np.abs(verification._gram(ks, 256)[2] - coarse))
-    true_err = np.max(np.abs(coarse - verification._gram(ks, 1024)[2]))
-    assert true_err <= 10 * estimate + 1e-13
+@pytest.mark.parametrize("t, t_star", [(0.4, 1.0), (20.0, 50.0), (1e-4, 1.0)])
+def test_gram_nodes_are_enough(t, t_star):
+    # the width rule's n and 2n nodes agree to 1e-11 for every family
+    worst = 0.0
+    for tag in FAMILIES:
+        for N in (2, 3, 4):
+            ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
+            n = midpoint_nodes(ks.family, t, t_star, 512, 1, 8192)
+            g = verification._gram(ks, n)[2]
+            worst = max(worst, float(np.max(np.abs(verification._gram(ks, 2 * n)[2] - g))))
+    assert worst <= 1e-11
 
 
-def test_gram_that_does_not_settle_raises(monkeypatch):
-    # two levels never agree: AccuracyError once the nodes pass their cap,
-    # and the suite's two lines read inf
-    sizes = []
+def test_gram_resolves_a_small_time():
+    # t = 3e-6 takes 5 442 nodes, under the cap of 8192
+    ok, resids = _suite_passes(("A", 3, 1.0), 3e-6, 1.0)
+    assert ok, resids
 
-    def drifting(ks, n):
-        sizes.append(n)
-        return None, None, np.eye(ks.family.N) * (1.0 + 1e-9 * len(sizes))
 
-    monkeypatch.setattr(verification, "_gram", drifting)
-    with pytest.raises(AccuracyError, match="did not converge"):
-        verification._biortho_residuals(KernelSpec(("A", 2), t=0.4, t_star=1.0))
-    assert sizes == [128 * 2**k for k in range(7)]
-    lines = verification.biortho_suite(derive(("A", 2)), 0.4, 1.0)
+def test_gram_past_its_node_limit_reads_inf():
+    # t = 1e-6 needs 9 425 nodes, past the cap: both lines read inf
+    lines = verification.biortho_suite(derive(("A", 3, 1.0)), 1e-6, 1.0)
     assert [(r.residual, r.passed) for r in lines] == [(np.inf, False)] * 2

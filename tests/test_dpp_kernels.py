@@ -18,7 +18,6 @@ from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import (
     SAMPLER_BLOCKS,
-    ConsistencyError,
     InfiniteKernelSpec,
     KernelSpec,
     bin_intensity,
@@ -371,6 +370,26 @@ def test_corr_oracle_refuses_big_N():
 def test_corr_det_refuses_too_many_points():
     with pytest.raises(ValueError):
         corr_det(_ks("A", 2), [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("eps, refused", [(1e-14, False), (1e-6, True)])
+def test_corr_det_refuses_an_imaginary_residue(eps, refused, monkeypatch):
+    # an imaginary part eps |K| on the diagonal puts ~eps tr K into Im det:
+    # past 1e-10 relative it is an AccuracyError, below it the real part stands
+    ks, pts = _ks("C", 3), np.array([0.9, 2.0])
+    exact = corr_det(ks, pts)
+    real = dpp_kernels.kernel_matrix
+
+    def tilted(ks, xs, ys):
+        km = real(ks, xs, ys)
+        return km + 1j * eps * np.max(np.abs(km)) * np.eye(len(xs))
+
+    monkeypatch.setattr(dpp_kernels, "kernel_matrix", tilted)
+    if refused:
+        with pytest.raises(AccuracyError, match="correlation determinant residue"):
+            corr_det(ks, pts)
+    else:
+        assert abs(corr_det(ks, pts) - exact) <= 1e-12 * abs(exact)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
