@@ -68,7 +68,7 @@ def _commands():
         # a small time: the sampler's table doubles; the density integrates to N!
         "sample --type A --N 4 --t 0.01 --t-star 1 --steps 256 --seed 3 --out s",
         "selberg --type C --N 2 --t 0.0003 --t-star 1",
-        # past the Selberg rule's row limit: 48^4 rows
+        # past the Selberg rule's row limit: 52^4 rows
         "selberg --type D --N 4 --t 0.01 --t-star 1",
         # small times: det M(t) cancels in plain doubles, and the Euler
         # products of a(t) leave them (a(t) is taken in log form)
@@ -76,8 +76,12 @@ def _commands():
         "3.3999428699507845,5.158019593340341",
         "verify --type A --N 3 --t 0.0001 --t-star 1",
         "verify --type D --N 2 --t 0.0001 --t-star 1",
-        # the Gram matrix at a small time: 5 442 midpoint nodes
+        # the Gram matrix at a small time: 5 445 midpoint nodes
         "verify --suite biortho --type A --N 3 --t 3e-06 --t-star 1",
+        # kernel grids where the node rule's N term sets most of the count:
+        # 8 + 1 nodes for C8 at r = 0.2, 16 + 20 for A16
+        "verify --suite kernel --type C --N 8 --r 0.2 --t 2 --t-star 5",
+        "verify --suite kernel --type A --N 16 --t 0.4 --t-star 1",
     ]
     cmds += [f"theta --index {idx} --tau-im {ti} --v-im {vi} --grid 16"
              for idx in range(4) for ti, vi in (("0.01", "0.003"), ("1", "0.4"),

@@ -121,14 +121,14 @@ def ck_residual(spec, s, t, u, x, z):
     The integrand is periodic on the circle, and even across each wall of an
     interval (a product of two kernels that are both even or both odd there),
     so the midpoint rule converges spectrally.  Its nodes follow the width
-    sqrt((t-s)(u-t)/(u-s)) of the integrand in y (`midpoint_nodes`, at least
-    512); AccuracyError past 8192 nodes.
+    sqrt((t-s)(u-t)/(u-s)) of the integrand in y (`midpoint_nodes`);
+    AccuracyError past 8192 nodes.
     """
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
     d = derive(spec)
     L = d.length
-    n = midpoint_nodes(d, t - s, u - s, 512, 1, 8192)
+    n = midpoint_nodes(d, t - s, u - s, 1, 8192)
     y = (np.arange(n) + 0.5) * (L / n)
     lhs = float(np.sum(transition(d, s, x, t, y) * transition(d, t, y, u, z))) * (L / n)
     return abs(lhs - transition(d, s, x, u, z))

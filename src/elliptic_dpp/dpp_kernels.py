@@ -102,10 +102,18 @@ def density_batch(ks, X):
     The Macdonald product of `macdonald._density`, which is permutation
     invariant; each row is sorted first all the same, so the rounding depends
     only on the point set.  Rows with repeated coordinates, or with a point on
-    an absorbing wall, give exactly 0.
+    an absorbing wall, give exactly 0.  ValueError names the first row that
+    is not N finite points, in [0, L] on an interval (the circle is periodic).
     """
-    X = np.sort(np.atleast_2d(np.asarray(X, dtype=float)), axis=1)
-    return _density(ks.family, X, ks.t, ks.t_star)
+    d = ks.family
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    ok = np.isfinite(X) if d.walls == "circ" else (X >= 0.0) & (X <= d.length)
+    if X.shape[1:] != (d.N,) or not ok.all():
+        i = int(np.argmin(ok.reshape(len(X), -1).all(axis=1)))
+        where = "" if d.walls == "circ" else f" in [0, {d.length!r}]"
+        raise ValueError(f"density row {i} must be N = {d.N} finite points{where}, "
+                         f"got {X[i].tolist()}")
+    return _density(d, np.sort(X, axis=1), ks.t, ks.t_star)
 
 
 def density(ks, xs):

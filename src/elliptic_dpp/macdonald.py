@@ -297,15 +297,15 @@ def _density(d, X, t, t_star):
     return parts_value(m1 * m2, s1 + s2 + lg).real
 
 
-def midpoint_nodes(d, t, t_star, floor, dim, cap):
+def midpoint_nodes(d, t, t_star, dim, cap):
     """Nodes per dimension of a midpoint rule on [0, L] at times (t, t*):
-    n = max(floor, ceil(1.5 L / sigma)), sigma = sqrt(t (t* - t) / t*) the
-    bridge's spread at time t.  Aliasing of a feature that wide is then
-    ~exp(-2 pi^2 1.5^2) ~ 5e-20; the integrand is analytic and periodic, or
-    extends evenly or oddly across the walls, so the rule converges
-    spectrally.  AccuracyError past `cap` points n^dim."""
+    n = N + ceil(1.5 L / sigma), sigma = sqrt(t (t* - t) / t*) the bridge's
+    spread at time t.  N covers the products of the N modes; aliasing of a
+    feature of width sigma is ~exp(-2 pi^2 1.5^2) ~ 5e-20.  The integrand is
+    analytic and periodic, or extends evenly or oddly across the walls, so
+    the rule converges spectrally.  AccuracyError past `cap` points n^dim."""
     sigma = math.sqrt(t * (t_star - t) / t_star)
-    n = max(floor, math.ceil(1.5 * d.length / sigma))
+    n = d.N + math.ceil(1.5 * d.length / sigma)
     if n**dim > cap:
         raise AccuracyError(f"midpoint rule needs {n}^{dim} = {n**dim} points, "
                             f"past the limit {cap}")
@@ -328,16 +328,16 @@ def selberg_check(spec, t, t_star):
 
     The box covers each configuration of the alcove once per ordering, and
     the closed-form norms make the density integrate to 1 over the alcove.
-    One tensor midpoint rule (`midpoint_nodes`, at least 16 nodes per
-    dimension; midpoint keeps the nodes off the wall zeros) sums its n^N rows
-    in fixed blocks; AccuracyError past `_SELBERG_ROWS` rows.
+    One tensor midpoint rule (`midpoint_nodes`; midpoint keeps the nodes off
+    the wall zeros) sums its n^N rows in fixed blocks; AccuracyError past
+    `_SELBERG_ROWS` rows.
     Returns SelbergResult(lhs, rhs=N!, rel_err).
     """
     d = derive(spec)
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
     N, L = d.N, d.length
-    n = midpoint_nodes(d, t, t_star, 16, N, _SELBERG_ROWS)
+    n = midpoint_nodes(d, t, t_star, N, _SELBERG_ROWS)
     nodes = (np.arange(n) + 0.5) * (L / n)
     total = 0.0
     for start in range(0, n**N, _SELBERG_BLOCK):

@@ -83,12 +83,7 @@ _ORACLE_MAX_RINGS = 512
 
 # tau -> -1/tau: index swap and eighth-root-of-unity prefactor
 _INV_SWAP = {0: 2, 1: 1, 2: 0, 3: 3}
-_INV_EPS = {
-    0: np.exp(0.25j * np.pi),
-    1: np.exp(0.75j * np.pi),
-    2: np.exp(0.25j * np.pi),
-    3: np.exp(0.25j * np.pi),
-}
+_INV_EPS = {i: np.exp((0.75j if i == 1 else 0.25j) * np.pi) for i in range(4)}
 
 
 class AccuracyError(ArithmeticError):
@@ -356,12 +351,10 @@ def theta_series(index, v, tau, cap=_ORACLE_MAX_RINGS):
         a = n - offset
         up = np.exp(qf * (a * a) + zf * a)
         dn = np.exp(qf * (a * a) - zf * a)
-        if index == 3:
+        if index in (2, 3):
             ring = up + dn
         elif index == 0:
             ring = (-1.0) ** n * (up + dn)
-        elif index == 2:
-            ring = up + dn
         else:
             ring = 1j * (-1.0) ** n * (up - dn)
         active = conv < 2

@@ -20,8 +20,7 @@ from .bridges import (bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, _norms_log,
-                          density_batch, infinite_kernel, kernel, kernel_matrix, sine_kernel,
-                          trig_kernel)
+                          density_batch, infinite_kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import IllConditionedError, denominator_residual, midpoint_nodes
 from .root_systems import derive
 from .theta_core import AccuracyError, theta, theta_series
@@ -137,7 +136,7 @@ def _gram(ks, n):
 def _biortho_residuals(ks):
     # G is I in plain doubles at every horizon; entry (j, k) is measured on
     # the scale m_j^{1-t/t*} m_k^{t/t*}, that of its round-off h sum |b_j| |a_k|
-    g = _gram(ks, midpoint_nodes(ks.family, ks.t, ks.t_star, 512, 1, 8192))[2]
+    g = _gram(ks, midpoint_nodes(ks.family, ks.t, ks.t_star, 1, 8192))[2]
     off = np.abs(g - np.diag(np.diag(g)))
     return float(off.max()), float(np.max(np.abs(np.diag(g) - 1.0)))
 
@@ -214,11 +213,11 @@ def _reproducing_residual(a, b, g, km):
 
 
 def _kernel_grid_residuals(ks):
-    """|trace K - N| and the reproducing residual on a midpoint grid of at
-    least 512 nodes, more where the kernel is narrower (`midpoint_nodes`),
-    refused past 2048 nodes (a 67 MB kernel matrix)."""
+    """|trace K - N| and the reproducing residual on a midpoint grid whose
+    nodes follow the kernel's modes and width (`midpoint_nodes`), refused
+    past 2048 nodes (a 67 MB kernel matrix)."""
     d = ks.family
-    n = midpoint_nodes(d, ks.t, ks.t_star, 512, 2, 2048**2)
+    n = midpoint_nodes(d, ks.t, ks.t_star, 2, 2048**2)
     # the factors once, for K (as `kernel_matrix` forms it) and for K o K
     a, b, g = _gram(ks, n)
     km = _kernel_sum(a, b, grid=True)
@@ -284,9 +283,9 @@ def limits_suite(d, rho, horizon):
     ks64 = KernelSpec(("A", N, rr), t=0.5, t_star=1.0)
     ik = InfiniteKernelSpec("A", rho=1.0, t=0.5, t_star=1.0)
     x0 = 0.3 * 2 * np.pi * rr
-    dxs = (0.1, 0.5, 1.0, 2.0)
-    inf = infinite_kernel(ik, [x0 + dx for dx in dxs], x0)
-    worst = _worst(*(abs(kernel(ks64, x0 + dx, x0) - k) for dx, k in zip(dxs, inf)))
+    xs = x0 + np.array([0.1, 0.5, 1.0, 2.0])
+    fin = kernel_matrix(ks64, xs, [x0])[:, 0]
+    worst = float(np.max(np.abs(fin - infinite_kernel(ik, xs, x0))))
     results.append(CheckResult("infinite kernel vs finite N=64 circle",
                                worst, 1e-3))
     return results

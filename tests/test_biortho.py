@@ -213,19 +213,42 @@ def test_gram_nodes_are_enough(t, t_star):
     for tag in FAMILIES:
         for N in (2, 3, 4):
             ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
-            n = midpoint_nodes(ks.family, t, t_star, 512, 1, 8192)
+            n = midpoint_nodes(ks.family, t, t_star, 1, 8192)
             g = verification._gram(ks, n)[2]
             worst = max(worst, float(np.max(np.abs(verification._gram(ks, 2 * n)[2] - g))))
     assert worst <= 1e-11
 
 
+@pytest.mark.parametrize("t, t_star", [(0.4, 1.0), (2.0, 5.0)])
+def test_nodes_are_enough_where_the_modes_set_them(t, t_star, monkeypatch):
+    # at N = 8, 16 and r = 0.2 the N term is most of n (A16 at r = 0.2 takes
+    # 16 + 4 nodes at (0.4, 1)); the Gram matrix, and the kernel suite's trace
+    # and reproducing residuals, read the same at n and 2n to 1e-11
+    gram = trace = repro = 0.0
+    for tag in FAMILIES:
+        for N in (8, 16):
+            for r in (0.2, 3.0):
+                ks = KernelSpec((tag, N, r), t=t, t_star=t_star)
+                n = midpoint_nodes(ks.family, t, t_star, 1, 8192)
+                g = verification._gram(ks, n)[2]
+                gram = max(gram, float(np.max(np.abs(verification._gram(ks, 2 * n)[2] - g))))
+                with monkeypatch.context() as m:
+                    m.setattr(verification, "midpoint_nodes", lambda *a: 2 * midpoint_nodes(*a))
+                    fine = verification._kernel_grid_residuals(ks)
+                coarse = verification._kernel_grid_residuals(ks)
+                assert max(coarse) <= 1e-9, f"{tag}{N} r={r}: {coarse}"
+                trace = max(trace, abs(coarse[0] - fine[0]))
+                repro = max(repro, abs(coarse[1] - fine[1]))
+    assert max(gram, trace, repro) <= 1e-11, (gram, trace, repro)
+
+
 def test_gram_resolves_a_small_time():
-    # t = 3e-6 takes 5 442 nodes, under the cap of 8192
+    # t = 3e-6 takes 5 445 nodes, under the cap of 8192
     ok, resids = _suite_passes(("A", 3, 1.0), 3e-6, 1.0)
     assert ok, resids
 
 
 def test_gram_past_its_node_limit_reads_inf():
-    # t = 1e-6 needs 9 425 nodes, past the cap: both lines read inf
+    # t = 1e-6 needs 9 428 nodes, past the cap: both lines read inf
     lines = verification.biortho_suite(derive(("A", 3, 1.0)), 1e-6, 1.0)
     assert [(r.residual, r.passed) for r in lines] == [(np.inf, False)] * 2

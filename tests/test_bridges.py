@@ -173,9 +173,9 @@ def test_chapman_kolmogorov_determinant_version():
 
 
 def test_ck_refuses_degenerate_gaps():
-    # a gap of 5e-7 takes 6 665 nodes; 1e-8 would take 47 124, past the cap
+    # a gap of 5e-7 takes 6 667 nodes; 1e-8 would take 47 126, past the cap
     assert ck_residual(RR, 0.0, 5e-7, 1.0, 0.3, 0.7) <= 1e-10
-    with pytest.raises(AccuracyError, match="midpoint rule needs 47124"):
+    with pytest.raises(AccuracyError, match="midpoint rule needs 47126"):
         ck_residual(RR, 0.0, 1e-8, 1.0, 0.3, 0.7)
     with pytest.raises(ValueError):
         ck_residual(RR, 0.0, 0.9, 0.3, 0.3, 0.7)   # bad ordering
@@ -183,7 +183,7 @@ def test_ck_refuses_degenerate_gaps():
 
 def test_ck_resolves_a_narrow_kernel():
     # gaps (2e-7, 0.04) at r = 0.2: a fixed 512-node rule reads 6.6e-2 for
-    # this true identity; the width rule takes 4 215
+    # this true identity; the width rule takes 4 217
     d = derive(("A", 2, 0.2))
     L = d.length
     assert ck_residual(d, 0.0, 2e-7, 0.04, 0.3 * L, 0.7 * L) <= 1e-10

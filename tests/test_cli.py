@@ -355,11 +355,11 @@ def test_selberg_with_defaults_passes(capsys):
 
 
 def test_selberg_past_the_row_limit_is_an_engine_error(capsys):
-    # 48 nodes per dimension resolve D4 at t = 0.01; 48^4 rows are refused
+    # 52 nodes per dimension resolve D4 at t = 0.01; 52^4 rows are refused
     assert main(["selberg", "--type", "D", "--N", "4", "--t", "0.01"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: midpoint rule needs 48^4 = 5308416 points, past the limit 1048576\n"
+    assert err == "error: midpoint rule needs 52^4 = 7311616 points, past the limit 1048576\n"
 
 
 def test_selberg_at_a_small_time_passes(capsys):

@@ -140,6 +140,31 @@ def test_density_accepts_alcove_configuration():
         assert fn(pts) == fn(tuple(pts)) == fn(np.array(pts))
 
 
+@pytest.mark.parametrize("tag, rows, bad", [
+    ("C", [[0.5, 1.2]], 0),                          # 2 points for N = 3
+    ("C", [[0.5, 1.2, 2.0, 2.5]], 0),                # 4 points
+    ("C", [[0.5, 1.2, 2.0], [0.5, 1.2, 4.0]], 1),    # past the wall at pi
+    ("C", [[0.5, 1.2, 2.0], [-0.1, 1.2, 2.0]], 1),
+    ("A", [[0.5, 1.2, 2.0], [0.5, np.nan, 2.0]], 1),
+    ("A", [[0.5, 1.2, 2.0], [0.5, np.inf, 2.0]], 1),
+])
+def test_density_refuses_a_row_off_the_domain(tag, rows, bad):
+    # a wrong number of points, or a point outside [0, L] on an interval,
+    # is an error naming the row, never a density
+    ks = _ks(tag, 3)
+    with pytest.raises(ValueError, match=f"density row {bad} must be N = 3 finite points"):
+        density_batch(ks, rows)
+    with pytest.raises(ValueError, match="density row 0 "):
+        density(ks, rows[bad])
+
+
+def test_density_on_the_circle_is_periodic():
+    ks = _ks("A", 3)
+    xs = np.array([0.5, 1.2, 2.0])
+    shifted = xs + np.array([2.0, -1.0, 0.0]) * ks.family.length
+    assert abs(density(ks, shifted) - density(ks, xs)) <= 1e-12 * density(ks, xs)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_density_permutation_invariant(seed):

@@ -264,18 +264,20 @@ def test_selberg_d2_grid():
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_selberg_all_families_to_n4(tag):
-    # one midpoint rule for every N: 16 (interval) or 20 (circle) nodes per
-    # dimension at (0.4, 1)
-    for N in range(1 if tag != "D" else 2, 5):
-        r = selberg_check((tag, N, 1.0), t=0.4, t_star=1.0)
-        assert r.rhs == math.factorial(N) and r.rel_err < 1e-8, f"{tag}{N}: {r.rel_err:.3e}"
+    # one midpoint rule for every N: N + 10 (interval) or N + 20 (circle)
+    # nodes per dimension at (0.4, 1), N + 5 or N + 9 at (2, 5)
+    for t, t_star in ((0.4, 1.0), (2.0, 5.0)):
+        for N in range(1 if tag != "D" else 2, 5):
+            r = selberg_check((tag, N, 1.0), t=t, t_star=t_star)
+            assert r.rhs == math.factorial(N) and r.rel_err < 1e-8, \
+                f"{tag}{N} at {t}: {r.rel_err:.3e}"
 
 
 def test_selberg_block_sum_matches_one_density_call(monkeypatch):
     # the rows are summed in blocks of a fixed size: a block size that splits
     # the rows differently gives the same integral to round-off
     d = derive(("C", 3, 1.0))
-    n = macdonald.midpoint_nodes(d, 0.4, 1.0, 16, 3, 2**20)
+    n = macdonald.midpoint_nodes(d, 0.4, 1.0, 3, 2**20)
     nodes = (np.arange(n) + 0.5) * (d.length / n)
     X = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
     one = float(macdonald._density(d, X, 0.4, 1.0).sum()) * (d.length / n) ** 3
@@ -286,11 +288,11 @@ def test_selberg_block_sum_matches_one_density_call(monkeypatch):
 
 
 def test_selberg_nodes_follow_the_density_width():
-    # n = max(16, ceil(1.5 L / sigma)), sigma = sqrt(t (t* - t) / t*)
+    # n = N + ceil(1.5 L / sigma), sigma = sqrt(t (t* - t) / t*)
     d = derive(("A", 3, 1.0))
-    assert macdonald.midpoint_nodes(derive(("C", 3, 1.0)), 0.4, 1.0, 16, 3, 2**20) == 16
-    assert macdonald.midpoint_nodes(d, 0.4, 1.0, 16, 3, 2**20) == 20
-    assert macdonald.midpoint_nodes(d, 0.01, 1.0, 16, 3, 2**20) == math.ceil(
+    assert macdonald.midpoint_nodes(derive(("C", 3, 1.0)), 0.4, 1.0, 3, 2**20) == 13
+    assert macdonald.midpoint_nodes(d, 0.4, 1.0, 3, 2**20) == 23
+    assert macdonald.midpoint_nodes(d, 0.01, 1.0, 3, 2**20) == 3 + math.ceil(
         1.5 * 2 * np.pi / math.sqrt(0.01 * 0.99))
     # past the row limit: every N = 4 at (0.01, 1), N = 3 at (3e-4, 1)
     for spec, t in ((("A", 4, 1.0), 0.01), (("D", 4, 1.0), 0.01), (("C", 3, 1.0), 3e-4)):

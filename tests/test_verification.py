@@ -141,24 +141,27 @@ def test_refusal_reads_inf_on_every_identity_line(error, monkeypatch):
 
 
 def test_kernel_grid_follows_the_kernel_width():
-    # 512 nodes at the benchmark times; more where the kernel is narrower
+    # N + 20 nodes on the circle and N + 10 on an interval at the benchmark
+    # times; more where the kernel is narrower
     for tag in FAMILIES:
         for N in (2, 3, 4):
-            assert midpoint_nodes(derive((tag, N, 1.0)), 0.4, 1.0, 512, 2, 2048**2) == 512
-    assert midpoint_nodes(derive(("A", 3, 1.0)), 1e-4, 1.0, 512, 2, 2048**2) == 943
+            d = derive((tag, N, 1.0))
+            want = N + (20 if d.walls == "circ" else 10)
+            assert midpoint_nodes(d, 0.4, 1.0, 2, 2048**2) == want
+    assert midpoint_nodes(derive(("A", 3, 1.0)), 1e-4, 1.0, 2, 2048**2) == 946
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_kernel_suite_resolves_a_small_time(N):
     # at t = 1e-4 the kernel's width ~1e-2 is about the step of 512 nodes on
-    # the circle; 943 nodes resolve it
+    # the circle; N + 943 nodes resolve it
     results = verification.kernel_suite(derive(("A", N, 1.0)), 1e-4, 1.0)
     for res in results:
         assert res.passed and res.residual <= 1e-13, res.line()
 
 
 def test_kernel_grid_past_its_limit_reads_inf():
-    # t = 1e-6 would need 9 425 nodes on the circle: trace and reproducing
+    # t = 1e-6 would need 9 427 nodes on the circle: trace and reproducing
     # lines read inf, the density line still prints
     lines = _lines(verification.kernel_suite(derive(("A", 2, 1.0)), 1e-6, 1.0))
     assert lines["kernel trace = N"].residual == math.inf
@@ -177,7 +180,7 @@ _NAN_CASES = [
     ("bridge", "bridge_density", 1, "bridge density vs spectral density"),
     ("kernel", "density_batch", 1, "density nonnegativity"),
     ("limits", "sine_kernel", 2, "sine limit (t*rho^2 = 300000)"),
-    ("limits", "kernel", 2, "infinite kernel vs finite N=64 circle"),
+    ("limits", "kernel_matrix", 2, "infinite kernel vs finite N=64 circle"),
 ]
 
 
@@ -191,7 +194,7 @@ def test_nan_residual_fails_its_line(suite, fn, at, line, monkeypatch):
         if len(calls) != at:
             return out
         if np.ndim(out):
-            out = np.array(out, dtype=float)
+            out = np.array(out)
             out[1] = np.nan
             return out
         # a numpy NaN: builtin abs of a Python complex NaN may raise a spurious
