@@ -8,9 +8,9 @@ are evaluated in theta form; a Gaussian winding-image sum is kept alongside
 as an oracle.  The family-indexed weight matrices r(t) tie products
 r(t) . p(0, v; t, x) back to the biorthogonal function matrices, which
 cascades into the Weyl-denominator and bridge-density identities checked
-here.  Like `denominator_residual`, the three configuration functions take xs
-of shape (N,), returning a float, or (B, N), returning B values; the matrices
-that do not depend on x (r(t), p(0, v; t*, v)) are formed once per call.
+here.  All but the oracle read points through `FamilySpec` (`positions`,
+`configurations`); a configuration xs of shape (N,) gives a float, (B, N) B
+values, and matrices free of x (r(t), p(0, v; t*, v)) form once per call.
 
 Conventions
 -----------
@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .macdonald import (_det_phase, _logc_rel_diff, _m_matrix_parts, _per_config, _tau,
-                        coeff_a_log, logdet, midpoint_nodes, rhs_logc)
+from .macdonald import (KernelSpec, _det_phase, _logc_rel_diff, _m_matrix_parts, _per_config,
+                        _tau, coeff_a_log, logdet, midpoint_nodes, rhs_logc)
 from .root_systems import derive
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
@@ -52,14 +52,15 @@ def transition(spec, s, x, t, y):
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
     d = derive(spec)
+    x, y = (d.positions(v, "transition") for v in (x, y))
     L = 2.0 * math.pi * d.r
     tau = 1j * (t - s) / (2.0 * math.pi * d.r * d.r)
-    xm = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / L
+    xm = (x - y) / L
     if d.walls == "circ":
         idx = 2 if d.parity == "even" else 3
         val = theta(idx, xm, tau) / L
     else:
-        xp = (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) / L
+        xp = (x + y) / L
         idx = 2 if d.walls == "ar" else 3
         sign = 1.0 if d.walls == "rr" else -1.0
         val = (theta(idx, xm, tau) + sign * theta(idx, xp, tau)) / L
@@ -124,9 +125,10 @@ def ck_residual(spec, s, t, u, x, z):
     sqrt((t-s)(u-t)/(u-s)) of the integrand in y (`midpoint_nodes`);
     AccuracyError past 8192 nodes.
     """
-    if not s < t < u:
-        raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
+    if not -math.inf < s < t < u < math.inf:
+        raise ValueError(f"need s < t < u finite, got {s}, {t}, {u}")
     d = derive(spec)
+    x, z = (d.positions(v, "ck_residual") for v in (x, z))
     L = d.length
     n = midpoint_nodes(d, t - s, u - s, 1, 8192)
     y = (np.arange(n) + 0.5) * (L / n)
@@ -190,7 +192,7 @@ def matrix_identity_residual(spec, t, xs):
     """max |r(t) . p(0, v; t, x) - M(x, t)| / max |M|, entrywise;
     AccuracyError when r(t) or M leaves double range."""
     d = derive(spec)
-    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    X = d.configurations(xs, "matrix_identity_residual")
     P = _pinned_matrix(d, t, X)
     rm = r_matrix(d, t)
     M = parts_value(*_m_matrix_parts(d, X, t))
@@ -213,10 +215,8 @@ def bridge_density(spec, t, t_star, xs):
     P_in and P_out exactly singular; those configurations get 0 before the
     check.
     """
-    if not 0.0 < t < t_star:
-        raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
-    d = derive(spec)
-    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    d = KernelSpec(spec, t, t_star).family
+    X = d.configurations(xs, "bridge_density")
     absorbing = {"ar": (0.0,), "aa": (0.0, d.length)}.get(d.walls, ())
     live = ~(np.any(np.diff(np.sort(X, axis=1), axis=1) == 0.0, axis=1)
              | np.any(np.isin(X, absorbing), axis=1))
@@ -254,7 +254,7 @@ def macdonald_kmlgv_residual(spec, t, xs):
     r(t) or a pinned matrix P, AccuracyError when r(t) leaves double range.
     """
     d = derive(spec)
-    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    X = d.configurations(xs, "macdonald_kmlgv_residual")
     ll, pl = rhs_logc(d, X, t)
     lr, sr = logdet("r-matrix", r_matrix(d, t))
     lp, sp = logdet("bridge matrix P", _pinned_matrix(d, t, X))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
-from .macdonald import _density
+from .macdonald import KernelSpec, _density
 from .root_systems import derive
 from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
 
@@ -58,21 +58,6 @@ __all__ = [
     "sine_kernel",
     "trig_kernel",
 ]
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Family (a `FamilySpec` after construction) plus the time pair (t, t_star),
-    0 < t < t_star."""
-
-    family: object
-    t: float
-    t_star: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", derive(self.family))
-        if not 0.0 < self.t < self.t_star:
-            raise ValueError(f"need 0 < t < t_star, got t={self.t}, t_star={self.t_star}")
 
 
 @dataclass(frozen=True)
@@ -103,17 +88,10 @@ def density_batch(ks, X):
     invariant; each row is sorted first all the same, so the rounding depends
     only on the point set.  Rows with repeated coordinates, or with a point on
     an absorbing wall, give exactly 0.  ValueError names the first row that
-    is not N finite points, in [0, L] on an interval (the circle is periodic).
+    is not N points of the alcove (`FamilySpec.configurations`).
     """
-    d = ks.family
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    ok = np.isfinite(X) if d.walls == "circ" else (X >= 0.0) & (X <= d.length)
-    if X.shape[1:] != (d.N,) or not ok.all():
-        i = int(np.argmin(ok.reshape(len(X), -1).all(axis=1)))
-        where = "" if d.walls == "circ" else f" in [0, {d.length!r}]"
-        raise ValueError(f"density row {i} must be N = {d.N} finite points{where}, "
-                         f"got {X[i].tolist()}")
-    return _density(d, np.sort(X, axis=1), ks.t, ks.t_star)
+    X = ks.family.configurations(X, "density")
+    return _density(ks.family, np.sort(X, axis=1), ks.t, ks.t_star)
 
 
 def density(ks, xs):
@@ -188,19 +166,20 @@ def _kernel_sum(a, b, grid):
 
 def kernel_matrix(ks, xs, ys):
     """K_t(x, y) on the grid xs x ys."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    xs, ys = (ks.family.positions(v, "kernel_matrix") for v in (xs, ys))
     return _kernel_sum(*_factors(ks, xs, ys, _norms_log(ks)), grid=True)
 
 
 def intensity(ks, xs):
     """One-point intensity K(x, x), equal to diag(kernel_matrix).real bit for bit."""
-    xs = np.asarray(xs, dtype=float)
+    xs = ks.family.positions(xs, "intensity")
     return _kernel_sum(*_factors(ks, xs, xs, _norms_log(ks)), grid=False).real
 
 
 def kernel(ks, x, y):
     """Correlation kernel at a single point pair."""
-    return complex(kernel_matrix(ks, [float(x)], [float(y)])[0, 0])
+    x, y = (ks.family.positions([float(v)], "kernel") for v in (x, y))
+    return complex(kernel_matrix(ks, x, y)[0, 0])
 
 
 def corr_det(ks, points):
@@ -209,7 +188,7 @@ def corr_det(ks, points):
     The points are sorted first, as in `density_batch`: the determinant is
     permutation invariant, and a fixed order makes its rounding so too.
     """
-    pts = np.sort(np.asarray(points, dtype=float))
+    pts = np.sort(ks.family.positions(points, "corr_det"))
     if pts.size > ks.family.N:
         raise ValueError(f"need n <= N = {ks.family.N}, got n = {pts.size}")
     km = kernel_matrix(ks, pts, pts)
@@ -265,8 +244,7 @@ def trig_kernel(spec, x, y):
     """
     d = derive(spec)
     r = d.r
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (d.positions(v, "trig_kernel") for v in (x, y))
     pref = 1.0 / (2.0 * np.pi * r)
     if d.walls == "circ":
         out = pref * _sin_ratio(d.N, (x - y) / (2.0 * r))
@@ -528,6 +506,13 @@ def _draw_rows(ks, U, tables, lms, pos, est):
             ks, U[s0:s0 + _CHUNK], *tables, lms)
 
 
+def _count(name, value):
+    """value as an int >= 1 (states, bins); ValueError naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def exact_sample(ks, states, seed=0):
     """I.i.d. states of the fixed-time process by the chain rule (HKPV).
 
@@ -562,9 +547,7 @@ def exact_sample(ks, states, seed=0):
     """
     d = ks.family
     N, L = d.N, d.length
-    S = int(states)
-    if S < 1:
-        raise ValueError(f"need states >= 1, got {states}")
+    S = _count("states", states)
     lms = _norms_log(ks)
 
     nb = min(SAMPLER_BLOCKS, S)
@@ -623,7 +606,9 @@ def bin_intensity(ks, edges):
     expected density (the value at a bin's midpoint is off by the intensity's
     curvature).
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = ks.family.positions(edges, "bin_intensity")
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
+        raise ValueError(f"bin_intensity needs two or more increasing edges, got {edges.tolist()}")
     lo, hi = edges[:-1, None], edges[1:, None]
     xs, w = _gl_nodes(_BIN_NODES, lo, hi)                # (bins, nodes)
     vals = intensity(ks, xs.ravel()).reshape(xs.shape)
@@ -639,7 +624,7 @@ def empirical_density(samples, bins=40):
     sqrt(count).
     """
     pos, ids, L = samples.positions, samples.block_ids, samples.length
-    nconf, bins = pos.shape[0], int(bins)
+    nconf, bins = pos.shape[0], _count("bins", bins)
     edges = np.linspace(0.0, L, bins + 1)
     width = edges[1] - edges[0]
     # np.histogram's bins: half-open, the last one closed, nothing outside [0, L]

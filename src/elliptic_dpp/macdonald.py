@@ -42,6 +42,7 @@ from .theta_core import AccuracyError, eta_log, parts_sum, parts_value, theta_pa
 __all__ = [
     "DegenerateConfigError",
     "IllConditionedError",
+    "KernelSpec",
     "SelbergResult",
     "coeff_a_log",
     "denominator_residual",
@@ -265,18 +266,33 @@ def denominator_residual(spec, xs, t):
     d = derive(spec)
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    lr, pr = rhs_logc(d, xs, t)
+    X = d.configurations(xs, "denominator_residual")
+    lr, pr = rhs_logc(d, X, t)
     if np.any(lr == -np.inf):
         raise DegenerateConfigError(
             "closed-form side vanishes (coincident points or a wall zero); "
             "residual undefined"
         )
-    ll, pl = det_m_logc(d, xs, t)
+    ll, pl = det_m_logc(d, X, t)
     return _per_config(xs, _logc_rel_diff(ll, pl, lr, pr))
 
 
 # ---------------------------------------------------------------------------
 # the joint density and its Selberg-type integral
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """A family (made a `FamilySpec`) and the one time-pair check, 0 < t < t_star < inf."""
+
+    family: object
+    t: float
+    t_star: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", derive(self.family))
+        if not 0.0 < self.t < self.t_star < math.inf:
+            raise ValueError(f"need 0 < t < t_star < inf, got t={self.t}, t_star={self.t_star}")
+
 
 def _density(d, X, t, t_star):
     """p(x) = a(t) a(t*-t) W(xi; tau_t) W(xi; tau_{t*-t}) / prod m_n(t*) on a
@@ -333,9 +349,7 @@ def selberg_check(spec, t, t_star):
     `_SELBERG_ROWS` rows.
     Returns SelbergResult(lhs, rhs=N!, rel_err).
     """
-    d = derive(spec)
-    if not 0.0 < t < t_star:
-        raise ValueError(f"need 0 < t < t_star, got t={t}, t_star={t_star}")
+    d = KernelSpec(spec, t, t_star).family
     N, L = d.N, d.length
     n = midpoint_nodes(d, t, t_star, N, _SELBERG_ROWS)
     nodes = (np.arange(n) + 0.5) * (L / n)

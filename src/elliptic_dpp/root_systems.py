@@ -3,7 +3,10 @@
 Each family tag names one of the seven reduced/non-reduced affine types the
 library supports: "A", "B", "Bv", "C", "Cv", "BC", "D" ("v" marks the dual of
 the plain letter).  A `FamilySpec` fixes (tag, N, r): N particles on a circle
-of radius r (tag "A") or on the interval [0, pi r] (all other tags).
+of radius r (tag "A") or on the interval [0, pi r] (all other tags), the
+alcove.  It alone decides which points are in it (finite, and in [0, pi r] on
+the interval): every public function that takes positions reads them through
+`positions` or `configurations` (rows of N), whose ValueError names it.
 
 A `FamilySpec` also carries everything the rest of the library consumes,
 computed from one table row per tag when it is made:
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+
+import numpy as np
 
 __all__ = ["FAMILIES", "FamilySpec", "derive", "validate"]
 
@@ -79,6 +84,27 @@ class FamilySpec:
                 pinned=tuple(two_pi_r * (j - eps) / size for j in range(1, N + 1)),
                 parity=("even" if N % 2 == 0 else "odd") if circle else None).items():
             object.__setattr__(self, name, value)
+
+    def positions(self, xs, caller):
+        """xs as a float array of alcove points; else ValueError naming `caller`."""
+        return self._alcove(np.asarray(xs, dtype=float), caller, rows=False)
+
+    def configurations(self, xs, caller):
+        """(N,) or (B, N) rows of N alcove points as (B, N); else ValueError
+        naming `caller` and the first bad row."""
+        return self._alcove(np.atleast_2d(np.asarray(xs, dtype=float)), caller, rows=True)
+
+    def _alcove(self, X, caller, rows):
+        """X if its points are in the alcove and, if `rows`, N to a row."""
+        ok = np.isfinite(X) if self.walls == "circ" else (X >= 0.0) & (X <= self.length)
+        if ok.all() and not (rows and X.shape[1:] != (self.N,)):
+            return X
+        where = "" if self.walls == "circ" else f" in [0, {self.length!r}]"
+        if not rows:
+            raise ValueError(f"{caller} needs finite points{where}, got {float(X[~ok][0])}")
+        i = int(np.argmin(ok.reshape(len(X), -1).all(axis=1)))
+        raise ValueError(f"{caller} row {i} must be N = {self.N} finite points{where}, "
+                         f"got {X[i].tolist()}")
 
 
 def validate(tag, N, r=1.0):

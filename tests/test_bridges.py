@@ -179,6 +179,10 @@ def test_ck_refuses_degenerate_gaps():
         ck_residual(RR, 0.0, 1e-8, 1.0, 0.3, 0.7)
     with pytest.raises(ValueError):
         ck_residual(RR, 0.0, 0.9, 0.3, 0.3, 0.7)   # bad ordering
+    # u = inf ended in numpy's "cannot convert float NaN to integer"
+    for s, u in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="need s < t < u finite"):
+            ck_residual(RR, s, 0.4, u, 0.3, 0.7)
 
 
 def test_ck_resolves_a_narrow_kernel():

@@ -33,7 +33,7 @@ from elliptic_dpp.dpp_kernels import (
     sine_kernel,
     trig_kernel,
 )
-from elliptic_dpp.macdonald import _product_parts, _tau, denominator_residual
+from elliptic_dpp.macdonald import _product_parts, _tau, denominator_residual, selberg_check
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
@@ -83,6 +83,19 @@ def test_kernel_spec_accepts_every_family_form(tag):
         ks = KernelSpec(fam, t=T, t_star=T_STAR)
         assert ks.family == derive((tag, 3, 1.3))
         assert np.array_equal(kernel_matrix(ks, x, x[::-1]), ref)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: KernelSpec(("C", 3, 1.0), t=0.4, t_star=np.inf),
+    lambda: KernelSpec(("C", 3, 1.0), t=np.nan, t_star=1.0),
+    lambda: selberg_check(("C", 3, 1.0), 0.4, np.inf),
+    lambda: bridge_density(("C", 3, 1.0), 0.4, np.inf, [0.5, 1.2, 2.0]),
+], ids=["KernelSpec", "KernelSpec-nan", "selberg_check", "bridge_density"])
+def test_time_pair_must_be_finite(call):
+    # selberg_check at t* = inf ended in numpy's "cannot convert float NaN to
+    # integer"; the one check of a time pair is KernelSpec's
+    with pytest.raises(ValueError, match=r"need 0 < t < t_star < inf"):
+        call()
 
 
 def test_infinite_spec_validates():
@@ -842,6 +855,31 @@ def test_exact_sample_tabulation_bound_is_enforced(monkeypatch):
 def test_exact_sample_rejects_empty_request():
     with pytest.raises(ValueError):
         exact_sample(_ks("A", 2), 0)
+
+
+@pytest.mark.parametrize("states", [2.5, "3", True, -1])
+def test_exact_sample_takes_an_integer_count(states):
+    # 2.5 drew 2 states and "3" drew 3
+    with pytest.raises(ValueError, match="states must be an integer >= 1"):
+        exact_sample(_ks("A", 2), states)
+
+
+@pytest.mark.parametrize("bins", [0, 2.5, "3", False])
+def test_empirical_density_takes_an_integer_bin_count(bins):
+    # 0 raised IndexError and 2.5 gave 2 bins
+    res = dpp_kernels.SampleResult(positions=np.array([[0.5, 1.0, 2.0]]), block_ids=np.zeros(1),
+                                   length=np.pi, tabulation_error=0.0, nodes=513)
+    with pytest.raises(ValueError, match="bins must be an integer >= 1"):
+        empirical_density(res, bins=bins)
+    assert empirical_density(res, bins=np.int64(4)).count.tolist() == [1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("edges", [[2.0, 1.0], [1.0], [1.0, 1.0], []],
+                         ids=["reversed", "one", "equal", "none"])
+def test_bin_intensity_needs_increasing_edges(edges):
+    # a reversed bin read a positive average, and one edge gave []
+    with pytest.raises(ValueError, match="bin_intensity needs two or more increasing edges"):
+        bin_intensity(_ks("C", 3), edges)
 
 
 @pytest.mark.parametrize("tag", ["A", "C"])

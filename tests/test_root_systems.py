@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elliptic_dpp.biortho import norm_const_log
-from elliptic_dpp.bridges import r_matrix
-from elliptic_dpp.dpp_kernels import trig_kernel
+from elliptic_dpp.bridges import (bridge_density, ck_residual, macdonald_kmlgv_residual,
+                                  matrix_identity_residual, r_matrix, transition)
+from elliptic_dpp.dpp_kernels import (KernelSpec, bin_intensity, corr_det, intensity, kernel,
+                                      kernel_matrix, trig_kernel)
+from elliptic_dpp.macdonald import denominator_residual
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import theta_parts
 
@@ -217,3 +220,62 @@ def test_trig_kernel_multiplier_and_sign_match_the_replaced_table(tag):
         want = (np.sin(c * u) / np.sin(u) + sign * np.sin(c * w) / np.sin(w)) / (2 * math.pi * r)
         got = trig_kernel((tag, N, r), x, y)
         assert np.allclose(got, want, rtol=1e-11, atol=1e-11 * c / r), (N, r)
+
+
+# ---------------------------------------------------------------------------
+# the alcove rule: every public function that takes positions of a family
+
+def _calls(d):
+    """name -> call on points p (3 of them) of every function that takes
+    positions; a one- or two-point function reads p[0] and p[-1]."""
+    ks = KernelSpec(d, 0.4, 1.0)
+    return {
+        "kernel_matrix": lambda p: kernel_matrix(ks, p, p[::-1]),
+        "intensity": lambda p: intensity(ks, p),
+        "kernel": lambda p: kernel(ks, p[0], p[-1]),
+        "corr_det": lambda p: corr_det(ks, p),
+        "bin_intensity": lambda p: bin_intensity(ks, p),
+        "transition": lambda p: transition(d, 0.0, p[0], 0.4, p[-1]),
+        "ck_residual": lambda p: ck_residual(d, 0.0, 0.4, 1.0, p[0], p[-1]),
+        "trig_kernel": lambda p: trig_kernel(d, p[0], p[-1]),
+        # the configuration functions: p is a row, or rows, of N points
+        "denominator_residual": lambda p: denominator_residual(d, p, 0.4),
+        "matrix_identity_residual": lambda p: matrix_identity_residual(d, 0.4, p),
+        "macdonald_kmlgv_residual": lambda p: macdonald_kmlgv_residual(d, 0.4, p),
+        "bridge_density": lambda p: bridge_density(d, 0.4, 1.0, p),
+    }
+
+
+NAMES = list(_calls(derive(("A", 1, 1.0))))
+POINTS = [0.5, 1.2, 2.0]
+OFF_THE_ALCOVE = {"past_L": [0.5, 1.2, 4.0], "negative": [-0.3, 1.2, 2.0],
+                  "nan": [0.5, 1.2, math.nan]}
+WRONG_LENGTH = {"N-1": [0.5, 1.2], "N+1": [0.5, 1.2, 2.0, 2.5],
+                "second_row": [POINTS, [0.5, 1.2, 4.0]]}
+OFF_CASES = [
+    *(pytest.param(n, p, id=f"{n}-{w}") for n in NAMES for w, p in OFF_THE_ALCOVE.items()),
+    *(pytest.param(n, p, id=f"{n}-{w}") for n in NAMES[-4:] for w, p in WRONG_LENGTH.items()),
+    pytest.param("transition", [0.5, 1.2, 5.0], id="transition-at-5"),   # read -0.281
+    pytest.param("corr_det", [0.5, 4.0], id="corr_det-two-points"),      # read 1.436
+]
+
+
+@pytest.mark.parametrize("name, points", OFF_CASES)
+def test_functions_refuse_points_off_the_alcove(name, points):
+    # C3 lives on [0, pi]: a point past pi, a negative one, a NaN, or a row
+    # of N - 1 or N + 1 points is a ValueError naming the function, never a
+    # number (bridge_density at [0.5, 1.2, 4.0] read 1.193, matrix_identity_
+    # residual ~5e-16 for 2 or 4 points) nor numpy's LinAlgError
+    row = " row 1" if np.ndim(points) == 2 else ""
+    with pytest.raises(ValueError, match=rf"^{name}\b{row}") as err:
+        _calls(derive(("C", 3, 1.0)))[name](np.array(points))
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_circle_accepts_points_shifted_by_its_length(name):
+    # the circle is periodic: every point moved by L = 2 pi gives the same value
+    d = derive(("A", 3, 1.0))
+    call = _calls(d)[name]
+    a, b = call(np.array(POINTS)), call(np.array(POINTS) + d.length)
+    assert np.max(np.abs(np.subtract(a, b))) <= 1e-12 * max(1.0, np.max(np.abs(a)))
