@@ -33,7 +33,11 @@ __all__ = ["m_fn_parts", "norm_const_log", "theta_block_parts"]
 
 
 def theta_block_parts(shape, sigma, z, tau):
-    """One building block in (mantissa, log_scale) form, vectorized over z."""
+    """One building block in (mantissa, log_scale) form, vectorized over z.
+
+    One theta call: for B, C and D the arguments sigma tau + z and
+    sigma tau - z are stacked into it.
+    """
     z = np.asarray(z, dtype=complex)
     arg = sigma * tau + z
     e = np.atleast_1d(2j * np.pi * sigma * z)
@@ -46,8 +50,7 @@ def theta_block_parts(shape, sigma, z, tau):
         return np.multiply(m, np.exp(1j * e.imag)), s + e.real
     idx = 1 if shape == "B" else 2
     sign = 1.0 if shape == "D" else -1.0
-    m1, s1 = theta_parts(idx, arg, tau)
-    m2, s2 = theta_parts(idx, sigma * tau - z, tau)
+    (m1, m2), (s1, s2) = theta_parts(idx, np.stack((arg, sigma * tau - z)), tau)
     return parts_sum(np.multiply(m1, np.exp(1j * e.imag)), s1 + e.real,
                      sign * np.multiply(m2, np.exp(-1j * e.imag)), s2 - e.real)
 

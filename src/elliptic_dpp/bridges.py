@@ -47,7 +47,9 @@ def transition(spec, s, x, t, y):
     """Transition density p(s, x; t, y) of the family's bridge process.
 
     Theta form; x broadcasts against y, so x[:, None], y[None, :] give the
-    matrix in one call.  The theta period is 2 pi r for every family.
+    matrix in one call.  The theta period is 2 pi r for every family.  One
+    theta call: an interval family's difference and image arguments x -+ y
+    are stacked into it.
     """
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
@@ -63,7 +65,8 @@ def transition(spec, s, x, t, y):
         xp = (x + y) / L
         idx = 2 if d.walls == "ar" else 3
         sign = 1.0 if d.walls == "rr" else -1.0
-        val = (theta(idx, xm, tau) + sign * theta(idx, xp, tau)) / L
+        th = theta(idx, np.stack((xm, xp)), tau)
+        val = (th[0] + sign * th[1]) / L
     out = np.real(val)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -32,6 +32,7 @@ from the spread over the seed-blocks.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,12 @@ class InfiniteKernelSpec:
             raise ValueError(f"family must be one of A,B,C,D, got {self.family!r}")
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
-        if not 0.0 < self.t < self.t_star:
-            raise ValueError(f"need 0 < t < t_star, got t={self.t}, t_star={self.t_star}")
+        KernelSpec.check_times(self.t, self.t_star)
+        # tau = 2 pi i t* rho^2, the largest of the kernel's theta taus, must
+        # be one the theta engine takes
+        if not math.pi * (2.0 * math.pi * self.t_star * self.rho * self.rho) < math.inf:
+            raise ValueError(f"rho = {self.rho} too large: tau = 2 pi i t_star rho^2 "
+                             "leaves double range")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,8 @@ def kernel(ks, x, y):
 
 
 def corr_det(ks, points):
-    """n-point correlation via the n x n kernel determinant (n <= N).
+    """n-point correlation via the n x n kernel determinant (n <= N); no
+    points give 1.0, the empty determinant.
 
     The points are sorted first, as in `density_batch`: the determinant is
     permutation invariant, and a fixed order makes its rounding so too.
@@ -191,6 +197,8 @@ def corr_det(ks, points):
     pts = np.sort(ks.family.positions(points, "corr_det"))
     if pts.size > ks.family.N:
         raise ValueError(f"need n <= N = {ks.family.N}, got n = {pts.size}")
+    if pts.size == 0:
+        return 1.0
     km = kernel_matrix(ks, pts, pts)
     val = complex(np.linalg.det(km))
     scale = max(float(np.max(np.abs(np.diag(km)))) ** pts.size, 1e-290)
@@ -260,10 +268,12 @@ def sine_kernel(family, x, y, rho):
     """Translation-invariant bulk kernels: sin(pi rho u)/(pi u) combinations."""
     if family not in ("A", "C", "D"):
         raise ValueError(f"sine kernel family must be A, C, or D, got {family!r}")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"sine_kernel needs rho in (0, inf), got {rho}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("sine_kernel needs finite x and y")
     diff = rho * np.sinc(rho * (x - y))
     if family == "A":
         out = diff
@@ -291,8 +301,8 @@ def _inf_integrand(iks, x, y, lam):
         return mant, s1 + s2 - sd
     m1, s1 = theta_parts(s_idx, rho * x + 1j * np.pi * t * rho * lam, tau_t)
     md, sd = theta_parts(2, 1j * np.pi * ts * rho * lam, tau_d)
-    m2, s2 = theta_parts(s_idx, rho * y - 1j * np.pi * (ts - t) * rho * lam, tau_s)
-    m3, s3 = theta_parts(s_idx, -rho * y - 1j * np.pi * (ts - t) * rho * lam, tau_s)
+    lag = 1j * np.pi * (ts - t) * rho * lam
+    (m2, m3), (s2, s3) = theta_parts(s_idx, np.stack((rho * y - lag, -rho * y - lag)), tau_s)
     sgn = 1.0 if iks.family == "D" else -1.0
     mant_d = np.exp(1j * np.pi * (x - y) * lam) * m1 * m2 / md
     mant_i = np.exp(1j * np.pi * (x + y) * lam) * m1 * m3 / md

@@ -290,8 +290,12 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", derive(self.family))
-        if not 0.0 < self.t < self.t_star < math.inf:
-            raise ValueError(f"need 0 < t < t_star < inf, got t={self.t}, t_star={self.t_star}")
+        self.check_times(self.t, self.t_star)
+
+    @staticmethod
+    def check_times(t, t_star):
+        if not 0.0 < t < t_star < math.inf:
+            raise ValueError(f"need 0 < t < t_star < inf, got t={t}, t_star={t_star}")
 
 
 def _density(d, X, t, t_star):

@@ -326,16 +326,20 @@ def theta_series(index, v, tau, cap=_ORACLE_MAX_RINGS):
     """Defining series summed term by term -- reference oracle.
 
     No argument reduction and no modular transforms: this is the textbook sum,
-    ring-ordered (n and -n together), stopping once a ring is below 1e-17 of
-    the accumulated magnitude twice in a row.  Intended for moderate
-    arguments (Im tau >= ~0.05, |Im v| a few units); raises AccuracyError when
-    the plain sum cannot converge in `cap` rings.
+    ring-ordered (n and -n together), stopping at each point once a ring is
+    below 1e-17 of the accumulated magnitude twice in a row.  Intended for
+    moderate arguments (Im tau >= ~0.05, |Im v| a few units); raises
+    AccuracyError when the plain sum cannot converge in `cap` rings.
+
+    tau broadcasts against v, so points at several tau take one call; each
+    value equals the one-point call bit for bit.  Every tau is checked as
+    the scalar call checks it.
     """
     _check_index(index)
-    tau = _check_tau(tau)
-    w = np.array(v, dtype=complex, copy=True)
+    tau = np.array([_check_tau(u) for u in np.ravel(tau)], dtype=complex).reshape(np.shape(tau))
+    w, tau = np.broadcast_arrays(np.asarray(v, dtype=complex), tau)
     scalar = w.ndim == 0
-    w = np.atleast_1d(w)
+    w, tau = np.atleast_1d(w), np.atleast_1d(tau)
     qf = 1j * np.pi * tau
     zf = 2j * np.pi * w
     if index in (0, 3):

@@ -83,9 +83,11 @@ def theta_suite(d, t, t_star):
     pts = [(0.31 + 0.12j, 0.8j), (-0.7 + 0.4j, 0.3j), (1.9 - 0.2j, 1.7j),
            (0.45, 0.09j), (2.2 + 1.1j, 2.5j)]
     worst = 0.0
-    for v, tau in pts:
-        for idx in range(4):
-            worst = _worst(worst, _rel(theta(idx, v, tau), theta_series(idx, v, tau)))
+    vs, taus = zip(*pts)
+    for idx in range(4):
+        # the oracle takes all five (v, tau) in one call; the engine one per tau
+        for (v, tau), ref in zip(pts, theta_series(idx, vs, taus)):
+            worst = _worst(worst, _rel(theta(idx, v, tau), ref))
     out = [CheckResult("theta engine vs series oracle", worst, 1e-12)]
 
     # one theta call per (index, tau); the oracle side stays in Python scalars
@@ -103,15 +105,24 @@ def theta_suite(d, t, t_star):
                 worst = _worst(worst, abs(lh - rhs) / max(abs(lh), abs(rhs), abs(pref)))
     out.append(CheckResult("theta quasi-periodicity", worst, 1e-12))
 
+    # theta_idx(v | tau) against theta_swap(v / tau | -1/tau); the dual taus of
+    # 0.5i and 2i are direct taus too, so one theta call per (index, tau)
     worst = 0.0
     vs = (0.3 + 0.17j, -0.8 + 0.05j)
-    for idx, swap in ((0, 2), (1, 1), (2, 0), (3, 3)):
+    cases = [(idx, swap, tau) for idx, swap in ((0, 2), (1, 1), (2, 0), (3, 3))
+             for tau in (0.1j, 0.5j, 2j)]
+    args = {}
+    for idx, swap, tau in cases:
+        args.setdefault((idx, tau), []).extend(vs)
+        args.setdefault((swap, -1.0 / tau), []).extend(v / tau for v in vs)
+    val = {(i, tau, u): th for (i, tau), us in args.items()
+           for u, th in zip(us, theta(i, us, tau))}
+    for idx, swap, tau in cases:
         eps = np.exp(0.75j * np.pi) if idx == 1 else np.exp(0.25j * np.pi)
-        for tau in (0.1j, 0.5j, 2j):
-            dual = theta(swap, [v / tau for v in vs], -1.0 / tau)
-            for v, lh, du in zip(vs, theta(idx, vs, tau), dual):
-                rhs = eps * tau ** -0.5 * np.exp(-1j * np.pi * v * v / tau) * du
-                worst = _worst(worst, abs(lh - rhs) / max(abs(lh), 1e-12))
+        for v in vs:
+            lh, du = val[idx, tau, v], val[swap, -1.0 / tau, v / tau]
+            rhs = eps * tau ** -0.5 * np.exp(-1j * np.pi * v * v / tau) * du
+            worst = _worst(worst, abs(lh - rhs) / max(abs(lh), 1e-12))
     out.append(CheckResult("theta imaginary transform", worst, 1e-12))
     return out
 

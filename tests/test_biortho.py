@@ -16,7 +16,7 @@ from elliptic_dpp.biortho import m_fn_parts, norm_const_log, theta_block_parts
 from elliptic_dpp.dpp_kernels import KernelSpec
 from elliptic_dpp.macdonald import midpoint_nodes
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
-from elliptic_dpp.theta_core import parts_value, theta
+from elliptic_dpp.theta_core import parts_sum, parts_value, theta, theta_parts
 from oracles import gram_oracle
 
 
@@ -97,6 +97,26 @@ def test_parts_for_all_indices_stack_single_ones(tag):
         assert np.array_equal(m[j - 1], mj) and np.array_equal(s[j - 1], sj)
     with pytest.raises(ValueError):
         m_fn_parts(spec, np.arange(0, 3), xs, 0.3)
+
+
+@pytest.mark.parametrize("tag", [f for f in FAMILIES if f != "A"])
+def test_interval_block_parts_equal_two_theta_calls(tag):
+    # the stacked sigma tau +- z call gives the parts of the two separate
+    # calls, bit for bit
+    d = derive((tag, 3, 0.8))
+    x, t = np.linspace(0.0, d.length, 37), 0.4
+    m, s = m_fn_parts(d, np.arange(1, d.N + 1), x, t)
+    size, r = d.size, d.r
+    sigma = (np.asarray(d.offsets) / size)[:, None]
+    z = (size * (x / (2.0 * np.pi * r))).astype(complex)
+    tau = size * size * (1j * t / (2.0 * np.pi * r * r))
+    idx, sign = (1 if d.sharp == "B" else 2), (1.0 if d.sharp == "D" else -1.0)
+    m1, s1 = theta_parts(idx, sigma * tau + z, tau)
+    m2, s2 = theta_parts(idx, sigma * tau - z, tau)
+    e = 2j * np.pi * sigma * z
+    want = parts_sum(np.multiply(m1, np.exp(1j * e.imag)), s1 + e.real,
+                     sign * np.multiply(m2, np.exp(-1j * e.imag)), s2 - e.real)
+    assert m.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
 
 
 def test_parts_do_not_depend_on_call_size():

@@ -137,6 +137,29 @@ def test_broadcast_transition_matches_scalar_rows(tag, N, t, t_star):
         maxulp=1)
 
 
+@pytest.mark.parametrize("d, idx, sign", [(AR, 2, -1.0), (AA, 3, -1.0), (RR, 3, 1.0)],
+                         ids=["ar", "aa", "rr"])
+def test_interval_transition_is_one_theta_call(d, idx, sign, monkeypatch):
+    # the difference and image arguments share the call; the sum of the two
+    # separate calls agrees to round-off
+    real, calls = bridges.theta, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bridges, "theta", counted)
+    L, P = d.length, 2.0 * np.pi * R
+    tau = 1j * 0.3 / (2.0 * np.pi * R * R)
+    x = np.linspace(0.05, 0.95, 7) * L
+    for a, b in ((x[:, None], x[None, :]), (0.2 * L, 0.7 * L)):
+        calls.clear()
+        got = transition(d, 0.0, a, 0.3, b)
+        assert len(calls) == 1
+        two = np.real(real(idx, (a - b) / P, tau) + sign * real(idx, (a + b) / P, tau)) / P
+        assert np.max(np.abs(got - two)) <= 1e-15 * np.max(np.abs(two))
+
+
 def test_transition_images_tail_guard():
     # one winding cannot cover a very diffuse kernel
     with pytest.raises(AccuracyError):

@@ -105,6 +105,13 @@ def test_infinite_spec_validates():
         InfiniteKernelSpec("A", rho=-1.0, t=0.5, t_star=1.0)
     with pytest.raises(ValueError):
         InfiniteKernelSpec("A", rho=1.0, t=1.5, t_star=1.0)
+    # t* = inf ended in the theta engine's "tau must be finite ... (nan+nanj)",
+    # rho = 1e200 in a bare OverflowError; the time pair is KernelSpec's rule
+    with pytest.raises(ValueError, match=r"need 0 < t < t_star < inf"):
+        InfiniteKernelSpec("C", rho=1.0, t=0.5, t_star=np.inf)
+    for rho in (1e200, np.inf):
+        with pytest.raises(ValueError, match=r"^rho = .* too large"):
+            InfiniteKernelSpec("A", rho=rho, t=0.5, t_star=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +417,12 @@ def test_corr_det_refuses_too_many_points():
         corr_det(_ks("A", 2), [0.1, 0.2, 0.3])
 
 
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_corr_det_of_no_points_is_the_empty_determinant(tag):
+    # raised numpy's "zero-size array to reduction operation maximum"
+    assert corr_det(_ks(tag, 3), []) == 1.0
+
+
 @pytest.mark.parametrize("eps, refused", [(1e-14, False), (1e-6, True)])
 def test_corr_det_refuses_an_imaginary_residue(eps, refused, monkeypatch):
     # an imaginary part eps |K| on the diagonal puts ~eps tr K into Im det:
@@ -527,6 +540,19 @@ def test_sine_kernel_identities():
     assert abs((sine_kernel("D", x, y, rho) - sine_kernel("C", x, y, rho)) - 2 * img) < 1e-14
     with pytest.raises(ValueError):
         sine_kernel("B", 0.1, 0.2, rho)
+
+
+@pytest.mark.parametrize("fam, x, y, rho", [
+    ("C", np.nan, 0.1, 1.0),            # read nan
+    ("A", 0.2, np.inf, 1.0),
+    ("D", [0.2, 0.3], [0.1, np.nan], 1.0),
+    ("A", 0.2, 0.1, np.inf),            # read nan after a RuntimeWarning
+    ("A", 0.2, 0.1, np.nan),
+    ("C", 0.2, 0.1, 0.0),
+])
+def test_sine_kernel_refuses_nonfinite_points_and_bad_rho(fam, x, y, rho):
+    with pytest.raises(ValueError, match=r"^sine_kernel needs"):
+        sine_kernel(fam, x, y, rho)
 
 
 def test_sine_kernel_chgue_bessel_form():

@@ -307,6 +307,32 @@ def test_theta_parts_refuses_tau_past_double_range():
                 theta_series(2, 0.1, tau)
 
 
+# the (v, tau) pairs of the verification theta suite's oracle line
+SUITE_POINTS = [(0.31 + 0.12j, 0.8j), (-0.7 + 0.4j, 0.3j), (1.9 - 0.2j, 1.7j),
+                (0.45, 0.09j), (2.2 + 1.1j, 2.5j)]
+
+
+@pytest.mark.parametrize("idx", range(4))
+def test_series_broadcasts_tau_bit_for_bit(idx):
+    vs, taus = zip(*SUITE_POINTS)
+    got = theta_series(idx, vs, taus)
+    assert got.shape == (len(SUITE_POINTS),)
+    for k, (v, tau) in enumerate(SUITE_POINTS):
+        assert np.complex128(theta_series(idx, v, tau)).tobytes() == got[k].tobytes()
+    # a scalar v against an array of tau broadcasts too
+    v, tau = SUITE_POINTS[0]
+    assert theta_series(idx, v, [tau, tau])[1] == theta_series(idx, v, tau)
+
+
+@pytest.mark.parametrize("bad", [-1j, 0.5, 1e308j, complex(math.nan, 1.0), complex(1.0, math.inf)])
+def test_series_checks_every_tau_as_the_scalar_call_does(bad):
+    with pytest.raises(ValueError) as one:
+        theta_series(2, 0.1, bad)
+    with pytest.raises(ValueError) as many:
+        theta_series(2, [0.1, 0.2, 0.3], [1j, bad, 0.5j])
+    assert str(many.value) == str(one.value)
+
+
 def test_theta_parts_overflow_in_the_modular_walk_is_quiet():
     # at Im tau < 1 the imaginary transform runs first, and its v^2 / tau
     # leaves double range before the quasi-periodic reduction does
