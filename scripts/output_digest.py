@@ -16,12 +16,12 @@ Two checkouts are compared with one diff:
 The list is the benchmark's commands at fixed inputs (no seed jitter), plus
 larger grids, other sampler and theta regimes, Selberg integrals, large
 horizons (every suite at t* = 50), points outside the alcove, flags a verb
-does not read, values past double range or out of bounds, radii small
-enough that the weight matrices leave double range, small horizons where
-the determinant identity's matrix is past its condition limit, and small
-times where the determinants of the joint density cancel in plain doubles
-and the Euler products of a(t) leave them.  A full run takes about
-20 s on a 2-core machine.
+does not read, values past double range or out of bounds, an --out that
+cannot be written, radii small enough that the weight matrices leave double
+range, small horizons where the determinant identity's matrix is past its
+condition limit, and small times where the determinants of the joint density
+cancel in plain doubles and the Euler products of a(t) leave them.  A full
+run takes about 20 s on a 2-core machine.
 """
 
 import contextlib
@@ -146,6 +146,10 @@ def _commands():
     # determinant-identity line reads inf, every other line prints
     cmds += ["verify --type A --N 4 --t 0.05 --t-star 0.1",
              "verify --type C --N 3 --t 0.02 --t-star 0.05"]
+    # a rho whose square is 0 or subnormal, and an --out in a missing directory
+    cmds += ["limits --type C --N 2 --rho 1e-200",
+             "limits --type C --N 2 --rho 1e-160",
+             "kernel --type A --N 2 --grid 2 --out missing/k.csv"]
     return cmds
 
 

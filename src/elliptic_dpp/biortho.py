@@ -65,16 +65,13 @@ def m_fn_parts(spec, j, x, t):
     jj = np.atleast_1d(j)
     if np.any(jj < 1) or np.any(jj > d.N):
         raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    r, size = d.r, d.size
-    z = size * (np.asarray(x, dtype=float) / (2.0 * np.pi * r))     # size xi(x)
+    tau = d.tau(t, "m_fn_parts", 2)
+    z = d.size * (np.asarray(x, dtype=float) / (2.0 * np.pi * d.r))     # size xi(x)
     if np.ndim(j) == 0:
-        sigma = d.offsets[j - 1] / size
+        sigma = d.offsets[j - 1] / d.size
     else:
         z = np.atleast_1d(z)
-        sigma = (np.asarray(d.offsets)[jj - 1] / size).reshape(jj.shape + (1,) * z.ndim)
-    tau = size * size * (1j * t / (2.0 * np.pi * r * r))
+        sigma = (np.asarray(d.offsets)[jj - 1] / d.size).reshape(jj.shape + (1,) * z.ndim)
     return theta_block_parts(d.sharp, sigma, z, tau)
 
 
@@ -85,11 +82,9 @@ def norm_const_log(spec, j, t_star):
     jj = np.atleast_1d(j)
     if np.any(jj < 1) or np.any(jj > d.N):
         raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
-    if t_star <= 0.0:
-        raise ValueError("t_star must be positive")
-    tau_t = 1j * t_star / (2.0 * np.pi * d.r**2)
+    tau_t, tau = (d.tau(t_star, "norm_const_log", p, closed_form=True) for p in (0, 2))
     J = np.asarray(d.offsets)[jj - 1]
-    m, s = theta_parts(2, d.size * J * tau_t, d.size**2 * tau_t)
+    m, s = theta_parts(2, d.size * J * tau_t, tau)
     ok = (np.abs(m.imag) <= 1e-12 * np.abs(m)) & (m.real > 0.0)
     if not ok.all():
         raise AccuracyError(f"norm lost positivity: mantissa {m[~ok]} for j={jj[~ok]}")

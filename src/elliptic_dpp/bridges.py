@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .macdonald import (KernelSpec, _det_phase, _logc_rel_diff, _m_matrix_parts, _per_config,
-                        _tau, coeff_a_log, logdet, midpoint_nodes, rhs_logc)
+                        coeff_a_log, logdet, midpoint_nodes, rhs_logc)
 from .root_systems import derive
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
@@ -51,12 +51,10 @@ def transition(spec, s, x, t, y):
     theta call: an interval family's difference and image arguments x -+ y
     are stacked into it.
     """
-    if not t > s:
-        raise ValueError(f"need t > s, got s={s}, t={t}")
     d = derive(spec)
+    tau = d.tau(t - s, "transition")
     x, y = (d.positions(v, "transition") for v in (x, y))
     L = 2.0 * math.pi * d.r
-    tau = 1j * (t - s) / (2.0 * math.pi * d.r * d.r)
     xm = (x - y) / L
     if d.walls == "circ":
         idx = 2 if d.parity == "even" else 3
@@ -159,9 +157,8 @@ def r_matrix(spec, t):
     the generic prefactor.  AccuracyError when an entry leaves double range
     (the growth factor e^{J^2 t / 2 r^2} at small r).
     """
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t}")
     d = derive(spec)
+    d.tau(t, "r_matrix")
     r, size, entry = d.r, d.size, _ENTRY[d.sharp]
     J = np.asarray(d.offsets)
     v = np.asarray(d.pinned)
@@ -273,12 +270,11 @@ def eta_formula_residual(spec, t):
     d = derive(spec)
     if d.walls != "circ":
         raise ValueError("eta closed form applies to the circle family only")
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t}")
+    tau = d.tau(t, "eta_formula_residual", 1, closed_form=True)
     N, r = d.N, d.r
     # eta is positive on the imaginary axis: the left side's phase is 1
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)
-          + 0.5 * (N - 1) * (N - 2) * eta_log(_tau(d, t).imag))     # size = N
+          + 0.5 * (N - 1) * (N - 2) * eta_log(tau.imag))     # size = N
     lr, sr = logdet("r-matrix", r_matrix(d, t))
     la = coeff_a_log(d, t)
     lc = lr - la

@@ -2,9 +2,11 @@
 
 Verbs: theta, kernel, density, limits, verify, sample, selberg.
 Exit status 0 = success, 1 = an identity check failed (or a numerical engine
-gave up), 2 = unusable configuration.  `selberg` holds the integral of the
-joint density against N! at one tolerance, 1e-8; a case whose midpoint rule
-needs more rows than `macdonald.selberg_check` allows exits 1.
+gave up: AccuracyError, IllConditionedError), 2 = unusable configuration:
+a ValueError or OSError, whether `RunConfig.finalize` (which builds the specs
+the verb will, to name the flag) or the verb raised it.  `selberg` holds the
+integral of the joint density against N! at one tolerance, 1e-8; a case whose
+midpoint rule needs more rows than `macdonald.selberg_check` allows exits 1.
 
 Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
@@ -28,7 +30,7 @@ from .dpp_kernels import (KernelSpec, density, empirical_density, exact_sample, 
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
-from .verification import SUITES, CheckResult, limits_suite, render, run_suites
+from .verification import SUITES, CheckResult, _sine_specs, limits_suite, render, run_suites
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -59,34 +61,20 @@ class RunConfig:
             self.t = 0.5 * self.t_star
         if self.command != "theta":
             d = derive((self.type, self.N, self.r))   # raises ValueError if unusable
-        if not 0.0 < self.t < self.t_star:
-            raise ValueError(f"need 0 < t < t_star, got t={self.t} t_star={self.t_star}")
-        if self.command != "theta":
-            # a subnormal Im tau = t / (2 pi r^2) has lost its digits (0 is no tau); at t*
-            # theta_parts' prefactor pi Im tau m^2 (m <= 1) starts as pi Im tau (limits sets t*)
-            tau_im = min(self.t, self.t_star - self.t) / (2.0 * np.pi * self.r * self.r)
-            if not tau_im >= sys.float_info.min:
-                raise ValueError(f"radius r={self.r!r} too large for t={self.t!r}, t_star="
-                                 f"{self.t_star!r}: Im tau = {tau_im!r} is not a normal double")
-            tau_im = d.size * d.size * self.t_star / (2.0 * np.pi * self.r * self.r)
-            if self.command != "limits" and not np.pi * tau_im <= sys.float_info.max:
-                raise ValueError(f"radius r={self.r!r} too small for t_star={self.t_star!r}: "
-                                 f"pi Im tau = pi * {tau_im!r} leaves double range")
-        if not all(0.0 < v < np.inf for v in (self.rho, self.horizon, self.tau_im)):
-            raise ValueError("--rho, --horizon and --tau-im must be finite and positive, "
-                             f"got {self.rho}, {self.horizon}, {self.tau_im}")
-        if not self.tau_im >= sys.float_info.min:     # theta_parts refuses a subnormal Im tau
-            raise ValueError(f"--tau-im must be a normal double, got {self.tau_im!r}")
-        if not np.isfinite(self.v_im):
-            raise ValueError(f"--v-im must be finite, got {self.v_im}")
+        if "t" in _VERB_FLAGS[self.command][1]:
+            KernelSpec(d, self.t, self.t_star)         # the time pair and the tau rule
+        if self.command == "limits":
+            try:     # the sine lines' infinite-volume specs, at t* = horizon / rho^2
+                _sine_specs(d.sharp, self.rho, self.horizon)
+            except ValueError as exc:
+                raise ValueError(f"--rho {self.rho!r} and --horizon {self.horizon!r}: "
+                                 f"{exc}") from None
         if self.grid < 1:
             raise ValueError(f"grid must be >= 1, got {self.grid}")
         if self.command == "sample" and (self.steps < 1 or self.bins < 1):
             raise ValueError(f"need steps >= 1 and bins >= 1, got {self.steps}, {self.bins}")
-        if self.points is not None:
-            pts = [float(s) for s in self.points.split(",")]
-            if self.command == "density":
-                _check_points(pts, d)
+        if self.points is not None:     # only `density` reads --points
+            _check_points([float(s) for s in self.points.split(",")], d)
         return self
 
 
@@ -322,15 +310,13 @@ def main(argv=None):
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         del args.config
         cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
-        cfg.finalize()
+        return run(cfg.finalize())
     except SystemExit as exc:     # argparse rejected a config key or value
         return exc.code
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:     # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
-    except (AccuracyError, IllConditionedError, ValueError) as exc:
+    except (AccuracyError, IllConditionedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

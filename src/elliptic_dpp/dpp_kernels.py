@@ -40,7 +40,7 @@ import numpy as np
 from .biortho import m_fn_parts, norm_const_log
 from .macdonald import KernelSpec, _density
 from .root_systems import derive
-from .theta_core import AccuracyError, parts_sum, parts_value, theta_parts
+from .theta_core import AccuracyError, _check_tau, parts_sum, parts_value, theta_parts
 
 __all__ = [
     "Histogram",
@@ -76,11 +76,10 @@ class InfiniteKernelSpec:
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
         KernelSpec.check_times(self.t, self.t_star)
-        # tau = 2 pi i t* rho^2, the largest of the kernel's theta taus, must
-        # be one the theta engine takes
-        if not math.pi * (2.0 * math.pi * self.t_star * self.rho * self.rho) < math.inf:
-            raise ValueError(f"rho = {self.rho} too large: tau = 2 pi i t_star rho^2 "
-                             "leaves double range")
+        for s in (self.t, self.t_star - self.t, self.t_star):     # the kernel's theta taus
+            tau = 2j * math.pi * s * (self.rho * self.rho)
+            side = "small" if abs(tau) < 1.0 else "large"
+            _check_tau(tau, f"rho = {self.rho} too {side} for time {s}: tau")
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,6 @@ _A_TABLE = {
 }
 
 
-def _tau(d, t):
-    """The scaled half-period ratio tau_t = i size t / (2 pi r^2) of time t."""
-    return 1j * d.size * t / (2.0 * np.pi * d.r**2)
-
-
 def coeff_a_log(spec, t):
     """log a(t); the coefficients are positive reals with huge dynamic range.
 
@@ -214,9 +209,7 @@ def coeff_a_log(spec, t):
     taken as a log through `eta_log`, so a(t) stays finite at every t > 0.
     """
     d = derive(spec)
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t}")
-    y = _tau(d, t).imag
+    y = d.tau(t, "coeff_a_log", 1, closed_form=True).imag
     pref, qexp, q0_terms = _A_TABLE[d.tag]
     out = np.log(pref) + qexp(d.N) * (-np.pi * y)  # log q(tau) = -pi Im tau
     for tmul, e in q0_terms:
@@ -253,7 +246,8 @@ def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
     xi = np.atleast_2d(np.asarray(xs, dtype=float)) / (2.0 * np.pi * d.r)
-    lp, pp = _logc_from_parts(*_product_parts(d.tag, xi, _tau(d, t)))
+    tau = d.tau(t, "rhs_logc", 1, closed_form=True)
+    lp, pp = _logc_from_parts(*_product_parts(d.tag, xi, tau))
     return coeff_a_log(d, t) + lp, _det_phase(d.sharp, d.N) * pp
 
 
@@ -264,8 +258,7 @@ def denominator_residual(spec, xs, t):
     vanish, IllConditionedError when a matrix cannot support the residual.
     """
     d = derive(spec)
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t}")
+    d.tau(t, "denominator_residual", 1, closed_form=True)
     X = d.configurations(xs, "denominator_residual")
     lr, pr = rhs_logc(d, X, t)
     if np.any(lr == -np.inf):
@@ -282,7 +275,7 @@ def denominator_residual(spec, xs, t):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A family (made a `FamilySpec`) and the one time-pair check, 0 < t < t_star < inf."""
+    """A family (a `FamilySpec`), 0 < t < t_star < inf, and its tau rule at t and t_star - t."""
 
     family: object
     t: float
@@ -291,6 +284,8 @@ class KernelSpec:
     def __post_init__(self):
         object.__setattr__(self, "family", derive(self.family))
         self.check_times(self.t, self.t_star)
+        for s in (self.t, self.t_star - self.t):
+            self.family.tau(s, "KernelSpec")
 
     @staticmethod
     def check_times(t, t_star):
@@ -312,8 +307,8 @@ def _density(d, X, t, t_star):
     xi = X / (2.0 * np.pi * d.r)
     lg = (coeff_a_log(d, t) + coeff_a_log(d, t_star - t)
           - norm_const_log(d, np.arange(1, d.N + 1), t_star).sum())
-    m1, s1 = _product_parts(d.tag, xi, _tau(d, t_star - t))
-    m2, s2 = _product_parts(d.tag, xi, _tau(d, t))
+    m1, s1 = _product_parts(d.tag, xi, d.tau(t_star - t, "density", 1, closed_form=True))
+    m2, s2 = _product_parts(d.tag, xi, d.tau(t, "density", 1, closed_form=True))
     return parts_value(m1 * m2, s1 + s2 + lg).real
 
 

@@ -5,8 +5,10 @@ library supports: "A", "B", "Bv", "C", "Cv", "BC", "D" ("v" marks the dual of
 the plain letter).  A `FamilySpec` fixes (tag, N, r): N particles on a circle
 of radius r (tag "A") or on the interval [0, pi r] (all other tags), the
 alcove.  It alone decides which points are in it (finite, and in [0, pi r] on
-the interval): every public function that takes positions reads them through
-`positions` or `configurations` (rows of N), whose ValueError names it.
+the interval) and which durations t (those whose tau = size^p i t / (2 pi r^2)
+the theta engine takes): every public function that takes positions reads
+them through `positions` or `configurations` (rows of N), and every one that
+evaluates a theta at a duration asks `tau`; the ValueError names it.
 
 A `FamilySpec` also carries everything the rest of the library consumes,
 computed from one table row per tag when it is made:
@@ -40,6 +42,8 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
+
+from .theta_core import _check_tau
 
 __all__ = ["FAMILIES", "FamilySpec", "derive", "validate"]
 
@@ -93,6 +97,17 @@ class FamilySpec:
         """(N,) or (B, N) rows of N alcove points as (B, N); else ValueError
         naming `caller` and the first bad row."""
         return self._alcove(np.atleast_2d(np.asarray(xs, dtype=float)), caller, rows=True)
+
+    def tau(self, t, caller, power=0, closed_form=False):
+        """tau = size**power i t / (2 pi r^2) at the duration t; a ValueError naming
+        `caller`, r and t, and no numpy warning, where `theta_core._check_tau`
+        refuses it.  Each caller keeps its rounding: the closed forms (a(t), W,
+        the norms) divide by 2 pi r**2, the rest by (2 pi r) r; power 1 scales t."""
+        denom = 2.0 * math.pi * self.r**2 if closed_form else 2.0 * math.pi * self.r * self.r
+        pre, post = (self.size, 1) if power == 1 else (1, self.size**power)
+        tau = 1j * pre * float(t) / denom * post     # Python floats: no numpy warning
+        _check_tau(tau, f"{caller}: radius r={self.r}, duration {t}: tau")
+        return tau
 
     def _alcove(self, X, caller, rows):
         """X if its points are in the alcove and, if `rows`, N to a row."""

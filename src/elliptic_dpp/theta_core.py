@@ -114,12 +114,13 @@ def _check_index(index):
         raise ValueError(f"theta index must be 0, 1, 2 or 3, got {index!r}")
 
 
-def _check_tau(tau):
+def _check_tau(tau, who="tau"):
+    """tau as a complex, or a ValueError whose message starts with `who`."""
     tau = complex(tau)
     if not (math.isfinite(tau.real) and sys.float_info.min <= tau.imag < math.inf):
-        raise ValueError(f"tau must be finite with a positive, normal imaginary part, got {tau}")
+        raise ValueError(f"{who} must be finite with a positive, normal imaginary part, got {tau}")
     if not math.pi * tau.imag < math.inf:   # the series exponents start as pi Im tau
-        raise ValueError(f"tau too large: pi Im tau leaves double range, got {tau}")
+        raise ValueError(f"{who} too large: pi Im tau leaves double range, got {tau}")
     return tau
 
 

@@ -12,6 +12,7 @@ prints.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,14 @@ def kernel_suite(d, t, t_star):
     ]
 
 
+def _sine_specs(fam, rho, horizon):
+    """(t* rho^2, InfiniteKernelSpec at t*/2) of the sine lines: `horizon`, 50, 200, 800."""
+    if not sys.float_info.min <= rho * rho < math.inf:     # t* = horizon / rho^2
+        raise ValueError(f"rho = {rho!r} leaves rho**2 outside the normal doubles")
+    return [(h, InfiniteKernelSpec(fam, rho=rho, t=0.5 * h / rho**2, t_star=h / rho**2))
+            for h in (horizon, 50.0, 200.0, 800.0)]
+
+
 def limits_suite(d, rho, horizon):
     """Degeneration limits of one family: trigonometric, sine at the horizon
     t* rho^2 = `horizon`, the sine convergence law, and large N.
@@ -259,6 +268,7 @@ def limits_suite(d, rho, horizon):
 
     # (a) deep-relaxation limit at t*/r^2 = 100: finite kernel vs trig form
     r = d.r
+    d.tau(100.0 * r**2, "limits_suite")     # names r where 100 r^2 leaves double range
     ks = KernelSpec(d, t=50.0 * r**2, t_star=100.0 * r**2)
     xs = np.linspace(0.11, 0.93, 7) * d.length
     km = kernel_matrix(ks, xs, xs)
@@ -274,16 +284,17 @@ def limits_suite(d, rho, horizon):
     pts = [(0.3 / rho, 0.3 / rho), (1.3 / rho, 0.6 / rho), (2.2 / rho, 0.9 / rho)]
     px, py = np.array(pts).T
 
-    def sine_dev(h):
-        # the three pairs share one node doubling at the horizon h
-        ik = InfiniteKernelSpec(fam, rho=rho, t=0.5 * h / rho**2, t_star=h / rho**2)
+    (_, first), *law = _sine_specs(fam, rho, horizon)
+
+    def sine_dev(ik):
+        # the three pairs share one node doubling at the horizon of ik
         return _worst(*(abs(k - sine_kernel(sfam, x, y, rho))
                         for k, (x, y) in zip(infinite_kernel(ik, px, py), pts)))
 
     results.append(CheckResult(
-        f"sine limit (t*rho^2 = {horizon:g})", sine_dev(horizon) / rho, 1e-6))
+        f"sine limit (t*rho^2 = {horizon:g})", sine_dev(first) / rho, 1e-6))
 
-    scaled = [sine_dev(h) * h for h in (50.0, 200.0, 800.0)]
+    scaled = [sine_dev(ik) * h for h, ik in law]
     spread = (_worst(*scaled) - min(scaled)) / _worst(*scaled)
     results.append(CheckResult("sine convergence law (deviation x horizon)",
                                spread, 2e-2))

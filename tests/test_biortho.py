@@ -46,9 +46,9 @@ def test_m_fn_parts_scaled_coordinates():
 
 
 def test_m_fn_parts_rejects_negative_time():
-    with pytest.raises(ValueError, match="time must be nonnegative"):
+    with pytest.raises(ValueError, match=r"^m_fn_parts: radius r=1.0, duration -0.1: "):
         m_fn_parts(("A", 2, 1.0), 1, [0.5], -0.1)
-    with pytest.raises(ValueError, match="time must be nonnegative"):
+    with pytest.raises(ValueError, match=r"^m_fn_parts: radius r=1.0, duration -1e-300: "):
         m_fn_parts(("C", 3, 1.0), np.arange(1, 4), [0.5, 1.0], -1e-300)
 
 

@@ -132,11 +132,20 @@ def test_unknown_type_is_usage_error():
     "limits --horizon=-5", "limits --horizon 0", "limits --horizon inf",
     "limits --rho nan", "limits --rho -1", "theta --tau-im 0", "theta --tau-im nan",
     "theta --v-im inf", "theta --v-im nan", "theta --tau-im 1e-310",
+    # rho**2 is 0, subnormal or inf, and t* rho^2 = 1e308 leaves double range in
+    # tau: a ZeroDivisionError or OverflowError traceback, and exit 1 naming
+    # t_star or "rho = 1.0"
+    "limits --type C --N 2 --rho 1e-200", "limits --type C --N 2 --rho 1e-160",
+    "limits --type C --N 2 --rho 1e200", "limits --type C --N 2 --horizon 1e308",
 ])
 def test_bad_horizon_rho_or_tau_is_usage_error(argv, capsys):
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # limits names the flag; theta's --tau-im and --v-im reach the theta engine,
+    # whose refusal names tau or the argument
+    flag = [w for w in argv.split() if w.startswith("--")][-1].split("=")[0]
+    assert flag in err if argv.startswith("limits") else re.match(r"error: (tau|theta arg)", err)
 
 
 @pytest.mark.parametrize("r", ["1e-200", "1e-160", "1e160", "1e200"])
@@ -153,10 +162,13 @@ def test_radius_past_double_range_is_usage_error(r, capsys):
 ])
 def test_radius_underflowing_tau_is_usage_error(argv, capsys):
     # r**2 is a double, but Im tau = t / (2 pi r^2) is 0 (1e154) or subnormal
-    # (5e153), past what the theta engine can use
+    # (5e153), past what the theta engine can use; the family's tau rule names
+    # the refusing function (KernelSpec, or limits_suite at t* = 100 r^2) and r
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: radius r=") and err.count("\n") == 1
+    r = float(argv.split()[argv.split().index("--r") + 1])
+    assert re.match(rf"error: (KernelSpec|limits_suite): radius r={re.escape(repr(r))}, "
+                    "duration ", err) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,10 +177,23 @@ def test_radius_underflowing_tau_is_usage_error(argv, capsys):
 ])
 def test_radius_overflowing_tau_is_usage_error(argv, capsys):
     # Im tau at t*, size^2 t* / (2 pi r^2), is a double, but pi Im tau (where
-    # the theta prefactor pi Im tau m^2 starts) is not
+    # the theta prefactor pi Im tau m^2 starts) is not; the norms refuse it
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: radius r=1e-154 too small") and err.count("\n") == 1
+    assert err.startswith("error: norm_const_log: radius r=1e-154, duration 1.0: tau ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "kernel --type A --N 2 --grid 2 --out {}/k.csv",
+    "sample --type A --N 2 --steps 4 --out {}/s",
+])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    # an --out in a missing directory raised FileNotFoundError out of main
+    assert main(argv.format(tmp_path / "missing").split()) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb, flags", [

@@ -33,7 +33,7 @@ from elliptic_dpp.dpp_kernels import (
     sine_kernel,
     trig_kernel,
 )
-from elliptic_dpp.macdonald import _product_parts, _tau, denominator_residual, selberg_check
+from elliptic_dpp.macdonald import _product_parts, denominator_residual, selberg_check
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
@@ -58,11 +58,26 @@ def _random_rows(rng, d, B, margin=0.02):
 
 def test_subnormal_tau_raises_without_warnings():
     # r = 4e153: Im tau = t / (2 pi r^2) is subnormal; the kernel is refused
-    # with a named error instead of [[0j]] after numpy overflow warnings
-    ks = KernelSpec(("A", 2, 4e153), t=0.5, t_star=1.0)
-    with warnings.catch_warnings(), pytest.raises(ValueError, match="normal imaginary part"):
+    # with a named error instead of [[0j]] after numpy overflow warnings, and
+    # the refusal is KernelSpec's, through the family's tau rule
+    with warnings.catch_warnings(), pytest.raises(
+            ValueError, match=r"^KernelSpec: radius r=4e\+153, .*normal imaginary part"):
         warnings.simplefilter("error")
-        kernel_matrix(ks, [1e153], [1e153])
+        KernelSpec(("A", 2, 4e153), t=0.5, t_star=1.0)
+
+
+def test_tiny_radius_is_refused_by_name_without_warnings():
+    # C3 at r = 1e-154: pi Im tau of the norms at t* = 1 leaves double range;
+    # kernel_matrix and norm_const_log emitted "overflow encountered in
+    # multiply" before the theta engine's anonymous refusal
+    d = derive(("C", 3, 1e-154))
+    calls = [lambda: kernel_matrix(KernelSpec(d, 0.5, 1.0), [1e-154], [1e-154]),
+             lambda: norm_const_log(d, np.arange(1, 4), 1.0)]
+    for call in calls:
+        with warnings.catch_warnings(), pytest.raises(
+                ValueError, match=r"^norm_const_log: radius r=1e-154, duration 1.0: tau "):
+            warnings.simplefilter("error")
+            call()
 
 
 def test_kernel_spec_validates_times():
@@ -112,6 +127,11 @@ def test_infinite_spec_validates():
     for rho in (1e200, np.inf):
         with pytest.raises(ValueError, match=r"^rho = .* too large"):
             InfiniteKernelSpec("A", rho=rho, t=0.5, t_star=1.0)
+    # rho = 1e-200 and 1e-160 were accepted, and infinite_kernel then raised
+    # the theta engine's "... got 0j" and "... got 3.142e-320j"
+    for rho in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match=r"^rho = .* too small"):
+            InfiniteKernelSpec("C", rho=rho, t=0.5, t_star=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +276,8 @@ def test_product_and_density_stay_finite_at_n16_small_time(tag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (ks.t, ks.t_star - ks.t):
-            m, sc = _product_parts(tag, X / (2.0 * np.pi * d.r), _tau(d, s))
+            tau = d.tau(s, "density", 1, closed_form=True)
+            m, sc = _product_parts(tag, X / (2.0 * np.pi * d.r), tau)
             assert np.all(np.isfinite(m)) and np.all(np.isfinite(sc)), s
         assert np.all(np.isfinite(density_batch(ks, X)))
         # close to the pinned start the density is large (~1e24 for the intervals)

@@ -2,17 +2,19 @@
 rules derived from the family record against the per-tag tables they replaced."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elliptic_dpp.biortho import norm_const_log
-from elliptic_dpp.bridges import (bridge_density, ck_residual, macdonald_kmlgv_residual,
-                                  matrix_identity_residual, r_matrix, transition)
+from elliptic_dpp.biortho import m_fn_parts, norm_const_log
+from elliptic_dpp.bridges import (bridge_density, ck_residual, eta_formula_residual,
+                                  macdonald_kmlgv_residual, matrix_identity_residual, r_matrix,
+                                  transition)
 from elliptic_dpp.dpp_kernels import (KernelSpec, bin_intensity, corr_det, intensity, kernel,
                                       kernel_matrix, trig_kernel)
-from elliptic_dpp.macdonald import denominator_residual
+from elliptic_dpp.macdonald import coeff_a_log, denominator_residual, rhs_logc
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import theta_parts
 
@@ -279,3 +281,69 @@ def test_the_circle_accepts_points_shifted_by_its_length(name):
     call = _calls(d)[name]
     a, b = call(np.array(POINTS)), call(np.array(POINTS) + d.length)
     assert np.max(np.abs(np.subtract(a, b))) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+
+
+# ---------------------------------------------------------------------------
+# the tau rule: every public function that evaluates a theta at a duration
+
+def _timed_calls(d):
+    """name -> call at the duration t of every function that asks the family's
+    tau rule (A3, the circle, so the eta closed form applies too)."""
+    X, j = np.array([0.5, 1.2, 2.0]), np.arange(1, 4)
+    return {
+        "coeff_a_log": lambda t: coeff_a_log(d, t),
+        "rhs_logc": lambda t: rhs_logc(d, X, t),
+        "denominator_residual": lambda t: denominator_residual(d, X, t),
+        "m_fn_parts": lambda t: m_fn_parts(d, j, X, t),
+        "norm_const_log": lambda t: norm_const_log(d, j, t),
+        "transition": lambda t: transition(d, 0.0, X[0], t, X[-1]),
+        "r_matrix": lambda t: r_matrix(d, t),
+        "eta_formula_residual": lambda t: eta_formula_residual(d, t),
+    }
+
+
+TIMED = list(_timed_calls(derive(("A", 3, 1.0))))
+# (radius, duration); at r = 1e154 Im tau = size^p t / (2 pi r^2) is subnormal
+# for every power p the functions evaluate (size 3)
+BAD_DURATIONS = {"zero": (1.0, 0.0), "negative": (1.0, -0.1), "nan": (1.0, math.nan),
+                 "inf": (1.0, math.inf), "subnormal": (1e154, 0.5)}
+DURATION_CASES = [
+    *(pytest.param(n, *rt, id=f"{n}-{w}") for n in TIMED for w, rt in BAD_DURATIONS.items()),
+    # KernelSpec's time pair comes first (test_time_pair_must_be_finite)
+    pytest.param("KernelSpec", 1e154, 0.5, id="KernelSpec-subnormal"),
+]
+
+
+@pytest.mark.parametrize("name, r, t", DURATION_CASES)
+def test_functions_refuse_a_bad_duration(name, r, t):
+    # no tau the theta engine takes: a ValueError naming the function, the
+    # radius and the duration, and no numpy warning, never the engine's
+    # anonymous "tau must be finite ... got (nan+nanj)" nor a number
+    d = derive(("A", 3, r))
+    call = _timed_calls(d).get(name, lambda t: KernelSpec(d, t, 2.0 * t))
+    with pytest.raises(ValueError, match=rf"^{name}: radius r={re.escape(str(r))}, "
+                                         rf"duration {re.escape(str(t))}: tau ") as err:
+        call(t)
+    assert type(err.value) is ValueError
+
+
+# (power, closed_form) -> the expression its callers had before the rule
+_ROUNDINGS = {
+    (1, True): lambda d, t: 1j * d.size * t / (2.0 * np.pi * d.r**2),        # a(t), W
+    (0, True): lambda d, t: 1j * t / (2.0 * np.pi * d.r**2),                 # the norms
+    (2, True): lambda d, t: d.size**2 * (1j * t / (2.0 * np.pi * d.r**2)),
+    (0, False): lambda d, t: 1j * t / (2.0 * math.pi * d.r * d.r),          # transition
+    (2, False): lambda d, t: d.size * d.size * (1j * t / (2.0 * np.pi * d.r * d.r)),  # M_j
+}
+
+
+@pytest.mark.parametrize("power, closed_form", list(_ROUNDINGS))
+def test_tau_rule_keeps_each_callers_rounding(power, closed_form):
+    # bit for bit, at radii where 2 pi r**2 and (2 pi r) r round apart (0.7,
+    # 0.02) and where they agree, and sizes 3 to 8
+    for tag, N, r in (("A", 3, 1.0), ("C", 3, 0.7), ("BC", 2, 0.02), ("D", 4, 1.7)):
+        d = derive((tag, N, r))
+        for t in (0.4, 0.5, 1e-4, 50.0 / 3.0):
+            want = _ROUNDINGS[power, closed_form](d, t)
+            got = d.tau(t, "test", power, closed_form=closed_form)
+            assert (got.real, got.imag) == (want.real, want.imag), (tag, t)
