@@ -19,9 +19,10 @@ horizons (every suite at t* = 50), points outside the alcove, flags a verb
 does not read, values past double range or out of bounds, an --out that
 cannot be written, radii small enough that the weight matrices leave double
 range, small horizons where the determinant identity's matrix is past its
-condition limit, and small times where the determinants of the joint density
-cancel in plain doubles and the Euler products of a(t) leave them.  A full
-run takes about 20 s on a 2-core machine.
+condition limit, small times where the determinants of the joint density
+cancel in plain doubles and the Euler products of a(t) leave them, a kernel
+grid written to stdout in parts, and `limits` at rho != 1.  A full run takes
+about 20 s on a 2-core machine.
 """
 
 import contextlib
@@ -56,6 +57,8 @@ def _commands():
     cmds += [
         # larger grid, other sampler configurations, densities, integrals
         "kernel --type A --N 16 --t 0.5 --t-star 1 --grid 1024 --out k.csv",
+        # a grid on stdout: 131 072 numbers, two parts on two or more CPUs
+        "kernel --type A --N 4 --t 0.5 --t-star 1 --grid 256",
         "sample --type A --N 3 --steps 128 --seed 11 --out s",
         "sample --type C --N 3 --t 0.3 --t-star 1 --steps 256 --bins 12 --seed 5 --out s",
         "sample --type D --N 4 --t 0.7 --t-star 2 --steps 256 --seed 3 --out s",
@@ -150,6 +153,10 @@ def _commands():
     cmds += ["limits --type C --N 2 --rho 1e-200",
              "limits --type C --N 2 --rho 1e-160",
              "kernel --type A --N 2 --grid 2 --out missing/k.csv"]
+    # rho != 1: a run of every line, and a small rho whose sine lines reach
+    # times near 1e308 (the last one, at t* rho^2 = 800, past it)
+    cmds += ["limits --type C --N 3 --rho 1.5 --horizon 300",
+             "limits --type C --N 2 --rho 1.5e-153"]
     return cmds
 
 

@@ -11,16 +11,27 @@ midpoint rule needs more rows than `macdonald.selberg_check` allows exits 1.
 Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
 stderr) for histograms, with floats at 17 significant digits; a kernel grid's
-coordinates are formatted once per grid, not once per row.  A JSON file
-passed via --config supplies defaults for the verb's flags (keys = flag names
-with underscores); its values are checked like the flags, and explicit flags
-win.  Identical config + seed produces byte-identical output files.
+coordinates are formatted once per grid, not once per row.  One writer,
+`_write_csv`, writes every table (`kernel`, `density --grid`, `theta`, the
+histogram of `sample`): its rows split into contiguous parts, one per available
+CPU with at least 2**16 numbers each, which forked writers format at the same
+time; a part count of 1 (a small table, one CPU, no `os.fork`, or a second
+thread running) forks nothing, and every part count writes the same bytes.
+There is no option for it.  A JSON file passed via --config supplies defaults
+for the verb's flags (keys = flag names with underscores); its values are
+checked like the flags, and explicit flags win.  Identical config + seed
+produces byte-identical output files.
 """
 
 import argparse
 import contextlib
 import json
+import os
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,38 +105,108 @@ def _open(path):
     return open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout)
 
 
-def _write_csv(path, header, blocks):
-    """Stream a CSV table: the header row, then each block of rows.
+_PART_NUMBERS = 2**16     # the fewest numbers a part of a split table formats
 
-    A block is (template, numbers): the block's rows as text with one "%.17g"
-    slot per number, and the numbers in row order.  Text in the template is
-    written as it is, so a column that repeats from block to block is
-    formatted once (see `_grid_rows`); `_rows` makes the block of a tuple of
-    numeric columns.  "%.17g" is the same conversion as f"{float(v):.17g}".
+
+def _parts(numbers):
+    """How many parts `_write_csv` formats a table of `numbers` numbers in: one
+    per available CPU, with at least `_PART_NUMBERS` numbers a part.  One part
+    where the platform lacks `os.sched_getaffinity` or `os.fork`, or where a
+    second thread runs: a forked copy of a multi-threaded process can deadlock."""
+    if (not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork")
+            or threading.active_count() != 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), numbers // _PART_NUMBERS))
+
+
+def _write_csv(path, header, table):
+    """Write a CSV table to `path` (stdout for None): the header row, then the rows.
+
+    A table is (n, numbers, write): n rows, the count of numbers they format,
+    and write(fh, lo, hi), which writes rows lo..hi-1 to fh.  `_rows` makes the
+    table of a tuple of numeric columns; in `_grid_rows`' table a row is every
+    y at one x.  Numbers are formatted "%.17g", the same conversion as
+    f"{float(v):.17g}".
+
+    The rows split into `_parts(numbers)` contiguous parts, formatted at the
+    same time.  One child is forked per part after the first; it writes its
+    rows to an unnamed temporary file and exits, with status 1 on any
+    exception, so it never returns here.  This process writes the header and
+    the first part straight to the target, then copies each child's file after
+    it, in row order, once the child has exited 0.  The bytes are the same for
+    every part count.  A child that fails raises ChildProcessError naming its
+    rows; on any exception here every child still running is killed and
+    reaped before it propagates.
     """
-    with _open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for template, numbers in blocks:
-            fh.write(template % tuple(numbers))
+    n, numbers, write = table
+    parts = _parts(numbers)
+    cut = [n * k // parts for k in range(parts + 1)]
+    parent, children = os.getpid(), []      # (pid, lo, hi, file) of the children not reaped
+    with _open(path) as fh, contextlib.ExitStack() as files:
+        try:
+            for lo, hi in zip(cut[1:-1], cut[2:]):
+                part = files.enter_context(tempfile.TemporaryFile("w+"))
+                pid = os.fork()
+                if pid == 0:
+                    _write_part(write, part, lo, hi)
+                children.append((pid, lo, hi, part))
+            fh.write(",".join(header) + "\n")
+            write(fh, 0, cut[1])
+            while children:
+                pid, lo, hi, part = children[0]
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
+                if status != 0:
+                    raise ChildProcessError(
+                        f"the writer of rows {lo}..{hi - 1} of {n} exited with status "
+                        f"{os.waitstatus_to_exitcode(status)}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        except BaseException:
+            if os.getpid() != parent:     # a child interrupted before `_write_part`
+                os._exit(1)
+            for pid, *_ in children:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            raise
+
+
+def _write_part(write, fh, lo, hi):
+    """A forked child's work: rows lo..hi-1 to fh, then exit; never returns."""
+    status = 1
+    try:
+        write(fh, lo, hi)
+        fh.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _rows(*cols):
-    """One block of numeric columns (arrays or scalars, broadcast together)."""
+    """The table of numeric columns (arrays or scalars, broadcast together)."""
     block = np.column_stack(np.broadcast_arrays(*cols))
-    return (",".join(["%.17g"] * len(cols)) + "\n") * len(block), block.ravel().tolist()
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+
+    def write(fh, lo, hi):
+        fh.write((row * (hi - lo)) % tuple(block[lo:hi].ravel().tolist()))
+    return len(block), block.size, write
 
 
 def _grid_rows(xs, values):
-    """One block of (x, y, re, im) rows per row of the complex matrix `values`
-    on the grid xs x xs.
+    """The table of (x, y, re, im) rows of the complex matrix `values` on the
+    grid xs x xs; its row i is every y at x = xs[i].
 
     Each coordinate is formatted once, into a template that holds every y of
     a row and a placeholder for its x; only re and im are formatted per entry.
     """
     text = ["%.17g" % x for x in xs.tolist()]
     template = "".join("X," + y + ",%.17g,%.17g\n" for y in text)
-    for x, row in zip(text, values):
-        yield template.replace("X", x), row.view(float).tolist()
+
+    def write(fh, lo, hi):
+        for x, row in zip(text[lo:hi], values[lo:hi]):
+            fh.write(template.replace("X", x) % tuple(row.view(float).tolist()))
+    return len(text), 2 * values.size, write
 
 
 def _report(results):
@@ -146,7 +227,7 @@ def _run_theta(cfg):
         vals = theta(cfg.index, vs, 1j * cfg.tau_im)
     if not np.all(np.isfinite(vals)):
         raise AccuracyError("theta leaves double range on this grid")
-    _write_csv(cfg.out, _GRID, [_rows(vs.real, vs.imag, vals.real, vals.imag)])
+    _write_csv(cfg.out, _GRID, _rows(vs.real, vs.imag, vals.real, vals.imag))
     return 0
 
 
@@ -169,7 +250,7 @@ def _run_density(cfg):
             fh.write("density=%.17g\n" % density(ks, pts))
         return 0
     ks, xs = _grid(cfg)
-    _write_csv(cfg.out, _GRID, [_rows(xs, xs, intensity(ks, xs), 0.0)])
+    _write_csv(cfg.out, _GRID, _rows(xs, xs, intensity(ks, xs), 0.0))
     return 0
 
 
@@ -199,8 +280,7 @@ def _run_sample(cfg):
         fh.write(json.dumps(states, sort_keys=True, separators=(",", ":")) + "\n")
     _write_csv(prefix + "_hist.csv",
                ("bin_left", "bin_right", "count", "density", "stderr"),
-               [_rows(hist.bin_left, hist.bin_right, hist.count, hist.density,
-                      hist.stderr)])
+               _rows(hist.bin_left, hist.bin_right, hist.count, hist.density, hist.stderr))
     print(f"states={len(res.positions)} tabulation_error={res.tabulation_error:.1e} "
           f"files={prefix}_states.json,{prefix}_hist.csv")
     return 0

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,12 +63,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InfiniteKernelSpec:
-    """Infinite-volume kernel data: reduced family label, density, times."""
+    """Infinite-volume kernel data: reduced family label, density, times.
+
+    `taus` holds the kernel's three theta taus 2 pi i (s rho^2) at s = t,
+    t* - t and t*, the product s rho^2 formed first (as (s rho) rho), so a
+    large time at a small density gives the moderate tau it scales to rather
+    than overflowing in 2 pi i s.  A rho whose taus the theta engine would
+    refuse is refused here, as "too small" or "too large".
+    """
 
     family: str
     rho: float
     t: float
     t_star: float
+    taus: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in ("A", "B", "C", "D"):
@@ -76,10 +84,12 @@ class InfiniteKernelSpec:
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
         KernelSpec.check_times(self.t, self.t_star)
-        for s in (self.t, self.t_star - self.t, self.t_star):     # the kernel's theta taus
-            tau = 2j * math.pi * s * (self.rho * self.rho)
+        taus = []
+        for s in (self.t, self.t_star - self.t, self.t_star):
+            tau = 2j * math.pi * (s * self.rho * self.rho)
             side = "small" if abs(tau) < 1.0 else "large"
-            _check_tau(tau, f"rho = {self.rho} too {side} for time {s}: tau")
+            taus.append(_check_tau(tau, f"rho = {self.rho} too {side} for time {s}: tau"))
+        object.__setattr__(self, "taus", tuple(taus))
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +297,19 @@ def sine_kernel(family, x, y, rho):
 
 def _inf_integrand(iks, x, y, lam):
     """Integrand of the lambda integral at nodes lam, in parts form."""
-    rho, t, ts = iks.rho, iks.t, iks.t_star
+    rho = iks.rho
+    t, s, ts = iks.t * rho, (iks.t_star - iks.t) * rho, iks.t_star * rho   # times x rho
     s_idx = 1 if iks.family == "B" else 2
-    tau_t = 2j * np.pi * t * rho**2
-    tau_s = 2j * np.pi * (ts - t) * rho**2
-    tau_d = 2j * np.pi * ts * rho**2
+    tau_t, tau_s, tau_d = iks.taus
     if iks.family == "A":
-        m1, s1 = theta_parts(2, rho * x + 2j * np.pi * t * rho * lam, tau_t)
-        m2, s2 = theta_parts(2, rho * y - 2j * np.pi * (ts - t) * rho * lam, tau_s)
-        md, sd = theta_parts(2, 2j * np.pi * ts * rho * lam, tau_d)
+        m1, s1 = theta_parts(2, rho * x + 2j * np.pi * t * lam, tau_t)
+        m2, s2 = theta_parts(2, rho * y - 2j * np.pi * s * lam, tau_s)
+        md, sd = theta_parts(2, 2j * np.pi * ts * lam, tau_d)
         mant = np.exp(2j * np.pi * (x - y) * lam) * m1 * m2 / md
         return mant, s1 + s2 - sd
-    m1, s1 = theta_parts(s_idx, rho * x + 1j * np.pi * t * rho * lam, tau_t)
-    md, sd = theta_parts(2, 1j * np.pi * ts * rho * lam, tau_d)
-    lag = 1j * np.pi * (ts - t) * rho * lam
+    m1, s1 = theta_parts(s_idx, rho * x + 1j * np.pi * t * lam, tau_t)
+    md, sd = theta_parts(2, 1j * np.pi * ts * lam, tau_d)
+    lag = 1j * np.pi * s * lam
     (m2, m3), (s2, s3) = theta_parts(s_idx, np.stack((rho * y - lag, -rho * y - lag)), tau_s)
     sgn = 1.0 if iks.family == "D" else -1.0
     mant_d = np.exp(1j * np.pi * (x - y) * lam) * m1 * m2 / md

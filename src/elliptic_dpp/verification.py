@@ -250,11 +250,22 @@ def kernel_suite(d, t, t_star):
 
 
 def _sine_specs(fam, rho, horizon):
-    """(t* rho^2, InfiniteKernelSpec at t*/2) of the sine lines: `horizon`, 50, 200, 800."""
+    """(t* rho^2, InfiniteKernelSpec at t*/2) of the sine lines: `horizon`, 50, 200, 800.
+
+    The ValueError of a refused law spec (50, 200 or 800) names that spec."""
     if not sys.float_info.min <= rho * rho < math.inf:     # t* = horizon / rho^2
         raise ValueError(f"rho = {rho!r} leaves rho**2 outside the normal doubles")
-    return [(h, InfiniteKernelSpec(fam, rho=rho, t=0.5 * h / rho**2, t_star=h / rho**2))
-            for h in (horizon, 50.0, 200.0, 800.0)]
+    specs = []
+    for h in (horizon, 50.0, 200.0, 800.0):
+        t, t_star = 0.5 * h / rho**2, h / rho**2
+        try:
+            specs.append((h, InfiniteKernelSpec(fam, rho=rho, t=t, t_star=t_star)))
+        except ValueError as exc:
+            if not specs:     # the caller's horizon, which the caller names
+                raise
+            raise ValueError(f"the sine law at t*rho^2 = {h:g}, InfiniteKernelSpec({fam!r}, "
+                             f"rho={rho!r}, t={t!r}, t_star={t_star!r}): {exc}") from None
+    return specs
 
 
 def limits_suite(d, rho, horizon):

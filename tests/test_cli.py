@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -354,6 +356,16 @@ def test_limits_reports_honest_sine_gap(capsys):
     assert verdicts["infinite kernel vs finite N=64 circle"] == "PASS"
 
 
+def test_limits_names_the_sine_spec_it_refuses(capsys):
+    # rho = 1.5e-153 was refused as "rho too large" at horizon 200, where
+    # tau ~ 628i; the law's horizon 800 puts t* = 800 / rho^2 past double range
+    assert main(["limits", "--type", "C", "--N", "2", "--rho", "1.5e-153"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rho 1.5e-153 and --horizon 50.0: the sine law at "
+                          "t*rho^2 = 800, InfiniteKernelSpec('C', rho=1.5e-153, ")
+    assert "t_star=inf): need 0 < t < t_star < inf" in err and err.count("\n") == 1
+
+
 def test_limits_prints_the_rendered_limits_suite(capsys):
     assert main(["limits", "--type", "C", "--N", "3", "--rho", "1.5",
                  "--horizon", "300"]) == 1
@@ -542,9 +554,27 @@ def test_ill_conditioned_pinned_matrix_fails_only_its_check(capsys):
     assert "pinned-path proportionality: residual=inf tol=1.0e-09 FAIL" in out
 
 
-def test_grid_writer_matches_per_value_formatting(tmp_path):
+def _cpus(monkeypatch, n):
+    """Let `_write_csv` see n available CPUs, and count its forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_grid_writer_matches_per_value_formatting(parts, tmp_path, monkeypatch):
     # the streaming row writer must give the bytes of formatting every value
-    # with f"{v:.17g}", including -0.0, subnormals, huge and tiny values
+    # with f"{v:.17g}", including -0.0, subnormals, huge and tiny values, in
+    # every part count (the grid's 524 288 numbers allow 8; 7 does not divide
+    # its 512 rows)
+    forks = _cpus(monkeypatch, parts)
     rng = np.random.default_rng(0)
     n = 512
     xs = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
@@ -560,6 +590,90 @@ def test_grid_writer_matches_per_value_formatting(tmp_path):
             lines.append(",".join(f"{float(v):.17g}" for v in
                                   (x, y, vals[i, j].real, vals[i, j].imag)))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert len(forks) == parts - 1 and _no_children()
+
+
+@pytest.mark.parametrize("argv, cpus", [
+    ("kernel --type A --N 4 --t 0.5 --t-star 1 --grid 256", 2),     # 131 072 numbers
+    ("kernel --type C --N 3 --t 0.2 --t-star 1 --grid 512", 3),
+    ("density --type A --N 4 --t 0.5 --t-star 1 --grid 49152", 3),  # 196 608 numbers
+])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_every_part_count_writes_the_same_bytes(argv, cpus, to_file, tmp_path, monkeypatch,
+                                               capfd):
+    written = []
+    for n in (1, cpus):
+        forks = _cpus(monkeypatch, n)
+        out = tmp_path / f"{n}.csv"
+        assert main(argv.split() + (["--out", str(out)] if to_file else [])) == 0
+        cap = capfd.readouterr()
+        assert len(forks) == n - 1 and cap.err == "" and _no_children()
+        written.append(out.read_text() if to_file else cap.out)
+        assert (cap.out == "") == to_file
+    assert written[0] == written[1] and written[0].startswith("x,y,re,im\n")
+
+
+@pytest.mark.parametrize("fail", [ValueError, KeyboardInterrupt])
+def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monkeypatch,
+                                                          capsys):
+    # three parts of the 512 grid rows: [0, 170), [170, 341), [341, 512); the
+    # middle child raises (KeyboardInterrupt too ends a child with status 1),
+    # and the last child is killed or reaped before main returns
+    _cpus(monkeypatch, 3)
+
+    def failing(xs, values):
+        n, numbers, write = _grid_rows(xs, values)
+
+        def write_or_raise(fh, lo, hi):
+            if lo == 170:
+                raise fail("a row of the middle part")
+            write(fh, lo, hi)
+        return n, numbers, write_or_raise
+
+    monkeypatch.setattr(elliptic_dpp.cli, "_grid_rows", failing)
+    argv = f"kernel --type A --N 4 --grid 512 --out {tmp_path / 'k.csv'}"
+    assert main(argv.split()) == 2
+    cap = capsys.readouterr()
+    assert cap.err == "error: the writer of rows 170..340 of 512 exited with status 1\n"
+    assert _no_children()
+
+
+def test_an_interrupted_writer_kills_its_children(tmp_path, monkeypatch):
+    # the parent raises on its own part while its two children are still
+    # formatting (they would take a minute): both are killed and reaped
+    _cpus(monkeypatch, 3)
+
+    def write(fh, lo, hi):
+        if lo == 0:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _write_csv(str(tmp_path / "t.csv"), ("x",), (3, 3 * 2**16, write))
+    assert time.perf_counter() - t0 < 30.0 and _no_children()
+
+
+@pytest.mark.parametrize("one_part", ["no sched_getaffinity", "no fork", "a second thread"])
+def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch):
+    forks = _cpus(monkeypatch, 4)
+    if one_part == "a second thread":
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+    else:
+        monkeypatch.delattr(os, one_part.split()[1])
+    xs = np.arange(256.0)
+    out = tmp_path / "k.csv"
+    try:
+        _write_csv(str(out), ("x", "y", "re", "im"),
+                   _grid_rows(xs, np.outer(xs, xs) * (1.0 + 0.5j)))
+    finally:
+        if one_part == "a second thread":
+            done.set()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+    assert forks == [] and len(out.read_text().splitlines()) == 1 + 256 * 256
 
 
 def test_runconfig_defaults_fill_in():

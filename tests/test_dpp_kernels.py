@@ -604,6 +604,32 @@ def test_infinite_kernel_matches_large_finite_circle():
     assert worst / rho < 1e-3, f"finite vs infinite deviation {worst:.3e}"
 
 
+def test_infinite_spec_forms_its_taus_after_scaling_the_times():
+    # 2 pi i t overflowed before rho^2 scaled it down: this spec (horizon
+    # t* rho^2 = 200, tau ~ 628i) read "rho = 1.5e-153 too large ... (nan+infj)"
+    iks = InfiniteKernelSpec("C", 1.5e-153, 4.44e307, 8.9e307)
+    assert [tau.imag for tau in iks.taus] == pytest.approx(
+        [2.0 * np.pi * (s * 1.5e-153**2) for s in (4.44e307, 8.9e307 - 4.44e307, 8.9e307)],
+        rel=1e-14)
+    # at rho = 1 each tau is 2 pi i s, rounded once
+    assert InfiniteKernelSpec("A", 1.0, 0.3, 1.0).taus == (2j * np.pi * 0.3,
+                                                          2j * np.pi * (1.0 - 0.3), 2j * np.pi)
+
+
+@pytest.mark.parametrize("fam", ["A", "C"])
+@pytest.mark.parametrize("horizon", [50.0, 200.0])
+def test_infinite_kernel_scales_with_rho(fam, horizon):
+    # K_rho(x, y; t, t*) = rho K_1(rho x, rho y; t rho^2, t* rho^2): the
+    # lambda = rho mu substitution; at t = t*/2 and rho = 1.5e-153 the times
+    # reach 8.9e307 (horizon 200), where 2 pi t alone overflows
+    rho = 1.5e-153
+    t_star = horizon / rho**2
+    x, y = np.array([0.3, 1.3, 2.2]), np.array([0.3, 0.6, 0.9])
+    small = infinite_kernel(InfiniteKernelSpec(fam, rho, 0.5 * t_star, t_star), x / rho, y / rho)
+    unit = infinite_kernel(InfiniteKernelSpec(fam, 1.0, 0.5 * horizon, horizon), x, y)
+    assert np.max(np.abs(small - rho * unit)) <= 1e-9 * rho
+
+
 def test_infinite_kernel_wall_zero():
     iks = InfiniteKernelSpec("B", rho=1.0, t=0.5, t_star=1.0)
     assert abs(infinite_kernel(iks, 0.0, 0.7)) < 1e-13
