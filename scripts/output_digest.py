@@ -21,8 +21,9 @@ cannot be written, radii small enough that the weight matrices leave double
 range, small horizons where the determinant identity's matrix is past its
 condition limit, small times where the determinants of the joint density
 cancel in plain doubles and the Euler products of a(t) leave them, a kernel
-grid written to stdout in parts, and `limits` at rho != 1.  A full run takes
-about 20 s on a 2-core machine.
+grid written to stdout in parts, `limits` at rho != 1, and tables whose
+numbers have 3-digit exponents, negative round-off and zeros.  A full run
+takes about 20 s on a 2-core machine.
 """
 
 import contextlib
@@ -157,6 +158,11 @@ def _commands():
     # times near 1e308 (the last one, at t* rho^2 = 800, past it)
     cmds += ["limits --type C --N 3 --rho 1.5 --horizon 300",
              "limits --type C --N 2 --rho 1.5e-153"]
+    # tables in the formatter's other regimes: values from e+105 to e+136,
+    # 4 095 of them negative; values down to 5e-142 (3-digit exponents),
+    # negative round-off and zeros
+    cmds += ["theta --index 2 --tau-im 1 --v-im 10 --grid 4096",
+             "density --type Cv --N 2 --t 0.001 --t-star 1 --grid 4096"]
     return cmds
 
 

@@ -10,21 +10,28 @@ midpoint rule needs more rows than `macdonald.selberg_check` allows exits 1.
 
 Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
-stderr) for histograms, with floats at 17 significant digits; a kernel grid's
-coordinates are formatted once per grid, not once per row.  One writer,
-`_write_csv`, writes every table (`kernel`, `density --grid`, `theta`, the
-histogram of `sample`): its rows split into contiguous parts, one per available
-CPU with at least 2**16 numbers each, which forked writers format at the same
-time; a part count of 1 (a small table, one CPU, no `os.fork`, or a second
-thread running) forks nothing, and every part count writes the same bytes.
-There is no option for it.  A JSON file passed via --config supplies defaults
-for the verb's flags (keys = flag names with underscores); its values are
-checked like the flags, and explicit flags win.  Identical config + seed
-produces byte-identical output files.
+stderr) for histograms, with floats at 17 significant digits, byte for byte
+"%.17g"; a kernel grid's coordinates are formatted once per grid, not once
+per row.  `_fields` formats a block of numbers at once in numpy, from a
+double-double product with 10^k whose relative error is below ~2^-100, and
+falls back to "%.17g" % v for a value the doubles cannot decide (a rounding
+within 1e-9 of a tie, |v| outside [1e-280, 1e280] but 0, inf, nan).  One
+writer, `_write_csv`, writes every table (`kernel`, `density --grid`,
+`theta`, the histogram of `sample`): its rows split into contiguous parts,
+one per available CPU with at least 2**16 numbers each, which forked writers
+format at the same time; a part count of 1 (a small table, one CPU, no
+`os.fork`, or a second thread running) forks nothing, and every part count
+writes the same bytes.  There is no option for it.  A writer that fails
+names its rows and why, and a table being written to --out is removed.  A
+JSON file passed via --config supplies defaults for the verb's flags (keys =
+flag names with underscores); its values are checked like the flags, and
+explicit flags win.  Identical config + seed produces byte-identical output
+files.
 """
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -125,8 +132,8 @@ def _write_csv(path, header, table):
     A table is (n, numbers, write): n rows, the count of numbers they format,
     and write(fh, lo, hi), which writes rows lo..hi-1 to fh.  `_rows` makes the
     table of a tuple of numeric columns; in `_grid_rows`' table a row is every
-    y at one x.  Numbers are formatted "%.17g", the same conversion as
-    f"{float(v):.17g}".
+    y at one x.  Numbers are formatted by `_fields`, byte for byte "%.17g", the
+    same conversion as f"{float(v):.17g}".
 
     The rows split into `_parts(numbers)` contiguous parts, formatted at the
     same time.  One child is forked per part after the first; it writes its
@@ -135,8 +142,10 @@ def _write_csv(path, header, table):
     the first part straight to the target, then copies each child's file after
     it, in row order, once the child has exited 0.  The bytes are the same for
     every part count.  A child that fails raises ChildProcessError naming its
-    rows; on any exception here every child still running is killed and
-    reaped before it propagates.
+    rows and the child's exception (type and message) or the signal that
+    killed it; on any exception here every child still running is killed and
+    reaped, and a table being written to `path` is removed, before it
+    propagates.
     """
     n, numbers, write = table
     parts = _parts(numbers)
@@ -156,11 +165,10 @@ def _write_csv(path, header, table):
                 pid, lo, hi, part = children[0]
                 status = os.waitpid(pid, 0)[1]
                 children.pop(0)
-                if status != 0:
-                    raise ChildProcessError(
-                        f"the writer of rows {lo}..{hi - 1} of {n} exited with status "
-                        f"{os.waitstatus_to_exitcode(status)}")
                 part.seek(0)
+                if status != 0:
+                    raise ChildProcessError(f"the writer of rows {lo}..{hi - 1} of {n} "
+                                            f"{_failure(status, part)}")
                 shutil.copyfileobj(part, fh)
         except BaseException:
             if os.getpid() != parent:     # a child interrupted before `_write_part`
@@ -169,44 +177,263 @@ def _write_csv(path, header, table):
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
+            if path is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
             raise
 
 
+def _failure(status, part):
+    """How a writer child ended: its exit status and the reason it left in its
+    file `part`, or the signal that killed it."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"was killed by signal {-code}"
+    why = part.read()
+    return f"exited with status {code}" + (f": {why}" if why else "")
+
+
 def _write_part(write, fh, lo, hi):
-    """A forked child's work: rows lo..hi-1 to fh, then exit; never returns."""
+    """A forked child's work: rows lo..hi-1 to fh, then exit; never returns.
+    On an exception fh holds only its type and message, written past the
+    file object's buffer, for the parent's error line."""
     status = 1
     try:
         write(fh, lo, hi)
         fh.flush()
         status = 0
+    except BaseException as exc:
+        why = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+        os.ftruncate(fh.fileno(), 0)
+        os.pwrite(fh.fileno(), why.encode(fh.encoding, "replace"), 0)
     finally:
         os._exit(status)
 
 
+# ---------------------------------------------------------------------------
+# number formatting: "%.17g" for a block of doubles at once
+
+_BLOCK_NUMBERS = 2**13    # numbers formatted per block of rows (bounds the transient memory)
+_SPLIT = 134217729.0      # 2^27 + 1, Veltkamp's splitter
+
+
+@functools.cache
+def _tables():
+    """The formatter's lookup tables, built on first use.
+
+    "quads": the 4 ASCII digits of 0..9999, one little-endian uint32 each;
+    "lead" and "exp", per E + 330: the text before the digits of fixed
+    notation ("0.", ... "0.000") and the exponent of scientific notation
+    ("e+17", "e-100"), NUL-padded to 8 bytes; "pow10", per k + 300: fl(10^k),
+    its two Veltkamp halves and fl(10^k - fl(10^k)), NaN until `_pow10` fills
+    a column.
+    """
+    i = np.arange(10000, dtype=np.uint32)
+    quads = sum((i // 10 ** (3 - b) % 10 + 48) << 8 * b for b in range(4))   # byte b: digit b
+    E = range(-330, 331)
+    lead = "".join(("0." + "0" * (-e - 1) if -4 <= e < 0 else "").ljust(8, "\0") for e in E)
+    exp = "".join(("" if -4 <= e < 17 else "e%+03d" % e).ljust(8, "\0") for e in E)
+    return dict(quads=quads.astype("<u4"), lead=np.frombuffer(lead.encode(), np.uint64),
+                exp=np.frombuffer(exp.encode(), np.uint64),
+                pow10=np.full((4, 601), np.nan))
+
+
+def _pow10(k):
+    """fl(10^k), its Veltkamp halves and fl(10^k - fl(10^k)) for an int array
+    k in [-300, 300], each column computed exactly from Python ints once."""
+    table, i = _tables()["pow10"], k + 300
+    for j in set(i[np.isnan(table[0].take(i))].tolist()):
+        if j >= 300:
+            p = 10 ** (j - 300)
+            h = float(p)
+            low = float(p - int(h))
+        else:
+            d = 10 ** (300 - j)
+            h = 1 / d      # int / int rounds correctly
+            num, den = h.as_integer_ratio()
+            low = (den - num * d) / (den * d)
+        c = _SPLIT * h
+        hh = c - (c - h)
+        table[:, j] = h, hh, h - hh, low
+    return [row.take(i) for row in table]
+
+
+def _scaled(a, E):
+    """floor(a 10^(16 - E)) and the fraction past it, for a in [1e-280, 1e280].
+
+    The product is a double-double: Dekker's exact product of a and
+    h = fl(10^k), plus a fl(10^k - h); its relative error is below ~2^-100, so
+    the fraction is within ~1e-14 of the exact one.  Where E is right the
+    floor is in [10^16, 10^17), and the rounded product, >= 2^53, an integer.
+    """
+    h, hh, hl, low = _pow10(16 - E)
+    p = a * h
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    lo = ah * hh - p
+    lo += ah * hl
+    lo += al * hh
+    lo += al * hl
+    lo += a * low
+    fl = np.floor(lo)
+    D = p.astype(np.int64)
+    D += fl.astype(np.int64)
+    lo -= fl
+    return D, lo
+
+
+def _percent_g(v):
+    """The per-value path: "%.17g" of each value of the array v."""
+    return ["%.17g" % x for x in v.tolist()]
+
+
+def _fields(v):
+    """"%.17g" of each value of the float64 array v, as an (n, W) uint8
+    matrix: one ASCII field a row, padded with NUL bytes anywhere in it.
+
+    With E = floor(log10|v|), the 17 significant digits D are |v| 10^(16 - E)
+    rounded, from `_scaled`; E moves by one until floor(|v| 10^(16 - E)) is
+    in [10^16, 10^17), and a D that rounds up to 10^17 is 10^16 at E + 1.  The
+    layout follows "%g": fixed notation for -4 <= E < 17, scientific with at
+    least 2 exponent digits otherwise; trailing zeros of the fraction go, and
+    so does a point with no digit after it.  `_percent_g` formats what the
+    doubles cannot decide: a non-finite v, |v| outside [1e-280, 1e280] but 0,
+    a fraction within 1e-9 of 1/2, and an E not settled after two moves.
+    """
+    n = v.size
+    t = _tables()
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    zero = np.flatnonzero(a == 0)
+    np.copyto(a, 1.0, where=~fast)
+    E = np.log10(a)
+    E = np.floor(E, out=E).astype(np.int64)
+    D, frac = _scaled(a, E)
+    bad = np.flatnonzero((D < 10**16) | (D >= 10**17))
+    for _ in range(2):
+        if not bad.size:
+            break
+        E[bad] += np.where(D[bad] < 10**16, -1, 1)
+        D[bad], frac[bad] = _scaled(a[bad], E[bad])
+        bad = bad[(D[bad] < 10**16) | (D[bad] >= 10**17)]
+    frac -= 0.5
+    D += frac > 0
+    slow = np.abs(frac) <= 1e-9
+    slow |= ~fast
+    slow[zero] = False
+    slow[bad] = True
+    top = np.flatnonzero(D == 10**17)
+    D[top] = 10**16
+    E[top] += 1
+    # the digits: D's first, then four 4-digit groups g
+    hi = D // 10**8
+    halves = np.stack([hi, D - hi * 10**8], axis=1).astype(np.int32)
+    first = halves[:, 0] // 10**8
+    halves[:, 0] -= first * 10**8
+    g = np.stack([halves // 10**4, halves % 10**4], axis=2).reshape(n, 4)
+    digits = t["quads"].take(g).view(np.uint8)
+    # P digits before the point; K digits printed
+    sci = (E < -4) | (E > 16)
+    P = np.where(sci, 1, np.where(E < 0, 0, E + 1))
+    K = np.full(n, 17)
+    E[zero], P[zero], K[zero], digits[zero] = 0, 1, 1, 0
+    short = np.flatnonzero(digits[:, 15] == ord("0"))
+    if short.size:      # the fraction's trailing zeros go
+        nonzero = digits[short] != ord("0")
+        last = np.where(nonzero.any(axis=1), 16 - nonzero[:, ::-1].argmax(axis=1), 0)
+        K[short] = np.maximum(P[short], last + 1)
+        digits[short] *= np.arange(1, 17) < K[short, None]
+    point = K > P
+    slots = np.zeros(18, bool)
+    slots[P[point]] = True
+    Emin, Emax = int(E.min()), int(E.max())
+    nlead = min(5, max(0, 1 - Emin))
+    nexp = 0 if -4 <= Emin and Emax < 17 else 5 if min(Emin, -Emax) <= -100 else 4
+    cuts = np.flatnonzero(slots[1:17]).tolist()
+    out = np.empty((n, 2 + nlead + 16 + len(cuts) + nexp), np.uint8)
+    out[:, 0] = np.signbit(v).view(np.uint8) * np.uint8(ord("-"))
+    e = E + 330
+    if nlead:
+        out[:, 1:1 + nlead] = t["lead"].take(e).view(np.uint8).reshape(n, 8)[:, :nlead]
+    c = 1 + nlead
+    out[:, c] = first + ord("0")
+    out[zero, c] = ord("0")
+    c += 1
+    start = 0
+    for s in cuts + [16]:      # a point slot after digit s + 1 of each cut
+        out[:, c:c + s - start] = digits[:, start:s]
+        c += s - start
+        start = s
+        if s < 16:
+            out[:, c] = (point & (P == s + 1)).view(np.uint8) * np.uint8(ord("."))
+            c += 1
+    if nexp:
+        out[:, c:] = t["exp"].take(e).view(np.uint8).reshape(n, 8)[:, :nexp]
+    if slow.any():
+        idx = np.flatnonzero(slow)
+        text = "".join(s.ljust(24, "\0") for s in _percent_g(v[idx]))
+        if out.shape[1] < 24:
+            out = np.pad(out, ((0, 0), (0, 24 - out.shape[1])))
+        out[idx] = 0
+        out[idx, :24] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+    return out
+
+
+def _text(block):
+    """The ASCII text of a uint8 matrix, its NUL bytes dropped."""
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _rows(*cols):
-    """The table of numeric columns (arrays or scalars, broadcast together)."""
-    block = np.column_stack(np.broadcast_arrays(*cols))
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    """The table of numeric columns (arrays or scalars, broadcast together).
+
+    Rows are written in blocks of about `_BLOCK_NUMBERS` numbers: `_fields`
+    formats a block's numbers at once, and a "," or newline column follows
+    each field.
+    """
+    block = np.column_stack(np.broadcast_arrays(*cols)).astype(float, copy=False)
+    n, width = block.shape
+    step = max(1, _BLOCK_NUMBERS // width)
 
     def write(fh, lo, hi):
-        fh.write((row * (hi - lo)) % tuple(block[lo:hi].ravel().tolist()))
-    return len(block), block.size, write
+        for b in range(lo, hi, step):
+            fields = _fields(block[b:min(b + step, hi)].ravel())
+            w = fields.shape[1]
+            text = np.empty((len(fields), w + 1), np.uint8)
+            text[:, :w] = fields
+            text[:, w] = ord(",")
+            text[width - 1::width, w] = ord("\n")
+            fh.write(_text(text))
+    return n, block.size, write
 
 
 def _grid_rows(xs, values):
     """The table of (x, y, re, im) rows of the complex matrix `values` on the
     grid xs x xs; its row i is every y at x = xs[i].
 
-    Each coordinate is formatted once, into a template that holds every y of
-    a row and a placeholder for its x; only re and im are formatted per entry.
+    Each coordinate is formatted once, by one `_fields` call; re and im are
+    formatted a block of grid rows (about `_BLOCK_NUMBERS` numbers) at a time.
     """
-    text = ["%.17g" % x for x in xs.tolist()]
-    template = "".join("X," + y + ",%.17g,%.17g\n" for y in text)
+    coords = _fields(np.asarray(xs, dtype=float))
+    n, w = coords.shape
+    step = max(1, _BLOCK_NUMBERS // (2 * n))
 
     def write(fh, lo, hi):
-        for x, row in zip(text[lo:hi], values[lo:hi]):
-            fh.write(template.replace("X", x) % tuple(row.view(float).tolist()))
-    return len(text), 2 * values.size, write
+        for b in range(lo, hi, step):
+            e = min(b + step, hi)
+            fields = _fields(values[b:e].view(float).ravel())
+            v = fields.shape[1]
+            fields = fields.reshape(e - b, n, 2, v)
+            text = np.empty((e - b, n, 2 * w + 2 * v + 4), np.uint8)
+            text[:, :, :w] = coords[b:e, None]
+            text[:, :, w + 1:2 * w + 1] = coords
+            text[:, :, 2 * w + 2:2 * w + 2 + v] = fields[:, :, 0]
+            text[:, :, 2 * w + 3 + v:-1] = fields[:, :, 1]
+            text[:, :, [w, 2 * w + 1, 2 * w + 2 + v]] = ord(",")
+            text[:, :, -1] = ord("\n")
+            fh.write(_text(text))
+    return n, 2 * values.size, write
 
 
 def _report(results):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 
 import elliptic_dpp
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, transition
-from elliptic_dpp.cli import RunConfig, _grid_rows, _write_csv, main
+from elliptic_dpp.cli import RunConfig, _fields, _grid_rows, _write_csv, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
 from elliptic_dpp.macdonald import IllConditionedError
 from elliptic_dpp.root_systems import derive
@@ -593,6 +594,64 @@ def test_grid_writer_matches_per_value_formatting(parts, tmp_path, monkeypatch):
     assert len(forks) == parts - 1 and _no_children()
 
 
+def _sweep(case):
+    """The formatter's inputs, by case."""
+    rng = np.random.default_rng(2701)
+    if case == "bit patterns":
+        return rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    if case == "3 ulps around powers of ten":
+        up = down = [10.0 ** np.arange(-323, 309)]
+        for _ in range(3):
+            up, down = up + [np.nextafter(up[-1], np.inf)], down + [np.nextafter(down[-1], 0.0)]
+        near = np.concatenate(up + down[1:])
+        return np.concatenate([near, -near])
+    if case == "decimal midpoints":       # 17 digits, then a 5
+        return np.array([float(f"{m}5e{e}") for m, e in zip(
+            rng.integers(10**16, 10**17, 10**5).tolist(), rng.integers(-300, 290, 10**5).tolist())])
+    if case == "normals":
+        return rng.standard_normal(300000) * 10.0 ** rng.integers(-300, 300, 300000)
+    return np.array([                     # E = -5, -4, 16, 17 and their edges, 3-digit
+        1.5e-5, 9.9999999999999995e-5, 1e-4, 1.2345e-4, 0.00012345678901234567,
+        1e16, 1.2201327477289800e16, 9.999999999999998e16, 1e17, 1.5e17,
+        1e-100, 1e100, -2.5e-123, 1.7976931348623157e308, 2.2250738585072014e-308,
+        5e-324, -5e-324, 1e-280, 1e280, 9.9999999999999996e-281,
+        0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -3.0, 0.5, 0.1, 1 / 3, 100.0])
+
+
+@pytest.mark.parametrize("case", ["bit patterns", "3 ulps around powers of ten",
+                                  "decimal midpoints", "normals", "special values"])
+def test_fields_are_percent_g(case):
+    v = _sweep(case)
+    text = np.insert(_fields(v), 0, ord("\n"), axis=1).tobytes().translate(None, b"\0")
+    assert text.decode().split("\n")[1:] == ["%.17g" % x for x in v.tolist()]
+
+
+def test_a_rounding_tie_takes_the_per_value_path(monkeypatch):
+    # 1e15 + 0.25 is exact, and its 18th significant digit, the last, is a 5:
+    # scaled to 17 digits its fraction is exactly 1/2, which the doubles
+    # cannot round; its neighbours they can
+    seen = []
+    percent_g = elliptic_dpp.cli._percent_g
+    monkeypatch.setattr(elliptic_dpp.cli, "_percent_g",
+                        lambda v: seen.extend(v.tolist()) or percent_g(v))
+    v = np.array([1e15 + 0.25, np.nextafter(1e15 + 0.25, 0.0), np.nextafter(1e15 + 0.25, 2e15)])
+    text = np.insert(_fields(v), 0, ord("\n"), axis=1).tobytes().translate(None, b"\0")
+    assert text.decode().split("\n")[1:] == ["%.17g" % x for x in v.tolist()]
+    assert seen == [1e15 + 0.25] and "%.17g" % seen[0] == "1000000000000000.2"
+
+
+def test_a_kernel_grid_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma's first import costs a CLI call ~15 ms; np.unique would import it
+    src = str(Path(elliptic_dpp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from elliptic_dpp.cli import main; "
+            "assert main('kernel --grid 64 --out k.csv'.split()) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout == "False\n" and (tmp_path / "k.csv").stat().st_size > 0
+
+
 @pytest.mark.parametrize("argv, cpus", [
     ("kernel --type A --N 4 --t 0.5 --t-star 1 --grid 256", 2),     # 131 072 numbers
     ("kernel --type C --N 3 --t 0.2 --t-star 1 --grid 512", 3),
@@ -617,8 +676,9 @@ def test_every_part_count_writes_the_same_bytes(argv, cpus, to_file, tmp_path, m
 def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monkeypatch,
                                                           capsys):
     # three parts of the 512 grid rows: [0, 170), [170, 341), [341, 512); the
-    # middle child raises (KeyboardInterrupt too ends a child with status 1),
-    # and the last child is killed or reaped before main returns
+    # middle child raises (KeyboardInterrupt too ends a child with status 1)
+    # and sends back its exception, the last child is killed or reaped before
+    # main returns, and the half-written table is removed
     _cpus(monkeypatch, 3)
 
     def failing(xs, values):
@@ -631,11 +691,35 @@ def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monke
         return n, numbers, write_or_raise
 
     monkeypatch.setattr(elliptic_dpp.cli, "_grid_rows", failing)
-    argv = f"kernel --type A --N 4 --grid 512 --out {tmp_path / 'k.csv'}"
-    assert main(argv.split()) == 2
+    out = tmp_path / "k.csv"
+    assert main(f"kernel --type A --N 4 --grid 512 --out {out}".split()) == 2
     cap = capsys.readouterr()
-    assert cap.err == "error: the writer of rows 170..340 of 512 exited with status 1\n"
-    assert _no_children()
+    assert cap.err == ("error: the writer of rows 170..340 of 512 exited with status 1: "
+                       f"{fail.__name__}: a row of the middle part\n")
+    assert _no_children() and not out.exists()
+
+
+def test_a_killed_writer_is_named_as_killed(tmp_path, monkeypatch, capsys):
+    # the child of rows [256, 512) dies by SIGKILL after writing some rows
+    _cpus(monkeypatch, 2)
+
+    def killed(xs, values):
+        n, numbers, write = _grid_rows(xs, values)
+
+        def write_or_die(fh, lo, hi):
+            write(fh, lo, hi - 1)
+            if lo == 256:
+                fh.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            write(fh, hi - 1, hi)
+        return n, numbers, write_or_die
+
+    monkeypatch.setattr(elliptic_dpp.cli, "_grid_rows", killed)
+    out = tmp_path / "k.csv"
+    assert main(f"kernel --type A --N 4 --grid 512 --out {out}".split()) == 2
+    assert capsys.readouterr().err == (
+        f"error: the writer of rows 256..511 of 512 was killed by signal {int(signal.SIGKILL)}\n")
+    assert _no_children() and not out.exists()
 
 
 def test_an_interrupted_writer_kills_its_children(tmp_path, monkeypatch):
