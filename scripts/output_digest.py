@@ -21,9 +21,10 @@ cannot be written, radii small enough that the weight matrices leave double
 range, small horizons where the determinant identity's matrix is past its
 condition limit, small times where the determinants of the joint density
 cancel in plain doubles and the Euler products of a(t) leave them, a kernel
-grid written to stdout in parts, `limits` at rho != 1, and tables whose
-numbers have 3-digit exponents, negative round-off and zeros.  A full run
-takes about 20 s on a 2-core machine.
+grid written to stdout in parts, `limits` at rho != 1, tables whose
+numbers have 3-digit exponents, negative round-off and zeros, and samplers
+whose draws split into parts.  A full run takes about 20 s on a 2-core
+machine.
 """
 
 import contextlib
@@ -163,6 +164,9 @@ def _commands():
     # negative round-off and zeros
     cmds += ["theta --index 2 --tau-im 1 --v-im 10 --grid 4096",
              "density --type Cv --N 2 --t 0.001 --t-star 1 --grid 4096"]
+    # draws in parts on two or more CPUs: the 20 000-state default, and C8
+    cmds += ["sample --type A --N 4 --t 0.5 --t-star 1 --seed 7 --out s",
+             "sample --type C --N 8 --steps 4096 --seed 2 --out s"]
     return cmds
 
 

@@ -17,12 +17,13 @@ double-double product with 10^k whose relative error is below ~2^-100, and
 falls back to "%.17g" % v for a value the doubles cannot decide (a rounding
 within 1e-9 of a tie, |v| outside [1e-280, 1e280] but 0, inf, nan).  One
 writer, `_write_csv`, writes every table (`kernel`, `density --grid`,
-`theta`, the histogram of `sample`): its rows split into contiguous parts,
-one per available CPU with at least 2**16 numbers each, which forked writers
-format at the same time; a part count of 1 (a small table, one CPU, no
-`os.fork`, or a second thread running) forks nothing, and every part count
-writes the same bytes.  There is no option for it.  A writer that fails
-names its rows and why, and a table being written to --out is removed.  A
+`theta`, the histogram of `sample`): its rows split into contiguous parts
+by the part rule the sampler shares (`forks`), one per available CPU with
+at least 2**16 numbers each, which forked writers format at the same time;
+a part count of 1 (a small table, one CPU, no `os.fork`, or a second thread
+running) forks nothing, and every part count writes the same bytes.  There
+is no option for it.  A writer that fails names its rows and why, and a
+table being written to --out is removed.  A
 JSON file passed via --config supplies defaults for the verb's flags (keys =
 flag names with underscores); its values are checked like the flags, and
 explicit flags win.  Identical config + seed produces byte-identical output
@@ -35,14 +36,12 @@ import functools
 import json
 import os
 import shutil
-import signal
 import sys
-import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import forks
 from .dpp_kernels import (KernelSpec, density, empirical_density, exact_sample, intensity,
                           kernel_matrix)
 from .macdonald import IllConditionedError, selberg_check
@@ -115,17 +114,6 @@ def _open(path):
 _PART_NUMBERS = 2**16     # the fewest numbers a part of a split table formats
 
 
-def _parts(numbers):
-    """How many parts `_write_csv` formats a table of `numbers` numbers in: one
-    per available CPU, with at least `_PART_NUMBERS` numbers a part.  One part
-    where the platform lacks `os.sched_getaffinity` or `os.fork`, or where a
-    second thread runs: a forked copy of a multi-threaded process can deadlock."""
-    if (not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork")
-            or threading.active_count() != 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), numbers // _PART_NUMBERS))
-
-
 def _write_csv(path, header, table):
     """Write a CSV table to `path` (stdout for None): the header row, then the rows.
 
@@ -135,79 +123,27 @@ def _write_csv(path, header, table):
     y at one x.  Numbers are formatted by `_fields`, byte for byte "%.17g", the
     same conversion as f"{float(v):.17g}".
 
-    The rows split into `_parts(numbers)` contiguous parts, formatted at the
-    same time.  One child is forked per part after the first; it writes its
-    rows to an unnamed temporary file and exits, with status 1 on any
-    exception, so it never returns here.  This process writes the header and
-    the first part straight to the target, then copies each child's file after
-    it, in row order, once the child has exited 0.  The bytes are the same for
-    every part count.  A child that fails raises ChildProcessError naming its
-    rows and the child's exception (type and message) or the signal that
-    killed it; on any exception here every child still running is killed and
-    reaped, and a table being written to `path` is removed, before it
-    propagates.
+    The rows split into `forks.parts(numbers, _PART_NUMBERS)` contiguous
+    parts, formatted at the same time by `forks.run`: this process writes the
+    header and the first part straight to the target, and each forked child
+    its rows to a temporary file, which is copied after it in row order.  The
+    bytes are the same for every part count.  A child that fails raises
+    ChildProcessError naming its rows and the child's exception (type and
+    message) or the signal that killed it; on any exception a table being
+    written to `path` is removed before it propagates.
     """
     n, numbers, write = table
-    parts = _parts(numbers)
-    cut = [n * k // parts for k in range(parts + 1)]
-    parent, children = os.getpid(), []      # (pid, lo, hi, file) of the children not reaped
-    with _open(path) as fh, contextlib.ExitStack() as files:
+    with _open(path) as fh:
         try:
-            for lo, hi in zip(cut[1:-1], cut[2:]):
-                part = files.enter_context(tempfile.TemporaryFile("w+"))
-                pid = os.fork()
-                if pid == 0:
-                    _write_part(write, part, lo, hi)
-                children.append((pid, lo, hi, part))
             fh.write(",".join(header) + "\n")
-            write(fh, 0, cut[1])
-            while children:
-                pid, lo, hi, part = children[0]
-                status = os.waitpid(pid, 0)[1]
-                children.pop(0)
-                part.seek(0)
-                if status != 0:
-                    raise ChildProcessError(f"the writer of rows {lo}..{hi - 1} of {n} "
-                                            f"{_failure(status, part)}")
-                shutil.copyfileobj(part, fh)
+            forks.run(n, 0, forks.parts(numbers, _PART_NUMBERS),
+                      lambda lo, hi: write(fh, lo, hi), write,
+                      lambda part, lo, hi: shutil.copyfileobj(part, fh), "writer", mode="w+")
         except BaseException:
-            if os.getpid() != parent:     # a child interrupted before `_write_part`
-                os._exit(1)
-            for pid, *_ in children:
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
             if path is not None:
                 with contextlib.suppress(OSError):
                     os.remove(path)
             raise
-
-
-def _failure(status, part):
-    """How a writer child ended: its exit status and the reason it left in its
-    file `part`, or the signal that killed it."""
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        return f"was killed by signal {-code}"
-    why = part.read()
-    return f"exited with status {code}" + (f": {why}" if why else "")
-
-
-def _write_part(write, fh, lo, hi):
-    """A forked child's work: rows lo..hi-1 to fh, then exit; never returns.
-    On an exception fh holds only its type and message, written past the
-    file object's buffer, for the parent's error line."""
-    status = 1
-    try:
-        write(fh, lo, hi)
-        fh.flush()
-        status = 0
-    except BaseException as exc:
-        why = type(exc).__name__ + (f": {exc}" if str(exc) else "")
-        os.ftruncate(fh.fileno(), 0)
-        os.pwrite(fh.fileno(), why.encode(fh.encoding, "replace"), 0)
-    finally:
-        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

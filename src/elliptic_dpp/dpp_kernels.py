@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forks
 from .biortho import m_fn_parts, norm_const_log
 from .macdonald import KernelSpec, _density
 from .root_systems import derive
@@ -410,6 +411,7 @@ SAMPLER_TV_TOL = 1e-3   # limit on the tabulation error's total-variation bound
 _MASS_TOL = 1e-6        # allowed relative drift of a conditional's total mass
 _CHUNK = 512            # states drawn together; bounds the (chunk, 2 N^2) work arrays
 _LEAF = 8               # cells per leaf of the tree; a draw scans its leaf's cells
+_PART_ROWS = 512        # the fewest states a forked part of the draws takes
 
 
 @dataclass
@@ -556,10 +558,20 @@ def exact_sample(ks, states, seed=0):
     until the first `_PILOT` states (which are kept) bound it by half of
     `SAMPLER_TV_TOL`; AccuracyError if the whole run's bound exceeds it.
 
+    The pilot and the table choice are serial.  The states after the pilot
+    split into `forks.parts(states - _PILOT, _PART_ROWS)` contiguous parts,
+    one per available CPU with at least `_PART_ROWS` states each, drawn at
+    the same time by `forks.run`: this process draws the first, a forked
+    child each later one, and the children's rows and bounds come back in
+    row order.  A child's exception reaches the caller with its own type (an
+    AccuracyError stays one); a child killed by a signal raises
+    ChildProcessError naming its rows.  There is no option for it.
+
     The uniforms come from `SAMPLER_BLOCKS` seed-blocks spawned from `seed`
     (rows split evenly over the blocks in order), one per coordinate, so a
-    fixed (ks, states, seed) gives the same states bit for bit whatever the
-    chunk size `_CHUNK`.  Never returns NaN or out-of-alcove rows:
+    fixed (ks, states, seed) gives the same states, block ids, bound and
+    table bit for bit whatever the chunk size `_CHUNK` or the part count.
+    Never returns NaN or out-of-alcove rows:
     AccuracyError instead, also when a conditional's mass is not within
     1e-6 relative of N - k (the tables lost precision).
     """
@@ -584,7 +596,20 @@ def exact_sample(ks, states, seed=0):
         if est[:P].mean() <= 0.5 * SAMPLER_TV_TOL or nodes >= _MAX_NODES:
             break
         nodes = 2 * nodes - 1
-    _draw_rows(ks, U[P:], tables, lms, pos[P:], est[P:])
+
+    def draw(lo, hi):
+        _draw_rows(ks, U[lo:hi], tables, lms, pos[lo:hi], est[lo:hi])
+
+    def send(part, lo, hi):
+        draw(lo, hi)
+        part.write(np.column_stack([pos[lo:hi], est[lo:hi]]).tobytes())
+
+    def receive(part, lo, hi):
+        rows = np.frombuffer(part.read(), dtype=float).reshape(hi - lo, N + 1)
+        pos[lo:hi], est[lo:hi] = rows[:, :N], rows[:, N]
+
+    forks.run(S, P, forks.parts(S - P, _PART_ROWS), draw, send, receive, "sampler",
+              reraise=True)
     tv = float(np.mean(est))
     if tv > SAMPLER_TV_TOL:
         raise AccuracyError(

@@ -18,6 +18,7 @@ from elliptic_dpp.cli import RunConfig, _fields, _grid_rows, _write_csv, main
 from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
 from elliptic_dpp.macdonald import IllConditionedError
 from elliptic_dpp.root_systems import derive
+from elliptic_dpp.theta_core import AccuracyError
 from elliptic_dpp.verification import _configs, limits_suite, render
 
 
@@ -555,27 +556,13 @@ def test_ill_conditioned_pinned_matrix_fails_only_its_check(capsys):
     assert "pinned-path proportionality: residual=inf tol=1.0e-09 FAIL" in out
 
 
-def _cpus(monkeypatch, n):
-    """Let `_write_csv` see n available CPUs, and count its forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def _no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
-def test_grid_writer_matches_per_value_formatting(parts, tmp_path, monkeypatch):
+def test_grid_writer_matches_per_value_formatting(parts, tmp_path, cpus):
     # the streaming row writer must give the bytes of formatting every value
     # with f"{v:.17g}", including -0.0, subnormals, huge and tiny values, in
     # every part count (the grid's 524 288 numbers allow 8; 7 does not divide
     # its 512 rows)
-    forks = _cpus(monkeypatch, parts)
+    forks = cpus(parts)
     rng = np.random.default_rng(0)
     n = 512
     xs = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
@@ -591,7 +578,7 @@ def test_grid_writer_matches_per_value_formatting(parts, tmp_path, monkeypatch):
             lines.append(",".join(f"{float(v):.17g}" for v in
                                   (x, y, vals[i, j].real, vals[i, j].imag)))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert len(forks) == parts - 1 and _no_children()
+    assert len(forks) == parts - 1
 
 
 def _sweep(case):
@@ -652,34 +639,33 @@ def test_a_kernel_grid_leaves_numpy_ma_unimported(tmp_path):
     assert run.stdout == "False\n" and (tmp_path / "k.csv").stat().st_size > 0
 
 
-@pytest.mark.parametrize("argv, cpus", [
+@pytest.mark.parametrize("argv, count", [
     ("kernel --type A --N 4 --t 0.5 --t-star 1 --grid 256", 2),     # 131 072 numbers
     ("kernel --type C --N 3 --t 0.2 --t-star 1 --grid 512", 3),
     ("density --type A --N 4 --t 0.5 --t-star 1 --grid 49152", 3),  # 196 608 numbers
 ])
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-def test_every_part_count_writes_the_same_bytes(argv, cpus, to_file, tmp_path, monkeypatch,
-                                               capfd):
+def test_every_part_count_writes_the_same_bytes(argv, count, to_file, tmp_path, cpus, capfd):
     written = []
-    for n in (1, cpus):
-        forks = _cpus(monkeypatch, n)
+    for n in (1, count):
+        forks = cpus(n)
         out = tmp_path / f"{n}.csv"
         assert main(argv.split() + (["--out", str(out)] if to_file else [])) == 0
         cap = capfd.readouterr()
-        assert len(forks) == n - 1 and cap.err == "" and _no_children()
+        assert len(forks) == n - 1 and cap.err == ""
         written.append(out.read_text() if to_file else cap.out)
         assert (cap.out == "") == to_file
     assert written[0] == written[1] and written[0].startswith("x,y,re,im\n")
 
 
 @pytest.mark.parametrize("fail", [ValueError, KeyboardInterrupt])
-def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monkeypatch,
+def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monkeypatch, cpus,
                                                           capsys):
     # three parts of the 512 grid rows: [0, 170), [170, 341), [341, 512); the
     # middle child raises (KeyboardInterrupt too ends a child with status 1)
     # and sends back its exception, the last child is killed or reaped before
     # main returns, and the half-written table is removed
-    _cpus(monkeypatch, 3)
+    cpus(3)
 
     def failing(xs, values):
         n, numbers, write = _grid_rows(xs, values)
@@ -696,12 +682,12 @@ def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monke
     cap = capsys.readouterr()
     assert cap.err == ("error: the writer of rows 170..340 of 512 exited with status 1: "
                        f"{fail.__name__}: a row of the middle part\n")
-    assert _no_children() and not out.exists()
+    assert not out.exists()
 
 
-def test_a_killed_writer_is_named_as_killed(tmp_path, monkeypatch, capsys):
+def test_a_killed_writer_is_named_as_killed(tmp_path, monkeypatch, cpus, capsys):
     # the child of rows [256, 512) dies by SIGKILL after writing some rows
-    _cpus(monkeypatch, 2)
+    cpus(2)
 
     def killed(xs, values):
         n, numbers, write = _grid_rows(xs, values)
@@ -719,13 +705,13 @@ def test_a_killed_writer_is_named_as_killed(tmp_path, monkeypatch, capsys):
     assert main(f"kernel --type A --N 4 --grid 512 --out {out}".split()) == 2
     assert capsys.readouterr().err == (
         f"error: the writer of rows 256..511 of 512 was killed by signal {int(signal.SIGKILL)}\n")
-    assert _no_children() and not out.exists()
+    assert not out.exists()
 
 
-def test_an_interrupted_writer_kills_its_children(tmp_path, monkeypatch):
+def test_an_interrupted_writer_kills_its_children(tmp_path, cpus):
     # the parent raises on its own part while its two children are still
     # formatting (they would take a minute): both are killed and reaped
-    _cpus(monkeypatch, 3)
+    cpus(3)
 
     def write(fh, lo, hi):
         if lo == 0:
@@ -735,12 +721,12 @@ def test_an_interrupted_writer_kills_its_children(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         _write_csv(str(tmp_path / "t.csv"), ("x",), (3, 3 * 2**16, write))
-    assert time.perf_counter() - t0 < 30.0 and _no_children()
+    assert time.perf_counter() - t0 < 30.0
 
 
 @pytest.mark.parametrize("one_part", ["no sched_getaffinity", "no fork", "a second thread"])
-def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch):
-    forks = _cpus(monkeypatch, 4)
+def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch, cpus):
+    forks = cpus(4)
     if one_part == "a second thread":
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
@@ -758,6 +744,38 @@ def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch):
             thread.join(timeout=10.0)
             assert not thread.is_alive()
     assert forks == [] and len(out.read_text().splitlines()) == 1 + 256 * 256
+
+
+def test_sample_writes_the_same_files_in_every_part_count(tmp_path, cpus, capsys):
+    # 3 648 states: the pilot's 64, then up to 7 parts of 512 drawn at once
+    written = []
+    for n in (1, 2, 3, 7):
+        forks = cpus(n)
+        prefix = tmp_path / str(n)
+        assert main(f"sample --type A --N 4 --t 0.5 --t-star 1 --steps 3648 --seed 7 "
+                    f"--out {prefix}".split()) == 0
+        assert len(forks) == n - 1 and capsys.readouterr().err == ""
+        written.append([Path(f"{prefix}_{name}").read_bytes() for name in ("states.json",
+                                                                           "hist.csv")])
+    assert all(files == written[0] for files in written[1:])
+
+
+def test_a_failing_sampler_part_exits_1_with_its_error(tmp_path, monkeypatch, cpus, capsys):
+    # an AccuracyError in the middle of three parts stays an AccuracyError:
+    # exit status 1 and its own message, as in one process, not status 2
+    # through a ChildProcessError
+    forks = cpus(3)
+    parent, chunk = os.getpid(), elliptic_dpp.dpp_kernels._chain_rule_chunk
+
+    def chain_rule_chunk(*args):
+        if os.getpid() != parent and len(forks) == 1:
+            raise AccuracyError("conditional 1 has mass off by 1e-3 from 3")
+        return chunk(*args)
+
+    monkeypatch.setattr(elliptic_dpp.dpp_kernels, "_chain_rule_chunk", chain_rule_chunk)
+    assert main(f"sample --steps 1600 --out {tmp_path / 's'}".split()) == 1
+    assert capsys.readouterr().err == "error: conditional 1 has mass off by 1e-3 from 3\n"
+    assert len(forks) == 2
 
 
 def test_runconfig_defaults_fill_in():

@@ -1,8 +1,11 @@
 """Determinantal kernel, density, limit-kernel, and sampler checks."""
 
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -870,6 +873,122 @@ def test_exact_sample_does_not_depend_on_blas_threads(tag, N, t):
         runs.append(subprocess.run([sys.executable, "-c", _BLAS_RUN, tag, str(N), str(t)], env=env,
                                    check=True, capture_output=True, text=True).stdout)
     assert runs[0] and runs[0] == runs[1]
+
+
+# the pilot's 64 states, then 7 parts of 512 states on 7 CPUs
+_PARTS_STATES = dpp_kernels._PILOT + 7 * dpp_kernels._PART_ROWS
+
+
+@pytest.mark.parametrize("tag,N,t", [("A", 4, 0.5), ("C", 3, 0.3), ("A", 4, 0.01)])
+def test_exact_sample_is_the_same_in_every_part_count(tag, N, t, cpus):
+    # Hermitian, non-Hermitian, and a small time where the pilot doubles the
+    # table: states, block ids, bound and table are bit for bit those of one
+    # part at 2, 3 and 7 parts
+    ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
+    runs = []
+    for n in (1, 2, 3, 7):
+        forks = cpus(n)
+        runs.append(exact_sample(ks, _PARTS_STATES, seed=11))
+        assert len(forks) == n - 1
+    if t == 0.01:
+        assert runs[0].nodes > dpp_kernels.SAMPLER_NODES
+    for res in runs[1:]:
+        assert res.positions.tobytes() == runs[0].positions.tobytes()
+        assert res.block_ids.tobytes() == runs[0].block_ids.tobytes()
+        assert (res.tabulation_error, res.nodes) == (runs[0].tabulation_error, runs[0].nodes)
+
+
+def _failing_parts(monkeypatch, forks, fail):
+    """Make `_chain_rule_chunk` call fail[part] in each part it names, once
+    the parts are forked: part 0 is this process, part k the k-th child."""
+    parent, chunk = os.getpid(), dpp_kernels._chain_rule_chunk
+
+    def chain_rule_chunk(*args):
+        part = 0 if os.getpid() == parent else len(forks)
+        if forks and part in fail:
+            fail[part]()
+        return chunk(*args)
+
+    monkeypatch.setattr(dpp_kernels, "_chain_rule_chunk", chain_rule_chunk)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+# three parts of the rows after the pilot of 1600 states: [64, 576), [576,
+# 1088), [1088, 1600)
+@pytest.mark.parametrize("fail, raised, match", [
+    ({1: _raise(AccuracyError("conditional 2 has mass off"))}, AccuracyError,
+     "^conditional 2 has mass off$"),
+    ({1: _raise(ValueError("a middle row"))}, ValueError, "^a middle row$"),
+    ({1: _raise(KeyboardInterrupt())}, KeyboardInterrupt, "^$"),
+    ({1: _raise(_Unpicklable("a middle row"))}, ChildProcessError,
+     "^the sampler of rows 576..1087 of 1600 exited with status 1: _Unpicklable: a middle row$"),
+    ({1: lambda: os.kill(os.getpid(), signal.SIGKILL)}, ChildProcessError,
+     f"^the sampler of rows 576..1087 of 1600 was killed by signal {int(signal.SIGKILL)}$"),
+    ({0: _raise(ValueError("part 0")), 1: _raise(AccuracyError("part 1"))}, ValueError,
+     "^part 0$"),
+    ({1: _raise(AccuracyError("part 1")), 2: _raise(ValueError("part 2"))}, AccuracyError,
+     "^part 1$"),
+], ids=["AccuracyError", "ValueError", "KeyboardInterrupt", "unpicklable", "killed",
+        "part 0 first", "part 1 before part 2"])
+def test_a_failing_part_of_the_draws_raises_in_row_order(fail, raised, match, monkeypatch, cpus):
+    # a child's exception reaches the caller with its own type, one that does
+    # not pickle and a killed child as a ChildProcessError naming the rows;
+    # the first part in row order that fails is the one raised, and every
+    # child is reaped
+    forks = cpus(3)
+    _failing_parts(monkeypatch, forks, fail)
+    with pytest.raises(raised, match=match):
+        exact_sample(_ks("A", 4, t=0.5), 1600, seed=3)
+    assert len(forks) == 2
+
+
+def test_an_interrupted_sampler_kills_its_children(monkeypatch, cpus):
+    # this process raises on its part while the two children would draw for a
+    # minute: both are killed and reaped
+    forks = cpus(3)
+    _failing_parts(monkeypatch, forks, {0: _raise(KeyboardInterrupt()),
+                                        1: lambda: time.sleep(60.0), 2: lambda: time.sleep(60.0)})
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        exact_sample(_ks("A", 4, t=0.5), 1600, seed=3)
+    assert time.perf_counter() - t0 < 30.0 and len(forks) == 2
+
+
+@pytest.mark.parametrize("one_part", ["no sched_getaffinity", "no fork", "a second thread"])
+def test_sampler_forks_nothing_where_it_cannot(one_part, monkeypatch, cpus):
+    forks = cpus(4)
+    if one_part == "a second thread":
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+    else:
+        monkeypatch.delattr(os, one_part.split()[1])
+    try:
+        res = exact_sample(_ks("A", 4, t=0.5), 1088, seed=3)
+    finally:
+        if one_part == "a second thread":
+            done.set()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+    assert forks == [] and res.positions.shape == (1088, 4)
+
+
+@pytest.mark.parametrize("states, forked", [(100, 0), (575, 0), (1087, 0), (1088, 1)])
+def test_sampler_parts_take_at_least_512_states(states, forked, cpus):
+    # past the pilot's 64 states, two parts need 1024 states on 4 CPUs
+    forks = cpus(4)
+    assert exact_sample(_ks("A", 4, t=0.5), states, seed=3).positions.shape == (states, 4)
+    assert len(forks) == forked
 
 
 def test_exact_sample_seed_changes_output():
