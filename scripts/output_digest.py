@@ -132,6 +132,10 @@ def _commands():
         # a kernel factor past double range at a radius finalize accepts,
         # a subnormal theta Im tau and the smallest normal one
         "kernel --type C --N 3 --r 4.3e-154 --t 0.5 --t-star 1 --grid 2",
+        # kernel factors whose exponents ~|log m_n| cancel past the stated
+        # margin: the smallest radius in range, and a horizon of 1e16
+        "kernel --type A --N 2 --r 1e-153 --grid 2",
+        "kernel --type C --N 3 --t 5e15 --t-star 1e16 --grid 2",
         "theta --tau-im 1e-310",
         "theta --tau-im 2.2250738585072014e-308 --grid 2",
     ]

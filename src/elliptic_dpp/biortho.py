@@ -82,7 +82,7 @@ def norm_const_log(spec, j, t_star):
     jj = np.atleast_1d(j)
     if np.any(jj < 1) or np.any(jj > d.N):
         raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
-    tau_t, tau = (d.tau(t_star, "norm_const_log", p, closed_form=True) for p in (0, 2))
+    tau_t, tau = (d.tau(t_star, "norm_const_log", p) for p in (0, 2))
     J = np.asarray(d.offsets)[jj - 1]
     m, s = theta_parts(2, d.size * J * tau_t, tau)
     ok = (np.abs(m.imag) <= 1e-12 * np.abs(m)) & (m.real > 0.0)

@@ -270,7 +270,7 @@ def eta_formula_residual(spec, t):
     d = derive(spec)
     if d.walls != "circ":
         raise ValueError("eta closed form applies to the circle family only")
-    tau = d.tau(t, "eta_formula_residual", 1, closed_form=True)
+    tau = d.tau(t, "eta_formula_residual", 1)
     N, r = d.N, d.r
     # eta is positive on the imaginary axis: the left side's phase is 1
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)

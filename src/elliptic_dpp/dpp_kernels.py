@@ -118,6 +118,10 @@ def density(ks, xs):
 # ---------------------------------------------------------------------------
 # correlation kernel
 
+# the largest eps max_n |log m_n| `_factors` takes (see there)
+_FACTOR_MARGIN = 1e-8
+
+
 def _norms_log(ks):
     d = ks.family
     return norm_const_log(d, np.arange(1, d.N + 1), ks.t_star)
@@ -132,11 +136,20 @@ def _factors(ks, xs, ys, lms):
     cancel, and f_n (below ~1e2 for t = 1e-4 .. t* = 1e3) depends on its own
     point and time only.  When ys is xs at t = t*/2, b is a (K is Hermitian).
 
-    Raises AccuracyError if a factor leaves double range (a radius at the edge
-    of the accepted range, where the balance of exponents near 1e308 fails).
+    The two exponents of f_n, ~|log m_n| ~ J^2 t* / (2 r^2) in size, cancel to
+    O(1), so f_n carries a relative error of about eps max_n |log m_n| (K is off
+    by 0.1 to 8 times that against the trigonometric limit, 7 families, N = 2..6,
+    t* = 1e5 .. 1e8).  AccuracyError, naming the horizon, where that passes
+    `_FACTOR_MARGIN` = 1e-8, which keeps K within 2.4e-8 of its height, 40 times
+    below the 1e-6 the library checks K at (t* / r^2 up to ~1e7 for C3, ~5e7 for
+    A2); and AccuracyError if a factor leaves double range.
     """
     d = ks.family
     j = np.arange(1, d.N + 1)
+    lost = np.finfo(float).eps * float(np.max(np.abs(lms)))
+    if not lost <= _FACTOR_MARGIN:
+        raise AccuracyError(f"kernel factors at horizon t* = {ks.t_star!r}, radius r = {d.r!r}: "
+                            f"eps max|log m_n| = {lost:.3g} is past the margin {_FACTOR_MARGIN:g}")
 
     def f(x, s):
         mant, scale = m_fn_parts(d, j, x, s)

@@ -209,7 +209,7 @@ def coeff_a_log(spec, t):
     taken as a log through `eta_log`, so a(t) stays finite at every t > 0.
     """
     d = derive(spec)
-    y = d.tau(t, "coeff_a_log", 1, closed_form=True).imag
+    y = d.tau(t, "coeff_a_log", 1).imag
     pref, qexp, q0_terms = _A_TABLE[d.tag]
     out = np.log(pref) + qexp(d.N) * (-np.pi * y)  # log q(tau) = -pi Im tau
     for tmul, e in q0_terms:
@@ -246,7 +246,7 @@ def rhs_logc(spec, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
     d = derive(spec)
     xi = np.atleast_2d(np.asarray(xs, dtype=float)) / (2.0 * np.pi * d.r)
-    tau = d.tau(t, "rhs_logc", 1, closed_form=True)
+    tau = d.tau(t, "rhs_logc", 1)
     lp, pp = _logc_from_parts(*_product_parts(d.tag, xi, tau))
     return coeff_a_log(d, t) + lp, _det_phase(d.sharp, d.N) * pp
 
@@ -258,7 +258,7 @@ def denominator_residual(spec, xs, t):
     vanish, IllConditionedError when a matrix cannot support the residual.
     """
     d = derive(spec)
-    d.tau(t, "denominator_residual", 1, closed_form=True)
+    d.tau(t, "denominator_residual", 1)
     X = d.configurations(xs, "denominator_residual")
     lr, pr = rhs_logc(d, X, t)
     if np.any(lr == -np.inf):
@@ -307,8 +307,8 @@ def _density(d, X, t, t_star):
     xi = X / (2.0 * np.pi * d.r)
     lg = (coeff_a_log(d, t) + coeff_a_log(d, t_star - t)
           - norm_const_log(d, np.arange(1, d.N + 1), t_star).sum())
-    m1, s1 = _product_parts(d.tag, xi, d.tau(t_star - t, "density", 1, closed_form=True))
-    m2, s2 = _product_parts(d.tag, xi, d.tau(t, "density", 1, closed_form=True))
+    m1, s1 = _product_parts(d.tag, xi, d.tau(t_star - t, "density", 1))
+    m2, s2 = _product_parts(d.tag, xi, d.tau(t, "density", 1))
     return parts_value(m1 * m2, s1 + s2 + lg).real
 
 

@@ -98,14 +98,12 @@ class FamilySpec:
         naming `caller` and the first bad row."""
         return self._alcove(np.atleast_2d(np.asarray(xs, dtype=float)), caller, rows=True)
 
-    def tau(self, t, caller, power=0, closed_form=False):
-        """tau = size**power i t / (2 pi r^2) at the duration t; a ValueError naming
+    def tau(self, t, caller, power=0):
+        """tau = size**power i t / (2 pi r**2) at the duration t; a ValueError naming
         `caller`, r and t, and no numpy warning, where `theta_core._check_tau`
-        refuses it.  Each caller keeps its rounding: the closed forms (a(t), W,
-        the norms) divide by 2 pi r**2, the rest by (2 pi r) r; power 1 scales t."""
-        denom = 2.0 * math.pi * self.r**2 if closed_form else 2.0 * math.pi * self.r * self.r
+        refuses it.  Power 1 scales t, power 2 the quotient."""
         pre, post = (self.size, 1) if power == 1 else (1, self.size**power)
-        tau = 1j * pre * float(t) / denom * post     # Python floats: no numpy warning
+        tau = 1j * pre * float(t) / (2.0 * math.pi * self.r**2) * post  # floats: no warning
         _check_tau(tau, f"{caller}: radius r={self.r}, duration {t}: tau")
         return tau
 

@@ -1,7 +1,7 @@
-"""Jacobi theta functions on the upper half-plane.
+"""Jacobi theta functions at a purely imaginary half-period ratio.
 
 Four families, indexed 0..3, of the classical one-variable theta series in the
-(v, tau) convention with z = e^{i pi v}, q = e^{i pi tau}, Im tau > 0:
+(v, tau) convention with z = e^{i pi v}, q = e^{i pi tau}, tau = i y, y > 0:
 
     theta_0(v|tau) = sum_n (-1)^n q^{n^2} z^{2n}
     theta_1(v|tau) = i sum_n (-1)^n q^{(n-1/2)^2} z^{2n-1}
@@ -13,9 +13,8 @@ Four families, indexed 0..3, of the classical one-variable theta series in the
 The production evaluator `theta` / `theta_parts` combines three exact steps so
 the raw series is only ever summed with a small nome and a reduced argument:
 
-1. a fundamental-domain walk in tau (integer shifts tau -> tau - n and
-   inversions tau -> -1/tau, each with its classical index swap and phase),
-   which leaves Im tau >= sqrt(3)/2 for any input with Im tau > 0;
+1. below Im tau = 1, one imaginary transformation tau -> -1/tau with its
+   classical index swap and phase, which leaves Im tau >= 1;
 2. quasi-periodic reduction v -> v - m*tau - k with the exact exponential
    prefactor, leaving |Re v| <= 1/2 and |Im v| <= Im tau / 2;
 3. the series summed ring by ring (n and -n together) with a per-element peak
@@ -115,8 +114,10 @@ def _check_index(index):
 
 
 def _check_tau(tau, who="tau"):
-    """tau as a complex, or a ValueError whose message starts with `who`."""
+    """tau as a complex i y, or a ValueError whose message starts with `who`."""
     tau = complex(tau)
+    if tau.real != 0.0 and math.isfinite(tau.real):
+        raise ValueError(f"{who} must be purely imaginary (Re tau = 0), got {tau}")
     if not (math.isfinite(tau.real) and sys.float_info.min <= tau.imag < math.inf):
         raise ValueError(f"{who} must be finite with a positive, normal imaginary part, got {tau}")
     if not math.pi * tau.imag < math.inf:   # the series exponents start as pi Im tau
@@ -137,7 +138,7 @@ def _ring_sum(index, w, tau):
     e^{-pi Im tau (n-1)^2} of the peak term, and of the integer families
     (a = n) at most e^{-pi Im tau n(n-1)}.  Every ring whose bound is >= 1e-17
     is summed, R = 1 + floor(sqrt(ln(1e17) / (pi Im tau))) of them: R <= 4
-    after the fundamental-domain walk (Im tau >= sqrt(3)/2), R = 1 once
+    after the imaginary transformation (Im tau >= 1), R = 1 once
     Im tau > 12.5.
 
     Ring 1 is two exponentials, e^{i pi tau a^2 +- 2 pi i a w - peak}.  Each
@@ -199,26 +200,14 @@ def _flip(k):
 
 def _reduced_parts(index, w, tau):
     """theta_index(w | tau) as (mantissa, log_scale) arrays over the flat w:
-    the modular walk, the quasi-periodic reduction and the ring sum."""
+    the inversion, the quasi-periodic reduction and the ring sum."""
     # Factors collected on the way: `phase` a scalar, `mant`, `scale` and the
     # sign flips `sign` scalars until a step makes them per point.  Every
     # product is out of place: numpy rounds an in-place complex product on a
     # length-1 array differently.
     idx, phase, mant, scale, sign = index, 1.0, 1.0, 0.0, 1.0
-    # Fundamental-domain walk: shift Re tau into [-1/2, 1/2], invert while
-    # |tau| < 1.  For purely imaginary tau this is the familiar single
-    # imaginary transformation applied exactly when Im tau < 1, and no step
-    # at all from Im tau >= 1.
-    for _ in range(64):
-        nsh = round(tau.real)
-        if nsh:
-            tau = complex(tau.real - nsh, tau.imag)
-            if idx in (1, 2):
-                phase *= cmath.exp(0.25j * math.pi * nsh)
-            elif nsh % 2:
-                idx = 3 - idx  # 0 <-> 3 under odd shifts
-        if abs(tau) >= 1.0:
-            break
+    # imaginary transformation tau -> -1/tau, once, below Im tau = 1
+    if tau.imag < 1.0:
         # integer shift of the argument first, to keep v^2/tau well-conditioned
         k0 = np.rint(w.real)
         if idx in (1, 2):
@@ -235,8 +224,6 @@ def _reduced_parts(index, w, tau):
         idx = _INV_SWAP[idx]
         w = w / tau
         tau = -1.0 / tau
-    else:  # pragma: no cover - needs adversarial tau to trigger
-        raise AccuracyError(f"modular reduction did not terminate for tau = {tau}")
 
     # quasi-periodic reduction to |Re w| <= 1/2, |Im w| <= Im tau / 2
     m = np.rint(w.imag / tau.imag)
@@ -268,7 +255,7 @@ def theta_parts(index, v, tau):
     v : complex or array_like of complex
         Argument(s).  Vectorized; tau is a scalar.
     tau : complex
-        Half-period ratio, Im tau > 0.
+        Half-period ratio i y, y > 0: Re tau = 0.
 
     Returns
     -------
@@ -280,9 +267,9 @@ def theta_parts(index, v, tau):
     Every point is evaluated on its own: a value does not depend on the shape
     or length of the array it was computed in, bit for bit.
 
-    Raises ValueError for a non-finite v or a tau whose pi Im tau leaves
-    double range, and AccuracyError when the quasi-periodic prefactor does
-    (|Im v| ~ 1e154 Im tau).
+    Raises ValueError for a non-finite v or a tau that is not i y with y a
+    positive normal double and pi y a double, and AccuracyError when the
+    quasi-periodic prefactor leaves double range (|Im v| ~ 1e154 Im tau).
 
     Notes
     -----
@@ -298,7 +285,7 @@ def theta_parts(index, v, tau):
     lim = float(abs(w.view(float)).max(initial=0.0))
     if not lim < math.inf:
         raise ValueError("theta argument must be finite")
-    # |w|^2 / Im tau does not grow along the modular walk and bounds every
+    # |w|^2 / Im tau does not grow under the transformation and bounds every
     # exponent after it, so below these sizes nothing can overflow.
     if lim * lim <= _ARG_SAFE * min(tau.imag, 1.0) and tau.imag <= _ARG_SAFE:
         mant, scale = _reduced_parts(index, w, tau)

@@ -45,7 +45,7 @@ def test_criterion_1_theta_identity_suite():
     worst_exact = 0.0
     worst_heat = 0.0
     swap = {0: 2, 1: 1, 2: 0, 3: 3}
-    h = 1e-4
+    ih = 1e-4j
     for _ in range(200):
         v = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5))
         tau = 1j * rng.uniform(0.3, 2.5)
@@ -71,11 +71,13 @@ def test_criterion_1_theta_identity_suite():
                 * theta(swap[idx], v / tau, -1.0 / tau)
             worst_exact = max(worst_exact,
                               abs(theta(idx, v, tau) - inv) / max(abs(inv), 1e-12))
-            # diffusion equation, central differences; judged on the scale
-            # of the derivatives being compared
-            dt = (theta(idx, v, tau + h) - theta(idx, v, tau - h)) / (2 * h)
-            dvv = (theta(idx, v + h, tau) - 2 * theta(idx, v, tau)
-                   + theta(idx, v - h, tau)) / h ** 2
+            # diffusion equation, central differences with the complex step
+            # i h in both variables (tau stays on the imaginary axis, and
+            # both truncation errors turn by (i h)^2 = -h^2 alike); judged on
+            # the scale of the derivatives being compared
+            dt = (theta(idx, v, tau + ih) - theta(idx, v, tau - ih)) / (2 * ih)
+            dvv = (theta(idx, v + ih, tau) - 2 * theta(idx, v, tau)
+                   + theta(idx, v - ih, tau)) / ih ** 2
             worst_heat = max(worst_heat, abs(dt - dvv / (4j * np.pi))
                              / max(abs(dt), abs(theta(idx, v, tau)), 1.0))
     dt_run = time.time() - t0

@@ -216,13 +216,21 @@ def test_kernel_factor_past_double_range_is_an_error_line(verb, flags, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_smallest_radius_in_range_still_runs(tmp_path):
-    out = tmp_path / "k.csv"
-    assert main(["kernel", "--type", "A", "--N", "2", "--r", "1e-153", "--grid", "2",
-                 "--out", str(out)]) == 0
-    rows = [list(map(float, ln.split(","))) for ln in out.read_text().splitlines()[1:]]
-    assert len(rows) == 4 and np.all(np.isfinite(rows))
-    assert rows[0][2] > 0.0      # K(x, x) > 0
+@pytest.mark.parametrize("argv", [
+    "kernel --type A --N 2 --r 1e-153 --grid 2",                # the smallest radius in range
+    "kernel --type C --N 3 --t 5e15 --t-star 1e16 --grid 2",
+])
+def test_kernel_factors_past_the_margin_are_an_error_line(argv, tmp_path, capsys):
+    # eps max|log m_n| is past the factors' margin: there they give K(x, x) =
+    # 1.59e152 and 4.64 where the trigonometric limit is 3.18e152 and 1.27.
+    # An error line naming the horizon, and no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(f"{argv} --out {tmp_path / 'k.csv'}".split()) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: kernel factors at horizon t* = ")
+    assert "past the margin" in cap.err and cap.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_time_ordering_is_usage_error(capsys):

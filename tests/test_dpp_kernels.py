@@ -39,6 +39,7 @@ from elliptic_dpp.dpp_kernels import (
 from elliptic_dpp.macdonald import _product_parts, denominator_residual, selberg_check
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
+from elliptic_dpp.verification import biortho_suite
 from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
                      fredholm_residual)
 
@@ -279,7 +280,7 @@ def test_product_and_density_stay_finite_at_n16_small_time(tag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (ks.t, ks.t_star - ks.t):
-            tau = d.tau(s, "density", 1, closed_form=True)
+            tau = d.tau(s, "density", 1)
             m, sc = _product_parts(tag, X / (2.0 * np.pi * d.r), tau)
             assert np.all(np.isfinite(m)) and np.all(np.isfinite(sc)), s
         assert np.all(np.isfinite(density_batch(ks, X)))
@@ -501,6 +502,34 @@ def test_finite_kernel_reaches_trig_limit(tag):
             worst = max(worst, abs(km[i, j] - trig_kernel(d, x, y)))
     scale = 5 / (2 * np.pi)  # kernel height ~ N / (2 pi r)
     assert worst / scale < 1e-6, f"{tag}: trig deviation {worst:.3e}"
+
+
+def test_kernel_under_the_factor_margin_matches_the_trig_limit():
+    # at r = 1 and t* = 1e6 .. 4e7 the trigonometric limit holds far below
+    # double precision, so the deviation is the balanced factors' rounding:
+    # within 10 eps max|log m_n| of the kernel height (measured up to ~8,
+    # BC2), and never past the margin the factors accept
+    eps = np.finfo(float).eps
+    for tag, N, t_star in (("A", 2, 1e6), ("C", 3, 1e6), ("BC", 2, 1e7), ("A", 2, 4e7)):
+        ks = _ks(tag, N, t=t_star / 2, t_star=t_star)
+        lost = eps * np.max(np.abs(dpp_kernels._norms_log(ks)))
+        assert lost <= dpp_kernels._FACTOR_MARGIN
+        xs = np.linspace(0.11, 0.93, 7) * ks.family.length
+        dev = np.abs(kernel_matrix(ks, xs, xs) - trig_kernel(ks.family, xs[:, None], xs))
+        assert np.max(dev) / (N / (2 * np.pi)) <= 10 * lost, (tag, N, t_star)
+
+
+def test_every_user_of_the_factors_refuses_past_the_margin():
+    # C3 at t* = 1e8: eps max|log m_n| = 8.9e-8, past the 1e-8 margin, for
+    # the kernel, K(x, x), the Gram check (its lines read inf) and the sampler
+    ks = _ks("C", 3, t=5e7, t_star=1e8)
+    xs = np.array([0.5, 1.5])
+    for call in (lambda: kernel_matrix(ks, xs, xs), lambda: intensity(ks, xs),
+                 lambda: exact_sample(ks, 4)):
+        with pytest.raises(AccuracyError, match=r"^kernel factors at horizon t\* = 100000000.0"):
+            call()
+    lines = biortho_suite(ks.family, ks.t, ks.t_star)
+    assert [line.residual for line in lines] == [np.inf, np.inf]
 
 
 def test_trig_kernel_shared_table():

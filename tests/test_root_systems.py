@@ -327,23 +327,23 @@ def test_functions_refuse_a_bad_duration(name, r, t):
     assert type(err.value) is ValueError
 
 
-# (power, closed_form) -> the expression its callers had before the rule
-_ROUNDINGS = {
-    (1, True): lambda d, t: 1j * d.size * t / (2.0 * np.pi * d.r**2),        # a(t), W
-    (0, True): lambda d, t: 1j * t / (2.0 * np.pi * d.r**2),                 # the norms
-    (2, True): lambda d, t: d.size**2 * (1j * t / (2.0 * np.pi * d.r**2)),
-    (0, False): lambda d, t: 1j * t / (2.0 * math.pi * d.r * d.r),          # transition
-    (2, False): lambda d, t: d.size * d.size * (1j * t / (2.0 * np.pi * d.r * d.r)),  # M_j
+# power -> tau = size**power i t / (2 pi r**2), as the closed forms (a(t), W,
+# the norms) wrote it
+_ONE_ROUNDING = {
+    0: lambda d, t: 1j * t / (2.0 * math.pi * d.r**2),
+    1: lambda d, t: 1j * d.size * t / (2.0 * math.pi * d.r**2),
+    2: lambda d, t: d.size**2 * (1j * t / (2.0 * math.pi * d.r**2)),
 }
 
 
-@pytest.mark.parametrize("power, closed_form", list(_ROUNDINGS))
-def test_tau_rule_keeps_each_callers_rounding(power, closed_form):
-    # bit for bit, at radii where 2 pi r**2 and (2 pi r) r round apart (0.7,
-    # 0.02) and where they agree, and sizes 3 to 8
+@pytest.mark.parametrize("power", list(_ONE_ROUNDING))
+def test_tau_rule_has_one_rounding(power):
+    # bit for bit, and purely imaginary, at radii where 2 pi r**2 and
+    # (2 pi r) r round apart (0.7, 0.02) and where they agree, and sizes 3
+    # to 8: every caller at one power gets the same tau
     for tag, N, r in (("A", 3, 1.0), ("C", 3, 0.7), ("BC", 2, 0.02), ("D", 4, 1.7)):
         d = derive((tag, N, r))
         for t in (0.4, 0.5, 1e-4, 50.0 / 3.0):
-            want = _ROUNDINGS[power, closed_form](d, t)
-            got = d.tau(t, "test", power, closed_form=closed_form)
-            assert (got.real, got.imag) == (want.real, want.imag), (tag, t)
+            want = _ONE_ROUNDING[power](d, t)
+            got = d.tau(t, "test", power)
+            assert (got.real, got.imag) == (0.0, want.imag), (tag, t)
