@@ -4,10 +4,15 @@
 Runs each command in-process against the package in ./src (so run it from
 the root of a checkout) and prints
 
-    <sha256> <exit status> <argv>
+    <sha256> <values sha256> <exit status> <argv>
 
-where the hash covers the command's stdout, stderr and every file it wrote.
-Two checkouts are compared with one diff:
+where the first hash covers the command's stdout, stderr and every file it
+wrote, byte for byte, and the second the values of the files it wrote: each
+file's name, then its numbers parsed as float64 (a CSV table's columns after
+its header row; the states JSON's array, then its metadata by key, numbers as
+float64 and strings as JSON text), any other file's bytes.  A change to how
+numbers are written moves the first hash and holds the second.  Two
+checkouts are compared with one diff:
 
     (cd /path/to/old && python3 /path/to/output_digest.py) > old.txt
     python3 scripts/output_digest.py > new.txt
@@ -30,12 +35,15 @@ machine.
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 T_SMALL = repr(0.01 * 2.0 * math.pi / 16.0)      # Im tau ~ 0.01 for A4 at t
 T_STAR_LARGE = repr(100.0 * 2.0 * math.pi / 36.0)  # Im tau ~ 50 for D4 at t*/2
@@ -174,8 +182,24 @@ def _commands():
     return cmds
 
 
+def _values(path):
+    """The bytes the values hash covers for one written file."""
+    if path.suffix == ".csv":
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).tobytes()
+    if path.suffix == ".json":
+        meta = json.loads(path.read_text())
+        parts = [np.asarray(meta.pop("states"), dtype=np.float64).tobytes()]
+        for key, value in sorted(meta.items()):
+            text = isinstance(value, str)
+            parts.append(key.encode() + b"=" + (json.dumps(value).encode() if text
+                                                else np.float64(value).tobytes()))
+        return b"\0".join(parts)
+    return path.read_bytes()
+
+
 def _digest(main, argv):
-    """Run one command in an empty directory; hash stdout, stderr and files."""
+    """Run one command in an empty directory; hash stdout, stderr and files,
+    and the values of the files."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -191,14 +215,16 @@ def _digest(main, argv):
                     err.write(f"{type(exc).__name__}: {exc}\n")
         finally:
             os.chdir(cwd)
-        h = hashlib.sha256()
+        h, v = hashlib.sha256(), hashlib.sha256()
         h.update(out.getvalue().encode())
         h.update(b"\0")
         h.update(err.getvalue().encode())
         for path in sorted(Path(tmp).iterdir()):
             h.update(b"\0" + path.name.encode() + b"\0")
             h.update(path.read_bytes())
-    return h.hexdigest(), status
+            v.update(b"\0" + path.name.encode() + b"\0")
+            v.update(_values(path))
+    return h.hexdigest(), v.hexdigest(), status
 
 
 def main():
@@ -207,8 +233,8 @@ def main():
 
     for cmd in _commands():
         argv = shlex.split(cmd)
-        digest, status = _digest(cli_main, argv)
-        print(f"{digest} {status} {cmd}", flush=True)
+        digest, values, status = _digest(cli_main, argv)
+        print(f"{digest} {values} {status} {cmd}", flush=True)
     return 0
 
 

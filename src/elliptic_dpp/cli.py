@@ -17,13 +17,15 @@ double-double product with 10^k whose relative error is below ~2^-100, and
 falls back to "%.17g" % v for a value the doubles cannot decide (a rounding
 within 1e-9 of a tie, |v| outside [1e-280, 1e280] but 0, inf, nan).  One
 writer, `_write_csv`, writes every table (`kernel`, `density --grid`,
-`theta`, the histogram of `sample`): its rows split into contiguous parts
+`theta`, the histogram of `sample`) and the states of `sample`, whose
+<prefix>_states.json is json.dumps' metadata around a states array of
+"[x1,...,xN]" rows of "%.17g" numbers: its rows split into contiguous parts
 by the part rule the sampler shares (`forks`), one per available CPU with
 at least 2**16 numbers each, which forked writers format at the same time;
 a part count of 1 (a small table, one CPU, no `os.fork`, or a second thread
 running) forks nothing, and every part count writes the same bytes.  There
-is no option for it.  A writer that fails names its rows and why, and a
-table being written to --out is removed.  A
+is no option for it.  A writer that fails names its rows and why, and the
+file it was writing is removed.  A
 JSON file passed via --config supplies defaults for the verb's flags (keys =
 flag names with underscores); its values are checked like the flags, and
 explicit flags win.  Identical config + seed produces byte-identical output
@@ -114,18 +116,21 @@ def _open(path):
 _PART_NUMBERS = 2**16     # the fewest numbers a part of a split table formats
 
 
-def _write_csv(path, header, table):
-    """Write a CSV table to `path` (stdout for None): the header row, then the rows.
+def _write_csv(path, head, table, tail=""):
+    """Write a table to `path` (stdout for None): the text `head`, the rows,
+    then the text `tail`.
 
     A table is (n, numbers, write): n rows, the count of numbers they format,
     and write(fh, lo, hi), which writes rows lo..hi-1 to fh.  `_rows` makes the
-    table of a tuple of numeric columns; in `_grid_rows`' table a row is every
-    y at one x.  Numbers are formatted by `_fields`, byte for byte "%.17g", the
-    same conversion as f"{float(v):.17g}".
+    table of a tuple of numeric columns, as CSV lines or as the rows of a JSON
+    array; in `_grid_rows`' table a row is every y at one x.  Numbers are
+    formatted by `_fields`, byte for byte "%.17g", the same conversion as
+    f"{float(v):.17g}".  A CSV table's head is its header row; the states file
+    of `sample` is its JSON text before and after the states array.
 
     The rows split into `forks.parts(numbers, _PART_NUMBERS)` contiguous
     parts, formatted at the same time by `forks.run`: this process writes the
-    header and the first part straight to the target, and each forked child
+    head and the first part straight to the target, and each forked child
     its rows to a temporary file, which is copied after it in row order.  The
     bytes are the same for every part count.  A child that fails raises
     ChildProcessError naming its rows and the child's exception (type and
@@ -135,10 +140,11 @@ def _write_csv(path, header, table):
     n, numbers, write = table
     with _open(path) as fh:
         try:
-            fh.write(",".join(header) + "\n")
+            fh.write(head)
             forks.run(n, 0, forks.parts(numbers, _PART_NUMBERS),
                       lambda lo, hi: write(fh, lo, hi), write,
                       lambda part, lo, hi: shutil.copyfileobj(part, fh), "writer", mode="w+")
+            fh.write(tail)
         except BaseException:
             if path is not None:
                 with contextlib.suppress(OSError):
@@ -321,25 +327,38 @@ def _text(block):
     return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _rows(*cols):
+def _rows(*cols, json_array=False):
     """The table of numeric columns (arrays or scalars, broadcast together).
 
-    Rows are written in blocks of about `_BLOCK_NUMBERS` numbers: `_fields`
-    formats a block's numbers at once, and a "," or newline column follows
-    each field.
+    A row is its fields joined by ",", then a newline: a CSV line.  With
+    `json_array` a row is "[", its fields joined by ",", "]", and a "," unless
+    it is the table's last row: the rows of a JSON array of arrays.  Rows are
+    written in blocks of about `_BLOCK_NUMBERS` numbers: `_fields` formats a
+    block's numbers at once, and a "," or a row's end follows each field.
     """
     block = np.column_stack(np.broadcast_arrays(*cols)).astype(float, copy=False)
     n, width = block.shape
     step = max(1, _BLOCK_NUMBERS // width)
+    # JSON rows take a column before each field, "[" at a row's start, and one
+    # after its "," or "]", the "," between rows
+    lead = int(json_array)
 
     def write(fh, lo, hi):
         for b in range(lo, hi, step):
-            fields = _fields(block[b:min(b + step, hi)].ravel())
+            e = min(b + step, hi)
+            fields = _fields(block[b:e].ravel())
             w = fields.shape[1]
-            text = np.empty((len(fields), w + 1), np.uint8)
-            text[:, :w] = fields
-            text[:, w] = ord(",")
-            text[width - 1::width, w] = ord("\n")
+            text = np.empty((len(fields), w + 1 + 2 * lead), np.uint8)
+            text[:, lead:lead + w] = fields
+            text[:, lead + w] = ord(",")
+            if json_array:
+                text[:, [0, -1]] = 0
+                text[::width, 0] = ord("[")
+                text[width - 1::width, -2:] = np.frombuffer(b"],", np.uint8)
+                if e == n:
+                    text[-1, -1] = 0
+            else:
+                text[width - 1::width, w] = ord("\n")
             fh.write(_text(text))
     return n, block.size, write
 
@@ -378,7 +397,7 @@ def _report(results):
     return 0 if all(res.passed for res in results) else 1
 
 
-_GRID = ("x", "y", "re", "im")
+_GRID = "x,y,re,im\n"
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +446,28 @@ def _run_verify(cfg):
 
 
 def _run_sample(cfg):
+    """Draw --steps states; write <prefix>_states.json and <prefix>_hist.csv.
+
+    The states file is the text of json.dumps (sorted keys, no spaces) of the
+    run's metadata with the states array filled in by `_write_csv`: one
+    "[x1,...,xN]" row of "%.17g" numbers per state, which loads back to the
+    sampled doubles bit for bit.
+    """
     ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
     res = exact_sample(ks, cfg.steps, seed=cfg.seed)
     hist = empirical_density(res, bins=cfg.bins)
 
     prefix = cfg.out or "sample"
-    states = {
+    meta = json.dumps({
         "type": cfg.type, "N": cfg.N, "r": cfg.r,
         "t": cfg.t, "t_star": cfg.t_star, "seed": cfg.seed,
         "steps": cfg.steps, "tabulation_error": res.tabulation_error, "nodes": res.nodes,
-        "states": res.positions.tolist(),
-    }
-    with open(prefix + "_states.json", "w") as fh:
-        # json.dumps runs the C encoder; json.dump to a file the Python one
-        fh.write(json.dumps(states, sort_keys=True, separators=(",", ":")) + "\n")
-    _write_csv(prefix + "_hist.csv",
-               ("bin_left", "bin_right", "count", "density", "stderr"),
+        "states": [],
+    }, sort_keys=True, separators=(",", ":"))
+    head, tail = meta.split("[]")       # the states' rows go between the brackets
+    _write_csv(prefix + "_states.json", head + "[", _rows(res.positions, json_array=True),
+               "]" + tail + "\n")
+    _write_csv(prefix + "_hist.csv", "bin_left,bin_right,count,density,stderr\n",
                _rows(hist.bin_left, hist.bin_right, hist.count, hist.density, hist.stderr))
     print(f"states={len(res.positions)} tabulation_error={res.tabulation_error:.1e} "
           f"files={prefix}_states.json,{prefix}_hist.csv")

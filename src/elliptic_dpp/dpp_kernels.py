@@ -164,31 +164,38 @@ def _factors(ks, xs, ys, lms):
     return a, b
 
 
-# rows of the result per block of the mode sum: 64 rows of a 512 grid keep the
-# row block, its product buffer and the factor rows in cache
-_SUM_ROWS = 64
+# entries of the result per block of the mode sum: 32 rows of a 512 grid keep
+# the block's contiguous re and im sums, its product buffer and the factor rows
+# in cache
+_SUM_ENTRIES = 2**14
 
 
 def _kernel_sum(a, b, grid):
     """sum_n a_n(x) conj b_n(y) for the factors a, b (`_factors`) on the grid
     xs x ys (grid) or the pairs (x_i, y_i), one real ufunc call per real
-    product into the .real/.imag views of the result: numpy's complex multiply
-    rounds by operand layout, this by an entry's points only.  The sum runs
-    over blocks of `_SUM_ROWS` rows; an entry's operations and their order do
-    not depend on the block."""
-    out = np.zeros((a.shape[1], b.shape[1]) if grid else a.shape[1:], dtype=complex)
+    product: numpy's complex multiply rounds by operand layout, this by an
+    entry's points only.  The sum runs over blocks of rows of about
+    `_SUM_ENTRIES` entries, whose re and im parts add up in contiguous buffers
+    from 0 and are copied into the result once per block; an entry's
+    operations and their order do not depend on the block."""
+    out = np.empty((a.shape[1], b.shape[1]) if grid else a.shape[1:], dtype=complex)
     if grid:
         a = a[:, :, None]       # (N, rows, 1) against b's (N, columns)
-    for start in range(0, len(out), _SUM_ROWS):
-        rows = slice(start, start + _SUM_ROWS)
-        re, im = out.real[rows], out.imag[rows]
-        tmp = np.empty(re.shape)
+    step = max(1, _SUM_ENTRIES // (out.shape[1] if grid else 1))
+    acc = np.empty((3, min(step, len(out))) + out.shape[1:])
+    for start in range(0, len(out), step):
+        rows = slice(start, start + step)
+        re, im, tmp = acc[:, :len(out) - start]
+        re.fill(0.0)
+        im.fill(0.0)
         by = b if grid else b[:, rows]
         for ar, ai, br, bi in zip(a.real[:, rows], a.imag[:, rows], by.real, by.imag):
             re += np.multiply(ar, br, out=tmp)
             re += np.multiply(ai, bi, out=tmp)
             im += np.multiply(ai, br, out=tmp)
             im -= np.multiply(ar, bi, out=tmp)
+        out.real[rows] = re
+        out.imag[rows] = im
     return out
 
 

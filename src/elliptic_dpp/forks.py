@@ -1,6 +1,6 @@
 """Row parts done at the same time, one forked child per part after the first.
 
-The CSV writer (`cli._write_csv`) and the sampler (`dpp_kernels.exact_sample`)
+The table writer (`cli._write_csv`) and the sampler (`dpp_kernels.exact_sample`)
 split their rows into contiguous parts the same way: `parts` is how many, one
 per available CPU above a per-part floor, and `run` does the parts, this
 process the first and a forked child each later one, and gathers the

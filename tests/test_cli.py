@@ -15,7 +15,7 @@ import pytest
 import elliptic_dpp
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, transition
 from elliptic_dpp.cli import RunConfig, _fields, _grid_rows, _write_csv, main
-from elliptic_dpp.dpp_kernels import KernelSpec, density, kernel, kernel_matrix
+from elliptic_dpp.dpp_kernels import KernelSpec, density, exact_sample, kernel, kernel_matrix
 from elliptic_dpp.macdonald import IllConditionedError
 from elliptic_dpp.root_systems import derive
 from elliptic_dpp.theta_core import AccuracyError
@@ -579,7 +579,7 @@ def test_grid_writer_matches_per_value_formatting(parts, tmp_path, cpus):
     vals.real[0, :5] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308]
     vals.imag[1, :3] = [-0.0, 4.9e-324, -1e-320]
     out = tmp_path / "g.csv"
-    _write_csv(str(out), ("x", "y", "re", "im"), _grid_rows(xs, vals))
+    _write_csv(str(out), "x,y,re,im\n", _grid_rows(xs, vals))
     lines = ["x,y,re,im"]
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
@@ -728,7 +728,7 @@ def test_an_interrupted_writer_kills_its_children(tmp_path, cpus):
 
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        _write_csv(str(tmp_path / "t.csv"), ("x",), (3, 3 * 2**16, write))
+        _write_csv(str(tmp_path / "t.csv"), "x\n", (3, 3 * 2**16, write))
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -744,7 +744,7 @@ def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch, c
     xs = np.arange(256.0)
     out = tmp_path / "k.csv"
     try:
-        _write_csv(str(out), ("x", "y", "re", "im"),
+        _write_csv(str(out), "x,y,re,im\n",
                    _grid_rows(xs, np.outer(xs, xs) * (1.0 + 0.5j)))
     finally:
         if one_part == "a second thread":
@@ -766,6 +766,75 @@ def test_sample_writes_the_same_files_in_every_part_count(tmp_path, cpus, capsys
         written.append([Path(f"{prefix}_{name}").read_bytes() for name in ("states.json",
                                                                            "hist.csv")])
     assert all(files == written[0] for files in written[1:])
+
+
+@pytest.mark.parametrize("tag, N, steps, seed", [("A", 4, 300, 7), ("C", 1, 100, 2)])
+def test_states_file_is_percent_g_rows_of_the_sampled_positions(tag, N, steps, seed, tmp_path,
+                                                                 capsys):
+    # the metadata is json.dumps' text; each state is one "[x1,...,xN]" row of
+    # "%.17g" numbers, which load back to the sampled doubles bit for bit
+    prefix = tmp_path / "s"
+    assert main(f"sample --type {tag} --N {N} --steps {steps} --seed {seed} "
+                f"--out {prefix}".split()) == 0
+    capsys.readouterr()
+    res = exact_sample(KernelSpec((tag, N, 1.0), t=0.5, t_star=1.0), steps, seed=seed)
+    text = Path(f"{prefix}_states.json").read_text()
+    loaded = json.loads(text)
+    states = np.asarray(loaded.pop("states"), dtype=np.float64)
+    assert states.shape == (steps, N)
+    assert np.array_equal(states.view(np.int64), res.positions.view(np.int64))
+    assert loaded == {"type": tag, "N": N, "r": 1.0, "t": 0.5, "t_star": 1.0, "seed": seed,
+                      "steps": steps, "tabulation_error": res.tabulation_error,
+                      "nodes": res.nodes}
+    rows = ",".join("[" + ",".join("%.17g" % v for v in row) + "]"
+                    for row in res.positions.tolist())
+    assert text == (json.dumps({**loaded, "states": []}, sort_keys=True, separators=(",", ":"))
+                    .replace("[]", "[" + rows + "]") + "\n")
+
+
+def test_states_file_is_the_same_bytes_in_every_part_count(tmp_path, monkeypatch, cpus, capsys):
+    # 300 states of 4 numbers at 64 numbers a part: the states array and the
+    # histogram (40 bins of 5 numbers) split into as many parts as CPUs
+    monkeypatch.setattr(elliptic_dpp.cli, "_PART_NUMBERS", 64)
+    written = []
+    for n in (1, 2, 3):
+        forks = cpus(n)
+        prefix = tmp_path / str(n)
+        assert main(f"sample --steps 300 --seed 7 --out {prefix}".split()) == 0
+        assert len(forks) == 2 * (n - 1) and capsys.readouterr().err == ""
+        written.append([Path(f"{prefix}_{name}").read_bytes() for name in ("states.json",
+                                                                           "hist.csv")])
+    assert all(files == written[0] for files in written[1:])
+    json.loads(written[0][0])
+
+
+@pytest.mark.parametrize("parts, err", [
+    (1, "error: a state row\n"),
+    (2, "error: the writer of rows 150..299 of 300 exited with status 1: "
+        "ValueError: a state row\n"),
+], ids=["1 part", "2 parts"])
+def test_a_failing_states_writer_is_an_error_line_and_leaves_no_file(parts, err, tmp_path,
+                                                                     monkeypatch, cpus, capsys):
+    # the states writer raises after the last row, in this process at 1 part
+    # and in the child of rows 150..299 at 2: exit 2, and no file is left
+    monkeypatch.setattr(elliptic_dpp.cli, "_PART_NUMBERS", 64)
+    cpus(parts)
+    rows = elliptic_dpp.cli._rows
+
+    def failing(*cols, json_array=False):
+        n, numbers, write = rows(*cols, json_array=json_array)
+
+        def write_or_raise(fh, lo, hi):
+            write(fh, lo, hi)
+            if json_array and hi == n:
+                raise ValueError("a state row")
+        return n, numbers, write_or_raise
+
+    monkeypatch.setattr(elliptic_dpp.cli, "_rows", failing)
+    prefix = tmp_path / "s"
+    assert main(f"sample --steps 300 --seed 7 --out {prefix}".split()) == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_failing_sampler_part_exits_1_with_its_error(tmp_path, monkeypatch, cpus, capsys):
