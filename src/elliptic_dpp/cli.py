@@ -49,7 +49,8 @@ from .dpp_kernels import (KernelSpec, density, empirical_density, exact_sample, 
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
-from .verification import SUITES, CheckResult, _sine_specs, limits_suite, render, run_suites
+from .verification import (SUITES, CheckResult, _large_n_specs, _sine_specs, limits_suite,
+                           render, run_suites)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -83,8 +84,9 @@ class RunConfig:
         if "t" in _VERB_FLAGS[self.command][1]:
             KernelSpec(d, self.t, self.t_star)         # the time pair and the tau rule
         if self.command == "limits":
-            try:     # the sine lines' infinite-volume specs, at t* = horizon / rho^2
+            try:     # the sine lines' infinite-volume specs, at t* = horizon / rho^2,
                 _sine_specs(d.sharp, self.rho, self.horizon)
+                _large_n_specs(d, self.rho)      # and the N -> infinity line's
             except ValueError as exc:
                 raise ValueError(f"--rho {self.rho!r} and --horizon {self.horizon!r}: "
                                  f"{exc}") from None

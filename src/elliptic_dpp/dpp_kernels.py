@@ -70,7 +70,9 @@ class InfiniteKernelSpec:
     t* - t and t*, the product s rho^2 formed first (as (s rho) rho), so a
     large time at a small density gives the moderate tau it scales to rather
     than overflowing in 2 pi i s.  A rho whose taus the theta engine would
-    refuse is refused here, as "too small" or "too large".
+    refuse is refused here, as "too small" or "too large".  `infinite_kernel`
+    takes every spec at t = t*/2 and refuses one at t != t*/2 past
+    t* rho^2 = 1.5e6, where its round-off bound passes 1e-9 rho.
     """
 
     family: str
@@ -340,36 +342,33 @@ def _inf_integrand(iks, x, y, lam):
     return 0.5 * mant, top
 
 
+_INF_PANEL_NODES = 24     # Gauss-Legendre nodes per lambda panel of `infinite_kernel`
+_INF_LOST = 1e-9          # the most round-off, over rho, `infinite_kernel` takes
+
+
 def _inf_panels(iks):
-    # The integrand switches dominant theta-series term where the continuous
-    # peak index crosses the half-integer lattice: at lambda = 0 and rho for
-    # the circle reduction, at lambda = 0 for the reflected ones.  The switch
-    # happens over a layer of width ~ 1/(4 pi^2 rho T) with T the largest
-    # horizon in play, so at big t*rho^2 plain panels stall; grade a short
-    # panel of ~45 layer widths onto each switch point instead.
-    rho = iks.rho
+    """Edges of the lambda panels, growing 4-fold out from each point where the
+    integrand switches dominant theta term (lambda = 0, and rho for A: A's are
+    mirrored about rho/2, B-D's about 0), the first half the narrowest switch
+    layer's width 1/(4 pi^2 rho t*)."""
+    half = 0.5 * iks.rho if iks.family == "A" else iks.rho
+    edges, h = [0.0], 1.0 / (8.0 * math.pi**2 * iks.rho * iks.t_star)
+    while h < half:
+        edges.append(h)
+        h *= 4.0
+    edges = np.array(edges + [half])
     if iks.family == "A":
-        delta = 1.0 / (4.0 * np.pi**2 * rho * iks.t_star)
-        edge = 45.0 * delta
-        if edge < rho / 8.0:
-            return ((0.0, edge), (edge, 0.5 * rho),
-                    (0.5 * rho, rho - edge), (rho - edge, rho))
-        return ((0.0, 0.5 * rho), (0.5 * rho, rho))
-    delta = 1.0 / (2.0 * np.pi**2 * rho * max(iks.t, iks.t_star - iks.t))
-    edge = 45.0 * delta
-    if edge < rho / 8.0:
-        return ((-rho, -edge), (-edge, 0.0), (0.0, edge), (edge, rho))
-    return ((-rho, 0.0), (0.0, rho))
+        return np.concatenate((edges, iks.rho - edges[-2::-1]))
+    return np.concatenate((-edges[:0:-1], edges))
 
 
 def _inf_quad(iks, x, y, nodes):
-    """Gauss-Legendre sums at the point pairs (x, y), 1-d arrays, from one
-    `_inf_integrand` call; each panel is summed at its own largest scale per
-    pair and the panels combined in parts.  A pair's sum is the same bit for
-    bit whatever pairs share the call."""
-    panels = _inf_panels(iks)
-    n = max(nodes // len(panels), 8)
-    lam, w = np.stack([_gl_nodes(n, lo, hi) for lo, hi in panels], axis=1)
+    """Gauss-Legendre sums, `nodes` nodes on each panel of `_inf_panels`, at the
+    point pairs (x, y), 1-d arrays, from one `_inf_integrand` call; each panel
+    is summed at its own largest scale per pair and the panels combined in
+    parts.  A pair's sum is the same bit for bit whatever pairs share the call."""
+    edges = _inf_panels(iks)
+    lam, w = _gl_nodes(nodes, edges[:-1, None], edges[1:, None])     # (panels, nodes)
     x, y = np.atleast_1d(x)[:, None], np.atleast_1d(y)[:, None]
     mant, sc = (a.reshape(-1, *lam.shape) for a in _inf_integrand(iks, x, y, lam.ravel()))
     acc, top = 0.0 + 0.0j, -np.inf
@@ -381,42 +380,37 @@ def _inf_quad(iks, x, y, nodes):
     return parts_value(acc, top)
 
 
-_INF_NODES = 128       # first total node count of `infinite_kernel`
-_INF_TOL = 1e-9         # relative agreement of two node levels
-
-
 def infinite_kernel(iks, x, y):
-    """Infinite-volume kernel via Gauss-Legendre in lambda with node doubling.
+    """Infinite-volume kernel: the lambda integral by one Gauss-Legendre rule
+    fixed in advance, `_INF_PANEL_NODES` = 24 nodes on each panel of
+    `_inf_panels`: 336 nodes at t* rho^2 = 50, 624 (A) or 672 (B-D) at 3e5, 48
+    more per factor 4 of the horizon.  The integrand's switch layers, of width
+    ~1/(4 pi^2 rho s) at s = t, t* - t, t*, sit at panel ends, where a
+    geometric mesh converges exponentially (Gui and Babuska, Numer. Math. 49,
+    1986).
 
-    The interval is cut into panels whose ends sit on the integrand's
-    dominant-term switch points (see _inf_panels), then the per-panel node
-    count doubles from `_INF_NODES` in total until two levels agree to
-    `_INF_TOL` relative or 2048 total nodes are exceeded (then AccuracyError).
+    Error bound: 1e-12 rho, plus 3 eps t* rho^2 rho at t != t*/2.  The rule is
+    within 4e-13 rho of its 96-node-a-panel run (A-D, rho = 1e-3 .. 1e3,
+    t* rho^2 = 1e-3 .. 1e8).  The three thetas' scales, each up to ~pi^2 t*
+    rho^2, cancel to O(1): exactly at t = t*/2, where the times are doublings
+    of each other, and otherwise up to round-off, measured at most 2.3 eps t*
+    rho^2 rho (t* rho^2 = 1e5 .. 1.5e6, worst at D's wall).  AccuracyError,
+    naming the horizon, where 3 eps t* rho^2 passes `_INF_LOST` = 1e-9 at
+    t != t*/2 (t* rho^2 past 1.5e6), decided before any evaluation.
 
-    x and y broadcast: the pairs share one doubling, and each pair's value
-    is the one from the level where that pair converged, equal bit for bit
-    to the one-pair call.  Scalars give a complex, arrays a complex array.
+    x and y broadcast; a pair's value is the same bit for bit whatever pairs
+    share the call.  Scalars give a complex, arrays a complex array.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if iks.family != "A" and (np.any(x < 0.0) or np.any(y < 0.0)):
         raise ValueError("reflected-family kernels live on x, y >= 0")
-    xs, ys = x.ravel(), y.ravel()
-    out = np.empty(xs.shape, dtype=complex)
-    todo = np.arange(xs.size)           # the pairs not converged yet
-    n = _INF_NODES
-    prev = _inf_quad(iks, xs, ys, n)
-    while n < 2048 and todo.size:
-        n *= 2
-        cur = _inf_quad(iks, xs[todo], ys[todo], n)
-        delta = np.abs(cur - prev)
-        done = delta <= _INF_TOL * np.maximum(np.abs(cur), iks.rho)
-        out[todo[done]] = cur[done]
-        todo, prev, delta = todo[~done], cur[~done], delta[~done]
-    if todo.size:
-        raise AccuracyError(
-            f"lambda quadrature not converged at {n} nodes (last delta "
-            f"{np.max(delta):.3e})"
-        )
+    horizon = iks.t_star * iks.rho * iks.rho
+    lost = 3.0 * np.finfo(float).eps * horizon
+    if iks.t_star - iks.t != iks.t and not lost <= _INF_LOST:
+        raise AccuracyError(f"infinite kernel at horizon t*rho^2 = {horizon:.6g} and "
+                            f"t != t*/2: its round-off 3 eps t*rho^2 = {lost:.3g} is past "
+                            f"{_INF_LOST:g}")
+    out = _inf_quad(iks, x.ravel(), y.ravel(), _INF_PANEL_NODES)
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

@@ -67,14 +67,14 @@ def _or_inf(fn, *args, lines=1):
 
 
 def _configs(seed, d, n):
-    """n configurations (n, N) drawn in turn from default_rng(seed); margins keep
-    them off the walls, a gap floor keeps the identities well conditioned."""
-    rng, L, out = np.random.default_rng(seed), d.length, []
+    """The first n accepted rows (n, N) of batches drawn from default_rng(seed);
+    margins keep them off the walls, a gap floor keeps the identities well
+    conditioned."""
+    rng, L, out = np.random.default_rng(seed), d.length, np.empty((0, d.N))
     while len(out) < n:
-        xs = np.sort(rng.uniform(0.03 * L, 0.97 * L, d.N))
-        if d.N == 1 or np.min(np.diff(xs)) > 0.01 * L:
-            out.append(xs)
-    return np.array(out)
+        X = np.sort(rng.uniform(0.03 * L, 0.97 * L, (2 * n, d.N)), axis=1)
+        out = np.concatenate((out, X[np.min(np.diff(X), axis=1, initial=L) > 0.01 * L]))
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +268,21 @@ def _sine_specs(fam, rho, horizon):
     return specs
 
 
+def _large_n_specs(d, rho):
+    """(KernelSpec, InfiniteKernelSpec) pairs of the N -> infinity line, at
+    t* = 1 / rho^2 and t / t* = 0.1, 0.5: the family of d's tag at N = 64 and
+    r = size / (2 pi rho), about rho points per unit length.  ValueError
+    where a spec refuses rho."""
+    big = derive((d.tag, 64, derive((d.tag, 64)).size / (2.0 * math.pi * rho)))
+    t_star = 1.0 / rho**2
+    return [(KernelSpec(big, t=f * t_star, t_star=t_star),
+             InfiniteKernelSpec(d.sharp, rho=rho, t=f * t_star, t_star=t_star))
+            for f in (0.1, 0.5)]
+
+
 def limits_suite(d, rho, horizon):
     """Degeneration limits of one family: trigonometric, sine at the horizon
-    t* rho^2 = `horizon`, the sine convergence law, and large N.
+    t* rho^2 = `horizon`, the sine convergence law, and N -> infinity.
 
     Not one of SUITES: at the default horizon 50 the sine line fails by design
     (see the comment on it), and `verify --suite all` must keep passing.
@@ -298,7 +310,6 @@ def limits_suite(d, rho, horizon):
     (_, first), *law = _sine_specs(fam, rho, horizon)
 
     def sine_dev(ik):
-        # the three pairs share one node doubling at the horizon of ik
         return _worst(*(abs(k - sine_kernel(sfam, x, y, rho))
                         for k, (x, y) in zip(infinite_kernel(ik, px, py), pts)))
 
@@ -310,17 +321,14 @@ def limits_suite(d, rho, horizon):
     results.append(CheckResult("sine convergence law (deviation x horizon)",
                                spread, 2e-2))
 
-    # (c) large-N circle surrogate: N = 64 finite kernel vs infinite form
-    N = 64
-    rr = N / (2 * np.pi * 1.0)
-    ks64 = KernelSpec(("A", N, rr), t=0.5, t_star=1.0)
-    ik = InfiniteKernelSpec("A", rho=1.0, t=0.5, t_star=1.0)
-    x0 = 0.3 * 2 * np.pi * rr
-    xs = x0 + np.array([0.1, 0.5, 1.0, 2.0])
-    fin = kernel_matrix(ks64, xs, [x0])[:, 0]
-    worst = float(np.max(np.abs(fin - infinite_kernel(ik, xs, x0))))
-    results.append(CheckResult("infinite kernel vs finite N=64 circle",
-                               worst, 1e-3))
+    # (c) N -> infinity: the run's family at N = 64 against its infinite
+    # kernel, at the sine lines' pairs
+    worst = 0.0
+    for ks, ik in _large_n_specs(d, rho):
+        fin = np.diag(kernel_matrix(ks, px, py))
+        worst = _worst(worst, float(np.max(np.abs(fin - infinite_kernel(ik, px, py)))))
+    results.append(CheckResult(f"infinite kernel vs finite N=64 {d.tag} (limit {fam})",
+                               worst / rho, 1e-10))
     return results
 
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import transition
-from elliptic_dpp.dpp_kernels import _factors, density_batch, kernel_matrix
+from elliptic_dpp.dpp_kernels import _factors, _inf_integrand, density_batch, kernel_matrix
 from elliptic_dpp.root_systems import derive
-from elliptic_dpp.theta_core import AccuracyError, parts_value
+from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 
 
 class UnsupportedScaleError(ValueError):
@@ -351,3 +351,48 @@ def ring_sum_direct(index, w, tau, rings):
                 ring = -ring
             total = total + ring
     return total, peak
+
+
+# ---------------------------------------------------------------------------
+# the infinite-volume kernel's lambda integral on a mesh of its own
+
+@functools.lru_cache(maxsize=None)
+def _legendre_newton(n):
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method on P_n,
+    from the three-term recurrence: O(n^2).  numpy's `leggauss` is an O(n^3)
+    eigensolve, minutes at n = 8192, and its end weights are off by 9e-10
+    relative already at n = 513 (against mpmath; these read 5e-12)."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))     # Tricomi's guesses
+    for _ in range(5):
+        p0, p1 = np.ones(n), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x[::-1], 2.0 / ((1.0 - x * x) * dp * dp)[::-1]
+
+
+def inf_kernel_reference(iks, x, y, nodes=8192):
+    """The lambda integral of `infinite_kernel` at the pairs (x, y), 1-d
+    arrays, by Gauss-Legendre with `nodes` nodes on each of four panels whose
+    inner ends sit 45 switch-layer widths from the switch points (two plain
+    halves when that is past an eighth of the range): 32 768 nodes in all.
+    It shares only `_inf_integrand` with the library, not the mesh."""
+    rho = iks.rho
+    if iks.family == "A":
+        edge = 45.0 / (4.0 * np.pi**2 * rho * iks.t_star)
+        cuts = ((0.0, edge, 0.5 * rho, rho - edge, rho) if edge < rho / 8.0
+                else (0.0, 0.5 * rho, rho))
+    else:
+        edge = 45.0 / (2.0 * np.pi**2 * rho * max(iks.t, iks.t_star - iks.t))
+        cuts = (-rho, -edge, 0.0, edge, rho) if edge < rho / 8.0 else (-rho, 0.0, rho)
+    x, y = np.atleast_1d(x)[:, None], np.atleast_1d(y)[:, None]
+    acc, top = 0.0 + 0.0j, -np.inf
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        u, w = _legendre_newton(nodes * 4 // (len(cuts) - 1))
+        lam, w = 0.5 * (hi - lo) * u + 0.5 * (lo + hi), 0.5 * (hi - lo) * w
+        mant, sc = _inf_integrand(iks, x, y, lam)
+        peak = sc.max(axis=1)
+        acc, top = parts_sum(acc, top, np.sum(parts_value(w * mant, sc - peak[:, None]), axis=1),
+                             peak)
+    return parts_value(acc, top)

@@ -355,7 +355,7 @@ def test_density_points_on_walls_and_coincident_are_allowed(capsys):
 
 def test_limits_reports_honest_sine_gap(capsys):
     # at the default horizon the sine leg misses 1e-6 by design; the other
-    # three legs (trig, convergence law, N=64 surrogate) must pass
+    # three legs (trig, convergence law, N -> infinity) must pass
     assert main(["limits", "--type", "A", "--N", "5"]) == 1
     lines = _lines(capsys)
     assert len(lines) == 4
@@ -363,7 +363,28 @@ def test_limits_reports_honest_sine_gap(capsys):
     assert verdicts["trigonometric limit (t*/r^2 = 100)"] == "PASS"
     assert verdicts["sine limit (t*rho^2 = 50)"] == "FAIL"
     assert verdicts["sine convergence law (deviation x horizon)"] == "PASS"
-    assert verdicts["infinite kernel vs finite N=64 circle"] == "PASS"
+    assert verdicts["infinite kernel vs finite N=64 A (limit A)"] == "PASS"
+
+
+@pytest.mark.parametrize("tag, sharp", [("A", "A"), ("B", "B"), ("Bv", "B"), ("C", "C"),
+                                        ("Cv", "C"), ("BC", "C"), ("D", "D")])
+def test_limits_large_n_line_reads_the_run_family(tag, sharp):
+    # the family of the run's tag at N = 64 and density rho, at t/t* = 0.1 and
+    # 0.5, against its infinite kernel; the run's own N does not enter
+    for N in ((2,) if tag == "D" else (1, 2)):
+        for rho in (1e-3, 1.0, 1.5, 1e3):
+            row = limits_suite(derive((tag, N, 1.0)), rho, 50.0)[-1]
+            assert row.name == f"infinite kernel vs finite N=64 {tag} (limit {sharp})"
+            assert row.tol == 1e-10 and row.residual <= 1e-13, (N, rho, row.residual)
+
+
+def test_limits_refuses_a_rho_the_large_n_line_cannot_take(capsys):
+    # the sine lines take rho = 3e-153, but the N = 64 family's radius
+    # r = size / (2 pi rho) puts its tau at t* = 1 / rho^2 below the normal doubles
+    assert main(["limits", "--type", "C", "--N", "2", "--rho", "3e-153"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rho 3e-153 and --horizon 50.0: KernelSpec: radius r=")
+    assert err.count("\n") == 1
 
 
 def test_limits_names_the_sine_spec_it_refuses(capsys):

@@ -41,7 +41,7 @@ from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 from elliptic_dpp.verification import biortho_suite
 from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
-                     fredholm_residual)
+                     fredholm_residual, inf_kernel_reference)
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
 T, T_STAR = 0.4, 1.0
@@ -674,11 +674,11 @@ def test_infinite_kernel_rejects_negative_halfline():
 
 
 def _inf_quad_per_panel(iks, x, y, nodes):
-    # the one-integrand-call-per-panel form that `_inf_quad` replaced
-    panels = dpp_kernels._inf_panels(iks)
+    # one integrand call per panel of the same mesh
+    edges = dpp_kernels._inf_panels(iks)
     acc, top = 0.0 + 0.0j, -np.inf
-    for lo, hi in panels:
-        lam, w = dpp_kernels._gl_nodes(max(nodes // len(panels), 8), lo, hi)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        lam, w = dpp_kernels._gl_nodes(nodes, lo, hi)
         mant, sc = dpp_kernels._inf_integrand(iks, x, y, lam)
         peak = float(sc.max())
         acc, top = parts_sum(acc, top, np.sum(parts_value(w * mant, sc - peak)), peak)
@@ -690,48 +690,106 @@ def _inf_quad_per_panel(iks, x, y, nodes):
 def test_inf_quad_one_call_matches_per_panel_loop(fam, horizon):
     iks = InfiniteKernelSpec(fam, rho=1.0, t=horizon / 2, t_star=horizon)
     for x, y in ((0.3, 0.3), (1.3, 0.6), (2.2, 0.9)):
-        for nodes in (16, 128, 256, 512, 1024, 2048):
+        for nodes in (8, 24, 48):
             one = dpp_kernels._inf_quad(iks, x, y, nodes)
             assert np.array(one).tobytes() == np.array(
                 _inf_quad_per_panel(iks, x, y, nodes)).tobytes()
 
 
-def _one_pair_doubling(iks, x, y):
-    # the per-pair doubling `infinite_kernel` ran before pairs shared one:
-    # (value, total node count where it converged)
-    n = dpp_kernels._INF_NODES
-    prev = dpp_kernels._inf_quad(iks, x, y, n)[0]
-    while n < 2048:
-        n *= 2
-        cur = dpp_kernels._inf_quad(iks, x, y, n)[0]
-        if abs(cur - prev) <= dpp_kernels._INF_TOL * max(abs(cur), iks.rho):
-            return cur, n
-        prev = cur
-    raise AssertionError("no convergence")
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_inf_panels_grow_fourfold_from_the_switch_points(fam):
+    # first panel half the narrowest switch layer 1/(4 pi^2 rho t*), each next
+    # 4 times as far out, up to rho/2 (A, mirrored onto rho) or rho (B-D,
+    # mirrored onto -rho); 624 (A) or 672 (B-D) nodes at t* rho^2 = 3e5
+    for rho in (1e-3, 1.0, 1e3):
+        iks = InfiniteKernelSpec(fam, rho=rho, t=0.1 * 3e5 / rho**2, t_star=3e5 / rho**2)
+        edges = dpp_kernels._inf_panels(iks)
+        assert np.all(np.diff(edges) > 0.0)
+        lo = 0.0 if fam == "A" else -rho
+        half = 0.5 * rho if fam == "A" else rho
+        assert edges[0] == lo and edges[-1] == lo + 2 * half
+        assert edges[::-1] == pytest.approx(2 * (lo + half) - edges, rel=0, abs=1e-15 * rho)
+        out = edges[(edges >= 0.0) & (edges <= half)]
+        h = 1.0 / (8.0 * np.pi**2 * rho * iks.t_star)
+        assert out[:3] == pytest.approx([0.0, h, 4 * h], rel=1e-12)
+        assert out[2:-1] / out[1:-2] == pytest.approx(4.0, rel=1e-12)
+        assert out[-1] == half and out[-2] * 4 >= half
+        assert 24 * (len(edges) - 1) == (624 if fam == "A" else 672)
+
+
+_RULE_PAIRS = ((0.3, 0.3), (1.3, 0.6), (2.2, 0.9))
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("frac", [0.1, 0.9])
+def test_infinite_kernel_off_mid_time_matches_a_reference_mesh(fam, frac):
+    # away from mid-time at a long horizon the integrand's switch layers have
+    # three widths; the reference is 32 768 Gauss-Legendre nodes on four
+    # panels of its own
+    iks = InfiniteKernelSpec(fam, rho=1.0, t=frac * 3e5, t_star=3e5)
+    x, y = np.array(_RULE_PAIRS).T
+    ref = inf_kernel_reference(iks, x, y)
+    assert np.max(np.abs(infinite_kernel(iks, x, y) - ref)) <= 1e-10
+
+
+def _rule_bound(iks):
+    # the error bound `infinite_kernel` states
+    horizon = iks.t_star * iks.rho * iks.rho
+    lost = 0.0 if iks.t_star - iks.t == iks.t else 3.0 * np.finfo(float).eps * horizon
+    return (1e-12 + lost) * iks.rho
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_infinite_kernel_is_within_its_bound_of_a_finer_rule(fam):
+    # the same mesh at 48 nodes a panel
+    worst = 0.0
+    for rho in (1e-3, 1.0, 1e3):
+        for horizon in (0.5, 1.0, 50.0, 800.0, 3e5):
+            for frac in (0.1, 0.5, 0.9):
+                iks = InfiniteKernelSpec(fam, rho, frac * horizon / rho**2, horizon / rho**2)
+                x, y = np.array(_RULE_PAIRS).T / rho
+                finer = dpp_kernels._inf_quad(iks, x, y, 48)
+                dev = np.max(np.abs(infinite_kernel(iks, x, y) - finer))
+                assert dev <= _rule_bound(iks), (rho, horizon, frac, dev)
+                worst = max(worst, dev / rho)
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_infinite_kernel_refuses_off_mid_time_past_its_horizon(fam):
+    for rho in (1e-3, 1.0):
+        for frac in (0.1, 0.9):
+            iks = InfiniteKernelSpec(fam, rho, frac * 1e8 / rho**2, 1e8 / rho**2)
+            with pytest.raises(AccuracyError, match=r"^infinite kernel at horizon "
+                                                    r"t\*rho\^2 = 1e\+08 and t != t\*/2"):
+                infinite_kernel(iks, 0.3 / rho, 0.3 / rho)
+    # at 1.5e6 the round-off bound is still inside 1e-9, and t = t*/2 is
+    # taken at every horizon
+    iks = InfiniteKernelSpec(fam, 1.0, 0.1 * 1.5e6, 1.5e6)
+    assert np.isfinite(infinite_kernel(iks, 0.3, 0.3))
+    iks = InfiniteKernelSpec(fam, 1.0, 0.5e8, 1e8)
+    x, y = np.array(_RULE_PAIRS).T
+    finer = dpp_kernels._inf_quad(iks, x, y, 48)
+    assert np.max(np.abs(infinite_kernel(iks, x, y) - finer)) <= 1e-12
 
 
 @pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
 @pytest.mark.parametrize("horizon", [50.0, 300000.0])
-def test_infinite_kernel_pairs_share_one_doubling(fam, horizon):
-    # each pair's value is the one-pair call's, bit for bit, from the level
-    # where that pair converged: at horizon 50 some pairs of B, C and D stop
-    # at 256 nodes while others go on to 512
+def test_infinite_kernel_pairs_share_one_rule(fam, horizon):
+    # each pair's value is the one-pair call's, bit for bit
     iks = InfiniteKernelSpec(fam, rho=1.0, t=horizon / 2, t_star=horizon)
     xs = np.array([0.3, 1.3, 2.2, 0.0, 4.0, 7.5, 12.0])
     ys = np.array([0.3, 0.6, 0.9, 0.7, 0.1, 3.0, 0.5])
     batch = infinite_kernel(iks, xs, ys)
     assert batch.shape == xs.shape
-    levels = set()
     for x, y, k in zip(xs, ys, batch):
-        one = infinite_kernel(iks, x, y)
-        ref, level = _one_pair_doubling(iks, x, y)
-        levels.add(level)
-        assert np.array(one).tobytes() == np.array(k).tobytes() == np.array(ref).tobytes()
-    if horizon == 50.0 and fam != "A":
-        assert levels == {256, 512}
-    # broadcasting: one y for all x
+        assert np.array(infinite_kernel(iks, x, y)).tobytes() == np.array(k).tobytes()
+    # broadcasting: one y for all x, and a 2-d grid
     row = infinite_kernel(iks, xs, 0.6)
     assert row[1].tobytes() == batch[1].tobytes()
+    grid = infinite_kernel(iks, xs[:, None], ys[None, :])
+    assert grid.shape == (7, 7)
+    assert np.diag(grid).tobytes() == batch.tobytes()
 
 
 @pytest.mark.parametrize("fam,sfam", [("A", "A"), ("B", "C"), ("C", "C"), ("D", "D")])

@@ -180,7 +180,7 @@ _NAN_CASES = [
     ("bridge", "bridge_density", 1, "bridge density vs spectral density"),
     ("kernel", "density_batch", 1, "density nonnegativity"),
     ("limits", "sine_kernel", 2, "sine limit (t*rho^2 = 300000)"),
-    ("limits", "kernel_matrix", 2, "infinite kernel vs finite N=64 circle"),
+    ("limits", "kernel_matrix", 2, "infinite kernel vs finite N=64 A (limit A)"),
 ]
 
 
@@ -239,6 +239,31 @@ def test_batch_rows_equal_one_configuration_calls(tag):
                     else:
                         assert isinstance(one, float) and one == batch[i], (
                             f"{tag}{N} t={t} {name} row {i}: {one!r} vs {batch[i]!r}")
+
+
+def _configs_one_draw_at_a_time(seed, d, n):
+    # one rng.uniform call per candidate row
+    rng, L, out = np.random.default_rng(seed), d.length, []
+    while len(out) < n:
+        xs = np.sort(rng.uniform(0.03 * L, 0.97 * L, d.N))
+        if d.N == 1 or np.min(np.diff(xs)) > 0.01 * L:
+            out.append(xs)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_configs_in_batches_equal_one_draw_at_a_time(tag):
+    # the suites' configurations, bit for bit: at N = 6 a quarter of the
+    # candidates fail the gap floor, at N = 12 most do, and every seed below
+    # then takes more than one batch
+    for N in (1, 2, 3, 4, 6, 12):
+        if tag == "D" and N == 1:
+            continue
+        d = derive((tag, N, 1.0))
+        for seed, n in ((101, 15), (103, 10), (107, 5), (109, 5), (5, 1)):
+            got = verification._configs(seed, d, n)
+            assert got.shape == (n, N)
+            assert got.tobytes() == _configs_one_draw_at_a_time(seed, d, n).tobytes()
 
 
 def test_run_suites_takes_one_name_or_all():
