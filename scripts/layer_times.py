@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Layer times of `kernel --grid`, and each grid's part timeline.
+
+For the four grids of the benchmark's `kernel_grid` workload (A16 and C3 at
+t = t*/2, A4 at Im tau ~ 0.01, D4 at Im tau* ~ 50, without its jitter) it
+prints, best of k in ms:
+
+    factors   `_factors`: the balanced factors at both times, once per grid
+    rows      one row request of the mode sum, `_kernel_sum` over
+              `cli._ROW_NUMBERS` numbers of rows
+    fields    `_fields` of one block, `cli._BLOCK_NUMBERS` numbers of K
+    text      `_text` (the NUL strip) of that block's fields
+    gather    a binary copy of a child part's bytes from one temporary file
+              into another, as `_write_csv` gathers a child's part
+
+then one `kernel` call per grid into a temporary file, with its parts in ms
+from the call's start: this process's part (own), each child's part, the wait
+for each child after the parts before it, and the copy of its file (gather).
+The part count is the library's own (one per available CPU).
+
+Usage:
+    PYTHONPATH=src python3 scripts/layer_times.py [--grid 512] [--repeat 7]
+"""
+
+import argparse
+import math
+import os
+import shutil
+import tempfile
+import time
+
+import numpy as np
+
+from elliptic_dpp import cli, forks
+from elliptic_dpp.dpp_kernels import KernelSpec, _factors, _kernel_rows, _kernel_sum, _norms_log
+
+# (label, family, t, t*)
+CASES = (
+    ("A16", ("A", 16, 1.0), 0.5, 1.0),
+    ("C3", ("C", 3, 1.0), 0.5, 1.0),
+    ("A4_small_t", ("A", 4, 1.0), 0.01 * 2.0 * math.pi / 16.0, 1.0),
+    ("D4_large_tstar", ("D", 4, 1.0), 50.0 * 2.0 * math.pi / 36.0, 100.0 * 2.0 * math.pi / 36.0),
+)
+
+
+def best(fn, repeat):
+    """The least wall time of `repeat` calls of fn(), in ms."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * min(times)
+
+
+def layers(ks, n, repeat):
+    xs = (np.arange(n) + 0.5) * (ks.family.length / n)
+    lms = _norms_log(ks)
+    a, b = _factors(ks, xs, xs, lms)
+    rows = max(1, cli._ROW_NUMBERS // (2 * n))
+    numbers = np.resize(_kernel_sum(a[:, :rows], b, grid=True).view(float), cli._BLOCK_NUMBERS)
+    fields = cli._fields(numbers)
+    with tempfile.TemporaryFile() as part, tempfile.TemporaryFile() as target:
+        cli._grid_rows(xs, _kernel_rows(ks, xs, xs))[2](part, n // 2, n)   # a 2-part grid's child
+
+        def gather():
+            target.seek(0)
+            part.seek(0)
+            shutil.copyfileobj(part, target)
+        times = dict(
+            factors=best(lambda: _factors(ks, xs, xs, lms), repeat),
+            rows=best(lambda: _kernel_sum(a[:, :rows], b, grid=True), repeat),
+            fields=best(lambda: cli._fields(numbers), repeat),
+            text=best(lambda: cli._text(fields), repeat),
+            gather=best(gather, repeat))
+        size = part.tell()
+    return times, size
+
+
+def timeline(argv):
+    """One `kernel` call: the (event, lo, hi, start, end) of its parts, in s
+    from the call's start, and the call's time.  The children's events come
+    back through a log file every part appends to."""
+    run = forks.run
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.open(os.path.join(tmp, "log"), os.O_RDWR | os.O_CREAT | os.O_APPEND)
+
+        def timed(kind, fn):
+            def call(*args):
+                t0 = time.perf_counter()
+                fn(*args)
+                os.write(log, f"{kind} {args[-2]} {args[-1]} {t0!r} {time.perf_counter()!r}\n"
+                         .encode())
+            return call
+
+        def traced(n, start, count, own, child, gather, name, **kw):
+            run(n, start, count, timed("own", own), timed("child", child),
+                timed("gather", gather), name, **kw)
+
+        forks.run = traced
+        try:
+            t0 = time.perf_counter()
+            assert cli.main(argv + ["--out", os.path.join(tmp, "k.csv")]) == 0
+            total = time.perf_counter() - t0
+        finally:
+            forks.run = run
+        text = os.pread(log, os.fstat(log).st_size, 0).decode()
+        os.close(log)
+    events = []
+    for line in text.splitlines():
+        kind, lo, hi, s, e = line.split()
+        events.append((kind, int(lo), int(hi), float(s) - t0, float(e) - t0))
+    return events, total
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--grid", type=int, default=512)
+    ap.add_argument("--repeat", type=int, default=7)
+    args = ap.parse_args()
+    n = args.grid
+    print(f"grid {n}, best of {args.repeat}, ms; one row request = "
+          f"{max(1, cli._ROW_NUMBERS // (2 * n))} rows, one block = {cli._BLOCK_NUMBERS} numbers")
+    print(f"{'grid':16s}{'factors':>9s}{'rows':>8s}{'fields':>8s}{'text':>8s}{'gather':>8s}"
+          f"  child part")
+    for label, family, t, t_star in CASES:
+        times, size = layers(KernelSpec(family, t=t, t_star=t_star), n, args.repeat)
+        print(f"{label:16s}" + "".join(f"{times[k]:{9 if k == 'factors' else 8}.2f}"
+                                       for k in ("factors", "rows", "fields", "text", "gather"))
+              + f"  {size / 1e6:.1f} MB")
+    print(f"\npart timeline of one `kernel --grid {n}` call, ms from its start "
+          f"({len(os.sched_getaffinity(0))} CPUs)")
+    for label, (tag, N, r), t, t_star in CASES:
+        argv = ["kernel", "--type", tag, "--N", str(N), "--r", repr(r), "--t", repr(t),
+                "--t-star", repr(t_star), "--grid", str(n)]
+        events, total = timeline(argv)
+        print(f"{label}: {1e3 * total:.1f} ms in all")
+        done = None
+        for kind, lo, hi, s, e in sorted(events, key=lambda ev: (ev[1], ev[0] != "child")):
+            if kind == "gather":
+                print(f"  wait    rows {lo}..{hi - 1}: {1e3 * (s - done):8.1f}")
+            print(f"  {kind:7s} rows {lo}..{hi - 1}: {1e3 * s:8.1f} .. {1e3 * e:8.1f}"
+                  f"  ({1e3 * (e - s):.1f})")
+            if kind != "child":
+                done = e
+
+
+if __name__ == "__main__":
+    main()

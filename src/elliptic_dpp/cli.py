@@ -12,7 +12,9 @@ Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
 stderr) for histograms, with floats at 17 significant digits, byte for byte
 "%.17g"; a kernel grid's coordinates are formatted once per grid, not once
-per row.  `_fields` formats a block of numbers at once in numpy, from a
+per row, and its values are summed a block of rows at a time by the part that
+writes them (`dpp_kernels._kernel_rows`), so no process holds the whole
+matrix.  `_fields` formats a block of numbers at once in numpy, from a
 double-double product with 10^k whose relative error is below ~2^-100, and
 falls back to "%.17g" % v for a value the doubles cannot decide (a rounding
 within 1e-9 of a tie, |v| outside [1e-280, 1e280] but 0, inf, nan).  One
@@ -21,7 +23,8 @@ writer, `_write_csv`, writes every table (`kernel`, `density --grid`,
 <prefix>_states.json is json.dumps' metadata around a states array of
 "[x1,...,xN]" rows of "%.17g" numbers: its rows split into contiguous parts
 by the part rule the sampler shares (`forks`), one per available CPU with
-at least 2**16 numbers each, which forked writers format at the same time;
+at least 2**16 numbers each, which forked writers format at the same time,
+into the target as bytes (to stdout through sys.stdout.buffer);
 a part count of 1 (a small table, one CPU, no `os.fork`, or a second thread
 running) forks nothing, and every part count writes the same bytes.  There
 is no option for it.  A writer that fails names its rows and why, and the
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forks
-from .dpp_kernels import (KernelSpec, density, empirical_density, exact_sample, intensity,
-                          kernel_matrix)
+from .dpp_kernels import (KernelSpec, _kernel_rows, density, empirical_density, exact_sample,
+                          intensity)
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
@@ -111,8 +114,26 @@ def _check_points(pts, d):
                          f"{']' if closed else ')'}, got {pts}")
 
 
+class _Ascii:
+    """A text stream with no bytes buffer (io.StringIO) as a bytes sink: each
+    write is decoded as ASCII."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, data):
+        self.stream.write(str(data, "ascii"))
+
+
 def _open(path):
-    return open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout)
+    """A binary target: the file `path`, or for None stdout's bytes,
+    sys.stdout.buffer once sys.stdout is flushed (an `_Ascii` of a stream
+    without one)."""
+    if path is not None:
+        return open(path, "wb")
+    sys.stdout.flush()
+    buffer = getattr(sys.stdout, "buffer", None)
+    return contextlib.nullcontext(_Ascii(sys.stdout) if buffer is None else buffer)
 
 
 _PART_NUMBERS = 2**16     # the fewest numbers a part of a split table formats
@@ -123,18 +144,21 @@ def _write_csv(path, head, table, tail=""):
     then the text `tail`.
 
     A table is (n, numbers, write): n rows, the count of numbers they format,
-    and write(fh, lo, hi), which writes rows lo..hi-1 to fh.  `_rows` makes the
-    table of a tuple of numeric columns, as CSV lines or as the rows of a JSON
-    array; in `_grid_rows`' table a row is every y at one x.  Numbers are
-    formatted by `_fields`, byte for byte "%.17g", the same conversion as
+    and write(fh, lo, hi), which writes rows lo..hi-1 to fh as ASCII bytes.
+    `_rows` makes the table of a tuple of numeric columns, as CSV lines or as
+    the rows of a JSON array; in `_grid_rows`' table a row is every y at one
+    x, and a part computes its own rows of the matrix.  Numbers are formatted
+    by `_fields`, byte for byte "%.17g", the same conversion as
     f"{float(v):.17g}".  A CSV table's head is its header row; the states file
     of `sample` is its JSON text before and after the states array.
 
-    The rows split into `forks.parts(numbers, _PART_NUMBERS)` contiguous
-    parts, formatted at the same time by `forks.run`: this process writes the
-    head and the first part straight to the target, and each forked child
-    its rows to a temporary file, which is copied after it in row order.  The
-    bytes are the same for every part count.  A child that fails raises
+    The target is binary (`_open`): head and tail are encoded once, and the
+    rows go in as bytes.  The rows split into `forks.parts(numbers,
+    _PART_NUMBERS)` contiguous parts, formatted at the same time by
+    `forks.run`: this process writes the head and the first part straight to
+    the target, and each forked child its rows to a binary temporary file,
+    whose bytes are copied after it in row order.  The bytes are the same for
+    every part count.  A child that fails raises
     ChildProcessError naming its rows and the child's exception (type and
     message) or the signal that killed it; on any exception a table being
     written to `path` is removed before it propagates.
@@ -142,11 +166,11 @@ def _write_csv(path, head, table, tail=""):
     n, numbers, write = table
     with _open(path) as fh:
         try:
-            fh.write(head)
+            fh.write(head.encode())
             forks.run(n, 0, forks.parts(numbers, _PART_NUMBERS),
                       lambda lo, hi: write(fh, lo, hi), write,
-                      lambda part, lo, hi: shutil.copyfileobj(part, fh), "writer", mode="w+")
-            fh.write(tail)
+                      lambda part, lo, hi: shutil.copyfileobj(part, fh), "writer")
+            fh.write(tail.encode())
         except BaseException:
             if path is not None:
                 with contextlib.suppress(OSError):
@@ -158,6 +182,10 @@ def _write_csv(path, head, table, tail=""):
 # number formatting: "%.17g" for a block of doubles at once
 
 _BLOCK_NUMBERS = 2**13    # numbers formatted per block of rows (bounds the transient memory)
+# numbers of a grid's matrix asked for at once: the mode sum's block
+# (`dpp_kernels._SUM_ENTRIES` complex entries), whose per-call cost a smaller
+# request would pay more often
+_ROW_NUMBERS = 2**15
 _SPLIT = 134217729.0      # 2^27 + 1, Veltkamp's splitter
 
 
@@ -325,8 +353,8 @@ def _fields(v):
 
 
 def _text(block):
-    """The ASCII text of a uint8 matrix, its NUL bytes dropped."""
-    return block.tobytes().translate(None, b"\0").decode("ascii")
+    """The bytes of a uint8 matrix of ASCII fields, its NUL bytes dropped."""
+    return block.tobytes().translate(None, b"\0")
 
 
 def _rows(*cols, json_array=False):
@@ -365,9 +393,11 @@ def _rows(*cols, json_array=False):
     return n, block.size, write
 
 
-def _grid_rows(xs, values):
-    """The table of (x, y, re, im) rows of the complex matrix `values` on the
-    grid xs x xs; its row i is every y at x = xs[i].
+def _grid_rows(xs, rows):
+    """The table of (x, y, re, im) rows of a complex matrix on the grid
+    xs x xs; its row i is every y at x = xs[i].  rows(lo, hi) gives the
+    matrix's rows lo..hi-1; a writer asks for its rows about `_ROW_NUMBERS`
+    numbers at a time, so it holds only those, never the whole matrix.
 
     Each coordinate is formatted once, by one `_fields` call; re and im are
     formatted a block of grid rows (about `_BLOCK_NUMBERS` numbers) at a time.
@@ -375,22 +405,26 @@ def _grid_rows(xs, values):
     coords = _fields(np.asarray(xs, dtype=float))
     n, w = coords.shape
     step = max(1, _BLOCK_NUMBERS // (2 * n))
+    chunk = step * max(1, _ROW_NUMBERS // (2 * n * step))
 
     def write(fh, lo, hi):
-        for b in range(lo, hi, step):
-            e = min(b + step, hi)
-            fields = _fields(values[b:e].view(float).ravel())
-            v = fields.shape[1]
-            fields = fields.reshape(e - b, n, 2, v)
-            text = np.empty((e - b, n, 2 * w + 2 * v + 4), np.uint8)
-            text[:, :, :w] = coords[b:e, None]
-            text[:, :, w + 1:2 * w + 1] = coords
-            text[:, :, 2 * w + 2:2 * w + 2 + v] = fields[:, :, 0]
-            text[:, :, 2 * w + 3 + v:-1] = fields[:, :, 1]
-            text[:, :, [w, 2 * w + 1, 2 * w + 2 + v]] = ord(",")
-            text[:, :, -1] = ord("\n")
-            fh.write(_text(text))
-    return n, 2 * values.size, write
+        for c in range(lo, hi, chunk):
+            values = rows(c, min(c + chunk, hi))
+            for b in range(0, len(values), step):
+                block = values[b:b + step]
+                m = len(block)
+                fields = _fields(block.view(float).ravel())
+                v = fields.shape[1]
+                fields = fields.reshape(m, n, 2, v)
+                text = np.empty((m, n, 2 * w + 2 * v + 4), np.uint8)
+                text[:, :, :w] = coords[c + b:c + b + m, None]
+                text[:, :, w + 1:2 * w + 1] = coords
+                text[:, :, 2 * w + 2:2 * w + 2 + v] = fields[:, :, 0]
+                text[:, :, 2 * w + 3 + v:-1] = fields[:, :, 1]
+                text[:, :, [w, 2 * w + 1, 2 * w + 2 + v]] = ord(",")
+                text[:, :, -1] = ord("\n")
+                fh.write(_text(text))
+    return n, 2 * n * n, write
 
 
 def _report(results):
@@ -422,7 +456,7 @@ def _grid(cfg):
 
 def _run_kernel(cfg):
     ks, xs = _grid(cfg)
-    _write_csv(cfg.out, _GRID, _grid_rows(xs, kernel_matrix(ks, xs, xs)))
+    _write_csv(cfg.out, _GRID, _grid_rows(xs, _kernel_rows(ks, xs, xs)))
     return 0
 
 
@@ -431,7 +465,7 @@ def _run_density(cfg):
         ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
         pts = np.array([float(s) for s in cfg.points.split(",")])
         with _open(cfg.out) as fh:
-            fh.write("density=%.17g\n" % density(ks, pts))
+            fh.write(b"density=%.17g\n" % density(ks, pts))
         return 0
     ks, xs = _grid(cfg)
     _write_csv(cfg.out, _GRID, _rows(xs, xs, intensity(ks, xs), 0.0))

@@ -201,10 +201,22 @@ def _kernel_sum(a, b, grid):
     return out
 
 
-def kernel_matrix(ks, xs, ys):
-    """K_t(x, y) on the grid xs x ys."""
+def _kernel_rows(ks, xs, ys):
+    """rows(lo, hi): rows lo..hi-1 of K_t on the grid xs x ys, the same
+    doubles as those rows of the whole matrix.
+
+    The points are checked and the factors formed here, once, so every
+    refusal (a point outside the alcove, `_factors`' margin or range) is
+    raised before the first row; a call sums only its own rows' modes.
+    """
     xs, ys = (ks.family.positions(v, "kernel_matrix") for v in (xs, ys))
-    return _kernel_sum(*_factors(ks, xs, ys, _norms_log(ks)), grid=True)
+    a, b = _factors(ks, xs, ys, _norms_log(ks))
+    return lambda lo, hi: _kernel_sum(a[:, lo:hi], b, grid=True)
+
+
+def kernel_matrix(ks, xs, ys):
+    """K_t(x, y) on the grid xs x ys: all rows of `_kernel_rows`."""
+    return _kernel_rows(ks, xs, ys)(0, len(xs))
 
 
 def intensity(ks, xs):

@@ -28,11 +28,11 @@ def parts(items, floor):
     return max(1, min(len(os.sched_getaffinity(0)), items // floor))
 
 
-def run(n, start, count, own, child, gather, name, mode="w+b", reraise=False):
+def run(n, start, count, own, child, gather, name, reraise=False):
     """Do rows start..n-1 in `count` contiguous parts at the same time.
 
-    One child is forked per part after the first, with an unnamed temporary
-    file opened in `mode`; it calls child(file, lo, hi) for its rows lo..hi-1
+    One child is forked per part after the first, with an unnamed binary
+    temporary file; it calls child(file, lo, hi) for its rows lo..hi-1
     and exits, with status 1 on any exception, so it never returns here.  This
     process calls own(lo, hi) for the first part, then reaps the children in
     row order and calls gather(file, lo, hi), the file rewound, for each child
@@ -51,7 +51,7 @@ def run(n, start, count, own, child, gather, name, mode="w+b", reraise=False):
     with contextlib.ExitStack() as files:
         try:
             for lo, hi in zip(cut[1:-1], cut[2:]):
-                part = files.enter_context(tempfile.TemporaryFile(mode))
+                part = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
                     _child(child, part, lo, hi)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -600,7 +603,7 @@ def test_grid_writer_matches_per_value_formatting(parts, tmp_path, cpus):
     vals.real[0, :5] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308]
     vals.imag[1, :3] = [-0.0, 4.9e-324, -1e-320]
     out = tmp_path / "g.csv"
-    _write_csv(str(out), "x,y,re,im\n", _grid_rows(xs, vals))
+    _write_csv(str(out), "x,y,re,im\n", _grid_rows(xs, lambda lo, hi: vals[lo:hi]))
     lines = ["x,y,re,im"]
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
@@ -687,6 +690,78 @@ def test_every_part_count_writes_the_same_bytes(argv, count, to_file, tmp_path, 
     assert written[0] == written[1] and written[0].startswith("x,y,re,im\n")
 
 
+def test_kernel_writes_the_same_bytes_at_one_two_and_three_parts(tmp_path, cpus, capsys):
+    # 317 rows (2 x 317^2 = 200 978 numbers, room for 3 parts) at t != t*/2:
+    # each part sums its own rows' modes; the bytes are the same at every count
+    written = []
+    for n in (1, 2, 3):
+        forks = cpus(n)
+        out = tmp_path / f"{n}.csv"
+        assert main(f"kernel --type D --N 4 --t 0.3 --t-star 1 --grid 317 --out {out}"
+                    .split()) == 0
+        assert len(forks) == n - 1 and capsys.readouterr().err == ""
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    assert written[0].count(b"\n") == 1 + 317 * 317
+
+
+KERNEL = "kernel --type C --N 3 --t 0.2 --t-star 1 --grid 256"     # 2 parts of 128 rows
+
+
+@pytest.fixture
+def kernel_bytes(tmp_path_factory):
+    out = tmp_path_factory.mktemp("kernel") / "k.csv"
+    assert main(f"{KERNEL} --out {out}".split()) == 0
+    return out.read_bytes()
+
+
+def test_kernel_to_a_pipe_writes_the_bytes_of_out(kernel_bytes, tmp_path):
+    # a real stdout: sys.stdout.buffer, then the rest of the process's text
+    src = str(Path(elliptic_dpp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "elliptic_dpp.cli", *KERNEL.split()],
+                         cwd=tmp_path, env=env, capture_output=True, check=True)
+    assert run.stdout == kernel_bytes and run.stderr == b""
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_kernel_to_a_captured_stdout_writes_the_bytes_of_out(parts, kernel_bytes, cpus, capsys):
+    # capsys' stdout has a bytes buffer but no file descriptor; text printed
+    # before and after the table keeps its place around it
+    cpus(parts)
+    print("before")
+    assert main(KERNEL.split()) == 0
+    print("after")
+    assert capsys.readouterr().out.encode() == b"before\n" + kernel_bytes + b"after\n"
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_kernel_to_a_text_stream_writes_the_bytes_of_out(parts, kernel_bytes, cpus):
+    # an io.StringIO has no bytes buffer: the table's ASCII goes in as text
+    cpus(parts)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        print("before")
+        assert main(KERNEL.split()) == 0
+        assert main("density --points 0.5,1,2 --type C --N 3".split()) == 0
+    assert text.getvalue().encode().startswith(b"before\n" + kernel_bytes + b"density=")
+
+
+def test_a_kernel_grid_part_never_holds_the_whole_kernel(tmp_path, cpus):
+    # one part of a 1024 grid: its rows are summed and formatted a block at a
+    # time, so the traced peak stays below a quarter of the 16.8 MB matrix
+    n = 1024
+    cpus(1)
+    main(f"kernel --type A --N 4 --grid 8 --out {tmp_path / 'warm.csv'}".split())
+    tracemalloc.start()
+    try:
+        assert main(f"kernel --type A --N 4 --grid {n} --out {tmp_path / 'k.csv'}".split()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 4, f"peak {peak / 1e6:.2f} MB"
+
+
 @pytest.mark.parametrize("fail", [ValueError, KeyboardInterrupt])
 def test_a_failing_writer_is_an_error_line_naming_its_rows(fail, tmp_path, monkeypatch, cpus,
                                                           capsys):
@@ -766,7 +841,7 @@ def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch, c
     out = tmp_path / "k.csv"
     try:
         _write_csv(str(out), "x,y,re,im\n",
-                   _grid_rows(xs, np.outer(xs, xs) * (1.0 + 0.5j)))
+                   _grid_rows(xs, lambda lo, hi: np.outer(xs[lo:hi], xs) * (1.0 + 0.5j)))
     finally:
         if one_part == "a second thread":
             done.set()

@@ -401,6 +401,33 @@ def test_kernel_entries_do_not_depend_on_row_blocks(tag, t, t_star):
     assert intensity(ks, xs).tobytes() == diag.tobytes()
 
 
+@pytest.mark.parametrize("tag", ["A", "C"])       # a circle and an interval family
+@pytest.mark.parametrize("t", [0.3, 0.5], ids=["t!=t*/2", "t=t*/2"])
+def test_kernel_row_blocks_are_rows_of_the_kernel_matrix(tag, t):
+    # the writer asks for blocks of rows: at bounds that cross the mode sum's
+    # 32-row blocks at odd offsets, each is the same doubles as those rows of
+    # the whole matrix, and an empty block is empty
+    ks = _ks(tag, 4, t=t)
+    xs = (np.arange(517) + 0.5) * (ks.family.length / 517)
+    km = kernel_matrix(ks, xs, xs)
+    rows = dpp_kernels._kernel_rows(ks, xs, xs)
+    for lo, hi in ((0, 1), (0, 517), (3, 36), (31, 97), (500, 517), (516, 517), (7, 7)):
+        block = rows(lo, hi)
+        assert block.shape == (hi - lo, 517)
+        assert np.array_equal(block.view(np.int64), km[lo:hi].view(np.int64)), (lo, hi)
+
+
+def test_kernel_rows_refuse_before_the_first_row():
+    # the points and the factors' margin are checked when the row form is
+    # made, not when its rows are asked for
+    ks = _ks("C", 3)
+    with pytest.raises(ValueError, match="kernel_matrix needs finite points"):
+        dpp_kernels._kernel_rows(ks, np.array([0.5, 4.0]), np.array([0.5]))
+    ks = KernelSpec(("C", 3, 1.0), t=5e15, t_star=1e16)
+    with pytest.raises(AccuracyError, match="past the margin"):
+        dpp_kernels._kernel_rows(ks, np.array([0.5]), np.array([0.5]))
+
+
 @pytest.mark.parametrize("tag", FAMILIES)
 @pytest.mark.parametrize("t", [0.3, 0.5])
 def test_intensity_is_the_kernel_diagonal(tag, t):
@@ -633,7 +660,7 @@ def test_infinite_kernel_matches_large_finite_circle():
     worst = 0.0
     for dx in (0.1, 0.5, 1.0, 2.0):
         worst = max(worst, abs(kernel(ks, x0 + dx, x0) - infinite_kernel(iks, x0 + dx, x0)))
-    assert worst / rho < 1e-3, f"finite vs infinite deviation {worst:.3e}"
+    assert worst / rho < 1e-10, f"finite vs infinite deviation {worst:.3e}"
 
 
 def test_infinite_spec_forms_its_taus_after_scaling_the_times():
