@@ -30,6 +30,12 @@ grid written to stdout in parts, `limits` at rho != 1, tables whose
 numbers have 3-digit exponents, negative round-off and zeros, and samplers
 whose draws split into parts.  A full run takes about 20 s on a 2-core
 machine.
+
+The last commands read a --config file: each first writes its JSON object
+to config.json in the command's directory (a file the hashes leave out, and
+its text follows the argv on the line).  They cover a config that supplies
+the defaults, an explicit flag that overrides a config key, a null value
+(unset), and keys or values the verb refuses.
 """
 
 import contextlib
@@ -119,14 +125,14 @@ def _commands():
         "limits --type A --N 3 --horizon 300000 --tol 1e-30",
         "selberg --type A --N 1 --t 0.4 --t-star 1 --tol 1e-3",
         "selberg --type B --N 2 --t 0.4 --t-star 1 --budget 128",
-        # theta past double range, and numbers finalize refuses
+        # theta past double range, and numbers the CLI's check refuses
         "theta --index 2 --tau-im 0.01 --v-im -20 --grid 4",
         "limits --horizon=-5",
         "limits --rho nan",
         "theta --tau-im 0",
         # the kernel away from the middle time at a large horizon
         "kernel --type C --N 4 --t 20 --t-star 50 --grid 64",
-        # the smallest grids, and radii or theta arguments finalize refuses
+        # the smallest grids, and radii or theta arguments the check refuses
         "kernel --grid 1",
         "kernel --type C --N 4 --t 20 --t-star 50 --grid 7",
         "kernel --type A --N 2 --r 1e-200 --grid 2",
@@ -137,7 +143,7 @@ def _commands():
         "kernel --type A --N 2 --r 1e-154 --grid 2",
         "theta --v-im inf",
         "theta --v-im nan",
-        # a kernel factor past double range at a radius finalize accepts,
+        # a kernel factor past double range at a radius the check accepts,
         # a subnormal theta Im tau and the smallest normal one
         "kernel --type C --N 3 --r 4.3e-154 --t 0.5 --t-star 1 --grid 2",
         # kernel factors whose exponents ~|log m_n| cancel past the stated
@@ -182,6 +188,40 @@ def _commands():
     return cmds
 
 
+CONFIG = "config.json"
+
+
+def _config_commands():
+    """(argv, the JSON written to CONFIG first, or None for no file) of the
+    --config runs."""
+    return [
+        # the config supplies the flags
+        ("verify --config config.json",
+         {"type": "C", "N": 3, "t": 0.4, "t_star": 1, "suite": "kernel"}),
+        ("sample --config config.json",
+         {"type": "D", "N": 3, "steps": 64, "bins": 4, "seed": 9, "out": "s"}),
+        # explicit flags win over the config's keys
+        ("kernel --config config.json --grid 16",
+         {"type": "B", "N": 3, "grid": 512, "out": "k.csv"}),
+        ("kernel --type C --t 0.3 --config config.json",
+         {"type": "A", "N": 2, "t": 0.7, "t_star": 1, "grid": 8}),
+        # null is unset: t falls back to t*/2
+        ("density --config config.json --grid 8",
+         {"type": "D", "N": 2, "t": None, "t_star": 2}),
+        ("density --config config.json",
+         {"type": "A", "N": 2, "points": "1.0,4.0", "out": None}),
+        # keys of another verb or of no verb, values a flag or the check
+        # refuses, a config that is not an object, and one that is missing
+        ("verify --config config.json", {"tol": 1e-30}),
+        ("verify --config config.json", {"grid": 4}),
+        ("kernel --config config.json", {"N": 2.5}),
+        ("limits --config config.json", {"horizon": -5}),
+        ("kernel --config config.json", {"grid": 0}),
+        ("kernel --config config.json", [1, 2]),
+        ("kernel --config missing.json", None),
+    ]
+
+
 def _values(path):
     """The bytes the values hash covers for one written file."""
     if path.suffix == ".csv":
@@ -197,11 +237,14 @@ def _values(path):
     return path.read_bytes()
 
 
-def _digest(main, argv):
-    """Run one command in an empty directory; hash stdout, stderr and files,
-    and the values of the files."""
+def _digest(main, argv, config=None):
+    """Run one command in an empty directory (holding CONFIG with the JSON
+    text of `config`, unless it is None); hash stdout, stderr and files
+    other than CONFIG, and the values of the files."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            (Path(tmp) / CONFIG).write_text(json.dumps(config))
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
@@ -220,6 +263,8 @@ def _digest(main, argv):
         h.update(b"\0")
         h.update(err.getvalue().encode())
         for path in sorted(Path(tmp).iterdir()):
+            if config is not None and path.name == CONFIG:
+                continue
             h.update(b"\0" + path.name.encode() + b"\0")
             h.update(path.read_bytes())
             v.update(b"\0" + path.name.encode() + b"\0")
@@ -235,6 +280,9 @@ def main():
         argv = shlex.split(cmd)
         digest, values, status = _digest(cli_main, argv)
         print(f"{digest} {values} {status} {cmd}", flush=True)
+    for cmd, config in _config_commands():
+        digest, values, status = _digest(cli_main, shlex.split(cmd), config)
+        print(f"{digest} {values} {status} {cmd} <<< {json.dumps(config)}", flush=True)
     return 0
 
 

@@ -3,10 +3,11 @@
 Verbs: theta, kernel, density, limits, verify, sample, selberg.
 Exit status 0 = success, 1 = an identity check failed (or a numerical engine
 gave up: AccuracyError, IllConditionedError), 2 = unusable configuration:
-a ValueError or OSError, whether `RunConfig.finalize` (which builds the specs
-the verb will, to name the flag) or the verb raised it.  `selberg` holds the
-integral of the joint density against N! at one tolerance, 1e-8; a case whose
-midpoint rule needs more rows than `macdonald.selberg_check` allows exits 1.
+a ValueError or OSError, whether `_check` (which builds the specs the verb
+runs on, once, naming the flag at fault) or the verb raised it.  `selberg`
+holds the integral of the joint density against N! at one tolerance, 1e-8; a
+case whose midpoint rule needs more rows than `macdonald.selberg_check`
+allows exits 1.
 
 Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
@@ -42,76 +43,19 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import forks
-from .dpp_kernels import (KernelSpec, _kernel_rows, density, empirical_density, exact_sample,
-                          intensity)
+from .dpp_kernels import (_SUM_ENTRIES, KernelSpec, _kernel_rows, density, empirical_density,
+                          exact_sample, intensity)
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
 from .verification import (SUITES, CheckResult, _large_n_specs, _sine_specs, limits_suite,
                            render, run_suites)
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    type: str = "A"
-    N: int = 4
-    r: float = 1.0
-    t: float = None          # default t_star / 2, filled in finalize
-    t_star: float = 1.0
-    rho: float = 1.0
-    grid: int = 64
-    points: str = None
-    index: int = 2
-    tau_im: float = 1.0
-    v_im: float = 0.0
-    suite: str = "all"
-    horizon: float = 50.0
-    steps: int = 20000
-    bins: int = 40
-    seed: int = 0
-    out: str = None
-
-    def finalize(self):
-        if self.t is None:
-            self.t = 0.5 * self.t_star
-        if self.command != "theta":
-            d = derive((self.type, self.N, self.r))   # raises ValueError if unusable
-        if "t" in _VERB_FLAGS[self.command][1]:
-            KernelSpec(d, self.t, self.t_star)         # the time pair and the tau rule
-        if self.command == "limits":
-            try:     # the sine lines' infinite-volume specs, at t* = horizon / rho^2,
-                _sine_specs(d.sharp, self.rho, self.horizon)
-                _large_n_specs(d, self.rho)      # and the N -> infinity line's
-            except ValueError as exc:
-                raise ValueError(f"--rho {self.rho!r} and --horizon {self.horizon!r}: "
-                                 f"{exc}") from None
-        if self.grid < 1:
-            raise ValueError(f"grid must be >= 1, got {self.grid}")
-        if self.command == "sample" and (self.steps < 1 or self.bins < 1):
-            raise ValueError(f"need steps >= 1 and bins >= 1, got {self.steps}, {self.bins}")
-        if self.points is not None:     # only `density` reads --points
-            _check_points([float(s) for s in self.points.split(",")], d)
-        return self
-
-
-def _check_points(pts, d):
-    """A configuration for `density`: N finite points in the alcove, [0, L) on
-    the circle and [0, L] on the interval.  Coincident points are allowed;
-    their density is 0."""
-    if len(pts) != d.N:
-        raise ValueError(f"--points needs {d.N} values, got {len(pts)}")
-    L, closed = d.length, d.walls != "circ"
-    if not all(0.0 <= p and (p <= L if closed else p < L) for p in pts):
-        raise ValueError(f"--points must be finite and in [0, {L!r}"
-                         f"{']' if closed else ')'}, got {pts}")
+__all__ = ["main"]
 
 
 class _Ascii:
@@ -182,10 +126,9 @@ def _write_csv(path, head, table, tail=""):
 # number formatting: "%.17g" for a block of doubles at once
 
 _BLOCK_NUMBERS = 2**13    # numbers formatted per block of rows (bounds the transient memory)
-# numbers of a grid's matrix asked for at once: the mode sum's block
-# (`dpp_kernels._SUM_ENTRIES` complex entries), whose per-call cost a smaller
-# request would pay more often
-_ROW_NUMBERS = 2**15
+# numbers of a grid's matrix asked for at once: the mode sum's block of
+# complex entries, whose per-call cost a smaller request would pay more often
+_ROW_NUMBERS = 2 * _SUM_ENTRIES
 _SPLIT = 134217729.0      # 2^27 + 1, Veltkamp's splitter
 
 
@@ -196,25 +139,17 @@ def _tables():
     "quads": the 4 ASCII digits of 0..9999, one little-endian uint32 each;
     "lead" and "exp", per E + 330: the text before the digits of fixed
     notation ("0.", ... "0.000") and the exponent of scientific notation
-    ("e+17", "e-100"), NUL-padded to 8 bytes; "pow10", per k + 300: fl(10^k),
-    its two Veltkamp halves and fl(10^k - fl(10^k)), NaN until `_pow10` fills
-    a column.
+    ("e+17", "e-100"), NUL-padded to 8 bytes; "pow10", per k + 300 for k in
+    [-300, 300]: fl(10^k), its two Veltkamp halves and fl(10^k - fl(10^k)),
+    each column computed exactly from Python ints.
     """
     i = np.arange(10000, dtype=np.uint32)
     quads = sum((i // 10 ** (3 - b) % 10 + 48) << 8 * b for b in range(4))   # byte b: digit b
     E = range(-330, 331)
     lead = "".join(("0." + "0" * (-e - 1) if -4 <= e < 0 else "").ljust(8, "\0") for e in E)
     exp = "".join(("" if -4 <= e < 17 else "e%+03d" % e).ljust(8, "\0") for e in E)
-    return dict(quads=quads.astype("<u4"), lead=np.frombuffer(lead.encode(), np.uint64),
-                exp=np.frombuffer(exp.encode(), np.uint64),
-                pow10=np.full((4, 601), np.nan))
-
-
-def _pow10(k):
-    """fl(10^k), its Veltkamp halves and fl(10^k - fl(10^k)) for an int array
-    k in [-300, 300], each column computed exactly from Python ints once."""
-    table, i = _tables()["pow10"], k + 300
-    for j in set(i[np.isnan(table[0].take(i))].tolist()):
+    pow10 = np.empty((4, 601))
+    for j in range(601):
         if j >= 300:
             p = 10 ** (j - 300)
             h = float(p)
@@ -226,8 +161,9 @@ def _pow10(k):
             low = (den - num * d) / (den * d)
         c = _SPLIT * h
         hh = c - (c - h)
-        table[:, j] = h, hh, h - hh, low
-    return [row.take(i) for row in table]
+        pow10[:, j] = h, hh, h - hh, low
+    return dict(quads=quads.astype("<u4"), lead=np.frombuffer(lead.encode(), np.uint64),
+                exp=np.frombuffer(exp.encode(), np.uint64), pow10=pow10)
 
 
 def _scaled(a, E):
@@ -238,7 +174,7 @@ def _scaled(a, E):
     the fraction is within ~1e-14 of the exact one.  Where E is right the
     floor is in [10^16, 10^17), and the rounded product, >= 2^53, an integer.
     """
-    h, hh, hl, low = _pow10(16 - E)
+    h, hh, hl, low = _tables()["pow10"].take(316 - E, axis=1)    # columns k + 300, k = 16 - E
     p = a * h
     c = _SPLIT * a
     ah = c - (c - a)
@@ -439,49 +375,46 @@ _GRID = "x,y,re,im\n"
 # ---------------------------------------------------------------------------
 # verbs
 
-def _run_theta(cfg):
-    vs = np.arange(cfg.grid) / cfg.grid + 1j * cfg.v_im
+def _run_theta(args):
+    vs = np.arange(args.grid) / args.grid + 1j * args.v_im
     with np.errstate(invalid="ignore"):     # mantissa x inf past double range
-        vals = theta(cfg.index, vs, 1j * cfg.tau_im)
+        vals = theta(args.index, vs, 1j * args.tau_im)
     if not np.all(np.isfinite(vals)):
         raise AccuracyError("theta leaves double range on this grid")
-    _write_csv(cfg.out, _GRID, _rows(vs.real, vs.imag, vals.real, vals.imag))
+    _write_csv(args.out, _GRID, _rows(vs.real, vs.imag, vals.real, vals.imag))
     return 0
 
 
-def _grid(cfg):
-    ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-    return ks, (np.arange(cfg.grid) + 0.5) * (ks.family.length / cfg.grid)
+def _grid(args):
+    """The --grid midpoints of the family's [0, L]."""
+    return (np.arange(args.grid) + 0.5) * (args.family.length / args.grid)
 
 
-def _run_kernel(cfg):
-    ks, xs = _grid(cfg)
-    _write_csv(cfg.out, _GRID, _grid_rows(xs, _kernel_rows(ks, xs, xs)))
+def _run_kernel(args):
+    xs = _grid(args)
+    _write_csv(args.out, _GRID, _grid_rows(xs, _kernel_rows(args.ks, xs, xs)))
     return 0
 
 
-def _run_density(cfg):
-    if cfg.points is not None:
-        ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-        pts = np.array([float(s) for s in cfg.points.split(",")])
-        with _open(cfg.out) as fh:
-            fh.write(b"density=%.17g\n" % density(ks, pts))
+def _run_density(args):
+    if args.points is not None:
+        with _open(args.out) as fh:
+            fh.write(b"density=%.17g\n" % density(args.ks, args.points))
         return 0
-    ks, xs = _grid(cfg)
-    _write_csv(cfg.out, _GRID, _rows(xs, xs, intensity(ks, xs), 0.0))
+    xs = _grid(args)
+    _write_csv(args.out, _GRID, _rows(xs, xs, intensity(args.ks, xs), 0.0))
     return 0
 
 
-def _run_limits(cfg):
-    return _report(limits_suite(derive((cfg.type, cfg.N, cfg.r)), cfg.rho,
-                                cfg.horizon))
+def _run_limits(args):
+    return _report(limits_suite(args.family, args.rho, args.horizon))
 
 
-def _run_verify(cfg):
-    return _report(run_suites(cfg.suite, (cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star))
+def _run_verify(args):
+    return _report(run_suites(args.suite, args.family, args.t, args.t_star))
 
 
-def _run_sample(cfg):
+def _run_sample(args):
     """Draw --steps states; write <prefix>_states.json and <prefix>_hist.csv.
 
     The states file is the text of json.dumps (sorted keys, no spaces) of the
@@ -489,15 +422,14 @@ def _run_sample(cfg):
     "[x1,...,xN]" row of "%.17g" numbers per state, which loads back to the
     sampled doubles bit for bit.
     """
-    ks = KernelSpec((cfg.type, cfg.N, cfg.r), t=cfg.t, t_star=cfg.t_star)
-    res = exact_sample(ks, cfg.steps, seed=cfg.seed)
-    hist = empirical_density(res, bins=cfg.bins)
+    res = exact_sample(args.ks, args.steps, seed=args.seed)
+    hist = empirical_density(res, bins=args.bins)
 
-    prefix = cfg.out or "sample"
+    prefix = args.out or "sample"
     meta = json.dumps({
-        "type": cfg.type, "N": cfg.N, "r": cfg.r,
-        "t": cfg.t, "t_star": cfg.t_star, "seed": cfg.seed,
-        "steps": cfg.steps, "tabulation_error": res.tabulation_error, "nodes": res.nodes,
+        "type": args.type, "N": args.N, "r": args.r,
+        "t": args.t, "t_star": args.t_star, "seed": args.seed,
+        "steps": args.steps, "tabulation_error": res.tabulation_error, "nodes": res.nodes,
         "states": [],
     }, sort_keys=True, separators=(",", ":"))
     head, tail = meta.split("[]")       # the states' rows go between the brackets
@@ -510,8 +442,8 @@ def _run_sample(cfg):
     return 0
 
 
-def _run_selberg(cfg):
-    res = selberg_check((cfg.type, cfg.N, cfg.r), cfg.t, cfg.t_star)
+def _run_selberg(args):
+    res = selberg_check(args.family, args.t, args.t_star)
     print("lhs=%.17g rhs=%.17g" % (res.lhs, res.rhs))
     return _report([CheckResult("closed-form integral", res.rel_err, 1e-8)])
 
@@ -530,25 +462,26 @@ _VERBS = {
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-# every flag, by destination; the flag is "--" + dest with "-" for "_"
+# every flag, by destination; the flag is "--" + dest with "-" for "_", and
+# a flag with no default is None when not given
 _FLAGS = {
     "out": dict(help="output file (default stdout / 'sample')"),
-    "seed": dict(type=int),
-    "type": dict(choices=FAMILIES),
-    "N": dict(type=int),
-    "r": dict(type=float),
-    "t": dict(type=float),
-    "t_star": dict(type=float),
-    "index": dict(type=int, choices=(0, 1, 2, 3)),
-    "tau_im": dict(type=float),
-    "v_im": dict(type=float),
-    "grid": dict(type=int),
+    "seed": dict(type=int, default=0),
+    "type": dict(choices=FAMILIES, default="A"),
+    "N": dict(type=int, default=4),
+    "r": dict(type=float, default=1.0),
+    "t": dict(type=float),      # None: t_star / 2, filled in by `_check`
+    "t_star": dict(type=float, default=1.0),
+    "index": dict(type=int, choices=(0, 1, 2, 3), default=2),
+    "tau_im": dict(type=float, default=1.0),
+    "v_im": dict(type=float, default=0.0),
+    "grid": dict(type=int, default=64),
     "points": dict(help="comma-separated configuration"),
-    "rho": dict(type=float),
-    "horizon": dict(type=float, help="sine-limit horizon t*rho^2 (default 50)"),
-    "suite": dict(choices=sorted(SUITES) + ["all"]),
-    "steps": dict(type=int, help="number of states written"),
-    "bins": dict(type=int),
+    "rho": dict(type=float, default=1.0),
+    "horizon": dict(type=float, default=50.0, help="sine-limit horizon t*rho^2 (default 50)"),
+    "suite": dict(choices=sorted(SUITES) + ["all"], default="all"),
+    "steps": dict(type=int, default=20000, help="number of states written"),
+    "bins": dict(type=int, default=40),
 }
 _FAMILY = ("type", "N", "r")
 _TIMES = ("t", "t_star")
@@ -599,9 +532,48 @@ def _config_flags(path):
     return [f"{_flag(k)}={v}" for k, v in loaded.items() if v is not None]
 
 
-def run(config):
-    """Execute one verb; returns the process exit status."""
-    return _VERBS[config.command](config)
+def _check(args):
+    """Check a parsed run in place and build what its verb runs on, once: the
+    `family` (FamilySpec), `ks` (KernelSpec, at t = t_star / 2 unless --t is
+    given), for --rho the infinite-volume specs of `limits_suite`
+    (`infinite`), and --points as an array.  Each rule is keyed on a flag the
+    verb reads; a refusal is a ValueError that names the flag at fault.
+    """
+    flags = _VERB_FLAGS[args.command][1]
+    del args.config
+    if "type" in flags:
+        args.family = derive((args.type, args.N, args.r))
+    if "t" in flags:
+        args.t = 0.5 * args.t_star if args.t is None else args.t
+        args.ks = KernelSpec(args.family, args.t, args.t_star)
+    if "rho" in flags:
+        try:     # the sine lines' specs, at t* = horizon / rho^2, and the N -> infinity line's
+            args.infinite = (_sine_specs(args.family.sharp, args.rho, args.horizon),
+                             _large_n_specs(args.family, args.rho))
+        except ValueError as exc:
+            raise ValueError(f"--rho {args.rho!r} and --horizon {args.horizon!r}: "
+                             f"{exc}") from None
+    if "grid" in flags and args.grid < 1:
+        raise ValueError(f"grid must be >= 1, got {args.grid}")
+    if "steps" in flags and (args.steps < 1 or args.bins < 1):
+        raise ValueError(f"need steps >= 1 and bins >= 1, got {args.steps}, {args.bins}")
+    if "points" in flags and args.points is not None:
+        # N finite points in the alcove, [0, L) on the circle and [0, L] on
+        # the interval; coincident points are allowed (their density is 0)
+        try:
+            pts = [float(s) for s in args.points.split(",")]
+        except ValueError:
+            raise ValueError(f"--points must be comma-separated numbers, "
+                             f"got {args.points!r}") from None
+        d = args.family
+        if len(pts) != d.N:
+            raise ValueError(f"--points needs {d.N} values, got {len(pts)}")
+        L, closed = d.length, d.walls != "circ"
+        if not all(0.0 <= p and (p <= L if closed else p < L) for p in pts):
+            raise ValueError(f"--points must be finite and in [0, {L!r}"
+                             f"{']' if closed else ')'}, got {pts}")
+        args.points = np.array(pts)
+    return args
 
 
 def main(argv=None):
@@ -612,9 +584,7 @@ def main(argv=None):
         if args.config is not None:
             # config flags go first: argparse checks them, explicit flags win
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
-        del args.config
-        cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
-        return run(cfg.finalize())
+        return _VERBS[args.command](_check(args))
     except SystemExit as exc:     # argparse rejected a config key or value
         return exc.code
     except (ValueError, OSError) as exc:     # a JSONDecodeError is a ValueError

@@ -17,7 +17,8 @@ import pytest
 
 import elliptic_dpp
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, transition
-from elliptic_dpp.cli import RunConfig, _fields, _grid_rows, _write_csv, main
+from elliptic_dpp.cli import (_VERB_FLAGS, _build_parser, _check, _fields, _grid_rows, _write_csv,
+                              main)
 from elliptic_dpp.dpp_kernels import KernelSpec, density, exact_sample, kernel, kernel_matrix
 from elliptic_dpp.macdonald import IllConditionedError
 from elliptic_dpp.root_systems import derive
@@ -119,7 +120,7 @@ def test_flag_the_verb_does_not_read_is_usage_error(argv, tmp_path, monkeypatch,
     ("kernel", {"grid": "abc"}), ("kernel", {"N": 2.5}), ("kernel", {"N": True}),
     ("kernel", {"t": "soon"}), ("kernel", {"type": "Z"}), ("verify", {"suite": "nope"}),
     ("theta", {"index": 7}),
-    # numbers finalize refuses: not finite or not positive
+    # numbers the CLI's check refuses: not finite or not positive
     ("limits", {"horizon": -5}), ("limits", {"rho": float("nan")}), ("theta", {"tau_im": 0}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_bad_config_key_or_value_is_usage_error(verb, config, tmp_path, capsys):
@@ -207,7 +208,7 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     ("kernel", "--grid 2"), ("density", "--grid 2"), ("sample", "--steps 4"),
 ])
 def test_kernel_factor_past_double_range_is_an_error_line(verb, flags, tmp_path, capsys):
-    # pi Im tau at t* is a double, so finalize accepts the radius, but the
+    # pi Im tau at t* is a double, so the CLI's check accepts the radius, but the
     # balanced factors' exponents near 1e308 do not cancel: no nan rows, no file
     out = tmp_path / "o"
     argv = f"{verb} --type C --N 3 --r 4.3e-154 --t 0.5 --t-star 1 {flags} --out {out}"
@@ -347,6 +348,14 @@ def test_density_points_outside_alcove_is_usage_error(tag, N, points, capsys):
     assert main(["density", "--type", tag, "--N", str(N),
                  f"--points={points}"]) == 2
     assert capsys.readouterr().err.startswith("error: --points must be finite")
+
+
+@pytest.mark.parametrize("points", ["0.5,1.2,x", "0.5,,2.0", ""])
+def test_density_points_not_numbers_is_usage_error_naming_the_flag(points, capsys):
+    # a field that is not a number, and an empty field
+    assert main(["density", "--type", "C", "--N", "3", f"--points={points}"]) == 2
+    assert capsys.readouterr().err == (f"error: --points must be comma-separated numbers, "
+                                       f"got {points!r}\n")
 
 
 def test_density_points_on_walls_and_coincident_are_allowed(capsys):
@@ -951,9 +960,26 @@ def test_a_failing_sampler_part_exits_1_with_its_error(tmp_path, monkeypatch, cp
     assert len(forks) == 2
 
 
-def test_runconfig_defaults_fill_in():
-    cfg = RunConfig(command="kernel", type="B", N=3).finalize()
-    assert cfg.t == 0.5 and cfg.t_star == 1.0
+def test_kernel_defaults_fill_in_the_time_pair(tmp_path):
+    # t* defaults to 1 and t to t*/2
+    argv = "kernel --type B --N 3 --grid 4 --out".split()
+    assert main(argv + [str(tmp_path / "default.csv")]) == 0
+    assert main(argv + [str(tmp_path / "given.csv"), "--t", "0.5", "--t-star", "1"]) == 0
+    given = (tmp_path / "given.csv").read_bytes()
+    assert (tmp_path / "default.csv").read_bytes() == given and given.count(b"\n") == 17
+
+
+@pytest.mark.parametrize("verb", list(_VERB_FLAGS))
+def test_check_leaves_only_the_verbs_flags_and_its_specs(verb):
+    args = _check(_build_parser().parse_args([verb]))
+    flags = set(_VERB_FLAGS[verb][1])
+    built = {"family"} if "type" in flags else set()
+    built |= {"ks"} if "t" in flags else set()
+    built |= {"infinite"} if "rho" in flags else set()
+    # another verb's flag is not there to read
+    assert set(vars(args)) == {"command"} | flags | built
+    if "t" in flags:
+        assert (args.ks.family, args.ks.t, args.ks.t_star) == (args.family, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("tag, N, r", [("A", 3, "0.02"), ("C", 2, "0.05"), ("B", 3, "0.05"),
