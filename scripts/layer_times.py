@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer times of `kernel --grid`, and each grid's part timeline.
+"""Layer times of `kernel --grid` and of the sampler, and each grid's part timeline.
 
 For the four grids of the benchmark's `kernel_grid` workload (A16 and C3 at
 t = t*/2, A4 at Im tau ~ 0.01, D4 at Im tau* ~ 50, without its jitter) it
@@ -18,6 +18,17 @@ from the call's start: this process's part (own), each child's part, the wait
 for each child after the parts before it, and the copy of its file (gather).
 The part count is the library's own (one per available CPU).
 
+Then, for the sampler at 513 and 4097 table nodes, best of k in ms, and the
+tables' size in MB:
+
+    tables    `_tables`: the factors on the nodes, the tree of cell
+              matrices and the curvature sums
+    chunk     one `_chain_rule_chunk` of `_CHUNK` = 512 states on them
+
+for A2, A4, A8, A10, A12, A16 at t = t*/2 and C3 at t = 0.3 (t* = 1).  The
+chunk is called as `_chain_rule_chunk(ks, U, *tables, lms)`, so the script
+runs on any table layout `_tables` returns.
+
 Usage:
     PYTHONPATH=src python3 scripts/layer_times.py [--grid 512] [--repeat 7]
 """
@@ -31,7 +42,7 @@ import time
 
 import numpy as np
 
-from elliptic_dpp import cli, forks
+from elliptic_dpp import cli, dpp_kernels, forks
 from elliptic_dpp.dpp_kernels import KernelSpec, _factors, _kernel_rows, _kernel_sum, _norms_log
 
 # (label, family, t, t*)
@@ -41,6 +52,11 @@ CASES = (
     ("A4_small_t", ("A", 4, 1.0), 0.01 * 2.0 * math.pi / 16.0, 1.0),
     ("D4_large_tstar", ("D", 4, 1.0), 50.0 * 2.0 * math.pi / 36.0, 100.0 * 2.0 * math.pi / 36.0),
 )
+
+# (label, family, t) of the sampler's table, t* = 1
+SAMPLER_CASES = tuple((f"A{N}", ("A", N, 1.0), 0.5) for N in (2, 4, 8, 10, 12, 16)) + (
+    ("C3_t0.3", ("C", 3, 1.0), 0.3),)
+TABLE_NODES = (513, 4097)
 
 
 def best(fn, repeat):
@@ -75,6 +91,18 @@ def layers(ks, n, repeat):
             gather=best(gather, repeat))
         size = part.tell()
     return times, size
+
+
+def sampler_layers(ks, nodes, repeat):
+    """Best-of-`repeat` ms of `_tables` and of one chunk on them, and the
+    tables' bytes."""
+    lms = _norms_log(ks)
+    tables = dpp_kernels._tables(ks, nodes, lms)
+    U = np.random.default_rng(1).random((dpp_kernels._CHUNK, ks.family.N))
+    times = dict(
+        tables=best(lambda: dpp_kernels._tables(ks, nodes, lms), repeat),
+        chunk=best(lambda: dpp_kernels._chain_rule_chunk(ks, U, *tables, lms), repeat))
+    return times, sum(a.nbytes for a in tables if isinstance(a, np.ndarray))
 
 
 def timeline(argv):
@@ -143,6 +171,13 @@ def main():
                   f"  ({1e3 * (e - s):.1f})")
             if kind != "child":
                 done = e
+    print(f"\nsampler, best of {args.repeat}, ms; one chunk = {dpp_kernels._CHUNK} states")
+    print(f"{'table':16s}{'nodes':>6s}{'tables':>9s}{'chunk':>9s}{'MB':>8s}")
+    for label, family, t in SAMPLER_CASES:
+        for nodes in TABLE_NODES:
+            times, size = sampler_layers(KernelSpec(family, t=t, t_star=1.0), nodes, args.repeat)
+            print(f"{label:16s}{nodes:6d}{times['tables']:9.2f}{times['chunk']:9.2f}"
+                  f"{size / 1e6:8.2f}")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,7 @@ from .dpp_kernels import (_SUM_ENTRIES, KernelSpec, _kernel_rows, density, empir
 from .macdonald import IllConditionedError, selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
-from .verification import (SUITES, CheckResult, _large_n_specs, _sine_specs, limits_suite,
-                           render, run_suites)
+from .verification import SUITES, CheckResult, limit_specs, limits_suite, render, run_suites
 
 __all__ = ["main"]
 
@@ -407,7 +406,7 @@ def _run_density(args):
 
 
 def _run_limits(args):
-    return _report(limits_suite(args.family, args.rho, args.horizon))
+    return _report(limits_suite(args.family, args.infinite))
 
 
 def _run_verify(args):
@@ -535,9 +534,10 @@ def _config_flags(path):
 def _check(args):
     """Check a parsed run in place and build what its verb runs on, once: the
     `family` (FamilySpec), `ks` (KernelSpec, at t = t_star / 2 unless --t is
-    given), for --rho the infinite-volume specs of `limits_suite`
-    (`infinite`), and --points as an array.  Each rule is keyed on a flag the
-    verb reads; a refusal is a ValueError that names the flag at fault.
+    given), for --rho the specs `limits_suite` runs on (`infinite`, from
+    `verification.limit_specs`), and --points as an array.  Each rule is
+    keyed on a flag the verb reads; a refusal is a ValueError that names the
+    flag at fault.
     """
     flags = _VERB_FLAGS[args.command][1]
     del args.config
@@ -547,9 +547,8 @@ def _check(args):
         args.t = 0.5 * args.t_star if args.t is None else args.t
         args.ks = KernelSpec(args.family, args.t, args.t_star)
     if "rho" in flags:
-        try:     # the sine lines' specs, at t* = horizon / rho^2, and the N -> infinity line's
-            args.infinite = (_sine_specs(args.family.sharp, args.rho, args.horizon),
-                             _large_n_specs(args.family, args.rho))
+        try:
+            args.infinite = limit_specs(args.family, args.rho, args.horizon)
         except ValueError as exc:
             raise ValueError(f"--rho {args.rho!r} and --horizon {args.horizon!r}: "
                              f"{exc}") from None

@@ -436,7 +436,8 @@ _PILOT = 64             # states whose bound picks the table size
 SAMPLER_TV_TOL = 1e-3   # limit on the tabulation error's total-variation bound
 _MASS_TOL = 1e-6        # allowed relative drift of a conditional's total mass
 _CHUNK = 512            # states drawn together; bounds the (chunk, 2 N^2) work arrays
-_LEAF = 8               # cells per leaf of the tree; a draw scans its leaf's cells
+_ROW_MAX_N = 8          # the largest N whose tables keep each node's W_g as a row
+_LEAF = 8               # cells per leaf of the tree for larger N; a draw scans them
 _PART_ROWS = 512        # the fewest states a forked part of the draws takes
 
 
@@ -457,7 +458,7 @@ class SampleResult:
     nodes: int
 
 
-def _chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms):
+def _chain_rule_chunk(ks, U, xs, A, C, W, tree, curv, lms):
     """Draw one state per row of U (uniforms, one per coordinate); returns
     (points, tabulation bound per row).
 
@@ -466,11 +467,16 @@ def _chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms):
     mass at the tree's root (`_tables`), descends to a leaf by one dot
     product per level, evaluates f at the leaf's nodes and inverts the
     linear density in the chosen cell as the cancellation-free root of its
-    quadratic CDF.  Every product is per row, whatever rows share the chunk.
+    quadratic CDF.  A leaf is one cell when the tables carry the rows W
+    (N <= `_ROW_MAX_N`), and f at its two ends is q . W_g, the dot product of
+    a descent level; otherwise a leaf is `_LEAF` cells and f at its nodes is
+    a^T Q c from the factors.  Every product is per row, whatever rows share
+    the chunk.
     """
     R, N = U.shape
     h = xs[1] - xs[0]
     leaves = tree.shape[0]
+    width = (len(xs) - 1) // leaves             # cells per leaf
     rows = np.arange(R)
     Q = np.repeat(np.eye(N, dtype=complex)[None], R, axis=0)
     q = Q.view(float).reshape(R, -1)            # Re Q and Im Q interleaved, a view
@@ -491,11 +497,12 @@ def _chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms):
             right = target > m
             np.subtract(target, m, out=target, where=right)
             node += node + right
-        at = ((node - leaves) * _LEAF)[:, None] + np.arange(_LEAF + 1)   # the leaf's nodes
-        f = np.einsum("rgi,rgi->rg", np.matmul(A[at], Q), C[at]).real
+        at = ((node - leaves) * width)[:, None] + np.arange(width + 1)   # the leaf's nodes
+        f = (np.einsum("rgi,rgi->rg", np.matmul(A[at], Q), C[at]).real if W is None
+             else np.einsum("rk,rgk->rg", q, W[at]))
         np.maximum(f, 0.0, out=f)   # round-off below the zeros at drawn points
         cum = np.cumsum(f[:, :-1] + f[:, 1:], axis=1)
-        cell = np.minimum(np.sum(cum < target[:, None], axis=1), _LEAF - 1)
+        cell = np.minimum(np.sum(cum < target[:, None], axis=1), width - 1)
         below = np.where(cell > 0, cum[rows, cell - 1], 0.0)
         fa, fb = f[rows, cell], f[rows, cell + 1]
         rho = 0.5 * np.clip(target - below, 0.0, fa + fb)    # cell mass so far / h
@@ -519,30 +526,40 @@ def _chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms):
 
 def _tables(ks, nodes, lms):
     """Equispaced nodes on [0, L], the factors a and c on them as (nodes, N)
-    rows (C = conj(A) at t = t*/2), the tree of cell matrices and curv.
+    rows (C = conj(A) at t = t*/2), the rows W (or None), the tree of cell
+    matrices and curv.
 
     With W_g = a(x_g) c(x_g)^T, cell g's mass is (h/2) Re sum_ij Q_ij S_ij,
-    S = W_g + W_{g+1}.  Leaves sum S over `_LEAF` cells and are summed
-    pairwise; in heap order the tree keeps the root at 0 and node i's left
-    child at i, as real views of conj S (dotted with Q's real view: Re sum_ij
-    Q_ij S_ij).  curv sums |second differences of W_g|: sum_ij |Q_ij| curv_ij
-    bounds the sum of f's |second differences|.
+    S = W_g + W_{g+1}.  For N <= `_ROW_MAX_N` the tables keep every W_g as a
+    real row, W, and the tree's leaves are single cells; for larger N (a row
+    is 2 N^2 doubles) W is None and a leaf sums S over `_LEAF` cells.  Leaves
+    are summed pairwise; in heap order the tree keeps the root at 0 and node
+    i's left child at i.  W and the tree hold real views of conj W_g and
+    conj S, so a dot product with Q's real view reads Re sum_ij Q_ij S_ij.
+    curv sums |second differences of W_g|: sum_ij |Q_ij| curv_ij bounds the
+    sum of f's |second differences|.
     """
     xs = np.linspace(0.0, ks.family.length, nodes)
     A, B = _factors(ks, xs, xs, lms)
     A, C = np.ascontiguousarray(A.T), np.ascontiguousarray(np.conj(B).T)
-    leaves = (nodes - 1) // _LEAF
-    at = np.arange(leaves)[:, None] * _LEAF + np.arange(_LEAF + 1)
-    trapezoid = np.r_[1.0, np.full(_LEAF - 1, 2.0), 1.0]
-    level = np.matmul(A[at].transpose(0, 2, 1) * trapezoid, C[at])
-    level = np.conj(level).view(float).reshape(leaves, -1)
-    left = []
-    while len(level) > 1:
-        left.append(level[0::2])
+    if A.shape[1] <= _ROW_MAX_N:
+        W = A[:, :, None] * C[:, None, :]
+        W = np.conj(W, out=W).view(float).reshape(nodes, -1)
+        level = W[:-1] + W[1:]
+    else:
+        W, leaves = None, (nodes - 1) // _LEAF
+        at = np.arange(leaves)[:, None] * _LEAF + np.arange(_LEAF + 1)
+        trapezoid = np.r_[1.0, np.full(_LEAF - 1, 2.0), 1.0]
+        level = np.matmul(A[at].transpose(0, 2, 1) * trapezoid, C[at])
+        level = np.conj(level).view(float).reshape(leaves, -1)
+    tree, n = np.empty_like(level), len(level)
+    while n > 1:
+        n //= 2
+        tree[n:2 * n] = level[0::2]     # the left children of heap nodes n .. 2n-1
         level = level[0::2] + level[1::2]
-    tree = np.concatenate([level] + left[::-1])
+    tree[0] = level[0]
     curv = np.array([np.abs(np.diff(a[:, None] * C, 2, axis=0)).sum(axis=0) for a in A.T])
-    return xs, A, C, tree, curv
+    return xs, A, C, W, tree, curv
 
 
 def _draw_rows(ks, U, tables, lms, pos, est):
@@ -573,7 +590,11 @@ def exact_sample(ks, states, seed=0):
     h) and drawn by inverse CDF of its piecewise-linear interpolant, the cell
     found by descending a tree of cell matrices summed once per table
     (Gillenwater-Kulesza-Mariet-Vassilvitskii, ICML 2019): O(N^2 log G) per
-    draw.  The drawn point is evaluated exactly for the rank-one update.
+    draw.  For N <= `_ROW_MAX_N` the tables keep each node's cell matrix as a
+    row and the descent ends at a single cell; for larger N, where a row of
+    2 N^2 doubles costs more than it saves, it ends at a leaf of `_LEAF`
+    cells scanned from the factors (`_tables`).  The drawn point is
+    evaluated exactly for the rank-one update.
     Tabulation error: the interpolant is off by (h^2/8) max|f''| at most, so
     a draw's total variation from its exact conditional is at most
     L h^2 max|f''| / (8 (N - k)), and the joint law's at most the expected

@@ -26,7 +26,8 @@ from .macdonald import IllConditionedError, denominator_residual, midpoint_nodes
 from .root_systems import derive
 from .theta_core import AccuracyError, theta, theta_series
 
-__all__ = ["CheckResult", "SINE_OF", "SUITES", "limits_suite", "run_suites", "render"]
+__all__ = ["CheckResult", "SINE_OF", "SUITES", "limit_specs", "limits_suite", "run_suites",
+           "render"]
 
 # sine-kernel form of each infinite-volume geometry (d.sharp)
 SINE_OF = {"A": "A", "B": "C", "C": "C", "D": "D"}
@@ -249,40 +250,40 @@ def kernel_suite(d, t, t_star):
     ]
 
 
-def _sine_specs(fam, rho, horizon):
-    """(t* rho^2, InfiniteKernelSpec at t*/2) of the sine lines: `horizon`, 50, 200, 800.
+def limit_specs(d, rho, horizon):
+    """The specs `limits_suite` runs on, as (sine, large), at density rho.
 
-    The ValueError of a refused law spec (50, 200 or 800) names that spec."""
+    sine holds (t* rho^2, InfiniteKernelSpec of d.sharp at t*/2) for the sine
+    lines at t* rho^2 = `horizon`, 50, 200 and 800; large the (KernelSpec,
+    InfiniteKernelSpec) pairs of the N -> infinity line, at t* = 1 / rho^2
+    and t / t* = 0.1, 0.5: the family of d's tag at N = 64 and r = size /
+    (2 pi rho), about rho points per unit length.  ValueError where a spec
+    refuses rho; one of the law's horizons (50, 200 or 800) is named.
+    """
     if not sys.float_info.min <= rho * rho < math.inf:     # t* = horizon / rho^2
         raise ValueError(f"rho = {rho!r} leaves rho**2 outside the normal doubles")
-    specs = []
+    fam, sine = d.sharp, []
     for h in (horizon, 50.0, 200.0, 800.0):
         t, t_star = 0.5 * h / rho**2, h / rho**2
         try:
-            specs.append((h, InfiniteKernelSpec(fam, rho=rho, t=t, t_star=t_star)))
+            sine.append((h, InfiniteKernelSpec(fam, rho=rho, t=t, t_star=t_star)))
         except ValueError as exc:
-            if not specs:     # the caller's horizon, which the caller names
+            if not sine:     # the caller's horizon, which the caller names
                 raise
             raise ValueError(f"the sine law at t*rho^2 = {h:g}, InfiniteKernelSpec({fam!r}, "
                              f"rho={rho!r}, t={t!r}, t_star={t_star!r}): {exc}") from None
-    return specs
-
-
-def _large_n_specs(d, rho):
-    """(KernelSpec, InfiniteKernelSpec) pairs of the N -> infinity line, at
-    t* = 1 / rho^2 and t / t* = 0.1, 0.5: the family of d's tag at N = 64 and
-    r = size / (2 pi rho), about rho points per unit length.  ValueError
-    where a spec refuses rho."""
     big = derive((d.tag, 64, derive((d.tag, 64)).size / (2.0 * math.pi * rho)))
     t_star = 1.0 / rho**2
-    return [(KernelSpec(big, t=f * t_star, t_star=t_star),
-             InfiniteKernelSpec(d.sharp, rho=rho, t=f * t_star, t_star=t_star))
-            for f in (0.1, 0.5)]
+    large = [(KernelSpec(big, t=f * t_star, t_star=t_star),
+              InfiniteKernelSpec(fam, rho=rho, t=f * t_star, t_star=t_star))
+             for f in (0.1, 0.5)]
+    return sine, large
 
 
-def limits_suite(d, rho, horizon):
+def limits_suite(d, specs):
     """Degeneration limits of one family: trigonometric, sine at the horizon
-    t* rho^2 = `horizon`, the sine convergence law, and N -> infinity.
+    t* rho^2 of the first sine spec, the sine convergence law, and N ->
+    infinity, on the specs of `limit_specs`.
 
     Not one of SUITES: at the default horizon 50 the sine line fails by design
     (see the comment on it), and `verify --suite all` must keep passing.
@@ -302,12 +303,12 @@ def limits_suite(d, rho, horizon):
     # (b) bulk limit of the infinite kernel vs the sine forms; at the default
     # horizon t* rho^2 = 50 the deviation is ~3e-3 and falls off as the
     # reciprocal of the horizon -- the law line below checks exactly that.
-    fam = d.sharp
+    sine, large = specs
+    (horizon, first), *law = sine
+    fam, rho = first.family, first.rho
     sfam = SINE_OF[fam]
     pts = [(0.3 / rho, 0.3 / rho), (1.3 / rho, 0.6 / rho), (2.2 / rho, 0.9 / rho)]
     px, py = np.array(pts).T
-
-    (_, first), *law = _sine_specs(fam, rho, horizon)
 
     def sine_dev(ik):
         return _worst(*(abs(k - sine_kernel(sfam, x, y, rho))
@@ -324,7 +325,7 @@ def limits_suite(d, rho, horizon):
     # (c) N -> infinity: the run's family at N = 64 against its infinite
     # kernel, at the sine lines' pairs
     worst = 0.0
-    for ks, ik in _large_n_specs(d, rho):
+    for ks, ik in large:
         fin = np.diag(kernel_matrix(ks, px, py))
         worst = _worst(worst, float(np.max(np.abs(fin - infinite_kernel(ik, px, py)))))
     results.append(CheckResult(f"infinite kernel vs finite N=64 {d.tag} (limit {fam})",

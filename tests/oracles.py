@@ -260,6 +260,25 @@ def downdate_chain_rule(ks, U, xs, A, C, lms):
 
 
 # ---------------------------------------------------------------------------
+# the two-point correlation over pairs of bins
+
+def pair_bin_masses(ks, edges, nodes=24):
+    """The integrals of rho_2(x, y) = K(x, x) K(y, y) - K(x, y) K(y, x) over
+    every pair of bins between the edges, as a (bins, bins) array: a midpoint
+    rule of `nodes` nodes per bin on `kernel_matrix`.  rho_2 is the density
+    of ordered pairs (x_i, x_j), i != j, of the process's states.
+    """
+    edges = np.asarray(edges, dtype=float)
+    bins = edges.size - 1
+    width = np.diff(edges)[:, None] / nodes
+    xs = (edges[:-1, None] + (np.arange(nodes) + 0.5) * width).ravel()
+    K = kernel_matrix(ks, xs, xs)
+    rho2 = (np.outer(np.diag(K), np.diag(K)) - K * K.T).real
+    w = np.repeat(width.ravel(), nodes)
+    return (w[:, None] * rho2 * w).reshape(bins, nodes, bins, nodes).sum(axis=(1, 3))
+
+
+# ---------------------------------------------------------------------------
 # the joint density by the determinant route in 80 digits and more
 
 _JTHETA = {0: 4, 1: 1, 2: 2, 3: 3}      # theta index -> mpmath.jtheta's

@@ -23,7 +23,7 @@ from elliptic_dpp.dpp_kernels import KernelSpec, density, exact_sample, kernel, 
 from elliptic_dpp.macdonald import IllConditionedError
 from elliptic_dpp.root_systems import derive
 from elliptic_dpp.theta_core import AccuracyError
-from elliptic_dpp.verification import _configs, limits_suite, render
+from elliptic_dpp.verification import _configs, limit_specs, limits_suite, render
 
 
 def _lines(capsys):
@@ -385,7 +385,8 @@ def test_limits_large_n_line_reads_the_run_family(tag, sharp):
     # 0.5, against its infinite kernel; the run's own N does not enter
     for N in ((2,) if tag == "D" else (1, 2)):
         for rho in (1e-3, 1.0, 1.5, 1e3):
-            row = limits_suite(derive((tag, N, 1.0)), rho, 50.0)[-1]
+            d = derive((tag, N, 1.0))
+            row = limits_suite(d, limit_specs(d, rho, 50.0))[-1]
             assert row.name == f"infinite kernel vs finite N=64 {tag} (limit {sharp})"
             assert row.tol == 1e-10 and row.residual <= 1e-13, (N, rho, row.residual)
 
@@ -412,7 +413,8 @@ def test_limits_names_the_sine_spec_it_refuses(capsys):
 def test_limits_prints_the_rendered_limits_suite(capsys):
     assert main(["limits", "--type", "C", "--N", "3", "--rho", "1.5",
                  "--horizon", "300"]) == 1
-    rows = limits_suite(derive(("C", 3, 1.0)), 1.5, 300.0)
+    d = derive(("C", 3, 1.0))
+    rows = limits_suite(d, limit_specs(d, 1.5, 300.0))
     assert capsys.readouterr().out == render(rows) + "\n"
     assert [row.passed for row in rows] == [True, False, True, True]
 

@@ -41,7 +41,7 @@ from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 from elliptic_dpp.verification import biortho_suite
 from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
-                     fredholm_residual, inf_kernel_reference)
+                     fredholm_residual, inf_kernel_reference, pair_bin_masses)
 
 ABSORBING = ("B", "Bv", "C", "Cv", "BC")   # left wall kills the density
 T, T_STAR = 0.4, 1.0
@@ -882,17 +882,18 @@ def test_stacked_table_products_match_elementwise_loop(tag, N):
     # the per-row products of `_chain_rule_chunk` on the sampler's own tables,
     # with random stand-ins for Q: a descent level's dot products with the
     # gathered tree rows, Re sum_ij Q_ij S_ij, and the leaf scan
-    # Re a(x_g)^T Q c(x_g), within 1e-14 of a loop over the entries (relative
-    # to the sum of the terms' moduli), and each row bit for bit the same
-    # whatever R
+    # Re a(x_g)^T Q c(x_g), read from the rows W (N <= 8) or the factors,
+    # within 1e-14 of a loop over the entries (relative to the sum of the
+    # terms' moduli), and each row bit for bit the same whatever R
     ks = _ks(tag, N, t=0.5)
     lms = dpp_kernels._norms_log(ks)
     rng = np.random.default_rng(zlib.crc32(f"{tag}{N}".encode()))
     Q = rng.standard_normal((64, N, N)) + 1j * rng.standard_normal((64, N, N))
     q = Q.view(float).reshape(64, -1)
-    leaf = dpp_kernels._LEAF
     for nodes in (513, 4097):
-        _, A, C, tree, _ = dpp_kernels._tables(ks, nodes, lms)
+        _, A, C, W, tree, _ = dpp_kernels._tables(ks, nodes, lms)
+        assert (W is None) == (N > dpp_kernels._ROW_MAX_N)
+        leaf = (nodes - 1) // tree.shape[0]
         node = rng.integers(0, tree.shape[0], 64)
         at = rng.integers(0, tree.shape[0], 64)[:, None] * leaf + np.arange(leaf + 1)
         S = np.conj(tree.view(complex).reshape(-1, N, N))[node]
@@ -900,8 +901,9 @@ def test_stacked_table_products_match_elementwise_loop(tag, N):
                  for i in range(N) for j in range(N)]
 
         def products(R):
-            return (np.einsum("rk,rk->r", q[:R], tree[node[:R]]),
-                    np.einsum("rgi,rgi->rg", np.matmul(A[at[:R]], Q[:R]), C[at[:R]]).real)
+            scan = (np.einsum("rgi,rgi->rg", np.matmul(A[at[:R]], Q[:R]), C[at[:R]]).real
+                    if W is None else np.einsum("rk,rgk->rg", q[:R], W[at[:R]]))
+            return np.einsum("rk,rk->r", q[:R], tree[node[:R]]), scan
 
         for got, part in zip(products(64), zip(*terms)):
             ref = sum(part).real
@@ -924,10 +926,10 @@ def test_tree_masses_and_bound_match_the_downdated_table(tag, N, t):
     # carry a bound at least the table's estimate and move by round-off only
     ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
     lms = dpp_kernels._norms_log(ks)
-    xs, A, C, tree, curv = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    xs, A, C, W, tree, curv = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
     U = np.random.default_rng(zlib.crc32(f"{tag}{N}{t}".encode())).random((16, N))
     ref_pos, ref_tv, steps = downdate_chain_rule(ks, U, xs, A, C, lms)
-    pos, tv = dpp_kernels._chain_rule_chunk(ks, U, xs, A, C, tree, curv, lms)
+    pos, tv = dpp_kernels._chain_rule_chunk(ks, U, xs, A, C, W, tree, curv, lms)
     leaves = tree.shape[0]
     heap = np.r_[1, 2 * np.arange(1, leaves)]               # the node each entry holds
     depth = np.floor(np.log2(heap)).astype(int)
@@ -947,14 +949,16 @@ def test_tree_masses_and_bound_match_the_downdated_table(tag, N, t):
     assert np.max(np.abs(pos - ref_pos)) <= 1e-9 * ks.family.length
 
 
-@pytest.mark.parametrize("tag,t", [("A", 0.5), ("C", 0.3)])
-def test_chain_rule_rows_do_not_depend_on_chunk(tag, t):
-    # Hermitian (t = t*/2) and general case: every drawn row and its tv
-    # estimate are bit for bit the same whichever rows share its chunk
-    ks = KernelSpec((tag, 4, 1.0), t=t, t_star=1.0)
+@pytest.mark.parametrize("tag,N,t", [("A", 4, 0.5), ("C", 4, 0.3), ("A", 12, 0.5)],
+                         ids=["A-0.5", "C-0.3", "A12-0.5"])
+def test_chain_rule_rows_do_not_depend_on_chunk(tag, N, t):
+    # Hermitian (t = t*/2) and general case, on the rows W (N = 4) and on the
+    # factors (N = 12): every drawn row and its tv estimate are bit for bit
+    # the same whichever rows share its chunk
+    ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
     lms = dpp_kernels._norms_log(ks)
     tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
-    U = np.random.default_rng(7).random((64, 4))
+    U = np.random.default_rng(7).random((64, N))
     for R in (1, 3, 7, 33, 64):
         runs = [dpp_kernels._chain_rule_chunk(ks, U[s:s + R], *tables, lms)
                 for s in range(0, 64, R)]
@@ -975,10 +979,11 @@ sys.stdout.write(res.positions.tobytes().hex() + " " + res.tabulation_error.hex(
 """
 
 
-@pytest.mark.parametrize("tag,N,t", [("A", 4, 0.5), ("C", 3, 0.3)])
+@pytest.mark.parametrize("tag,N,t", [("A", 4, 0.5), ("C", 3, 0.3), ("A", 12, 0.5)])
 def test_exact_sample_does_not_depend_on_blas_threads(tag, N, t):
     # every product is per row, so one and two OpenBLAS threads draw the same
-    # states and the same tabulation bound, bit for bit (at t = t*/2 and off it)
+    # states and the same tabulation bound, bit for bit (at t = t*/2 and off
+    # it); at N = 12 the leaf scan's products of the factors go through BLAS
     src = str(Path(dpp_kernels.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
@@ -1213,6 +1218,32 @@ def test_exact_sample_joint_law(tag):
             worst = max(worst, abs(count[i, j] - expect) / np.sqrt(max(expect, 1.0)))
     assert count[np.tril_indices(6, -1)].sum() == 0
     assert worst < 4.0, f"{tag}: worst cell pull {worst:.2f}"
+
+
+@pytest.mark.parametrize("tag,N,t", [("A", 4, 0.5), ("A", 4, 0.1), ("C", 3, 0.2),
+                                     ("BC", 3, 0.7), ("D", 3, 0.3)])
+def test_exact_sample_two_point_law(tag, N, t):
+    # the ordered pairs (x_i, x_j), i != j, of 40 000 states in 8 x 8 bins
+    # against S times the bins' integrals of rho_2 (`oracles.pair_bin_masses`):
+    # a sampler with the right intensity but wrong conditionals fails here.
+    # Pulls in standard errors from 20 blocks of 2 000 states, over the bins
+    # that expect more than 50 pairs; 4.5 allows for ~60 bins at once
+    ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
+    S, blocks, bins = 40_000, 20, 8
+    res = exact_sample(ks, S, seed=zlib.crc32(f"{tag}{N}{t}".encode()))
+    edges = np.linspace(0.0, ks.family.length, bins + 1)
+    at = np.minimum(np.searchsorted(edges, res.positions, side="right") - 1, bins - 1)
+    i, j = np.nonzero(~np.eye(N, dtype=bool))
+    pairs = at[:, i] * bins + at[:, j]
+    counts = np.stack([np.bincount(p.ravel(), minlength=bins * bins)
+                       for p in np.split(pairs, blocks)])
+    expect = S * pair_bin_masses(ks, edges).ravel()
+    stderr = np.sqrt(blocks) * counts.std(axis=0, ddof=1)
+    hit = expect > 50.0
+    assert hit.sum() >= bins * bins // 2
+    pulls = (counts.sum(axis=0) - expect)[hit] / stderr[hit]
+    worst = np.max(np.abs(pulls))
+    assert worst <= 4.5, f"{tag}{N} t={t}: worst pair-bin pull {worst:.2f}"
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def test_nan_residual_fails_its_line(suite, fn, at, line, monkeypatch):
     monkeypatch.setattr(verification, fn, one_nan)
     d = derive(("A", 3, 1.0))
     if suite == "limits":
-        results = verification.limits_suite(d, 1.0, 300000.0)
+        results = verification.limits_suite(d, verification.limit_specs(d, 1.0, 300000.0))
     else:
         results = verification.run_suites(suite, d, 0.4, 1.0)
     res = _lines(results)[line]
