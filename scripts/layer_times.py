@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer times of `kernel --grid` and of the sampler, and each grid's part timeline.
+"""Layer times of `kernel --grid` and of the sampler, with part timelines of both.
 
 For the four grids of the benchmark's `kernel_grid` workload (A16 and C3 at
 t = t*/2, A4 at Im tau ~ 0.01, D4 at Im tau* ~ 50, without its jitter) it
@@ -29,6 +29,13 @@ for A2, A4, A8, A10, A12, A16 at t = t*/2 and C3 at t = 0.3 (t* = 1).  The
 chunk is called as `_chain_rule_chunk(ks, U, *tables, lms)`, so the script
 runs on any table layout `_tables` returns.
 
+Last, one `exact_sample` call of 2048 states each for A4 at t = 0.5 (its
+table proven before any draw), C3 at t = 0.3 (off t*/2: the pilot picks the
+table) and A16 at t = 0.5 (a pilot at each size until the last table is
+proven), in ms from the call's start: each table size with its build
+(tables), its certificate's bound (proof) and the pilot's draw with its mean
+bound where one runs, then the parts as in the grid's timeline.
+
 Usage:
     PYTHONPATH=src python3 scripts/layer_times.py [--grid 512] [--repeat 7]
 """
@@ -57,6 +64,12 @@ CASES = (
 SAMPLER_CASES = tuple((f"A{N}", ("A", N, 1.0), 0.5) for N in (2, 4, 8, 10, 12, 16)) + (
     ("C3_t0.3", ("C", 3, 1.0), 0.3),)
 TABLE_NODES = (513, 4097)
+
+# (label, family, t) of the sampler's timeline, t* = 1: a proven table, a
+# pilot off t*/2, and a pilot until the last table is proven
+TIMELINE_CASES = (("A4_t0.5", ("A", 4, 1.0), 0.5), ("C3_t0.3", ("C", 3, 1.0), 0.3),
+                  ("A16_t0.5", ("A", 16, 1.0), 0.5))
+TIMELINE_STATES = 2048
 
 
 def best(fn, repeat):
@@ -105,40 +118,121 @@ def sampler_layers(ks, nodes, repeat):
     return times, sum(a.nbytes for a in tables if isinstance(a, np.ndarray))
 
 
-def timeline(argv):
-    """One `kernel` call: the (event, lo, hi, start, end) of its parts, in s
-    from the call's start, and the call's time.  The children's events come
-    back through a log file every part appends to."""
+def timeline(call, patches=lambda note: {}):
+    """call(tmp), tmp a temporary directory, with `forks.run` traced: the
+    (event, lo, hi, start, end, value) of its parts, in s from the call's
+    start, and the call's time.  The children's events come back through a
+    log file every part appends to.  patches(note) maps (module, name) to a
+    replacement set for the call; note(kind, lo, hi, start, value) logs an
+    event that ends now."""
     run = forks.run
     with tempfile.TemporaryDirectory() as tmp:
         log = os.open(os.path.join(tmp, "log"), os.O_RDWR | os.O_CREAT | os.O_APPEND)
+
+        def note(kind, lo, hi, start, value=0.0):
+            os.write(log, f"{kind} {lo} {hi} {start!r} {time.perf_counter()!r} {value!r}\n"
+                     .encode())
 
         def timed(kind, fn):
             def call(*args):
                 t0 = time.perf_counter()
                 fn(*args)
-                os.write(log, f"{kind} {args[-2]} {args[-1]} {t0!r} {time.perf_counter()!r}\n"
-                         .encode())
+                note(kind, args[-2], args[-1], t0)
             return call
 
         def traced(n, start, count, own, child, gather, name, **kw):
+            note("run", start, n, time.perf_counter())
             run(n, start, count, timed("own", own), timed("child", child),
                 timed("gather", gather), name, **kw)
 
-        forks.run = traced
+        patched = {(forks, "run"): traced, **patches(note)}
+        saved = {key: getattr(*key) for key in patched}
+        for (module, name), fn in patched.items():
+            setattr(module, name, fn)
         try:
             t0 = time.perf_counter()
-            assert cli.main(argv + ["--out", os.path.join(tmp, "k.csv")]) == 0
+            call(tmp)
             total = time.perf_counter() - t0
         finally:
-            forks.run = run
+            for (module, name), fn in saved.items():
+                setattr(module, name, fn)
         text = os.pread(log, os.fstat(log).st_size, 0).decode()
         os.close(log)
     events = []
     for line in text.splitlines():
-        kind, lo, hi, s, e = line.split()
-        events.append((kind, int(lo), int(hi), float(s) - t0, float(e) - t0))
+        kind, lo, hi, s, e, value = line.split()
+        events.append((kind, int(lo), int(hi), float(s) - t0, float(e) - t0, float(value)))
     return events, total
+
+
+def kernel_call(argv):
+    """A `timeline` call of the `kernel` verb, its table written into tmp."""
+    def call(tmp):
+        assert cli.main(argv + ["--out", os.path.join(tmp, "k.csv")]) == 0
+    return call
+
+
+def sampler_patches(note):
+    """Timed `_tables`, `_certificate` and `_draw_rows` for `timeline`: a
+    table's build (`tables`), its certificate (`proof`, the bound) and each
+    draw (`draw`, the mean bound of its rows), with the table's nodes as lo
+    and hi."""
+    tables, certificate, draw_rows = (dpp_kernels._tables, dpp_kernels._certificate,
+                                      dpp_kernels._draw_rows)
+
+    def timed_tables(ks, nodes, lms):
+        t0 = time.perf_counter()
+        out = tables(ks, nodes, lms)
+        note("tables", nodes, nodes, t0)
+        return out
+
+    def timed_certificate(ks, tab):
+        t0 = time.perf_counter()
+        bound = certificate(ks, tab)
+        note("proof", len(tab[0]), len(tab[0]), t0, bound)
+        return bound
+
+    def timed_draw_rows(ks, U, tab, lms, pos, est):
+        t0 = time.perf_counter()
+        draw_rows(ks, U, tab, lms, pos, est)
+        note("draw", len(tab[0]), len(tab[0]), t0, float(np.mean(est)))
+
+    return {(dpp_kernels, "_tables"): timed_tables,
+            (dpp_kernels, "_certificate"): timed_certificate,
+            (dpp_kernels, "_draw_rows"): timed_draw_rows}
+
+
+def print_parts(events):
+    """The parts of a `forks.run` timeline, in row order, with the wait for
+    each child after the parts before it."""
+    done = None
+    parts = [ev for ev in events if ev[0] in ("own", "child", "gather")]
+    for kind, lo, hi, s, e, _ in sorted(parts, key=lambda ev: (ev[1], ev[0] != "child")):
+        if kind == "gather":
+            print(f"  wait    rows {lo}..{hi - 1}: {1e3 * (s - done):8.1f}")
+        print(f"  {kind:7s} rows {lo}..{hi - 1}: {1e3 * s:8.1f} .. {1e3 * e:8.1f}"
+              f"  ({1e3 * (e - s):.1f})")
+        if kind != "child":
+            done = e
+
+
+def print_sampler(events):
+    """A sampler timeline: each table size in order, with its build, its
+    certificate's bound and the pilot's mean bound where one is drawn, then
+    the parts.  A draw that ends before the parts start is the pilot's."""
+    start = next(s for kind, *_, s, _, _ in events if kind == "run")
+    for kind, nodes, _, s, e, value in sorted(events, key=lambda ev: ev[3]):
+        if kind == "tables":
+            print(f"  tables  {nodes:5d} nodes: {1e3 * s:8.1f} .. {1e3 * e:8.1f}"
+                  f"  ({1e3 * (e - s):.1f})")
+        elif kind == "proof":
+            verdict = "proven" if value <= dpp_kernels.SAMPLER_TV_TOL else "not proven"
+            print(f"  proof   {nodes:5d} nodes: {1e3 * s:8.1f} .. {1e3 * e:8.1f}"
+                  f"  ({1e3 * (e - s):.1f})  bound {value:.3g}, {verdict}")
+        elif kind == "draw" and e <= start:
+            print(f"  pilot   {nodes:5d} nodes: {1e3 * s:8.1f} .. {1e3 * e:8.1f}"
+                  f"  ({1e3 * (e - s):.1f})  mean bound {value:.3g}")
+    print_parts(events)
 
 
 def main():
@@ -161,16 +255,9 @@ def main():
     for label, (tag, N, r), t, t_star in CASES:
         argv = ["kernel", "--type", tag, "--N", str(N), "--r", repr(r), "--t", repr(t),
                 "--t-star", repr(t_star), "--grid", str(n)]
-        events, total = timeline(argv)
+        events, total = timeline(kernel_call(argv))
         print(f"{label}: {1e3 * total:.1f} ms in all")
-        done = None
-        for kind, lo, hi, s, e in sorted(events, key=lambda ev: (ev[1], ev[0] != "child")):
-            if kind == "gather":
-                print(f"  wait    rows {lo}..{hi - 1}: {1e3 * (s - done):8.1f}")
-            print(f"  {kind:7s} rows {lo}..{hi - 1}: {1e3 * s:8.1f} .. {1e3 * e:8.1f}"
-                  f"  ({1e3 * (e - s):.1f})")
-            if kind != "child":
-                done = e
+        print_parts(events)
     print(f"\nsampler, best of {args.repeat}, ms; one chunk = {dpp_kernels._CHUNK} states")
     print(f"{'table':16s}{'nodes':>6s}{'tables':>9s}{'chunk':>9s}{'MB':>8s}")
     for label, family, t in SAMPLER_CASES:
@@ -178,6 +265,14 @@ def main():
             times, size = sampler_layers(KernelSpec(family, t=t, t_star=1.0), nodes, args.repeat)
             print(f"{label:16s}{nodes:6d}{times['tables']:9.2f}{times['chunk']:9.2f}"
                   f"{size / 1e6:8.2f}")
+    print(f"\nsampler timeline of one `exact_sample` call of {TIMELINE_STATES} states, "
+          f"ms from its start (t* = 1)")
+    for label, family, t in TIMELINE_CASES:
+        ks = KernelSpec(family, t=t, t_star=1.0)
+        events, total = timeline(lambda tmp: dpp_kernels.exact_sample(ks, TIMELINE_STATES, seed=1),
+                                 sampler_patches)
+        print(f"{label}: {1e3 * total:.1f} ms in all")
+        print_sampler(events)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,9 @@ range, small horizons where the determinant identity's matrix is past its
 condition limit, small times where the determinants of the joint density
 cancel in plain doubles and the Euler products of a(t) leave them, a kernel
 grid written to stdout in parts, `limits` at rho != 1, tables whose
-numbers have 3-digit exponents, negative round-off and zeros, and samplers
-whose draws split into parts.  A full run takes about 20 s on a 2-core
+numbers have 3-digit exponents, negative round-off and zeros, samplers
+whose draws split into parts, and sampler tables proven before any draw or
+after a pilot.  A full run takes about 20 s on a 2-core
 machine.
 
 The last commands read a --config file: each first writes its JSON object
@@ -185,6 +186,11 @@ def _commands():
     # draws in parts on two or more CPUs: the 20 000-state default, and C8
     cmds += ["sample --type A --N 4 --t 0.5 --t-star 1 --seed 7 --out s",
              "sample --type C --N 8 --steps 4096 --seed 2 --out s"]
+    # the sampler's table choice at t = t*/2: a pilot at 513 and 1 025 nodes,
+    # then a table proven at 2 049; and a small horizon where the proof takes
+    # a table one doubling smaller than the pilot's rule would
+    cmds += ["sample --type A --N 8 --steps 1024 --seed 5 --out s",
+             "sample --type A --N 2 --t-star 0.05 --steps 256 --seed 11 --out s"]
     return cmds
 
 

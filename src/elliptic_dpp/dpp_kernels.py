@@ -432,7 +432,7 @@ def infinite_kernel(iks, x, y):
 SAMPLER_BLOCKS = 64     # independent seed-blocks; the histogram stderr uses them
 SAMPLER_NODES = 513     # first table size on the closed alcove [0, L]
 _MAX_NODES = 8193       # last table size the node doubling tries
-_PILOT = 64             # states whose bound picks the table size
+_PILOT = 64             # states whose bound picks a table `_certificate` cannot prove
 SAMPLER_TV_TOL = 1e-3   # limit on the tabulation error's total-variation bound
 _MASS_TOL = 1e-6        # allowed relative drift of a conditional's total mass
 _CHUNK = 512            # states drawn together; bounds the (chunk, 2 N^2) work arrays
@@ -562,6 +562,40 @@ def _tables(ks, nodes, lms):
     return xs, A, C, W, tree, curv
 
 
+def _certificate(ks, tables):
+    """A bound on every state's tabulation error on `tables` that needs no
+    draw, N h lambda_max(curv) / (12 (1 - `_MASS_TOL`)), at t = t*/2; inf
+    at any other time.
+
+    At t = t*/2, c = conj a, so each Q of the chain rule is an orthogonal
+    projector of trace N - k: |Q_ij| <= sqrt(Q_ii Q_jj).  curv is entrywise
+    >= 0 and symmetric up to rounding; with lambda_max the top eigenvalue of
+    max(curv, curv^T), sum_ij |Q_ij| curv_ij <= lambda_max (N - k).  The mass
+    check keeps (h/2) Z >= (1 - `_MASS_TOL`) (N - k), so each of a state's N
+    draws adds at most h lambda_max / (12 (1 - `_MASS_TOL`)) to its bound
+    (`_chain_rule_chunk`).
+    """
+    if ks.t_star - ks.t != ks.t:
+        return math.inf
+    xs, curv = tables[0], tables[-1]
+    lam = np.linalg.eigvalsh(np.maximum(curv, curv.T))[-1]
+    return float(ks.family.N * (xs[1] - xs[0]) * lam / (12.0 * (1.0 - _MASS_TOL)))
+
+
+def _uniforms(entropy, cuts, N, lo, hi):
+    """Rows lo..hi-1 of the run's uniforms, N a row.  Seed-block b holds rows
+    cuts[b]..cuts[b+1]-1, drawn by the generator of
+    SeedSequence(entropy, spawn_key=(b,)), which is the b-th child that
+    SeedSequence(entropy).spawn gives; only the blocks the rows touch are
+    drawn."""
+    first = int(np.searchsorted(cuts, lo, side="right")) - 1
+    last = int(np.searchsorted(cuts, hi, side="left"))
+    U = np.concatenate([np.empty((0, N))] + [
+        np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(b,)))
+        .random((cuts[b + 1] - cuts[b], N)) for b in range(first, last)])
+    return U[lo - cuts[first]:hi - cuts[first]]
+
+
 def _draw_rows(ks, U, tables, lms, pos, est):
     """Fill pos and est row by row from the uniforms U, `_CHUNK` rows a time."""
     for s0 in range(0, U.shape[0], _CHUNK):
@@ -600,23 +634,34 @@ def exact_sample(ks, states, seed=0):
     L h^2 max|f''| / (8 (N - k)), and the joint law's at most the expected
     sum over the N draws.  `tabulation_error` bounds that sum, averaged over
     the states, with the cell integrals |f''| h^3 / 12 bounded through the
-    cell matrices' second differences (4.6e-4 at A N=4, t=0.5, t*=1).  The
-    table (`nodes` in the result) starts at `SAMPLER_NODES` nodes and doubles
-    until the first `_PILOT` states (which are kept) bound it by half of
-    `SAMPLER_TV_TOL`; AccuracyError if the whole run's bound exceeds it.
+    cell matrices' second differences (4.6e-4 at A N=4, t=0.5, t*=1).
 
-    The pilot and the table choice are serial.  The states after the pilot
-    split into `forks.parts(states - _PILOT, _PART_ROWS)` contiguous parts,
-    one per available CPU with at least `_PART_ROWS` states each, drawn at
-    the same time by `forks.run`: this process draws the first, a forked
-    child each later one, and the children's rows and bounds come back in
-    row order.  A child's exception reaches the caller with its own type (an
-    AccuracyError stays one); a child killed by a signal raises
-    ChildProcessError naming its rows.  There is no option for it.
+    The table (`nodes` in the result) starts at `SAMPLER_NODES` nodes and
+    doubles until it is proven or piloted.  Proven: at t = t*/2 the kernel is
+    Hermitian, every Q of the chain rule is an orthogonal projector, and
+    `_certificate` bounds every state's error by
+    N h lambda_max(curv) / (12 (1 - `_MASS_TOL`)) before any draw; a table
+    where that is at most `SAMPLER_TV_TOL` is taken as it is.  Piloted, where
+    the certificate fails (t != t*/2, or a Hermitian table it cannot prove):
+    the first `_PILOT` states (which are kept) are drawn on the table, and it
+    is taken once they bound it by half of `SAMPLER_TV_TOL`, or at
+    `_MAX_NODES`.  AccuracyError if the whole run's bound exceeds
+    `SAMPLER_TV_TOL`.
+
+    The table choice and the pilot are serial.  The states after the pilot
+    (all of them on a proven table) split into
+    `forks.parts(states - pilot, _PART_ROWS)` contiguous parts, one per
+    available CPU with at least `_PART_ROWS` states each, drawn at the same
+    time by `forks.run`: this process draws the first, a forked child each
+    later one, and the children's rows and bounds come back in row order.  A
+    child's exception reaches the caller with its own type (an AccuracyError
+    stays one); a child killed by a signal raises ChildProcessError naming
+    its rows.  There is no option for it.
 
     The uniforms come from `SAMPLER_BLOCKS` seed-blocks spawned from `seed`
-    (rows split evenly over the blocks in order), one per coordinate, so a
-    fixed (ks, states, seed) gives the same states, block ids, bound and
+    (rows split evenly over the blocks in order), one per coordinate; each
+    part, and the pilot, draws the blocks its rows touch (`_uniforms`).  So
+    a fixed (ks, states, seed) gives the same states, block ids, bound and
     table bit for bit whatever the chunk size `_CHUNK` or the part count.
     Never returns NaN or out-of-alcove rows:
     AccuracyError instead, also when a conditional's mass is not within
@@ -629,23 +674,24 @@ def exact_sample(ks, states, seed=0):
 
     nb = min(SAMPLER_BLOCKS, S)
     cuts = np.arange(nb + 1) * S // nb
-    U = np.empty((S, N))
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(nb)):
-        U[cuts[b]:cuts[b + 1]] = np.random.default_rng(child).random((cuts[b + 1] - cuts[b], N))
-
+    entropy = np.random.SeedSequence(seed).entropy
     pos = np.empty((S, N))
     est = np.empty(S)
-    P = min(_PILOT, S)
+
+    def draw(lo, hi):
+        _draw_rows(ks, _uniforms(entropy, cuts, N, lo, hi), tables, lms, pos[lo:hi], est[lo:hi])
+
     nodes = SAMPLER_NODES
     while True:
         tables = _tables(ks, nodes, lms)
-        _draw_rows(ks, U[:P], tables, lms, pos[:P], est[:P])
+        if _certificate(ks, tables) <= SAMPLER_TV_TOL:
+            P = 0
+            break
+        P = min(_PILOT, S)
+        draw(0, P)
         if est[:P].mean() <= 0.5 * SAMPLER_TV_TOL or nodes >= _MAX_NODES:
             break
         nodes = 2 * nodes - 1
-
-    def draw(lo, hi):
-        _draw_rows(ks, U[lo:hi], tables, lms, pos[lo:hi], est[lo:hi])
 
     def send(part, lo, hi):
         draw(lo, hi)

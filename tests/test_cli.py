@@ -477,7 +477,7 @@ def test_sample_outputs_are_byte_identical_for_fixed_seed(tmp_path, capsys):
     assert len(meta["states"]) == 128      # --steps counts the states written
     assert not {"burn_in", "thinning", "chains", "acceptance_rates"} & set(meta)
     assert 0.0 < meta["tabulation_error"] < 1e-3
-    assert meta["nodes"] == 513            # the table size the pilot chose
+    assert meta["nodes"] == 513            # the first table, proven before any draw
 
 
 @pytest.mark.parametrize("argv", [
@@ -862,7 +862,8 @@ def test_writer_forks_nothing_where_it_cannot(one_part, tmp_path, monkeypatch, c
 
 
 def test_sample_writes_the_same_files_in_every_part_count(tmp_path, cpus, capsys):
-    # 3 648 states: the pilot's 64, then up to 7 parts of 512 drawn at once
+    # 3 648 states on A4's table, proven at t = t*/2: up to 7 parts of 512
+    # or more drawn at once
     written = []
     for n in (1, 2, 3, 7):
         forks = cpus(n)

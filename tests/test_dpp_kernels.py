@@ -994,7 +994,104 @@ def test_exact_sample_does_not_depend_on_blas_threads(tag, N, t):
     assert runs[0] and runs[0] == runs[1]
 
 
-# the pilot's 64 states, then 7 parts of 512 states on 7 CPUs
+@pytest.mark.parametrize("t_star", [0.3, 1.0, 10.0])
+@pytest.mark.parametrize("tag,N", [("A", 2), ("A", 4), ("C", 3), ("D", 4), ("BC", 3), ("Bv", 2)])
+def test_certificate_bounds_every_drawn_row(tag, N, t_star):
+    # at t = t*/2 every Q of the chain rule is an orthogonal projector, so no
+    # row's tabulation bound passes N h lambda_max / (12 (1 - mass tol)), with
+    # lambda_max the top of the spectrum of the second-difference sums of
+    # W_g = a(x_g) conj a(x_g)^T, formed here from the table's factors
+    ks = KernelSpec((tag, N, 1.0), t=0.5 * t_star, t_star=t_star)
+    lms = dpp_kernels._norms_log(ks)
+    tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    xs, A, curv = tables[0], tables[1], tables[-1]
+    W = A[:, :, None] * np.conj(A)[:, None, :]
+    lam = np.linalg.eigvalsh(np.abs(W[2:] - 2.0 * W[1:-1] + W[:-2]).sum(axis=0))[-1]
+    bound = N * (xs[1] - xs[0]) * lam / (12.0 * (1.0 - dpp_kernels._MASS_TOL))
+    U = np.random.default_rng(zlib.crc32(f"{tag}{N}{t_star}".encode())).random((512, N))
+    _, est = dpp_kernels._chain_rule_chunk(ks, U, *tables, lms)
+    assert np.max(est) <= bound
+    # the table's own curvature sums are >= 0 and symmetric up to rounding,
+    # and give the same bound up to the rounding of the second differences
+    assert np.all(curv >= 0.0) and np.max(np.abs(curv - curv.T)) <= 1e-14 * np.max(curv)
+    assert abs(dpp_kernels._certificate(ks, tables) - bound) <= 1e-9 * bound
+
+
+def _table_draws(monkeypatch):
+    """The (rows, table nodes) of each `_draw_rows` call from then on."""
+    calls, draw_rows = [], dpp_kernels._draw_rows
+
+    def traced(ks, U, tables, *rest):
+        calls.append((len(U), len(tables[0])))
+        return draw_rows(ks, U, tables, *rest)
+
+    monkeypatch.setattr(dpp_kernels, "_draw_rows", traced)
+    return calls
+
+
+def _spawned_uniforms(seed, states, N):
+    """The uniforms of a run, block by block from SeedSequence(seed).spawn."""
+    nb = min(SAMPLER_BLOCKS, states)
+    cuts = np.arange(nb + 1) * states // nb
+    return np.concatenate([np.random.default_rng(child).random((hi - lo, N)) for child, lo, hi
+                           in zip(np.random.SeedSequence(seed).spawn(nb), cuts[:-1], cuts[1:])])
+
+
+def test_a_proven_table_draws_no_pilot(monkeypatch, cpus):
+    # A4 at t = t*/2: the 513-node table is proven before any draw, so no
+    # 64-state pilot runs, and the states are one draw of all rows on that
+    # table from the seed-blocks SeedSequence(seed).spawn gives
+    cpus(1)
+    draw_rows, calls = dpp_kernels._draw_rows, _table_draws(monkeypatch)
+    ks, S = _ks("A", 4, t=0.5), 600
+    res = exact_sample(ks, S, seed=4)
+    assert calls == [(S, 513)] and res.nodes == 513
+    lms = dpp_kernels._norms_log(ks)
+    pos, est = np.empty((S, 4)), np.empty(S)
+    draw_rows(ks, _spawned_uniforms(4, S, 4), dpp_kernels._tables(ks, 513, lms), lms, pos, est)
+    assert np.sort(pos, axis=1).tobytes() == res.positions.tobytes()
+    assert float(np.mean(est)) == res.tabulation_error
+
+
+@pytest.mark.parametrize("tag,N,t,pilots,nodes", [
+    ("A", 16, 0.5, (513, 1025, 2049, 4097), 8193),
+    ("C", 4, 0.5, (513,), 513),
+    ("C", 3, 0.3, (513,), 513),
+])
+def test_tables_the_certificate_fails_run_the_pilot(tag, N, t, pilots, nodes, monkeypatch, cpus):
+    # A16 below 8193 nodes and C4 at 513 are Hermitian tables the
+    # certificate cannot prove, and C3 at t = 0.3 is not Hermitian: the
+    # pilot's 64 states pick the table as before, and the rest are drawn on
+    # it; A16's 8193-node table is proven, so its last pilot draw is skipped
+    cpus(1)
+    calls = _table_draws(monkeypatch)
+    S = 128
+    res = exact_sample(_ks(tag, N, t=t), S, seed=5)
+    rest = S if nodes > pilots[-1] else S - dpp_kernels._PILOT
+    assert calls == [(dpp_kernels._PILOT, n) for n in pilots] + [(rest, nodes)]
+    assert res.nodes == nodes
+
+
+@pytest.mark.parametrize("seed", [3, None])
+def test_a_seed_block_is_its_spawn_key(seed):
+    # seed-block b's generator SeedSequence(seed).spawn(64)[b] is
+    # SeedSequence(entropy, spawn_key=(b,)), so a part draws its own blocks;
+    # `_uniforms` gives any rows lo..hi-1 of the whole run's uniforms
+    root = np.random.SeedSequence(seed)
+    children = root.spawn(SAMPLER_BLOCKS)
+    for b in (0, 31, 63):
+        mine = np.random.SeedSequence(root.entropy, spawn_key=(b,))
+        assert np.array_equal(np.random.default_rng(mine).random(8),
+                              np.random.default_rng(children[b]).random(8))
+    S, N = 1600, 3
+    U = _spawned_uniforms(root.entropy, S, N)
+    cuts = np.arange(SAMPLER_BLOCKS + 1) * S // SAMPLER_BLOCKS
+    for lo, hi in ((0, 64), (64, 533), (533, 1066), (1066, 1600), (25, 25), (1600, 1600)):
+        rows = dpp_kernels._uniforms(root.entropy, cuts, N, lo, hi)
+        assert rows.tobytes() == U[lo:hi].tobytes(), (lo, hi)
+
+
+# 7 parts of 512 states on 7 CPUs, after the pilot's 64 states where there is one
 _PARTS_STATES = dpp_kernels._PILOT + 7 * dpp_kernels._PART_ROWS
 
 
@@ -1042,17 +1139,17 @@ def _raise(exc):
     return fail
 
 
-# three parts of the rows after the pilot of 1600 states: [64, 576), [576,
-# 1088), [1088, 1600)
+# three parts of 1600 states on a proven table: [0, 533), [533, 1066),
+# [1066, 1600)
 @pytest.mark.parametrize("fail, raised, match", [
     ({1: _raise(AccuracyError("conditional 2 has mass off"))}, AccuracyError,
      "^conditional 2 has mass off$"),
     ({1: _raise(ValueError("a middle row"))}, ValueError, "^a middle row$"),
     ({1: _raise(KeyboardInterrupt())}, KeyboardInterrupt, "^$"),
     ({1: _raise(_Unpicklable("a middle row"))}, ChildProcessError,
-     "^the sampler of rows 576..1087 of 1600 exited with status 1: _Unpicklable: a middle row$"),
+     "^the sampler of rows 533..1065 of 1600 exited with status 1: _Unpicklable: a middle row$"),
     ({1: lambda: os.kill(os.getpid(), signal.SIGKILL)}, ChildProcessError,
-     f"^the sampler of rows 576..1087 of 1600 was killed by signal {int(signal.SIGKILL)}$"),
+     f"^the sampler of rows 533..1065 of 1600 was killed by signal {int(signal.SIGKILL)}$"),
     ({0: _raise(ValueError("part 0")), 1: _raise(AccuracyError("part 1"))}, ValueError,
      "^part 0$"),
     ({1: _raise(AccuracyError("part 1")), 2: _raise(ValueError("part 2"))}, AccuracyError,
@@ -1102,11 +1199,19 @@ def test_sampler_forks_nothing_where_it_cannot(one_part, monkeypatch, cpus):
     assert forks == [] and res.positions.shape == (1088, 4)
 
 
-@pytest.mark.parametrize("states, forked", [(100, 0), (575, 0), (1087, 0), (1088, 1)])
-def test_sampler_parts_take_at_least_512_states(states, forked, cpus):
-    # past the pilot's 64 states, two parts need 1024 states on 4 CPUs
+@pytest.mark.parametrize("t, states, forked", [
+    pytest.param(0.3, 100, 0, id="100-0"),
+    pytest.param(0.3, 575, 0, id="575-0"),
+    pytest.param(0.3, 1087, 0, id="1087-0"),
+    pytest.param(0.3, 1088, 1, id="1088-1"),
+    pytest.param(0.5, 1023, 0, id="proven-1023-0"),
+    pytest.param(0.5, 1024, 1, id="proven-1024-1"),
+])
+def test_sampler_parts_take_at_least_512_states(t, states, forked, cpus):
+    # two parts need 1024 states on 4 CPUs: past the pilot's 64 off t*/2
+    # (A4 at t = 0.3), and all of them on A4's proven table at t = t*/2
     forks = cpus(4)
-    assert exact_sample(_ks("A", 4, t=0.5), states, seed=3).positions.shape == (states, 4)
+    assert exact_sample(_ks("A", 4, t=t), states, seed=3).positions.shape == (states, 4)
     assert len(forks) == forked
 
 
