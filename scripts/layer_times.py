@@ -6,6 +6,7 @@ t = t*/2, A4 at Im tau ~ 0.01, D4 at Im tau* ~ 50, without its jitter) it
 prints, best of k in ms:
 
     factors   `_factors`: the balanced factors at both times, once per grid
+              (the spec's norms, `ks.norms_log`, computed before timing)
     rows      one row request of the mode sum, `_kernel_sum` over
               `cli._ROW_NUMBERS` numbers of rows
     fields    `_fields` of one block, `cli._BLOCK_NUMBERS` numbers of K
@@ -26,15 +27,16 @@ tables' size in MB:
     chunk     one `_chain_rule_chunk` of `_CHUNK` = 512 states on them
 
 for A2, A4, A8, A10, A12, A16 at t = t*/2 and C3 at t = 0.3 (t* = 1).  The
-chunk is called as `_chain_rule_chunk(ks, U, *tables, lms)`, so the script
-runs on any table layout `_tables` returns.
+chunk is called as `_chain_rule_chunk(ks, U, *tables)`, so the script runs
+on any table layout `_tables` returns.
 
 Last, one `exact_sample` call of 2048 states each for A4 at t = 0.5 (its
 table proven before any draw), C3 at t = 0.3 (off t*/2: the pilot picks the
 table) and A16 at t = 0.5 (a pilot at each size until the last table is
 proven), in ms from the call's start: each table size with its build
-(tables), its certificate's bound (proof) and the pilot's draw with its mean
-bound where one runs, then the parts as in the grid's timeline.
+(tables; the first build also computes the spec's norms), its certificate's
+bound (proof) and the pilot's draw with its mean bound where one runs, then
+the parts as in the grid's timeline.
 
 Usage:
     PYTHONPATH=src python3 scripts/layer_times.py [--grid 512] [--repeat 7]
@@ -50,7 +52,7 @@ import time
 import numpy as np
 
 from elliptic_dpp import cli, dpp_kernels, forks
-from elliptic_dpp.dpp_kernels import KernelSpec, _factors, _kernel_rows, _kernel_sum, _norms_log
+from elliptic_dpp.dpp_kernels import KernelSpec, _factors, _kernel_rows, _kernel_sum
 
 # (label, family, t, t*)
 CASES = (
@@ -84,8 +86,7 @@ def best(fn, repeat):
 
 def layers(ks, n, repeat):
     xs = (np.arange(n) + 0.5) * (ks.family.length / n)
-    lms = _norms_log(ks)
-    a, b = _factors(ks, xs, xs, lms)
+    a, b = _factors(ks, xs, xs)
     rows = max(1, cli._ROW_NUMBERS // (2 * n))
     numbers = np.resize(_kernel_sum(a[:, :rows], b, grid=True).view(float), cli._BLOCK_NUMBERS)
     fields = cli._fields(numbers)
@@ -97,7 +98,7 @@ def layers(ks, n, repeat):
             part.seek(0)
             shutil.copyfileobj(part, target)
         times = dict(
-            factors=best(lambda: _factors(ks, xs, xs, lms), repeat),
+            factors=best(lambda: _factors(ks, xs, xs), repeat),
             rows=best(lambda: _kernel_sum(a[:, :rows], b, grid=True), repeat),
             fields=best(lambda: cli._fields(numbers), repeat),
             text=best(lambda: cli._text(fields), repeat),
@@ -109,12 +110,11 @@ def layers(ks, n, repeat):
 def sampler_layers(ks, nodes, repeat):
     """Best-of-`repeat` ms of `_tables` and of one chunk on them, and the
     tables' bytes."""
-    lms = _norms_log(ks)
-    tables = dpp_kernels._tables(ks, nodes, lms)
+    tables = dpp_kernels._tables(ks, nodes)
     U = np.random.default_rng(1).random((dpp_kernels._CHUNK, ks.family.N))
     times = dict(
-        tables=best(lambda: dpp_kernels._tables(ks, nodes, lms), repeat),
-        chunk=best(lambda: dpp_kernels._chain_rule_chunk(ks, U, *tables, lms), repeat))
+        tables=best(lambda: dpp_kernels._tables(ks, nodes), repeat),
+        chunk=best(lambda: dpp_kernels._chain_rule_chunk(ks, U, *tables), repeat))
     return times, sum(a.nbytes for a in tables if isinstance(a, np.ndarray))
 
 
@@ -180,9 +180,9 @@ def sampler_patches(note):
     tables, certificate, draw_rows = (dpp_kernels._tables, dpp_kernels._certificate,
                                       dpp_kernels._draw_rows)
 
-    def timed_tables(ks, nodes, lms):
+    def timed_tables(ks, nodes):
         t0 = time.perf_counter()
-        out = tables(ks, nodes, lms)
+        out = tables(ks, nodes)
         note("tables", nodes, nodes, t0)
         return out
 
@@ -192,9 +192,9 @@ def sampler_patches(note):
         note("proof", len(tab[0]), len(tab[0]), t0, bound)
         return bound
 
-    def timed_draw_rows(ks, U, tab, lms, pos, est):
+    def timed_draw_rows(ks, U, tab, pos, est):
         t0 = time.perf_counter()
-        draw_rows(ks, U, tab, lms, pos, est)
+        draw_rows(ks, U, tab, pos, est)
         note("draw", len(tab[0]), len(tab[0]), t0, float(np.mean(est)))
 
     return {(dpp_kernels, "_tables"): timed_tables,

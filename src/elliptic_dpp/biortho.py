@@ -14,12 +14,13 @@ xi(x) = x/(2 pi r) and tau_t = i t/(2 pi r^2) are the scaled coordinates.
 
 The j-th function at time t*-t and the k-th at time t are biorthogonal on the
 alcove: integrating conj(f_j(x, t*-t)) f_k(x, t) dx returns norm(j) delta_jk,
-with closed-form norms (`norm_const_log` gives their logs).  The verification
-suite checks this through the Gram matrix of the kernel's balanced factors.
+with closed-form norms.  The verification suite checks this through the Gram
+matrix of the kernel's balanced factors.
 
-Everything is vectorized over x, and the functions come in
-(mantissa, log_scale) form (`m_fn_parts`) for determinant work at large time
-scales; `theta_core.parts_value` exponentiates them.
+Every use takes the system whole, so both entry points give all N:
+`m_fn_parts` the N functions, vectorized over x, in (mantissa, log_scale)
+form for determinant work at large time scales (`theta_core.parts_value`
+exponentiates them), and `norm_const_log` the logs of the N norms.
 """
 
 from __future__ import annotations
@@ -55,40 +56,28 @@ def theta_block_parts(shape, sigma, z, tau):
                      sign * np.multiply(m2, np.exp(-1j * e.imag)), s2 - e.real)
 
 
-def m_fn_parts(spec, j, x, t):
-    """One-particle function j (1-based) at positions x, time t, in parts form.
-
-    An array of indices j gives parts with a leading axis over j, from one
-    building-block call (the functions share tau).
-    """
+def m_fn_parts(spec, x, t):
+    """The N one-particle functions at positions x, time t, in parts form,
+    with a leading axis over the functions, from one building-block call
+    (they share tau)."""
     d = derive(spec)
-    jj = np.atleast_1d(j)
-    if np.any(jj < 1) or np.any(jj > d.N):
-        raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
     tau = d.tau(t, "m_fn_parts", 2)
-    z = d.size * (np.asarray(x, dtype=float) / (2.0 * np.pi * d.r))     # size xi(x)
-    if np.ndim(j) == 0:
-        sigma = d.offsets[j - 1] / d.size
-    else:
-        z = np.atleast_1d(z)
-        sigma = (np.asarray(d.offsets)[jj - 1] / d.size).reshape(jj.shape + (1,) * z.ndim)
+    z = np.atleast_1d(d.size * (np.asarray(x, dtype=float) / (2.0 * np.pi * d.r)))  # size xi(x)
+    sigma = (np.asarray(d.offsets) / d.size).reshape((d.N,) + (1,) * z.ndim)
     return theta_block_parts(d.sharp, sigma, z, tau)
 
 
-def norm_const_log(spec, j, t_star):
-    """log of the j-th biorthogonality norm (they are positive reals); an array
-    of indices j gives an array of logs from one theta call (they share tau)."""
+def norm_const_log(spec, t_star):
+    """logs of the N biorthogonality norms (they are positive reals), from one
+    theta call (they share tau)."""
     d = derive(spec)
-    jj = np.atleast_1d(j)
-    if np.any(jj < 1) or np.any(jj > d.N):
-        raise ValueError(f"function index j must be in 1..{d.N}, got {j}")
     tau_t, tau = (d.tau(t_star, "norm_const_log", p) for p in (0, 2))
-    J = np.asarray(d.offsets)[jj - 1]
+    J = np.asarray(d.offsets)
     m, s = theta_parts(2, d.size * J * tau_t, tau)
     ok = (np.abs(m.imag) <= 1e-12 * np.abs(m)) & (m.real > 0.0)
     if not ok.all():
-        raise AccuracyError(f"norm lost positivity: mantissa {m[~ok]} for j={jj[~ok]}")
+        raise AccuracyError(f"norm lost positivity: mantissa {m[~ok]} for "
+                            f"j={np.flatnonzero(~ok) + 1}")
     # on an interval the norms with J(j) = 0 or size/2 carry a factor 2
     mult = np.where(np.isin(J, (0.0, d.size / 2) if d.walls != "circ" else ()), 2.0, 1.0)
-    out = np.log(2.0 * np.pi * d.r * mult * m.real) + s
-    return float(out[0]) if np.ndim(j) == 0 else out
+    return np.log(2.0 * np.pi * d.r * mult * m.real) + s

@@ -229,7 +229,7 @@ def bridge_density(spec, t, t_star, xs):
         }
         (l1, s1), (l2, s2), (l0, s0) = (logdet(f"bridge matrix {name}", m)
                                         for name, m in mats.items())
-        out[live] = s1 * s2 * s0 * np.exp(l1 + l2 - l0)
+        out[live] = parts_value(s1 * s2 * s0, l1 + l2 - l0)
     return _per_config(xs, out)
 
 

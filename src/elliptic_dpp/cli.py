@@ -2,12 +2,12 @@
 
 Verbs: theta, kernel, density, limits, verify, sample, selberg.
 Exit status 0 = success, 1 = an identity check failed (or a numerical engine
-gave up: AccuracyError, IllConditionedError), 2 = unusable configuration:
-a ValueError or OSError, whether `_check` (which builds the specs the verb
-runs on, once, naming the flag at fault) or the verb raised it.  `selberg`
-holds the integral of the joint density against N! at one tolerance, 1e-8; a
-case whose midpoint rule needs more rows than `macdonald.selberg_check`
-allows exits 1.
+gave up: an AccuracyError, IllConditionedError included), 2 = unusable
+configuration: a ValueError or OSError, whether `_check` (which builds the
+specs the verb runs on, once, naming the flag at fault) or the verb raised
+it.  `selberg` holds the integral of the joint density against N! at one
+tolerance, 1e-8; a case whose midpoint rule needs more rows than
+`macdonald.selberg_check` allows exits 1.
 
 Each verb accepts only the flags it reads.  CSV files carry a header row,
 either (x, y, re, im) for value grids or (bin_left, bin_right, count, density,
@@ -49,7 +49,7 @@ import numpy as np
 from . import forks
 from .dpp_kernels import (_SUM_ENTRIES, KernelSpec, _kernel_rows, density, empirical_density,
                           exact_sample, intensity)
-from .macdonald import IllConditionedError, selberg_check
+from .macdonald import selberg_check
 from .root_systems import FAMILIES, derive
 from .theta_core import AccuracyError, theta
 from .verification import SUITES, CheckResult, limit_specs, limits_suite, render, run_suites
@@ -589,7 +589,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:     # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, IllConditionedError) as exc:
+    except AccuracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forks
-from .biortho import m_fn_parts, norm_const_log
+from .biortho import m_fn_parts
 from .macdonald import KernelSpec, _density
 from .root_systems import derive
 from .theta_core import AccuracyError, _check_tau, parts_sum, parts_value, theta_parts
@@ -108,7 +108,7 @@ def density_batch(ks, X):
     is not N points of the alcove (`FamilySpec.configurations`).
     """
     X = ks.family.configurations(X, "density")
-    return _density(ks.family, np.sort(X, axis=1), ks.t, ks.t_star)
+    return _density(ks, np.sort(X, axis=1))
 
 
 def density(ks, xs):
@@ -124,19 +124,15 @@ def density(ks, xs):
 _FACTOR_MARGIN = 1e-8
 
 
-def _norms_log(ks):
-    d = ks.family
-    return norm_const_log(d, np.arange(1, d.N + 1), ks.t_star)
-
-
-def _factors(ks, xs, ys, lms):
+def _factors(ks, xs, ys):
     """Factors a = f(xs, t), b = f(ys, t*-t) (N, points) of K = sum_n a_n conj b_n.
 
-    f_n(x, s) = M_n(x, s) / m_n^{s/t*}.  For real x, |theta(sigma tau + z|tau)|
-    <= e^{pi Im tau sigma^2} S(Im tau) and m_n = 2 pi r mult e^{pi Im tau*
-    sigma^2} S(Im tau*), with Im tau proportional to time: the exponentials
-    cancel, and f_n (below ~1e2 for t = 1e-4 .. t* = 1e3) depends on its own
-    point and time only.  When ys is xs at t = t*/2, b is a (K is Hermitian).
+    f_n(x, s) = M_n(x, s) / m_n^{s/t*}, log m_n from `ks.norms_log`.  For real
+    x, |theta(sigma tau + z|tau)| <= e^{pi Im tau sigma^2} S(Im tau) and m_n =
+    2 pi r mult e^{pi Im tau* sigma^2} S(Im tau*), with Im tau proportional to
+    time: the exponentials cancel, and f_n (below ~1e2 for t = 1e-4 .. t* =
+    1e3) depends on its own point and time only.  When ys is xs at t = t*/2, b
+    is a (K is Hermitian).
 
     The two exponents of f_n, ~|log m_n| ~ J^2 t* / (2 r^2) in size, cancel to
     O(1), so f_n carries a relative error of about eps max_n |log m_n| (K is off
@@ -146,17 +142,16 @@ def _factors(ks, xs, ys, lms):
     below the 1e-6 the library checks K at (t* / r^2 up to ~1e7 for C3, ~5e7 for
     A2); and AccuracyError if a factor leaves double range.
     """
-    d = ks.family
-    j = np.arange(1, d.N + 1)
-    lost = np.finfo(float).eps * float(np.max(np.abs(lms)))
+    d, log_m = ks.family, ks.norms_log
+    lost = np.finfo(float).eps * float(np.max(np.abs(log_m)))
     if not lost <= _FACTOR_MARGIN:
         raise AccuracyError(f"kernel factors at horizon t* = {ks.t_star!r}, radius r = {d.r!r}: "
                             f"eps max|log m_n| = {lost:.3g} is past the margin {_FACTOR_MARGIN:g}")
 
     def f(x, s):
-        mant, scale = m_fn_parts(d, j, x, s)
+        mant, scale = m_fn_parts(d, x, s)
         with np.errstate(invalid="ignore"):     # a zero mantissa times e^inf
-            val = parts_value(mant, scale - (s / ks.t_star) * lms[:, None])
+            val = parts_value(mant, scale - (s / ks.t_star) * log_m[:, None])
         if not np.all(np.isfinite(val)):
             raise AccuracyError(f"kernel factor at time {s!r} leaves double range")
         return val
@@ -210,7 +205,7 @@ def _kernel_rows(ks, xs, ys):
     raised before the first row; a call sums only its own rows' modes.
     """
     xs, ys = (ks.family.positions(v, "kernel_matrix") for v in (xs, ys))
-    a, b = _factors(ks, xs, ys, _norms_log(ks))
+    a, b = _factors(ks, xs, ys)
     return lambda lo, hi: _kernel_sum(a[:, lo:hi], b, grid=True)
 
 
@@ -222,7 +217,7 @@ def kernel_matrix(ks, xs, ys):
 def intensity(ks, xs):
     """One-point intensity K(x, x), equal to diag(kernel_matrix).real bit for bit."""
     xs = ks.family.positions(xs, "intensity")
-    return _kernel_sum(*_factors(ks, xs, xs, _norms_log(ks)), grid=False).real
+    return _kernel_sum(*_factors(ks, xs, xs), grid=False).real
 
 
 def kernel(ks, x, y):
@@ -458,16 +453,16 @@ class SampleResult:
     nodes: int
 
 
-def _chain_rule_chunk(ks, U, xs, A, C, W, tree, curv, lms):
+def _chain_rule_chunk(ks, U, xs, A, C, W, tree, curv):
     """Draw one state per row of U (uniforms, one per coordinate); returns
     (points, tabulation bound per row).
 
     With Q = I - P for the points drawn so far, the conditional intensity is
-    f(x) = Re a(x)^T Q c(x) (a, c = conj b from `_factors`).  A draw reads the
-    mass at the tree's root (`_tables`), descends to a leaf by one dot
-    product per level, evaluates f at the leaf's nodes and inverts the
-    linear density in the chosen cell as the cancellation-free root of its
-    quadratic CDF.  A leaf is one cell when the tables carry the rows W
+    f(x) = Re a(x)^T Q c(x) (a, c = conj b from `_factors` of ks, at the
+    drawn points too).  A draw reads the mass at the tree's root (`_tables`
+    of ks), descends to a leaf by one dot product per level, evaluates f at
+    the leaf's nodes and inverts the linear density in the chosen cell as the
+    cancellation-free root of its quadratic CDF.  A leaf is one cell when the tables carry the rows W
     (N <= `_ROW_MAX_N`), and f at its two ends is q . W_g, the dot product of
     a descent level; otherwise a leaf is `_LEAF` cells and f at its nodes is
     a^T Q c from the factors.  Every product is per row, whatever rows share
@@ -513,7 +508,7 @@ def _chain_rule_chunk(ks, U, xs, A, C, W, tree, curv, lms):
         if k == N - 1:
             break
         y = Y[:, k]
-        a, b = _factors(ks, y, y, lms)
+        a, b = _factors(ks, y, y)
         a = np.ascontiguousarray(a.T)[:, None, :]                  # a(y)^T, (R, 1, N)
         qc = np.matmul(Q, np.ascontiguousarray(np.conj(b).T)[:, :, None])  # Q c(y), (R, N, 1)
         aq = np.matmul(a, Q)                                       # a(y)^T Q, (R, 1, N)
@@ -524,10 +519,10 @@ def _chain_rule_chunk(ks, U, xs, A, C, W, tree, curv, lms):
     return Y, tv
 
 
-def _tables(ks, nodes, lms):
+def _tables(ks, nodes):
     """Equispaced nodes on [0, L], the factors a and c on them as (nodes, N)
     rows (C = conj(A) at t = t*/2), the rows W (or None), the tree of cell
-    matrices and curv.
+    matrices and curv, from `_factors`: every table size shares ks's norms.
 
     With W_g = a(x_g) c(x_g)^T, cell g's mass is (h/2) Re sum_ij Q_ij S_ij,
     S = W_g + W_{g+1}.  For N <= `_ROW_MAX_N` the tables keep every W_g as a
@@ -540,7 +535,7 @@ def _tables(ks, nodes, lms):
     sum of f's |second differences|.
     """
     xs = np.linspace(0.0, ks.family.length, nodes)
-    A, B = _factors(ks, xs, xs, lms)
+    A, B = _factors(ks, xs, xs)
     A, C = np.ascontiguousarray(A.T), np.ascontiguousarray(np.conj(B).T)
     if A.shape[1] <= _ROW_MAX_N:
         W = A[:, :, None] * C[:, None, :]
@@ -596,11 +591,11 @@ def _uniforms(entropy, cuts, N, lo, hi):
     return U[lo - cuts[first]:hi - cuts[first]]
 
 
-def _draw_rows(ks, U, tables, lms, pos, est):
+def _draw_rows(ks, U, tables, pos, est):
     """Fill pos and est row by row from the uniforms U, `_CHUNK` rows a time."""
     for s0 in range(0, U.shape[0], _CHUNK):
         pos[s0:s0 + _CHUNK], est[s0:s0 + _CHUNK] = _chain_rule_chunk(
-            ks, U[s0:s0 + _CHUNK], *tables, lms)
+            ks, U[s0:s0 + _CHUNK], *tables)
 
 
 def _count(name, value):
@@ -648,8 +643,8 @@ def exact_sample(ks, states, seed=0):
     `_MAX_NODES`.  AccuracyError if the whole run's bound exceeds
     `SAMPLER_TV_TOL`.
 
-    The table choice and the pilot are serial.  The states after the pilot
-    (all of them on a proven table) split into
+    The table choice, the pilot and the norms (`ks.norms_log`) are serial.
+    The states after the pilot (all of them on a proven table) split into
     `forks.parts(states - pilot, _PART_ROWS)` contiguous parts, one per
     available CPU with at least `_PART_ROWS` states each, drawn at the same
     time by `forks.run`: this process draws the first, a forked child each
@@ -670,7 +665,6 @@ def exact_sample(ks, states, seed=0):
     d = ks.family
     N, L = d.N, d.length
     S = _count("states", states)
-    lms = _norms_log(ks)
 
     nb = min(SAMPLER_BLOCKS, S)
     cuts = np.arange(nb + 1) * S // nb
@@ -679,11 +673,11 @@ def exact_sample(ks, states, seed=0):
     est = np.empty(S)
 
     def draw(lo, hi):
-        _draw_rows(ks, _uniforms(entropy, cuts, N, lo, hi), tables, lms, pos[lo:hi], est[lo:hi])
+        _draw_rows(ks, _uniforms(entropy, cuts, N, lo, hi), tables, pos[lo:hi], est[lo:hi])
 
     nodes = SAMPLER_NODES
     while True:
-        tables = _tables(ks, nodes, lms)
+        tables = _tables(ks, nodes)
         if _certificate(ks, tables) <= SAMPLER_TV_TOL:
             P = 0
             break

@@ -59,7 +59,7 @@ __all__ = [
 _COND_LIMIT = 1e7
 
 
-class IllConditionedError(ArithmeticError):
+class IllConditionedError(AccuracyError):
     """Matrix condition estimate beyond what the residual can support."""
 
 
@@ -233,7 +233,7 @@ def _det_phase(sharp, N):
 
 def _m_matrix_parts(d, xs, t):
     """M[b, j, k] = M_j(x_bk, t) as (mantissa, log_scale) stacks (B, N, N)."""
-    parts = m_fn_parts(d, np.arange(1, d.N + 1), np.atleast_2d(xs), t)   # axes j, b, k
+    parts = m_fn_parts(d, np.atleast_2d(xs), t)   # axes j, b, k
     return tuple(np.moveaxis(p, 0, 1) for p in parts)
 
 
@@ -275,7 +275,8 @@ def denominator_residual(spec, xs, t):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A family (a `FamilySpec`), 0 < t < t_star < inf, and its tau rule at t and t_star - t."""
+    """A family (a `FamilySpec`), 0 < t < t_star < inf, and its tau rule at t and t_star - t;
+    `norms_log` (`norm_const_log` at t_star) is computed on first use, then kept."""
 
     family: object
     t: float
@@ -292,10 +293,16 @@ class KernelSpec:
         if not 0.0 < t < t_star < math.inf:
             raise ValueError(f"need 0 < t < t_star < inf, got t={t}, t_star={t_star}")
 
+    @functools.cached_property
+    def norms_log(self):
+        out = norm_const_log(self.family, self.t_star)
+        out.flags.writeable = False     # one array for every user of the spec
+        return out
 
-def _density(d, X, t, t_star):
+
+def _density(ks, X):
     """p(x) = a(t) a(t*-t) W(xi; tau_t) W(xi; tau_{t*-t}) / prod m_n(t*) on a
-    batch of configurations X (B, N).
+    batch of configurations X (B, N), at the family and times of ks.
 
     The determinant identity at both times turns det conj M(t*-t) det M(t)
     into this product (the unit phases cancel, and W is real for real xi), so
@@ -304,9 +311,9 @@ def _density(d, X, t, t_star):
     a(t*-t) and the norms go into the scale before the one exponentiation;
     the real part drops the round-off of the phases.
     """
+    d, t, t_star = ks.family, ks.t, ks.t_star
     xi = X / (2.0 * np.pi * d.r)
-    lg = (coeff_a_log(d, t) + coeff_a_log(d, t_star - t)
-          - norm_const_log(d, np.arange(1, d.N + 1), t_star).sum())
+    lg = coeff_a_log(d, t) + coeff_a_log(d, t_star - t) - ks.norms_log.sum()
     m1, s1 = _product_parts(d.tag, xi, d.tau(t_star - t, "density", 1))
     m2, s2 = _product_parts(d.tag, xi, d.tau(t, "density", 1))
     return parts_value(m1 * m2, s1 + s2 + lg).real
@@ -348,7 +355,8 @@ def selberg_check(spec, t, t_star):
     `_SELBERG_ROWS` rows.
     Returns SelbergResult(lhs, rhs=N!, rel_err).
     """
-    d = KernelSpec(spec, t, t_star).family
+    ks = KernelSpec(spec, t, t_star)
+    d = ks.family
     N, L = d.N, d.length
     n = midpoint_nodes(d, t, t_star, N, _SELBERG_ROWS)
     nodes = (np.arange(n) + 0.5) * (L / n)
@@ -356,7 +364,7 @@ def selberg_check(spec, t, t_star):
     for start in range(0, n**N, _SELBERG_BLOCK):
         rows = np.arange(start, min(start + _SELBERG_BLOCK, n**N))
         X = nodes[np.stack(np.unravel_index(rows, (n,) * N), axis=1)]
-        total += float(_density(d, X, t, t_star).sum())
+        total += float(_density(ks, X).sum())
     lhs = total * (L / n) ** N
     rhs = float(math.factorial(N))
     return SelbergResult(lhs=lhs, rhs=rhs, rel_err=abs(lhs - rhs) / max(abs(lhs), rhs))

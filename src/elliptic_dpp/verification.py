@@ -6,9 +6,9 @@ Each suite returns a list of CheckResult rows; a row renders as
     <name>: residual=<value> tol=<value> PASS|FAIL
 
 so the CLI and the acceptance tests print identical evidence.  A numerical
-engine that refuses a case (AccuracyError, IllConditionedError) turns the
-lines it feeds into inf (`_or_inf`): they fail, and every other line still
-prints.
+engine that refuses a case (an AccuracyError; `macdonald.IllConditionedError`
+is one) turns the lines it feeds into inf (`_or_inf`): they fail, and every
+other line still prints.
 """
 
 import math
@@ -20,9 +20,9 @@ import numpy as np
 from .bridges import (bridge_density, ck_residual, eta_formula_residual,
                       macdonald_kmlgv_residual, matrix_identity_residual, transition,
                       transition_images)
-from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, _norms_log,
-                          density_batch, infinite_kernel, kernel_matrix, sine_kernel, trig_kernel)
-from .macdonald import IllConditionedError, denominator_residual, midpoint_nodes
+from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, density_batch,
+                          infinite_kernel, kernel_matrix, sine_kernel, trig_kernel)
+from .macdonald import denominator_residual, midpoint_nodes
 from .root_systems import derive
 from .theta_core import AccuracyError, theta, theta_series
 
@@ -63,7 +63,7 @@ def _or_inf(fn, *args, lines=1):
     inf on each when a numerical engine refuses the case."""
     try:
         return fn(*args)
-    except (AccuracyError, IllConditionedError):
+    except AccuracyError:
         return math.inf if lines == 1 else (math.inf,) * lines
 
 
@@ -142,7 +142,7 @@ def _gram(ks, n):
     """
     L = ks.family.length
     x = np.arange(n) * (L / n) + L / (2 * n)
-    a, b = _factors(ks, x, x, _norms_log(ks))
+    a, b = _factors(ks, x, x)
     return a, b, (L / n) * (np.conj(b) @ a.T)
 
 

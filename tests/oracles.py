@@ -4,7 +4,9 @@ They live beside the tests rather than in the package: each one reaches its
 number by a definitional route (integrating a density, expanding a Fredholm
 series, integrating a product of determinants, integrating the one-particle
 functions against each other) and shares no quadrature with the production
-path it checks.
+path it checks.  Each docstring names the package functions the oracle
+imports, what it checks, and why that share leaves the function under test
+unshared.
 """
 
 import functools
@@ -37,6 +39,13 @@ def corr_oracle(ks, points, grid=64):
 
     Gauss-Legendre tensor quadrature; the det-product density is smooth on
     the closed box, so this converges spectrally.  N <= 3 only.
+
+    Imports `density_batch` to check `corr_det`, the kernel route.  The
+    density is the Macdonald product (`macdonald._density`), which reaches
+    no one-particle function, no kernel factor and no kernel determinant;
+    the two routes share only the spec's norms, and a wrong norm still moves
+    them apart (the density divides by all N, an n-point kernel determinant
+    by n of them).  The density has its own oracle, `density_mpmath`.
     """
     d = ks.family
     N = d.N
@@ -66,13 +75,12 @@ def corr_oracle(ks, points, grid=64):
 def _trapezoid_gram(d, t, t_star, n):
     """Entry (j, k): integral of conj(M_j(x, t*-t)) M_k(x, t) over the alcove,
     composite trapezoid rule on n points with both walls as nodes."""
-    j = np.arange(1, d.N + 1)
     xs = np.linspace(0.0, d.length, n)
     h = d.length / (n - 1)
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
-    rows_s = parts_value(*m_fn_parts(d, j, xs, t_star - t))
-    rows_t = parts_value(*m_fn_parts(d, j, xs, t))
+    rows_s = parts_value(*m_fn_parts(d, xs, t_star - t))
+    rows_t = parts_value(*m_fn_parts(d, xs, t))
     return np.einsum("i,ji,ki->jk", w, rows_s.conj(), rows_t)
 
 
@@ -86,11 +94,18 @@ def gram_oracle(spec, t, t_star):
     extends to a smooth periodic function, so the trapezoid rule converges
     spectrally; nodes go n -> 2n - 1 from 128 until a doubling moves G by
     less than 1e-11 times the largest norm.  G is the coarser of those two.
+
+    Imports `m_fn_parts` and `norm_const_log`: biorthogonality is an identity
+    between those two, so they are its subject, not a shortcut, and an error
+    in either breaks G = diag(m) instead of cancelling.  What it checks
+    besides is `verification.biortho_suite`, the production check, whose
+    balanced factors (`dpp_kernels._factors`) and midpoint rule it does not
+    use: it integrates the plain functions by its own trapezoid rule.
     """
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star = {t_star}, got t = {t}")
     d = derive(spec)
-    norms = np.exp(norm_const_log(d, np.arange(1, d.N + 1), t_star))
+    norms = np.exp(norm_const_log(d, t_star))
     n = 128
     while n <= 8192:
         coarse = _trapezoid_gram(d, t, t_star, n)
@@ -136,6 +151,12 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
     Route one integrates the density against the exponential weight directly;
     route two is the truncated Fredholm expansion in kernel determinants with
     chi = 1 - e^{theta psi}.  Returns |route1 - route2|.  N <= 2.
+
+    Imports `density_batch` and `kernel_matrix` and checks them against each
+    other: the DPP statement that the kernel's determinants give the
+    density's law.  Neither route calls the other; they share only the
+    spec's norms, and the density divides by all N of them where each kernel
+    mode divides by its own, so a wrong norm still shows.
     """
     d = ks.family
     N = d.N
@@ -186,6 +207,12 @@ def ck_det_residual(spec, s, t, u, xs, zs, nodes=160):
     (half the square) and compares with det[p(s,x;u,z)].  The trapezoid rule
     is spectrally accurate on the circle and, through the kernels' even/odd
     images at the walls, on the intervals too (endpoint half-weights there).
+
+    Imports `transition` and checks the semigroup property of its
+    determinants, an identity of `transition` itself, so the share is the
+    subject.  The production check of the same identity,
+    `bridges.ck_residual`, is one-particle and uses its own midpoint rule;
+    this oracle uses neither.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
@@ -215,7 +242,7 @@ def ck_det_residual(spec, s, t, u, xs, zs, nodes=160):
 # ---------------------------------------------------------------------------
 # the chain rule by downdating the whole table
 
-def downdate_chain_rule(ks, U, xs, A, C, lms):
+def downdate_chain_rule(ks, U, xs, A, C):
     """The chain-rule draw of `exact_sample` on a table of the conditional
     intensity itself, one row of F per state, downdated after every draw.
 
@@ -226,6 +253,12 @@ def downdate_chain_rule(ks, U, xs, A, C, lms):
     piecewise-linear interpolant, scanned over every cell; the tabulation
     estimate sums (h/12) |second differences of F| / mass.  Returns (points,
     estimate per row, [(F, Q) before each draw]).
+
+    Imports `_factors` for the factors at each drawn point, and checks
+    `dpp_kernels._chain_rule_chunk`: its tree of cell matrices, its descent
+    and its update of Q.  It uses none of them (it scans a table of F
+    itself).  The factors are checked on their own against the
+    trigonometric limit and the parts stream (`test_dpp_kernels`).
     """
     R, N = U.shape
     h = xs[1] - xs[0]
@@ -248,7 +281,7 @@ def downdate_chain_rule(ks, U, xs, A, C, lms):
         s = np.divide(2.0 * rho, den, out=np.zeros_like(rho), where=den > 0.0)
         Y[:, k] = xs[cell] + np.clip(s, 0.0, 1.0) * h
         est += (h / 12.0) * np.abs(np.diff(F, 2, axis=1)).sum(axis=1) / ((0.5 * h) * cum[:, -1])
-        a, b = _factors(ks, Y[:, k], Y[:, k], lms)
+        a, b = _factors(ks, Y[:, k], Y[:, k])
         qc = np.einsum("rij,jr->ri", Q, np.conj(b))        # Q c(y)
         aq = np.einsum("ir,rij->rj", a, Q)                  # a(y)^T Q
         fy = np.einsum("ir,ri->r", a, qc).real
@@ -267,6 +300,11 @@ def pair_bin_masses(ks, edges, nodes=24):
     every pair of bins between the edges, as a (bins, bins) array: a midpoint
     rule of `nodes` nodes per bin on `kernel_matrix`.  rho_2 is the density
     of ordered pairs (x_i, x_j), i != j, of the process's states.
+
+    Imports `kernel_matrix` to check the sampler's two-point law, not the
+    kernel: `exact_sample` never calls `kernel_matrix`.  Both read the
+    kernel's factors (`_factors`), so an error there reaches both sides;
+    what is checked is the sampler's tables, descent and draws.
     """
     edges = np.asarray(edges, dtype=float)
     bins = edges.size - 1
@@ -396,7 +434,11 @@ def inf_kernel_reference(iks, x, y, nodes=8192):
     arrays, by Gauss-Legendre with `nodes` nodes on each of four panels whose
     inner ends sit 45 switch-layer widths from the switch points (two plain
     halves when that is past an eighth of the range): 32 768 nodes in all.
-    It shares only `_inf_integrand` with the library, not the mesh."""
+    It shares only `_inf_integrand` with the library, not the mesh.
+
+    So it checks `infinite_kernel`'s lambda rule (its panels and nodes), not
+    the integrand: an error in `_inf_integrand` reaches both sides alike.
+    """
     rho = iks.rho
     if iks.family == "A":
         edge = 45.0 / (4.0 * np.pi**2 * rho * iks.t_star)

@@ -25,7 +25,7 @@ def _block(shape, sigma, z, tau):
 
 
 def _norm(spec, j, t_star):
-    return math.exp(norm_const_log(spec, j, t_star))
+    return math.exp(norm_const_log(spec, t_star)[j - 1])
 
 
 def _suite_passes(spec, t, t_star):
@@ -38,18 +38,18 @@ def test_m_fn_parts_scaled_coordinates():
     """Blocks at xi = x / (2 pi r) and tau_t = i t / (2 pi r^2), scaled by size."""
     d = derive(("C", 3, 0.8))
     xs = np.array([0.0, 0.8 * math.pi, 2.0])
-    m, s = m_fn_parts(d, 2, xs, 0.3)
+    m, s = m_fn_parts(d, xs, 0.3)
     size = d.size
     want = theta_block_parts("C", d.offsets[1] / size, size * xs / (2 * math.pi * 0.8),
                              size**2 * 0.3j / (2 * math.pi * 0.8**2))
-    assert np.allclose(parts_value(m, s), parts_value(*want), rtol=1e-14, atol=0.0)
+    assert np.allclose(parts_value(m[1], s[1]), parts_value(*want), rtol=1e-14, atol=0.0)
 
 
 def test_m_fn_parts_rejects_negative_time():
     with pytest.raises(ValueError, match=r"^m_fn_parts: radius r=1.0, duration -0.1: "):
-        m_fn_parts(("A", 2, 1.0), 1, [0.5], -0.1)
+        m_fn_parts(("A", 2, 1.0), [0.5], -0.1)
     with pytest.raises(ValueError, match=r"^m_fn_parts: radius r=1.0, duration -1e-300: "):
-        m_fn_parts(("C", 3, 1.0), np.arange(1, 4), [0.5, 1.0], -1e-300)
+        m_fn_parts(("C", 3, 1.0), [0.5, 1.0], -1e-300)
 
 
 def test_block_shapes_against_theta():
@@ -75,10 +75,9 @@ def test_value_structure_on_real_axis(tag):
     N = 2 if tag == "D" else 3
     spec = FamilySpec(tag, N, 1.3)
     xs = np.linspace(0.05, 2.9, 7)
-    for j in range(1, N + 1):
-        vals = parts_value(*m_fn_parts(spec, j, xs, 0.42))
+    mirror = parts_value(*m_fn_parts(spec, -xs, 0.42))
+    for vals, mirrored in zip(parts_value(*m_fn_parts(spec, xs, 0.42)), mirror):
         if tag == "A":
-            mirrored = parts_value(*m_fn_parts(spec, j, -xs, 0.42))
             assert np.allclose(np.conj(vals), mirrored, rtol=1e-12, atol=1e-14)
         elif tag in ("B", "Bv", "D"):
             assert np.max(np.abs(vals.imag)) <= 1e-12 * np.max(np.abs(vals))
@@ -88,15 +87,16 @@ def test_value_structure_on_real_axis(tag):
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_parts_for_all_indices_stack_single_ones(tag):
-    spec = FamilySpec(tag, 3, 0.8)
+    # the N functions from one call are, bit for bit, the building blocks of
+    # one function each: a function's bits do not depend on the others
+    d = derive((tag, 3, 0.8))
     xs = np.linspace(0.1, 2.0, 5)
-    m, s = m_fn_parts(spec, np.arange(1, 4), xs, 0.3)
+    m, s = m_fn_parts(d, xs, 0.3)
     assert m.shape == s.shape == (3, 5)
-    for j in range(1, 4):
-        mj, sj = m_fn_parts(spec, j, xs, 0.3)
-        assert np.array_equal(m[j - 1], mj) and np.array_equal(s[j - 1], sj)
-    with pytest.raises(ValueError):
-        m_fn_parts(spec, np.arange(0, 3), xs, 0.3)
+    z, tau = d.size * (xs / (2.0 * np.pi * d.r)), d.tau(0.3, "test", 2)
+    for j, J in enumerate(d.offsets):
+        mj, sj = theta_block_parts(d.sharp, J / d.size, z, tau)
+        assert np.array_equal(m[j], mj) and np.array_equal(s[j], sj)
 
 
 @pytest.mark.parametrize("tag", [f for f in FAMILIES if f != "A"])
@@ -105,7 +105,7 @@ def test_interval_block_parts_equal_two_theta_calls(tag):
     # calls, bit for bit
     d = derive((tag, 3, 0.8))
     x, t = np.linspace(0.0, d.length, 37), 0.4
-    m, s = m_fn_parts(d, np.arange(1, d.N + 1), x, t)
+    m, s = m_fn_parts(d, x, t)
     size, r = d.size, d.r
     sigma = (np.asarray(d.offsets) / size)[:, None]
     z = (size * (x / (2.0 * np.pi * r))).astype(complex)
@@ -120,15 +120,15 @@ def test_interval_block_parts_equal_two_theta_calls(tag):
 
 
 def test_parts_do_not_depend_on_call_size():
-    # 6000 points and 3 indices make 18 000 values per call, past the operand
-    # size (256 KiB) from which numpy reuses temporaries in place
+    # 6000 points and 3 functions make 18 000 values per call, past the
+    # operand size (256 KiB) from which numpy reuses temporaries in place;
+    # 1000 points make 3000, below it
     xs = np.linspace(0.1, 2.0, 6000)
     for tag in FAMILIES:
         spec = FamilySpec(tag, 3, 0.8)
-        m, s = m_fn_parts(spec, np.arange(1, 4), xs, 0.3)
-        for j in range(1, 4):
-            mj, sj = m_fn_parts(spec, j, xs[:1000], 0.3)
-            assert np.array_equal(m[j - 1, :1000], mj) and np.array_equal(s[j - 1, :1000], sj)
+        m, s = m_fn_parts(spec, xs, 0.3)
+        mj, sj = m_fn_parts(spec, xs[:1000], 0.3)
+        assert np.array_equal(m[:, :1000], mj) and np.array_equal(s[:, :1000], sj)
 
 
 def test_norms_positive_and_doubled():
@@ -163,20 +163,23 @@ def test_norm_log_matches_value():
     tau_t = 1j * 0.7 / (2 * np.pi * 1.1**2)
     for j in (1, 3, 5):
         want = 2 * np.pi * 1.1 * theta(2, d.size * d.offsets[j - 1] * tau_t, d.size**2 * tau_t)
-        assert math.exp(norm_const_log(spec, j, 0.7)) == pytest.approx(want.real, rel=1e-13)
+        assert _norm(spec, j, 0.7) == pytest.approx(want.real, rel=1e-13)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_norm_log_array_j_matches_scalar_calls(tag):
-    # one theta call for every j against one call per j, bit for bit
+    # the N logs from one theta call against the closed form of each norm
+    # from a one-point theta call, bit for bit
     for N in range(2 if tag == "D" else 1, 5):
         d = derive((tag, N, 0.9))
         for t_star in (0.7, 50.0):
-            logs = norm_const_log(d, np.arange(1, N + 1), t_star)
-            one = np.array([norm_const_log(d, j, t_star) for j in range(1, N + 1)])
-            assert logs.tobytes() == one.tobytes()
-    with pytest.raises(ValueError):
-        norm_const_log(d, np.array([1, 5]), 1.0)
+            logs = norm_const_log(d, t_star)
+            tau_t, tau = d.tau(t_star, "test", 0), d.tau(t_star, "test", 2)
+            for j, J in enumerate(d.offsets):
+                m, s = theta_parts(2, d.size * np.array([J]) * tau_t, tau)
+                mult = 2.0 if d.walls != "circ" and J in (0.0, d.size / 2) else 1.0
+                one = np.log(2.0 * np.pi * d.r * np.array([mult]) * m.real) + s
+                assert logs[j:j + 1].tobytes() == one.tobytes(), (N, t_star, j)
 
 
 def test_gram_input_validation():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, jvp
 
-from elliptic_dpp import dpp_kernels
+from elliptic_dpp import dpp_kernels, macdonald
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import (
@@ -76,12 +76,33 @@ def test_tiny_radius_is_refused_by_name_without_warnings():
     # multiply" before the theta engine's anonymous refusal
     d = derive(("C", 3, 1e-154))
     calls = [lambda: kernel_matrix(KernelSpec(d, 0.5, 1.0), [1e-154], [1e-154]),
-             lambda: norm_const_log(d, np.arange(1, 4), 1.0)]
+             lambda: norm_const_log(d, 1.0)]
     for call in calls:
         with warnings.catch_warnings(), pytest.raises(
                 ValueError, match=r"^norm_const_log: radius r=1e-154, duration 1.0: tau "):
             warnings.simplefilter("error")
             call()
+
+
+def test_one_spec_evaluates_its_norms_once(monkeypatch, cpus):
+    # the density, the kernel, its diagonal and the sampler of one KernelSpec
+    # share one norm evaluation, ks.norms_log, the same bits as a direct call
+    cpus(1)
+    calls, norms = [], macdonald.norm_const_log
+
+    def counted(*args):
+        calls.append(args)
+        return norms(*args)
+
+    monkeypatch.setattr(macdonald, "norm_const_log", counted)
+    ks = _ks("C", 3, t=0.3)
+    xs = np.array([0.2, 0.5, 0.8]) * ks.family.length
+    density(ks, xs)
+    kernel_matrix(ks, xs, xs)
+    intensity(ks, xs)
+    exact_sample(ks, 64, seed=1)
+    assert len(calls) == 1
+    assert ks.norms_log.tobytes() == norm_const_log(ks.family, ks.t_star).tobytes()
 
 
 def test_kernel_spec_validates_times():
@@ -326,14 +347,14 @@ def _stream_kernel_matrix(ks, xs, ys):
     M_n(x, t) conj M_n(y, t*-t) / m_n at its own scale -- no balanced factors."""
     d = ks.family
     N = d.N
-    lms = [norm_const_log(d, j, ks.t_star) for j in range(1, N + 1)]
-    mx, sx = m_fn_parts(d, np.arange(1, N + 1), xs, ks.t)
-    my, sy = m_fn_parts(d, np.arange(1, N + 1), ys, ks.t_star - ks.t)
+    log_m = norm_const_log(d, ks.t_star)
+    mx, sx = m_fn_parts(d, xs, ks.t)
+    my, sy = m_fn_parts(d, ys, ks.t_star - ks.t)
     acc = np.zeros((xs.size, ys.size), dtype=complex)
     top = np.full((xs.size, ys.size), -np.inf)
     for n in range(N):
         acc, top = parts_sum(acc, top, mx[n, :, None] * np.conj(my[n])[None, :],
-                             sx[n, :, None] + sy[n][None, :] - lms[n])
+                             sx[n, :, None] + sy[n][None, :] - log_m[n])
     return parts_value(acc, top)
 
 
@@ -360,7 +381,7 @@ def test_kernel_matrix_matches_parts_stream(tag):
             worst = max(worst, np.max(np.abs(km - ref)) / scale)
             for i, j in ((0, 6), (4, 1), (8, 3)):
                 worst = max(worst, abs(kernel(ks, xs[i], ys[j]) - ref[i, j]) / scale)
-            for f in dpp_kernels._factors(ks, xs, ys, dpp_kernels._norms_log(ks)):
+            for f in dpp_kernels._factors(ks, xs, ys):
                 assert np.all(np.isfinite(f)), f"{tag}{N} t={t} t*={t_star}"
                 biggest = max(biggest, float(np.max(np.abs(f))))
     assert worst <= 1e-11, f"{tag}: kernel vs parts stream {worst:.3e} of max|K|"
@@ -539,7 +560,7 @@ def test_kernel_under_the_factor_margin_matches_the_trig_limit():
     eps = np.finfo(float).eps
     for tag, N, t_star in (("A", 2, 1e6), ("C", 3, 1e6), ("BC", 2, 1e7), ("A", 2, 4e7)):
         ks = _ks(tag, N, t=t_star / 2, t_star=t_star)
-        lost = eps * np.max(np.abs(dpp_kernels._norms_log(ks)))
+        lost = eps * np.max(np.abs(ks.norms_log))
         assert lost <= dpp_kernels._FACTOR_MARGIN
         xs = np.linspace(0.11, 0.93, 7) * ks.family.length
         dev = np.abs(kernel_matrix(ks, xs, xs) - trig_kernel(ks.family, xs[:, None], xs))
@@ -886,12 +907,11 @@ def test_stacked_table_products_match_elementwise_loop(tag, N):
     # within 1e-14 of a loop over the entries (relative to the sum of the
     # terms' moduli), and each row bit for bit the same whatever R
     ks = _ks(tag, N, t=0.5)
-    lms = dpp_kernels._norms_log(ks)
     rng = np.random.default_rng(zlib.crc32(f"{tag}{N}".encode()))
     Q = rng.standard_normal((64, N, N)) + 1j * rng.standard_normal((64, N, N))
     q = Q.view(float).reshape(64, -1)
     for nodes in (513, 4097):
-        _, A, C, W, tree, _ = dpp_kernels._tables(ks, nodes, lms)
+        _, A, C, W, tree, _ = dpp_kernels._tables(ks, nodes)
         assert (W is None) == (N > dpp_kernels._ROW_MAX_N)
         leaf = (nodes - 1) // tree.shape[0]
         node = rng.integers(0, tree.shape[0], 64)
@@ -925,11 +945,10 @@ def test_tree_masses_and_bound_match_the_downdated_table(tag, N, t):
     # curvature bound is at least F's second-difference sum; the drawn rows
     # carry a bound at least the table's estimate and move by round-off only
     ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
-    lms = dpp_kernels._norms_log(ks)
-    xs, A, C, W, tree, curv = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    xs, A, C, W, tree, curv = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES)
     U = np.random.default_rng(zlib.crc32(f"{tag}{N}{t}".encode())).random((16, N))
-    ref_pos, ref_tv, steps = downdate_chain_rule(ks, U, xs, A, C, lms)
-    pos, tv = dpp_kernels._chain_rule_chunk(ks, U, xs, A, C, W, tree, curv, lms)
+    ref_pos, ref_tv, steps = downdate_chain_rule(ks, U, xs, A, C)
+    pos, tv = dpp_kernels._chain_rule_chunk(ks, U, xs, A, C, W, tree, curv)
     leaves = tree.shape[0]
     heap = np.r_[1, 2 * np.arange(1, leaves)]               # the node each entry holds
     depth = np.floor(np.log2(heap)).astype(int)
@@ -956,11 +975,10 @@ def test_chain_rule_rows_do_not_depend_on_chunk(tag, N, t):
     # factors (N = 12): every drawn row and its tv estimate are bit for bit
     # the same whichever rows share its chunk
     ks = KernelSpec((tag, N, 1.0), t=t, t_star=1.0)
-    lms = dpp_kernels._norms_log(ks)
-    tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES)
     U = np.random.default_rng(7).random((64, N))
     for R in (1, 3, 7, 33, 64):
-        runs = [dpp_kernels._chain_rule_chunk(ks, U[s:s + R], *tables, lms)
+        runs = [dpp_kernels._chain_rule_chunk(ks, U[s:s + R], *tables)
                 for s in range(0, 64, R)]
         pos = np.concatenate([p for p, _ in runs])
         tv = np.concatenate([e for _, e in runs])
@@ -1002,14 +1020,13 @@ def test_certificate_bounds_every_drawn_row(tag, N, t_star):
     # lambda_max the top of the spectrum of the second-difference sums of
     # W_g = a(x_g) conj a(x_g)^T, formed here from the table's factors
     ks = KernelSpec((tag, N, 1.0), t=0.5 * t_star, t_star=t_star)
-    lms = dpp_kernels._norms_log(ks)
-    tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES, lms)
+    tables = dpp_kernels._tables(ks, dpp_kernels.SAMPLER_NODES)
     xs, A, curv = tables[0], tables[1], tables[-1]
     W = A[:, :, None] * np.conj(A)[:, None, :]
     lam = np.linalg.eigvalsh(np.abs(W[2:] - 2.0 * W[1:-1] + W[:-2]).sum(axis=0))[-1]
     bound = N * (xs[1] - xs[0]) * lam / (12.0 * (1.0 - dpp_kernels._MASS_TOL))
     U = np.random.default_rng(zlib.crc32(f"{tag}{N}{t_star}".encode())).random((512, N))
-    _, est = dpp_kernels._chain_rule_chunk(ks, U, *tables, lms)
+    _, est = dpp_kernels._chain_rule_chunk(ks, U, *tables)
     assert np.max(est) <= bound
     # the table's own curvature sums are >= 0 and symmetric up to rounding,
     # and give the same bound up to the rounding of the second differences
@@ -1046,9 +1063,8 @@ def test_a_proven_table_draws_no_pilot(monkeypatch, cpus):
     ks, S = _ks("A", 4, t=0.5), 600
     res = exact_sample(ks, S, seed=4)
     assert calls == [(S, 513)] and res.nodes == 513
-    lms = dpp_kernels._norms_log(ks)
     pos, est = np.empty((S, 4)), np.empty(S)
-    draw_rows(ks, _spawned_uniforms(4, S, 4), dpp_kernels._tables(ks, 513, lms), lms, pos, est)
+    draw_rows(ks, _spawned_uniforms(4, S, 4), dpp_kernels._tables(ks, 513), pos, est)
     assert np.sort(pos, axis=1).tobytes() == res.positions.tobytes()
     assert float(np.mean(est)) == res.tabulation_error
 

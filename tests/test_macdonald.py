@@ -280,7 +280,8 @@ def test_selberg_block_sum_matches_one_density_call(monkeypatch):
     n = macdonald.midpoint_nodes(d, 0.4, 1.0, 3, 2**20)
     nodes = (np.arange(n) + 0.5) * (d.length / n)
     X = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
-    one = float(macdonald._density(d, X, 0.4, 1.0).sum()) * (d.length / n) ** 3
+    ks = macdonald.KernelSpec(d, 0.4, 1.0)
+    one = float(macdonald._density(ks, X).sum()) * (d.length / n) ** 3
     blocked = selberg_check(d, 0.4, 1.0).lhs
     monkeypatch.setattr(macdonald, "_SELBERG_BLOCK", 1000)
     assert abs(selberg_check(d, 0.4, 1.0).lhs - one) <= 1e-14 * one

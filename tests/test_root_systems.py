@@ -188,7 +188,7 @@ def test_doubled_norms_match_the_replaced_table(tag):
         m, s = theta_parts(2, size * J * tau, size * size * tau)
         mult = [2.0 if j in _doubled_norms(tag, N) else 1.0 for j in range(1, N + 1)]
         want = np.log(2.0 * math.pi * r * np.asarray(mult) * m.real) + s
-        got = norm_const_log((tag, N, r), np.arange(1, N + 1), t_star)
+        got = norm_const_log((tag, N, r), t_star)
         assert np.max(np.abs(got - want)) < 1e-12, (N, r)
 
 
@@ -289,13 +289,13 @@ def test_the_circle_accepts_points_shifted_by_its_length(name):
 def _timed_calls(d):
     """name -> call at the duration t of every function that asks the family's
     tau rule (A3, the circle, so the eta closed form applies too)."""
-    X, j = np.array([0.5, 1.2, 2.0]), np.arange(1, 4)
+    X = np.array([0.5, 1.2, 2.0])
     return {
         "coeff_a_log": lambda t: coeff_a_log(d, t),
         "rhs_logc": lambda t: rhs_logc(d, X, t),
         "denominator_residual": lambda t: denominator_residual(d, X, t),
-        "m_fn_parts": lambda t: m_fn_parts(d, j, X, t),
-        "norm_const_log": lambda t: norm_const_log(d, j, t),
+        "m_fn_parts": lambda t: m_fn_parts(d, X, t),
+        "norm_const_log": lambda t: norm_const_log(d, t),
         "transition": lambda t: transition(d, 0.0, X[0], t, X[-1]),
         "r_matrix": lambda t: r_matrix(d, t),
         "eta_formula_residual": lambda t: eta_formula_residual(d, t),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from elliptic_dpp import dpp_kernels, verification
+from elliptic_dpp.biortho import norm_const_log
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matrix_identity_residual
 from elliptic_dpp.dpp_kernels import KernelSpec, kernel_matrix
 from elliptic_dpp.macdonald import (IllConditionedError, denominator_residual, det_m_logc,
@@ -50,19 +51,20 @@ def _mode_mixing_sum(a, b, grid):
     return a.T @ _mixing(a.shape[0]) @ np.conj(b)
 
 
-def _mixed_factors(ks, xs, ys, lms, _factors=dpp_kernels._factors):
+def _mixed_factors(ks, xs, ys, _factors=dpp_kernels._factors):
     # factors that are not biorthogonal: a -> M a, so G = h conj(b) a^T M^T != I
     # (_factors is bound to the unpatched function at import)
-    a, b = _factors(ks, xs, ys, lms)
+    a, b = _factors(ks, xs, ys)
     return _mixing(a.shape[0]) @ a, b
 
 
-def _shifted_norms_log(ks, _norms_log=dpp_kernels._norms_log):
+@property
+def _shifted_norms_log(ks):
     # one closed-form norm off by a factor e^{1e-6}: f_1 is scaled by
     # e^{-1e-6 s/t*} at time s, so G_11 = e^{-1e-6}
-    lms = _norms_log(ks)
-    lms[0] += 1e-6
-    return lms
+    logs = norm_const_log(ks.family, ks.t_star)
+    logs[0] += 1e-6
+    return logs
 
 
 @pytest.mark.parametrize("mutant", ["mode mixing", "not biorthogonal", "norm shifted"])
@@ -74,8 +76,7 @@ def test_reproducing_identity_fails_on_mutants(mutant, tag, N, monkeypatch):
         monkeypatch.setattr(dpp_kernels, "_factors", _mixed_factors)
         monkeypatch.setattr(verification, "_factors", _mixed_factors)
     else:
-        monkeypatch.setattr(dpp_kernels, "_norms_log", _shifted_norms_log)
-        monkeypatch.setattr(verification, "_norms_log", _shifted_norms_log)
+        monkeypatch.setattr(KernelSpec, "norms_log", _shifted_norms_log)
     d = derive((tag, N, 1.0))
     lines = _lines(verification.kernel_suite(d, 0.4, 1.0))
     gram = _lines(verification.biortho_suite(d, 0.4, 1.0))
