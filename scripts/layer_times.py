@@ -1,7 +1,20 @@
 #!/usr/bin/env python3
 """Layer times of `kernel --grid` and of the sampler, with part timelines of both.
 
-For the four grids of the benchmark's `kernel_grid` workload (A16 and C3 at
+First, the per-call layers under every verb, best of k: each call is
+repeated in a loop of about 2 ms, and the table prints the loop's least
+time per call in ms, and per point in us where a call takes points:
+
+    theta_parts    one `theta_parts(1, v, tau)` call at 1, 64 and 1e4 points
+                   (Re v across a period, Im v = 0.3 Im tau) at Im tau 0.01,
+                   1 and 50
+    m_fn_parts     the N one-particle functions at 512 points, the sampler's
+                   drawn-point call (A4, t = 0.5)
+    logdet         `macdonald.logdet` on a (64, 4, 4) stack
+    infinite_kernel  one call at 3 points (A, rho = 1, t* = 50, t = t*/2),
+                   the points of the `limits` sine lines
+
+Then, for the four grids of the benchmark's `kernel_grid` workload (A16 and C3 at
 t = t*/2, A4 at Im tau ~ 0.01, D4 at Im tau* ~ 50, without its jitter) it
 prints, best of k in ms:
 
@@ -52,7 +65,11 @@ import time
 import numpy as np
 
 from elliptic_dpp import cli, dpp_kernels, forks
-from elliptic_dpp.dpp_kernels import KernelSpec, _factors, _kernel_rows, _kernel_sum
+from elliptic_dpp.biortho import m_fn_parts
+from elliptic_dpp.dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_rows,
+                                      _kernel_sum, infinite_kernel)
+from elliptic_dpp.macdonald import logdet
+from elliptic_dpp.theta_core import theta_parts
 
 # (label, family, t, t*)
 CASES = (
@@ -73,6 +90,10 @@ TIMELINE_CASES = (("A4_t0.5", ("A", 4, 1.0), 0.5), ("C3_t0.3", ("C", 3, 1.0), 0.
                   ("A16_t0.5", ("A", 16, 1.0), 0.5))
 TIMELINE_STATES = 2048
 
+# the per-call layer table: theta_parts' point counts and Im tau
+THETA_POINTS = (1, 64, 10_000)
+THETA_IM_TAU = (0.01, 1.0, 50.0)
+
 
 def best(fn, repeat):
     """The least wall time of `repeat` calls of fn(), in ms."""
@@ -82,6 +103,34 @@ def best(fn, repeat):
         fn()
         times.append(time.perf_counter() - t0)
     return 1e3 * min(times)
+
+
+def per_call(fn, repeat):
+    """The least time of one fn() call in ms, over `repeat` loops of about
+    2 ms each."""
+    loops = max(1, int(2.0 / max(best(fn, 1), 1e-3)))
+    return best(lambda: [fn() for _ in range(loops)], repeat) / loops
+
+
+def call_layers(repeat):
+    """(layer, case, points, ms per call) rows of the per-call layer table."""
+    rows = []
+    for y in THETA_IM_TAU:
+        for n in THETA_POINTS:
+            v = np.arange(n) / n + 0.3j * y
+            rows.append(("theta_parts", f"Im tau {y:g}", n,
+                         per_call(lambda: theta_parts(1, v, 1j * y), repeat)))
+    ks = KernelSpec(("A", 4, 1.0), t=0.5, t_star=1.0)
+    x = np.random.default_rng(1).uniform(0.0, ks.family.length, 512)
+    rows.append(("m_fn_parts", "A4 t = 0.5", len(x),
+                 per_call(lambda: m_fn_parts(ks.family, x, ks.t), repeat)))
+    stack = np.random.default_rng(2).standard_normal((64, 4, 4)) + 4.0 * np.eye(4)
+    rows.append(("logdet", "(64, 4, 4)", None, per_call(lambda: logdet("stack", stack), repeat)))
+    ik = InfiniteKernelSpec("A", rho=1.0, t=25.0, t_star=50.0)
+    px, py = np.array([0.3, 1.3, 2.2]), np.array([0.3, 0.6, 0.9])
+    rows.append(("infinite_kernel", "A rho = 1 t* = 50", len(px),
+                 per_call(lambda: infinite_kernel(ik, px, py), repeat)))
+    return rows
 
 
 def layers(ks, n, repeat):
@@ -241,6 +290,12 @@ def main():
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
     n = args.grid
+    print(f"per-call layers, best of {args.repeat} loops of ~2 ms")
+    print(f"{'layer':17s}{'case':19s}{'points':>7s}{'ms/call':>10s}{'us/point':>10s}")
+    for layer, case, points, ms in call_layers(args.repeat):
+        per_point = f"{1e3 * ms / points:10.3f}" if points else ""
+        print(f"{layer:17s}{case:19s}{points or '':>7}{ms:10.4f}{per_point}")
+    print()
     print(f"grid {n}, best of {args.repeat}, ms; one row request = "
           f"{max(1, cli._ROW_NUMBERS // (2 * n))} rows, one block = {cli._BLOCK_NUMBERS} numbers")
     print(f"{'grid':16s}{'factors':>9s}{'rows':>8s}{'fields':>8s}{'text':>8s}{'gather':>8s}"

@@ -25,6 +25,7 @@ import sys
 import time
 from collections import defaultdict
 
+from elliptic_dpp.dpp_kernels import KernelSpec
 from elliptic_dpp.root_systems import FAMILIES
 from elliptic_dpp.verification import run_suites
 
@@ -49,7 +50,7 @@ def main():
         for tag in FAMILIES:
             for N in range(max(args.N[0], 2 if tag == "D" else 1), args.N[1] + 1):
                 runs += 1
-                for r in run_suites("all", (tag, N, 1.0), t, t_star):
+                for r in run_suites("all", KernelSpec((tag, N, 1.0), t, t_star)):
                     if not r.passed:
                         kind = "inf" if math.isinf(r.residual) else "finite"
                         fails[r.name, kind].append(f"{tag}{N}")

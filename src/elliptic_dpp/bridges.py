@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .macdonald import (KernelSpec, _det_phase, _logc_rel_diff, _m_matrix_parts, _per_config,
-                        coeff_a_log, logdet, midpoint_nodes, rhs_logc)
+from .macdonald import (_det_phase, _logc_rel_diff, _m_matrix_parts, _per_config, coeff_a_log,
+                        logdet, midpoint_nodes, rhs_logc)
 from .root_systems import derive
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
@@ -202,8 +202,9 @@ def matrix_identity_residual(spec, t, xs):
     return _per_config(xs, np.max(np.abs(rm @ P - M), axis=(-2, -1)) / top)
 
 
-def bridge_density(spec, t, t_star, xs):
-    """Pinned-bridge density det P_in . det P_out / det P_pin, by log-dets.
+def bridge_density(ks, xs):
+    """Pinned-bridge density det P_in . det P_out / det P_pin of the KernelSpec
+    ks, by log-dets: `dpp_kernels.density_batch(ks, X)` by another route.
 
     At large horizons the heat-kernel matrices approach rank one and the
     determinants cancel to nothing.  Each of the three log-determinants is
@@ -215,7 +216,7 @@ def bridge_density(spec, t, t_star, xs):
     P_in and P_out exactly singular; those configurations get 0 before the
     check.
     """
-    d = KernelSpec(spec, t, t_star).family
+    d = ks.family
     X = d.configurations(xs, "bridge_density")
     absorbing = {"ar": (0.0,), "aa": (0.0, d.length)}.get(d.walls, ())
     live = ~(np.any(np.diff(np.sort(X, axis=1), axis=1) == 0.0, axis=1)
@@ -223,9 +224,9 @@ def bridge_density(spec, t, t_star, xs):
     out, X, v = np.zeros(len(X)), X[live], np.asarray(d.pinned)
     if live.any():
         mats = {
-            "P_in": _pinned_matrix(d, t, X),
-            "P_out": transition(d, t, X[:, :, None], t_star, v[None, None, :]),
-            "D0": transition(d, 0.0, v[:, None], t_star, v[None, :]),
+            "P_in": _pinned_matrix(d, ks.t, X),
+            "P_out": transition(d, ks.t, X[:, :, None], ks.t_star, v[None, None, :]),
+            "D0": transition(d, 0.0, v[:, None], ks.t_star, v[None, :]),
         }
         (l1, s1), (l2, s2), (l0, s0) = (logdet(f"bridge matrix {name}", m)
                                         for name, m in mats.items())

@@ -410,7 +410,7 @@ def _run_limits(args):
 
 
 def _run_verify(args):
-    return _report(run_suites(args.suite, args.family, args.t, args.t_star))
+    return _report(run_suites(args.suite, args.ks))
 
 
 def _run_sample(args):
@@ -442,7 +442,7 @@ def _run_sample(args):
 
 
 def _run_selberg(args):
-    res = selberg_check(args.family, args.t, args.t_star)
+    res = selberg_check(args.ks)
     print("lhs=%.17g rhs=%.17g" % (res.lhs, res.rhs))
     return _report([CheckResult("closed-form integral", res.rel_err, 1e-8)])
 

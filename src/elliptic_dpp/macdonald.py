@@ -345,8 +345,8 @@ class SelbergResult:
     rel_err: float
 
 
-def selberg_check(spec, t, t_star):
-    """Integral of the joint density over the box [0, L]^N against N!.
+def selberg_check(ks):
+    """Integral of the KernelSpec ks's joint density over [0, L]^N against N!.
 
     The box covers each configuration of the alcove once per ordering, and
     the closed-form norms make the density integrate to 1 over the alcove.
@@ -355,10 +355,8 @@ def selberg_check(spec, t, t_star):
     `_SELBERG_ROWS` rows.
     Returns SelbergResult(lhs, rhs=N!, rel_err).
     """
-    ks = KernelSpec(spec, t, t_star)
-    d = ks.family
-    N, L = d.N, d.length
-    n = midpoint_nodes(d, t, t_star, N, _SELBERG_ROWS)
+    N, L = ks.family.N, ks.family.length
+    n = midpoint_nodes(ks.family, ks.t, ks.t_star, N, _SELBERG_ROWS)
     nodes = (np.arange(n) + 0.5) * (L / n)
     total = 0.0
     for start in range(0, n**N, _SELBERG_BLOCK):

@@ -1,7 +1,8 @@
 """Named residual checks shared by the CLI verify and limits verbs and the
 test gate.
 
-Each suite returns a list of CheckResult rows; a row renders as
+Each suite of SUITES takes the run's KernelSpec (family, 0 < t < t*, norms)
+and returns a list of CheckResult rows; a row renders as
 
     <name>: residual=<value> tol=<value> PASS|FAIL
 
@@ -81,7 +82,8 @@ def _configs(seed, d, n):
 # ---------------------------------------------------------------------------
 # suites
 
-def theta_suite(d, t, t_star):
+def theta_suite(ks):
+    """The theta engine against its series oracle and its two symmetries; ks is not read."""
     pts = [(0.31 + 0.12j, 0.8j), (-0.7 + 0.4j, 0.3j), (1.9 - 0.2j, 1.7j),
            (0.45, 0.09j), (2.2 + 1.1j, 2.5j)]
     worst = 0.0
@@ -154,31 +156,33 @@ def _biortho_residuals(ks):
     return float(off.max()), float(np.max(np.abs(np.diag(g) - 1.0)))
 
 
-def biortho_suite(d, t, t_star):
-    off, norms = _or_inf(_biortho_residuals, KernelSpec(d, t=t, t_star=t_star), lines=2)
+def biortho_suite(ks):
+    """The Gram matrix of ks's balanced factors against I (`_gram`)."""
+    off, norms = _or_inf(_biortho_residuals, ks, lines=2)
     return [CheckResult("biorthogonality off-diagonal", off, 1e-9),
             CheckResult("biorthogonality norms", norms, 1e-9)]
 
 
-def denominator_suite(d, t, t_star):
-    # 5 configurations per time
-    X = _configs(101, d, 15).reshape(3, 5, d.N)
-    worst = _or_inf(lambda: float(np.max([denominator_residual(d, xs, tt) for tt, xs in
-                                          zip((t, 0.5 * t_star, t_star), X)])))
+def denominator_suite(ks):
+    """The determinant identity at 5 configurations each of t, t*/2 and t*."""
+    X = _configs(101, ks.family, 15).reshape(3, 5, ks.family.N)
+    worst = _or_inf(lambda: float(np.max([denominator_residual(ks.family, xs, tt) for tt, xs in
+                                          zip((ks.t, 0.5 * ks.t_star, ks.t_star), X)])))
     return [CheckResult("determinant-identity residual", worst, 1e-10)]
 
 
-def matrix_suite(d, t, t_star):
-    # a line reads inf when r(t) leaves double range, or r(t) or P is past
-    # `logdet`'s condition limit
+def matrix_suite(ks):
+    """Weight-matrix identity at t and t*, pinned paths and (circle) eta at t; a line
+    reads inf when r(t) leaves double range, or r(t) or P is past `logdet`'s limit."""
+    d = ks.family
     X = _configs(103, d, 10).reshape(2, 5, d.N)
     weight = _or_inf(lambda: float(np.max([matrix_identity_residual(d, tt, xs) for tt, xs in
-                                           zip((t, t_star), X)])))
-    pinned = _or_inf(lambda: float(np.max(macdonald_kmlgv_residual(d, t, _configs(107, d, 5)))))
+                                           zip((ks.t, ks.t_star), X)])))
+    pinned = _or_inf(lambda: float(np.max(macdonald_kmlgv_residual(d, ks.t, _configs(107, d, 5)))))
     out = [CheckResult("weight-matrix identity", weight, 1e-10),
            CheckResult("pinned-path proportionality", pinned, 1e-9)]
     if d.walls == "circ":
-        out.append(CheckResult("eta closed form", _or_inf(eta_formula_residual, d, t), 1e-10))
+        out.append(CheckResult("eta closed form", _or_inf(eta_formula_residual, d, ks.t), 1e-10))
     return out
 
 
@@ -192,15 +196,15 @@ def _images_residual(d):
     return worst
 
 
-def bridge_suite(d, t, t_star):
-    images = _or_inf(_images_residual, d)
+def bridge_suite(ks):
+    """Heat kernel vs winding images, Chapman-Kolmogorov, bridge vs spectral density."""
+    images = _or_inf(_images_residual, ks.family)
     # the residual is absolute: a kernel that underflowed or cancelled to 0 reads inf
-    x, z = 0.3 * d.length, 0.7 * d.length
-    ck = _or_inf(lambda: ck_residual(d, 0.0, 0.4 * t_star, t_star, x, z)
-                 if transition(d, 0.0, x, t_star, z) > 0.0 else math.inf)
-    X = _configs(109, d, 5)
-    dens = _or_inf(lambda: _worst(*map(_rel, bridge_density(d, t, t_star, X),
-                                       density_batch(KernelSpec(d, t=t, t_star=t_star), X))))
+    x, z = 0.3 * ks.family.length, 0.7 * ks.family.length
+    ck = _or_inf(lambda: ck_residual(ks.family, 0.0, 0.4 * ks.t_star, ks.t_star, x, z)
+                 if transition(ks.family, 0.0, x, ks.t_star, z) > 0.0 else math.inf)
+    X = _configs(109, ks.family, 5)
+    dens = _or_inf(lambda: _worst(*map(_rel, bridge_density(ks, X), density_batch(ks, X))))
     return [CheckResult("transition vs winding images", images, 1e-11),
             CheckResult("Chapman-Kolmogorov", ck, 1e-10),
             CheckResult("bridge density vs spectral density", dens, 1e-8)]
@@ -238,10 +242,10 @@ def _kernel_grid_residuals(ks):
     return abs(trace - d.N), _reproducing_residual(a, b, g, km)
 
 
-def kernel_suite(d, t, t_star):
-    ks = KernelSpec(d, t=t, t_star=t_star)
+def kernel_suite(ks):
+    """Trace and reproducing identity of the kernel on a grid; density sign at 200 rows."""
     trace, comp_err = _or_inf(_kernel_grid_residuals, ks, lines=2)
-    X = np.sort(np.random.default_rng(113).uniform(0.0, 1.0, (200, d.N)), axis=1) * d.length
+    X = np.sort(np.random.default_rng(113).uniform(0.0, ks.family.length, (200, ks.family.N)), 1)
     dens = _or_inf(lambda: _worst(0.0, -float(density_batch(ks, X).min())))
     return [
         CheckResult("kernel trace = N", trace, 1e-9),
@@ -343,16 +347,12 @@ SUITES = {
 }
 
 
-def run_suites(name, spec, t, t_star):
-    """Run one named suite, or all of them for "all", for one family; ordered
-    results."""
+def run_suites(name, ks):
+    """Run one named suite, or all of them for "all", on the run's KernelSpec
+    ks; ordered results."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {list(SUITES)} or 'all'")
-    d = derive(spec)
-    out = []
-    for n in (SUITES if name == "all" else [name]):
-        out.extend(SUITES[n](d, t, t_star))
-    return out
+    return [res for n in (SUITES if name == "all" else [name]) for res in SUITES[n](ks)]
 
 
 def render(results):

@@ -97,7 +97,7 @@ def test_criterion_2_biorthogonality():
             g, norms = gram_oracle((tag, N, 1.0), ratio, 1.0)
             scale = np.sqrt(np.outer(norms, norms))   # natural size of entry (j,k)
             worst = max(worst, float(np.max(np.abs(g - np.diag(norms)) / scale)))
-            lines = biortho_suite(derive((tag, N, 1.0)), ratio, 1.0)
+            lines = biortho_suite(KernelSpec((tag, N, 1.0), ratio, 1.0))
             worst_gamma = max([worst_gamma] + [line.residual for line in lines])
     dt = time.time() - t0
     ok = worst < 1e-9 and worst_gamma < 1e-9 and dt < 60.0
@@ -134,11 +134,11 @@ def test_criterion_3_denominator_formula():
 
 def test_criterion_4_closed_form_integrals():
     t0 = time.time()
-    worst1 = max(selberg_check((tag, 1, 1.0), 0.4, 1.0).rel_err
+    worst1 = max(selberg_check(KernelSpec((tag, 1, 1.0), 0.4, 1.0)).rel_err
                  for tag in FAMILIES if tag != "D")
-    worst2 = max(selberg_check((tag, 2, 1.0), 0.4, 1.0).rel_err
+    worst2 = max(selberg_check(KernelSpec((tag, 2, 1.0), 0.4, 1.0)).rel_err
                  for tag in FAMILIES)
-    worst3 = max(selberg_check((tag, 3, 1.0), 0.4, 1.0).rel_err
+    worst3 = max(selberg_check(KernelSpec((tag, 3, 1.0), 0.4, 1.0)).rel_err
                  for tag in FAMILIES)
     dt = time.time() - t0
     ok = max(worst1, worst2, worst3) < 1e-8 and dt < 120.0
@@ -274,8 +274,8 @@ def test_criterion_8_bridge_identities():
         for _ in range(3):
             xs = _well_separated(rng, d)
             w_mat = max(w_mat, matrix_identity_residual(d, 0.4, xs))
-            bp = bridge_density(d, 0.4, 1.0, xs)
-            sp = density(KernelSpec(d, t=0.4, t_star=1.0), xs)
+            ks = KernelSpec(d, t=0.4, t_star=1.0)
+            bp, sp = bridge_density(ks, xs), density(ks, xs)
             w_den = max(w_den, abs(bp - sp) / max(abs(sp), 1e-300))
     w_eta = max(eta_formula_residual(derive(("A", N, 1.0)), 0.4)
                 for N in range(1, 7))

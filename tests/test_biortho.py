@@ -30,7 +30,7 @@ def _norm(spec, j, t_star):
 
 def _suite_passes(spec, t, t_star):
     """Production path: the Gram matrix of the balanced factors is I."""
-    lines = verification.biortho_suite(derive(spec), t, t_star)
+    lines = verification.biortho_suite(KernelSpec(spec, t, t_star))
     return all(line.passed for line in lines), [line.residual for line in lines]
 
 
@@ -185,11 +185,11 @@ def test_norm_log_array_j_matches_scalar_calls(tag):
 def test_gram_input_validation():
     d = derive(("A", 3))
     with pytest.raises(ValueError):
-        verification.biortho_suite(d, 0.0, 1.0)  # t strictly inside (0, t_star)
+        verification.biortho_suite(KernelSpec(d, 0.0, 1.0))  # t strictly inside (0, t_star)
     with pytest.raises(ValueError):
-        verification.biortho_suite(d, 1.0, 1.0)
+        verification.biortho_suite(KernelSpec(d, 1.0, 1.0))
     with pytest.raises(ValueError):
-        verification.biortho_suite(d, 0.5, -1.0)
+        verification.biortho_suite(KernelSpec(d, 0.5, -1.0))
     with pytest.raises(ValueError):
         gram_oracle(d, 1.0, 1.0)
 
@@ -273,5 +273,5 @@ def test_gram_resolves_a_small_time():
 
 def test_gram_past_its_node_limit_reads_inf():
     # t = 1e-6 needs 9 428 nodes, past the cap: both lines read inf
-    lines = verification.biortho_suite(derive(("A", 3, 1.0)), 1e-6, 1.0)
+    lines = verification.biortho_suite(KernelSpec(("A", 3, 1.0), 1e-6, 1.0))
     assert [(r.residual, r.passed) for r in lines] == [(np.inf, False)] * 2

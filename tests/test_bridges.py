@@ -306,7 +306,7 @@ def test_bridge_density_equals_spectral_density(tag):
         ks = KernelSpec(d, t=0.4, t_star=1.0)
         for _ in range(3):
             xs = _random_config(rng, d)
-            a = bridge_density(d, 0.4, 1.0, xs)
+            a = bridge_density(ks, xs)
             b = density(ks, xs)
             worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     assert worst < 1e-8, f"{tag}: worst rel deviation {worst:.3e}"
@@ -317,10 +317,10 @@ def test_bridge_density_normalizes():
     u, gw = np.polynomial.legendre.leggauss(32)
     x = 0.5 * d.length * (u + 1.0)
     w = 0.5 * d.length * gw
-    total = 0.0
+    ks, total = KernelSpec(d, 0.4, 1.0), 0.0
     for i in range(32):
         for j in range(32):
-            total += w[i] * w[j] * bridge_density(d, 0.4, 1.0, np.sort([x[i], x[j]]))
+            total += w[i] * w[j] * bridge_density(ks, np.sort([x[i], x[j]]))
     assert abs(0.5 * total - 1.0) < 1e-8
 
 
@@ -328,7 +328,8 @@ def test_bridge_density_time_reversal():
     # pinned at the same configuration both ends: t and t* - t interchangeable
     d = derive(("A", 3, 1.0))
     xs = np.array([0.9, 2.8, 4.4])
-    assert abs(bridge_density(d, 0.3, 1.0, xs) - bridge_density(d, 0.7, 1.0, xs)) < 1e-12
+    assert abs(bridge_density(KernelSpec(d, 0.3, 1.0), xs)
+               - bridge_density(KernelSpec(d, 0.7, 1.0), xs)) < 1e-12
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -341,13 +342,13 @@ def test_bridge_density_agrees_or_raises_at_large_horizons(tag):
         d = derive((tag, N, 1.0))
         for t_star in (1.0, 5.0, 20.0, 50.0):
             t = 0.4 * t_star
-            xs = _random_config(rng, d)
+            xs, ks = _random_config(rng, d), KernelSpec(d, t=t, t_star=t_star)
             try:
-                a = bridge_density(d, t, t_star, xs)
+                a = bridge_density(ks, xs)
             except IllConditionedError:
                 assert t_star > 1.0, f"{tag}{N}: refused at t* = 1"
                 continue
-            b = density(KernelSpec(d, t=t, t_star=t_star), xs)
+            b = density(ks, xs)
             assert abs(a - b) <= 1e-8 * abs(b), (
                 f"{tag}{N} t*={t_star}: bridge {a:.6e} vs density {b:.6e}")
 
@@ -363,7 +364,7 @@ def test_bridge_cond_of_zero_row_or_nonfinite_entry_is_inf(m):
 
 def test_bridge_density_validates_times():
     with pytest.raises(ValueError):
-        bridge_density(("A", 2, 1.0), 1.0, 1.0, [0.3, 0.9])
+        bridge_density(KernelSpec(("A", 2, 1.0), 1.0, 1.0), [0.3, 0.9])
 
 
 # ---------------------------------------------------------------------------

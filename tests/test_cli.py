@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import elliptic_dpp
+from elliptic_dpp import macdonald
 from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, transition
 from elliptic_dpp.cli import (_VERB_FLAGS, _build_parser, _check, _fields, _grid_rows, _write_csv,
                               main)
@@ -436,6 +437,31 @@ def test_selberg_with_defaults_passes(capsys):
         " tol=1.0e-08 PASS")
 
 
+@pytest.mark.parametrize("argv, lines", [
+    ("verify --suite all --type C --N 3 --t 0.4 --t-star 1", 14),
+    ("selberg --type A --N 2", 2),
+], ids=["verify", "selberg"])
+def test_a_run_builds_one_spec_and_evaluates_its_norms_once(argv, lines, monkeypatch, capsys):
+    # the run's KernelSpec, built by `_check`, is the one every suite and
+    # selberg_check reads: one construction, one norm evaluation
+    specs, norms = [], []
+    post_init, norm_const_log = macdonald.KernelSpec.__post_init__, macdonald.norm_const_log
+
+    def counted_post_init(self):
+        specs.append(self)
+        post_init(self)
+
+    def counted_norms(*args):
+        norms.append(args)
+        return norm_const_log(*args)
+
+    monkeypatch.setattr(macdonald.KernelSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(macdonald, "norm_const_log", counted_norms)
+    assert main(argv.split()) == 0
+    assert len(_lines(capsys)) == lines
+    assert (len(specs), len(norms)) == (1, 1)
+
+
 def test_selberg_past_the_row_limit_is_an_engine_error(capsys):
     # 52 nodes per dimension resolve D4 at t = 0.01; 52^4 rows are refused
     assert main(["selberg", "--type", "D", "--N", "4", "--t", "0.01"]) == 1
@@ -520,7 +546,7 @@ def test_density_at_a_small_horizon_agrees_with_the_bridge(capsys):
     out, err = capsys.readouterr()
     assert err == "" and out.startswith("density=") and len(out.splitlines()) == 1
     val = float(out.split("=")[1])
-    ref = bridge_density(("A", 3, 1.0), 0.1, 0.25, pts)
+    ref = bridge_density(KernelSpec(("A", 3, 1.0), 0.1, 0.25), pts)
     assert abs(val - ref) <= 1e-8 * ref
 
 

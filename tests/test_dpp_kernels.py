@@ -128,8 +128,8 @@ def test_kernel_spec_accepts_every_family_form(tag):
 @pytest.mark.parametrize("call", [
     lambda: KernelSpec(("C", 3, 1.0), t=0.4, t_star=np.inf),
     lambda: KernelSpec(("C", 3, 1.0), t=np.nan, t_star=1.0),
-    lambda: selberg_check(("C", 3, 1.0), 0.4, np.inf),
-    lambda: bridge_density(("C", 3, 1.0), 0.4, np.inf, [0.5, 1.2, 2.0]),
+    lambda: selberg_check(KernelSpec(("C", 3, 1.0), 0.4, np.inf)),
+    lambda: bridge_density(KernelSpec(("C", 3, 1.0), 0.4, np.inf), [0.5, 1.2, 2.0]),
 ], ids=["KernelSpec", "KernelSpec-nan", "selberg_check", "bridge_density"])
 def test_time_pair_must_be_finite(call):
     # selberg_check at t* = inf ended in numpy's "cannot convert float NaN to
@@ -200,7 +200,7 @@ def test_density_accepts_alcove_configuration():
     for fn in (lambda xs: density(ks, xs),
                lambda xs: denominator_residual(d, xs, t),
                lambda xs: matrix_identity_residual(d, t, xs),
-               lambda xs: bridge_density(d, t, ks.t_star, xs),
+               lambda xs: bridge_density(ks, xs),
                lambda xs: macdonald_kmlgv_residual(d, t, xs)):
         assert fn(pts) == fn(tuple(pts)) == fn(np.array(pts))
 
@@ -576,7 +576,7 @@ def test_every_user_of_the_factors_refuses_past_the_margin():
                  lambda: exact_sample(ks, 4)):
         with pytest.raises(AccuracyError, match=r"^kernel factors at horizon t\* = 100000000.0"):
             call()
-    lines = biortho_suite(ks.family, ks.t, ks.t_star)
+    lines = biortho_suite(ks)
     assert [line.residual for line in lines] == [np.inf, np.inf]
 
 

@@ -15,6 +15,7 @@ from elliptic_dpp import macdonald
 from elliptic_dpp.macdonald import (
     DegenerateConfigError,
     IllConditionedError,
+    KernelSpec,
     coeff_a_log,
     denominator_residual,
     logdet,
@@ -243,22 +244,22 @@ def test_denominator_residual_small_time_uses_log_form():
 
 @pytest.mark.parametrize("tag", [t for t in FAMILIES if t != "D"])
 def test_selberg_n1_all_families(tag):
-    r = selberg_check((tag, 1, 1.0), t=0.5, t_star=1.0)
+    r = selberg_check(KernelSpec((tag, 1, 1.0), t=0.5, t_star=1.0))
     assert r.rel_err < 1e-8, f"{tag}: {r.rel_err:.3e}"
 
 
 def test_selberg_b2_grid():
-    r = selberg_check(("B", 2, 1.0), t=0.5, t_star=1.0)
+    r = selberg_check(KernelSpec(("B", 2, 1.0), t=0.5, t_star=1.0))
     assert r.rel_err < 1e-8
 
 
 def test_selberg_a2_grid_unequal_times():
-    r = selberg_check(("A", 2, 1.0), t=1.0 / 3.0, t_star=1.0)
+    r = selberg_check(KernelSpec(("A", 2, 1.0), t=1.0 / 3.0, t_star=1.0))
     assert r.rel_err < 1e-8
 
 
 def test_selberg_d2_grid():
-    r = selberg_check(("D", 2, 1.0), t=0.4, t_star=1.0)
+    r = selberg_check(KernelSpec(("D", 2, 1.0), t=0.4, t_star=1.0))
     assert r.rel_err < 1e-8
 
 
@@ -268,7 +269,7 @@ def test_selberg_all_families_to_n4(tag):
     # nodes per dimension at (0.4, 1), N + 5 or N + 9 at (2, 5)
     for t, t_star in ((0.4, 1.0), (2.0, 5.0)):
         for N in range(1 if tag != "D" else 2, 5):
-            r = selberg_check((tag, N, 1.0), t=t, t_star=t_star)
+            r = selberg_check(KernelSpec((tag, N, 1.0), t=t, t_star=t_star))
             assert r.rhs == math.factorial(N) and r.rel_err < 1e-8, \
                 f"{tag}{N} at {t}: {r.rel_err:.3e}"
 
@@ -280,11 +281,11 @@ def test_selberg_block_sum_matches_one_density_call(monkeypatch):
     n = macdonald.midpoint_nodes(d, 0.4, 1.0, 3, 2**20)
     nodes = (np.arange(n) + 0.5) * (d.length / n)
     X = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
-    ks = macdonald.KernelSpec(d, 0.4, 1.0)
+    ks = KernelSpec(d, 0.4, 1.0)
     one = float(macdonald._density(ks, X).sum()) * (d.length / n) ** 3
-    blocked = selberg_check(d, 0.4, 1.0).lhs
+    blocked = selberg_check(ks).lhs
     monkeypatch.setattr(macdonald, "_SELBERG_BLOCK", 1000)
-    assert abs(selberg_check(d, 0.4, 1.0).lhs - one) <= 1e-14 * one
+    assert abs(selberg_check(ks).lhs - one) <= 1e-14 * one
     assert abs(blocked - one) <= 1e-14 * one
 
 
@@ -298,12 +299,12 @@ def test_selberg_nodes_follow_the_density_width():
     # past the row limit: every N = 4 at (0.01, 1), N = 3 at (3e-4, 1)
     for spec, t in ((("A", 4, 1.0), 0.01), (("D", 4, 1.0), 0.01), (("C", 3, 1.0), 3e-4)):
         with pytest.raises(AccuracyError, match=r"midpoint rule needs \d+\^\d = \d+ points"):
-            selberg_check(spec, t, 1.0)
+            selberg_check(KernelSpec(spec, t, 1.0))
 
 
 def test_selberg_validation():
     with pytest.raises(ValueError):
-        selberg_check(("A", 2, 1.0), 1.5, 1.0)  # t >= t_star
+        selberg_check(KernelSpec(("A", 2, 1.0), 1.5, 1.0))  # t >= t_star
     for kw in ({"method": "grid"}, {"budget": 512}, {"seed": 0}):
         with pytest.raises(TypeError):
-            selberg_check(("A", 2, 1.0), 0.5, 1.0, **kw)
+            selberg_check(KernelSpec(("A", 2, 1.0), 0.5, 1.0), **kw)

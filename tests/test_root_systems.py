@@ -244,7 +244,7 @@ def _calls(d):
         "denominator_residual": lambda p: denominator_residual(d, p, 0.4),
         "matrix_identity_residual": lambda p: matrix_identity_residual(d, 0.4, p),
         "macdonald_kmlgv_residual": lambda p: macdonald_kmlgv_residual(d, 0.4, p),
-        "bridge_density": lambda p: bridge_density(d, 0.4, 1.0, p),
+        "bridge_density": lambda p: bridge_density(ks, p),
     }
 
 

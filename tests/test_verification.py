@@ -20,10 +20,9 @@ def _lines(results):
     return {res.name: res for res in results}
 
 
-def _dense_residual(d, t, t_star):
+def _dense_residual(ks):
     """Oracle: max |h K K - K| / max |K| by the dense G x G product."""
-    ks = KernelSpec(d, t=t, t_star=t_star)
-    L, n = d.length, 512
+    L, n = ks.family.length, 512
     x = np.arange(n) * (L / n) + L / (2 * n)
     km = kernel_matrix(ks, x, x)
     return float(np.max(np.abs(km @ km * (L / n) - km)) / np.max(np.abs(km)))
@@ -33,9 +32,9 @@ def _dense_residual(d, t, t_star):
 @pytest.mark.parametrize("t, t_star", [(0.4, 1.0), (20.0, 50.0)])
 def test_factored_reproducing_residual_matches_dense_product(tag, t, t_star):
     for N in (2, 3, 4):
-        d = derive((tag, N, 1.0))
-        line = _lines(verification.kernel_suite(d, t, t_star))["reproducing identity"]
-        dense = _dense_residual(d, t, t_star)
+        ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
+        line = _lines(verification.kernel_suite(ks))["reproducing identity"]
+        dense = _dense_residual(ks)
         assert line.passed
         assert abs(line.residual - dense) <= 1e-13, (
             f"{tag}{N}: factored {line.residual:.3e} dense {dense:.3e}")
@@ -77,9 +76,9 @@ def test_reproducing_identity_fails_on_mutants(mutant, tag, N, monkeypatch):
         monkeypatch.setattr(verification, "_factors", _mixed_factors)
     else:
         monkeypatch.setattr(KernelSpec, "norms_log", _shifted_norms_log)
-    d = derive((tag, N, 1.0))
-    lines = _lines(verification.kernel_suite(d, 0.4, 1.0))
-    gram = _lines(verification.biortho_suite(d, 0.4, 1.0))
+    ks = KernelSpec((tag, N, 1.0), t=0.4, t_star=1.0)
+    lines = _lines(verification.kernel_suite(ks))
+    gram = _lines(verification.biortho_suite(ks))
     if mutant == "norm shifted":
         assert gram["biorthogonality off-diagonal"].passed
         assert not gram["biorthogonality norms"].passed
@@ -88,7 +87,7 @@ def test_reproducing_identity_fails_on_mutants(mutant, tag, N, monkeypatch):
     assert not lines["reproducing identity"].passed
     assert gram["biorthogonality norms"].passed
     if mutant == "not biorthogonal":            # the dense oracle sees it too
-        assert _dense_residual(d, 0.4, 1.0) > 1e-3
+        assert _dense_residual(ks) > 1e-3
         assert not gram["biorthogonality off-diagonal"].passed
     else:                                       # the factors themselves are right
         assert gram["biorthogonality off-diagonal"].passed
@@ -101,7 +100,7 @@ def test_biortho_suite_at_large_horizon(tag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for N in (2, 3, 4):
-            for line in verification.biortho_suite(derive((tag, N, 1.0)), 20.0, 50.0):
+            for line in verification.biortho_suite(KernelSpec((tag, N, 1.0), 20.0, 50.0)):
                 assert line.passed, f"{tag}{N}: {line.line()}"
 
 
@@ -114,7 +113,7 @@ def test_refused_determinant_reads_inf_on_its_line(fn, name, monkeypatch):
         raise IllConditionedError("r-matrix #1 of 1 condition ~ inf exceeds 1.0e+07")
 
     monkeypatch.setattr(verification, fn, refuse)
-    lines = _lines(verification.matrix_suite(derive(("A", 3, 1.0)), 0.4, 1.0))
+    lines = _lines(verification.matrix_suite(KernelSpec(("A", 3, 1.0), 0.4, 1.0)))
     assert list(lines) == ["weight-matrix identity", "pinned-path proportionality",
                            "eta closed form"]
     assert [n for n, r in lines.items() if not r.passed] == [name]
@@ -133,7 +132,7 @@ def test_refusal_reads_inf_on_every_identity_line(error, monkeypatch):
                "macdonald_kmlgv_residual", "eta_formula_residual", "transition",
                "bridge_density", "density_batch"):
         monkeypatch.setattr(verification, fn, refuse)
-    results = verification.run_suites("all", derive(("A", 3, 1.0)), 0.4, 1.0)
+    results = verification.run_suites("all", KernelSpec(("A", 3, 1.0), 0.4, 1.0))
     assert len(results) == 15
     for res in results[:3]:
         assert res.passed, res.line()
@@ -156,7 +155,7 @@ def test_kernel_grid_follows_the_kernel_width():
 def test_kernel_suite_resolves_a_small_time(N):
     # at t = 1e-4 the kernel's width ~1e-2 is about the step of 512 nodes on
     # the circle; N + 943 nodes resolve it
-    results = verification.kernel_suite(derive(("A", N, 1.0)), 1e-4, 1.0)
+    results = verification.kernel_suite(KernelSpec(("A", N, 1.0), 1e-4, 1.0))
     for res in results:
         assert res.passed and res.residual <= 1e-13, res.line()
 
@@ -164,7 +163,7 @@ def test_kernel_suite_resolves_a_small_time(N):
 def test_kernel_grid_past_its_limit_reads_inf():
     # t = 1e-6 would need 9 427 nodes on the circle: trace and reproducing
     # lines read inf, the density line still prints
-    lines = _lines(verification.kernel_suite(derive(("A", 2, 1.0)), 1e-6, 1.0))
+    lines = _lines(verification.kernel_suite(KernelSpec(("A", 2, 1.0), 1e-6, 1.0)))
     assert lines["kernel trace = N"].residual == math.inf
     assert lines["reproducing identity"].residual == math.inf
     assert lines["density nonnegativity"].passed
@@ -207,7 +206,7 @@ def test_nan_residual_fails_its_line(suite, fn, at, line, monkeypatch):
     if suite == "limits":
         results = verification.limits_suite(d, verification.limit_specs(d, 1.0, 300000.0))
     else:
-        results = verification.run_suites(suite, d, 0.4, 1.0)
+        results = verification.run_suites(suite, KernelSpec(d, 0.4, 1.0))
     res = _lines(results)[line]
     assert math.isnan(res.residual) and not res.passed
     assert res.line().endswith("residual=nan tol=%.1e FAIL" % res.tol)
@@ -227,7 +226,7 @@ def test_batch_rows_equal_one_configuration_calls(tag):
                 "denominator": lambda xs: denominator_residual(d, xs, t),
                 "weight matrix": lambda xs: matrix_identity_residual(d, t, xs),
                 "pinned path": lambda xs: macdonald_kmlgv_residual(d, t, xs),
-                "bridge density": lambda xs: bridge_density(d, t, t + 0.6, xs),
+                "bridge density": lambda xs: bridge_density(KernelSpec(d, t, t + 0.6), xs),
             }
             for name, fn in fns.items():
                 batch = fn(X)
@@ -268,11 +267,11 @@ def test_configs_in_batches_equal_one_draw_at_a_time(tag):
 
 
 def test_run_suites_takes_one_name_or_all():
-    d = derive(("C", 2, 1.0))
-    assert [r.name for r in verification.run_suites("theta", d, 0.4, 1.0)] == [
+    ks = KernelSpec(("C", 2, 1.0), 0.4, 1.0)
+    assert [r.name for r in verification.run_suites("theta", ks)] == [
         "theta engine vs series oracle", "theta quasi-periodicity", "theta imaginary transform"]
     with pytest.raises(ValueError, match="unknown suite"):
-        verification.run_suites("thetas", d, 0.4, 1.0)
+        verification.run_suites("thetas", ks)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -280,7 +279,7 @@ def test_determinant_gate_passes_every_line_at_the_benchmark_times(tag):
     # det_m_logc's condition limit (1e7) is well above the suite's matrices
     # at (0.4, 1), whose largest equilibrated condition is ~1.5e4
     for N in (2, 3, 4):
-        results = verification.run_suites("all", derive((tag, N, 1.0)), 0.4, 1.0)
+        results = verification.run_suites("all", KernelSpec((tag, N, 1.0), 0.4, 1.0))
         assert [r.line() for r in results if not r.passed] == [], f"{tag}{N}"
 
 
@@ -292,5 +291,6 @@ def test_determinant_gate_refuses_what_its_bound_cannot_judge():
     xs = np.array([2.2381128239934287, 3.1863610630516708, 4.039174817973448])
     with pytest.raises(IllConditionedError, match=r"condition ~ 1\.72.e\+10 exceeds 1\.0e\+07"):
         det_m_logc(d, xs, 0.125)
-    line = _lines(verification.denominator_suite(d, 0.1, 0.25))["determinant-identity residual"]
+    line = _lines(verification.denominator_suite(KernelSpec(d, 0.1, 0.25)))[
+        "determinant-identity residual"]
     assert line.residual == math.inf and not line.passed
