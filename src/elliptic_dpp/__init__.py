@@ -13,7 +13,7 @@ from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, SampleResult, bin_inte
                           density, empirical_density, exact_sample, infinite_kernel, intensity,
                           kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import denominator_residual, selberg_check
-from .root_systems import FAMILIES, FamilySpec, derive, validate
+from .root_systems import FAMILIES, FamilySpec
 from .theta_core import AccuracyError, eta_log, theta, theta_parts, theta_series
 from .verification import CheckResult, run_suites
 
@@ -32,7 +32,6 @@ __all__ = [
     "corr_det",
     "denominator_residual",
     "density",
-    "derive",
     "empirical_density",
     "eta_log",
     "exact_sample",
@@ -51,5 +50,4 @@ __all__ = [
     "transition",
     "transition_images",
     "trig_kernel",
-    "validate",
 ]

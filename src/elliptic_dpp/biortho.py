@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .root_systems import derive
 from .theta_core import AccuracyError, parts_sum, theta_parts
 
 __all__ = ["m_fn_parts", "norm_const_log", "theta_block_parts"]
@@ -56,21 +55,19 @@ def theta_block_parts(shape, sigma, z, tau):
                      sign * np.multiply(m2, np.exp(-1j * e.imag)), s2 - e.real)
 
 
-def m_fn_parts(spec, x, t):
+def m_fn_parts(d, x, t):
     """The N one-particle functions at positions x, time t, in parts form,
     with a leading axis over the functions, from one building-block call
     (they share tau)."""
-    d = derive(spec)
     tau = d.tau(t, "m_fn_parts", 2)
     z = np.atleast_1d(d.size * (np.asarray(x, dtype=float) / (2.0 * np.pi * d.r)))  # size xi(x)
     sigma = (np.asarray(d.offsets) / d.size).reshape((d.N,) + (1,) * z.ndim)
     return theta_block_parts(d.sharp, sigma, z, tau)
 
 
-def norm_const_log(spec, t_star):
+def norm_const_log(d, t_star):
     """logs of the N biorthogonality norms (they are positive reals), from one
     theta call (they share tau)."""
-    d = derive(spec)
     tau_t, tau = (d.tau(t_star, "norm_const_log", p) for p in (0, 2))
     J = np.asarray(d.offsets)
     m, s = theta_parts(2, d.size * J * tau_t, tau)

@@ -23,9 +23,8 @@ import math
 
 import numpy as np
 
-from .macdonald import (_det_phase, _logc_rel_diff, _m_matrix_parts, _per_config, coeff_a_log,
+from .macdonald import (_logc_rel_diff, _m_matrix_parts, _per_config, _phase, coeff_a_log,
                         logdet, midpoint_nodes, rhs_logc)
-from .root_systems import derive
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # transition kernels
 
-def transition(spec, s, x, t, y):
+def transition(d, s, x, t, y):
     """Transition density p(s, x; t, y) of the family's bridge process.
 
     Theta form; x broadcasts against y, so x[:, None], y[None, :] give the
@@ -51,7 +50,6 @@ def transition(spec, s, x, t, y):
     theta call: an interval family's difference and image arguments x -+ y
     are stacked into it.
     """
-    d = derive(spec)
     tau = d.tau(t - s, "transition")
     x, y = (d.positions(v, "transition") for v in (x, y))
     L = 2.0 * math.pi * d.r
@@ -69,7 +67,7 @@ def transition(spec, s, x, t, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def transition_images(spec, s, x, t, y, windings):
+def transition_images(d, s, x, t, y, windings):
     """Winding-image Gaussian sum -- direct oracle for `transition`.
 
     Sums the heat kernel over `windings` images either side.  If the
@@ -81,7 +79,6 @@ def transition_images(spec, s, x, t, y, windings):
     W = int(windings)
     if W < 1:
         raise ValueError(f"windings must be >= 1, got {windings}")
-    d = derive(spec)
     dt = t - s
     L = 2.0 * math.pi * d.r
 
@@ -116,7 +113,7 @@ def transition_images(spec, s, x, t, y, windings):
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov residuals
 
-def ck_residual(spec, s, t, u, x, z):
+def ck_residual(d, s, t, u, x, z):
     """|integral p(s,x;t,y) p(t,y;u,z) dy  -  p(s,x;u,z)| on the family's
     domain [0, L].
 
@@ -128,7 +125,6 @@ def ck_residual(spec, s, t, u, x, z):
     """
     if not -math.inf < s < t < u < math.inf:
         raise ValueError(f"need s < t < u finite, got {s}, {t}, {u}")
-    d = derive(spec)
     x, z = (d.positions(v, "ck_residual") for v in (x, z))
     L = d.length
     n = midpoint_nodes(d, t - s, u - s, 1, 8192)
@@ -149,7 +145,7 @@ _ENTRY = {
 }
 
 
-def r_matrix(spec, t):
+def r_matrix(d, t):
     """Family-indexed N x N weight matrix r(t), tying pinned-kernel rows to
     biorthogonal rows; columns follow the pinned configuration.
 
@@ -157,7 +153,6 @@ def r_matrix(spec, t):
     the generic prefactor.  AccuracyError when an entry leaves double range
     (the growth factor e^{J^2 t / 2 r^2} at small r).
     """
-    d = derive(spec)
     d.tau(t, "r_matrix")
     r, size, entry = d.r, d.size, _ENTRY[d.sharp]
     J = np.asarray(d.offsets)
@@ -188,10 +183,9 @@ def _pinned_matrix(d, t, X):
     return transition(d, 0.0, v[:, None], t, X[..., None, :])
 
 
-def matrix_identity_residual(spec, t, xs):
+def matrix_identity_residual(d, t, xs):
     """max |r(t) . p(0, v; t, x) - M(x, t)| / max |M|, entrywise;
     AccuracyError when r(t) or M leaves double range."""
-    d = derive(spec)
     X = d.configurations(xs, "matrix_identity_residual")
     P = _pinned_matrix(d, t, X)
     rm = r_matrix(d, t)
@@ -234,41 +228,29 @@ def bridge_density(ks, xs):
     return _per_config(xs, out)
 
 
-def _b_phase(sharp, N):
-    if sharp == "A":
-        e = N * (N + 1) // 2 if N % 2 == 0 else (N - 1) * (N - 2) // 2
-    elif sharp == "C":
-        e = N
-    else:
-        e = 0
-    return (1j) ** (e % 4)
-
-
-def macdonald_kmlgv_residual(spec, t, xs):
+def macdonald_kmlgv_residual(d, t, xs):
     """Weyl denominator against the pinned-path determinant route.
 
     Left side: `rhs_logc`, the closed-form side a(t) . phase . W (times the
     parity-indexed coordinate-sum theta for the circle family) of the
-    determinant identity.  Right side: the same phase times
-    `_b_phase` . det r(t) . det P.  Returns the relative residual at the
-    common log scale.  IllConditionedError when `macdonald.logdet` refuses
-    r(t) or a pinned matrix P, AccuracyError when r(t) leaves double range.
+    determinant identity.  Right side: the same phase times the phase of
+    b(t) . det r(t) . det P.  Returns the relative residual at the common log
+    scale.  IllConditionedError when `macdonald.logdet` refuses r(t) or a
+    pinned matrix P, AccuracyError when r(t) leaves double range.
     """
-    d = derive(spec)
     X = d.configurations(xs, "macdonald_kmlgv_residual")
     ll, pl = rhs_logc(d, X, t)
     lr, sr = logdet("r-matrix", r_matrix(d, t))
     lp, sp = logdet("bridge matrix P", _pinned_matrix(d, t, X))
-    rp = _det_phase(d.sharp, d.N) * _b_phase(d.sharp, d.N) * sr * sp
+    rp = _phase(d, "det") * _phase(d, "b") * sr * sp
     return _per_config(xs, _logc_rel_diff(ll, pl, lr + lp, rp))
 
 
-def eta_formula_residual(spec, t):
+def eta_formula_residual(d, t):
     """Circle-family closed form: the Weyl/KMLGV ratio b(t) equals
     (2 pi r)^N N^{-N/2} eta(N tau(t))^{(N-1)(N-2)/2}. Relative residual;
     AccuracyError when r(t) leaves double range, IllConditionedError when
     `macdonald.logdet` refuses it."""
-    d = derive(spec)
     if d.walls != "circ":
         raise ValueError("eta closed form applies to the circle family only")
     tau = d.tau(t, "eta_formula_residual", 1)
@@ -279,5 +261,5 @@ def eta_formula_residual(spec, t):
     lr, sr = logdet("r-matrix", r_matrix(d, t))
     la = coeff_a_log(d, t)
     lc = lr - la
-    pc = _b_phase(d.sharp, N) * sr
+    pc = _phase(d, "b") * sr
     return float(_logc_rel_diff(lb, 1.0, lc, pc))

@@ -50,7 +50,7 @@ from . import forks
 from .dpp_kernels import (_SUM_ENTRIES, KernelSpec, _kernel_rows, density, empirical_density,
                           exact_sample, intensity)
 from .macdonald import selberg_check
-from .root_systems import FAMILIES, derive
+from .root_systems import FAMILIES, FamilySpec
 from .theta_core import AccuracyError, theta
 from .verification import SUITES, CheckResult, limit_specs, limits_suite, render, run_suites
 
@@ -542,7 +542,7 @@ def _check(args):
     flags = _VERB_FLAGS[args.command][1]
     del args.config
     if "type" in flags:
-        args.family = derive((args.type, args.N, args.r))
+        args.family = FamilySpec(args.type, args.N, args.r)
     if "t" in flags:
         args.t = 0.5 * args.t_star if args.t is None else args.t
         args.ks = KernelSpec(args.family, args.t, args.t_star)

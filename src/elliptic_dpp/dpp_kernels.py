@@ -40,7 +40,6 @@ import numpy as np
 from . import forks
 from .biortho import m_fn_parts
 from .macdonald import KernelSpec, _density
-from .root_systems import derive
 from .theta_core import AccuracyError, _check_tau, parts_sum, parts_value, theta_parts
 
 __all__ = [
@@ -231,7 +230,9 @@ def corr_det(ks, points):
     points give 1.0, the empty determinant.
 
     The points are sorted first, as in `density_batch`: the determinant is
-    permutation invariant, and a fixed order makes its rounding so too.
+    permutation invariant, and a fixed order makes its rounding so too.  The
+    one determinant taken outside `macdonald.logdet`: near coincident points
+    it is a true small number, which that gate's condition limit would refuse.
     """
     pts = np.sort(ks.family.positions(points, "corr_det"))
     if pts.size > ks.family.N:
@@ -282,14 +283,13 @@ def _sin_ratio(c, v):
     return sign * np.where(tiny, float(c), np.sin(c * vs) / np.sin(vs))
 
 
-def trig_kernel(spec, x, y):
+def trig_kernel(d, x, y):
     """Large-horizon limit of the middle-time kernel: sine-ratio closed forms.
 
     Circle family: a single Dirichlet ratio of the difference; interval
     families: difference (or, for the doubled-reflection family, sum) of the
     difference and image ratios.  Real valued.
     """
-    d = derive(spec)
     r = d.r
     x, y = (d.positions(v, "trig_kernel") for v in (x, y))
     pref = 1.0 / (2.0 * np.pi * r)

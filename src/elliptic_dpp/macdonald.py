@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import m_fn_parts, norm_const_log
-from .root_systems import derive
+from .root_systems import FamilySpec
 from .theta_core import AccuracyError, eta_log, parts_sum, parts_value, theta_parts
 
 __all__ = [
@@ -202,13 +202,12 @@ _A_TABLE = {
 }
 
 
-def coeff_a_log(spec, t):
+def coeff_a_log(d, t):
     """log a(t); the coefficients are positive reals with huge dynamic range.
 
     Each Euler product q0(tau) = prod (1 - q^{2n}) = eta(tau) / q^{1/12} is
     taken as a log through `eta_log`, so a(t) stays finite at every t > 0.
     """
-    d = derive(spec)
     y = d.tau(t, "coeff_a_log", 1).imag
     pref, qexp, q0_terms = _A_TABLE[d.tag]
     out = np.log(pref) + qexp(d.N) * (-np.pi * y)  # log q(tau) = -pi Im tau
@@ -220,15 +219,20 @@ def coeff_a_log(spec, t):
 # ---------------------------------------------------------------------------
 # determinant identity
 
-def _det_phase(sharp, N):
-    """Unit phase on the closed-form side: i-powers fixed by sharp shape and parity."""
-    if sharp == "A":
-        e = (N // 2) if N % 2 == 0 else -((N - 1) // 2)
-    elif sharp == "C":
-        e = -N
-    else:
-        e = 0
-    return (1j) ** (e % 4)
+# unit phases i^e, fixed by sharp shape and parity, of the closed-form side of
+# the determinant identity ("det") and of the Weyl/KMLGV ratio b(t) in `bridges`
+# ("b"): (sharp, side) -> e(N); the B and D shapes have e = 0
+_PHASE_EXP = {
+    ("A", "det"): lambda N: N // 2 if N % 2 == 0 else -((N - 1) // 2),
+    ("A", "b"): lambda N: N * (N + 1) // 2 if N % 2 == 0 else (N - 1) * (N - 2) // 2,
+    ("C", "det"): lambda N: -N,
+    ("C", "b"): lambda N: N,
+}
+
+
+def _phase(d, side):
+    """The unit phase i^e of the family d on `side` ("det" or "b")."""
+    return (1j) ** (_PHASE_EXP.get((d.sharp, side), lambda N: 0)(d.N) % 4)
 
 
 def _m_matrix_parts(d, xs, t):
@@ -237,27 +241,25 @@ def _m_matrix_parts(d, xs, t):
     return tuple(np.moveaxis(p, 0, 1) for p in parts)
 
 
-def det_m_logc(spec, xs, t):
+def det_m_logc(d, xs, t):
     """log-magnitude and phase of det[M_j(x_k, t)], through `logdet`."""
-    return logdet("matrix", *_m_matrix_parts(derive(spec), xs, t))
+    return logdet("matrix", *_m_matrix_parts(d, xs, t))
 
 
-def rhs_logc(spec, xs, t):
+def rhs_logc(d, xs, t):
     """Closed-form side of the determinant identity, as (log_mag, phase)."""
-    d = derive(spec)
     xi = np.atleast_2d(np.asarray(xs, dtype=float)) / (2.0 * np.pi * d.r)
     tau = d.tau(t, "rhs_logc", 1)
     lp, pp = _logc_from_parts(*_product_parts(d.tag, xi, tau))
-    return coeff_a_log(d, t) + lp, _det_phase(d.sharp, d.N) * pp
+    return coeff_a_log(d, t) + lp, _phase(d, "det") * pp
 
 
-def denominator_residual(spec, xs, t):
+def denominator_residual(d, xs, t):
     """Relative difference between det[M_j(x_k, t)] and its closed form.
 
     Both sides in (log-magnitude, phase); DegenerateConfigError when both
     vanish, IllConditionedError when a matrix cannot support the residual.
     """
-    d = derive(spec)
     d.tau(t, "denominator_residual", 1)
     X = d.configurations(xs, "denominator_residual")
     lr, pr = rhs_logc(d, X, t)
@@ -275,15 +277,19 @@ def denominator_residual(spec, xs, t):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A family (a `FamilySpec`), 0 < t < t_star < inf, and its tau rule at t and t_star - t;
-    `norms_log` (`norm_const_log` at t_star) is computed on first use, then kept."""
+    """A family, 0 < t < t_star < inf, and its tau rule at t and t_star - t;
+    `norms_log` (`norm_const_log` at t_star) is computed on first use, then kept.
+
+    `family` is a `FamilySpec`, kept as it is, or the (tag, N[, r]) tuple one is
+    built from: this and the CLI's flags are where a family enters as input."""
 
     family: object
     t: float
     t_star: float
 
     def __post_init__(self):
-        object.__setattr__(self, "family", derive(self.family))
+        if not isinstance(self.family, FamilySpec):
+            object.__setattr__(self, "family", FamilySpec(*self.family))
         self.check_times(self.t, self.t_star)
         for s in (self.t, self.t_star - self.t):
             self.family.tau(s, "KernelSpec")

@@ -31,9 +31,10 @@ The other per-family rules are read off these data where they are used (the
 doubled norms, the half-weight columns of r(t), the trigonometric limits); the
 list of types follows Rosengren and Schlosser, Compositio Math. 142 (2006).
 
-`derive` turns a (tag, N[, r]) tuple into a `FamilySpec` and returns a
-`FamilySpec` unchanged, so every function that takes a family calls `derive`
-on it.
+Every function that takes a family takes this record.  A (tag, N, r) tuple is
+read in two places only, where outside input enters: `KernelSpec` (which
+builds the record from one) and the CLI's flags.  A bad tag, N or r is a
+ValueError when the record is made.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .theta_core import _check_tau
 
-__all__ = ["FAMILIES", "FamilySpec", "derive", "validate"]
+__all__ = ["FAMILIES", "FamilySpec"]
 
 FAMILIES = ("A", "B", "Bv", "C", "Cv", "BC", "D")
 
@@ -76,9 +77,22 @@ class FamilySpec:
     parity: str | None = field(init=False)
 
     def __post_init__(self):
-        validate(self.tag, self.N, self.r)
-        sharp, walls, a, b, delta, eps = _ROWS[self.tag]
-        N, r, size = self.N, self.r, a * self.N + b
+        tag, N, r = self.tag, self.N, self.r
+        if tag not in FAMILIES:
+            raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILIES}")
+        if not isinstance(N, int) or isinstance(N, bool):
+            raise ValueError(f"N must be an integer, got {N!r}")
+        min_n = 2 if tag == "D" else 1
+        if N < min_n:
+            raise ValueError(f"family {tag} needs N >= {min_n}, got {N}")
+        # time enters as t / r**2 and the alcove scales with r: both r**2 and
+        # 1/r**2 must be positive finite doubles
+        if not (isinstance(r, (int, float)) and r > 0 and 0.0 < r * r < math.inf
+                and 1.0 / (r * r) < math.inf):
+            raise ValueError("radius r must be a positive real with r**2 and 1/r**2 "
+                             f"finite and positive, got {r!r}")
+        sharp, walls, a, b, delta, eps = _ROWS[tag]
+        size = a * N + b
         two_pi_r = 2.0 * math.pi * r
         circle = walls == "circ"
         for name, value in dict(
@@ -119,24 +133,3 @@ class FamilySpec:
         raise ValueError(f"{caller} row {i} must be N = {self.N} finite points{where}, "
                          f"got {X[i].tolist()}")
 
-
-def validate(tag, N, r=1.0):
-    """Reject malformed family parameters with a specific message."""
-    if tag not in FAMILIES:
-        raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILIES}")
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise ValueError(f"N must be an integer, got {N!r}")
-    min_n = 2 if tag == "D" else 1
-    if N < min_n:
-        raise ValueError(f"family {tag} needs N >= {min_n}, got {N}")
-    # time enters as t / r**2 and the alcove scales with r: both r**2 and
-    # 1/r**2 must be positive finite doubles
-    if not (isinstance(r, (int, float)) and r > 0 and 0.0 < r * r < math.inf
-            and 1.0 / (r * r) < math.inf):
-        raise ValueError("radius r must be a positive real with r**2 and 1/r**2 "
-                         f"finite and positive, got {r!r}")
-
-
-def derive(spec):
-    """A (tag, N[, r]) tuple as a FamilySpec; a FamilySpec is returned as it is."""
-    return spec if isinstance(spec, FamilySpec) else FamilySpec(*spec)

@@ -24,7 +24,7 @@ from .bridges import (bridge_density, ck_residual, eta_formula_residual,
 from .dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_sum, density_batch,
                           infinite_kernel, kernel_matrix, sine_kernel, trig_kernel)
 from .macdonald import denominator_residual, midpoint_nodes
-from .root_systems import derive
+from .root_systems import FamilySpec
 from .theta_core import AccuracyError, theta, theta_series
 
 __all__ = ["CheckResult", "SINE_OF", "SUITES", "limit_specs", "limits_suite", "run_suites",
@@ -276,7 +276,7 @@ def limit_specs(d, rho, horizon):
                 raise
             raise ValueError(f"the sine law at t*rho^2 = {h:g}, InfiniteKernelSpec({fam!r}, "
                              f"rho={rho!r}, t={t!r}, t_star={t_star!r}): {exc}") from None
-    big = derive((d.tag, 64, derive((d.tag, 64)).size / (2.0 * math.pi * rho)))
+    big = FamilySpec(d.tag, 64, FamilySpec(d.tag, 64).size / (2.0 * math.pi * rho))
     t_star = 1.0 / rho**2
     large = [(KernelSpec(big, t=f * t_star, t_star=t_star),
               InfiniteKernelSpec(fam, rho=rho, t=f * t_star, t_star=t_star))

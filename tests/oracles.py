@@ -17,7 +17,6 @@ import numpy as np
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import transition
 from elliptic_dpp.dpp_kernels import _factors, _inf_integrand, density_batch, kernel_matrix
-from elliptic_dpp.root_systems import derive
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 
 
@@ -84,7 +83,7 @@ def _trapezoid_gram(d, t, t_star, n):
     return np.einsum("i,ji,ki->jk", w, rows_s.conj(), rows_t)
 
 
-def gram_oracle(spec, t, t_star):
+def gram_oracle(d, t, t_star):
     """Cross-Gram matrix of the one-particle functions across the horizon and
     the closed-form norms m_j = exp(norm_const_log): the pair (G, m), with
     G = diag(m) for a biorthogonal system.
@@ -104,7 +103,6 @@ def gram_oracle(spec, t, t_star):
     """
     if not 0.0 < t < t_star:
         raise ValueError(f"need 0 < t < t_star = {t_star}, got t = {t}")
-    d = derive(spec)
     norms = np.exp(norm_const_log(d, t_star))
     n = 128
     while n <= 8192:
@@ -200,7 +198,7 @@ def fredholm_residual(ks, test_fn_id, theta_param, grid=96):
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov for two-particle determinants
 
-def ck_det_residual(spec, s, t, u, xs, zs, nodes=160):
+def ck_det_residual(d, s, t, u, xs, zs, nodes=160):
     """Two-particle determinant version of Chapman-Kolmogorov.
 
     Integrates det[p(s,x;t,y)] det[p(t,y;u,z)] over unordered pairs y
@@ -220,7 +218,6 @@ def ck_det_residual(spec, s, t, u, xs, zs, nodes=160):
         raise ValueError("determinant Chapman-Kolmogorov check is two-particle only")
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
-    d = derive(spec)
     L = d.length
     if d.walls == "circ":
         y = np.arange(nodes) * (L / nodes)
@@ -351,7 +348,7 @@ def _density_mp(mp, d, t, t_star, xs):
     return mp.re(mp.conj(det_m(mp.mpf(t_star) - mp.mpf(t))) * det_m(mp.mpf(t)) / norms)
 
 
-def density_mpmath(spec, t, t_star, xs, dps=80):
+def density_mpmath(d, t, t_star, xs, dps=80):
     """p(x) = det conj M(t*-t) det M(t) / prod m_n(t*) in mpmath, as an mpf.
 
     The one-particle blocks and the closed-form norms are mpmath.jtheta
@@ -364,7 +361,6 @@ def density_mpmath(spec, t, t_star, xs, dps=80):
     """
     import mpmath
 
-    d = derive(spec)
     prev = None
     while dps <= 400:
         with mpmath.workdps(dps):

@@ -19,7 +19,7 @@ from elliptic_dpp.dpp_kernels import (InfiniteKernelSpec, KernelSpec,
                                       infinite_kernel, kernel, kernel_matrix,
                                       sine_kernel, trig_kernel)
 from elliptic_dpp.macdonald import denominator_residual, selberg_check
-from elliptic_dpp.root_systems import FAMILIES, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import theta
 from elliptic_dpp.verification import biortho_suite
 from oracles import corr_oracle, gram_oracle
@@ -94,7 +94,7 @@ def test_criterion_2_biorthogonality():
     worst_gamma = 0.0       # production path: the balanced factors' Gram vs I
     for tag, N in _fams(6):
         for ratio in (0.25, 0.5, 0.75):
-            g, norms = gram_oracle((tag, N, 1.0), ratio, 1.0)
+            g, norms = gram_oracle(FamilySpec(tag, N, 1.0), ratio, 1.0)
             scale = np.sqrt(np.outer(norms, norms))   # natural size of entry (j,k)
             worst = max(worst, float(np.max(np.abs(g - np.diag(norms)) / scale)))
             lines = biortho_suite(KernelSpec((tag, N, 1.0), ratio, 1.0))
@@ -120,7 +120,7 @@ def test_criterion_3_denominator_formula():
     rng = np.random.default_rng(7)
     worst = 0.0
     for tag, N in _fams(5):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         for _ in range(20):
             xs = _well_separated(rng, d)
             t = rng.uniform(0.3, 2.0)
@@ -260,7 +260,7 @@ def test_criterion_8_bridge_identities():
     w_img = w_ck = w_mat = w_den = 0.0
     seen = set()
     for tag in FAMILIES:
-        d = derive((tag, 3, 1.0))
+        d = FamilySpec(tag, 3, 1.0)
         L = d.length
         key = (d.walls, d.parity)
         if key not in seen:
@@ -277,7 +277,7 @@ def test_criterion_8_bridge_identities():
             ks = KernelSpec(d, t=0.4, t_star=1.0)
             bp, sp = bridge_density(ks, xs), density(ks, xs)
             w_den = max(w_den, abs(bp - sp) / max(abs(sp), 1e-300))
-    w_eta = max(eta_formula_residual(derive(("A", N, 1.0)), 0.4)
+    w_eta = max(eta_formula_residual(FamilySpec("A", N, 1.0), 0.4)
                 for N in range(1, 7))
     dt = time.time() - t0
     ok = (w_img < 1e-11 and w_ck < 1e-10 and w_mat < 1e-10

@@ -15,7 +15,7 @@ from elliptic_dpp import verification
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log, theta_block_parts
 from elliptic_dpp.dpp_kernels import KernelSpec
 from elliptic_dpp.macdonald import midpoint_nodes
-from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import parts_sum, parts_value, theta, theta_parts
 from oracles import gram_oracle
 
@@ -36,7 +36,7 @@ def _suite_passes(spec, t, t_star):
 
 def test_m_fn_parts_scaled_coordinates():
     """Blocks at xi = x / (2 pi r) and tau_t = i t / (2 pi r^2), scaled by size."""
-    d = derive(("C", 3, 0.8))
+    d = FamilySpec("C", 3, 0.8)
     xs = np.array([0.0, 0.8 * math.pi, 2.0])
     m, s = m_fn_parts(d, xs, 0.3)
     size = d.size
@@ -47,9 +47,9 @@ def test_m_fn_parts_scaled_coordinates():
 
 def test_m_fn_parts_rejects_negative_time():
     with pytest.raises(ValueError, match=r"^m_fn_parts: radius r=1.0, duration -0.1: "):
-        m_fn_parts(("A", 2, 1.0), [0.5], -0.1)
+        m_fn_parts(FamilySpec("A", 2, 1.0), [0.5], -0.1)
     with pytest.raises(ValueError, match=r"^m_fn_parts: radius r=1.0, duration -1e-300: "):
-        m_fn_parts(("C", 3, 1.0), [0.5, 1.0], -1e-300)
+        m_fn_parts(FamilySpec("C", 3, 1.0), [0.5, 1.0], -1e-300)
 
 
 def test_block_shapes_against_theta():
@@ -89,7 +89,7 @@ def test_value_structure_on_real_axis(tag):
 def test_parts_for_all_indices_stack_single_ones(tag):
     # the N functions from one call are, bit for bit, the building blocks of
     # one function each: a function's bits do not depend on the others
-    d = derive((tag, 3, 0.8))
+    d = FamilySpec(tag, 3, 0.8)
     xs = np.linspace(0.1, 2.0, 5)
     m, s = m_fn_parts(d, xs, 0.3)
     assert m.shape == s.shape == (3, 5)
@@ -103,7 +103,7 @@ def test_parts_for_all_indices_stack_single_ones(tag):
 def test_interval_block_parts_equal_two_theta_calls(tag):
     # the stacked sigma tau +- z call gives the parts of the two separate
     # calls, bit for bit
-    d = derive((tag, 3, 0.8))
+    d = FamilySpec(tag, 3, 0.8)
     x, t = np.linspace(0.0, d.length, 37), 0.4
     m, s = m_fn_parts(d, x, t)
     size, r = d.size, d.r
@@ -135,12 +135,12 @@ def test_norms_positive_and_doubled():
     """First (and for D also last) interval-family norms carry the factor 2."""
     t_star = 0.9
     for tag, N in (("B", 4), ("Bv", 4)):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         base = 2 * np.pi * 1.0 * theta(
             2, 0.0, d.size**2 * 1j * t_star / (2 * np.pi)
         )
         assert _norm(d, 1, t_star) == pytest.approx(2 * base.real, rel=1e-13)
-    dD = derive(("D", 4, 1.0))
+    dD = FamilySpec("D", 4, 1.0)
     mid = _norm(dD, 2, t_star)
     assert _norm(dD, 1, t_star) > 0
     assert _norm(dD, 4, t_star) > 0
@@ -158,12 +158,11 @@ def test_norms_positive_and_doubled():
 
 def test_norm_log_matches_value():
     # no doubled norm in Cv: m_j = 2 pi r theta_2(size sigma_j tau* | size^2 tau*)
-    spec = FamilySpec("Cv", 5, 1.1)
-    d = derive(spec)
+    d = FamilySpec("Cv", 5, 1.1)
     tau_t = 1j * 0.7 / (2 * np.pi * 1.1**2)
     for j in (1, 3, 5):
         want = 2 * np.pi * 1.1 * theta(2, d.size * d.offsets[j - 1] * tau_t, d.size**2 * tau_t)
-        assert _norm(spec, j, 0.7) == pytest.approx(want.real, rel=1e-13)
+        assert _norm(d, j, 0.7) == pytest.approx(want.real, rel=1e-13)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -171,7 +170,7 @@ def test_norm_log_array_j_matches_scalar_calls(tag):
     # the N logs from one theta call against the closed form of each norm
     # from a one-point theta call, bit for bit
     for N in range(2 if tag == "D" else 1, 5):
-        d = derive((tag, N, 0.9))
+        d = FamilySpec(tag, N, 0.9)
         for t_star in (0.7, 50.0):
             logs = norm_const_log(d, t_star)
             tau_t, tau = d.tau(t_star, "test", 0), d.tau(t_star, "test", 2)
@@ -183,7 +182,7 @@ def test_norm_log_array_j_matches_scalar_calls(tag):
 
 
 def test_gram_input_validation():
-    d = derive(("A", 3))
+    d = FamilySpec("A", 3)
     with pytest.raises(ValueError):
         verification.biortho_suite(KernelSpec(d, 0.0, 1.0))  # t strictly inside (0, t_star)
     with pytest.raises(ValueError):

@@ -20,13 +20,13 @@ from elliptic_dpp.bridges import (
 )
 from elliptic_dpp.dpp_kernels import KernelSpec, density
 from elliptic_dpp.macdonald import IllConditionedError, logdet
-from elliptic_dpp.root_systems import FAMILIES, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import AccuracyError
 from oracles import ck_det_residual
 
 R = 1.0
 # one family per wall behaviour: circ even, circ odd, ar, aa, rr
-CIRC_EVEN, CIRC_ODD, AR, AA, RR = (derive(f) for f in (
+CIRC_EVEN, CIRC_ODD, AR, AA, RR = (FamilySpec(*f) for f in (
     ("A", 2, R), ("A", 3, R), ("B", 2, R), ("C", 2, R), ("D", 2, R)))
 KINDS = (CIRC_EVEN, CIRC_ODD, AR, AA, RR)
 
@@ -44,11 +44,11 @@ def _random_config(rng, d, margin=0.02):
 # wall behaviour
 
 def test_family_walls_mapping():
-    walls = {tag: (derive((tag, 3, R)).walls, derive((tag, 3, R)).parity) for tag in FAMILIES}
+    walls = {tag: (FamilySpec(tag, 3, R).walls, FamilySpec(tag, 3, R).parity) for tag in FAMILIES}
     assert walls == {"A": ("circ", "odd"), "B": ("ar", None), "Cv": ("ar", None),
                      "BC": ("ar", None), "Bv": ("aa", None), "C": ("aa", None),
                      "D": ("rr", None)}
-    assert derive(("A", 4, R)).parity == "even"
+    assert FamilySpec("A", 4, R).parity == "even"
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ _KIND_FAMILIES = (("A", 4), ("A", 3), ("D", 3), ("B", 3), ("C", 3))
 @pytest.mark.parametrize("t,t_star", [(0.4, 1.0), (20.0, 50.0)])
 def test_broadcast_transition_matches_scalar_rows(tag, N, t, t_star):
     # the one-call matrices against the per-row forms they replaced, bit for bit
-    d = derive((tag, N, R))
+    d = FamilySpec(tag, N, R)
     v = np.asarray(d.pinned)
     xs = _random_config(np.random.default_rng(37), d)
     L = d.length    # the 40-node Chapman-Kolmogorov grid
@@ -211,7 +211,7 @@ def test_ck_refuses_degenerate_gaps():
 def test_ck_resolves_a_narrow_kernel():
     # gaps (2e-7, 0.04) at r = 0.2: a fixed 512-node rule reads 6.6e-2 for
     # this true identity; the width rule takes 4 217
-    d = derive(("A", 2, 0.2))
+    d = FamilySpec("A", 2, 0.2)
     L = d.length
     assert ck_residual(d, 0.0, 2e-7, 0.04, 0.3 * L, 0.7 * L) <= 1e-10
 
@@ -221,21 +221,21 @@ def test_ck_resolves_a_narrow_kernel():
 
 def test_r_matrix_rejects_bad_t():
     with pytest.raises(ValueError):
-        r_matrix(("A", 3, 1.0), 0.0)
+        r_matrix(FamilySpec("A", 3, 1.0), 0.0)
 
 
 def test_r_matrix_entries_match_stated_forms():
     t = 0.7
-    d = derive(("D", 4, 1.0))
+    d = FamilySpec("D", 4, 1.0)
     rm = r_matrix(d, t)
     J = np.asarray(d.offsets)
     expect = (2 * np.pi * R / d.size) * np.exp(J * J * t / (2 * R * R))
     assert np.allclose(rm[:, 0], expect, rtol=1e-14)
     # C-type entries are purely imaginary (real sine over i)
-    rmc = r_matrix(("C", 3, 1.0), t)
+    rmc = r_matrix(FamilySpec("C", 3, 1.0), t)
     assert np.max(np.abs(rmc.real)) < 1e-12 * np.max(np.abs(rmc.imag))
     # B-type last column carries half the generic prefactor
-    dB = derive(("B", 3, 1.0))
+    dB = FamilySpec("B", 3, 1.0)
     rmb = r_matrix(dB, t)
     JB = np.asarray(dB.offsets)
     generic = (4 * np.pi * R / dB.size) * np.exp(JB ** 2 * t / (2 * R * R)) \
@@ -247,7 +247,7 @@ def test_r_matrix_entries_match_stated_forms():
 @settings(max_examples=30, deadline=None)
 def test_r_matrix_entries_finite(t):
     for tag in FAMILIES:
-        ent = r_matrix((tag, 8, 1.0), t)
+        ent = r_matrix(FamilySpec(tag, 8, 1.0), t)
         assert np.all(np.isfinite(ent.view(float)))
 
 
@@ -257,9 +257,9 @@ def test_r_matrix_past_double_range_raises(tag, N, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AccuracyError, match="double range"):
-            r_matrix((tag, N, r), 1.0)
+            r_matrix(FamilySpec(tag, N, r), 1.0)
         with pytest.raises(AccuracyError, match="double range"):
-            matrix_identity_residual((tag, N, r), 1.0, np.linspace(0.1, 0.9, N) * r)
+            matrix_identity_residual(FamilySpec(tag, N, r), 1.0, np.linspace(0.1, 0.9, N) * r)
 
 
 @pytest.mark.parametrize("tag", ["B", "Bv"])
@@ -268,7 +268,7 @@ def test_matrix_identity_with_M_underflowed_to_zero_raises(tag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AccuracyError, match=r"M\(x, t\) at t=1.0 leaves double range"):
-            matrix_identity_residual((tag, 1, 0.01), 1.0, [0.01])
+            matrix_identity_residual(FamilySpec(tag, 1, 0.01), 1.0, [0.01])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_matrix_identity(tag):
     rng = np.random.default_rng(17)
     worst = 0.0
     for N in (2, 3, 4, 6):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         for t in (0.2, 0.7, 1.5):
             xs = _random_config(rng, d)
             worst = max(worst, matrix_identity_residual(d, t, xs))
@@ -289,7 +289,7 @@ def test_matrix_identity(tag):
 def test_matrix_identity_sharp_kernels():
     rng = np.random.default_rng(5)
     for tag in ("A", "C", "D"):
-        d = derive((tag, 4, 1.0))
+        d = FamilySpec(tag, 4, 1.0)
         res = matrix_identity_residual(d, 0.05, _random_config(rng, d))
         assert res < 1e-8, f"{tag}: sharp residual {res:.3e}"
 
@@ -302,7 +302,7 @@ def test_bridge_density_equals_spectral_density(tag):
     rng = np.random.default_rng(23)
     worst = 0.0
     for N in (2, 3, 4):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         ks = KernelSpec(d, t=0.4, t_star=1.0)
         for _ in range(3):
             xs = _random_config(rng, d)
@@ -313,7 +313,7 @@ def test_bridge_density_equals_spectral_density(tag):
 
 
 def test_bridge_density_normalizes():
-    d = derive(("C", 2, 1.0))
+    d = FamilySpec("C", 2, 1.0)
     u, gw = np.polynomial.legendre.leggauss(32)
     x = 0.5 * d.length * (u + 1.0)
     w = 0.5 * d.length * gw
@@ -326,7 +326,7 @@ def test_bridge_density_normalizes():
 
 def test_bridge_density_time_reversal():
     # pinned at the same configuration both ends: t and t* - t interchangeable
-    d = derive(("A", 3, 1.0))
+    d = FamilySpec("A", 3, 1.0)
     xs = np.array([0.9, 2.8, 4.4])
     assert abs(bridge_density(KernelSpec(d, 0.3, 1.0), xs)
                - bridge_density(KernelSpec(d, 0.7, 1.0), xs)) < 1e-12
@@ -339,7 +339,7 @@ def test_bridge_density_agrees_or_raises_at_large_horizons(tag):
     # wrong or negative density, and at t* = 1 it must never refuse
     rng = np.random.default_rng(31)
     for N in (2, 3, 4):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         for t_star in (1.0, 5.0, 20.0, 50.0):
             t = 0.4 * t_star
             xs, ks = _random_config(rng, d), KernelSpec(d, t=t, t_star=t_star)
@@ -377,7 +377,7 @@ def test_kmlgv_proportionality(tag):
     for N in (1, 2, 3, 5):
         if tag == "D" and N < 2:
             continue
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         for t in (0.3, 1.0):
             xs = _random_config(rng, d)
             worst = max(worst, macdonald_kmlgv_residual(d, t, xs))
@@ -387,14 +387,14 @@ def test_kmlgv_proportionality(tag):
 def test_kmlgv_scalar_case():
     rng = np.random.default_rng(7)
     for tag in ("A", "B", "C"):
-        d = derive((tag, 1, 1.0))
+        d = FamilySpec(tag, 1, 1.0)
         res = macdonald_kmlgv_residual(d, 0.6, _random_config(rng, d))
         assert res < 1e-12, f"{tag}: N=1 residual {res:.3e}"
 
 
 def test_eta_closed_form():
     for N in range(1, 7):
-        res = eta_formula_residual(("A", N, 1.0), 0.8)
+        res = eta_formula_residual(FamilySpec("A", N, 1.0), 0.8)
         assert res < 1e-10, f"A_{N}: eta-form residual {res:.3e}"
     with pytest.raises(ValueError):
-        eta_formula_residual(("B", 3, 1.0), 0.8)
+        eta_formula_residual(FamilySpec("B", 3, 1.0), 0.8)

@@ -22,7 +22,7 @@ from elliptic_dpp.cli import (_VERB_FLAGS, _build_parser, _check, _fields, _grid
                               main)
 from elliptic_dpp.dpp_kernels import KernelSpec, density, exact_sample, kernel, kernel_matrix
 from elliptic_dpp.macdonald import IllConditionedError
-from elliptic_dpp.root_systems import derive
+from elliptic_dpp.root_systems import FamilySpec
 from elliptic_dpp.theta_core import AccuracyError
 from elliptic_dpp.verification import _configs, limit_specs, limits_suite, render
 
@@ -268,7 +268,7 @@ def test_kernel_csv_is_per_value_formatting(family, t, t_star, grid, tmp_path):
     assert main(["kernel", "--type", family[0], "--N", str(family[1]), "--t", repr(t),
                  "--t-star", repr(t_star), "--grid", str(grid), "--out", str(out)]) == 0
     ks = KernelSpec(family, t=t, t_star=t_star)
-    xs = (np.arange(grid) + 0.5) * (derive(family).length / grid)
+    xs = (np.arange(grid) + 0.5) * (FamilySpec(*family).length / grid)
     vals = kernel_matrix(ks, xs, xs)
     lines = ["x,y,re,im"] + [
         ",".join(f"{float(v):.17g}" for v in (x, y, vals[i, j].real, vals[i, j].imag))
@@ -386,7 +386,7 @@ def test_limits_large_n_line_reads_the_run_family(tag, sharp):
     # 0.5, against its infinite kernel; the run's own N does not enter
     for N in ((2,) if tag == "D" else (1, 2)):
         for rho in (1e-3, 1.0, 1.5, 1e3):
-            d = derive((tag, N, 1.0))
+            d = FamilySpec(tag, N, 1.0)
             row = limits_suite(d, limit_specs(d, rho, 50.0))[-1]
             assert row.name == f"infinite kernel vs finite N=64 {tag} (limit {sharp})"
             assert row.tol == 1e-10 and row.residual <= 1e-13, (N, rho, row.residual)
@@ -414,7 +414,7 @@ def test_limits_names_the_sine_spec_it_refuses(capsys):
 def test_limits_prints_the_rendered_limits_suite(capsys):
     assert main(["limits", "--type", "C", "--N", "3", "--rho", "1.5",
                  "--horizon", "300"]) == 1
-    d = derive(("C", 3, 1.0))
+    d = FamilySpec("C", 3, 1.0)
     rows = limits_suite(d, limit_specs(d, 1.5, 300.0))
     assert capsys.readouterr().out == render(rows) + "\n"
     assert [row.passed for row in rows] == [True, False, True, True]
@@ -569,7 +569,7 @@ def test_chapman_kolmogorov_line_fails_on_a_zero_kernel(tag, N, r, capsys):
     # theta(x - y) - theta(x + y) cancels to 0 (C2) or theta_2 underflows (A4):
     # the kernel between the suite's points reads 0, and a residual of 0 - 0
     # against an absolute bound must not pass
-    d = derive((tag, int(N), float(r)))
+    d = FamilySpec(tag, int(N), float(r))
     assert transition(d, 0.0, 0.3 * d.length, 1.0, 0.7 * d.length) == 0.0
     assert main(["verify", "--type", tag, "--N", N, "--r", r,
                  "--t", "0.5", "--t-star", "1"]) == 1
@@ -608,7 +608,7 @@ def test_ill_conditioned_pinned_matrix_fails_only_its_check(capsys):
     # at this horizon the pinned heat-kernel matrix P is past logdet's
     # condition limit (9.8e15); verify must still print every suite's lines
     # and fail the pinned-path line with residual inf
-    d = derive(("C", 4, 1.0))
+    d = FamilySpec("C", 4, 1.0)
     with pytest.raises(IllConditionedError, match=r"^bridge matrix P #1 of 5 condition ~ 9\.8"):
         macdonald_kmlgv_residual(d, 5.0, _configs(107, d, 5))
     assert main(["verify", "--type", "C", "--N", "4", "--t", "5", "--t-star", "10"]) == 1

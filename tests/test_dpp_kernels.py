@@ -37,7 +37,7 @@ from elliptic_dpp.dpp_kernels import (
     trig_kernel,
 )
 from elliptic_dpp.macdonald import _product_parts, denominator_residual, selberg_check
-from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import AccuracyError, parts_sum, parts_value
 from elliptic_dpp.verification import biortho_suite
 from oracles import (UnsupportedScaleError, corr_oracle, density_mpmath, downdate_chain_rule,
@@ -74,7 +74,7 @@ def test_tiny_radius_is_refused_by_name_without_warnings():
     # C3 at r = 1e-154: pi Im tau of the norms at t* = 1 leaves double range;
     # kernel_matrix and norm_const_log emitted "overflow encountered in
     # multiply" before the theta engine's anonymous refusal
-    d = derive(("C", 3, 1e-154))
+    d = FamilySpec("C", 3, 1e-154)
     calls = [lambda: kernel_matrix(KernelSpec(d, 0.5, 1.0), [1e-154], [1e-154]),
              lambda: norm_const_log(d, 1.0)]
     for call in calls:
@@ -117,11 +117,11 @@ def test_kernel_spec_validates_times():
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_kernel_spec_accepts_every_family_form(tag):
     # a tuple and a FamilySpec give the same kernel bit for bit
-    x = np.linspace(0.05, 0.95, 9) * derive((tag, 3, 1.3)).length
+    x = np.linspace(0.05, 0.95, 9) * FamilySpec(tag, 3, 1.3).length
     ref = kernel_matrix(KernelSpec((tag, 3, 1.3), t=T, t_star=T_STAR), x, x[::-1])
-    for fam in (FamilySpec(tag, 3, 1.3), derive((tag, 3, 1.3))):
+    for fam in (FamilySpec(tag, 3, 1.3), (tag, 3, 1.3)):
         ks = KernelSpec(fam, t=T, t_star=T_STAR)
-        assert ks.family == derive((tag, 3, 1.3))
+        assert ks.family == FamilySpec(tag, 3, 1.3)
         assert np.array_equal(kernel_matrix(ks, x, x[::-1]), ref)
 
 
@@ -270,7 +270,7 @@ def _spread_row(rng, d):
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_density_matches_the_mpmath_determinant_route(tag, N, t):
     # the determinants M(t) of these rows cancel by up to ~70 digits at t = 0.01
-    d = derive((tag, N, 1.0))
+    d = FamilySpec(tag, N, 1.0)
     xs = _spread_row(np.random.default_rng([17, FAMILIES.index(tag), N]), d)
     ref = float(density_mpmath(d, t, 1.0, xs))
     assert ref > 0.0
@@ -279,11 +279,11 @@ def test_density_matches_the_mpmath_determinant_route(tag, N, t):
 
 @pytest.mark.parametrize("spec, xs", [
     # det M(t) cancels past plain doubles here (p ~ 9.4e-29): an LU reads 0
-    (("A", 2, 1.0), [3.3999428699507845, 5.158019593340341]),
+    (FamilySpec("A", 2, 1.0), [3.3999428699507845, 5.158019593340341]),
     # p ~ 2.5e-65; bridge_density passes its condition gate and is off by 1.1e-9
     # (row 0 of default_rng([2017, 1, 4]) in the spread-row draw above)
-    (("B", 4, 1.0), [1.9085936330840534, 2.0738494004787547, 2.3735728043935787,
-                     2.590792913283408]),
+    (FamilySpec("B", 4, 1.0), [1.9085936330840534, 2.0738494004787547, 2.3735728043935787,
+                               2.590792913283408]),
 ])
 def test_density_matches_the_mpmath_route_where_doubles_lose_the_determinant(spec, xs):
     ref = float(density_mpmath(spec, 0.01, 1.0, xs))
@@ -294,7 +294,7 @@ def test_density_matches_the_mpmath_route_where_doubles_lose_the_determinant(spe
 def test_product_and_density_stay_finite_at_n16_small_time(tag):
     # at Im tau ~ 5e-4 a factor |tau|^{-1/2} ~ 45 in each of the 256 theta
     # mantissas of W would overflow their product
-    d = derive((tag, 16, 1.0))
+    d = FamilySpec(tag, 16, 1.0)
     ks = KernelSpec(d, t=1e-4, t_star=1.0)
     rng = np.random.default_rng(5)
     X = _random_rows(rng, d, 8, margin=0.03)
@@ -582,8 +582,8 @@ def test_every_user_of_the_factors_refuses_past_the_margin():
 
 def test_trig_kernel_shared_table():
     # B, BC and Cv share one reduced form; C and Bv share another
-    d1 = [derive((t, 4, 1.0)) for t in ("B", "BC", "Cv")]
-    d2 = [derive((t, 4, 1.0)) for t in ("C", "Bv")]
+    d1 = [FamilySpec(t, 4, 1.0) for t in ("B", "BC", "Cv")]
+    d2 = [FamilySpec(t, 4, 1.0) for t in ("C", "Bv")]
     for x, y in [(0.4, 0.9), (1.3, 0.2), (2.0, 2.8)]:
         v1 = {trig_kernel(d, x, y) for d in d1}
         v2 = {trig_kernel(d, x, y) for d in d2}
@@ -592,18 +592,18 @@ def test_trig_kernel_shared_table():
 
 
 def test_trig_kernel_translation_invariance_circle():
-    d = derive(("A", 5, 1.0))
+    d = FamilySpec("A", 5, 1.0)
     assert abs(trig_kernel(d, 1.1, 0.3) - trig_kernel(d, 1.1 + 0.7, 0.3 + 0.7)) < 1e-13
 
 
 def test_trig_kernel_diagonal_is_mean_density():
-    d = derive(("A", 6, 1.0))
+    d = FamilySpec("A", 6, 1.0)
     assert abs(trig_kernel(d, 0.8, 0.8) - 6 / (2 * np.pi)) < 1e-13
 
 
 def test_trig_kernel_removable_singularity():
     # values just off the diagonal must agree with the limit on it
-    d = derive(("C", 4, 1.0))
+    d = FamilySpec("C", 4, 1.0)
     on = trig_kernel(d, 0.7, 0.7)
     near = trig_kernel(d, 0.7, 0.7 + 1e-9)
     assert abs(on - near) < 1e-6

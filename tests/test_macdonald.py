@@ -22,7 +22,7 @@ from elliptic_dpp.macdonald import (
     selberg_check,
     weyl_w_parts,
 )
-from elliptic_dpp.root_systems import FAMILIES, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import AccuracyError, parts_value, theta
 
 
@@ -37,22 +37,21 @@ def _random_config(rng, d, margin=0.03):
 # ---------------------------------------------------------------------------
 # W factors
 
-def _weyl_w(spec, xs, tau):
+def _weyl_w(d, xs, tau):
     """W^R(xi(x); tau) in plain doubles, xi = x / 2 pi r, from the parts form."""
-    d = derive(spec)
     xi = np.asarray(xs, dtype=float) / (2.0 * np.pi * d.r)
     return complex(parts_value(*weyl_w_parts(d.tag, xi, tau))[0])
 
 
 def test_weyl_w_single_point_circle_is_one():
-    assert _weyl_w(("A", 1, 1.0), [1.234], 0.9j) == 1.0 + 0.0j
+    assert _weyl_w(FamilySpec("A", 1, 1.0), [1.234], 0.9j) == 1.0 + 0.0j
 
 
 def test_weyl_w_zero_cases():
     # wall factor: first coordinate at the origin kills the theta_1 prefactor
-    assert _weyl_w(("B", 2, 1.0), np.array([0.0, 1.0]), 0.8j) == 0.0
+    assert _weyl_w(FamilySpec("B", 2, 1.0), np.array([0.0, 1.0]), 0.8j) == 0.0
     # coincident points kill a difference factor
-    assert _weyl_w(("A", 3, 1.0), np.array([0.5, 0.5, 1.7]), 0.8j) == 0.0
+    assert _weyl_w(FamilySpec("A", 3, 1.0), np.array([0.5, 0.5, 1.7]), 0.8j) == 0.0
 
 
 def test_weyl_w_matches_direct_product():
@@ -68,7 +67,7 @@ def test_weyl_w_matches_direct_product():
     for j in range(3):
         for k in range(j + 1, 3):
             direct *= theta(1, xi[k] - xi[j], tau) * theta(1, xi[k] + xi[j], tau)
-    got = _weyl_w(("BC", 3, r), xs, tau)
+    got = _weyl_w(FamilySpec("BC", 3, r), xs, tau)
     assert abs(got - direct) < 1e-12 * abs(direct)
 
 
@@ -87,8 +86,8 @@ def test_weyl_w_circle_antisymmetry(xs, jk):
     swapped = list(xs)
     swapped[j], swapped[k] = swapped[k], swapped[j]
     tau = 0.8j
-    a = _weyl_w(("A", n, 1.0), np.array(xs), tau)
-    b = _weyl_w(("A", n, 1.0), np.array(swapped), tau)
+    a = _weyl_w(FamilySpec("A", n, 1.0), np.array(xs), tau)
+    b = _weyl_w(FamilySpec("A", n, 1.0), np.array(swapped), tau)
     assert abs(a + b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
 
@@ -102,32 +101,32 @@ def test_coeff_a_prefactors():
     for tag, pref, qexp in (("D", 4.0, -N * (N - 1) / 4),
                             ("B", 2.0, -N * (N - 1) / 4),
                             ("C", 1.0, -N * N / 4)):
-        d = derive((tag, N, r))
+        d = FamilySpec(tag, N, r)
         log_q = -d.size * t / (2.0 * r**2)
-        left = coeff_a_log((tag, N, r), t) - qexp * log_q
+        left = coeff_a_log(FamilySpec(tag, N, r), t) - qexp * log_q
         assert abs(left - np.log(pref)) < 1e-6, tag
 
 
 def test_coeff_a_c_family_exponent():
     # C family: a(t) = q^{-N^2/4} q0^{-N(N-1)}, q = exp(-size*t/2r^2)
     N, r, t = 3, 1.0, 2.0
-    d = derive(("C", N, r))
+    d = FamilySpec("C", N, r)
     log_q = -d.size * t / (2.0 * r**2)
     from elliptic_dpp.theta_core import eta_log
 
     # q0 = eta / q^{1/12}
     log_q0 = eta_log(d.size * t / (2 * np.pi * r**2)) - log_q / 12
     expect = -(N**2) / 4 * log_q - N * (N - 1) * log_q0
-    assert abs(coeff_a_log(("C", N, r), t) - expect) < 1e-12
+    assert abs(coeff_a_log(FamilySpec("C", N, r), t) - expect) < 1e-12
 
 
 def test_coeff_a_domain_and_overflow():
     with pytest.raises(ValueError):
-        coeff_a_log(("B", 2, 1.0), 0.0)
+        coeff_a_log(FamilySpec("B", 2, 1.0), 0.0)
     with pytest.raises(ValueError):
-        coeff_a_log(("B", 2, 1.0), -1.0)
+        coeff_a_log(FamilySpec("B", 2, 1.0), -1.0)
     # q^{-N(3N-1)/8} with tiny t: past double range, finite in log form
-    lg = coeff_a_log(("A", 5, 1.0), 1e-3)
+    lg = coeff_a_log(FamilySpec("A", 5, 1.0), 1e-3)
     assert np.isfinite(lg) and lg > np.log(np.finfo(float).max)
 
 
@@ -136,7 +135,7 @@ def test_coeff_a_finite_at_small_times(tag):
     # the Euler products underflow plain doubles at Im tau ~ 1e-4 and need
     # ~1 / Im tau factors; in log form a(t) stays finite down to Im tau = 1e-6,
     # without a warning
-    d = derive((tag, 4, 1.0))
+    d = FamilySpec(tag, 4, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for im_tau in (1e-2, 1e-4, 1e-6):
@@ -170,21 +169,28 @@ def test_logdet_names_the_first_matrix_past_the_limit():
         logdet("stack", stack)
 
 
+def _function(path, name):
+    tree = ast.parse(path.read_text())
+    return next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
+
+
 def test_only_logdet_takes_determinants_or_condition_estimates():
     # every np.linalg.slogdet and np.linalg.cond in the package sits inside
-    # macdonald.logdet, so one gate judges every determinant
+    # macdonald.logdet, so one gate judges every determinant; the one
+    # np.linalg.det is dpp_kernels.corr_det's (its docstring says why)
     src = Path(macdonald.__file__).parent
-    tree = ast.parse((src / "macdonald.py").read_text())
-    gate = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "logdet")
+    gate = _function(src / "macdonald.py", "logdet")
+    sites = {"slogdet": gate, "cond": gate, "det": _function(src / "dpp_kernels.py", "corr_det")}
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr in ("slogdet", "cond")
+            if (isinstance(node, ast.Attribute) and node.attr in sites
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
-                found.append((path.name, node.lineno))
-    inside = [(name, line) for name, line in found if name == "macdonald.py"
-              and gate.lineno <= line <= gate.end_lineno]
-    assert len(inside) == 2 and found == inside, found
+                found.append((path.name, node.attr, node.lineno))
+    allowed = [(name, attr, line) for name, attr, line in found
+               if name == ("dpp_kernels.py" if attr == "det" else "macdonald.py")
+               and sites[attr].lineno <= line <= sites[attr].end_lineno]
+    assert len(allowed) == 3 and found == allowed, found
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def test_denominator_residual_random_configs(tag):
     worst = 0.0
     count = 0
     for N in range(2 if tag == "D" else 1, 6):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         for t_over_r2 in (0.5, 1.0, 2.0):
             for _ in range(2):
                 pts = _random_config(rng, d)
@@ -218,24 +224,24 @@ _WALL_CLUSTER = (0.12391704005569107, 0.18185699624161694, 0.2650944506955315,
                    "against 1e-10 (ROADMAP item 1, wall cluster)")
 @pytest.mark.parametrize("tag", ["B", "Cv", "BC"])
 def test_denominator_residual_wall_cluster(tag):
-    assert denominator_residual((tag, 4, 1.0), _WALL_CLUSTER, 2.0) < 1e-10
+    assert denominator_residual(FamilySpec(tag, 4, 1.0), _WALL_CLUSTER, 2.0) < 1e-10
 
 
 def test_denominator_residual_scalar_c1():
     # N=1 C family: det is the single entry, closed form i^{-1} a(t) theta_1(2 xi)
     for t in (0.3, 1.0, 2.5):
-        res = denominator_residual(("C", 1, 1.0), [1.1], t)
+        res = denominator_residual(FamilySpec("C", 1, 1.0), [1.1], t)
         assert res < 1e-12
 
 
 def test_denominator_residual_degenerate():
     with pytest.raises(DegenerateConfigError):
-        denominator_residual(("A", 3, 1.0), [0.5, 0.5, 1.7], 1.0)
+        denominator_residual(FamilySpec("A", 3, 1.0), [0.5, 0.5, 1.7], 1.0)
 
 
 def test_denominator_residual_small_time_uses_log_form():
     # t/r^2 = 0.05 would overflow a direct evaluation; the log route is fine
-    res = denominator_residual(("B", 4, 1.0), [0.5, 1.0, 1.8, 2.6], 0.05)
+    res = denominator_residual(FamilySpec("B", 4, 1.0), [0.5, 1.0, 1.8, 2.6], 0.05)
     assert res < 1e-9
 
 
@@ -277,7 +283,7 @@ def test_selberg_all_families_to_n4(tag):
 def test_selberg_block_sum_matches_one_density_call(monkeypatch):
     # the rows are summed in blocks of a fixed size: a block size that splits
     # the rows differently gives the same integral to round-off
-    d = derive(("C", 3, 1.0))
+    d = FamilySpec("C", 3, 1.0)
     n = macdonald.midpoint_nodes(d, 0.4, 1.0, 3, 2**20)
     nodes = (np.arange(n) + 0.5) * (d.length / n)
     X = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -291,8 +297,8 @@ def test_selberg_block_sum_matches_one_density_call(monkeypatch):
 
 def test_selberg_nodes_follow_the_density_width():
     # n = N + ceil(1.5 L / sigma), sigma = sqrt(t (t* - t) / t*)
-    d = derive(("A", 3, 1.0))
-    assert macdonald.midpoint_nodes(derive(("C", 3, 1.0)), 0.4, 1.0, 3, 2**20) == 13
+    d = FamilySpec("A", 3, 1.0)
+    assert macdonald.midpoint_nodes(FamilySpec("C", 3, 1.0), 0.4, 1.0, 3, 2**20) == 13
     assert macdonald.midpoint_nodes(d, 0.4, 1.0, 3, 2**20) == 23
     assert macdonald.midpoint_nodes(d, 0.01, 1.0, 3, 2**20) == 3 + math.ceil(
         1.5 * 2 * np.pi / math.sqrt(0.01 * 0.99))

@@ -1,13 +1,16 @@
 """Family catalog tests: worked examples, structural invariants, and the
 rules derived from the family record against the per-tag tables they replaced."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from elliptic_dpp import root_systems
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
 from elliptic_dpp.bridges import (bridge_density, ck_residual, eta_formula_residual,
                                   macdonald_kmlgv_residual, matrix_identity_residual, r_matrix,
@@ -15,12 +18,12 @@ from elliptic_dpp.bridges import (bridge_density, ck_residual, eta_formula_resid
 from elliptic_dpp.dpp_kernels import (KernelSpec, bin_intensity, corr_det, intensity, kernel,
                                       kernel_matrix, trig_kernel)
 from elliptic_dpp.macdonald import coeff_a_log, denominator_residual, rhs_logc
-from elliptic_dpp.root_systems import FAMILIES, FamilySpec, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import theta_parts
 
 
 def test_worked_example_a3():
-    d = derive(("A", 3, 1.0))
+    d = FamilySpec("A", 3, 1.0)
     assert d.size == 3
     assert d.offsets == (0.5, 1.5, 2.5)
     assert d.length == pytest.approx(2 * math.pi)
@@ -30,7 +33,7 @@ def test_worked_example_a3():
 
 
 def test_worked_example_c2():
-    d = derive(("C", 2, 1.0))
+    d = FamilySpec("C", 2, 1.0)
     assert d.size == 6
     assert d.offsets == (1.0, 2.0)
     assert d.walls == "aa"
@@ -38,7 +41,7 @@ def test_worked_example_c2():
 
 
 def test_worked_example_d2():
-    d = derive(("D", 2, 1.0))
+    d = FamilySpec("D", 2, 1.0)
     assert d.size == 2
     assert d.offsets == (0.0, 1.0)
     assert d.walls == "rr"
@@ -46,29 +49,29 @@ def test_worked_example_d2():
 
 
 def test_sharp_map():
-    assert derive(("A", 2)).sharp == "A"
-    assert derive(("B", 2)).sharp == "B"
-    assert derive(("Bv", 2)).sharp == "B"
-    assert derive(("C", 2)).sharp == "C"
-    assert derive(("Cv", 2)).sharp == "C"
-    assert derive(("BC", 2)).sharp == "C"
-    assert derive(("D", 2)).sharp == "D"
+    assert FamilySpec("A", 2).sharp == "A"
+    assert FamilySpec("B", 2).sharp == "B"
+    assert FamilySpec("Bv", 2).sharp == "B"
+    assert FamilySpec("C", 2).sharp == "C"
+    assert FamilySpec("Cv", 2).sharp == "C"
+    assert FamilySpec("BC", 2).sharp == "C"
+    assert FamilySpec("D", 2).sharp == "D"
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        derive(("E", 3))
+        FamilySpec("E", 3)
     with pytest.raises(ValueError):
-        derive(("D", 1))  # D needs two particles
+        FamilySpec("D", 1)  # D needs two particles
     with pytest.raises(ValueError):
-        derive(("A", 0))
+        FamilySpec("A", 0)
     with pytest.raises(ValueError):
         FamilySpec("A", 3, -1.0)
     with pytest.raises(ValueError):
         FamilySpec("A", 2.5, 1.0)  # type: ignore[arg-type]
     for r in (0.0, float("nan"), float("inf"), 1e-200, 1e-160, 1e160, 1e200):
         with pytest.raises(ValueError):
-            derive(("A", 2, r))  # r, r**2 or 1/r**2 not a positive finite double
+            FamilySpec("A", 2, r)  # r, r**2 or 1/r**2 not a positive finite double
 
 
 @given(
@@ -79,7 +82,7 @@ def test_validation_errors():
 def test_structural_invariants(tag, N, r):
     if tag == "D" and N < 2:
         N = 2
-    d = derive((tag, N, r))
+    d = FamilySpec(tag, N, r)
     assert isinstance(d, FamilySpec)
     # sizes are positive and scale linearly with N
     assert d.size >= 1
@@ -106,14 +109,44 @@ def test_structural_invariants(tag, N, r):
 
 @given(N=st.integers(1, 9))
 def test_a_parity_flag(N):
-    assert derive(("A", N)).parity == ("even" if N % 2 == 0 else "odd")
+    assert FamilySpec("A", N).parity == ("even" if N % 2 == 0 else "odd")
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
-def test_derive_accepts_its_own_output(tag):
-    d = derive(FamilySpec(tag, 3, 0.7))
-    assert derive(d) is d
-    assert derive((tag, 3, 0.7)) == d
+def test_kernel_spec_takes_the_record_or_its_tuple(tag):
+    d = FamilySpec(tag, 3, 0.7)
+    ks = KernelSpec(d, 0.2, 1.0)
+    assert ks.family is d
+    assert KernelSpec((tag, 3, 0.7), 0.2, 1.0) == ks
+
+
+def test_only_the_input_edges_build_a_family_record():
+    # every function takes the FamilySpec itself: no module keeps a parser of
+    # (tag, N, r) tuples, and a record is built only where outside input
+    # enters (KernelSpec, the CLI's flags) and for the N = 64 limit family
+    src = Path(root_systems.__file__).parent
+    parsers, builds = [], set()
+
+    def visit(node, scope, module):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name for a in node.names]
+        else:
+            names = [node.id] if isinstance(node, ast.Name) else []
+        parsers.extend((module, n) for n in names if n in ("derive", "validate"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "FamilySpec"):
+            builds.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, module)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    assert parsers == []
+    assert builds == {("macdonald.py", "KernelSpec.__post_init__"), ("cli.py", "_check"),
+                      ("verification.py", "limit_specs")}, builds
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +201,7 @@ def _bits(values):
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_record_matches_the_replaced_tables(tag):
     for N, r in _families(tag):
-        d = derive((tag, N, r))
+        d = FamilySpec(tag, N, r)
         assert d.size == _SIZE[tag](N)
         assert d.sharp == _SHAPE[tag]
         assert _bits(d.offsets) == _bits(_offsets_table(tag, N))
@@ -188,7 +221,7 @@ def test_doubled_norms_match_the_replaced_table(tag):
         m, s = theta_parts(2, size * J * tau, size * size * tau)
         mult = [2.0 if j in _doubled_norms(tag, N) else 1.0 for j in range(1, N + 1)]
         want = np.log(2.0 * math.pi * r * np.asarray(mult) * m.real) + s
-        got = norm_const_log((tag, N, r), t_star)
+        got = norm_const_log(FamilySpec(tag, N, r), t_star)
         assert np.max(np.abs(got - want)) < 1e-12, (N, r)
 
 
@@ -206,7 +239,7 @@ def test_r_matrix_half_columns_match_the_replaced_table(tag):
         half = [k in _half_columns(tag, N) for k in range(1, N + 1)]
         p = (2.0 if tag == "A" else 4.0) * math.pi * r / size * np.where(half, 0.5, 1.0)
         want = p[None, :] * f((size - 2.0 * J)[:, None] * v[None, :] / (2.0 * r))
-        got = r_matrix((tag, N, r), t) / np.exp(J * J * t / (2.0 * r * r))[:, None]
+        got = r_matrix(FamilySpec(tag, N, r), t) / np.exp(J * J * t / (2.0 * r * r))[:, None]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), (N, r)
 
 
@@ -220,7 +253,7 @@ def test_trig_kernel_multiplier_and_sign_match_the_replaced_table(tag):
         y = np.array([0.58, 0.29, 0.91]) * math.pi * r
         u, w = (x - y) / (2.0 * r), (x + y) / (2.0 * r)
         want = (np.sin(c * u) / np.sin(u) + sign * np.sin(c * w) / np.sin(w)) / (2 * math.pi * r)
-        got = trig_kernel((tag, N, r), x, y)
+        got = trig_kernel(FamilySpec(tag, N, r), x, y)
         assert np.allclose(got, want, rtol=1e-11, atol=1e-11 * c / r), (N, r)
 
 
@@ -248,7 +281,7 @@ def _calls(d):
     }
 
 
-NAMES = list(_calls(derive(("A", 1, 1.0))))
+NAMES = list(_calls(FamilySpec("A", 1, 1.0)))
 POINTS = [0.5, 1.2, 2.0]
 OFF_THE_ALCOVE = {"past_L": [0.5, 1.2, 4.0], "negative": [-0.3, 1.2, 2.0],
                   "nan": [0.5, 1.2, math.nan]}
@@ -270,14 +303,14 @@ def test_functions_refuse_points_off_the_alcove(name, points):
     # residual ~5e-16 for 2 or 4 points) nor numpy's LinAlgError
     row = " row 1" if np.ndim(points) == 2 else ""
     with pytest.raises(ValueError, match=rf"^{name}\b{row}") as err:
-        _calls(derive(("C", 3, 1.0)))[name](np.array(points))
+        _calls(FamilySpec("C", 3, 1.0))[name](np.array(points))
     assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_the_circle_accepts_points_shifted_by_its_length(name):
     # the circle is periodic: every point moved by L = 2 pi gives the same value
-    d = derive(("A", 3, 1.0))
+    d = FamilySpec("A", 3, 1.0)
     call = _calls(d)[name]
     a, b = call(np.array(POINTS)), call(np.array(POINTS) + d.length)
     assert np.max(np.abs(np.subtract(a, b))) <= 1e-12 * max(1.0, np.max(np.abs(a)))
@@ -302,7 +335,7 @@ def _timed_calls(d):
     }
 
 
-TIMED = list(_timed_calls(derive(("A", 3, 1.0))))
+TIMED = list(_timed_calls(FamilySpec("A", 3, 1.0)))
 # (radius, duration); at r = 1e154 Im tau = size^p t / (2 pi r^2) is subnormal
 # for every power p the functions evaluate (size 3)
 BAD_DURATIONS = {"zero": (1.0, 0.0), "negative": (1.0, -0.1), "nan": (1.0, math.nan),
@@ -319,7 +352,7 @@ def test_functions_refuse_a_bad_duration(name, r, t):
     # no tau the theta engine takes: a ValueError naming the function, the
     # radius and the duration, and no numpy warning, never the engine's
     # anonymous "tau must be finite ... got (nan+nanj)" nor a number
-    d = derive(("A", 3, r))
+    d = FamilySpec("A", 3, r)
     call = _timed_calls(d).get(name, lambda t: KernelSpec(d, t, 2.0 * t))
     with pytest.raises(ValueError, match=rf"^{name}: radius r={re.escape(str(r))}, "
                                          rf"duration {re.escape(str(t))}: tau ") as err:
@@ -342,7 +375,7 @@ def test_tau_rule_has_one_rounding(power):
     # (2 pi r) r round apart (0.7, 0.02) and where they agree, and sizes 3
     # to 8: every caller at one power gets the same tau
     for tag, N, r in (("A", 3, 1.0), ("C", 3, 0.7), ("BC", 2, 0.02), ("D", 4, 1.7)):
-        d = derive((tag, N, r))
+        d = FamilySpec(tag, N, r)
         for t in (0.4, 0.5, 1e-4, 50.0 / 3.0):
             want = _ONE_ROUNDING[power](d, t)
             got = d.tau(t, "test", power)

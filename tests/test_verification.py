@@ -12,7 +12,7 @@ from elliptic_dpp.bridges import bridge_density, macdonald_kmlgv_residual, matri
 from elliptic_dpp.dpp_kernels import KernelSpec, kernel_matrix
 from elliptic_dpp.macdonald import (IllConditionedError, denominator_residual, det_m_logc,
                                     midpoint_nodes, weyl_w_parts)
-from elliptic_dpp.root_systems import FAMILIES, derive
+from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import AccuracyError
 
 
@@ -145,10 +145,10 @@ def test_kernel_grid_follows_the_kernel_width():
     # times; more where the kernel is narrower
     for tag in FAMILIES:
         for N in (2, 3, 4):
-            d = derive((tag, N, 1.0))
+            d = FamilySpec(tag, N, 1.0)
             want = N + (20 if d.walls == "circ" else 10)
             assert midpoint_nodes(d, 0.4, 1.0, 2, 2048**2) == want
-    assert midpoint_nodes(derive(("A", 3, 1.0)), 1e-4, 1.0, 2, 2048**2) == 946
+    assert midpoint_nodes(FamilySpec("A", 3, 1.0), 1e-4, 1.0, 2, 2048**2) == 946
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -202,7 +202,7 @@ def test_nan_residual_fails_its_line(suite, fn, at, line, monkeypatch):
         return np.complex128(np.nan)
 
     monkeypatch.setattr(verification, fn, one_nan)
-    d = derive(("A", 3, 1.0))
+    d = FamilySpec("A", 3, 1.0)
     if suite == "limits":
         results = verification.limits_suite(d, verification.limit_specs(d, 1.0, 300000.0))
     else:
@@ -217,7 +217,7 @@ def test_batch_rows_equal_one_configuration_calls(tag):
     # a row of a 15-configuration call is the 1-configuration call, bit for
     # bit, so the suites' batches report what per-configuration calls would
     for N in (2, 3, 4):
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         X = verification._configs(5, d, 15)
         for t in (0.4, 0.5, 1.0):
             tau = 1j * d.size * t / (2.0 * np.pi)
@@ -259,7 +259,7 @@ def test_configs_in_batches_equal_one_draw_at_a_time(tag):
     for N in (1, 2, 3, 4, 6, 12):
         if tag == "D" and N == 1:
             continue
-        d = derive((tag, N, 1.0))
+        d = FamilySpec(tag, N, 1.0)
         for seed, n in ((101, 15), (103, 10), (107, 5), (109, 5), (5, 1)):
             got = verification._configs(seed, d, n)
             assert got.shape == (n, N)
@@ -287,7 +287,7 @@ def test_determinant_gate_refuses_what_its_bound_cannot_judge():
     # equilibrated condition 1.72e10: LU round-off alone (~1e-17 cond) fails
     # the identity's 1e-10 bound, so the matrix is refused and the line reads
     # inf rather than a finite FAIL of 7.985e-08
-    d = derive(("A", 3, 1.0))
+    d = FamilySpec("A", 3, 1.0)
     xs = np.array([2.2381128239934287, 3.1863610630516708, 4.039174817973448])
     with pytest.raises(IllConditionedError, match=r"condition ~ 1\.72.e\+10 exceeds 1\.0e\+07"):
         det_m_logc(d, xs, 0.125)
