@@ -20,8 +20,9 @@ prints, best of k in ms:
 
     factors   `_factors`: the balanced factors at both times, once per grid
               (the spec's norms, `ks.norms_log`, computed before timing)
-    rows      one row request of the mode sum, `_kernel_sum` over
-              `cli._ROW_NUMBERS` numbers of rows
+    rows      one row request of `_kernel_rows` (its factors formed before
+              timing), the one mode sum `_kernel_sum` over `cli._ROW_NUMBERS`
+              numbers of rows
     fields    `_fields` of one block, `cli._BLOCK_NUMBERS` numbers of K
     text      `_text` (the NUL strip) of that block's fields
     gather    a binary copy of a child part's bytes from one temporary file
@@ -67,7 +68,7 @@ import numpy as np
 from elliptic_dpp import cli, dpp_kernels, forks
 from elliptic_dpp.biortho import m_fn_parts
 from elliptic_dpp.dpp_kernels import (InfiniteKernelSpec, KernelSpec, _factors, _kernel_rows,
-                                      _kernel_sum, infinite_kernel)
+                                      infinite_kernel)
 from elliptic_dpp.macdonald import logdet
 from elliptic_dpp.theta_core import theta_parts
 
@@ -135,12 +136,12 @@ def call_layers(repeat):
 
 def layers(ks, n, repeat):
     xs = (np.arange(n) + 0.5) * (ks.family.length / n)
-    a, b = _factors(ks, xs, xs)
+    kernel_rows = _kernel_rows(ks, xs, xs)
     rows = max(1, cli._ROW_NUMBERS // (2 * n))
-    numbers = np.resize(_kernel_sum(a[:, :rows], b, grid=True).view(float), cli._BLOCK_NUMBERS)
+    numbers = np.resize(kernel_rows(0, rows).view(float), cli._BLOCK_NUMBERS)
     fields = cli._fields(numbers)
     with tempfile.TemporaryFile() as part, tempfile.TemporaryFile() as target:
-        cli._grid_rows(xs, _kernel_rows(ks, xs, xs))[2](part, n // 2, n)   # a 2-part grid's child
+        cli._grid_rows(xs, kernel_rows)[2](part, n // 2, n)   # a 2-part grid's child
 
         def gather():
             target.seek(0)
@@ -148,7 +149,7 @@ def layers(ks, n, repeat):
             shutil.copyfileobj(part, target)
         times = dict(
             factors=best(lambda: _factors(ks, xs, xs), repeat),
-            rows=best(lambda: _kernel_sum(a[:, :rows], b, grid=True), repeat),
+            rows=best(lambda: kernel_rows(0, rows), repeat),
             fields=best(lambda: cli._fields(numbers), repeat),
             text=best(lambda: cli._text(fields), repeat),
             gather=best(gather, repeat))

@@ -70,12 +70,15 @@ def transition(d, s, x, t, y):
 def transition_images(d, s, x, t, y, windings):
     """Winding-image Gaussian sum -- direct oracle for `transition`.
 
-    Sums the heat kernel over `windings` images either side.  If the
-    first-omitted-image tail bound exceeds 1e-14 the truncation is not
-    trustworthy and an AccuracyError asks for more windings.
+    Sums the heat kernel over `windings` images either side, at finite
+    points x, y (a ValueError otherwise).  If the first-omitted-image tail
+    bound exceeds 1e-14 the truncation is not trustworthy and an
+    AccuracyError asks for more windings.
     """
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"transition_images needs finite points, got x={x}, y={y}")
     W = int(windings)
     if W < 1:
         raise ValueError(f"windings must be >= 1, got {windings}")

@@ -9,10 +9,10 @@ kernel is the biorthogonal (Christoffel-Darboux-like) sum
 
 and every n-point correlation is an n x n determinant of it.  Densities are
 assembled in (mantissa, log_scale) parts so small-time norms (which underflow
-doubles badly) stay exact.  The kernel, its diagonal K(x, x) and the
-sampler's tables come from balanced factors f_n(x, s) = M_n(x, s) / m_n^{s/t*}
-instead: log m_n is split between the two times in proportion to time, which
-keeps each factor a plain double at any time scale.
+doubles badly) stay exact.  The kernel and the sampler's tables come from
+balanced factors f_n(x, s) = M_n(x, s) / m_n^{s/t*} instead (log m_n split
+between the times in proportion to time: plain doubles), and every kernel
+value (at points that broadcast, a grid row, K(x, x)) is one mode sum of them.
 
 Three limit regimes are implemented for cross-checks: the temporally
 homogeneous sine-ratio kernels on the finite domain, the lambda-integral
@@ -124,7 +124,7 @@ _FACTOR_MARGIN = 1e-8
 
 
 def _factors(ks, xs, ys):
-    """Factors a = f(xs, t), b = f(ys, t*-t) (N, points) of K = sum_n a_n conj b_n.
+    """Factors a = f(xs, t), b = f(ys, t*-t) of K = sum_n a_n conj b_n, (N,) + points' shape.
 
     f_n(x, s) = M_n(x, s) / m_n^{s/t*}, log m_n from `ks.norms_log`.  For real
     x, |theta(sigma tau + z|tau)| <= e^{pi Im tau sigma^2} S(Im tau) and m_n =
@@ -150,7 +150,8 @@ def _factors(ks, xs, ys):
     def f(x, s):
         mant, scale = m_fn_parts(d, x, s)
         with np.errstate(invalid="ignore"):     # a zero mantissa times e^inf
-            val = parts_value(mant, scale - (s / ks.t_star) * log_m[:, None])
+            val = parts_value(mant, scale - (s / ks.t_star) * log_m.reshape(
+                (-1,) + (1,) * (mant.ndim - 1)))
         if not np.all(np.isfinite(val)):
             raise AccuracyError(f"kernel factor at time {s!r} leaves double range")
         return val
@@ -166,26 +167,24 @@ def _factors(ks, xs, ys):
 _SUM_ENTRIES = 2**14
 
 
-def _kernel_sum(a, b, grid):
-    """sum_n a_n(x) conj b_n(y) for the factors a, b (`_factors`) on the grid
-    xs x ys (grid) or the pairs (x_i, y_i), one real ufunc call per real
-    product: numpy's complex multiply rounds by operand layout, this by an
-    entry's points only.  The sum runs over blocks of rows of about
-    `_SUM_ENTRIES` entries, whose re and im parts add up in contiguous buffers
-    from 0 and are copied into the result once per block; an entry's
-    operations and their order do not depend on the block."""
-    out = np.empty((a.shape[1], b.shape[1]) if grid else a.shape[1:], dtype=complex)
-    if grid:
-        a = a[:, :, None]       # (N, rows, 1) against b's (N, columns)
-    step = max(1, _SUM_ENTRIES // (out.shape[1] if grid else 1))
+def _kernel_sum(a, b):
+    """sum_n a_n conj b_n for factors a, b (`_factors`) whose points broadcast
+    (pairs; a grid a[:, :, None], b[:, None]; stacks), one real ufunc call per
+    real product: numpy's complex multiply rounds by operand layout, this by an
+    entry's points only.  It runs over blocks of about `_SUM_ENTRIES` entries
+    along the first axis (a factor of length 1 or without it goes whole into
+    each), whose re and im parts add up in contiguous buffers from 0 and go into
+    the result once per block; an entry's operations and their order depend on
+    no block or shape."""
+    out = np.empty(np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=complex)
+    step = max(1, _SUM_ENTRIES // max(1, math.prod(out.shape[1:])))
     acc = np.empty((3, min(step, len(out))) + out.shape[1:])
     for start in range(0, len(out), step):
         rows = slice(start, start + step)
         re, im, tmp = acc[:, :len(out) - start]
-        re.fill(0.0)
-        im.fill(0.0)
-        by = b if grid else b[:, rows]
-        for ar, ai, br, bi in zip(a.real[:, rows], a.imag[:, rows], by.real, by.imag):
+        re[...] = im[...] = 0.0
+        fa, fb = (v if v.ndim <= out.ndim or v.shape[1] == 1 else v[:, rows] for v in (a, b))
+        for ar, ai, br, bi in zip(fa.real, fa.imag, fb.real, fb.imag):
             re += np.multiply(ar, br, out=tmp)
             re += np.multiply(ai, bi, out=tmp)
             im += np.multiply(ai, br, out=tmp)
@@ -197,15 +196,13 @@ def _kernel_sum(a, b, grid):
 
 def _kernel_rows(ks, xs, ys):
     """rows(lo, hi): rows lo..hi-1 of K_t on the grid xs x ys, the same
-    doubles as those rows of the whole matrix.
-
-    The points are checked and the factors formed here, once, so every
-    refusal (a point outside the alcove, `_factors`' margin or range) is
-    raised before the first row; a call sums only its own rows' modes.
-    """
+    doubles as those rows of the whole matrix.  The points are checked and
+    the factors formed here, once, so every refusal (a point outside the
+    alcove, `_factors`' margin or range) is raised before the first row; a
+    call sums only its own rows' modes."""
     xs, ys = (ks.family.positions(v, "kernel_matrix") for v in (xs, ys))
     a, b = _factors(ks, xs, ys)
-    return lambda lo, hi: _kernel_sum(a[:, lo:hi], b, grid=True)
+    return lambda lo, hi: _kernel_sum(a[:, lo:hi, None], b[:, None])
 
 
 def kernel_matrix(ks, xs, ys):
@@ -213,34 +210,39 @@ def kernel_matrix(ks, xs, ys):
     return _kernel_rows(ks, xs, ys)(0, len(xs))
 
 
-def intensity(ks, xs):
-    """One-point intensity K(x, x), equal to diag(kernel_matrix).real bit for bit."""
-    xs = ks.family.positions(xs, "intensity")
-    return _kernel_sum(*_factors(ks, xs, xs), grid=False).real
-
-
 def kernel(ks, x, y):
-    """Correlation kernel at a single point pair."""
-    x, y = (ks.family.positions([float(v)], "kernel") for v in (x, y))
-    return complex(kernel_matrix(ks, x, y)[0, 0])
+    """K_t(x, y) at x, y that broadcast (pairs, a grid xs[:, None], ys[None, :],
+    stacks), each entry that of `kernel_matrix` bit for bit; scalars give a complex."""
+    x, y = (ks.family.positions(v, "kernel") for v in (x, y))
+    out = _kernel_sum(*_factors(ks, x, y))
+    return complex(out[0]) if x.ndim == y.ndim == 0 else out
+
+
+def intensity(ks, xs):
+    """One-point intensity K(x, x), diag(kernel_matrix).real bit for bit; a float for a scalar."""
+    xs = ks.family.positions(xs, "intensity")
+    out = _kernel_sum(*_factors(ks, xs, xs)).real
+    return float(out[0]) if xs.ndim == 0 else out
 
 
 def corr_det(ks, points):
-    """n-point correlation via the n x n kernel determinant (n <= N); no
-    points give 1.0, the empty determinant.
+    """n-point correlation via the n x n kernel determinant (n <= N); a scalar
+    is a one-point set, and no points give 1.0, the empty determinant.
 
     The points are sorted first, as in `density_batch`: the determinant is
     permutation invariant, and a fixed order makes its rounding so too.  The
     one determinant taken outside `macdonald.logdet`: near coincident points
     it is a true small number, which that gate's condition limit would refuse.
+    numpy's det goes through the log and back, so one point takes its entry,
+    the `intensity` there bit for bit.
     """
-    pts = np.sort(ks.family.positions(points, "corr_det"))
+    pts = np.sort(ks.family.positions(points, "corr_det"), axis=None)
     if pts.size > ks.family.N:
         raise ValueError(f"need n <= N = {ks.family.N}, got n = {pts.size}")
     if pts.size == 0:
         return 1.0
     km = kernel_matrix(ks, pts, pts)
-    val = complex(np.linalg.det(km))
+    val = complex(km[0, 0] if pts.size == 1 else np.linalg.det(km))
     scale = max(float(np.max(np.abs(np.diag(km)))) ** pts.size, 1e-290)
     if abs(val.imag) > 1e-10 * max(abs(val), scale):
         raise AccuracyError(f"correlation determinant residue {val.imag:.3e}")
@@ -405,10 +407,13 @@ def infinite_kernel(iks, x, y):
     naming the horizon, where 3 eps t* rho^2 passes `_INF_LOST` = 1e-9 at
     t != t*/2 (t* rho^2 past 1.5e6), decided before any evaluation.
 
-    x and y broadcast; a pair's value is the same bit for bit whatever pairs
-    share the call.  Scalars give a complex, arrays a complex array.
+    x and y broadcast, finite (a ValueError otherwise); a pair's value is the
+    same bit for bit whatever pairs share the call.  Scalars give a complex,
+    arrays a complex array.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("infinite_kernel needs finite x and y")
     if iks.family != "A" and (np.any(x < 0.0) or np.any(y < 0.0)):
         raise ValueError("reflected-family kernels live on x, y >= 0")
     horizon = iks.t_star * iks.rho * iks.rho
@@ -741,8 +746,7 @@ def bin_intensity(ks, edges):
         raise ValueError(f"bin_intensity needs two or more increasing edges, got {edges.tolist()}")
     lo, hi = edges[:-1, None], edges[1:, None]
     xs, w = _gl_nodes(_BIN_NODES, lo, hi)                # (bins, nodes)
-    vals = intensity(ks, xs.ravel()).reshape(xs.shape)
-    return np.sum(w * vals, axis=1) / (hi - lo)[:, 0]
+    return np.sum(w * intensity(ks, xs), axis=1) / (hi - lo)[:, 0]
 
 
 def empirical_density(samples, bins=40):

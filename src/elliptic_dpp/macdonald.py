@@ -289,6 +289,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, FamilySpec):
+            if not (isinstance(self.family, tuple) and 2 <= len(self.family) <= 3):
+                raise ValueError("KernelSpec family must be a FamilySpec or a (tag, N[, r]) "
+                                 f"tuple, got {self.family!r}")
             object.__setattr__(self, "family", FamilySpec(*self.family))
         self.check_times(self.t, self.t_star)
         for s in (self.t, self.t_star - self.t):

@@ -168,6 +168,16 @@ def test_transition_images_tail_guard():
         transition_images(RR, 0.0, 0.3, 0.5, 1.0, windings=0)
 
 
+@pytest.mark.parametrize("tag", ["A", "C"])
+@pytest.mark.parametrize("x, y", [(np.nan, 0.3), (0.3, np.inf), (-np.inf, 0.3)],
+                         ids=["nan-x", "inf-y", "minus-inf-x"])
+def test_transition_images_refuses_non_finite_points(tag, x, y):
+    # a NaN point returned nan and y = inf asked to raise the windings; the
+    # oracle's own check, sharing no code with `transition` or `FamilySpec`
+    with pytest.raises(ValueError, match="^transition_images needs finite points"):
+        transition_images(FamilySpec(tag, 3), 0.0, x, 1.0, y, 12)
+
+
 @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.05, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_time_reversal_symmetry(x, y, dt):

@@ -125,6 +125,16 @@ def test_kernel_spec_accepts_every_family_form(tag):
         assert np.array_equal(kernel_matrix(ks, x, x[::-1]), ref)
 
 
+@pytest.mark.parametrize("family", ["A", None, ("A",), ("A", 3, 1.0, 2.0)],
+                         ids=["bare-tag", "None", "1-tuple", "4-tuple"])
+def test_kernel_spec_names_the_family_forms_it_takes(family):
+    # these raised a TypeError from FamilySpec.__init__ that named neither
+    # KernelSpec nor the forms it takes
+    with pytest.raises(ValueError, match=r"^KernelSpec family must be a FamilySpec or a "
+                                         r"\(tag, N\[, r\]\) tuple, got "):
+        KernelSpec(family, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: KernelSpec(("C", 3, 1.0), t=0.4, t_star=np.inf),
     lambda: KernelSpec(("C", 3, 1.0), t=np.nan, t_star=1.0),
@@ -342,6 +352,33 @@ def test_kernel_scalar_matches_matrix():
     assert kernel(ks, 0.7, 1.9) == complex(km[0, 0])
 
 
+@pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("t", [0.3, 0.5], ids=["t!=t*/2", "t=t*/2"])
+def test_kernel_broadcasts_like_every_kernel(tag, t):
+    # like the limit kernels, kernel takes points that broadcast: scalars,
+    # pairs, a grid and a (B, N, N) stack give the kernel_matrix entries of
+    # their points bit for bit
+    ks = _ks(tag, 3, t=t)
+    L = ks.family.length
+    xs, ys = np.linspace(0.02, 0.98, 7) * L, np.linspace(0.05, 0.95, 5) * L
+    km = kernel_matrix(ks, xs, ys)
+    one = kernel(ks, xs[2], ys[4])
+    assert type(one) is complex and one == km[2, 4]
+    pairs = km[np.arange(5), np.arange(5)]
+    for got, want in ((kernel(ks, xs[:5], ys), pairs),
+                      (kernel(ks, list(xs[:5]), list(ys)), pairs),
+                      (kernel(ks, xs, ys[3]), km[:, 3]),
+                      (kernel(ks, xs[:, None], ys[None, :]), km)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    X = _random_rows(np.random.default_rng(7), ks.family, 4)
+    stack = kernel(ks, X[:, :, None], X[:, None, :])
+    assert stack.shape == (4, 3, 3)
+    for row, block in zip(X, stack):
+        assert block.tobytes() == kernel_matrix(ks, row, row).tobytes()
+    diag = intensity(ks, xs[3])
+    assert type(diag) is float and diag == intensity(ks, xs)[3]
+
+
 def _stream_kernel_matrix(ks, xs, ys):
     """Oracle: the mode sum streamed in (mantissa, log_scale) parts, each term
     M_n(x, t) conj M_n(y, t*-t) / m_n at its own scale -- no balanced factors."""
@@ -483,6 +520,16 @@ def test_corr_full_order_matches_density():
 def test_corr_oracle_refuses_big_N():
     with pytest.raises(UnsupportedScaleError):
         corr_oracle(_ks("A", 4), [0.5])
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_corr_det_of_a_scalar_is_the_intensity(tag, t):
+    # a scalar is a one-point set (numpy's sort raised AxisError on it), and
+    # its determinant the 1 x 1 kernel's entry: intensity there, bit for bit
+    ks = _ks(tag, 3, t=t)
+    for x in (0.3, 0.71 * ks.family.length):
+        assert corr_det(ks, x) == intensity(ks, [x])[0]
 
 
 def test_corr_det_refuses_too_many_points():
@@ -719,6 +766,17 @@ def test_infinite_kernel_rejects_negative_halfline():
     iks = InfiniteKernelSpec("C", rho=1.0, t=0.5, t_star=1.0)
     with pytest.raises(ValueError):
         infinite_kernel(iks, -0.3, 0.5)
+
+
+@pytest.mark.parametrize("fam", ["A", "C"])
+@pytest.mark.parametrize("x, y", [(np.nan, 0.3), (0.3, np.inf), ([0.2, np.nan], 0.3)],
+                         ids=["nan-x", "inf-y", "nan-in-array"])
+def test_infinite_kernel_refuses_non_finite_points(fam, x, y):
+    # a NaN reached the theta engine, whose "theta argument must be finite"
+    # named neither the function nor the point
+    iks = InfiniteKernelSpec(fam, rho=1.0, t=0.5, t_star=1.0)
+    with pytest.raises(ValueError, match="^infinite_kernel needs finite x and y"):
+        infinite_kernel(iks, x, y)
 
 
 def _inf_quad_per_panel(iks, x, y, nodes):

@@ -45,16 +45,18 @@ def _mixing(N):
     return np.eye(N) + 0.5 * np.roll(np.eye(N), 1, axis=1)
 
 
-def _mode_mixing_sum(a, b, grid):
-    # a wrong assembly of K from correct factors: a^T M conj(b)
-    return a.T @ _mixing(a.shape[0]) @ np.conj(b)
+def _mode_mixing_sum(a, b):
+    # a wrong assembly of K from correct factors whose points broadcast, as
+    # `_kernel_sum` takes them: sum_nm a_n M_nm conj b_m, a^T M conj(b) on a grid
+    return np.sum(np.tensordot(_mixing(len(a)).T, a, axes=1) * np.conj(b), axis=0)
 
 
 def _mixed_factors(ks, xs, ys, _factors=dpp_kernels._factors):
-    # factors that are not biorthogonal: a -> M a, so G = h conj(b) a^T M^T != I
-    # (_factors is bound to the unpatched function at import)
+    # factors that are not biorthogonal: a -> M a over the mode axis, so
+    # G = h conj(b) a^T M^T != I (_factors is bound to the unpatched function
+    # at import)
     a, b = _factors(ks, xs, ys)
-    return _mixing(a.shape[0]) @ a, b
+    return np.tensordot(_mixing(len(a)), a, axes=1), b
 
 
 @property
@@ -180,7 +182,7 @@ _NAN_CASES = [
     ("bridge", "bridge_density", 1, "bridge density vs spectral density"),
     ("kernel", "density_batch", 1, "density nonnegativity"),
     ("limits", "sine_kernel", 2, "sine limit (t*rho^2 = 300000)"),
-    ("limits", "kernel_matrix", 2, "infinite kernel vs finite N=64 A (limit A)"),
+    ("limits", "kernel", 2, "infinite kernel vs finite N=64 A (limit A)"),
 ]
 
 
