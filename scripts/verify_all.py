@@ -15,8 +15,17 @@ bound), with the count and the runs (family and N) it fails in:
       bridge density vs spectral density         finite   1  C2
 
 Diff the output of two checkouts to see which verdicts a change moves.  The
-default is the nine time pairs below, 7 families x N = 2..4 (189 runs, about
-a minute on a 2-core machine).  Exit status 1 if any line fails.
+default is the nine time pairs below, 7 families x N = 2..4 (189 runs, 3-4 s
+on a 2-core machine).  Exit status 1 if any line fails.
+
+The default sweep's rows, all but the last two lines (a blank line and the
+total with its time), are pinned in tests/data/verify_all.txt, and
+tests/test_sweep.py checks them row for row.  A change that moves a row
+rewrites the file,
+
+    PYTHONPATH=src python3 scripts/verify_all.py | head -n -2 > tests/data/verify_all.txt
+
+and names the rows it moved.
 """
 
 import argparse
@@ -38,17 +47,14 @@ def _pair(text):
     return t, t_star
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--pairs", type=_pair, nargs="+", default=PAIRS, metavar="T,T_STAR")
-    ap.add_argument("--N", type=int, nargs=2, default=(2, 4), metavar=("LO", "HI"))
-    args = ap.parse_args()
-
-    total, t0 = 0, time.time()
-    for t, t_star in args.pairs:
+def sweep(pairs=PAIRS, n_range=(2, 4)):
+    """The table's lines, a header and its rows per time pair, and the number
+    of FAIL lines in all."""
+    lines, total = [], 0
+    for t, t_star in pairs:
         fails, runs = defaultdict(list), 0
         for tag in FAMILIES:
-            for N in range(max(args.N[0], 2 if tag == "D" else 1), args.N[1] + 1):
+            for N in range(max(n_range[0], 2 if tag == "D" else 1), n_range[1] + 1):
                 runs += 1
                 for r in run_suites("all", KernelSpec((tag, N, 1.0), t, t_star)):
                     if not r.passed:
@@ -56,9 +62,21 @@ def main():
                         fails[r.name, kind].append(f"{tag}{N}")
         n_fail = sum(map(len, fails.values()))
         total += n_fail
-        print(f"(t, t*) = ({t:g}, {t_star:g}): {runs} runs, {n_fail} FAIL")
+        lines.append(f"(t, t*) = ({t:g}, {t_star:g}): {runs} runs, {n_fail} FAIL")
         for (name, kind), who in fails.items():
-            print(f"  {name:<42} {kind:<6} {len(who):>3}  {' '.join(who)}")
+            lines.append(f"  {name:<42} {kind:<6} {len(who):>3}  {' '.join(who)}")
+    return lines, total
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pairs", type=_pair, nargs="+", default=PAIRS, metavar="T,T_STAR")
+    ap.add_argument("--N", type=int, nargs=2, default=(2, 4), metavar=("LO", "HI"))
+    args = ap.parse_args()
+
+    t0 = time.time()
+    lines, total = sweep(args.pairs, args.N)
+    print("\n".join(lines))
     print(f"\n{total} FAIL in all; {time.time() - t0:.1f}s")
     return 1 if total else 0
 

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .macdonald import (_logc_rel_diff, _m_matrix_parts, _per_config, _phase, coeff_a_log,
-                        logdet, midpoint_nodes, rhs_logc)
+from .macdonald import (_m_matrix_parts, _per_config, _phase, _rel_diff, coeff_a_log, logdet,
+                        midpoint_nodes, rhs_parts)
 from .theta_core import AccuracyError, eta_log, parts_value, theta
 
 __all__ = [
@@ -225,7 +225,7 @@ def bridge_density(ks, xs):
             "P_out": transition(d, ks.t, X[:, :, None], ks.t_star, v[None, None, :]),
             "D0": transition(d, 0.0, v[:, None], ks.t_star, v[None, :]),
         }
-        (l1, s1), (l2, s2), (l0, s0) = (logdet(f"bridge matrix {name}", m)
+        (s1, l1), (s2, l2), (s0, l0) = (logdet(f"bridge matrix {name}", m)
                                         for name, m in mats.items())
         out[live] = parts_value(s1 * s2 * s0, l1 + l2 - l0)
     return _per_config(xs, out)
@@ -234,19 +234,19 @@ def bridge_density(ks, xs):
 def macdonald_kmlgv_residual(d, t, xs):
     """Weyl denominator against the pinned-path determinant route.
 
-    Left side: `rhs_logc`, the closed-form side a(t) . phase . W (times the
+    Left side: `rhs_parts`, the closed-form side a(t) . phase . W (times the
     parity-indexed coordinate-sum theta for the circle family) of the
-    determinant identity.  Right side: the same phase times the phase of
-    b(t) . det r(t) . det P.  Returns the relative residual at the common log
-    scale.  IllConditionedError when `macdonald.logdet` refuses r(t) or a
-    pinned matrix P, AccuracyError when r(t) leaves double range.
+    determinant identity.  Right side: the same phase times b(t) . det r(t)
+    . det P, as parts from `macdonald.logdet`.  Returns the relative residual
+    at the common scale.  IllConditionedError when `macdonald.logdet` refuses
+    r(t) or a pinned matrix P, AccuracyError when r(t) leaves double range.
     """
     X = d.configurations(xs, "macdonald_kmlgv_residual")
-    ll, pl = rhs_logc(d, X, t)
-    lr, sr = logdet("r-matrix", r_matrix(d, t))
-    lp, sp = logdet("bridge matrix P", _pinned_matrix(d, t, X))
-    rp = _phase(d, "det") * _phase(d, "b") * sr * sp
-    return _per_config(xs, _logc_rel_diff(ll, pl, lr + lp, rp))
+    ml, sl = rhs_parts(d, X, t)
+    mr, lr = logdet("r-matrix", r_matrix(d, t))
+    mp, lp = logdet("bridge matrix P", _pinned_matrix(d, t, X))
+    mant = _phase(d, "det") * _phase(d, "b") * mr * mp
+    return _per_config(xs, _rel_diff(ml, sl, mant, lr + lp))
 
 
 def eta_formula_residual(d, t):
@@ -261,8 +261,6 @@ def eta_formula_residual(d, t):
     # eta is positive on the imaginary axis: the left side's phase is 1
     lb = (N * math.log(2.0 * math.pi * r) - 0.5 * N * math.log(N)
           + 0.5 * (N - 1) * (N - 2) * eta_log(tau.imag))     # size = N
-    lr, sr = logdet("r-matrix", r_matrix(d, t))
-    la = coeff_a_log(d, t)
-    lc = lr - la
-    pc = _phase(d, "b") * sr
-    return float(_logc_rel_diff(lb, 1.0, lc, pc))
+    mr, lr = logdet("r-matrix", r_matrix(d, t))
+    lc = lr - coeff_a_log(d, t)
+    return float(_rel_diff(1.0, lb, _phase(d, "b") * mr, lc))

@@ -104,7 +104,8 @@ def density_batch(ks, X):
     invariant; each row is sorted first all the same, so the rounding depends
     only on the point set.  Rows with repeated coordinates, or with a point on
     an absorbing wall, give exactly 0.  ValueError names the first row that
-    is not N points of the alcove (`FamilySpec.configurations`).
+    is not N points of the alcove (`FamilySpec.configurations`), and
+    AccuracyError the times whose round-off `_density` cannot support.
     """
     X = ks.family.configurations(X, "density")
     return _density(ks, np.sort(X, axis=1))

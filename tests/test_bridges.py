@@ -168,6 +168,18 @@ def test_transition_images_tail_guard():
         transition_images(RR, 0.0, 0.3, 0.5, 1.0, windings=0)
 
 
+@pytest.mark.parametrize("t", [0.5, 0.2])
+def test_transition_images_refuses_t_not_after_s(t):
+    with pytest.raises(ValueError, match=rf"^need t > s, got s=0\.5, t={t}$"):
+        transition_images(FamilySpec("A", 2), 0.5, 0.3, t, 1.0, windings=12)
+
+
+def test_transition_images_refuses_a_cutoff_inside_the_arguments():
+    # one winding either side reaches 2L = 4 pi, short of |x - y| ~ 1e3
+    with pytest.raises(AccuracyError, match="^winding cutoff inside the argument range"):
+        transition_images(FamilySpec("A", 2), 0.0, 0.3, 1.0, 1e3, windings=1)
+
+
 @pytest.mark.parametrize("tag", ["A", "C"])
 @pytest.mark.parametrize("x, y", [(np.nan, 0.3), (0.3, np.inf), (-np.inf, 0.3)],
                          ids=["nan-x", "inf-y", "minus-inf-x"])

@@ -131,6 +131,24 @@ def test_bad_config_key_or_value_is_usage_error(verb, config, tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == f"error: config {cfg} must hold a JSON object\n"
+
+
+@pytest.mark.parametrize("verb", ["theta", "kernel", "density"])
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_grid_below_one_is_usage_error(verb, grid, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([verb, "--grid", grid]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == f"error: grid must be >= 1, got {grid}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_type_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--type", "Z"])
@@ -236,6 +254,14 @@ def test_kernel_factors_past_the_margin_are_an_error_line(argv, tmp_path, capsys
     assert cap.out == "" and cap.err.startswith("error: kernel factors at horizon t* = ")
     assert "past the margin" in cap.err and cap.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_density_past_its_round_off_margin_is_an_error_line(capsys):
+    assert main(["density", "--type", "C", "--N", "3", "--t", "5e-13", "--t-star", "1e-12",
+                 "--points", "0.7853983133974483,1.5707964767948965,2.356194640192345"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: density at t = 5e-13, t* - t = 5e-13")
+    assert cap.err.count("\n") == 1
 
 
 def test_bad_time_ordering_is_usage_error(capsys):

@@ -10,11 +10,11 @@ import warnings
 import zlib
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import jv, jvp
 
 from elliptic_dpp import dpp_kernels, macdonald
 from elliptic_dpp.biortho import m_fn_parts, norm_const_log
@@ -311,14 +311,41 @@ def test_product_and_density_stay_finite_at_n16_small_time(tag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (ks.t, ks.t_star - ks.t):
-            tau = d.tau(s, "density", 1)
-            m, sc = _product_parts(tag, X / (2.0 * np.pi * d.r), tau)
+            m, sc = _product_parts(d, X, s, "density")
             assert np.all(np.isfinite(m)) and np.all(np.isfinite(sc)), s
         assert np.all(np.isfinite(density_batch(ks, X)))
         # close to the pinned start the density is large (~1e24 for the intervals)
         near = np.asarray(d.pinned) + rng.uniform(0.05, 0.1, (4, 16)) * (d.length / d.size)
         p = density_batch(ks, np.minimum(near, 0.999 * d.length))
         assert np.all(np.isfinite(p)) and np.all(p > 0.0)
+
+
+def _near_the_start(ks, spread=0.3):
+    """The pinned start moved up by `spread` times the bridge's spread at t."""
+    d = ks.family
+    sigma = np.sqrt(ks.t * (ks.t_star - ks.t) / ks.t_star)
+    return np.minimum(np.asarray(d.pinned) + spread * sigma, d.length)
+
+
+def test_density_refuses_a_horizon_its_round_off_cannot_support(monkeypatch):
+    # C3 at t* = 1e-12 read 4.4407e17 where det K reads 4.4380e17 (6.1e-4):
+    # the theta scales, ~L^2/t each, are rounded apart; refused before any
+    # theta is evaluated
+    ks = KernelSpec(("C", 3, 1.0), 5e-13, 1e-12)
+    monkeypatch.setattr(macdonald, "_product_parts", None)
+    with pytest.raises(AccuracyError, match=r"^density at t = 5e-13, t\* - t = 5e-13, radius "
+                                            r"r = 1\.0: its round-off .* = 0\.0133 is past 1e-08$"):
+        density(ks, _near_the_start(ks))
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_density_at_a_small_horizon_matches_the_kernel_determinant(tag):
+    # t* = 1e-4 is inside the margin: p = det[K(x_i, x_j)] to the stated
+    # 10 N eps r^2 / min(t, t* - t) = 1.3e-10 (measured <= 3.8e-11)
+    ks = KernelSpec((tag, 3, 1.0), 5e-5, 1e-4)
+    xs = _near_the_start(ks)
+    p = density(ks, xs)
+    assert abs(p / corr_det(ks, xs) - 1.0) <= 10 * 3 * np.finfo(float).eps / 5e-5
 
 
 # ---------------------------------------------------------------------------
@@ -704,10 +731,14 @@ def test_sine_kernel_refuses_nonfinite_points_and_bad_rho(fam, x, y, rho):
 
 
 def test_sine_kernel_chgue_bessel_form():
-    # at rho = 2/pi the reflected sine kernels are the nu = +-1/2 hard-edge forms
+    # at rho = 2/pi the reflected sine kernels are the nu = +-1/2 hard-edge forms,
+    # with mpmath's Bessel functions J_nu and J_nu'
     def bessel_form(nu, x, y):
+        def jv(z, derivative=0):
+            return float(mpmath.besselj(nu, z, derivative=derivative))
+
         return (2.0 * np.sqrt(x * y) / (x * x - y * y)) * (
-            jv(nu, 2 * x) * y * jvp(nu, 2 * y) - jv(nu, 2 * y) * x * jvp(nu, 2 * x))
+            jv(2 * x) * y * jv(2 * y, 1) - jv(2 * y) * x * jv(2 * x, 1))
 
     rho = 2.0 / np.pi
     for x, y in [(0.5, 0.3), (1.7, 0.4), (2.5, 2.0), (0.9, 0.85)]:

@@ -17,7 +17,7 @@ from elliptic_dpp.bridges import (bridge_density, ck_residual, eta_formula_resid
                                   transition)
 from elliptic_dpp.dpp_kernels import (KernelSpec, bin_intensity, corr_det, intensity, kernel,
                                       kernel_matrix, trig_kernel)
-from elliptic_dpp.macdonald import coeff_a_log, denominator_residual, rhs_logc
+from elliptic_dpp.macdonald import coeff_a_log, denominator_residual, rhs_parts
 from elliptic_dpp.root_systems import FAMILIES, FamilySpec
 from elliptic_dpp.theta_core import theta_parts
 
@@ -325,7 +325,7 @@ def _timed_calls(d):
     X = np.array([0.5, 1.2, 2.0])
     return {
         "coeff_a_log": lambda t: coeff_a_log(d, t),
-        "rhs_logc": lambda t: rhs_logc(d, X, t),
+        "rhs_parts": lambda t: rhs_parts(d, X, t),
         "denominator_residual": lambda t: denominator_residual(d, X, t),
         "m_fn_parts": lambda t: m_fn_parts(d, X, t),
         "norm_const_log": lambda t: norm_const_log(d, t),
