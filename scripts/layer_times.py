@@ -10,6 +10,11 @@ time per call in ms, and per point in us where a call takes points:
                    1 and 50
     m_fn_parts     the N one-particle functions at 512 points, the sampler's
                    drawn-point call (A4, t = 0.5)
+    _factors       the sampler's drawn-point `_factors(ks, y, y)` at those 512
+                   points, a = b at t = t*/2: the heat-kernel mode series
+                   (the block's Im tau = 1.27)
+    theta route    the same factors with `series` false: `m_fn_parts` over
+                   `ks.norms_log` (the spec's norms computed before timing)
     logdet         `macdonald.logdet` on a (64, 4, 4) stack
     infinite_kernel  one call at 3 points (A, rho = 1, t* = 50, t = t*/2),
                    the points of the `limits` sine lines
@@ -125,6 +130,9 @@ def call_layers(repeat):
     x = np.random.default_rng(1).uniform(0.0, ks.family.length, 512)
     rows.append(("m_fn_parts", "A4 t = 0.5", len(x),
                  per_call(lambda: m_fn_parts(ks.family, x, ks.t), repeat)))
+    for name, series in (("_factors", True), ("theta route", False)):
+        rows.append((name, "A4 t = 0.5", len(x),
+                     per_call(lambda: _factors(ks, x, x, series=series), repeat)))
     stack = np.random.default_rng(2).standard_normal((64, 4, 4)) + 4.0 * np.eye(4)
     rows.append(("logdet", "(64, 4, 4)", None, per_call(lambda: logdet("stack", stack), repeat)))
     ik = InfiniteKernelSpec("A", rho=1.0, t=25.0, t_star=50.0)

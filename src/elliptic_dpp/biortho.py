@@ -75,6 +75,11 @@ def norm_const_log(d, t_star):
     if not ok.all():
         raise AccuracyError(f"norm lost positivity: mantissa {m[~ok]} for "
                             f"j={np.flatnonzero(~ok) + 1}")
-    # on an interval the norms with J(j) = 0 or size/2 carry a factor 2
-    mult = np.where(np.isin(J, (0.0, d.size / 2) if d.walls != "circ" else ()), 2.0, 1.0)
-    return np.log(2.0 * np.pi * d.r * mult * m.real) + s
+    return np.log(2.0 * np.pi * d.r * _norm_mult(d) * m.real) + s
+
+
+def _norm_mult(d):
+    """The N norms' factor mult_n: 2 on an interval where J(n) = 0 or size/2,
+    else 1."""
+    J = np.asarray(d.offsets)
+    return np.where(np.isin(J, (0.0, d.size / 2) if d.walls != "circ" else ()), 2.0, 1.0)

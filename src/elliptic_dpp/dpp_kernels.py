@@ -14,6 +14,18 @@ balanced factors f_n(x, s) = M_n(x, s) / m_n^{s/t*} instead (log m_n split
 between the times in proportion to time: plain doubles), and every kernel
 value (at points that broadcast, a grid row, K(x, x)) is one mode sum of them.
 
+The factors have two frames, switched per time where the theta engine switches
+its own, at the block's Im tau = size^2 s / (2 pi r^2) = 1 (`_factors`).  From
+1 up, each f_n is a short heat-kernel series of Fourier modes e^{i kappa x/r}
+with Gaussian weights (`_modes`), whose exponents cancel before anything is
+rounded: within a few eps of max|f|, at any horizon.  Below 1, M_n comes from
+the theta engine (`m_fn_parts`) over m_n^{s/t*}, two parts values whose
+scales, ~|log m_n|, cancel after rounding: a relative error of about eps
+max_n |log m_n|.  Both frames refuse the horizons where that passes
+`_FACTOR_MARGIN`.  The verification suites' Gram and kernel-grid lines take
+the theta frame at every time, so they check the paper's theta functions, not
+their Fourier modes.
+
 Three limit regimes are implemented for cross-checks: the temporally
 homogeneous sine-ratio kernels on the finite domain, the lambda-integral
 kernels of the infinite-volume limit (fixed point density rho), and the
@@ -38,9 +50,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forks
-from .biortho import m_fn_parts
+from .biortho import _norm_mult, m_fn_parts
 from .macdonald import KernelSpec, _density
-from .theta_core import AccuracyError, _check_tau, parts_sum, parts_value, theta_parts
+from .theta_core import (_LOG_TAIL, AccuracyError, _check_tau, _flip, parts_sum, parts_value,
+                         theta_parts)
 
 __all__ = [
     "Histogram",
@@ -124,23 +137,124 @@ def density(ks, xs):
 _FACTOR_MARGIN = 1e-8
 
 
-def _factors(ks, xs, ys):
+@functools.lru_cache(maxsize=64)
+def _modes(d, s, t_star):
+    """The heat-kernel mode table of d's N functions at time s, horizon t*:
+    the one place the mode series is written.
+
+    Theta's series in the block (`biortho`) summed per function is a sum over
+    the modes kappa_m = size (m - 1/2) + J_n, m in Z, with Gaussian weights
+    (Poisson dual of the image sum; DLMF 20.7(viii)):
+
+        M_n(x, s) = sum_m e^{-s (kappa_m^2 - J_n^2) / 2 r^2} phi_m(kappa_m x / r),
+        m_n(t*)   = 2 pi r mult_n sum_m e^{-t* (kappa_m^2 - J_n^2) / 2 r^2},
+
+    phi_m(u) = e^{iu} (shape A), -2 (-1)^m sin u (B), 2i sin u (C), 2 cos u
+    (D); mult_n is the norms' factor (`biortho._norm_mult`).  With kappa* =
+    kappa_{m*} the mode of least |kappa| and u_j(s) = e^{-s (kappa^2 -
+    kappa*^2) / 2 r^2} <= 1 at kappa = kappa* + size j, the factor e^{s (J^2 -
+    kappa*^2) / 2 r^2} of M_n and of m_n^{s/t*} cancels before anything is
+    rounded:
+
+        f_n(x, s) = sum_j u_j(s) phi(kappa x / r) / (2 pi r mult_n sum_j u_j(t*))^{s/t*}.
+
+    As |kappa*| <= size/2, u_j <= e^{-pi Im tau |j| (|j| - 1)} with Im tau =
+    size^2 s / (2 pi r^2), the block's; |j| <= R = 1 + floor(sqrt(ln 1e17 /
+    (pi Im tau))) keeps every mode whose bound reaches 1e-17, the theta
+    engine's ring count (`theta_core._ring_sum`).  kappa^2 - kappa*^2 = size j
+    (2 kappa* + size j) is exact.
+
+    Returns (kappa*, lead, even, odd) for `_series_factor`: with c the norm
+    factor times phi's constant (B's -2 (-1)^{m*}, C's and D's 2) and w_j =
+    c u_j times B's (-1)^j, e^{-i kappa* u} sum_j w_j e^{i kappa u} is lead +
+    sum_{k=1..R} (even_k cos(size k u) + i odd_k sin(size k u)), lead = w_0 =
+    c, even_k = w_k + w_{-k} and odd_k = w_k - w_{-k} ((R, N) rows, nearest
+    mode first).  Read-only arrays, one table per (d, s, t*).
+    """
+    J = np.asarray(d.offsets)
+    rings = 1 + int(math.sqrt(_LOG_TAIL / (math.pi * d.tau(s, "kernel factors", 2).imag)))
+    m_star = np.rint(0.5 - J / d.size)
+    kappa = d.size * (m_star - 0.5) + J
+    j = np.arange(-rings, rings + 1)
+    gap = d.size * j * (2.0 * kappa[:, None] + d.size * j)           # kappa^2 - kappa*^2
+    u, u_star = (np.exp(-(v / (2.0 * d.r**2)) * gap) for v in (s, t_star))
+    c = np.exp(-(s / t_star) * np.log(2.0 * math.pi * d.r * _norm_mult(d) * u_star.sum(axis=1)))
+    if d.sharp == "B":
+        u = u * _flip(j)
+        c = -2.0 * _flip(m_star) * c
+    elif d.sharp != "A":
+        c = 2.0 * c
+    w = c[:, None] * u
+    up, down = w[:, rings + 1:].T, w[:, rings - 1::-1].T
+    out = kappa, w[:, rings], up + down, up - down
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+def _series_factor(d, x, s, t_star):
+    """f_n(x, s) of `_modes`' series, (N,) + x's shape (at least 1-d), as `m_fn_parts`.
+
+    N + 1 complex exponentials per point, e^{i kappa*_n u} and e^{i size u}
+    (u = x / r), and real products for the powers; the modes are summed by
+    real ufuncs, farthest first, so an entry depends on its own point only.
+    phi picks the part of e^{i kappa* u} sum_j w_j e^{i size j u}: all of it
+    (A), the imaginary part (B, C) or the real part (D).
+    """
+    kappa, lead, even, odd = _modes(d, s, t_star)
+    u = np.atleast_1d(np.asarray(x, dtype=float) / d.r)
+    ex = (slice(None),) + (None,) * u.ndim          # per-function rows against the points
+    e = np.exp(1j * (kappa[ex] * u))
+    p = np.exp(1j * (d.size * u))
+    powers = [(p.real, p.imag)]                     # e^{i size k u}, k = 1..R
+    for _ in range(len(even) - 1):
+        qr, qi = powers[-1]
+        powers.append((qr * p.real - qi * p.imag, qr * p.imag + qi * p.real))
+    sr = si = 0.0
+    for (qr, qi), ce, co in zip(powers[::-1], even[::-1], odd[::-1]):
+        sr = sr + ce[ex] * qr
+        si = si + co[ex] * qi
+    sr = sr + lead[ex]
+    er, ei = e.real, e.imag
+    out = np.zeros(sr.shape, dtype=complex)
+    if d.sharp in ("A", "D"):
+        out.real = er * sr - ei * si
+    if d.sharp in ("A", "C"):
+        out.imag = er * si + ei * sr
+    elif d.sharp == "B":
+        out.real = er * si + ei * sr
+    return out
+
+
+def _factors(ks, xs, ys, series=True):
     """Factors a = f(xs, t), b = f(ys, t*-t) of K = sum_n a_n conj b_n, (N,) + points' shape.
 
-    f_n(x, s) = M_n(x, s) / m_n^{s/t*}, log m_n from `ks.norms_log`.  For real
-    x, |theta(sigma tau + z|tau)| <= e^{pi Im tau sigma^2} S(Im tau) and m_n =
-    2 pi r mult e^{pi Im tau* sigma^2} S(Im tau*), with Im tau proportional to
-    time: the exponentials cancel, and f_n (below ~1e2 for t = 1e-4 .. t* =
-    1e3) depends on its own point and time only.  When ys is xs at t = t*/2, b
-    is a (K is Hermitian).
+    f_n(x, s) = M_n(x, s) / m_n^{s/t*} depends on its own point and time only
+    (below ~1e2 for t = 1e-4 .. t* = 1e3).  When ys is xs at t = t*/2, b is a
+    (K is Hermitian).  Two frames, switched per time where the theta engine
+    switches its own, at the block's Im tau = size^2 s / (2 pi r^2) = 1:
 
-    The two exponents of f_n, ~|log m_n| ~ J^2 t* / (2 r^2) in size, cancel to
-    O(1), so f_n carries a relative error of about eps max_n |log m_n| (K is off
-    by 0.1 to 8 times that against the trigonometric limit, 7 families, N = 2..6,
-    t* = 1e5 .. 1e8).  AccuracyError, naming the horizon, where that passes
-    `_FACTOR_MARGIN` = 1e-8, which keeps K within 2.4e-8 of its height, 40 times
-    below the 1e-6 the library checks K at (t* / r^2 up to ~1e7 for C3, ~5e7 for
-    A2); and AccuracyError if a factor leaves double range.
+    - Im tau >= 1: the heat-kernel mode series (`_modes`, `_series_factor`),
+      whose exponents cancel before rounding.  It is within 3.2 eps
+      max(1, max_n |log m_n|) of max|f| of the theta route (7 families, N =
+      1..16, t = 1e-4 .. t* = 1e3), and K within 1.4e-15 of its trigonometric
+      limit's height (7 families, N = 2, 3, t = t*/2, t* = 1e3 .. 1e7).
+    - Im tau < 1, or at every time with `series` false (the Gram and
+      kernel-grid lines of `verification`, which so check the paper's theta
+      functions and their closed-form norms): M_n from `m_fn_parts` over
+      m_n^{s/t*} from `ks.norms_log`, in parts.  For real x,
+      |theta(sigma tau + z|tau)| <= e^{pi Im tau sigma^2} S(Im tau) and m_n = 2
+      pi r mult e^{pi Im tau* sigma^2} S(Im tau*): the two exponents, ~|log
+      m_n| ~ J^2 t* / (2 r^2) in size, cancel to O(1) after rounding, so f_n
+      carries a relative error of about eps max_n |log m_n| (K is off by 0.1 to
+      8 times that against the trigonometric limit, 7 families, N = 2..6, t* =
+      1e5 .. 1e8).
+
+    AccuracyError, naming the horizon, where eps max_n |log m_n| passes
+    `_FACTOR_MARGIN` = 1e-8, decided first in both frames: it keeps the theta
+    route's K within 2.4e-8 of its height, 40 times below the 1e-6 the library
+    checks K at (t* / r^2 up to ~1e7 for C3, ~5e7 for A2); and AccuracyError if
+    a factor leaves double range.
     """
     d, log_m = ks.family, ks.norms_log
     lost = np.finfo(float).eps * float(np.max(np.abs(log_m)))
@@ -149,10 +263,13 @@ def _factors(ks, xs, ys):
                             f"eps max|log m_n| = {lost:.3g} is past the margin {_FACTOR_MARGIN:g}")
 
     def f(x, s):
-        mant, scale = m_fn_parts(d, x, s)
-        with np.errstate(invalid="ignore"):     # a zero mantissa times e^inf
-            val = parts_value(mant, scale - (s / ks.t_star) * log_m.reshape(
-                (-1,) + (1,) * (mant.ndim - 1)))
+        if series and d.tau(s, "kernel factors", 2).imag >= 1.0:
+            val = _series_factor(d, x, s, ks.t_star)
+        else:
+            mant, scale = m_fn_parts(d, x, s)
+            with np.errstate(invalid="ignore"):     # a zero mantissa times e^inf
+                val = parts_value(mant, scale - (s / ks.t_star) * log_m.reshape(
+                    (-1,) + (1,) * (mant.ndim - 1)))
         if not np.all(np.isfinite(val)):
             raise AccuracyError(f"kernel factor at time {s!r} leaves double range")
         return val

@@ -132,8 +132,10 @@ def theta_suite(ks):
 
 
 def _gram(ks, n):
-    """The balanced factors a = f(x, t), b = f(x, t*-t) (`_factors`) on the
-    midpoint grid x of n nodes, and their Gram matrix G = h conj(b) a^T.
+    """The balanced factors a = f(x, t), b = f(x, t*-t) on the theta route
+    (`_factors` with `series` false: `m_fn_parts` over `ks.norms_log`, never
+    the kernel's mode series) on the midpoint grid x of n nodes, and their
+    Gram matrix G = h conj(b) a^T.
 
     G_jk approximates the integral of conj f_j(x, t*-t) f_k(x, t), which is
     m_j delta_jk / (m_j^{1-t/t*} m_k^{t/t*}) = delta_jk: G = I is the
@@ -144,7 +146,7 @@ def _gram(ks, n):
     """
     L = ks.family.length
     x = np.arange(n) * (L / n) + L / (2 * n)
-    a, b = _factors(ks, x, x)
+    a, b = _factors(ks, x, x, series=False)
     return a, b, (L / n) * (np.conj(b) @ a.T)
 
 

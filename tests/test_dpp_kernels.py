@@ -428,10 +428,21 @@ _TIME_SWEEP = ((1e-4, 1.0), (0.01, 1.0), (0.1, 1.0), (0.4, 1.0), (0.5, 1.0),
                (50.0, 100.0), (1.0, 1000.0), (500.0, 1000.0), (999.0, 1000.0))
 
 
+def _theta_route_error(ks):
+    """The theta route's own stated error, 10 eps max(1, max_n |log m_n|),
+    relative to the largest factor or kernel value (`dpp_kernels._factors`)."""
+    return 10.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ks.norms_log))))
+
+
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_kernel_matrix_matches_parts_stream(tag):
     # balanced factors vs the parts stream over N and the time sweep, on a
-    # grid with xs != ys and at single points; the factors stay moderate
+    # grid with xs != ys and at single points; the factors stay moderate.
+    # The stream is the theta route's parts, whose scales (~|log m_n|) cancel
+    # after rounding: at t* = 1000 it is itself off by up to eps max|log m_n|
+    # = 2.8e-11 (N = 16), where the mode series the kernel takes there reads
+    # K within 6e-15 of its trigonometric limit.  So each case is held to
+    # 1e-11 or to the stream's own error, whichever is larger.
     worst, biggest = 0.0, 0.0
     for N in (2, 4, 8, 16):
         for t, t_star in _TIME_SWEEP:
@@ -440,7 +451,7 @@ def test_kernel_matrix_matches_parts_stream(tag):
             xs = np.linspace(0.03, 0.97, 9) * L
             ys = np.linspace(0.01, 0.99, 7) * L
             ref = _stream_kernel_matrix(ks, xs, ys)
-            scale = np.max(np.abs(ref))
+            scale = np.max(np.abs(ref)) * max(1e-11, _theta_route_error(ks))
             km = kernel_matrix(ks, xs, ys)
             worst = max(worst, np.max(np.abs(km - ref)) / scale)
             for i, j in ((0, 6), (4, 1), (8, 3)):
@@ -448,8 +459,50 @@ def test_kernel_matrix_matches_parts_stream(tag):
             for f in dpp_kernels._factors(ks, xs, ys):
                 assert np.all(np.isfinite(f)), f"{tag}{N} t={t} t*={t_star}"
                 biggest = max(biggest, float(np.max(np.abs(f))))
-    assert worst <= 1e-11, f"{tag}: kernel vs parts stream {worst:.3e} of max|K|"
+    assert worst <= 1.0, f"{tag}: kernel vs parts stream {worst:.3e} of its bound"
     assert biggest < 1e3, f"{tag}: balanced factor reaches {biggest:.3e}"
+
+
+def _block_im_tau(d, s):
+    return d.size**2 * s / (2.0 * np.pi * d.r**2)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_series_factors_match_the_theta_route(tag):
+    # the mode series against the theta route wherever it is taken (the
+    # block's Im tau >= 1), over N and the time sweep at 64 points with both
+    # ends of the alcove, within the theta route's stated error of max|f|
+    worst, cases = 0.0, 0
+    for N in (1, 2, 3, 4, 8, 16):
+        if tag == "D" and N < 2:
+            continue
+        for t, t_star in _TIME_SWEEP:
+            ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
+            xs = np.linspace(0.0, ks.family.length, 64)
+            for s, ref in zip((t, t_star - t), dpp_kernels._factors(ks, xs, xs, series=False)):
+                if _block_im_tau(ks.family, s) < 1.0:
+                    continue
+                f = dpp_kernels._series_factor(ks.family, xs, s, t_star)
+                err = np.max(np.abs(f - ref)) / np.max(np.abs(ref)) / _theta_route_error(ks)
+                worst, cases = max(worst, err), cases + 1
+    assert cases >= 60
+    assert worst <= 1.0, f"{tag}: series vs theta route {worst:.3g} of the bound"
+
+
+@pytest.mark.parametrize("t, frame", [(0.39, "theta"), (0.4, "series")])
+def test_factors_switch_frame_at_im_tau_one(t, frame):
+    # A4: the block's Im tau = 16 t / (2 pi) is 0.993 at t = 0.39 and 1.019 at
+    # 0.4; the series agrees with the theta route on both sides, and the
+    # factors take it on the upper side only, at both times
+    ks = KernelSpec(("A", 4, 1.0), t=t, t_star=2 * t)
+    assert (_block_im_tau(ks.family, t) >= 1.0) == (frame == "series")
+    xs = np.linspace(0.0, ks.family.length, 64)
+    a, b = dpp_kernels._factors(ks, xs, xs)
+    ref, _ = dpp_kernels._factors(ks, xs, xs, series=False)
+    series = dpp_kernels._series_factor(ks.family, xs, t, 2 * t)
+    assert b is a
+    assert a.tobytes() == (series if frame == "series" else ref).tobytes()
+    assert np.max(np.abs(series - ref)) <= _theta_route_error(ks) * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -639,6 +692,19 @@ def test_kernel_under_the_factor_margin_matches_the_trig_limit():
         xs = np.linspace(0.11, 0.93, 7) * ks.family.length
         dev = np.abs(kernel_matrix(ks, xs, xs) - trig_kernel(ks.family, xs[:, None], xs))
         assert np.max(dev) / (N / (2 * np.pi)) <= 10 * lost, (tag, N, t_star)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+@pytest.mark.parametrize("t_star", [1e6, 1e7])
+def test_kernel_at_long_horizons_matches_the_trig_limit_to_round_off(tag, t_star):
+    # under the margin the mode series keeps K at t = t*/2 within a few eps of
+    # its trigonometric limit's height; through the theta route BC2 read
+    # 2.4e-8 at t* = 1e7 (its scales, ~|log m_n|, cancelled after rounding)
+    for N in (2, 3):
+        ks = _ks(tag, N, t=t_star / 2, t_star=t_star)
+        xs = np.linspace(0.11, 0.93, 7) * ks.family.length
+        dev = np.abs(kernel_matrix(ks, xs, xs) - trig_kernel(ks.family, xs[:, None], xs))
+        assert np.max(dev) / (N / (2 * np.pi)) <= 1e-14, (tag, N, t_star)
 
 
 def test_every_user_of_the_factors_refuses_past_the_margin():

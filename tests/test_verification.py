@@ -21,10 +21,13 @@ def _lines(results):
 
 
 def _dense_residual(ks):
-    """Oracle: max |h K K - K| / max |K| by the dense G x G product."""
+    """Oracle: max |h K K - K| / max |K| by the dense G x G product, K from the
+    theta-route factors the kernel lines read (`_factors` with `series`
+    false), so the two residuals differ by the product only."""
     L, n = ks.family.length, 512
     x = np.arange(n) * (L / n) + L / (2 * n)
-    km = kernel_matrix(ks, x, x)
+    a, b = dpp_kernels._factors(ks, x, x, series=False)
+    km = dpp_kernels._kernel_sum(a[:, :, None], b[:, None])
     return float(np.max(np.abs(km @ km * (L / n) - km)) / np.max(np.abs(km)))
 
 
@@ -51,11 +54,11 @@ def _mode_mixing_sum(a, b):
     return np.sum(np.tensordot(_mixing(len(a)).T, a, axes=1) * np.conj(b), axis=0)
 
 
-def _mixed_factors(ks, xs, ys, _factors=dpp_kernels._factors):
+def _mixed_factors(ks, xs, ys, series=True, _factors=dpp_kernels._factors):
     # factors that are not biorthogonal: a -> M a over the mode axis, so
     # G = h conj(b) a^T M^T != I (_factors is bound to the unpatched function
-    # at import)
-    a, b = _factors(ks, xs, ys)
+    # at import), in either frame
+    a, b = _factors(ks, xs, ys, series=series)
     return np.tensordot(_mixing(len(a)), a, axes=1), b
 
 
@@ -93,6 +96,25 @@ def test_reproducing_identity_fails_on_mutants(mutant, tag, N, monkeypatch):
         assert not gram["biorthogonality off-diagonal"].passed
     else:                                       # the factors themselves are right
         assert gram["biorthogonality off-diagonal"].passed
+
+
+@pytest.mark.parametrize("tag, N, t, t_star", [("A", 4, 0.4, 1.0), ("C", 3, 0.5, 1.0),
+                                              ("BC", 2, 20.0, 50.0), ("D", 4, 25.0, 50.0)])
+def test_gram_and_kernel_lines_never_read_the_mode_series(tag, N, t, t_star, monkeypatch):
+    # the biorthogonality and kernel-grid lines check the paper's theta
+    # functions: with the mode-series table broken they print the same bytes,
+    # while the kernel itself, which takes the series at these times, fails
+    ks = KernelSpec((tag, N, 1.0), t, t_star)
+    suites = (verification.biortho_suite, verification.kernel_suite)
+    before = [verification.render(suite(ks)) for suite in suites]
+
+    def broken(*args):
+        raise RuntimeError("mode series reached")
+
+    monkeypatch.setattr(dpp_kernels, "_modes", broken)
+    assert [verification.render(suite(ks)) for suite in suites] == before
+    with pytest.raises(RuntimeError, match="mode series reached"):
+        kernel_matrix(ks, [0.5], [0.5])
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
