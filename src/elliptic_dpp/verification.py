@@ -237,7 +237,8 @@ def _kernel_grid_residuals(ks):
     past 2048 nodes (a 67 MB kernel matrix)."""
     d = ks.family
     n = midpoint_nodes(d, ks.t, ks.t_star, 2, 2048**2)
-    # the factors once, for K (as `kernel_matrix` forms it) and for K o K
+    # the factors once, for K and for K o K; K here is the theta-frame kernel
+    # at every time, while `kernel_matrix` takes the mode series where Im tau >= 1
     a, b, g = _gram(ks, n)
     km = _kernel_sum(a[:, :, None], b[:, None])
     trace = float(np.sum(np.diag(km)).real) * (d.length / n)

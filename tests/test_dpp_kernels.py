@@ -434,16 +434,21 @@ def _theta_route_error(ks):
     return 10.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ks.norms_log))))
 
 
+def _block_im_tau(d, s):
+    return d.size**2 * s / (2.0 * np.pi * d.r**2)
+
+
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_kernel_matrix_matches_parts_stream(tag):
     # balanced factors vs the parts stream over N and the time sweep, on a
     # grid with xs != ys and at single points; the factors stay moderate.
-    # The stream is the theta route's parts, whose scales (~|log m_n|) cancel
-    # after rounding: at t* = 1000 it is itself off by up to eps max|log m_n|
-    # = 2.8e-11 (N = 16), where the mode series the kernel takes there reads
-    # K within 6e-15 of its trigonometric limit.  So each case is held to
-    # 1e-11 or to the stream's own error, whichever is larger.
-    worst, biggest = 0.0, 0.0
+    # The theta route is held to 1e-11 of max|K| at every time.  The kernel
+    # itself takes the mode series where a time's block has Im tau >= 1; the
+    # stream is the theta route's parts, whose scales (~|log m_n|) cancel after
+    # rounding, so there it is itself off by up to eps max|log m_n| (2.8e-11 at
+    # t* = 1000, N = 16) and the kernel is held to 1e-11 or that, whichever is
+    # larger.
+    worst, worst_series, biggest = 0.0, 0.0, 0.0
     for N in (2, 4, 8, 16):
         for t, t_star in _TIME_SWEEP:
             ks = KernelSpec((tag, N, 1.0), t=t, t_star=t_star)
@@ -451,20 +456,28 @@ def test_kernel_matrix_matches_parts_stream(tag):
             xs = np.linspace(0.03, 0.97, 9) * L
             ys = np.linspace(0.01, 0.99, 7) * L
             ref = _stream_kernel_matrix(ks, xs, ys)
-            scale = np.max(np.abs(ref)) * max(1e-11, _theta_route_error(ks))
-            km = kernel_matrix(ks, xs, ys)
-            worst = max(worst, np.max(np.abs(km - ref)) / scale)
+            scale = np.max(np.abs(ref))
+            a, b = dpp_kernels._factors(ks, xs, ys, series=False)
+            theta = dpp_kernels._kernel_sum(a[:, :, None], b[:, None])
+            worst = max(worst, np.max(np.abs(theta - ref)) / scale)
             for i, j in ((0, 6), (4, 1), (8, 3)):
-                worst = max(worst, abs(kernel(ks, xs[i], ys[j]) - ref[i, j]) / scale)
+                one = dpp_kernels._kernel_sum(
+                    *dpp_kernels._factors(ks, xs[i], ys[j], series=False))
+                worst = max(worst, abs(complex(one[0]) - ref[i, j]) / scale)
+            bound = 1e-11
+            if max(_block_im_tau(ks.family, t), _block_im_tau(ks.family, t_star - t)) >= 1.0:
+                bound = max(bound, _theta_route_error(ks))
+            km = kernel_matrix(ks, xs, ys)
+            err = np.max(np.abs(km - ref))
+            for i, j in ((0, 6), (4, 1), (8, 3)):
+                err = max(err, abs(kernel(ks, xs[i], ys[j]) - ref[i, j]))
+            worst_series = max(worst_series, err / scale / bound)
             for f in dpp_kernels._factors(ks, xs, ys):
                 assert np.all(np.isfinite(f)), f"{tag}{N} t={t} t*={t_star}"
                 biggest = max(biggest, float(np.max(np.abs(f))))
-    assert worst <= 1.0, f"{tag}: kernel vs parts stream {worst:.3e} of its bound"
+    assert worst <= 1e-11, f"{tag}: kernel vs parts stream {worst:.3e} of max|K|"
+    assert worst_series <= 1.0, f"{tag}: kernel vs parts stream {worst_series:.3e} of its bound"
     assert biggest < 1e3, f"{tag}: balanced factor reaches {biggest:.3e}"
-
-
-def _block_im_tau(d, s):
-    return d.size**2 * s / (2.0 * np.pi * d.r**2)
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -681,27 +694,15 @@ def test_finite_kernel_reaches_trig_limit(tag):
 
 def test_kernel_under_the_factor_margin_matches_the_trig_limit():
     # at r = 1 and t* = 1e6 .. 4e7 the trigonometric limit holds far below
-    # double precision, so the deviation is the balanced factors' rounding:
-    # within 10 eps max|log m_n| of the kernel height (measured up to ~8,
-    # BC2), and never past the margin the factors accept
-    eps = np.finfo(float).eps
-    for tag, N, t_star in (("A", 2, 1e6), ("C", 3, 1e6), ("BC", 2, 1e7), ("A", 2, 4e7)):
+    # double precision; at t = t*/2 both times take the mode series, whose
+    # exponents cancel before rounding, so K is within a few eps of the limit's
+    # height (through the theta route BC2 read 2.4e-8 at t* = 1e7: its scales,
+    # ~|log m_n|, cancelled after rounding), and the horizon is under the
+    # margin the factors accept
+    cases = [(tag, N, t_star) for tag in FAMILIES for N in (2, 3) for t_star in (1e6, 1e7)]
+    for tag, N, t_star in cases + [("A", 2, 4e7)]:
         ks = _ks(tag, N, t=t_star / 2, t_star=t_star)
-        lost = eps * np.max(np.abs(ks.norms_log))
-        assert lost <= dpp_kernels._FACTOR_MARGIN
-        xs = np.linspace(0.11, 0.93, 7) * ks.family.length
-        dev = np.abs(kernel_matrix(ks, xs, xs) - trig_kernel(ks.family, xs[:, None], xs))
-        assert np.max(dev) / (N / (2 * np.pi)) <= 10 * lost, (tag, N, t_star)
-
-
-@pytest.mark.parametrize("tag", FAMILIES)
-@pytest.mark.parametrize("t_star", [1e6, 1e7])
-def test_kernel_at_long_horizons_matches_the_trig_limit_to_round_off(tag, t_star):
-    # under the margin the mode series keeps K at t = t*/2 within a few eps of
-    # its trigonometric limit's height; through the theta route BC2 read
-    # 2.4e-8 at t* = 1e7 (its scales, ~|log m_n|, cancelled after rounding)
-    for N in (2, 3):
-        ks = _ks(tag, N, t=t_star / 2, t_star=t_star)
+        assert np.finfo(float).eps * np.max(np.abs(ks.norms_log)) <= dpp_kernels._FACTOR_MARGIN
         xs = np.linspace(0.11, 0.93, 7) * ks.family.length
         dev = np.abs(kernel_matrix(ks, xs, xs) - trig_kernel(ks.family, xs[:, None], xs))
         assert np.max(dev) / (N / (2 * np.pi)) <= 1e-14, (tag, N, t_star)
